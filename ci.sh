@@ -13,6 +13,11 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"
+# The benchmark is a package of its own (benchmark/Cargo.toml), so the
+# workspace test run above does not reach it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

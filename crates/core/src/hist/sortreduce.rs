@@ -104,7 +104,7 @@ pub fn trace(ctx: &HistContext<'_>, idx: &[u32], san: &gpusim::sanitize::Sanitiz
         );
         // …and writes each output's (g, h) slot plus the count once.
         for k in 0..d.min(crate::sanitize::MAX_TRACE_OUTPUTS) {
-            let slot = (f_local * d + k) * bins + b;
+            let slot = crate::sanitize::device_gh_slot(f_local, k, b, d, bins);
             scope.touch(g_id, tctx, slot, AccessKind::Write);
             scope.touch(h_id, tctx, slot, AccessKind::Write);
         }

@@ -31,6 +31,18 @@ pub(crate) const MAX_TRACE_OUTPUTS: usize = 4;
 /// Max elements declared for streaming kernels (partition, subtract).
 pub(crate) const MAX_TRACE_ELEMS: usize = 4096;
 
+/// Flat slot of `(f_local, k, b)` in the *modeled device* histogram
+/// buffer: output-major, `(f_local·d + k)·bins + b`, as the simulated
+/// GPU kernels lay out `hist_g`/`hist_h` (a `d × bins` shared-memory
+/// tile is the `f_local = 0` case). This is the address model the
+/// sanitizer checks. It is deliberately not the host
+/// [`NodeHistogram`](crate::hist::NodeHistogram) layout, which suits the
+/// CPU accumulation and which no charge or trace reads: keep the two
+/// apart, so sanitizer reports never move with a host layout change.
+pub(crate) fn device_gh_slot(f_local: usize, k: usize, b: usize, d: usize, bins: usize) -> usize {
+    (f_local * d + k) * bins + b
+}
+
 /// Stride-sampled positions `0, s, 2s, …` covering `len` with at most
 /// `cap` points (deterministic; mirrors the cost model's warp sampler).
 pub(crate) fn sample_stride(len: usize, cap: usize) -> impl Iterator<Item = usize> {
@@ -470,11 +482,7 @@ pub(crate) fn trace_pair_kernel(
             for k in 0..d.min(MAX_TRACE_OUTPUTS) {
                 scope.touch(gr_id, tctx, (i * d + k) * 2, AccessKind::Read);
                 scope.touch(gr_id, tctx, (i * d + k) * 2 + 1, AccessKind::Read);
-                let slot = if tile {
-                    k * bins + b
-                } else {
-                    (f_local * d + k) * bins + b
-                };
+                let slot = device_gh_slot(if tile { 0 } else { f_local }, k, b, d, bins);
                 scope.touch(g_id, tctx, slot, kind);
                 scope.touch(h_id, tctx, slot, kind);
             }
@@ -493,7 +501,7 @@ pub(crate) fn trace_pair_kernel(
             for f_local in (0..mf).step_by(f_stride) {
                 for k in 0..d.min(MAX_TRACE_OUTPUTS) {
                     for b in sample_stride(bins, 32) {
-                        let slot = (f_local * d + k) * bins + b;
+                        let slot = device_gh_slot(f_local, k, b, d, bins);
                         let tctx = ThreadCtx {
                             block,
                             thread: (k * bins + b) as u32 % 256,

@@ -14,7 +14,7 @@
 //! models exactly that: per-node calls accumulate their work, and one
 //! flush per level charges the three batched kernels.
 
-use crate::hist::NodeHistogram;
+use crate::hist::{add_rows, NodeHistogram};
 use gpusim::cost::KernelCost;
 use gpusim::primitives::reduce::segments_per_block;
 use gpusim::{Device, Phase};
@@ -239,11 +239,12 @@ fn best_split_impl(
             let mut best = (0usize, f64::NEG_INFINITY);
             for b in 0..bins.saturating_sub(1) {
                 left_cnt += hist.counts[hist.cnt_index(f_local, b)];
-                for k in 0..d {
-                    let at = hist.gh_index(f_local, k, b);
-                    gl[k] += hist.g[at];
-                    hl[k] += hist.h[at];
-                }
+                add_rows(
+                    &mut gl,
+                    &mut hl,
+                    hist.g_row(f_local, b),
+                    hist.h_row(f_local, b),
+                );
                 let right_cnt = node_count - left_cnt;
                 if left_cnt < min_child || right_cnt < min_child {
                     continue;
@@ -284,11 +285,12 @@ fn best_split_impl(
     let mut left_count = 0u32;
     for b in 0..=best_bin {
         left_count += hist.counts[hist.cnt_index(f_local, b)];
-        for k in 0..d {
-            let at = hist.gh_index(f_local, k, b);
-            left_g[k] += hist.g[at];
-            left_h[k] += hist.h[at];
-        }
+        add_rows(
+            &mut left_g,
+            &mut left_h,
+            hist.g_row(f_local, b),
+            hist.h_row(f_local, b),
+        );
     }
     Some(SplitCandidate {
         feature: features[f_local],

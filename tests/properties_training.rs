@@ -86,8 +86,8 @@ proptest! {
             let count: u32 = (0..16).map(|b| hist.counts[hist.cnt_index(f, b)]).sum();
             prop_assert_eq!(count as usize, p.subset.len());
             for k in 0..p.d {
-                let sg: f64 = hist.g_segment(f, k).iter().sum();
-                let sh: f64 = hist.h_segment(f, k).iter().sum();
+                let sg: f64 = (0..16).map(|b| hist.g_row(f, b)[k]).sum();
+                let sh: f64 = (0..16).map(|b| hist.h_row(f, b)[k]).sum();
                 prop_assert!((sg - ng[k]).abs() < 1e-4, "g mass {} vs {}", sg, ng[k]);
                 prop_assert!((sh - nh[k]).abs() < 1e-4, "h mass {} vs {}", sh, nh[k]);
             }

@@ -9,6 +9,14 @@
 //! bits and leaf-value bits, followed by the fit's simulated total ns
 //! bits, and compared with the committed value.
 //!
+//! A second set of rows pins the multi-GPU trainers' whole charge
+//! stream: {feature, data} parallel × {1, 2, 3} devices × {1, 4}
+//! streams × {no sketch, top-2 sketch}, plus a transient fault with a
+//! retry and a device loss on a 3-device group. Those rows also hash
+//! `TrainReport::hist_methods`, every device's clock and charge records
+//! (name, phase, stream, start and duration bits) and the counters and
+//! gauges of a telemetry registry shared by the group.
+//!
 //! A mismatch means the model or the charged cost moved. If that is
 //! intended, print the new table with
 //! `UPDATE_GOLDEN=1 cargo test -p gbdt-core --test layout_golden -- --nocapture`
@@ -18,10 +26,11 @@ use gbdt_core::config::TrainConfig;
 use gbdt_core::multigpu::{MultiGpuStrategy, MultiGpuTrainer};
 use gbdt_core::trainer::{GpuTrainer, TrainReport};
 use gbdt_core::tree::Node;
-use gbdt_core::{HistOptions, HistogramMethod};
+use gbdt_core::{HistOptions, HistogramMethod, OutputSketch, RetryPolicy};
 use gbdt_data::synth::{make_classification, ClassificationSpec};
 use gbdt_data::Dataset;
-use gpusim::{Device, DeviceGroup};
+use gpusim::{Device, DeviceGroup, FaultPlan, Telemetry};
+use std::sync::Arc;
 
 const GOLDEN: &[(&str, u64)] = &[
     ("GlobalMemory/dense", 0xa48611ddbdb59ce1),
@@ -38,6 +47,34 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Adaptive/subtraction", 0x02d13954346203fb),
     ("FP(2)", 0xfcd2af056361c017),
     ("DP(2)", 0xe08f27ddc4df2425),
+    ("FP(1)/streams1/none", 0xea5bcf74def61c3d),
+    ("FP(1)/streams1/top2", 0xdecf9ba09de07a52),
+    ("FP(1)/streams4/none", 0x891106cb91f69780),
+    ("FP(1)/streams4/top2", 0x3f7c0df8f729d874),
+    ("FP(2)/streams1/none", 0xd173f1b14467a59c),
+    ("FP(2)/streams1/top2", 0xfd77398d24ba5892),
+    ("FP(2)/streams4/none", 0xbe87aed11922bb9f),
+    ("FP(2)/streams4/top2", 0x9469e60cfb7eb1a9),
+    ("FP(3)/streams1/none", 0x42061082d6f6fc66),
+    ("FP(3)/streams1/top2", 0xbd5cf9eaa215cb13),
+    ("FP(3)/streams4/none", 0x43b53511bd5ff0bc),
+    ("FP(3)/streams4/top2", 0x6c33004cc3d96d1e),
+    ("FP(3)/transient", 0x71c00412e3e47fa0),
+    ("FP(3)/lost", 0x1d600263586f7281),
+    ("DP(1)/streams1/none", 0x90b67410b8bcf91e),
+    ("DP(1)/streams1/top2", 0xc1a19ab94d22cfc6),
+    ("DP(1)/streams4/none", 0xcaed467e396f135b),
+    ("DP(1)/streams4/top2", 0xea3e8f3bcb27a2b7),
+    ("DP(2)/streams1/none", 0x898ba746db4fcd78),
+    ("DP(2)/streams1/top2", 0x300948a389b240eb),
+    ("DP(2)/streams4/none", 0x745ba6fff7553c89),
+    ("DP(2)/streams4/top2", 0xc7550e4315b8f52a),
+    ("DP(3)/streams1/none", 0x078e1fe914873393),
+    ("DP(3)/streams1/top2", 0x1cd58be8c4a84106),
+    ("DP(3)/streams4/none", 0x51d1efd53a98fda0),
+    ("DP(3)/streams4/top2", 0x88d7326b077f052b),
+    ("DP(3)/transient", 0xeebd33c967014986),
+    ("DP(3)/lost", 0x932abfe7243a7f62),
 ];
 
 fn dataset() -> Dataset {
@@ -76,6 +113,13 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for byte in s.bytes() {
+            self.word(byte as u64);
+        }
+    }
 }
 
 fn fingerprint(report: &TrainReport) -> u64 {
@@ -104,6 +148,116 @@ fn fingerprint(report: &TrainReport) -> u64 {
     }
     h.word(report.sim.total_ns.to_bits());
     h.0
+}
+
+/// [`fingerprint`] extended by everything a multi-GPU fit books: the
+/// chosen histogram methods, each device's clock and full charge
+/// stream in order, and the group registry's counters and gauges.
+fn charge_stream_fingerprint(report: &TrainReport, group: &DeviceGroup, tel: &Telemetry) -> u64 {
+    let mut h = Fnv(fingerprint(report));
+    for (method, count) in &report.hist_methods {
+        h.text(&format!("{method:?}"));
+        h.word(*count as u64);
+    }
+    for dev in group.devices() {
+        h.word(dev.now_ns().to_bits());
+        let records = dev.records();
+        h.word(records.len() as u64);
+        for r in &records {
+            h.text(r.name);
+            h.text(&format!("{:?}", r.phase));
+            h.word(r.stream as u64);
+            h.word(r.start_ns.to_bits());
+            h.word(r.ns.to_bits());
+        }
+    }
+    let snap = tel.snapshot();
+    for (name, v) in &snap.counters {
+        h.text(name);
+        h.word(*v);
+    }
+    for (name, v) in &snap.gauges {
+        h.text(name);
+        h.word(v.to_bits());
+    }
+    h.0
+}
+
+/// Fault injected on device 1 of a charge-stream row.
+#[derive(Clone, Copy)]
+enum Fault {
+    None,
+    Transient,
+    Lost,
+}
+
+fn multigpu_fit(
+    strategy: MultiGpuStrategy,
+    k: usize,
+    streams: usize,
+    sketch: OutputSketch,
+    fault: Fault,
+) -> u64 {
+    let cfg = TrainConfig {
+        streams,
+        sketch,
+        ..config(HistOptions::default())
+    };
+    let group = DeviceGroup::rtx4090s(k);
+    let tel = Arc::new(Telemetry::new());
+    for dev in group.devices() {
+        dev.attach_telemetry(tel.clone());
+    }
+    // Charge 30 on device 1 lands inside the first boosting round.
+    let cfg = match fault {
+        Fault::None => cfg,
+        Fault::Transient => {
+            group
+                .device(1)
+                .enable_faults(FaultPlan::new().transient_at(30));
+            cfg.with_retry(RetryPolicy::retries(2))
+        }
+        Fault::Lost => {
+            group
+                .device(1)
+                .enable_faults(FaultPlan::new().device_lost_at(30));
+            cfg
+        }
+    };
+    let report =
+        MultiGpuTrainer::with_strategy(group.clone(), cfg, strategy).fit_report(&dataset());
+    if !matches!(fault, Fault::None) {
+        let faults = group.device(1).fault_report().expect("injector attached");
+        assert_eq!(
+            faults.transient_injected + faults.device_lost,
+            1,
+            "the fault fired"
+        );
+    }
+    charge_stream_fingerprint(&report, &group, &tel)
+}
+
+fn multigpu_fits() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (tag, strategy) in [
+        ("FP", MultiGpuStrategy::FeatureParallel),
+        ("DP", MultiGpuStrategy::DataParallel),
+    ] {
+        for k in 1..=3 {
+            for streams in [1, 4] {
+                for sketch in [OutputSketch::None, OutputSketch::TopOutputs(2)] {
+                    let label = format!("{tag}({k})/streams{streams}/{}", sketch.label());
+                    let hash = multigpu_fit(strategy, k, streams, sketch, Fault::None);
+                    out.push((label, hash));
+                }
+            }
+        }
+        for (label, fault) in [("transient", Fault::Transient), ("lost", Fault::Lost)] {
+            let hash = multigpu_fit(strategy, 3, 1, OutputSketch::None, fault);
+            out.push((format!("{tag}(3)/{label}"), hash));
+        }
+    }
+    out
 }
 
 fn fits() -> Vec<(String, u64)> {
@@ -149,6 +303,7 @@ fn fits() -> Vec<(String, u64)> {
         );
         out.push((label.to_string(), fingerprint(&trainer.fit_report(&ds))));
     }
+    out.extend(multigpu_fits());
     out
 }
 

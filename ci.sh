@@ -11,6 +11,11 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test --workspace -q"
+# Every workspace test runs here, including the bitwise gates for
+# streams, serving observers, chaos/checkpoint recovery, the sanitized
+# recovery paths, telemetry (zero-perturbation and the golden
+# exporters) and repo-lint's golden diagnostics; later steps run only
+# what this does not.
 cargo test --workspace -q
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"
@@ -66,9 +71,6 @@ done
 echo "==> repo-lint self-check (good_repo must satisfy the contract)"
 cargo run --release -q -p repo-lint -- --contract-root crates/lint/fixtures/good_repo >/dev/null
 
-echo "==> repo-lint golden JSON diagnostics"
-cargo test -q -p repo-lint --test golden_json >/dev/null
-
 echo "==> sanitized smoke train (repro sanitize: dense + every sketch mode × hist method)"
 cargo run --release -q -p gbdt-bench --bin repro -- sanitize --trees 2 --depth 4 --bins 32 >/dev/null
 
@@ -96,20 +98,6 @@ grep -qE '"overlap_saved_ns":[1-9]' /tmp/BENCH_streams.json || {
   exit 1
 }
 
-echo "==> stream zero-perturbation gate (observers + streams, bitwise)"
-# Profiler + sanitizer attached to a streamed (4-stream) run must change
-# nothing: model, clock, and every charge record bit-for-bit.
-cargo test -q -p gbdt-core --test streams \
-  observers_do_not_perturb_streamed_training >/dev/null
-cargo test -q -p gbdt-core --test streams \
-  serial_stream_config_is_bitwise_stable_across_methods_and_sketches >/dev/null
-
-echo "==> sanitized serving smoke (both predict modes under full memcheck)"
-# The serving observer test uploads a compiled ensemble and predicts in
-# both parallelization schemes with the sanitizer at SanitizeMode::Full,
-# asserting a clean report and zero charge perturbation.
-cargo test -q -p gbdt-core --test serving observers_do_not_perturb_serving >/dev/null
-
 echo "==> serve smoke benchmark + schema validation + regression gate"
 # Batched-serving invariants (bit-identity, >=5x batched speedup,
 # tree-level strictly costlier) plus a throughput/resident-bytes
@@ -117,49 +105,12 @@ echo "==> serve smoke benchmark + schema validation + regression gate"
 cargo run --release -q -p gbdt-bench --bin repro -- serve --smoke \
   --baseline SERVE_baseline.json --check >/dev/null
 
-echo "==> repo-lint Serve-phase fixture (missing schema key must fire)"
-# Proves phase_in_bench_schema would catch a bench schema that never
-# learned about Phase::Serve.
-cargo test -q -p repo-lint phase_schema_catches_missing_serve_phase >/dev/null
-
 echo "==> chaos smoke (seeded fault matrix: transient retry, device loss, resume)"
 # Seeded fault plans against single- and multi-GPU training plus a
 # checkpoint/resume roundtrip: every completion must be bit-identical
 # to the fault-free reference, every failure a typed error.
 cargo run --release -q -p gbdt-bench --bin repro -- chaos --smoke \
   --trees 5 --depth 3 --bins 16 >/dev/null
-
-echo "==> sanitized chaos smoke (recovery paths under full memcheck+racecheck)"
-# A transient-fault single-GPU fit, a device-loss multi-GPU fit, and a
-# resumed fit, each with the sanitizer at SanitizeMode::Full — the
-# retry/degrade/resume re-execution paths must replay clean.
-cargo test -q -p gbdt-core --test chaos \
-  transient_retry_recovers_bit_identically_and_pays_for_the_retry \
-  >/dev/null
-cargo test -q -p gbdt-core --test chaos \
-  multi_gpu_degrades_to_survivors_with_identical_trees >/dev/null
-cargo test -q -p gbdt-core --test checkpoint_resume \
-  resume_is_bit_identical_across_hist_methods_and_sketches >/dev/null
-cargo test -q -p gbdt-core --test sanitized_recovery >/dev/null
-
-echo "==> repo-lint fault-path fixture (unchecksummed recovery kernel must fire)"
-# Proves the kernel contract gives no pass to recovery-path charge
-# sites: the bad_repo fault_path fixture kernels must trip sanitize,
-# prof_coverage and design_inventory.
-cargo test -q -p repo-lint --test golden_json \
-  unchecksummed_fault_path_kernel_fires_the_contract >/dev/null
-
-echo "==> telemetry zero-perturbation gate (registry on/off/toggled, bitwise)"
-# The metrics registry and flight recorder must be pure observers:
-# trees, predictions, clocks, and every charge record bit-identical
-# with telemetry attached, detached, or toggled mid-run — across the
-# hist-method × sketch grid, multi-GPU, and serving.
-cargo test -q -p gbdt-core --test telemetry >/dev/null
-
-echo "==> telemetry golden schema gate (Prometheus + JSON exporters pinned)"
-# The schema-versioned JSON export and the Prometheus text exposition
-# are golden-pinned; drift fails here before it reaches a dashboard.
-cargo test -q -p telemetry >/dev/null
 
 echo "==> unified run report smoke (phase ns must reconcile bitwise with the ledger)"
 # `repro report` trains + serves on one telemetry-carrying device and

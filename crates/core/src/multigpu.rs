@@ -1,13 +1,36 @@
 //! Multi-GPU training on a single machine (paper §3.4.2).
 //!
-//! Feature columns are partitioned across devices: each device builds
-//! histograms and evaluates splits *only for its features*, so the
-//! dominant histogram cost divides by the device count. Per node, the
-//! devices exchange only summary statistics — their local best-split
-//! candidates (an all-gather of a few dozen bytes each) and, once the
-//! global winner is known, the owner broadcasts the left/right routing
-//! bitmap so every device partitions its instance lists identically.
+//! One level-wise boosting loop serves both layouts of
+//! [`MultiGpuStrategy`]. Each device builds its slice of every node's
+//! histogram, and the group combines the slices with one collective per
+//! level. The functional work (gradients, histograms, splits, leaf
+//! values) runs once on the host and does not depend on the layout or
+//! the device count, so every group grows the same trees as a single
+//! device; only the charged costs differ. The layouts differ in five
+//! places, each a `match self.strategy` arm:
+//!
+//! - **Ingest:** a device loads its feature range over all rows
+//!   (feature-parallel, [`partition_features`]) or all columns of its
+//!   instance shard (data-parallel).
+//! - **Mirrored work:** the replicas' gradient, sketch-apply, leaf-refit
+//!   and score-update charges cover all `n` rows (feature-parallel) or
+//!   their `n/k` shard (data-parallel).
+//! - **Node histograms and splits:** a feature-parallel device builds
+//!   and evaluates only its own features, and the group picks the best
+//!   local candidate. A data-parallel device builds its shard over all
+//!   features, and every device evaluates the one reduced histogram.
+//! - **Partitioning:** feature-parallel flag and partition kernels are
+//!   charged once per level, after the candidate exchange; data-parallel
+//!   `partition_shard` kernels are charged per node.
+//! - **Level collective:** feature-parallel devices all-gather their
+//!   best-split candidates, then the owners' routing bitmaps (summary
+//!   statistics of a few bytes per instance). Data-parallel devices
+//!   ring-all-reduce every built node's `m × B × d` histogram.
+//!
 //! The group runs bulk-synchronously; barrier waits book as idle time.
+//! With `streams > 1` the histogram builds run on their own stream and
+//! the level's collective drains on a comm stream while the next
+//! level's builds start.
 //!
 //! ## Fault recovery
 //!
@@ -27,17 +50,18 @@ use crate::config::{ConfigError, HistogramMethod, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::{compute_gradients, update_scores_from_leaves, Gradients};
 use crate::grow::{partition_stable, GrowResult};
-use crate::hist::{accumulate_dense, adaptive, gmem, smem, sortreduce, HistContext, NodeHistogram};
+use crate::hist::{accumulate_dense, charge_method_on, resolve_method, HistContext, NodeHistogram};
 use crate::loss::loss_for_task;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
 use crate::split::{find_best_split_range, leaf_values, SplitCandidate, SplitParams};
-use crate::trainer::{base_scores, TrainReport};
+use crate::trainer::{base_score_matrix, TrainReport};
 use crate::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::cost::KernelCost;
 use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,10 +77,6 @@ const COMM_STREAM: usize = 2;
 /// trainer's chunked ingest copy).
 const COMM_CHUNKS: f64 = 8.0;
 
-/// Frontier entry awaiting its level's collective exchange:
-/// `(tree node, instances, g sums, h sums, local best split)`.
-type PendingNode = (usize, Vec<u32>, Vec<f64>, Vec<f64>, Option<SplitCandidate>);
-
 /// Contiguous feature ranges per device: device `i` owns
 /// `[ranges[i].0, ranges[i].1)` as local indices into `0..m`.
 pub fn partition_features(m: usize, k: usize) -> Vec<(usize, usize)> {
@@ -71,6 +91,13 @@ pub fn partition_features(m: usize, k: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     out
+}
+
+/// Rank `rank`'s contiguous shard of `len` instances split `k` ways
+/// (the first `len % k` shards hold one extra instance).
+fn shard_range(len: usize, k: usize, rank: usize) -> Range<usize> {
+    let lo = rank * (len / k) + rank.min(len % k);
+    lo..lo + len / k + usize::from(rank < len % k)
 }
 
 /// Outcome of polling every active device after one bulk-synchronous
@@ -120,46 +147,6 @@ enum StepVerdict {
     Degraded,
 }
 
-/// Charge every device for ingesting and binning its feature-range
-/// share (feature-parallel layout). Re-issued after degradation: the
-/// partition boundaries shift globally, so survivors reload and rebin
-/// their full new column ranges.
-fn charge_fp_preprocess(group: &DeviceGroup, n: usize, ranges: &[(usize, usize)]) {
-    for (dev, &(lo, hi)) in group.devices().iter().zip(ranges) {
-        let share_bytes = (n * (hi - lo) * 4) as f64;
-        dev.charge_ns(
-            "htod_features",
-            Phase::Transfer,
-            dev.model().host_copy_ns(share_bytes),
-        );
-        dev.charge_kernel(
-            "quantile_binning",
-            Phase::Binning,
-            &KernelCost::streaming((n * (hi - lo)) as f64 * 16.0, share_bytes * 2.5),
-        );
-    }
-}
-
-/// Charge every device for ingesting and binning all columns of its
-/// instance shard (data-parallel layout).
-fn charge_dp_preprocess(group: &DeviceGroup, n: usize, m: usize) {
-    let k = group.len();
-    for (rank, dev) in group.devices().iter().enumerate() {
-        let shard = n / k + usize::from(rank < n % k);
-        let bytes = (shard * m * 4) as f64;
-        dev.charge_ns(
-            "htod_features",
-            Phase::Transfer,
-            dev.model().host_copy_ns(bytes),
-        );
-        dev.charge_kernel(
-            "quantile_binning",
-            Phase::Binning,
-            &KernelCost::streaming((shard * m) as f64 * 16.0, bytes * 2.5),
-        );
-    }
-}
-
 /// Book a level-batched collective on every device's comm stream:
 /// all ranks enter together at `fence` (the slowest rank's arrival),
 /// each pays `ns` on its comm engine, and the returned event marks the
@@ -182,19 +169,49 @@ fn streamed_collective(
     done
 }
 
+/// When the first pipelined chunk of a collective of `ns` that
+/// completes at `done` has landed: the next level's builds may start
+/// there and overlap the tail.
+fn first_chunk(done: Event, ns: f64) -> Event {
+    done.offset_ns(-ns * (1.0 - 1.0 / COMM_CHUNKS))
+}
+
+/// The latest clock of `stream` across the group: when the slowest
+/// rank's work on it completes.
+fn stream_fence(devices: &[Arc<Device>], stream: usize) -> Event {
+    devices.iter().fold(Event::at_ns(0.0), |fence, dev| {
+        fence.max(dev.record_event(stream))
+    })
+}
+
 /// Fold the group's stream-0 clocks into one alignment fence and make
 /// every device wait it: the bulk-synchronous join of streamed mode.
 /// Unlike [`DeviceGroup::barrier`] it books no idle time and leaves
 /// the comm/hist streams free to drain past the level boundary.
 fn align_stream0(devices: &[Arc<Device>]) -> Event {
-    let mut align = Event::at_ns(0.0);
-    for dev in devices {
-        align = align.max(dev.record_event(0));
-    }
+    let align = stream_fence(devices, 0);
     for dev in devices {
         dev.wait_event(0, align);
     }
     align
+}
+
+/// All-gather one level's per-device payloads of `sizes` bytes. In
+/// streamed mode the exchange runs on the comm streams after aligning
+/// stream 0, and its completion event and duration are returned.
+fn all_gather_level(group: &DeviceGroup, sizes: &[usize], streamed: bool) -> Option<(Event, f64)> {
+    let (devices, k) = (group.devices(), group.len());
+    let max_part = sizes.iter().copied().max().unwrap_or(0);
+    tel_collective_bytes(devices, (max_part * k) as f64);
+    if streamed {
+        let ns = devices[0].model().all_gather_ns(max_part as f64, k);
+        let fence = align_stream0(devices);
+        Some((streamed_collective(devices, "all_gather", ns, fence), ns))
+    } else {
+        let payload: Vec<Vec<u8>> = sizes.iter().map(|&s| vec![0u8; s]).collect();
+        let _ = group.all_gather_bytes(&payload);
+        None
+    }
 }
 
 /// The group's shared telemetry registry, if any device carries one.
@@ -216,13 +233,12 @@ fn tel_collective_bytes(devices: &[Arc<Device>], bytes: f64) {
 /// how unevenly the group's makespans landed before the final join.
 fn tel_makespan_skew(devices: &[Arc<Device>]) {
     if let Some(tel) = group_telemetry(devices) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for dev in devices {
-            let now = dev.now_ns();
-            lo = lo.min(now);
-            hi = hi.max(now);
-        }
+        let (lo, hi) = devices
+            .iter()
+            .map(|dv| dv.now_ns())
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), now| {
+                (lo.min(now), hi.max(now))
+            });
         tel.gauge_set("multigpu.makespan_skew_ns", (hi - lo).max(0.0));
     }
 }
@@ -246,6 +262,12 @@ pub enum MultiGpuStrategy {
 }
 
 /// Multi-GPU GBDT-MO trainer.
+///
+/// It grows the same trees as [`crate::GpuTrainer`] for the knobs it
+/// implements. The constructors reject, with a [`ConfigError`] naming
+/// the knob, the ones it does not: `subsample < 1`,
+/// `colsample_bytree < 1`, `goss`, non-empty `monotone_constraints` and
+/// `hist.quantized_gradients`.
 pub struct MultiGpuTrainer {
     group: DeviceGroup,
     config: TrainConfig,
@@ -284,6 +306,21 @@ impl MultiGpuTrainer {
         strategy: MultiGpuStrategy,
     ) -> Result<Self, ConfigError> {
         config.validate().map_err(ConfigError::from)?;
+        let unsupported = [
+            ("subsample", config.subsample < 1.0),
+            ("colsample_bytree", config.colsample_bytree < 1.0),
+            ("goss", config.goss.is_some()),
+            (
+                "monotone_constraints",
+                !config.monotone_constraints.is_empty(),
+            ),
+            ("hist.quantized_gradients", config.hist.quantized_gradients),
+        ];
+        if let Some((knob, _)) = unsupported.iter().find(|(_, set)| *set) {
+            return Err(ConfigError::from(format!(
+                "{knob} is not supported by multi-GPU training"
+            )));
+        }
         Ok(MultiGpuTrainer {
             group,
             config,
@@ -331,180 +368,35 @@ impl MultiGpuTrainer {
     /// training (see the module docs); the error cases are an exhausted
     /// transient-retry budget and the loss of every device.
     pub fn try_fit_report(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        match self.strategy {
-            MultiGpuStrategy::FeatureParallel => self.fit_feature_parallel(ds),
-            MultiGpuStrategy::DataParallel => self.fit_data_parallel(ds),
-        }
-    }
-
-    /// End-of-step poll and recovery decision for one bulk-synchronous
-    /// step. Trims `active` on device loss. `round` is the boosting
-    /// round, or `usize::MAX` for preprocessing.
-    fn recover_step(
-        &self,
-        active: &mut Vec<Arc<Device>>,
-        attempts: &mut u32,
-        round: usize,
-    ) -> Result<StepVerdict, TrainError> {
-        // Observer only (may be `None`): counters and postmortems are
-        // recorded on the group's shared registry after the recovery
-        // decision is already made.
-        let tel = group_telemetry(self.group.devices());
-        match poll_group(active) {
-            GroupPoll::Clean => Ok(StepVerdict::Commit),
-            GroupPoll::Transient(fault) => {
-                if *attempts >= self.config.retry.max_retries {
-                    let err = TrainError::RetriesExhausted {
-                        round,
-                        attempts: *attempts,
-                        fault,
-                    };
-                    if let Some(tl) = &tel {
-                        tl.counter_inc("train.faults_total");
-                        tl.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-                *attempts += 1;
-                if let Some(tl) = &tel {
-                    tl.counter_inc("train.faults_total");
-                    tl.counter_inc("train.retries_total");
-                }
-                Ok(StepVerdict::Retry)
-            }
-            GroupPoll::Lost { dead } => {
-                for rank in dead.into_iter().rev() {
-                    active.remove(rank);
-                }
-                if let Some(tl) = &tel {
-                    tl.counter_inc("train.faults_total");
-                }
-                if active.is_empty() {
-                    let err = TrainError::AllDevicesLost { round };
-                    if let Some(tl) = &tel {
-                        tl.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-                Ok(StepVerdict::Degraded)
-            }
-        }
-    }
-
-    /// Sketch the round's gradients once on device 0, broadcast the
-    /// plan (selected column indices or the projection matrix) as a
-    /// collective, and mirror the gather/projection apply on the
-    /// replica devices: `mirror_n` instances each — the full `n` under
-    /// feature parallelism (gradients are replicated), the shard size
-    /// under data parallelism.
-    fn sketch_round(
-        &self,
-        group: &DeviceGroup,
-        grads: &Gradients,
-        t: usize,
-        mirror_n: usize,
-    ) -> Gradients {
-        let dev0 = group.device(0);
-        let _sketch_scope = dev0.prof_scope("sketch", Some(t as u64));
-        let plan = plan_sketch(
-            dev0,
-            grads,
-            self.config.sketch,
-            self.config.seed.wrapping_add(t as u64),
-        );
-        let bytes = plan.broadcast_bytes(grads.d);
-        if group.len() > 1 && bytes > 0.0 {
-            group.broadcast(0, bytes as usize);
-            tel_collective_bytes(group.devices(), bytes);
-        }
-        let sketched = apply_sketch(dev0, grads, &plan);
-        for dev in &group.devices()[1..] {
-            charge_apply(dev, mirror_n, grads.d, &plan);
-        }
-        sketched
-    }
-
-    /// Refit a sketch-grown tree's leaves to the full `d`-dimensional
-    /// optimum on device 0 and mirror the gather-reduce charge on the
-    /// replicas (`mirror_touched` resident instances each).
-    #[allow(clippy::type_complexity)]
-    fn refit_round(
-        &self,
-        group: &DeviceGroup,
-        tree: Tree,
-        leaf_assignments: Vec<(Vec<u32>, Vec<f32>)>,
-        leaf_nodes: Vec<usize>,
-        full: &Gradients,
-        mirror_touched: usize,
-    ) -> (Tree, Vec<(Vec<u32>, Vec<f32>)>) {
-        let mut grown = GrowResult {
-            tree,
-            leaf_assignments,
-            leaf_nodes,
-            methods_used: BTreeMap::new(),
-        };
-        refit_leaves_full_d(group.device(0), &mut grown, full, &self.config);
-        let d = full.d;
-        for dev in &group.devices()[1..] {
-            dev.charge_kernel(
-                "leaf_refit_full_d",
-                Phase::LeafValue,
-                &KernelCost::streaming(
-                    (mirror_touched * d * 2) as f64,
-                    (mirror_touched * d * 8) as f64,
-                ),
-            );
-        }
-        (grown.tree, grown.leaf_assignments)
-    }
-
-    fn fit_feature_parallel(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
         let host_start = Instant::now();
-        let n = ds.n();
-        let d = ds.d();
-        let m = ds.m();
+        let (n, d, m) = (ds.n(), ds.d(), ds.m());
         let start_summaries: Vec<_> = self.group.devices().iter().map(|dv| dv.summary()).collect();
         let mut active: Vec<Arc<Device>> = self.group.devices().to_vec();
         let faults_on = active.iter().any(|dv| dv.fault_injector().is_some());
-        let streamed = self.config.streams > 1;
-        let hist_stream = if streamed { HIST_STREAM } else { 0 };
 
-        // --- preprocessing, charged per device for its feature share --
+        // --- preprocessing, charged per device for its share ----------
         let mut attempts = 0u32;
         loop {
-            let group = DeviceGroup::from_devices(active.clone());
-            let ranges = partition_features(m, group.len());
-            charge_fp_preprocess(&group, n, &ranges);
+            self.charge_preprocess(&DeviceGroup::from_devices(active.clone()), n, m);
             if !faults_on {
                 break;
             }
             match self.recover_step(&mut active, &mut attempts, usize::MAX)? {
                 StepVerdict::Commit => break,
                 // Retry and degradation both simply re-run the ingest:
-                // the loop recomputes the partition from the survivors.
+                // the shares are recomputed from the survivors.
                 StepVerdict::Retry | StepVerdict::Degraded => {}
             }
         }
         let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-        let features: Vec<u32> = (0..m as u32).collect();
-
-        let base = base_scores(ds);
-        let mut scores = vec![0.0f32; n * d];
-        for row in scores.chunks_mut(d) {
-            row.copy_from_slice(&base);
-        }
+        let (base, mut scores) = base_score_matrix(ds);
         let loss = loss_for_task(ds.task());
-        let params = SplitParams {
-            lambda: self.config.lambda,
-            min_gain: self.config.min_gain,
-            min_instances: self.config.min_instances,
-            segments_c: self.config.segments_per_block_c,
-        };
 
         let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
+        let mut hist_methods = BTreeMap::new();
         // Structure search runs at the sketch's effective output
-        // dimension; the histogram shrinks from d to k columns.
+        // dimension: the histogram, and with it the data-parallel
+        // all-reduce payload, shrinks from d to k columns.
         let d_eff = self.config.sketch.effective_dim(d);
         let mut hist = NodeHistogram::new(m, d_eff, self.config.max_bins);
 
@@ -516,362 +408,93 @@ impl MultiGpuTrainer {
             let mut attempts = 0u32;
             let committed = loop {
                 let group = DeviceGroup::from_devices(active.clone());
-                let ranges = partition_features(m, group.len());
+                let devices = group.devices();
+                let k = group.len();
+                // Rows each replica mirrors the lead's per-instance work
+                // over: all of them when gradients are replicated, its
+                // own shard when instances are.
+                let mirror_n = match self.strategy {
+                    MultiGpuStrategy::FeatureParallel => n,
+                    MultiGpuStrategy::DataParallel => n / k,
+                };
                 // Scope the round on the lead device (the representative
                 // timeline; devices run in lockstep between collectives).
                 let _round_scope = group.device(0).prof_scope("round", Some(t as u64));
-                // Gradients are replicated: every device computes them for
-                // all instances (standard in feature-parallel training —
-                // gradients depend on all outputs but no feature exchange).
-                let grads_full = {
-                    let g = compute_gradients(
-                        group.device(0),
-                        loss.as_ref(),
-                        &scores,
-                        ds.targets(),
-                        n,
-                        d,
-                    );
-                    for dev in &group.devices()[1..] {
-                        dev.charge_kernel(
-                            "grad_hess",
-                            Phase::Gradient,
-                            &KernelCost::streaming(
-                                n as f64 * d as f64 * loss.flops_per_output(),
-                                (n * d * 16) as f64,
-                            ),
-                        );
-                    }
-                    g
+                // The lead computes the gradients and is charged for all
+                // n rows in both layouts. Only the replicas differ: they
+                // charge `grad_hess` over all n rows when gradients are
+                // replicated (feature-parallel), `grad_hess_shard` over
+                // n/k rows when instances are sharded (data-parallel).
+                let grads_full =
+                    compute_gradients(&devices[0], loss.as_ref(), &scores, ds.targets(), n, d);
+                let grad_kernel = match self.strategy {
+                    MultiGpuStrategy::FeatureParallel => "grad_hess",
+                    MultiGpuStrategy::DataParallel => "grad_hess_shard",
                 };
+                for dev in &devices[1..] {
+                    dev.charge_kernel(
+                        grad_kernel,
+                        Phase::Gradient,
+                        &KernelCost::streaming(
+                            mirror_n as f64 * d as f64 * loss.flops_per_output(),
+                            (mirror_n * d * 16) as f64,
+                        ),
+                    );
+                    crate::sanitize::trace_grad_hess(dev, mirror_n, d);
+                }
                 // Sketch once per tree: device 0 selects, the plan is
-                // broadcast, every device applies locally.
+                // broadcast, every device applies it locally.
                 let (grads, full_for_refit) = if self.config.sketch.is_none() {
                     (grads_full, None)
                 } else {
-                    let sketched = self.sketch_round(&group, &grads_full, t, n);
+                    let sketched = self.sketch_round(&group, &grads_full, t, mirror_n);
                     (sketched, Some(grads_full))
                 };
 
-                let mut tree = Tree::new(grads.d);
-                let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-                let mut leaf_nodes: Vec<usize> = Vec::new();
-                let root_idx: Vec<u32> = (0..n as u32).collect();
-                let (rg, rh) = grads.sums(&root_idx);
-                let mut frontier = vec![(0usize, root_idx, rg, rh)];
-                // Streamed mode: builds of each level start at the previous
-                // level's alignment fence plus the first chunk of any
-                // in-flight collective — the collective's tail overlaps them.
-                let mut level_fence: Option<Event> = None;
-
-                for depth in 0..self.config.max_depth {
-                    let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
-                    if streamed {
-                        for dev in group.devices() {
-                            let f = match level_fence {
-                                Some(f) => f,
-                                None => dev.record_event(0),
-                            };
-                            dev.wait_event(HIST_STREAM, f);
-                        }
-                    }
-                    // --- pass 1: histograms + local candidates per node ---
-                    // Candidates for the whole level are exchanged in ONE
-                    // all-gather (summary statistics only), not per node.
-                    let mut pending: Vec<PendingNode> = Vec::new();
-                    let mut candidate_payload: Vec<Vec<u8>> = vec![Vec::new(); group.len()];
-                    for (tree_node, instances, node_g, node_h) in frontier {
-                        if instances.len() < 2 * self.config.min_instances {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        }
-
-                        // Per-device histogram build over its feature range:
-                        // charge each device for exactly its share.
-                        hist.reset();
-                        let mut hist_events: Vec<Option<Event>> = vec![None; group.len()];
-                        for (rank, (dev, &(lo, hi))) in
-                            group.devices().iter().zip(&ranges).enumerate()
-                        {
-                            if lo == hi {
-                                continue;
-                            }
-                            let ctx = HistContext {
-                                device: dev,
-                                data: &binned,
-                                grads: &grads,
-                                features: &features[lo..hi],
-                                bins: self.config.max_bins,
-                                opts: self.config.hist,
-                            };
-                            let method = match self.config.hist.method {
-                                HistogramMethod::Adaptive => {
-                                    adaptive::select_method(&ctx, instances.len())
-                                }
-                                mtd => mtd,
-                            };
-                            match method {
-                                HistogramMethod::GlobalMemory => {
-                                    gmem::charge_on(&ctx, &instances, hist_stream)
-                                }
-                                HistogramMethod::SharedMemory => {
-                                    smem::charge_on(&ctx, &instances, hist_stream)
-                                }
-                                HistogramMethod::SortReduce => {
-                                    sortreduce::charge_on(&ctx, &instances, hist_stream)
-                                }
-                                HistogramMethod::Adaptive => unreachable!(),
-                            }
-                            *hist_methods.entry(method).or_insert(0) += 1;
-                            if streamed {
-                                hist_events[rank] = Some(dev.record_event(HIST_STREAM));
-                            }
-                        }
-                        // Functional accumulation once (identical results).
-                        let full_ctx = HistContext {
-                            device: group.device(0),
-                            data: &binned,
-                            grads: &grads,
-                            features: &features,
-                            bins: self.config.max_bins,
-                            opts: self.config.hist,
-                        };
-                        accumulate_dense(&full_ctx, &instances, &mut hist);
-
-                        // Local best split per device: each device evaluates
-                        // only its own feature range, so it fences only its
-                        // own fresh build (the cross-device join is the
-                        // candidate all-gather below).
-                        let locals: Vec<Option<SplitCandidate>> = group
-                            .devices()
-                            .iter()
-                            .zip(&ranges)
-                            .zip(&hist_events)
-                            .map(|((dev, &(lo, hi)), built)| {
-                                if let Some(built) = built {
-                                    dev.wait_event(0, *built);
-                                }
-                                find_best_split_range(
-                                    dev,
-                                    &hist,
-                                    &features,
-                                    lo,
-                                    hi,
-                                    &node_g,
-                                    &node_h,
-                                    instances.len() as u32,
-                                    &params,
-                                )
-                            })
-                            .collect();
-                        for (payload, c) in candidate_payload.iter_mut().zip(&locals) {
-                            payload.extend(std::iter::repeat_n(
-                                0u8,
-                                16 + c.as_ref().map_or(0, |c| c.left_g.len() * 16),
-                            ));
-                        }
-                        // Global winner: strictly-greater gain wins, so exact
-                        // ties resolve to the lowest feature range — matching
-                        // the single-device global argmax tie-breaking.
-                        let mut best: Option<SplitCandidate> = None;
-                        for c in locals.into_iter().flatten() {
-                            if best.as_ref().is_none_or(|b| c.gain > b.gain) {
-                                best = Some(c);
-                            }
-                        }
-                        pending.push((tree_node, instances, node_g, node_h, best));
-                    }
-                    if !pending.is_empty() && group.len() > 1 {
-                        let max_part = candidate_payload.iter().map(Vec::len).max().unwrap_or(0);
-                        tel_collective_bytes(group.devices(), (max_part * group.len()) as f64);
-                        if streamed {
-                            // Candidates are tiny summary statistics: pass 2
-                            // waits the full exchange before picking winners.
-                            let ns = group
-                                .device(0)
-                                .model()
-                                .all_gather_ns(max_part as f64, group.len());
-                            let fence = align_stream0(group.devices());
-                            let done =
-                                streamed_collective(group.devices(), "all_gather", ns, fence);
-                            for dev in group.devices() {
-                                dev.wait_event(0, done);
-                            }
-                        } else {
-                            let _ = group.all_gather_bytes(&candidate_payload);
-                        }
-                    }
-
-                    // --- pass 2: winners, routing bitmaps, partitions ------
-                    let mut next = Vec::new();
-                    let mut flag_payload: Vec<Vec<u8>> = vec![Vec::new(); group.len()];
-                    let mut flag_elems = vec![0usize; group.len()];
-                    let mut partition_elems = 0usize;
-                    for (tree_node, instances, node_g, node_h, best) in pending {
-                        let Some(split) = best else {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        };
-
-                        // The owning device computes the routing flags; the
-                        // bitmaps of the whole level are exchanged in one
-                        // all-gather below, and the flag/partition kernels
-                        // are charged level-batched.
-                        let owner = ranges
-                            .iter()
-                            .position(|&(lo, hi)| {
-                                (split.feature as usize) >= lo && (split.feature as usize) < hi
-                            })
-                            .expect("split feature must belong to a device");
-                        let col = binned.bins.col(split.feature as usize);
-                        let flags: Vec<bool> = instances
-                            .iter()
-                            .map(|&i| col[i as usize] <= split.bin)
-                            .collect();
-                        flag_elems[owner] += instances.len();
-                        flag_payload[owner]
-                            .extend(std::iter::repeat_n(0u8, instances.len().div_ceil(8)));
-
-                        // Every device partitions its (replicated) index list.
-                        partition_elems += instances.len();
-                        crate::sanitize::trace_partition(&group.devices()[owner], &flags);
-                        let (left_idx, right_idx) = partition_stable(&instances, &flags);
-
-                        let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
-                        let (l, r) =
-                            tree.split_node(tree_node, split.feature, split.bin, threshold);
-                        let right_g: Vec<f64> = node_g
-                            .iter()
-                            .zip(&split.left_g)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        let right_h: Vec<f64> = node_h
-                            .iter()
-                            .zip(&split.left_h)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        next.push((l, left_idx, split.left_g, split.left_h));
-                        next.push((r, right_idx, right_g, right_h));
-                    }
-                    // Level-batched flag + partition kernel charges.
-                    for (i, dev) in group.devices().iter().enumerate() {
-                        if flag_elems[i] > 0 {
-                            dev.charge_kernel(
-                                "compute_flags_level",
-                                Phase::Partition,
-                                &KernelCost::streaming(
-                                    flag_elems[i] as f64,
-                                    (flag_elems[i] * 5) as f64,
-                                ),
-                            );
-                        }
-                        if partition_elems > 0 {
-                            dev.charge_kernel(
-                                "partition_level",
-                                Phase::Partition,
-                                &KernelCost {
-                                    flops: 3.0 * partition_elems as f64,
-                                    dram_bytes: (partition_elems * 17) as f64,
-                                    launches: 2.0,
-                                    ..Default::default()
-                                },
-                            );
-                        }
-                    }
-                    // Routing bitmaps feed the next level's builds: the
-                    // exchange's tail overlaps them (first-chunk fence).
-                    let mut comm_partial: Option<Event> = None;
-                    if group.len() > 1 && flag_payload.iter().any(|p| !p.is_empty()) {
-                        let max_part = flag_payload.iter().map(Vec::len).max().unwrap_or(0);
-                        tel_collective_bytes(group.devices(), (max_part * group.len()) as f64);
-                        if streamed {
-                            let ns = group
-                                .device(0)
-                                .model()
-                                .all_gather_ns(max_part as f64, group.len());
-                            let fence = align_stream0(group.devices());
-                            let done =
-                                streamed_collective(group.devices(), "all_gather", ns, fence);
-                            comm_partial = Some(done.offset_ns(-ns * (1.0 - 1.0 / COMM_CHUNKS)));
-                        } else {
-                            let _ = group.all_gather_bytes(&flag_payload);
-                        }
-                    }
-                    if streamed {
-                        let align = align_stream0(group.devices());
-                        level_fence = Some(comm_partial.map_or(align, |p| align.max(p)));
-                    } else {
-                        group.barrier();
-                    }
-                    frontier = next;
-                    if frontier.is_empty() {
-                        break;
-                    }
-                }
-                for (tree_node, instances, node_g, node_h) in frontier {
-                    let v = leaf_values(
-                        &node_g,
-                        &node_h,
-                        self.config.lambda,
-                        self.config.learning_rate,
-                    );
-                    tree.set_leaf(tree_node, v.clone());
-                    leaf_nodes.push(tree_node);
-                    leaf_assignments.push((instances, v));
-                }
+                let mut grown =
+                    self.grow_tree(&group, &binned, &grads, &mut hist, &mut hist_methods);
                 // Sketched structure, full-output leaves: one gather-reduce
                 // pass over the complete gradients per leaf.
-                let (tree, leaf_assignments) = if let Some(full) = &full_for_refit {
-                    self.refit_round(&group, tree, leaf_assignments, leaf_nodes, full, n)
-                } else {
-                    (tree, leaf_assignments)
-                };
+                if let Some(full) = &full_for_refit {
+                    self.refit_round(&group, &mut grown, full, mirror_n);
+                }
 
-                // Replicated incremental score update on every device.
-                for (i, dev) in group.devices().iter().enumerate() {
-                    if i == 0 {
-                        update_scores_from_leaves(dev, &mut scores, d, &leaf_assignments);
-                    } else {
-                        let touched: usize = leaf_assignments.iter().map(|(v, _)| v.len()).sum();
-                        dev.charge_kernel(
-                            "update_scores",
-                            Phase::Predict,
-                            &KernelCost::streaming(
-                                (touched * d) as f64,
-                                (touched * d * 8 + leaf_assignments.len() * d * 4) as f64,
-                            ),
-                        );
-                    }
+                // Score update on the lead; the replicas mirror it over
+                // every touched row, or over their shard of them.
+                update_scores_from_leaves(&devices[0], &mut scores, d, &grown.leaf_assignments);
+                let touched: usize = grown.leaf_assignments.iter().map(|(v, _)| v.len()).sum();
+                let (update_kernel, touched, leaf_bytes) = match self.strategy {
+                    MultiGpuStrategy::FeatureParallel => (
+                        "update_scores",
+                        touched,
+                        grown.leaf_assignments.len() * d * 4,
+                    ),
+                    MultiGpuStrategy::DataParallel => ("update_scores_shard", touched / k, 0),
+                };
+                for dev in &devices[1..] {
+                    dev.charge_kernel(
+                        update_kernel,
+                        Phase::Predict,
+                        &KernelCost::streaming(
+                            (touched * d) as f64,
+                            (touched * d * 8 + leaf_bytes) as f64,
+                        ),
+                    );
+                    // A data-parallel replica's replay covers every leaf,
+                    // a superset of the rows its shard touches.
+                    crate::sanitize::trace_update_scores(dev, d, n, &grown.leaf_assignments);
                 }
                 if !faults_on {
-                    break tree;
+                    break grown.tree;
                 }
                 match self.recover_step(&mut active, &mut attempts, t)? {
-                    StepVerdict::Commit => break tree,
+                    StepVerdict::Commit => break grown.tree,
                     StepVerdict::Retry => {}
+                    // Survivors take over the lost device's columns or
+                    // instances: charge the ingest of their new shares
+                    // before re-running the round.
                     StepVerdict::Degraded => {
-                        // Survivors take over the lost device's columns:
-                        // charge the ingest of the shifted partition before
-                        // re-running the round.
-                        let regrouped = DeviceGroup::from_devices(active.clone());
-                        let new_ranges = partition_features(m, regrouped.len());
-                        charge_fp_preprocess(&regrouped, n, &new_ranges);
+                        self.charge_preprocess(&DeviceGroup::from_devices(active.clone()), n, m)
                     }
                 }
                 let (saved_scores, saved_methods) =
@@ -912,214 +535,168 @@ impl MultiGpuTrainer {
         })
     }
 
-    /// Data-parallel training: instances sharded per device, per-level
-    /// ring all-reduce of the full multi-output histogram. The model is
-    /// bit-identical to single-device training; only the cost profile
-    /// differs (gradients ÷ k, histograms ÷ k, but `m×B×d×2` doubles of
-    /// collective traffic per node).
-    fn fit_data_parallel(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        let host_start = Instant::now();
-        let n = ds.n();
-        let d = ds.d();
-        let m = ds.m();
-        let start_summaries: Vec<_> = self.group.devices().iter().map(|dv| dv.summary()).collect();
-        let mut active: Vec<Arc<Device>> = self.group.devices().to_vec();
-        let faults_on = active.iter().any(|dv| dv.fault_injector().is_some());
+    /// Grow one tree level by level across the group: each device
+    /// charges its slice of every node's histogram build, and the level
+    /// ends with the strategy's collective.
+    fn grow_tree(
+        &self,
+        group: &DeviceGroup,
+        binned: &BinnedDataset,
+        grads: &Gradients,
+        hist: &mut NodeHistogram,
+        hist_methods: &mut BTreeMap<HistogramMethod, usize>,
+    ) -> GrowResult {
+        let devices = group.devices();
+        let k = group.len();
+        let (n, m) = (binned.n(), binned.m());
+        let features: Vec<u32> = (0..m as u32).collect();
+        let ranges = partition_features(m, k);
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
-
-        // Each device holds all columns of its instance shard.
-        let mut attempts = 0u32;
-        loop {
-            let group = DeviceGroup::from_devices(active.clone());
-            charge_dp_preprocess(&group, n, m);
-            if !faults_on {
-                break;
-            }
-            match self.recover_step(&mut active, &mut attempts, usize::MAX)? {
-                StepVerdict::Commit => break,
-                StepVerdict::Retry | StepVerdict::Degraded => {}
-            }
-        }
-        let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-        let features: Vec<u32> = (0..m as u32).collect();
-        let base = base_scores(ds);
-        let mut scores = vec![0.0f32; n * d];
-        for row in scores.chunks_mut(d) {
-            row.copy_from_slice(&base);
-        }
-        let loss = loss_for_task(ds.task());
+        // One node's histogram: the data-parallel all-reduce payload.
+        let hist_bytes = m * self.config.max_bins * grads.d * 2 * 8;
         let params = SplitParams {
             lambda: self.config.lambda,
             min_gain: self.config.min_gain,
             min_instances: self.config.min_instances,
             segments_c: self.config.segments_per_block_c,
         };
-        // Structure search — and, crucially here, the ring all-reduce
-        // payload — shrink from d to the sketch's effective dimension.
-        let d_eff = self.config.sketch.effective_dim(d);
-        let hist_len = m * self.config.max_bins * d_eff * 2;
-        let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
-        let mut hist = NodeHistogram::new(m, d_eff, self.config.max_bins);
+        let mut grown = GrowResult {
+            tree: Tree::new(grads.d),
+            leaf_assignments: Vec::new(),
+            leaf_nodes: Vec::new(),
+            methods_used: BTreeMap::new(),
+        };
+        let root_idx: Vec<u32> = (0..n as u32).collect();
+        let (rg, rh) = grads.sums(&root_idx);
+        let mut frontier = vec![(0usize, root_idx, rg, rh)];
+        // Streamed mode: builds of each level start at the previous
+        // level's alignment fence plus the first chunk of any
+        // in-flight collective — the collective's tail overlaps them.
+        let mut level_fence: Option<Event> = None;
 
-        for t in 0..self.config.num_trees {
-            let saved = faults_on.then(|| (scores.clone(), hist_methods.clone()));
-            let mut attempts = 0u32;
-            let committed = loop {
-                let group = DeviceGroup::from_devices(active.clone());
-                let k = group.len();
-                let _round_scope = group.device(0).prof_scope("round", Some(t as u64));
-                // Gradients: each device computes its own shard only.
-                let grads_full = {
-                    let g = compute_gradients(
-                        group.device(0),
-                        loss.as_ref(),
-                        &scores,
-                        ds.targets(),
-                        n,
-                        d,
-                    );
-                    // Rescale the lead's charge to a shard and mirror it on
-                    // the replica ranks.
-                    for (rank, dev) in group.devices().iter().enumerate() {
-                        if rank != 0 {
-                            dev.charge_kernel(
-                                "grad_hess_shard",
-                                Phase::Gradient,
-                                &KernelCost::streaming(
-                                    (n / k) as f64 * d as f64 * loss.flops_per_output(),
-                                    ((n / k) * d * 16) as f64,
-                                ),
-                            );
+        for depth in 0..self.config.max_depth {
+            let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
+            if streamed {
+                for dev in devices {
+                    let f = level_fence.unwrap_or_else(|| dev.record_event(0));
+                    dev.wait_event(HIST_STREAM, f);
+                }
+            }
+            let mut next = Vec::new();
+            // Nodes whose histogram was built this level, and the
+            // per-device payloads of the feature-parallel
+            // candidate and routing-bitmap exchanges.
+            let mut built = 0usize;
+            let mut candidate_bytes = vec![0usize; k];
+            let mut flag_bytes = vec![0usize; k];
+            let mut flag_elems = vec![0usize; k];
+            for (node, instances, g, h) in frontier {
+                if instances.len() < 2 * self.config.min_instances {
+                    self.close_leaf(&mut grown, node, instances, &g, &h);
+                    continue;
+                }
+                built += 1;
+                // Each device charges the build of its slice of the
+                // node: its feature range, or its instance shard.
+                for (rank, dev) in devices.iter().enumerate() {
+                    let (feats, idx) = match self.strategy {
+                        MultiGpuStrategy::FeatureParallel => {
+                            let (lo, hi) = ranges[rank];
+                            if lo == hi {
+                                continue;
+                            }
+                            (&features[lo..hi], &instances[..])
                         }
-                    }
-                    g
-                };
-                // Sketch once per tree: device 0 selects, the plan is
-                // broadcast, every device gathers/projects its shard.
-                let (grads, full_for_refit) = if self.config.sketch.is_none() {
-                    (grads_full, None)
-                } else {
-                    let sketched = self.sketch_round(&group, &grads_full, t, n / k);
-                    (sketched, Some(grads_full))
-                };
-
-                let mut tree = Tree::new(grads.d);
-                let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-                let mut leaf_nodes: Vec<usize> = Vec::new();
-                let root_idx: Vec<u32> = (0..n as u32).collect();
-                let (rg, rh) = grads.sums(&root_idx);
-                let mut frontier = vec![(0usize, root_idx, rg, rh)];
-                // Streamed mode: each level's fresh builds start at the
-                // previous level's alignment fence plus the first reduced
-                // chunk of the in-flight all-reduce, whose tail they overlap.
-                let mut level_fence: Option<Event> = None;
-
-                for depth in 0..self.config.max_depth {
-                    let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
-                    if streamed {
-                        for dev in group.devices() {
-                            let f = match level_fence {
-                                Some(f) => f,
-                                None => dev.record_event(0),
-                            };
-                            dev.wait_event(HIST_STREAM, f);
-                        }
-                    }
-                    let mut next = Vec::new();
-                    let mut reduced_nodes = 0usize;
-                    for (tree_node, instances, node_g, node_h) in frontier {
-                        if instances.len() < 2 * self.config.min_instances {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        }
-                        // Partial histograms: every device runs the kernel
-                        // over its 1/k shard of the node, all features.
-                        for (rank, dev) in group.devices().iter().enumerate() {
-                            let shard_len =
-                                instances.len() / k + usize::from(rank < instances.len() % k);
-                            let lo = rank * (instances.len() / k) + rank.min(instances.len() % k);
-                            let shard = &instances[lo..(lo + shard_len).min(instances.len())];
+                        MultiGpuStrategy::DataParallel => {
+                            let shard = &instances[shard_range(instances.len(), k, rank)];
                             if shard.is_empty() {
                                 continue;
                             }
-                            let ctx = HistContext {
-                                device: dev,
-                                data: &binned,
-                                grads: &grads,
-                                features: &features,
-                                bins: self.config.max_bins,
-                                opts: self.config.hist,
-                            };
-                            let method = match self.config.hist.method {
-                                HistogramMethod::Adaptive => {
-                                    adaptive::select_method(&ctx, shard.len())
-                                }
-                                mtd => mtd,
-                            };
-                            match method {
-                                HistogramMethod::GlobalMemory => {
-                                    gmem::charge_on(&ctx, shard, hist_stream)
-                                }
-                                HistogramMethod::SharedMemory => {
-                                    smem::charge_on(&ctx, shard, hist_stream)
-                                }
-                                HistogramMethod::SortReduce => {
-                                    sortreduce::charge_on(&ctx, shard, hist_stream)
-                                }
-                                HistogramMethod::Adaptive => unreachable!(),
-                            }
-                            *hist_methods.entry(method).or_insert(0) += 1;
+                            (&features[..], shard)
                         }
-                        if streamed {
-                            // Split evaluation is replicated and consumes the
-                            // reduced histogram of every shard: join split
-                            // work on the slowest rank's fresh build.
-                            let mut built = Event::at_ns(0.0);
-                            for dev in group.devices() {
-                                built = built.max(dev.record_event(HIST_STREAM));
-                            }
-                            for dev in group.devices() {
-                                dev.wait_event(0, built);
-                            }
-                        }
-                        // Functional accumulation once (sum of all shards).
-                        let full_ctx = HistContext {
-                            device: group.device(0),
-                            data: &binned,
-                            grads: &grads,
-                            features: &features,
-                            bins: self.config.max_bins,
-                            opts: self.config.hist,
-                        };
-                        hist.reset();
-                        accumulate_dense(&full_ctx, &instances, &mut hist);
-                        reduced_nodes += 1;
+                    };
+                    let ctx = HistContext {
+                        device: dev,
+                        data: binned,
+                        grads,
+                        features: feats,
+                        bins: self.config.max_bins,
+                        opts: self.config.hist,
+                    };
+                    let method = resolve_method(&ctx, idx.len());
+                    charge_method_on(&ctx, idx, method, hist_stream);
+                    *hist_methods.entry(method).or_insert(0) += 1;
+                }
+                // Functional accumulation once (identical results).
+                let full_ctx = HistContext {
+                    device: &devices[0],
+                    data: binned,
+                    grads,
+                    features: &features,
+                    bins: self.config.max_bins,
+                    opts: self.config.hist,
+                };
+                hist.reset();
+                accumulate_dense(&full_ctx, &instances, hist);
 
-                        // After the all-reduce every device holds the full
-                        // histogram and finds the identical best split.
-                        let split = find_best_split_range(
-                            group.device(0),
-                            &hist,
+                let best = match self.strategy {
+                    MultiGpuStrategy::FeatureParallel => {
+                        // Each device evaluates only its own feature
+                        // range, so it fences only its own fresh
+                        // build; the cross-device join is the
+                        // level's candidate all-gather.
+                        let mut best: Option<SplitCandidate> = None;
+                        for (rank, (dev, &(lo, hi))) in devices.iter().zip(&ranges).enumerate() {
+                            if streamed && lo < hi {
+                                dev.wait_event(0, dev.record_event(HIST_STREAM));
+                            }
+                            let local = find_best_split_range(
+                                dev,
+                                hist,
+                                &features,
+                                lo,
+                                hi,
+                                &g,
+                                &h,
+                                instances.len() as u32,
+                                &params,
+                            );
+                            candidate_bytes[rank] +=
+                                16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
+                            // Strictly-greater gain wins, so exact
+                            // ties resolve to the lowest feature
+                            // range — the single-device argmax rule.
+                            if let Some(c) = local {
+                                if best.as_ref().is_none_or(|b| c.gain > b.gain) {
+                                    best = Some(c);
+                                }
+                            }
+                        }
+                        best
+                    }
+                    MultiGpuStrategy::DataParallel => {
+                        // Split evaluation is replicated and consumes
+                        // the reduced histogram of every shard: join
+                        // it on the slowest rank's fresh build.
+                        if streamed {
+                            let fence = stream_fence(devices, HIST_STREAM);
+                            for dev in devices {
+                                dev.wait_event(0, fence);
+                            }
+                        }
+                        let best = find_best_split_range(
+                            &devices[0],
+                            hist,
                             &features,
                             0,
                             m,
-                            &node_g,
-                            &node_h,
+                            &g,
+                            &h,
                             instances.len() as u32,
                             &params,
                         );
-                        for dev in &group.devices()[1..] {
-                            // Redundant split evaluation on every device.
+                        for dev in &devices[1..] {
                             dev.charge_kernel(
                                 "split_eval_replicated",
                                 Phase::SplitEval,
@@ -1129,27 +706,39 @@ impl MultiGpuTrainer {
                                 ),
                             );
                         }
+                        best
+                    }
+                };
+                let Some(split) = best else {
+                    self.close_leaf(&mut grown, node, instances, &g, &h);
+                    continue;
+                };
 
-                        let Some(split) = split else {
-                            let v = leaf_values(
-                                &node_g,
-                                &node_h,
-                                self.config.lambda,
-                                self.config.learning_rate,
-                            );
-                            tree.set_leaf(tree_node, v.clone());
-                            leaf_nodes.push(tree_node);
-                            leaf_assignments.push((instances, v));
-                            continue;
-                        };
-                        let col = binned.bins.col(split.feature as usize);
-                        let flags: Vec<bool> = instances
+                let col = binned.bins.col(split.feature as usize);
+                let flags: Vec<bool> = instances
+                    .iter()
+                    .map(|&i| col[i as usize] <= split.bin)
+                    .collect();
+                match self.strategy {
+                    MultiGpuStrategy::FeatureParallel => {
+                        // The owning device computes the routing
+                        // flags; the level's bitmaps are exchanged
+                        // in one all-gather and the flag/partition
+                        // kernels are charged level-batched.
+                        let f = split.feature as usize;
+                        let owner = ranges
                             .iter()
-                            .map(|&i| col[i as usize] <= split.bin)
-                            .collect();
-                        crate::sanitize::trace_partition(&group.devices()[0], &flags);
-                        let (left_idx, right_idx) = partition_stable(&instances, &flags);
-                        for dev in group.devices() {
+                            .position(|&(lo, hi)| (lo..hi).contains(&f))
+                            .expect("split feature must belong to a device");
+                        flag_elems[owner] += instances.len();
+                        flag_bytes[owner] += instances.len().div_ceil(8);
+                        crate::sanitize::trace_partition(&devices[owner], &flags);
+                    }
+                    MultiGpuStrategy::DataParallel => {
+                        // Every device partitions its shard as soon
+                        // as the replicated split is known.
+                        crate::sanitize::trace_partition(&devices[0], &flags);
+                        for dev in devices {
                             dev.charge_kernel(
                                 "partition_shard",
                                 Phase::Partition,
@@ -1161,140 +750,250 @@ impl MultiGpuTrainer {
                                 },
                             );
                         }
-                        let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
-                        let (l, r) =
-                            tree.split_node(tree_node, split.feature, split.bin, threshold);
-                        let right_g: Vec<f64> = node_g
-                            .iter()
-                            .zip(&split.left_g)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        let right_h: Vec<f64> = node_h
-                            .iter()
-                            .zip(&split.left_h)
-                            .map(|(a, b)| a - b)
-                            .collect();
-                        next.push((l, left_idx, split.left_g, split.left_h));
-                        next.push((r, right_idx, right_g, right_h));
                     }
-                    // One ring all-reduce per node's histogram, batched as a
-                    // single level-wide collective of `reduced_nodes` payloads.
-                    let mut comm_partial: Option<Event> = None;
-                    if k > 1 && reduced_nodes > 0 {
-                        let bytes = reduced_nodes * hist_len * 8;
-                        tel_collective_bytes(group.devices(), bytes as f64);
-                        let ns = group.device(0).model().ring_all_reduce_ns(bytes as f64, k);
-                        if streamed {
-                            // The collective enters when the slowest rank's
-                            // builds finish and drains on the comm engines
-                            // while stream 0 proceeds.
-                            let mut fence = Event::at_ns(0.0);
-                            for dev in group.devices() {
-                                fence = fence.max(dev.record_event(HIST_STREAM));
-                            }
-                            let done =
-                                streamed_collective(group.devices(), "hist_all_reduce", ns, fence);
-                            comm_partial = Some(done.offset_ns(-ns * (1.0 - 1.0 / COMM_CHUNKS)));
-                        } else {
-                            for dev in group.devices() {
-                                dev.charge_ns("hist_all_reduce", Phase::Comm, ns);
+                }
+                let (left_idx, right_idx) = partition_stable(&instances, &flags);
+                let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
+                let (l, r) = grown
+                    .tree
+                    .split_node(node, split.feature, split.bin, threshold);
+                let right_g: Vec<f64> = g.iter().zip(&split.left_g).map(|(a, b)| a - b).collect();
+                let right_h: Vec<f64> = h.iter().zip(&split.left_h).map(|(a, b)| a - b).collect();
+                next.push((l, left_idx, split.left_g, split.left_h));
+                next.push((r, right_idx, right_g, right_h));
+            }
+
+            // The level's collectives. In streamed mode the
+            // returned event is when the next level's builds may
+            // start: the exchange's first chunk, whose tail they
+            // overlap.
+            let comm_partial = match self.strategy {
+                MultiGpuStrategy::FeatureParallel => {
+                    if built > 0 && k > 1 {
+                        // Candidates are tiny summary statistics:
+                        // winners wait the full exchange.
+                        if let Some((done, _)) = all_gather_level(group, &candidate_bytes, streamed)
+                        {
+                            for dev in devices {
+                                dev.wait_event(0, done);
                             }
                         }
                     }
+                    // Every device partitions its (replicated) index
+                    // lists; only the owners computed flags.
+                    let partition_elems: usize = flag_elems.iter().sum();
+                    for (dev, &elems) in devices.iter().zip(&flag_elems) {
+                        if elems > 0 {
+                            dev.charge_kernel(
+                                "compute_flags_level",
+                                Phase::Partition,
+                                &KernelCost::streaming(elems as f64, (elems * 5) as f64),
+                            );
+                        }
+                        if partition_elems > 0 {
+                            dev.charge_kernel(
+                                "partition_level",
+                                Phase::Partition,
+                                &KernelCost {
+                                    flops: 3.0 * partition_elems as f64,
+                                    dram_bytes: (partition_elems * 17) as f64,
+                                    launches: 2.0,
+                                    ..Default::default()
+                                },
+                            );
+                        }
+                    }
+                    if k > 1 && flag_bytes.iter().any(|&b| b > 0) {
+                        all_gather_level(group, &flag_bytes, streamed)
+                            .map(|(done, ns)| first_chunk(done, ns))
+                    } else {
+                        None
+                    }
+                }
+                MultiGpuStrategy::DataParallel if k > 1 && built > 0 => {
+                    // One ring all-reduce per built node's
+                    // histogram, batched into one level-wide
+                    // collective.
+                    let bytes = built * hist_bytes;
+                    tel_collective_bytes(devices, bytes as f64);
+                    let ns = devices[0].model().ring_all_reduce_ns(bytes as f64, k);
                     if streamed {
-                        let align = align_stream0(group.devices());
-                        level_fence = Some(comm_partial.map_or(align, |p| align.max(p)));
+                        // It enters when the slowest rank's builds
+                        // finish and drains on the comm engines
+                        // while stream 0 proceeds.
+                        let fence = stream_fence(devices, HIST_STREAM);
+                        let done = streamed_collective(devices, "hist_all_reduce", ns, fence);
+                        Some(first_chunk(done, ns))
                     } else {
-                        group.barrier();
-                    }
-                    frontier = next;
-                    if frontier.is_empty() {
-                        break;
-                    }
-                }
-                for (tree_node, instances, node_g, node_h) in frontier {
-                    let v = leaf_values(
-                        &node_g,
-                        &node_h,
-                        self.config.lambda,
-                        self.config.learning_rate,
-                    );
-                    tree.set_leaf(tree_node, v.clone());
-                    leaf_nodes.push(tree_node);
-                    leaf_assignments.push((instances, v));
-                }
-                // Sketched structure, full-output leaves: refit on device 0,
-                // shard-sized mirror charges on the replicas.
-                let (tree, leaf_assignments) = if let Some(full) = &full_for_refit {
-                    self.refit_round(&group, tree, leaf_assignments, leaf_nodes, full, n / k)
-                } else {
-                    (tree, leaf_assignments)
-                };
-                for (rank, dev) in group.devices().iter().enumerate() {
-                    if rank == 0 {
-                        update_scores_from_leaves(dev, &mut scores, d, &leaf_assignments);
-                    } else {
-                        let touched: usize =
-                            leaf_assignments.iter().map(|(v, _)| v.len()).sum::<usize>() / k;
-                        dev.charge_kernel(
-                            "update_scores_shard",
-                            Phase::Predict,
-                            &KernelCost::streaming((touched * d) as f64, (touched * d * 8) as f64),
-                        );
+                        for dev in devices {
+                            dev.charge_ns("hist_all_reduce", Phase::Comm, ns);
+                        }
+                        None
                     }
                 }
-                if !faults_on {
-                    break tree;
-                }
-                match self.recover_step(&mut active, &mut attempts, t)? {
-                    StepVerdict::Commit => break tree,
-                    StepVerdict::Retry => {}
-                    StepVerdict::Degraded => {
-                        // Survivors absorb the lost device's instance shard:
-                        // charge the re-shard ingest before re-running.
-                        charge_dp_preprocess(&DeviceGroup::from_devices(active.clone()), n, m);
-                    }
-                }
-                let (saved_scores, saved_methods) =
-                    saved.as_ref().expect("snapshot exists when faults are on");
-                scores.copy_from_slice(saved_scores);
-                hist_methods = saved_methods.clone();
+                MultiGpuStrategy::DataParallel => None,
             };
-            trees.push(committed);
+            if streamed {
+                let align = align_stream0(devices);
+                level_fence = Some(comm_partial.map_or(align, |p| align.max(p)));
+            } else {
+                group.barrier();
+            }
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
         }
-        // Clock spread is only visible before the final barrier joins
-        // every stream to the group makespan.
-        tel_makespan_skew(&active);
-        DeviceGroup::from_devices(active.clone()).barrier();
+        for (node, instances, g, h) in frontier {
+            self.close_leaf(&mut grown, node, instances, &g, &h);
+        }
+        grown
+    }
 
-        let model = Model {
-            trees,
-            base,
-            d,
-            task: ds.task(),
-            config: self.config.clone(),
+    /// Close `node` as a leaf holding the regularized optimum of its
+    /// gradient sums.
+    fn close_leaf(&self, grown: &mut GrowResult, node: usize, idx: Vec<u32>, g: &[f64], h: &[f64]) {
+        let v = leaf_values(g, h, self.config.lambda, self.config.learning_rate);
+        grown.tree.set_leaf(node, v.clone());
+        grown.leaf_nodes.push(node);
+        grown.leaf_assignments.push((idx, v));
+    }
+
+    /// Charge every device for ingesting and binning its share of the
+    /// matrix: its feature range over all rows (feature-parallel) or all
+    /// columns of its instance shard (data-parallel). Re-issued after
+    /// degradation, when the shares shift and survivors reload and rebin.
+    fn charge_preprocess(&self, group: &DeviceGroup, n: usize, m: usize) {
+        let k = group.len();
+        let ranges = partition_features(m, k);
+        for (rank, dev) in group.devices().iter().enumerate() {
+            let (rows, cols) = match self.strategy {
+                MultiGpuStrategy::FeatureParallel => (n, ranges[rank].1 - ranges[rank].0),
+                MultiGpuStrategy::DataParallel => (shard_range(n, k, rank).len(), m),
+            };
+            let bytes = (rows * cols * 4) as f64;
+            dev.charge_ns(
+                "htod_features",
+                Phase::Transfer,
+                dev.model().host_copy_ns(bytes),
+            );
+            dev.charge_kernel(
+                "quantile_binning",
+                Phase::Binning,
+                &KernelCost::streaming((rows * cols) as f64 * 16.0, bytes * 2.5),
+            );
+        }
+    }
+
+    /// End-of-step poll and recovery decision for one bulk-synchronous
+    /// step. Trims `active` on device loss. `round` is the boosting
+    /// round, or `usize::MAX` for preprocessing.
+    fn recover_step(
+        &self,
+        active: &mut Vec<Arc<Device>>,
+        attempts: &mut u32,
+        round: usize,
+    ) -> Result<StepVerdict, TrainError> {
+        // Observer only (may be `None`): counters and postmortems are
+        // recorded on the group's shared registry after the recovery
+        // decision is already made.
+        let tel = group_telemetry(self.group.devices());
+        let count = |name: &str| {
+            if let Some(tl) = &tel {
+                tl.counter_inc(name);
+            }
         };
-        let lead = &active[0];
-        let lead_pos = self
-            .group
-            .devices()
-            .iter()
-            .position(|dv| Arc::ptr_eq(dv, lead))
-            .expect("lead device comes from the original group");
-        let sim = lead.summary().since(&start_summaries[lead_pos]);
-        Ok(TrainReport {
-            sim_seconds: sim.total_ns * 1e-9,
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            sim,
-            model,
-            hist_methods,
-        })
+        let fail = |err: TrainError| {
+            if let Some(tl) = &tel {
+                tl.record_postmortem(&err.to_string());
+            }
+            Err(err)
+        };
+        match poll_group(active) {
+            GroupPoll::Clean => Ok(StepVerdict::Commit),
+            GroupPoll::Transient(fault) => {
+                count("train.faults_total");
+                if *attempts >= self.config.retry.max_retries {
+                    return fail(TrainError::RetriesExhausted {
+                        round,
+                        attempts: *attempts,
+                        fault,
+                    });
+                }
+                *attempts += 1;
+                count("train.retries_total");
+                Ok(StepVerdict::Retry)
+            }
+            GroupPoll::Lost { dead } => {
+                for rank in dead.into_iter().rev() {
+                    active.remove(rank);
+                }
+                count("train.faults_total");
+                if active.is_empty() {
+                    return fail(TrainError::AllDevicesLost { round });
+                }
+                Ok(StepVerdict::Degraded)
+            }
+        }
+    }
+
+    /// Sketch the round's gradients once on device 0, broadcast the
+    /// plan (selected column indices or the projection matrix) as a
+    /// collective, and mirror the gather/projection apply on the
+    /// replica devices: `mirror_n` instances each.
+    fn sketch_round(
+        &self,
+        group: &DeviceGroup,
+        grads: &Gradients,
+        t: usize,
+        mirror_n: usize,
+    ) -> Gradients {
+        let dev0 = group.device(0);
+        let _sketch_scope = dev0.prof_scope("sketch", Some(t as u64));
+        let plan = plan_sketch(
+            dev0,
+            grads,
+            self.config.sketch,
+            self.config.seed.wrapping_add(t as u64),
+        );
+        let bytes = plan.broadcast_bytes(grads.d);
+        if group.len() > 1 && bytes > 0.0 {
+            group.broadcast(0, bytes as usize);
+            tel_collective_bytes(group.devices(), bytes);
+        }
+        let sketched = apply_sketch(dev0, grads, &plan);
+        for dev in &group.devices()[1..] {
+            charge_apply(dev, mirror_n, grads.d, &plan);
+        }
+        sketched
+    }
+
+    /// Refit a sketch-grown tree's leaves to the full `d`-dimensional
+    /// optimum on device 0 and mirror the gather-reduce charge on the
+    /// replicas (`mirror_n` resident instances each).
+    fn refit_round(
+        &self,
+        group: &DeviceGroup,
+        grown: &mut GrowResult,
+        full: &Gradients,
+        mirror_n: usize,
+    ) {
+        refit_leaves_full_d(group.device(0), grown, full, &self.config);
+        let d = full.d;
+        for dev in &group.devices()[1..] {
+            dev.charge_kernel(
+                "leaf_refit_full_d",
+                Phase::LeafValue,
+                &KernelCost::streaming((mirror_n * d * 2) as f64, (mirror_n * d * 8) as f64),
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{GossConfig, HistOptions};
     use crate::metrics::accuracy;
     use crate::trainer::GpuTrainer;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
@@ -1344,6 +1043,65 @@ mod tests {
         .unwrap();
         assert!(err2.message().contains("max_depth"), "{err2}");
         assert!(MultiGpuTrainer::try_new(DeviceGroup::rtx4090s(2), quick_config()).is_ok());
+    }
+
+    #[test]
+    fn try_with_strategy_rejects_knobs_the_multi_gpu_loop_ignores() {
+        let cases = [
+            (
+                "subsample",
+                TrainConfig {
+                    subsample: 0.5,
+                    ..quick_config()
+                },
+            ),
+            (
+                "colsample_bytree",
+                TrainConfig {
+                    colsample_bytree: 0.5,
+                    ..quick_config()
+                },
+            ),
+            (
+                "goss",
+                TrainConfig {
+                    goss: Some(GossConfig::default_rates()),
+                    ..quick_config()
+                },
+            ),
+            (
+                "monotone_constraints",
+                TrainConfig {
+                    monotone_constraints: vec![1; 16],
+                    ..quick_config()
+                },
+            ),
+            (
+                "quantized_gradients",
+                TrainConfig {
+                    hist: HistOptions {
+                        quantized_gradients: true,
+                        ..HistOptions::default()
+                    },
+                    ..quick_config()
+                },
+            ),
+        ];
+        for strategy in [
+            MultiGpuStrategy::FeatureParallel,
+            MultiGpuStrategy::DataParallel,
+        ] {
+            for (knob, cfg) in &cases {
+                let err = MultiGpuTrainer::try_with_strategy(
+                    DeviceGroup::rtx4090s(2),
+                    cfg.clone(),
+                    strategy,
+                )
+                .err()
+                .unwrap_or_else(|| panic!("{strategy:?} accepted {knob}"));
+                assert!(err.message().contains(knob), "{strategy:?}: {err}");
+            }
+        }
     }
 
     #[test]

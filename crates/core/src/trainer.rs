@@ -308,11 +308,7 @@ impl GpuTrainer {
         };
 
         // --- base scores ----------------------------------------------
-        let base = base_scores(ds);
-        let mut scores = vec![0.0f32; n * d];
-        for row in scores.chunks_mut(d) {
-            row.copy_from_slice(&base);
-        }
+        let (base, mut scores) = base_score_matrix(ds);
 
         let default_loss = loss_for_task(ds.task());
         let loss: &dyn crate::loss::MultiOutputLoss = custom_loss.unwrap_or(default_loss.as_ref());
@@ -680,6 +676,14 @@ fn sample_fraction(items: &[u32], frac: f64, rng: &mut ChaCha8Rng) -> Vec<u32> {
     shuffled.truncate(keep);
     shuffled.sort_unstable();
     shuffled
+}
+
+/// [`base_scores`] and the row-major `n × d` score matrix that starts
+/// every row at them.
+pub(crate) fn base_score_matrix(ds: &Dataset) -> (Vec<f32>, Vec<f32>) {
+    let base = base_scores(ds);
+    let scores = base.repeat(ds.n());
+    (base, scores)
 }
 
 /// Initial per-output scores: the target mean for regression (centers

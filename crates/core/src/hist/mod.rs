@@ -475,6 +475,18 @@ pub(crate) mod test_support {
             crate::grad::compute_gradients(&device, &MseLoss, &scores, ds.targets(), n, ds.d());
         (ds, binned, grads)
     }
+
+    /// `n × d` gradients of mixed magnitude (Hessians positive), so f64
+    /// sums round and any change in summation order shows in the bits.
+    pub fn mixed_gradients(n: usize, d: usize) -> Gradients {
+        let wave = |j: usize| (j as f32 * 0.618).sin() * 10f32.powi(j as i32 % 9 - 4);
+        Gradients {
+            g: (0..n * d).map(wave).collect(),
+            h: (0..n * d).map(|j| wave(j + 7).abs() + 1e-3).collect(),
+            n,
+            d,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -529,45 +541,42 @@ mod tests {
 
     /// `accumulate_dense` equals, bit for bit, a naive scalar loop that
     /// knows the layout only through `gh_index` / `cnt_index`: each cell
-    /// sums its instances in node order, outputs in ascending `k`.
+    /// sums its instances in node order, outputs in ascending `k`. The
+    /// widths cover one lane, vector tails and several full vectors.
     #[test]
     fn accumulate_dense_matches_a_scalar_reference_bit_for_bit() {
-        let (_, data, mut grads) = fixture(300, 7, 5, 6);
-        // Values of mixed magnitude, so f64 sums round and any change in
-        // a cell's summation order shows in its bits.
-        for (j, v) in grads.g.iter_mut().chain(grads.h.iter_mut()).enumerate() {
-            *v += (j as f32 * 0.618).sin() * 10f32.powi(j as i32 % 9 - 4);
-        }
+        let (_, data, _) = fixture(300, 7, 3, 6);
         let device = Device::rtx4090();
         // An out-of-order feature subset, as on one feature-parallel shard.
         let features: Vec<u32> = vec![6, 0, 3, 4];
-        let c = ctx(&device, &data, &grads, &features, HistOptions::default());
         let idx: Vec<u32> = (0..300).filter(|i| i % 4 != 2).collect();
-        let d = grads.d;
+        for d in [1, 3, 4, 5, 40] {
+            let grads = test_support::mixed_gradients(300, d);
+            let c = ctx(&device, &data, &grads, &features, HistOptions::default());
 
-        let mut got = NodeHistogram::new(features.len(), d, 32);
-        accumulate_dense(&c, &idx, &mut got);
-
-        let mut want = NodeHistogram::new(features.len(), d, 32);
-        for (f_local, &f) in features.iter().enumerate() {
-            let col = data.bins.col(f as usize);
-            for &i in &idx {
-                let i = i as usize;
-                let b = col[i] as usize;
-                let at = want.cnt_index(f_local, b);
-                want.counts[at] += 1;
-                for k in 0..d {
-                    let at = want.gh_index(f_local, k, b);
-                    want.g[at] += grads.g[i * d + k] as f64;
-                    want.h[at] += grads.h[i * d + k] as f64;
+            let mut want = NodeHistogram::new(features.len(), d, 32);
+            for (f_local, &f) in features.iter().enumerate() {
+                let col = data.bins.col(f as usize);
+                for &i in &idx {
+                    let i = i as usize;
+                    let b = col[i] as usize;
+                    let at = want.cnt_index(f_local, b);
+                    want.counts[at] += 1;
+                    for k in 0..d {
+                        let at = want.gh_index(f_local, k, b);
+                        want.g[at] += grads.g[i * d + k] as f64;
+                        want.h[at] += grads.h[i * d + k] as f64;
+                    }
                 }
             }
-        }
 
-        assert_eq!(got.counts, want.counts);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.g), bits(&want.g));
-        assert_eq!(bits(&got.h), bits(&want.h));
+            let mut got = NodeHistogram::new(features.len(), d, 32);
+            accumulate_dense(&c, &idx, &mut got);
+            assert_eq!(got.counts, want.counts, "d={d}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.g), bits(&want.g), "d={d}");
+            assert_eq!(bits(&got.h), bits(&want.h), "d={d}");
+        }
     }
 
     #[test]

@@ -630,6 +630,74 @@ mod tests {
         assert_eq!(v, vec![-1.0]);
     }
 
+    /// `find_best_split` equals, bit for bit, a scalar loop that walks
+    /// every (feature, bin) in order and calls [`split_gain`] per bin:
+    /// same winner, gain bits and left-side sums, with `min_instances`
+    /// filtering both ends of every feature.
+    #[test]
+    fn best_split_matches_a_scalar_reference_bit_for_bit() {
+        use crate::config::HistOptions;
+        use crate::hist::test_support::{fixture, mixed_gradients};
+        use crate::hist::{accumulate_dense, HistContext};
+
+        let (_, data, _) = fixture(400, 6, 3, 9);
+        let device = Device::rtx4090();
+        let features: Vec<u32> = vec![5, 1, 2, 0, 4];
+        let idx: Vec<u32> = (0..400).filter(|i| i % 5 != 3).collect();
+        let node_count = idx.len() as u32;
+        let mut p = params();
+        p.min_instances = 40;
+        for d in [1, 3, 40] {
+            let grads = mixed_gradients(400, d);
+            let ctx = HistContext {
+                device: &device,
+                data: &data,
+                grads: &grads,
+                features: &features,
+                bins: 32,
+                opts: HistOptions::default(),
+            };
+            let mut hist = NodeHistogram::new(features.len(), d, 32);
+            accumulate_dense(&ctx, &idx, &mut hist);
+            let (node_g, node_h) = grads.sums(&idx);
+
+            let mut want: Option<(usize, usize, f64, Vec<f64>, Vec<f64>, u32)> = None;
+            let mut filtered = 0;
+            for f_local in 0..features.len() {
+                let (mut gl, mut hl, mut left) = (vec![0.0; d], vec![0.0; d], 0u32);
+                for b in 0..hist.bins - 1 {
+                    left += hist.counts[hist.cnt_index(f_local, b)];
+                    for k in 0..d {
+                        gl[k] += hist.g[hist.gh_index(f_local, k, b)];
+                        hl[k] += hist.h[hist.gh_index(f_local, k, b)];
+                    }
+                    if left < p.min_instances as u32 || node_count - left < p.min_instances as u32 {
+                        filtered += 1;
+                        continue;
+                    }
+                    let gain = split_gain(&gl, &hl, &node_g, &node_h, p.lambda);
+                    if want.as_ref().map_or(true, |w| gain > w.2) {
+                        want = Some((f_local, b, gain, gl.clone(), hl.clone(), left));
+                    }
+                }
+            }
+            assert!(filtered > 0, "d={d}: min_instances filtered nothing");
+            let (f_local, bin, gain, left_g, left_h, left_count) =
+                want.expect("reference finds a split");
+            assert!(gain > p.min_gain, "d={d}");
+
+            let got = find_best_split(&device, &hist, &features, &node_g, &node_h, node_count, &p)
+                .expect("split must exist");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(got.feature, features[f_local], "d={d}");
+            assert_eq!(got.bin as usize, bin, "d={d}");
+            assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d}");
+            assert_eq!(bits(&got.left_g), bits(&left_g), "d={d}");
+            assert_eq!(bits(&got.left_h), bits(&left_h), "d={d}");
+            assert_eq!(got.left_count, left_count, "d={d}");
+        }
+    }
+
     #[test]
     fn empty_node_yields_no_split() {
         let device = Device::rtx4090();

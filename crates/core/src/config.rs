@@ -289,11 +289,17 @@ impl TrainConfig {
         if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
             return Err("learning_rate must be positive".into());
         }
-        if self.lambda < 0.0 {
-            return Err("lambda must be non-negative".into());
+        if !self.lambda.is_finite() || self.lambda < 0.0 {
+            return Err(format!(
+                "lambda {} must be finite and non-negative",
+                self.lambda
+            ));
         }
-        if self.min_gain < 0.0 {
-            return Err("min_gain must be non-negative".into());
+        if !self.min_gain.is_finite() || self.min_gain < 0.0 {
+            return Err(format!(
+                "min_gain {} must be finite and non-negative",
+                self.min_gain
+            ));
         }
         if !(self.subsample > 0.0 && self.subsample <= 1.0) {
             return Err(format!("subsample {} out of range (0, 1]", self.subsample));
@@ -397,6 +403,26 @@ mod tests {
         let mut c = TrainConfig::default();
         c.lambda = -1.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_regularisation() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut c = TrainConfig::default();
+            c.lambda = v;
+            let err = c
+                .validate()
+                .err()
+                .unwrap_or_else(|| panic!("lambda {v} accepted"));
+            assert!(err.contains("lambda"), "{err}");
+            let mut c = TrainConfig::default();
+            c.min_gain = v;
+            let err = c
+                .validate()
+                .err()
+                .unwrap_or_else(|| panic!("min_gain {v} accepted"));
+            assert!(err.contains("min_gain"), "{err}");
+        }
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub(crate) fn density_factor(ctx: &HistContext<'_>) -> f64 {
 
 /// Add a gradient row and a Hessian row into `d`-wide `f64` accumulator
 /// rows, in ascending `k`.
-#[inline]
+#[inline(always)]
 pub fn add_rows<T: Copy + Into<f64>>(
     g_acc: &mut [f64],
     h_acc: &mut [f64],
@@ -235,6 +235,21 @@ pub fn add_rows<T: Copy + Into<f64>>(
 /// contiguous `d`-wide rows of its bin, so every cell sums its
 /// instances in node order whatever the layout.
 pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistogram) {
+    accumulate_dense_with(ctx, idx, out, dense_feature_pass);
+}
+
+/// One feature's share of [`accumulate_dense`]: `col` is the feature's
+/// bin column, `gh`/`hh`/`cnt` its `bins` rows of the histogram.
+type FeaturePass = fn(&[u8], &[u32], &[f32], &[f32], usize, &mut [f64], &mut [f64], &mut [u32]);
+
+/// [`accumulate_dense`] with its per-feature pass given, so tests can
+/// run the portable body on any CPU.
+pub(crate) fn accumulate_dense_with(
+    ctx: &HistContext<'_>,
+    idx: &[u32],
+    out: &mut NodeHistogram,
+    pass: FeaturePass,
+) {
     let d = ctx.d();
     let bins = ctx.bins;
     debug_assert_eq!(out.d, d);
@@ -250,20 +265,51 @@ pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistog
         .zip(out.counts.par_chunks_mut(bins))
         .enumerate()
         .for_each(|(f_local, ((gh, hh), cnt))| {
-            let f = ctx.features[f_local] as usize;
-            let col = ctx.data.bins.col(f);
-            for &i in idx {
-                let i = i as usize;
-                let b = col[i] as usize;
-                cnt[b] += 1;
-                add_rows(
-                    &mut gh[b * d..(b + 1) * d],
-                    &mut hh[b * d..(b + 1) * d],
-                    &g[i * d..(i + 1) * d],
-                    &h[i * d..(i + 1) * d],
-                );
-            }
+            let col = ctx.data.bins.col(ctx.features[f_local] as usize);
+            pass(col, idx, g, h, d, gh, hh, cnt);
         });
+}
+
+crate::simd::avx2_or_portable! {
+    /// [`dense_feature_pass_portable`], as AVX2 code when the CPU has it.
+    #[allow(clippy::too_many_arguments)]
+    fn dense_feature_pass(
+        col: &[u8],
+        idx: &[u32],
+        g: &[f32],
+        h: &[f32],
+        d: usize,
+        gh: &mut [f64],
+        hh: &mut [f64],
+        cnt: &mut [u32],
+    ) = dense_feature_pass_portable;
+}
+
+/// The portable body of one feature's pass: each instance of `idx` adds
+/// its rows into its bin's rows, in node order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dense_feature_pass_portable(
+    col: &[u8],
+    idx: &[u32],
+    g: &[f32],
+    h: &[f32],
+    d: usize,
+    gh: &mut [f64],
+    hh: &mut [f64],
+    cnt: &mut [u32],
+) {
+    for &i in idx {
+        let i = i as usize;
+        let b = col[i] as usize;
+        cnt[b] += 1;
+        add_rows(
+            &mut gh[b * d..(b + 1) * d],
+            &mut hh[b * d..(b + 1) * d],
+            &g[i * d..(i + 1) * d],
+            &h[i * d..(i + 1) * d],
+        );
+    }
 }
 
 /// Sparsity-aware accumulation (paper §3.2's CSC storage): explicit
@@ -570,12 +616,18 @@ mod tests {
                 }
             }
 
-            let mut got = NodeHistogram::new(features.len(), d, 32);
-            accumulate_dense(&c, &idx, &mut got);
-            assert_eq!(got.counts, want.counts, "d={d}");
+            // The dispatched entry point and the portable body alike.
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got.g), bits(&want.g), "d={d}");
-            assert_eq!(bits(&got.h), bits(&want.h), "d={d}");
+            for pass in [
+                dense_feature_pass as FeaturePass,
+                dense_feature_pass_portable,
+            ] {
+                let mut got = NodeHistogram::new(features.len(), d, 32);
+                accumulate_dense_with(&c, &idx, &mut got, pass);
+                assert_eq!(got.counts, want.counts, "d={d}");
+                assert_eq!(bits(&got.g), bits(&want.g), "d={d}");
+                assert_eq!(bits(&got.h), bits(&want.h), "d={d}");
+            }
         }
     }
 

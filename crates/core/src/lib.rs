@@ -25,6 +25,7 @@
 //! device behind a micro-batching [`serve::BatchServer`].
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod checkpoint;
 pub mod compiled;
@@ -44,6 +45,7 @@ pub mod predict;
 pub mod sanitize;
 pub mod serialize;
 pub mod serve;
+mod simd;
 pub mod sketch;
 pub mod split;
 pub mod trainer;

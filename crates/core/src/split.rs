@@ -196,11 +196,97 @@ fn constraint_ok(
     true
 }
 
+/// One feature's segmented scan: its best `(bin, gain)` over every
+/// admissible threshold, `(0, −∞)` when none is admissible.
+type FeatureScan = fn(
+    &NodeHistogram,
+    usize,
+    u32,
+    &[f64],
+    &[f64],
+    u32,
+    &SplitParams,
+    Option<&ConstraintState<'_>>,
+) -> (usize, f64);
+
+crate::simd::avx2_or_portable! {
+    /// [`scan_feature_portable`], as AVX2 code when the CPU has it.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_feature(
+        hist: &NodeHistogram,
+        f_local: usize,
+        feature: u32,
+        node_g: &[f64],
+        node_h: &[f64],
+        node_count: u32,
+        params: &SplitParams,
+        constraints: Option<&ConstraintState<'_>>,
+    ) -> (usize, f64) = scan_feature_portable;
+}
+
+/// The portable body of one feature's scan. Per bin, the `d` per-output
+/// [`gain_term`]s go into a scratch row (element-wise, so the three
+/// divisions vectorise) and are then summed exactly as [`split_gain`]
+/// sums them: ascending `k` from `0.0`, scaled by `0.5`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn scan_feature_portable(
+    hist: &NodeHistogram,
+    f_local: usize,
+    feature: u32,
+    node_g: &[f64],
+    node_h: &[f64],
+    node_count: u32,
+    params: &SplitParams,
+    constraints: Option<&ConstraintState<'_>>,
+) -> (usize, f64) {
+    let d = hist.d;
+    let min_child = params.min_instances as u32;
+    let c = constraints
+        .map(|s| s.monotone[feature as usize])
+        .unwrap_or(0);
+    // One allocation per feature holds the left sums and the terms.
+    let mut scratch = vec![0.0f64; 3 * d];
+    let (gl, rest) = scratch.split_at_mut(d);
+    let (hl, terms) = rest.split_at_mut(d);
+    let mut left_cnt = 0u32;
+    let mut best = (0usize, f64::NEG_INFINITY);
+    for b in 0..hist.bins.saturating_sub(1) {
+        left_cnt += hist.counts[hist.cnt_index(f_local, b)];
+        add_rows(gl, hl, hist.g_row(f_local, b), hist.h_row(f_local, b));
+        let right_cnt = node_count - left_cnt;
+        if left_cnt < min_child || right_cnt < min_child {
+            continue;
+        }
+        if c != 0 {
+            let state = constraints.expect("c != 0 implies state");
+            if !constraint_ok(c, gl, hl, node_g, node_h, params.lambda, state) {
+                continue;
+            }
+        }
+        for ((((t, &gl_k), &hl_k), &g_k), &h_k) in
+            terms.iter_mut().zip(&*gl).zip(&*hl).zip(node_g).zip(node_h)
+        {
+            *t = gain_term(gl_k, hl_k, g_k - gl_k, h_k - hl_k, params.lambda);
+        }
+        let mut gain = 0.0;
+        for &t in &*terms {
+            gain += t;
+        }
+        let gain = 0.5 * gain;
+        if gain > best.1 {
+            best = (b, gain);
+        }
+    }
+    best
+}
+
 /// Pure (uncharged) best-split search over features `f_lo..f_hi` (local
-/// indices into `features`/`hist`). Tie-breaking: the lowest feature
-/// index, then the lowest bin.
+/// indices into `features`/`hist`), each feature scanned by `scan`.
+/// Tie-breaking: the lowest feature index, then the lowest bin.
 #[allow(clippy::too_many_arguments)]
 fn best_split_impl(
+    scan: FeatureScan,
     hist: &NodeHistogram,
     features: &[u32],
     f_lo: usize,
@@ -217,50 +303,26 @@ fn best_split_impl(
         "feature/histogram mismatch"
     );
     assert!(f_lo <= f_hi && f_hi <= features.len(), "bad feature range");
-    let bins = hist.bins;
     let d = hist.d;
-    let mf = f_hi - f_lo;
-    if mf == 0 || node_count == 0 {
+    if f_lo == f_hi || node_count == 0 {
         return None;
     }
-    let min_child = params.min_instances as u32;
 
     // Per-feature best: the segmented scan + gain + segmented argmax,
     // fused (parallel over feature segments).
     let per_feature: Vec<(usize, f64)> = (f_lo..f_hi)
         .into_par_iter()
         .map(|f_local| {
-            let c = constraints
-                .map(|s| s.monotone[features[f_local] as usize])
-                .unwrap_or(0);
-            let mut gl = vec![0.0f64; d];
-            let mut hl = vec![0.0f64; d];
-            let mut left_cnt = 0u32;
-            let mut best = (0usize, f64::NEG_INFINITY);
-            for b in 0..bins.saturating_sub(1) {
-                left_cnt += hist.counts[hist.cnt_index(f_local, b)];
-                add_rows(
-                    &mut gl,
-                    &mut hl,
-                    hist.g_row(f_local, b),
-                    hist.h_row(f_local, b),
-                );
-                let right_cnt = node_count - left_cnt;
-                if left_cnt < min_child || right_cnt < min_child {
-                    continue;
-                }
-                if c != 0 {
-                    let state = constraints.expect("c != 0 implies state");
-                    if !constraint_ok(c, &gl, &hl, node_g, node_h, params.lambda, state) {
-                        continue;
-                    }
-                }
-                let gain = split_gain(&gl, &hl, node_g, node_h, params.lambda);
-                if gain > best.1 {
-                    best = (b, gain);
-                }
-            }
-            best
+            scan(
+                hist,
+                f_local,
+                features[f_local],
+                node_g,
+                node_h,
+                node_count,
+                params,
+                constraints,
+            )
         })
         .collect();
 
@@ -319,7 +381,16 @@ pub fn find_best_split_range(
     params: &SplitParams,
 ) -> Option<SplitCandidate> {
     let out = best_split_impl(
-        hist, features, f_lo, f_hi, node_g, node_h, node_count, params, None,
+        scan_feature,
+        hist,
+        features,
+        f_lo,
+        f_hi,
+        node_g,
+        node_h,
+        node_count,
+        params,
+        None,
     );
     let mut acc = LevelSplitCharges::new();
     acc.add(f_hi - f_lo, hist.d, hist.bins);
@@ -385,6 +456,7 @@ pub fn find_best_split_constrained(
 ) -> Option<SplitCandidate> {
     charges.add(features.len(), hist.d, hist.bins);
     best_split_impl(
+        scan_feature,
         hist,
         features,
         0,
@@ -661,7 +733,8 @@ mod tests {
             accumulate_dense(&ctx, &idx, &mut hist);
             let (node_g, node_h) = grads.sums(&idx);
 
-            let mut want: Option<(usize, usize, f64, Vec<f64>, Vec<f64>, u32)> = None;
+            let mut want: Option<(usize, usize, f64, u32)> = None;
+            let (mut left_g, mut left_h) = (vec![], vec![]);
             let mut filtered = 0;
             for f_local in 0..features.len() {
                 let (mut gl, mut hl, mut left) = (vec![0.0; d], vec![0.0; d], 0u32);
@@ -676,25 +749,41 @@ mod tests {
                         continue;
                     }
                     let gain = split_gain(&gl, &hl, &node_g, &node_h, p.lambda);
-                    if want.as_ref().map_or(true, |w| gain > w.2) {
-                        want = Some((f_local, b, gain, gl.clone(), hl.clone(), left));
+                    if want.is_none_or(|w| gain > w.2) {
+                        want = Some((f_local, b, gain, left));
+                        (left_g, left_h) = (gl.clone(), hl.clone());
                     }
                 }
             }
             assert!(filtered > 0, "d={d}: min_instances filtered nothing");
-            let (f_local, bin, gain, left_g, left_h, left_count) =
-                want.expect("reference finds a split");
+            let (f_local, bin, gain, left_count) = want.expect("reference finds a split");
             assert!(gain > p.min_gain, "d={d}");
 
-            let got = find_best_split(&device, &hist, &features, &node_g, &node_h, node_count, &p)
-                .expect("split must exist");
+            // The dispatched entry point and the portable body alike.
+            let portable = best_split_impl(
+                scan_feature_portable,
+                &hist,
+                &features,
+                0,
+                features.len(),
+                &node_g,
+                &node_h,
+                node_count,
+                &p,
+                None,
+            );
+            let dispatched =
+                find_best_split(&device, &hist, &features, &node_g, &node_h, node_count, &p);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(got.feature, features[f_local], "d={d}");
-            assert_eq!(got.bin as usize, bin, "d={d}");
-            assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d}");
-            assert_eq!(bits(&got.left_g), bits(&left_g), "d={d}");
-            assert_eq!(bits(&got.left_h), bits(&left_h), "d={d}");
-            assert_eq!(got.left_count, left_count, "d={d}");
+            for got in [dispatched, portable] {
+                let got = got.expect("split must exist");
+                assert_eq!(got.feature, features[f_local], "d={d}");
+                assert_eq!(got.bin as usize, bin, "d={d}");
+                assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d}");
+                assert_eq!(bits(&got.left_g), bits(&left_g), "d={d}");
+                assert_eq!(bits(&got.left_h), bits(&left_h), "d={d}");
+                assert_eq!(got.left_count, left_count, "d={d}");
+            }
         }
     }
 

@@ -27,6 +27,13 @@
 //! the GPU's output-major buffer instead (`sanitize::device_gh_slot`);
 //! no charge reads the host layout, so changing it cannot move a
 //! simulated nanosecond.
+//!
+//! [`accumulate_dense`]'s per-feature pass is built portable, AVX2 and
+//! AVX-512, and the widest build the CPU runs is picked at run time
+//! (`simd::multiversion!`).
+//! Only element-wise conversions and adds vectorise, across a row's `d`
+//! outputs; each cell still sums its instances in node order, so every
+//! build gives the same bits.
 
 pub mod adaptive;
 pub mod gmem;
@@ -243,7 +250,7 @@ pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistog
 type FeaturePass = fn(&[u8], &[u32], &[f32], &[f32], usize, &mut [f64], &mut [f64], &mut [u32]);
 
 /// [`accumulate_dense`] with its per-feature pass given, so tests can
-/// run the portable body on any CPU.
+/// run each build of it.
 pub(crate) fn accumulate_dense_with(
     ctx: &HistContext<'_>,
     idx: &[u32],
@@ -270,9 +277,9 @@ pub(crate) fn accumulate_dense_with(
         });
 }
 
-crate::simd::avx2_or_portable! {
-    /// [`dense_feature_pass_portable`], as AVX2 code when the CPU has it.
-    #[allow(clippy::too_many_arguments)]
+crate::simd::multiversion! {
+    /// [`dense_feature_pass_portable`], built for the widest vector
+    /// extension the CPU has.
     fn dense_feature_pass(
         col: &[u8],
         idx: &[u32],
@@ -616,17 +623,16 @@ mod tests {
                 }
             }
 
-            // The dispatched entry point and the portable body alike.
+            // The dispatched entry point, then every build the CPU runs.
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for pass in [
-                dense_feature_pass as FeaturePass,
-                dense_feature_pass_portable,
-            ] {
+            let mut runs = vec![("dispatched", dense_feature_pass as FeaturePass)];
+            runs.extend(dense_feature_pass::builds());
+            for (build, pass) in runs {
                 let mut got = NodeHistogram::new(features.len(), d, 32);
                 accumulate_dense_with(&c, &idx, &mut got, pass);
-                assert_eq!(got.counts, want.counts, "d={d}");
-                assert_eq!(bits(&got.g), bits(&want.g), "d={d}");
-                assert_eq!(bits(&got.h), bits(&want.h), "d={d}");
+                assert_eq!(got.counts, want.counts, "d={d} {build}");
+                assert_eq!(bits(&got.g), bits(&want.g), "d={d} {build}");
+                assert_eq!(bits(&got.h), bits(&want.h), "d={d} {build}");
             }
         }
     }

@@ -13,6 +13,14 @@
 //! the adaptive `1 + #segments/#SMs × C` rule. [`LevelSplitCharges`]
 //! models exactly that: per-node calls accumulate their work, and one
 //! flush per level charges the three batched kernels.
+//!
+//! **Host scan.** The functional per-feature scan is built portable,
+//! AVX2 and AVX-512, and the widest build the CPU runs is picked at run
+//! time (`simd::multiversion!`). Per bin it adds the bin's rows into
+//! the left sums and writes the `d` per-output gain terms into a scratch
+//! row, both element-wise, so they vectorise; it then sums the terms in
+//! ascending `k` exactly as [`split_gain`] does. Gains, winners and
+//! left sums are bit-identical under either build.
 
 use crate::hist::{add_rows, NodeHistogram};
 use gpusim::cost::KernelCost;
@@ -209,9 +217,9 @@ type FeatureScan = fn(
     Option<&ConstraintState<'_>>,
 ) -> (usize, f64);
 
-crate::simd::avx2_or_portable! {
-    /// [`scan_feature_portable`], as AVX2 code when the CPU has it.
-    #[allow(clippy::too_many_arguments)]
+crate::simd::multiversion! {
+    /// [`scan_feature_portable`], built for the widest vector extension
+    /// the CPU has.
     fn scan_feature(
         hist: &NodeHistogram,
         f_local: usize,
@@ -759,30 +767,26 @@ mod tests {
             let (f_local, bin, gain, left_count) = want.expect("reference finds a split");
             assert!(gain > p.min_gain, "d={d}");
 
-            // The dispatched entry point and the portable body alike.
-            let portable = best_split_impl(
-                scan_feature_portable,
-                &hist,
-                &features,
-                0,
-                features.len(),
-                &node_g,
-                &node_h,
-                node_count,
-                &p,
-                None,
-            );
+            // The dispatched entry point, then every build the CPU runs.
             let dispatched =
                 find_best_split(&device, &hist, &features, &node_g, &node_h, node_count, &p);
+            let mut runs = vec![("dispatched", dispatched)];
+            for (build, scan) in scan_feature::builds() {
+                let n = features.len();
+                let got = best_split_impl(
+                    scan, &hist, &features, 0, n, &node_g, &node_h, node_count, &p, None,
+                );
+                runs.push((build, got));
+            }
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for got in [dispatched, portable] {
+            for (build, got) in runs {
                 let got = got.expect("split must exist");
-                assert_eq!(got.feature, features[f_local], "d={d}");
-                assert_eq!(got.bin as usize, bin, "d={d}");
-                assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d}");
-                assert_eq!(bits(&got.left_g), bits(&left_g), "d={d}");
-                assert_eq!(bits(&got.left_h), bits(&left_h), "d={d}");
-                assert_eq!(got.left_count, left_count, "d={d}");
+                assert_eq!(got.feature, features[f_local], "d={d} {build}");
+                assert_eq!(got.bin as usize, bin, "d={d} {build}");
+                assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d} {build}");
+                assert_eq!(bits(&got.left_g), bits(&left_g), "d={d} {build}");
+                assert_eq!(bits(&got.left_h), bits(&left_h), "d={d} {build}");
+                assert_eq!(got.left_count, left_count, "d={d} {build}");
             }
         }
     }

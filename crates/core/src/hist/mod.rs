@@ -30,10 +30,9 @@
 //!
 //! [`accumulate_dense`]'s per-feature pass is built portable, AVX2 and
 //! AVX-512, and the widest build the CPU runs is picked at run time
-//! (`simd::multiversion!`).
-//! Only element-wise conversions and adds vectorise, across a row's `d`
-//! outputs; each cell still sums its instances in node order, so every
-//! build gives the same bits.
+//! (`simd::multiversion!`). Only element-wise conversions and adds
+//! vectorise, across a row's `d` outputs; each cell still sums its
+//! instances in node order, so every build gives the same bits.
 
 pub mod adaptive;
 pub mod gmem;
@@ -219,7 +218,8 @@ pub(crate) fn density_factor(ctx: &HistContext<'_>) -> f64 {
 }
 
 /// Add a gradient row and a Hessian row into `d`-wide `f64` accumulator
-/// rows, in ascending `k`.
+/// rows, in ascending `k`. Always inlined, so each build of a
+/// multiversioned caller compiles it with that build's extension.
 #[inline(always)]
 pub fn add_rows<T: Copy + Into<f64>>(
     g_acc: &mut [f64],
@@ -529,10 +529,12 @@ pub(crate) mod test_support {
         (ds, binned, grads)
     }
 
-    /// `n × d` gradients of mixed magnitude (Hessians positive), so f64
-    /// sums round and any change in summation order shows in the bits.
+    /// `n × d` gradients (Hessians positive) whose magnitude varies by
+    /// instance over eight decades but not by output, so f64 sums round
+    /// and any change in summation order, over instances or over
+    /// outputs, shows in the bits.
     pub fn mixed_gradients(n: usize, d: usize) -> Gradients {
-        let wave = |j: usize| (j as f32 * 0.618).sin() * 10f32.powi(j as i32 % 9 - 4);
+        let wave = |j: usize| (j as f32 * 0.618).sin() * 10f32.powi((j / d) as i32 % 9 - 4);
         Gradients {
             g: (0..n * d).map(wave).collect(),
             h: (0..n * d).map(|j| wave(j + 7).abs() + 1e-3).collect(),

@@ -20,7 +20,7 @@
 //! the left sums and writes the `d` per-output gain terms into a scratch
 //! row, both element-wise, so they vectorise; it then sums the terms in
 //! ascending `k` exactly as [`split_gain`] does. Gains, winners and
-//! left sums are bit-identical under either build.
+//! left sums are bit-identical under every build.
 
 use crate::hist::{add_rows, NodeHistogram};
 use gpusim::cost::KernelCost;

@@ -22,11 +22,13 @@ echo "==> bitwise pins under release codegen"
 # The test profile builds at opt-level 2 with debug assertions; the
 # benchmark runs opt-level 3 without them, and the two can vectorise the
 # host loops differently. Re-run the tree/charge golden table and the
-# bit-for-bit histogram and split tests in the release profile.
+# bit-for-bit histogram, split and contention-sampling tests in the
+# release profile.
 cargo test --release -q -p gbdt-core --test layout_golden
 cargo test --release -q -p gbdt-core --lib -- \
   hist::tests::accumulate_dense_matches_a_scalar_reference_bit_for_bit \
-  split::tests::best_split_matches_a_scalar_reference_bit_for_bit
+  split::tests::best_split_matches_a_scalar_reference_bit_for_bit \
+  hist::stats::tests::measure_is_bit_identical_to_the_sort_based_reference
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"
 # The benchmark is a package of its own (benchmark/Cargo.toml), so the

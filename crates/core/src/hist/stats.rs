@@ -4,9 +4,27 @@
 //! indices (sampled warps × sampled features, deterministically);
 //! `expect` produces the closed-form estimate the adaptive selector uses
 //! before any kernel runs — predicting cost must not cost a kernel.
+//!
+//! `measure` runs on the host once per histogram charge, up to
+//! 64 warps × 8 features per node, so it counts without sorting or
+//! allocating per sampled warp:
+//! - transactions: each sampled warp's instance ids go through
+//!   [`sectors_touched`] (a stack-buffer count) once as 1-byte reads and
+//!   once rounded down to their packed 4-byte word, reusing one lane
+//!   buffer per call;
+//! - replay excess: bin ids are `u8`, so a warp's distinct bins are the
+//!   set bits of a 256-bit set (`[u64; 4]`) and its excess is
+//!   `lanes − distinct`;
+//! - packed-group distinctness: each group of 4 consecutive lanes is
+//!   copied into a `[u8; 4]` and a lane counts if no earlier lane of
+//!   the group holds the same bin.
+//!
+//! The counts are the integers a sort-and-dedup count gives, so the
+//! statistics are bit-identical to that reference (pinned by
+//! `measure_is_bit_identical_to_the_sort_based_reference`).
 
 use super::HistContext;
-use gpusim::warp::{atomic_replay_excess, sectors_touched, WarpSampler};
+use gpusim::warp::{sectors_touched, WarpSampler};
 
 /// Feature-sampling cap for measured statistics.
 const MAX_SAMPLED_FEATURES: usize = 8;
@@ -57,19 +75,19 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let warp = p.warp_size as usize;
     let total_warps = nn.div_ceil(warp);
     let sampler = WarpSampler::with_cap(total_warps, MAX_SAMPLED_WARPS);
+    let lanes = |w: usize| &idx[w * warp..(w * warp + warp).min(nn)];
 
     // --- transactions: depend only on the index pattern, not the feature.
     let mut trans_unpacked = 0usize;
     let mut trans_packed = 0usize;
     let mut addrs: Vec<u64> = Vec::with_capacity(warp);
     for w in sampler.indices() {
-        let s = w * warp;
-        let e = (s + warp).min(nn);
         addrs.clear();
-        addrs.extend(idx[s..e].iter().map(|&i| i as u64));
+        addrs.extend(lanes(w).iter().map(|&i| i as u64));
         trans_unpacked += sectors_touched(&addrs, 1, p.sector_bytes);
-        let packed_addrs: Vec<u64> = addrs.iter().map(|a| (a / 4) * 4).collect();
-        trans_packed += sectors_touched(&packed_addrs, 4, p.sector_bytes);
+        // Packed: each lane reads the whole word holding its bin.
+        addrs.iter_mut().for_each(|a| *a = (*a / 4) * 4);
+        trans_packed += sectors_touched(&addrs, 4, p.sector_bytes);
     }
     let warp_scale = sampler.scale();
 
@@ -79,26 +97,31 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let mut group_distinct = 0u64;
     let mut group_lanes = 0u64;
     let mut sampled_features = 0usize;
-    let mut bin_addrs: Vec<u64> = Vec::with_capacity(warp);
     let mut fi = 0;
     while fi < mf {
         sampled_features += 1;
         let col = ctx.data.bins.col(ctx.features[fi] as usize);
         for w in sampler.indices() {
-            let s = w * warp;
-            let e = (s + warp).min(nn);
-            bin_addrs.clear();
-            bin_addrs.extend(idx[s..e].iter().map(|&i| col[i as usize] as u64));
-            excess += atomic_replay_excess(&bin_addrs);
+            let warp_idx = lanes(w);
+            // Bin ids are `u8`: the warp's distinct bins are the set bits
+            // of a 256-bit set, and every other lane replays its atomic.
+            let mut bin_set = [0u64; 4];
             // Register-level pre-aggregation potential of packed groups
             // of 4 consecutive instances.
-            for group in bin_addrs.chunks(4) {
-                let mut g = group.to_vec();
-                g.sort_unstable();
-                g.dedup();
-                group_distinct += g.len() as u64;
+            for group in warp_idx.chunks(4) {
+                let mut bins = [0u8; 4];
+                for (slot, &i) in bins.iter_mut().zip(group) {
+                    *slot = col[i as usize];
+                    bin_set[(*slot >> 6) as usize] |= 1 << (*slot & 63);
+                }
+                let bins = &bins[..group.len()];
+                group_distinct += (0..bins.len())
+                    .filter(|&j| !bins[..j].contains(&bins[j]))
+                    .count() as u64;
                 group_lanes += group.len() as u64;
             }
+            let distinct: u32 = bin_set.iter().map(|word| word.count_ones()).sum();
+            excess += warp_idx.len() as u64 - distinct as u64;
         }
         fi += f_stride;
     }
@@ -185,7 +208,155 @@ mod tests {
     use super::super::HistContext;
     use super::*;
     use crate::config::HistOptions;
+    use gbdt_data::BinnedDataset;
     use gpusim::Device;
+
+    /// `measure` as it counted before the bit-set rewrite: every sampled
+    /// warp and group of 4 copied, sorted and deduplicated. Kept only
+    /// as the reference the allocation-free counts must equal.
+    fn measure_by_sorting(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
+        fn distinct_sorted(addrs: &[u64]) -> u64 {
+            let mut v = addrs.to_vec();
+            v.sort_unstable();
+            v.dedup();
+            v.len() as u64
+        }
+        fn sectors(addrs: &[u64], access_bytes: u64, sector_bytes: u64) -> usize {
+            let mut s = Vec::new();
+            for &a in addrs {
+                s.push(a / sector_bytes);
+                s.push((a + access_bytes - 1) / sector_bytes);
+            }
+            distinct_sorted(&s) as usize
+        }
+        let nn = idx.len();
+        let mf = ctx.features.len();
+        if nn == 0 || mf == 0 {
+            return ContentionStats::default();
+        }
+        let p = &ctx.device.model().params;
+        let sb = p.sector_bytes as u64;
+        let warp = p.warp_size as usize;
+        let sampler = WarpSampler::with_cap(nn.div_ceil(warp), MAX_SAMPLED_WARPS);
+        let (mut trans_unpacked, mut trans_packed) = (0usize, 0usize);
+        for w in sampler.indices() {
+            let addrs: Vec<u64> = idx[w * warp..(w * warp + warp).min(nn)]
+                .iter()
+                .map(|&i| i as u64)
+                .collect();
+            trans_unpacked += sectors(&addrs, 1, sb);
+            let packed: Vec<u64> = addrs.iter().map(|a| (a / 4) * 4).collect();
+            trans_packed += sectors(&packed, 4, sb);
+        }
+        let f_stride = mf.div_ceil(MAX_SAMPLED_FEATURES).max(1);
+        let (mut excess, mut group_distinct, mut group_lanes) = (0u64, 0u64, 0u64);
+        let mut sampled_features = 0usize;
+        for fi in (0..mf).step_by(f_stride) {
+            sampled_features += 1;
+            let col = ctx.data.bins.col(ctx.features[fi] as usize);
+            for w in sampler.indices() {
+                let bin_addrs: Vec<u64> = idx[w * warp..(w * warp + warp).min(nn)]
+                    .iter()
+                    .map(|&i| col[i as usize] as u64)
+                    .collect();
+                excess += bin_addrs.len() as u64 - distinct_sorted(&bin_addrs);
+                for group in bin_addrs.chunks(4) {
+                    group_distinct += distinct_sorted(group);
+                    group_lanes += group.len() as u64;
+                }
+            }
+        }
+        let warp_scale = sampler.scale();
+        let feature_scale = mf as f64 / sampled_features as f64;
+        ContentionStats {
+            replay_excess: excess as f64 * warp_scale * feature_scale,
+            bin_transactions_unpacked: trans_unpacked as f64 * warp_scale * mf as f64,
+            bin_transactions_packed: trans_packed as f64 * warp_scale * mf as f64,
+            packed_aggregation_ratio: if group_lanes == 0 {
+                1.0
+            } else {
+                group_distinct as f64 / group_lanes as f64
+            },
+        }
+    }
+
+    #[test]
+    fn measure_is_bit_identical_to_the_sort_based_reference() {
+        use super::super::test_support::mixed_gradients;
+        use gbdt_data::synth::{make_classification, ClassificationSpec};
+        let n = 6500;
+        let ds = make_classification(&ClassificationSpec {
+            instances: n,
+            features: 13,
+            classes: 3,
+            informative: 6,
+            sparsity: 0.4,
+            seed: 41,
+            ..Default::default()
+        });
+        let grads = mixed_gradients(n, 3);
+        let device = Device::rtx4090();
+        // Under the 64-warp cap: 1000 ids whose last warp has 8 lanes.
+        let contiguous: Vec<u32> = (0..1000).collect();
+        // Scattered post-partition pattern; 1447 = 45·32 + 7 gives a
+        // 7-lane tail warp whose last group of 4 holds 3 lanes.
+        let scattered: Vec<u32> = (0..n as u32)
+            .filter(|i| (i.wrapping_mul(2_654_435_761) >> 7) % 4 == 1)
+            .take(1447)
+            .collect();
+        // Over the cap: 127 warps sample with stride 2, so the sample
+        // ends on the 7-lane tail warp (126·32 + 7 = 4039 lanes).
+        let over_cap: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 0).take(4039).collect();
+        // Unsorted instance order.
+        let shuffled: Vec<u32> = (0..2000u32).map(|i| (i * 1_237) % 2000).collect();
+        assert_eq!(scattered.len(), 1447);
+        assert_eq!(over_cap.len(), 4039);
+        let all: Vec<u32> = (0..13).collect();
+        let subset: Vec<u32> = vec![10, 3, 7, 0, 12, 5, 1, 9, 2, 11, 4];
+        let narrow: Vec<u32> = vec![6, 2];
+        for max_bins in [16usize, 64, 256] {
+            let data = BinnedDataset::build(ds.features(), max_bins);
+            for features in [&all, &subset, &narrow] {
+                let ctx = HistContext {
+                    device: &device,
+                    data: &data,
+                    grads: &grads,
+                    features,
+                    bins: max_bins,
+                    opts: HistOptions::default(),
+                };
+                for idx in [&contiguous, &scattered, &over_cap, &shuffled] {
+                    let (got, want) = (measure(&ctx, idx), measure_by_sorting(&ctx, idx));
+                    let case = format!("bins={max_bins} features={features:?} nn={}", idx.len());
+                    assert_eq!(
+                        got.replay_excess.to_bits(),
+                        want.replay_excess.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        got.bin_transactions_unpacked.to_bits(),
+                        want.bin_transactions_unpacked.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        got.bin_transactions_packed.to_bits(),
+                        want.bin_transactions_packed.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        got.packed_aggregation_ratio.to_bits(),
+                        want.packed_aggregation_ratio.to_bits(),
+                        "{case}"
+                    );
+                }
+            }
+            if max_bins == 256 {
+                // The last word of the 256-bit set is exercised.
+                let col = data.bins.col(subset[0] as usize);
+                assert!(contiguous.iter().any(|&i| col[i as usize] == 255));
+            }
+        }
+    }
 
     #[test]
     fn measured_stats_scale_with_node_size() {

@@ -266,8 +266,9 @@ pub enum MultiGpuStrategy {
 /// It grows the same trees as [`crate::GpuTrainer`] for the knobs it
 /// implements. The constructors reject, with a [`ConfigError`] naming
 /// the knob, the ones it does not: `subsample < 1`,
-/// `colsample_bytree < 1`, `goss`, non-empty `monotone_constraints` and
-/// `hist.quantized_gradients`.
+/// `colsample_bytree < 1`, `goss`, non-empty `monotone_constraints`,
+/// `hist.quantized_gradients`, `hist.subtraction` and `hist.sparse_aware`
+/// (the loop builds every histogram with the dense pass).
 pub struct MultiGpuTrainer {
     group: DeviceGroup,
     config: TrainConfig,
@@ -315,6 +316,8 @@ impl MultiGpuTrainer {
                 !config.monotone_constraints.is_empty(),
             ),
             ("hist.quantized_gradients", config.hist.quantized_gradients),
+            ("hist.subtraction", config.hist.subtraction),
+            ("hist.sparse_aware", config.hist.sparse_aware),
         ];
         if let Some((knob, _)) = unsupported.iter().find(|(_, set)| *set) {
             return Err(ConfigError::from(format!(
@@ -1081,6 +1084,26 @@ mod tests {
                 TrainConfig {
                     hist: HistOptions {
                         quantized_gradients: true,
+                        ..HistOptions::default()
+                    },
+                    ..quick_config()
+                },
+            ),
+            (
+                "hist.subtraction",
+                TrainConfig {
+                    hist: HistOptions {
+                        subtraction: true,
+                        ..HistOptions::default()
+                    },
+                    ..quick_config()
+                },
+            ),
+            (
+                "hist.sparse_aware",
+                TrainConfig {
+                    hist: HistOptions {
+                        sparse_aware: true,
                         ..HistOptions::default()
                     },
                     ..quick_config()

@@ -301,10 +301,11 @@ struct TelSpanState {
 /// RAII guard for a hierarchical profiling scope, opened via
 /// [`Device::prof_scope`](crate::Device::prof_scope).
 ///
-/// When no profiler is attached the guard is a no-op (no lock, no
-/// allocation beyond the `Option`), keeping the hot path clean. Scope
-/// boundaries are timestamped on the simulated clock, so enabling
-/// profiling cannot perturb them.
+/// When neither a profiler nor telemetry is attached the guard is a
+/// no-op: it reads the two observer slots and allocates nothing (the
+/// trace label is built only for an attached observer), keeping the
+/// hot path clean. Scope boundaries are timestamped on the simulated
+/// clock, so enabling profiling cannot perturb them.
 ///
 /// Telemetry spans layer on the same guard through an independent
 /// second slot: with a telemetry registry attached the scope also
@@ -321,7 +322,9 @@ impl<'a> ProfScope<'a> {
     /// level number) is appended to the trace label but not the
     /// aggregation path, so all rounds fold into one `round` row.
     pub fn open(device: &'a crate::Device, kind: &'static str, index: Option<u64>) -> Self {
-        let label = match index {
+        // Built only for an attached observer: the unobserved guard
+        // must not allocate on every histogram charge and level.
+        let label = || match index {
             Some(i) => format!("{kind} {i}"),
             None => kind.to_string(),
         };
@@ -331,14 +334,14 @@ impl<'a> ProfScope<'a> {
             ScopeState {
                 prof,
                 path,
-                label: label.clone(),
+                label: label(),
                 depth,
                 start_ns,
             }
         });
         let tel_state = device.telemetry().map(|tel| {
             let start_ns = device.now_ns();
-            tel.span_enter(device.id, &label);
+            tel.span_enter(device.id, &label());
             TelSpanState { tel, start_ns }
         });
         ProfScope {

@@ -124,14 +124,19 @@ echo "==> chaos smoke (seeded fault matrix: transient retry, device loss, resume
 cargo run --release -q -p gbdt-bench --bin repro -- chaos --smoke \
   --trees 5 --depth 3 --bins 16 >/dev/null
 
-echo "==> unified run report smoke (phase ns must reconcile bitwise with the ledger)"
-# `repro report` trains + serves on one telemetry-carrying device and
-# exits nonzero unless every per-phase nanosecond total in the registry
-# matches the device ledger bit-for-bit, both directions.
+echo "==> unified run report smoke (served scores match; report carries the ledger's phase breakdown)"
+# `repro report` trains + serves on one telemetry-carrying device, exits
+# nonzero if a served score diverges from the model, and writes the
+# joined report. Per-phase time is the ledger's `by_phase`, embedded as
+# is: no observer keeps a second copy to reconcile.
 cargo run --release -q -p gbdt-bench --bin repro -- report --smoke \
   --out /tmp/REPORT_repro.json --prom /tmp/metrics.prom >/dev/null
 grep -q 'telemetry_schema_version' /tmp/REPORT_repro.json || {
   echo "ci: run report missing telemetry schema version" >&2
+  exit 1
+}
+grep -qE '"ledger":\{[^}]*"by_phase":\{[^}]*"Histogram":' /tmp/REPORT_repro.json || {
+  echo "ci: run report's ledger section lacks a by_phase Histogram entry" >&2
   exit 1
 }
 grep -q 'rounds_total' /tmp/metrics.prom || {

@@ -40,11 +40,11 @@
 //!              cost invariants; `--baseline F --check` diff-gates
 //!   report     unified run report: trains and serves one instrumented
 //!              run with the telemetry registry, profiler and fault
-//!              injector all attached, verifies the registry's per-phase
-//!              nanoseconds reconcile bitwise with the ledger, and joins
-//!              telemetry + ProfileSummary + ledger counters +
-//!              FaultReport + serve stats into one human-readable table
-//!              and one machine-readable REPORT_repro.json
+//!              injector all attached, checks the served scores against
+//!              the model, and joins telemetry + ProfileSummary + the
+//!              ledger's per-phase breakdown + FaultReport + serve
+//!              stats into one human-readable table set and one
+//!              machine-readable REPORT_repro.json
 //!              (TELEMETRY_SCHEMA_VERSION); `--prom F` also writes the
 //!              Prometheus text exposition
 //!   all        everything above
@@ -1781,13 +1781,12 @@ fn serve_cmd(opts: &Opts) -> bool {
 /// `repro report`: the unified observability surface. One instrumented
 /// run — training plus a serving burst on the *same* device — with the
 /// telemetry registry, hierarchical profiler and (eventless) fault
-/// injector all attached, then a bitwise reconciliation of the
-/// registry's `phase_ns` against the ledger's `by_phase`: the registry
-/// observes every charge through the same clamp, in the same order, so
-/// the two accumulations must agree to the last bit or the telemetry
-/// layer has perturbed or missed something. The joined report lands as
-/// a human-readable set of tables and one machine-readable JSON
-/// document under `TELEMETRY_SCHEMA_VERSION`.
+/// injector all attached. Per-phase time comes from the ledger alone
+/// (the observers keep no totals of their own). The joined report
+/// lands as a human-readable set of tables and one machine-readable
+/// JSON document under `TELEMETRY_SCHEMA_VERSION`. Fails on a served
+/// score that differs from `Model::predict` or on an output that
+/// cannot be written or read back.
 fn report_cmd(opts: &Opts) -> bool {
     use gbdt_core::{BatchConfig, BatchServer, DeviceEnsemble, PredictMode, ServedBatch};
     use gpusim::{FaultPlan, TELEMETRY_SCHEMA_VERSION};
@@ -1862,44 +1861,9 @@ fn report_cmd(opts: &Opts) -> bool {
     }
     let stats = server.stats();
 
-    // Bitwise phase reconciliation: same key set, same bits.
     let ledger = device.summary();
     let snap = tel.snapshot();
-    let mut recon_rows = Vec::new();
-    let mut recon_ok = true;
-    for (phase, &ledger_ns) in &ledger.by_phase {
-        let tel_ns = snap.phase_ns.get(phase.name()).copied();
-        let ok = tel_ns.map(f64::to_bits) == Some(ledger_ns.to_bits());
-        recon_ok &= ok;
-        recon_rows.push(vec![
-            phase.name().to_string(),
-            format!("{ledger_ns:.0}"),
-            tel_ns.map_or("MISSING".to_string(), |v| format!("{v:.0}")),
-            if ok {
-                "ok".to_string()
-            } else {
-                "MISMATCH".to_string()
-            },
-        ]);
-    }
-    for key in snap.phase_ns.keys() {
-        if !ledger.by_phase.keys().any(|p| p.name() == key) {
-            recon_ok = false;
-            recon_rows.push(vec![
-                key.clone(),
-                "MISSING".to_string(),
-                format!("{:.0}", snap.phase_ns[key]),
-                "MISMATCH".to_string(),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        render_table(
-            &["phase", "ledger (ns)", "telemetry (ns)", "recon"],
-            &recon_rows
-        )
-    );
+    println!("{}", ledger.table());
 
     let counter_rows: Vec<Vec<String>> = snap
         .counters
@@ -1933,11 +1897,8 @@ fn report_cmd(opts: &Opts) -> bool {
         fault.charges_seen, fault.transient_injected, fault.device_lost
     );
     println!(
-        "recorder: {} charges, {} faults, {} spans observed; reconciliation {}",
-        snap.charges_recorded,
-        snap.faults_recorded,
-        snap.spans_recorded,
-        if recon_ok { "OK (bitwise)" } else { "FAILED" }
+        "recorder: {} charges, {} faults, {} spans observed",
+        snap.charges_recorded, snap.faults_recorded, snap.spans_recorded
     );
 
     // Machine-readable join. `telemetry` embeds the registry's own
@@ -1962,7 +1923,6 @@ fn report_cmd(opts: &Opts) -> bool {
                 ("streams".to_string(), Value::UInt(opts.streams as u64)),
             ]),
         ),
-        ("reconciliation_ok".to_string(), Value::Bool(recon_ok)),
         ("telemetry".to_string(), tel.to_value()),
         ("profile".to_string(), profile.to_value()),
         ("ledger".to_string(), ledger.to_value()),
@@ -2048,12 +2008,8 @@ fn report_cmd(opts: &Opts) -> bool {
         println!("(wrote Prometheus exposition to {path})");
     }
 
-    if recon_ok {
-        println!("report: OK — telemetry reconciles bitwise with the ledger");
-    } else {
-        eprintln!("report: FAILED — telemetry/ledger phase mismatch (see table above)");
-    }
-    recon_ok
+    println!("report: OK");
+    true
 }
 
 #[cfg(test)]

@@ -303,42 +303,41 @@ fn telemetry_is_invisible_to_serving() {
     );
 }
 
-/// The per-phase nanosecond series in the registry must reconcile
-/// *bitwise* with the device ledger — same clamps, same accumulation
-/// order, both directions.
+/// Observers take the record the ledger booked: on a streamed adaptive
+/// fit, the flight recorder's charge events are the device's charge
+/// records one for one, in order — same name, phase and stream, the
+/// same start bits, and an end of exactly `start_ns + ns`.
 #[test]
-fn phase_ns_reconciles_bitwise_with_the_ledger() {
+fn flight_recorder_charges_are_the_booked_records() {
     let ds = dataset();
     let dev = Device::new(0, DeviceProps::rtx4090());
-    let tel = dev.enable_telemetry();
-    let model = GpuTrainer::new(
+    let tel = Arc::new(Telemetry::with_ring_limit(Device::DEFAULT_RECORD_LIMIT));
+    dev.attach_telemetry(Arc::clone(&tel));
+    GpuTrainer::new(
         dev.clone(),
-        config(HistogramMethod::Adaptive, OutputSketch::TopOutputs(2), 2),
+        config(HistogramMethod::Adaptive, OutputSketch::None, 4),
     )
     .fit(&ds);
-    // Fold serving into the same timeline so the Serve phase is present.
-    let ens = DeviceEnsemble::upload(dev.clone(), &model.compile());
-    let mut server = BatchServer::new(ens, BatchConfig::default()).expect("valid config");
-    let t0 = dev.now_ns();
-    for i in 0..8 {
-        server.submit(t0 + i as f64, ds.features().row(i));
-    }
-    server.flush();
 
-    let ledger = dev.summary();
-    let snap = tel.snapshot();
-    for (phase, ledger_ns) in &ledger.by_phase {
+    let records = dev.records();
+    assert!(
+        records.iter().any(|r| r.stream > 0),
+        "the fit never left the default stream"
+    );
+    tel.record_postmortem("end of fit");
+    let pm = &tel.postmortems()[0];
+    assert_eq!(pm.dropped_events, 0, "ring limit below the event count");
+    let charges: Vec<_> = pm.events.iter().filter(|e| e.kind == "charge").collect();
+    assert_eq!(charges.len(), records.len());
+    for (i, (e, r)) in charges.iter().zip(&records).enumerate() {
+        assert_eq!(e.name, r.name, "charge {i}");
+        assert_eq!(e.detail, r.phase.name(), "charge {i}: phase");
+        assert_eq!(e.stream, r.stream, "charge {i}: stream");
+        assert_eq!(e.start_ns.to_bits(), r.start_ns.to_bits(), "charge {i}");
         assert_eq!(
-            snap.phase_ns.get(phase.name()).map(|ns| ns.to_bits()),
-            Some(ledger_ns.to_bits()),
-            "phase {} drifted from the ledger",
-            phase.name()
-        );
-    }
-    for name in snap.phase_ns.keys() {
-        assert!(
-            ledger.by_phase.keys().any(|p| p.name() == name),
-            "telemetry invented phase {name}"
+            e.end_ns.to_bits(),
+            (r.start_ns + r.ns).to_bits(),
+            "charge {i}: end"
         );
     }
 }

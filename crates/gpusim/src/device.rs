@@ -4,7 +4,7 @@ use crate::buffer::GpuBuffer;
 use crate::cost::{CostModel, CostParams, KernelCost};
 use crate::fault::{Bits32, FaultInjector, FaultPlan, FaultReport, GpuFault};
 use crate::occupancy::{occupancy, BlockResources, SmLimits};
-use crate::prof::{ProfScope, ProfileSummary, Profiler};
+use crate::prof::{ProfScope, ProfileSummary, Profiler, ScopeStack};
 use crate::sanitize::{SanitizeMode, SanitizeReport, Sanitizer};
 use crate::timeline::{Event, Ledger, LedgerSummary};
 use crate::KernelRecord;
@@ -141,19 +141,29 @@ impl DeviceProps {
 /// kernels contend for an occupancy-derived number of concurrent-kernel
 /// slots (see [`Device::compute_slots`]). Stream 0 is the default
 /// stream; code that never names a stream behaves exactly as the old
-/// single-stream device, bit for bit. `Device` is `Sync`: concurrent
-/// charges are serialized by an internal lock, and the in-order-stream
+/// single-stream device, bit for bit. `Device` is `Sync`: one lock
+/// guards the ledger and everything attached to it, and every charge is
+/// booked at one site that hands the booked [`KernelRecord`] to the
+/// profiler and telemetry under that lock, so observers see charges in
+/// ledger order and keep no totals of their own. The in-order-stream
 /// abstraction means only subtotal order (not interleaving) matters.
 pub struct Device {
     /// Device index within its group (0-based, mirrors `cudaSetDevice`).
     pub id: usize,
     props: DeviceProps,
     model: CostModel,
-    ledger: Mutex<Ledger>,
-    sanitizer: Mutex<Option<Arc<Sanitizer>>>,
-    profiler: Mutex<Option<Arc<Profiler>>>,
-    fault: Mutex<Option<Arc<FaultInjector>>>,
-    telemetry: Mutex<Option<Arc<Telemetry>>>,
+    state: Mutex<DeviceState>,
+}
+
+/// Everything a charge touches, behind the device's one lock.
+#[derive(Default)]
+struct DeviceState {
+    ledger: Ledger,
+    sanitizer: Option<Arc<Sanitizer>>,
+    profiler: Option<Arc<Profiler>>,
+    fault: Option<Arc<FaultInjector>>,
+    telemetry: Option<Arc<Telemetry>>,
+    scopes: ScopeStack,
 }
 
 /// A lightweight handle binding a [`Device`] to a stream id, so call
@@ -204,7 +214,7 @@ impl std::fmt::Debug for Device {
         f.debug_struct("Device")
             .field("id", &self.id)
             .field("name", &self.props.name)
-            .field("total_ns", &self.ledger.lock().total_ns())
+            .field("total_ns", &self.now_ns())
             .finish()
     }
 }
@@ -221,11 +231,10 @@ impl Device {
             id,
             props,
             model,
-            ledger: Mutex::new(Ledger::with_slots(Self::DEFAULT_RECORD_LIMIT, slots)),
-            sanitizer: Mutex::new(None),
-            profiler: Mutex::new(None),
-            fault: Mutex::new(None),
-            telemetry: Mutex::new(None),
+            state: Mutex::new(DeviceState {
+                ledger: Ledger::with_slots(Self::DEFAULT_RECORD_LIMIT, slots),
+                ..DeviceState::default()
+            }),
         })
     }
 
@@ -276,32 +285,7 @@ impl Device {
         cost: &KernelCost,
         stream: usize,
     ) {
-        if let Some(inj) = self.fault.lock().clone() {
-            if !inj.on_charge(self.id, name) {
-                // Device lost: nothing executes on a fallen device.
-                return;
-            }
-        }
-        let ns = self.model.kernel_ns(cost);
-        let slots = if self.model.saturates_device(cost) {
-            self.ledger.lock().compute_slots()
-        } else {
-            1
-        };
-        let start_ns = self
-            .ledger
-            .lock()
-            .charge_scheduled(stream, name, phase, ns, slots);
-        if let Some(prof) = self.profiler.lock().clone() {
-            // Observer only: the ledger charge above is complete and the
-            // profiler never feeds anything back into it.
-            let limited = self.model.serialization_limited(cost);
-            prof.on_kernel(name, phase, ns, start_ns, cost.dram_bytes, limited, stream);
-        }
-        if let Some(tel) = self.telemetry.lock().clone() {
-            // Same observer contract as the profiler above.
-            tel.record_charge(self.id, name, phase.name(), ns, start_ns, stream);
-        }
+        self.book(name, phase, self.model.kernel_ns(cost), stream, Some(cost));
     }
 
     /// Charge a raw duration on the default stream (used by collectives
@@ -314,20 +298,41 @@ impl Device {
     /// compute slots, so it overlaps freely with kernels on other
     /// streams (copy and collective engines do not contend for SMs).
     pub fn charge_ns_on(&self, name: &'static str, phase: Phase, ns: f64, stream: usize) {
-        if let Some(inj) = self.fault.lock().clone() {
+        self.book(name, phase, ns, stream, None);
+    }
+
+    /// The one booking site behind every charge (`cost` is `None` for
+    /// engine work). Observers get the booked record under the same
+    /// lock, after the ledger, and never feed anything back.
+    fn book(
+        &self,
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        stream: usize,
+        cost: Option<&KernelCost>,
+    ) {
+        let mut st = self.state.lock();
+        if let Some(inj) = &st.fault {
             if !inj.on_charge(self.id, name) {
+                // Device lost: nothing executes on a fallen device.
                 return;
             }
         }
-        let start_ns = self
-            .ledger
-            .lock()
-            .charge_scheduled(stream, name, phase, ns, 0);
-        if let Some(prof) = self.profiler.lock().clone() {
-            prof.on_kernel(name, phase, ns, start_ns, 0.0, false, stream);
+        let slots = match cost {
+            None => 0,
+            Some(c) if self.model.saturates_device(c) => st.ledger.compute_slots(),
+            Some(_) => 1,
+        };
+        let r = st.ledger.charge_scheduled(stream, name, phase, ns, slots);
+        if let Some(prof) = &st.profiler {
+            let (dram_bytes, limited) = cost.map_or((0.0, false), |c| {
+                (c.dram_bytes, self.model.serialization_limited(c))
+            });
+            prof.on_kernel(&r, dram_bytes, limited);
         }
-        if let Some(tel) = self.telemetry.lock().clone() {
-            tel.record_charge(self.id, name, phase.name(), ns, start_ns, stream);
+        if let Some(tel) = &st.telemetry {
+            tel.record_charge(self.id, r.name, r.phase.name(), r.ns, r.start_ns, r.stream);
         }
     }
 
@@ -341,66 +346,54 @@ impl Device {
 
     /// Fence the work issued to `stream` so far.
     pub fn record_event(&self, stream: usize) -> Event {
-        self.ledger.lock().record_event(stream)
+        self.state.lock().ledger.record_event(stream)
     }
 
     /// Make subsequent work on `stream` start no earlier than `event`.
     /// Events are plain timestamps, so fences recorded on *another*
     /// device compose here too (cross-device collective edges).
     pub fn wait_event(&self, stream: usize, event: Event) {
-        self.ledger.lock().wait_event(stream, event);
+        self.state.lock().ledger.wait_event(stream, event);
     }
 
     /// Device-wide synchronization (`cudaDeviceSynchronize`): every
     /// stream clock joins the makespan. Books no idle time, and is a
     /// no-op when only the default stream has been used.
     pub fn sync(&self) {
-        self.ledger.lock().sync_streams();
+        self.state.lock().ledger.sync_streams();
     }
 
     /// Completion clock of `stream`, nanoseconds (0 if never touched).
     pub fn stream_now(&self, stream: usize) -> f64 {
-        self.ledger.lock().stream_now(stream)
+        self.state.lock().ledger.stream_now(stream)
     }
 
     /// Concurrent-kernel slots available to co-resident compute.
     pub fn compute_slots(&self) -> u32 {
-        self.ledger.lock().compute_slots()
+        self.state.lock().ledger.compute_slots()
     }
 
     /// Current simulated time, nanoseconds: the timeline makespan (max
     /// over stream clocks and barrier targets).
     pub fn now_ns(&self) -> f64 {
-        self.ledger.lock().total_ns()
+        self.state.lock().ledger.total_ns()
     }
 
     /// Raise the device clock to `target_ns`, booking idle time.
     pub fn advance_to(&self, target_ns: f64) {
-        let gap = {
-            let mut ledger = self.ledger.lock();
-            let gap = target_ns - ledger.total_ns();
-            ledger.advance_to(target_ns);
-            gap
-        };
-        // Mirror the ledger's idle booking (same gap, same order) so
-        // the telemetry `Idle` phase reconciles bitwise.
-        if gap > 0.0 {
-            if let Some(tel) = self.telemetry.lock().clone() {
-                tel.record_idle(gap);
-            }
-        }
+        self.state.lock().ledger.advance_to(target_ns);
     }
 
     /// Snapshot of the ledger.
     pub fn summary(&self) -> LedgerSummary {
-        self.ledger.lock().summary()
+        self.state.lock().ledger.summary()
     }
 
     /// Clone of the retained detailed kernel records (up to
     /// [`Device::DEFAULT_RECORD_LIMIT`]). Used by the determinism audit
     /// to diff replayed cost streams.
     pub fn records(&self) -> Vec<KernelRecord> {
-        self.ledger.lock().records().to_vec()
+        self.state.lock().ledger.records().to_vec()
     }
 
     // ---- sanitizer ---------------------------------------------------------
@@ -409,31 +402,28 @@ impl Device {
     /// sanitizer (its accumulated state is dropped). Passing
     /// [`SanitizeMode::Off`] is equivalent to [`Device::disable_sanitizer`].
     pub fn enable_sanitizer(&self, mode: SanitizeMode) {
-        let mut slot = self.sanitizer.lock();
-        if mode.enabled() {
-            *slot = Some(Arc::new(Sanitizer::new(mode, self.props.cost.warp_size)));
-        } else {
-            *slot = None;
-        }
+        self.state.lock().sanitizer = mode
+            .enabled()
+            .then(|| Arc::new(Sanitizer::new(mode, self.props.cost.warp_size)));
     }
 
     /// Detach the sanitizer; subsequent kernels run unchecked (and
     /// unrecorded). Accumulated state is dropped.
     pub fn disable_sanitizer(&self) {
-        *self.sanitizer.lock() = None;
+        self.state.lock().sanitizer = None;
     }
 
     /// The attached sanitizer, if any. Kernels call this once per launch;
     /// `None` (the default) must keep the hot path free of recording
     /// overhead.
     pub fn sanitizer(&self) -> Option<Arc<Sanitizer>> {
-        self.sanitizer.lock().clone()
+        self.state.lock().sanitizer.clone()
     }
 
     /// Snapshot the sanitizer's accumulated report, or `None` when no
     /// sanitizer is attached.
     pub fn sanitize_report(&self) -> Option<SanitizeReport> {
-        self.sanitizer.lock().as_ref().map(|s| s.report())
+        self.state.lock().sanitizer.as_ref().map(|s| s.report())
     }
 
     // ---- profiler ----------------------------------------------------------
@@ -443,43 +433,58 @@ impl Device {
     /// charged nanoseconds are bit-identical (regression-tested in
     /// `crates/core/tests/profiling.rs`).
     pub fn enable_profiler(&self) {
-        *self.profiler.lock() = Some(Arc::new(Profiler::default()));
+        self.state.lock().profiler = Some(Arc::new(Profiler::default()));
     }
 
     /// Detach the profiler; accumulated state is dropped.
     pub fn disable_profiler(&self) {
-        *self.profiler.lock() = None;
+        self.state.lock().profiler = None;
     }
 
     /// The attached profiler, if any. `None` (the default) keeps the
     /// charge hot path free of recording overhead.
     pub fn profiler(&self) -> Option<Arc<Profiler>> {
-        self.profiler.lock().clone()
+        self.state.lock().profiler.clone()
     }
 
     /// Open a hierarchical profiling scope (`kind` is the aggregation
-    /// key, `index` labels this instance in the trace). No-op guard
-    /// when no profiler is attached.
+    /// key, `index` labels this instance in the trace) on this device's
+    /// scope stack. A no-op guard that allocates nothing when neither a
+    /// profiler nor telemetry is attached.
     pub fn prof_scope(&self, kind: &'static str, index: Option<u64>) -> ProfScope<'_> {
-        ProfScope::open(self, kind, index)
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let pushed = st.profiler.is_some() || st.telemetry.is_some();
+        if pushed {
+            st.scopes.push(kind, index, st.ledger.total_ns());
+        }
+        ProfScope {
+            device: self,
+            pushed,
+        }
+    }
+
+    /// Close the innermost scope and hand it to the attached observers.
+    pub(crate) fn pop_scope(&self) {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let (prof, tel) = (st.profiler.as_deref(), st.telemetry.as_deref());
+        st.scopes.pop(self.id, st.ledger.total_ns(), prof, tel);
     }
 
     /// Snapshot the schema-versioned profile summary, or `None` when no
     /// profiler is attached.
     pub fn profile_summary(&self) -> Option<ProfileSummary> {
-        self.profiler
-            .lock()
+        let st = self.state.lock();
+        st.profiler
             .as_ref()
-            .map(|p| p.summarize(&self.props.name, &self.ledger.lock().summary()))
+            .map(|p| p.summarize(&self.props.name, &st.ledger.summary()))
     }
 
     /// Export the Chrome `chrome://tracing` JSON for this device, or
     /// `None` when no profiler is attached.
     pub fn chrome_trace(&self) -> Option<String> {
-        self.profiler
-            .lock()
-            .as_ref()
-            .map(|p| p.chrome_trace(self.id))
+        self.profiler().map(|p| p.chrome_trace(self.id))
     }
 
     // ---- telemetry ---------------------------------------------------------
@@ -491,7 +496,7 @@ impl Device {
     /// `crates/core/tests/telemetry.rs`).
     pub fn enable_telemetry(&self) -> Arc<Telemetry> {
         let tel = Arc::new(Telemetry::new());
-        *self.telemetry.lock() = Some(Arc::clone(&tel));
+        self.attach_telemetry(Arc::clone(&tel));
         tel
     }
 
@@ -499,19 +504,19 @@ impl Device {
     /// group) can share one, interleaving their flight-recorder events
     /// by recording order.
     pub fn attach_telemetry(&self, tel: Arc<Telemetry>) {
-        *self.telemetry.lock() = Some(tel);
+        self.state.lock().telemetry = Some(tel);
     }
 
     /// Detach telemetry; accumulated state lives on in any clones of
     /// the returned `Arc`, but this device stops recording.
     pub fn disable_telemetry(&self) {
-        *self.telemetry.lock() = None;
+        self.state.lock().telemetry = None;
     }
 
     /// The attached telemetry registry, if any. `None` (the default)
     /// keeps the charge hot path free of recording overhead.
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.telemetry.lock().clone()
+        self.state.lock().telemetry.clone()
     }
 
     // ---- fault injection ---------------------------------------------------
@@ -522,18 +527,18 @@ impl Device {
     /// uninstrumented device (regression-tested in
     /// `crates/core/tests/chaos.rs`).
     pub fn enable_faults(&self, plan: FaultPlan) {
-        *self.fault.lock() = Some(Arc::new(FaultInjector::new(plan)));
+        self.state.lock().fault = Some(Arc::new(FaultInjector::new(plan)));
     }
 
     /// Detach the fault injector; accumulated state (including a sticky
     /// device loss) is dropped.
     pub fn disable_faults(&self) {
-        *self.fault.lock() = None;
+        self.state.lock().fault = None;
     }
 
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.fault.lock().clone()
+        self.state.lock().fault.clone()
     }
 
     /// Surface the oldest unreported fault — the simulator's
@@ -541,33 +546,25 @@ impl Device {
     /// attached or nothing fired; transient faults are cleared by the
     /// poll, device loss is sticky.
     pub fn poll_fault(&self) -> Result<(), GpuFault> {
-        let res = match self.fault.lock().clone() {
-            Some(inj) => inj.poll(),
-            None => Ok(()),
-        };
-        if let Err(ref fault) = res {
+        let st = self.state.lock();
+        let res = st.fault.as_ref().map_or(Ok(()), |inj| inj.poll());
+        if let (Err(fault), Some(tel)) = (&res, &st.telemetry) {
             // Observer only: the poll result is already decided; the
             // flight recorder just remembers what surfaced.
-            if let Some(tel) = self.telemetry.lock().clone() {
-                tel.record_fault(self.id, &fault.to_string());
-            }
+            tel.record_fault(self.id, &fault.to_string());
         }
         res
     }
 
     /// Whether this device has been lost to a planned [`GpuFault`].
     pub fn is_lost(&self) -> bool {
-        self.fault
-            .lock()
-            .as_ref()
-            .map(|inj| inj.is_lost())
-            .unwrap_or(false)
+        self.fault_injector().is_some_and(|inj| inj.is_lost())
     }
 
     /// Snapshot the fault-injection counters, or `None` when no
     /// injector is attached.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.fault.lock().as_ref().map(|inj| inj.report())
+        self.state.lock().fault.as_ref().map(|inj| inj.report())
     }
 
     /// Apply any armed bit flips targeting the buffer labelled `label`.
@@ -578,7 +575,7 @@ impl Device {
         label: &str,
         buf: &mut GpuBuffer<T>,
     ) {
-        let Some(inj) = self.fault.lock().clone() else {
+        let Some(inj) = self.fault_injector() else {
             return;
         };
         if buf.is_empty() {
@@ -594,7 +591,7 @@ impl Device {
 
     /// Reset the ledger to zero (e.g. between benchmark repetitions).
     pub fn reset(&self) {
-        self.ledger.lock().reset();
+        self.state.lock().ledger.reset();
     }
 
     // ---- memory management -------------------------------------------------
@@ -698,6 +695,34 @@ mod tests {
         dev.charge_ns("x", Phase::Other, 123.0);
         dev.reset();
         assert_eq!(dev.now_ns(), 0.0);
+    }
+
+    #[test]
+    fn observers_see_the_clamped_duration_the_ledger_booked() {
+        let dev = Device::rtx4090();
+        dev.enable_profiler();
+        let tel = dev.enable_telemetry();
+        dev.charge_ns("bad", Phase::Other, -5.0);
+        let s = dev.summary();
+        assert_eq!(s.phase_ns(Phase::Other), 0.0);
+        assert_eq!(s.negative_charges, 1);
+        let prof = dev.profile_summary().expect("profiler attached");
+        assert_eq!(prof.kernels[0].total_ns, 0.0);
+        assert_eq!(prof.kernels[0].max_ns, 0.0);
+        let trace: serde::Value =
+            serde_json::from_str(&dev.chrome_trace().expect("profiler attached"))
+                .expect("valid trace JSON");
+        let dur = trace.as_object().and_then(|o| {
+            let (_, events) = o.iter().find(|(k, _)| k == "traceEvents")?;
+            let event = events.as_array()?.first()?.as_object()?;
+            event
+                .iter()
+                .find(|(k, _)| k == "dur")
+                .map(|(_, v)| v.clone())
+        });
+        assert_eq!(dur, Some(serde::Value::Float(0.0)));
+        tel.record_postmortem("probe");
+        assert_eq!(tel.postmortems()[0].events[0].end_ns, 0.0);
     }
 
     impl LedgerSummary {

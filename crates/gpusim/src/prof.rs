@@ -5,6 +5,8 @@
 //! It never charges the ledger and never influences kernel results, so
 //! profiling off ⇒ bit-identical trees and charged nanoseconds (the
 //! zero-perturbation contract, regression-tested in `crates/core`).
+//! The device hands it the [`KernelRecord`] the ledger booked, so its
+//! durations are the ledger's, clamp included.
 //!
 //! What it records, keyed by `(kernel name, Phase)`:
 //!
@@ -14,8 +16,9 @@
 //!   launch overhead) than in overlapped streaming work;
 //! * hierarchical scopes — the trainer pushes per-boosting-round and
 //!   per-level scopes (and builders push per-method scopes) via
-//!   [`Device::prof_scope`](crate::Device::prof_scope); scope durations
-//!   are measured on the *simulated* clock, so they are deterministic;
+//!   [`Device::prof_scope`](crate::Device::prof_scope) onto the device's
+//!   scope stack; scope durations are measured on the *simulated*
+//!   clock, so they are deterministic;
 //! * a bounded trace-event buffer exported as Chrome `chrome://tracing`
 //!   JSON ([`Profiler::chrome_trace`] wraps it in `traceEvents`).
 //!
@@ -23,9 +26,11 @@
 //! readable form consumed by the bench harness and CI diff gates.
 
 use crate::device::Phase;
+use crate::KernelRecord;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use telemetry::Telemetry;
 
 /// Schema version of [`ProfileSummary`] and the Chrome-trace envelope.
 ///
@@ -71,7 +76,6 @@ struct TraceEvent {
 #[derive(Default)]
 struct ProfInner {
     kernels: BTreeMap<(&'static str, Phase), KernelStat>,
-    stack: Vec<&'static str>,
     scopes: BTreeMap<String, ScopeStat>,
     events: Vec<TraceEvent>,
     dropped_events: u64,
@@ -110,27 +114,16 @@ impl Profiler {
         }
     }
 
-    /// Record one charged kernel. Called by the device *after* the
-    /// ledger charge; `start_ns` is the issuing stream's clock before
-    /// the charge and `stream` the stream it was issued on. `limited`
-    /// marks a launch dominated by serialized terms.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_kernel(
-        &self,
-        name: &'static str,
-        phase: Phase,
-        ns: f64,
-        start_ns: f64,
-        dram_bytes: f64,
-        limited: bool,
-        stream: usize,
-    ) {
+    /// Record one charge, as the ledger booked it. Called by the device
+    /// *after* the ledger charge; `limited` marks a launch dominated by
+    /// serialized terms.
+    pub fn on_kernel(&self, rec: &KernelRecord, dram_bytes: f64, limited: bool) {
         let mut inner = self.inner.lock();
-        let stat = inner.kernels.entry((name, phase)).or_default();
+        let stat = inner.kernels.entry((rec.name, rec.phase)).or_default();
         stat.count += 1;
-        stat.total_ns += ns;
-        if ns > stat.max_ns {
-            stat.max_ns = ns;
+        stat.total_ns += rec.ns;
+        if rec.ns > stat.max_ns {
+            stat.max_ns = rec.ns;
         }
         stat.dram_bytes += dram_bytes;
         if limited {
@@ -141,29 +134,20 @@ impl Profiler {
             &mut inner,
             limit,
             TraceEvent {
-                name: name.to_string(),
-                cat: phase.name(),
-                start_ns,
-                dur_ns: ns,
-                stream: stream as u64,
+                name: rec.name.to_string(),
+                cat: rec.phase.name(),
+                start_ns: rec.start_ns,
+                dur_ns: rec.ns,
+                stream: rec.stream as u64,
             },
         );
     }
 
-    /// Open a scope of the given kind; returns its aggregation path
-    /// (kinds joined by `/`, e.g. `round/level`) and nesting depth.
-    pub fn scope_enter(&self, kind: &'static str) -> (String, u32) {
-        let mut inner = self.inner.lock();
-        inner.stack.push(kind);
-        let depth = inner.stack.len() as u32 - 1;
-        (inner.stack.join("/"), depth)
-    }
-
-    /// Close the innermost scope: aggregate its duration under `path`
+    /// Record a closed scope: aggregate its duration under `path`
+    /// (kinds joined by `/`, e.g. `round/level`, at nesting `depth`)
     /// and emit a trace event labeled `label`.
-    pub fn scope_exit(&self, path: &str, label: String, depth: u32, start_ns: f64, end_ns: f64) {
+    pub fn on_scope(&self, path: &str, label: String, depth: u32, start_ns: f64, end_ns: f64) {
         let mut inner = self.inner.lock();
-        inner.stack.pop();
         let stat = inner.scopes.entry(path.to_string()).or_default();
         stat.count += 1;
         stat.total_ns += end_ns - start_ns;
@@ -285,83 +269,74 @@ impl Profiler {
     }
 }
 
-struct ScopeState {
-    prof: std::sync::Arc<Profiler>,
-    path: String,
+/// One device's open [`ProfScope`]s, outermost first.
+#[derive(Default)]
+pub(crate) struct ScopeStack(Vec<OpenScope>);
+
+struct OpenScope {
+    kind: &'static str,
     label: String,
-    depth: u32,
     start_ns: f64,
 }
 
-struct TelSpanState {
-    tel: std::sync::Arc<telemetry::Telemetry>,
-    start_ns: f64,
+impl ScopeStack {
+    pub(crate) fn push(&mut self, kind: &'static str, index: Option<u64>, start_ns: f64) {
+        let label = match index {
+            Some(i) => format!("{kind} {i}"),
+            None => kind.to_string(),
+        };
+        self.0.push(OpenScope {
+            kind,
+            label,
+            start_ns,
+        });
+    }
+
+    /// Close the innermost scope: the profiler aggregates it under its
+    /// kind path (`round/level`), telemetry records its label path
+    /// (`round 0/level 2`).
+    pub(crate) fn pop(
+        &mut self,
+        device: usize,
+        end_ns: f64,
+        prof: Option<&Profiler>,
+        tel: Option<&Telemetry>,
+    ) {
+        let Some(scope) = self.0.pop() else {
+            return;
+        };
+        let open = || self.0.iter().chain([&scope]);
+        if let Some(tel) = tel {
+            let labels: Vec<&str> = open().map(|s| s.label.as_str()).collect();
+            tel.record_span(device, &labels.join("/"), scope.start_ns, end_ns);
+        }
+        if let Some(prof) = prof {
+            let kinds: Vec<&str> = open().map(|s| s.kind).collect();
+            let depth = self.0.len() as u32;
+            prof.on_scope(&kinds.join("/"), scope.label, depth, scope.start_ns, end_ns);
+        }
+    }
 }
 
 /// RAII guard for a hierarchical profiling scope, opened via
 /// [`Device::prof_scope`](crate::Device::prof_scope).
 ///
-/// When neither a profiler nor telemetry is attached the guard is a
-/// no-op: it reads the two observer slots and allocates nothing (the
-/// trace label is built only for an attached observer), keeping the
-/// hot path clean. Scope boundaries are timestamped on the simulated
-/// clock, so enabling profiling cannot perturb them.
-///
-/// Telemetry spans layer on the same guard through an independent
-/// second slot: with a telemetry registry attached the scope also
-/// lands in the flight recorder (profiler attached or not), again
-/// timestamped purely on the simulated clock.
+/// The scope is pushed once, as `(kind, label)`, onto the device's one
+/// scope stack. On drop the profiler gets the kind path and telemetry
+/// the label path (`round 0/level 2`) for its flight recorder. When
+/// neither observer is attached the guard is a no-op that allocates
+/// nothing, keeping the hot path clean. Scope boundaries are
+/// timestamped on the simulated clock, so observing cannot perturb
+/// them.
 pub struct ProfScope<'a> {
-    device: &'a crate::Device,
-    state: Option<ScopeState>,
-    tel_state: Option<TelSpanState>,
-}
-
-impl<'a> ProfScope<'a> {
-    /// Open a scope of `kind` on `device`; `index` (e.g. the round or
-    /// level number) is appended to the trace label but not the
-    /// aggregation path, so all rounds fold into one `round` row.
-    pub fn open(device: &'a crate::Device, kind: &'static str, index: Option<u64>) -> Self {
-        // Built only for an attached observer: the unobserved guard
-        // must not allocate on every histogram charge and level.
-        let label = || match index {
-            Some(i) => format!("{kind} {i}"),
-            None => kind.to_string(),
-        };
-        let state = device.profiler().map(|prof| {
-            let start_ns = device.now_ns();
-            let (path, depth) = prof.scope_enter(kind);
-            ScopeState {
-                prof,
-                path,
-                label: label(),
-                depth,
-                start_ns,
-            }
-        });
-        let tel_state = device.telemetry().map(|tel| {
-            let start_ns = device.now_ns();
-            tel.span_enter(device.id, &label());
-            TelSpanState { tel, start_ns }
-        });
-        ProfScope {
-            device,
-            state,
-            tel_state,
-        }
-    }
+    pub(crate) device: &'a crate::Device,
+    pub(crate) pushed: bool,
 }
 
 impl Drop for ProfScope<'_> {
     fn drop(&mut self) {
-        if let Some(st) = self.state.take() {
-            let end_ns = self.device.now_ns();
-            st.prof
-                .scope_exit(&st.path, st.label, st.depth, st.start_ns, end_ns);
-        }
-        if let Some(ts) = self.tel_state.take() {
-            let end_ns = self.device.now_ns();
-            ts.tel.span_exit(self.device.id, ts.start_ns, end_ns);
+        if self.pushed {
+            self.device.pop_scope();
         }
     }
 }
@@ -471,13 +446,29 @@ impl ProfileSummary {
 mod tests {
     use super::*;
 
+    fn rec(
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        start_ns: f64,
+        stream: usize,
+    ) -> KernelRecord {
+        KernelRecord {
+            name,
+            phase,
+            ns,
+            start_ns,
+            stream,
+        }
+    }
+
     #[test]
     fn kernel_aggregates_accumulate() {
         let p = Profiler::default();
-        p.on_kernel("k", Phase::Histogram, 10.0, 0.0, 100.0, true, 0);
-        p.on_kernel("k", Phase::Histogram, 30.0, 10.0, 300.0, true, 0);
-        p.on_kernel("k", Phase::Histogram, 20.0, 40.0, 200.0, false, 0);
-        p.on_kernel("other", Phase::SplitEval, 5.0, 60.0, 0.0, false, 0);
+        p.on_kernel(&rec("k", Phase::Histogram, 10.0, 0.0, 0), 100.0, true);
+        p.on_kernel(&rec("k", Phase::Histogram, 30.0, 10.0, 0), 300.0, true);
+        p.on_kernel(&rec("k", Phase::Histogram, 20.0, 40.0, 0), 200.0, false);
+        p.on_kernel(&rec("other", Phase::SplitEval, 5.0, 60.0, 0), 0.0, false);
         let ledger = crate::LedgerSummary::default();
         let s = p.summarize("dev", &ledger);
         assert_eq!(s.kernels.len(), 2);
@@ -494,20 +485,20 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_aggregate_by_path() {
-        let p = Profiler::default();
-        let (outer, d0) = p.scope_enter("round");
-        assert_eq!(outer, "round");
-        assert_eq!(d0, 0);
-        let (inner, d1) = p.scope_enter("level");
-        assert_eq!(inner, "round/level");
-        assert_eq!(d1, 1);
-        p.scope_exit(&inner, "level 0".to_string(), d1, 0.0, 10.0);
-        let (inner2, _) = p.scope_enter("level");
-        assert_eq!(inner2, "round/level");
-        p.scope_exit(&inner2, "level 1".to_string(), 1, 10.0, 25.0);
-        p.scope_exit(&outer, "round 0".to_string(), d0, 0.0, 30.0);
-        let s = p.summarize("dev", &crate::LedgerSummary::default());
+        let dev = crate::Device::rtx4090();
+        dev.enable_profiler();
+        let tel = dev.enable_telemetry();
+        {
+            let _round = dev.prof_scope("round", Some(0));
+            for (level, ns) in [10.0, 15.0].into_iter().enumerate() {
+                let _level = dev.prof_scope("level", Some(level as u64));
+                dev.charge_ns("k", Phase::Other, ns);
+            }
+            dev.charge_ns("k", Phase::Other, 5.0);
+        }
+        let s = dev.profile_summary().expect("profiler attached");
         assert_eq!(s.scopes.len(), 2);
+        assert_eq!(s.scopes[0].depth, 0);
         assert_eq!(s.scopes[0].path, "round");
         assert_eq!(s.scopes[0].count, 1);
         assert_eq!(s.scopes[0].total_ns, 30.0);
@@ -515,13 +506,22 @@ mod tests {
         assert_eq!(s.scopes[1].count, 2);
         assert_eq!(s.scopes[1].total_ns, 25.0);
         assert_eq!(s.scopes[1].depth, 1);
+        // Telemetry records the same scopes by label path.
+        tel.record_postmortem("spans");
+        let spans: Vec<String> = tel.postmortems()[0]
+            .events
+            .iter()
+            .filter(|e| e.kind == "span")
+            .map(|e| e.name.clone())
+            .collect();
+        assert_eq!(spans, ["round 0/level 0", "round 0/level 1", "round 0"]);
     }
 
     #[test]
     fn event_limit_sheds_but_aggregates_stay_exact() {
         let p = Profiler::new(2);
         for i in 0..5 {
-            p.on_kernel("k", Phase::Other, 1.0, i as f64, 0.0, false, 0);
+            p.on_kernel(&rec("k", Phase::Other, 1.0, i as f64, 0), 0.0, false);
         }
         assert_eq!(p.dropped_events(), 3);
         let s = p.summarize("dev", &crate::LedgerSummary::default());
@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_and_scaled_to_micros() {
         let p = Profiler::default();
-        p.on_kernel("k", Phase::Histogram, 2000.0, 1000.0, 0.0, false, 0);
+        p.on_kernel(&rec("k", Phase::Histogram, 2000.0, 1000.0, 0), 0.0, false);
         let json = p.chrome_trace(3);
         let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         let obj = v.as_object().expect("object envelope");
@@ -555,8 +555,8 @@ mod tests {
     #[test]
     fn chrome_trace_renders_streams_as_separate_tracks() {
         let p = Profiler::default();
-        p.on_kernel("a", Phase::Histogram, 10.0, 0.0, 0.0, false, 1);
-        p.on_kernel("b", Phase::Histogram, 10.0, 0.0, 0.0, false, 2);
+        p.on_kernel(&rec("a", Phase::Histogram, 10.0, 0.0, 1), 0.0, false);
+        p.on_kernel(&rec("b", Phase::Histogram, 10.0, 0.0, 2), 0.0, false);
         let json = p.chrome_trace(0);
         let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = v

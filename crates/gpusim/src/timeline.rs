@@ -72,7 +72,7 @@ impl Event {
 ///
 /// Serialize-only: `name` borrows `'static` kernel-name literals, which
 /// cannot be reconstructed from transient JSON input.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct KernelRecord {
     /// Human-readable kernel name, e.g. `hist_smem_packed`.
     pub name: &'static str,
@@ -158,14 +158,15 @@ impl Ledger {
     /// the charge), so observers can reconstruct the timeline without
     /// re-locking.
     pub fn charge(&mut self, name: &'static str, phase: Phase, ns: f64) -> f64 {
-        self.charge_scheduled(0, name, phase, ns, 0)
+        self.charge_scheduled(0, name, phase, ns, 0).start_ns
     }
 
     /// Append `ns` of simulated time in `phase` on `stream`, consuming
     /// `slots` compute slots for the charge's duration (0 for engine
     /// work — transfers and collectives — which never contends for
     /// SMs). Negative durations are clamped to zero and counted in
-    /// [`Ledger::negative_charges`]. Returns the start timestamp.
+    /// [`Ledger::negative_charges`]. Returns the booked record — clamped
+    /// duration and scheduled start — whether or not it is retained.
     ///
     /// Charges *issue* in call order — the record list, `kernel_count`
     /// and phase subtotals are schedule-independent — but the start
@@ -178,7 +179,7 @@ impl Ledger {
         phase: Phase,
         ns: f64,
         slots: u32,
-    ) -> f64 {
+    ) -> KernelRecord {
         let ns = if ns < 0.0 {
             self.negative_charges += 1;
             0.0
@@ -226,14 +227,15 @@ impl Ledger {
         // coincide exactly and the increment is 0.0.
         self.overlap_saved_ns += (prev_makespan + ns) - self.makespan;
 
+        let record = KernelRecord {
+            name,
+            phase,
+            ns,
+            start_ns: start,
+            stream,
+        };
         if self.records.len() < self.record_limit {
-            self.records.push(KernelRecord {
-                name,
-                phase,
-                ns,
-                start_ns: start,
-                stream,
-            });
+            self.records.push(record);
         } else {
             // Subtotals stay exact past the limit; count what we shed so
             // downstream consumers know the record list is partial.
@@ -241,7 +243,7 @@ impl Ledger {
         }
         *self.by_phase.entry(phase).or_insert(0.0) += ns;
         self.kernel_count += 1;
-        start
+        record
     }
 
     /// Fence the work issued to `stream` so far.
@@ -594,8 +596,8 @@ mod tests {
     #[test]
     fn default_stream_charges_keep_serial_clock_and_save_nothing() {
         let mut l = Ledger::with_slots(16, 6);
-        let s0 = l.charge_scheduled(0, "a", Phase::Other, 7.0, 1);
-        let s1 = l.charge_scheduled(0, "b", Phase::Other, 3.0, 6);
+        let s0 = l.charge_scheduled(0, "a", Phase::Other, 7.0, 1).start_ns;
+        let s1 = l.charge_scheduled(0, "b", Phase::Other, 3.0, 6).start_ns;
         assert_eq!(s0, 0.0);
         assert_eq!(s1, 7.0);
         assert_eq!(l.total_ns(), 10.0);
@@ -609,7 +611,7 @@ mod tests {
         l.charge_scheduled(2, "b", Phase::Other, 10.0, 1);
         // Third co-resident kernel exceeds the 2-slot cap: it waits for
         // the earliest completion.
-        let start = l.charge_scheduled(3, "c", Phase::Other, 10.0, 1);
+        let start = l.charge_scheduled(3, "c", Phase::Other, 10.0, 1).start_ns;
         assert_eq!(start, 10.0);
         assert_eq!(l.total_ns(), 20.0);
     }
@@ -620,11 +622,17 @@ mod tests {
         // A saturating kernel (all 4 slots) runs alone…
         l.charge_scheduled(1, "big", Phase::Other, 100.0, 4);
         // …so a 1-slot kernel on another stream queues behind it.
-        let start = l.charge_scheduled(2, "small", Phase::Other, 5.0, 1);
+        let start = l
+            .charge_scheduled(2, "small", Phase::Other, 5.0, 1)
+            .start_ns;
         assert_eq!(start, 100.0);
         // And a lone saturating kernel always runs even at used == 0.
         let mut solo = Ledger::with_slots(4, 2);
-        assert_eq!(solo.charge_scheduled(1, "big", Phase::Other, 9.0, 7), 0.0);
+        assert_eq!(
+            solo.charge_scheduled(1, "big", Phase::Other, 9.0, 7)
+                .start_ns,
+            0.0
+        );
     }
 
     #[test]
@@ -632,7 +640,9 @@ mod tests {
         let mut l = Ledger::with_slots(16, 1);
         l.charge_scheduled(1, "big", Phase::Histogram, 50.0, 1);
         // A transfer (0 slots) overlaps freely with saturated SMs.
-        let start = l.charge_scheduled(2, "htod", Phase::Transfer, 30.0, 0);
+        let start = l
+            .charge_scheduled(2, "htod", Phase::Transfer, 30.0, 0)
+            .start_ns;
         assert_eq!(start, 0.0);
         assert_eq!(l.total_ns(), 50.0);
     }
@@ -644,7 +654,9 @@ mod tests {
         let ev = l.record_event(1);
         assert_eq!(ev.ns(), 40.0);
         l.wait_event(2, ev);
-        let start = l.charge_scheduled(2, "consumer", Phase::SplitEval, 10.0, 1);
+        let start = l
+            .charge_scheduled(2, "consumer", Phase::SplitEval, 10.0, 1)
+            .start_ns;
         assert_eq!(start, 40.0);
         assert_eq!(l.total_ns(), 50.0);
         // Waiting on an already-passed fence is a no-op.
@@ -680,7 +692,7 @@ mod tests {
         assert_eq!(l.total_ns(), 100.0);
         assert_eq!(l.phase_ns(Phase::Idle), 0.0);
         // Post-sync work on stream 1 starts at the joined clock.
-        let start = l.charge_scheduled(1, "c", Phase::Other, 1.0, 1);
+        let start = l.charge_scheduled(1, "c", Phase::Other, 1.0, 1).start_ns;
         assert_eq!(start, 100.0);
     }
 

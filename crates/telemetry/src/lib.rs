@@ -15,8 +15,8 @@
 //!
 //! ## The zero-perturbation contract
 //!
-//! Telemetry is a *pure observer*, exactly like the sanitizer and the
-//! profiler: it is consulted **after** the ledger has charged, it never
+//! Telemetry is a *pure observer*, exactly like the profiler: the device
+//! hands it each charge **after** the ledger has booked it, it never
 //! charges simulated time itself, it never allocates device memory, and
 //! nothing it returns feeds back into training or serving decisions.
 //! Attaching, detaching, or toggling telemetry must leave trees,
@@ -24,11 +24,12 @@
 //! the contract is regression-tested in `crates/core/tests/telemetry.rs`.
 //!
 //! This crate deliberately does **not** depend on `gpusim`: the device
-//! layer depends on telemetry (to hold the observer slot), so phases and
-//! kernel names cross the boundary as plain strings. Per-phase
-//! nanosecond totals are accumulated with the same `max(0.0)` clamp and
-//! in the same call order as the ledger's own subtotals, so the two
-//! reconcile **bitwise** — `repro report` asserts exactly that.
+//! layer depends on telemetry (to hold the observer), so the booked
+//! record's kernel name and phase cross the boundary as plain strings.
+//! Charge events carry exactly what the ledger booked (clamped
+//! duration, scheduled start, stream). The registry keeps no time
+//! totals of its own: per-phase nanoseconds live in the device ledger
+//! (`LedgerSummary::by_phase`), which reports read directly.
 
 #![warn(missing_docs)]
 
@@ -39,7 +40,9 @@ use std::collections::{BTreeMap, VecDeque};
 /// Version stamp of the JSON document emitted by [`Telemetry::to_json`].
 /// Bump when field names, ordering, or semantics change, and regenerate
 /// the golden fixture (`UPDATE_GOLDEN=1 cargo test -p telemetry`).
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: the `phase_ns` section is gone; per-phase time is the ledger's.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Default per-device flight-recorder capacity (events retained).
 pub const DEFAULT_RING_LIMIT: usize = 256;
@@ -144,10 +147,6 @@ pub struct TelemetrySnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, HistSnapshot>,
-    /// Per-phase charged nanoseconds, accumulated in ledger call order
-    /// with the ledger's negative clamp — reconciles bitwise with
-    /// `LedgerSummary::by_phase`.
-    pub phase_ns: BTreeMap<String, f64>,
     /// Charges observed (all devices).
     pub charges_recorded: u64,
     /// Faults observed (all devices).
@@ -221,9 +220,7 @@ struct TelInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, FixedHistogram>,
-    phase_ns: BTreeMap<String, f64>,
     rings: BTreeMap<usize, DeviceRing>,
-    span_stacks: BTreeMap<usize, Vec<String>>,
     postmortems: Vec<Postmortem>,
     next_seq: u64,
     charges_recorded: u64,
@@ -287,10 +284,9 @@ impl Telemetry {
 
     // -- flight recorder -------------------------------------------------
 
-    /// Record a ledger charge: ring event plus the per-phase ns
-    /// accumulator. Called by the device *after* the ledger charged;
-    /// the `ns.max(0.0)` clamp mirrors the ledger's negative-duration
-    /// clamp so phase subtotals stay bitwise-reconcilable.
+    /// Record a charge as the ledger booked it (`ns` already clamped,
+    /// `start_ns` as scheduled). Called by the device *after* the
+    /// ledger charged.
     pub fn record_charge(
         &self,
         device: usize,
@@ -300,9 +296,7 @@ impl Telemetry {
         start_ns: f64,
         stream: usize,
     ) {
-        let ns = ns.max(0.0);
         let mut inner = self.inner.lock();
-        *inner.phase_ns.entry(phase.to_string()).or_insert(0.0) += ns;
         inner.charges_recorded += 1;
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -317,18 +311,6 @@ impl Telemetry {
             stream,
         };
         self.push_event(&mut inner, device, ev);
-    }
-
-    /// Mirror the ledger's idle booking: `advance_to` past the makespan
-    /// raises `Idle` by `+= gap` without a charge record, so the device
-    /// calls this with the same gap, in the same order, keeping the
-    /// `Idle` phase bitwise-reconcilable like every charged phase.
-    pub fn record_idle(&self, gap_ns: f64) {
-        if gap_ns <= 0.0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        *inner.phase_ns.entry("Idle".to_string()).or_insert(0.0) += gap_ns;
     }
 
     /// Record an injected-fault observation on `device`.
@@ -350,37 +332,9 @@ impl Telemetry {
         self.push_event(&mut inner, device, ev);
     }
 
-    /// Open a span labelled `label` on `device`: pushes onto the
-    /// per-device path stack so nested spans compose into
-    /// `round 0/level 2`-style paths. Paired with
-    /// [`Telemetry::span_exit`] (RAII guards in the device layer call
-    /// both).
-    pub fn span_enter(&self, device: usize, label: &str) {
-        let mut inner = self.inner.lock();
-        inner
-            .span_stacks
-            .entry(device)
-            .or_default()
-            .push(label.to_string());
-    }
-
-    /// Close the innermost open span on `device`, recording its full
-    /// path with the given simulated timestamps. No-op when the stack
-    /// is empty (e.g. telemetry attached mid-scope).
-    pub fn span_exit(&self, device: usize, start_ns: f64, end_ns: f64) {
-        let path = {
-            let mut inner = self.inner.lock();
-            let stack = inner.span_stacks.entry(device).or_default();
-            let path = stack.join("/");
-            stack.pop();
-            path
-        };
-        if !path.is_empty() {
-            self.record_span(device, &path, start_ns, end_ns);
-        }
-    }
-
-    /// Record a closed instrumentation span (simulated timestamps).
+    /// Record a closed instrumentation span: `path` is the label path
+    /// of the device's open scopes (`round 0/level 2`), timestamps are
+    /// simulated.
     pub fn record_span(&self, device: usize, path: &str, start_ns: f64, end_ns: f64) {
         let mut inner = self.inner.lock();
         inner.spans_recorded += 1;
@@ -451,7 +405,6 @@ impl Telemetry {
                 .iter()
                 .map(|(k, h)| (k.clone(), h.snapshot()))
                 .collect(),
-            phase_ns: inner.phase_ns.clone(),
             charges_recorded: inner.charges_recorded,
             faults_recorded: inner.faults_recorded,
             spans_recorded: inner.spans_recorded,
@@ -537,11 +490,6 @@ impl Telemetry {
                 )
             })
             .collect();
-        let phase_ns = snap
-            .phase_ns
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Float(*v)))
-            .collect();
         let recorder = inner
             .rings
             .iter()
@@ -578,7 +526,6 @@ impl Telemetry {
             ("counters".into(), Value::Object(counters)),
             ("gauges".into(), Value::Object(gauges)),
             ("histograms".into(), Value::Object(hists)),
-            ("phase_ns".into(), Value::Object(phase_ns)),
             (
                 "recorder".into(),
                 Value::Object(vec![
@@ -668,14 +615,6 @@ mod tests {
         assert!(prom.contains("serve_latency_ns_sum 104"));
         // Cumulative buckets end at the total count.
         assert!(prom.contains("serve_latency_ns_bucket{le=\"+Inf\"} 3"));
-    }
-
-    #[test]
-    fn phase_ns_clamps_negative_like_the_ledger() {
-        let tel = Telemetry::new();
-        tel.record_charge(0, "hist_build", "Histogram", 100.0, 0.0, 0);
-        tel.record_charge(0, "hist_build", "Histogram", -50.0, 100.0, 0);
-        assert_eq!(tel.snapshot().phase_ns["Histogram"], 100.0);
     }
 
     #[test]

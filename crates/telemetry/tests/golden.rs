@@ -17,8 +17,7 @@ const GOLDEN_PATH: &str = concat!(
 
 /// A fixed synthetic registry exercising every section of the export:
 /// counters, gauges, histograms (with an overflow-adjacent value),
-/// per-phase ns, flight-recorder rings on two devices, and a
-/// postmortem.
+/// flight-recorder rings on two devices, and a postmortem.
 fn golden_registry() -> Telemetry {
     let tel = Telemetry::with_ring_limit(3);
     tel.counter_add("train.rounds_total", 5);
@@ -75,7 +74,6 @@ fn telemetry_json_sections_are_stable() {
             "counters",
             "gauges",
             "histograms",
-            "phase_ns",
             "recorder",
             "flight_recorder",
             "postmortems",

@@ -878,6 +878,91 @@ mod tests {
         }
     }
 
+    /// The histogram pass and the split scan run inside `par_chunks_mut`
+    /// and `into_par_iter` over features; how those calls split the
+    /// features across threads must move neither the tree, the leaf
+    /// value bits nor the simulated clock. Leaf values are `f32`, which
+    /// can hide a change in the `f64` sums, so the root's histogram and
+    /// best split are compared bit for bit too; the gradients span eight
+    /// decades, so a sum taken in another order shows there.
+    #[test]
+    fn trees_do_not_depend_on_the_thread_count() {
+        let (_, data, _) = setup(2000, 10, 4);
+        let grads = crate::hist::test_support::mixed_gradients(2000, 4);
+        let features: Vec<u32> = (0..10).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for subtraction in [false, true] {
+            let mut cfg = config();
+            cfg.max_depth = 6;
+            cfg.hist.subtraction = subtraction;
+            let grow_on = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("thread pool");
+                pool.install(|| {
+                    let device = Device::rtx4090();
+                    let ctx = HistContext {
+                        device: &device,
+                        data: &data,
+                        grads: &grads,
+                        features: &features,
+                        bins: cfg.max_bins,
+                        opts: cfg.hist,
+                    };
+                    let root: Vec<u32> = (0..2000).collect();
+                    let (g, h) = grads.sums(&root);
+                    let mut hist = NodeHistogram::new(features.len(), 4, cfg.max_bins);
+                    accumulate_only(&ctx, &root, &g, &h, &mut hist);
+                    let params = SplitParams {
+                        lambda: cfg.lambda,
+                        min_gain: cfg.min_gain,
+                        min_instances: cfg.min_instances,
+                        segments_c: cfg.segments_per_block_c,
+                    };
+                    let mut charges = LevelSplitCharges::new();
+                    let split = find_best_split_constrained(
+                        &mut charges,
+                        &hist,
+                        &features,
+                        &g,
+                        &h,
+                        2000,
+                        &params,
+                        None,
+                    )
+                    .expect("the root splits");
+                    let res = grow_tree(&device, &data, &grads, &cfg, &features);
+                    let root_bits = [bits(&hist.g), bits(&hist.h), bits(&split.left_g)];
+                    (res, device.now_ns(), root_bits, split.gain.to_bits())
+                })
+            };
+            let (one, one_ns, one_root, one_gain) = grow_on(1);
+            assert!(one.tree.num_nodes() > 31, "subtraction={subtraction}");
+            for threads in [2, 3] {
+                let (res, ns, root, gain) = grow_on(threads);
+                let at = format!("subtraction={subtraction} threads={threads}");
+                assert!(
+                    root == one_root,
+                    "{at}: root histogram or split sums differ"
+                );
+                assert_eq!(gain, one_gain, "{at}: root split gain differs");
+                assert_eq!(res.tree, one.tree, "{at}");
+                assert_eq!(res.leaf_assignments.len(), one.leaf_assignments.len());
+                for ((ia, va), (ib, vb)) in res.leaf_assignments.iter().zip(&one.leaf_assignments) {
+                    assert_eq!(ia, ib, "{at}");
+                    let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        f32_bits(va),
+                        f32_bits(vb),
+                        "{at}: leaf values must match bitwise"
+                    );
+                }
+                assert_eq!(ns.to_bits(), one_ns.to_bits(), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn pooled_growth_stops_allocating_after_first_tree() {
         let (_, data, grads) = setup(500, 8, 3);

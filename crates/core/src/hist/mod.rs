@@ -30,9 +30,12 @@
 //!
 //! [`accumulate_dense`]'s per-feature pass is built portable, AVX2 and
 //! AVX-512, and the widest build the CPU runs is picked at run time
-//! (`simd::multiversion!`). Only element-wise conversions and adds
-//! vectorise, across a row's `d` outputs; each cell still sums its
-//! instances in node order, so every build gives the same bits.
+//! (`simd::multiversion!`). Each build is also instantiated for the
+//! output widths `d = 1..=8` and for a run-time width above that, and
+//! `simd::with_row_width!` picks one per node, so small rows unroll.
+//! Only element-wise conversions and adds vectorise, across a row's `d`
+//! outputs; each cell still sums its instances in node order, so every
+//! build and width gives the same bits.
 
 pub mod adaptive;
 pub mod gmem;
@@ -242,7 +245,8 @@ pub fn add_rows<T: Copy + Into<f64>>(
 /// contiguous `d`-wide rows of its bin, so every cell sums its
 /// instances in node order whatever the layout.
 pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistogram) {
-    accumulate_dense_with(ctx, idx, out, dense_feature_pass);
+    let pass = crate::simd::with_row_width!(ctx.d(), dense_feature_pass);
+    accumulate_dense_with(ctx, idx, out, pass);
 }
 
 /// One feature's share of [`accumulate_dense`]: `col` is the feature's
@@ -280,7 +284,7 @@ pub(crate) fn accumulate_dense_with(
 crate::simd::multiversion! {
     /// [`dense_feature_pass_portable`], built for the widest vector
     /// extension the CPU has.
-    fn dense_feature_pass(
+    fn dense_feature_pass<const W: usize>(
         col: &[u8],
         idx: &[u32],
         g: &[f32],
@@ -292,11 +296,14 @@ crate::simd::multiversion! {
     ) = dense_feature_pass_portable;
 }
 
-/// The portable body of one feature's pass: each instance of `idx` adds
-/// its rows into its bin's rows, in node order.
+/// The portable body of one feature's pass at row width `W` (`0`: `d`
+/// read at run time): each instance of `idx` adds its rows into its
+/// bin's rows, in node order. Every row is sliced to exactly `d`
+/// elements, so at a fixed width [`add_rows`] has a constant trip count
+/// and unrolls.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dense_feature_pass_portable(
+fn dense_feature_pass_portable<const W: usize>(
     col: &[u8],
     idx: &[u32],
     g: &[f32],
@@ -306,15 +313,16 @@ fn dense_feature_pass_portable(
     hh: &mut [f64],
     cnt: &mut [u32],
 ) {
+    let d = crate::simd::row_width::<W>(d);
     for &i in idx {
         let i = i as usize;
         let b = col[i] as usize;
         cnt[b] += 1;
         add_rows(
-            &mut gh[b * d..(b + 1) * d],
-            &mut hh[b * d..(b + 1) * d],
-            &g[i * d..(i + 1) * d],
-            &h[i * d..(i + 1) * d],
+            &mut gh[b * d..][..d],
+            &mut hh[b * d..][..d],
+            &g[i * d..][..d],
+            &h[i * d..][..d],
         );
     }
 }
@@ -597,7 +605,8 @@ mod tests {
     /// `accumulate_dense` equals, bit for bit, a naive scalar loop that
     /// knows the layout only through `gh_index` / `cnt_index`: each cell
     /// sums its instances in node order, outputs in ascending `k`. The
-    /// widths cover one lane, vector tails and several full vectors.
+    /// widths cover one lane, vector tails, several full vectors and
+    /// both sides of the fixed-width boundary (8 fixed, 9 run-time).
     #[test]
     fn accumulate_dense_matches_a_scalar_reference_bit_for_bit() {
         let (_, data, _) = fixture(300, 7, 3, 6);
@@ -605,7 +614,7 @@ mod tests {
         // An out-of-order feature subset, as on one feature-parallel shard.
         let features: Vec<u32> = vec![6, 0, 3, 4];
         let idx: Vec<u32> = (0..300).filter(|i| i % 4 != 2).collect();
-        for d in [1, 3, 4, 5, 40] {
+        for d in [1, 3, 4, 5, 8, 9, 40] {
             let grads = test_support::mixed_gradients(300, d);
             let c = ctx(&device, &data, &grads, &features, HistOptions::default());
 
@@ -627,8 +636,10 @@ mod tests {
 
             // The dispatched entry point, then every build the CPU runs.
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let mut runs = vec![("dispatched", dense_feature_pass as FeaturePass)];
-            runs.extend(dense_feature_pass::builds());
+            let builds = crate::simd::with_row_width!(d, dense_feature_pass::builds);
+            let dispatched: FeaturePass = crate::simd::with_row_width!(d, dense_feature_pass);
+            let mut runs = vec![("dispatched", dispatched)];
+            runs.extend(builds());
             for (build, pass) in runs {
                 let mut got = NodeHistogram::new(features.len(), d, 32);
                 accumulate_dense_with(&c, &idx, &mut got, pass);

@@ -124,9 +124,6 @@ pub(crate) fn read_tree(buf: &mut &[u8], d: usize, t: usize) -> Result<Tree, Str
                 let threshold = buf.get_f32_le();
                 let left = buf.get_u32_le();
                 let right = buf.get_u32_le();
-                if left as usize >= num_nodes || right as usize >= num_nodes {
-                    return Err(format!("tree {t}: child index out of range"));
-                }
                 nodes.push(Node::Split {
                     feature,
                     bin,
@@ -143,7 +140,7 @@ pub(crate) fn read_tree(buf: &mut &[u8], d: usize, t: usize) -> Result<Tree, Str
             other => return Err(format!("tree {t}: unknown node tag {other}")),
         }
     }
-    Tree::from_parts(nodes, d)
+    Tree::from_parts(nodes, d).map_err(|e| format!("tree {t}: {e}"))
 }
 
 /// Deserialize a model from the compact binary format.

@@ -16,11 +16,14 @@
 //!
 //! **Host scan.** The functional per-feature scan is built portable,
 //! AVX2 and AVX-512, and the widest build the CPU runs is picked at run
-//! time (`simd::multiversion!`). Per bin it adds the bin's rows into
-//! the left sums and writes the `d` per-output gain terms into a scratch
-//! row, both element-wise, so they vectorise; it then sums the terms in
-//! ascending `k` exactly as [`split_gain`] does. Gains, winners and
-//! left sums are bit-identical under every build.
+//! time (`simd::multiversion!`); each build is also instantiated for
+//! the output widths `d = 1..=8` and for a run-time width above that,
+//! and `simd::with_row_width!` picks one per node. Per bin it adds the
+//! bin's rows into the left sums and writes the `d` per-output gain
+//! terms into a scratch row, both element-wise, so they vectorise; it
+//! then sums the terms in ascending `k` exactly as [`split_gain`] does.
+//! Gains, winners and left sums are bit-identical under every build and
+//! width.
 
 use crate::hist::{add_rows, NodeHistogram};
 use gpusim::cost::KernelCost;
@@ -220,7 +223,7 @@ type FeatureScan = fn(
 crate::simd::multiversion! {
     /// [`scan_feature_portable`], built for the widest vector extension
     /// the CPU has.
-    fn scan_feature(
+    fn scan_feature<const W: usize>(
         hist: &NodeHistogram,
         f_local: usize,
         feature: u32,
@@ -232,13 +235,16 @@ crate::simd::multiversion! {
     ) -> (usize, f64) = scan_feature_portable;
 }
 
-/// The portable body of one feature's scan. Per bin, the `d` per-output
-/// [`gain_term`]s go into a scratch row (element-wise, so the three
-/// divisions vectorise) and are then summed exactly as [`split_gain`]
-/// sums them: ascending `k` from `0.0`, scaled by `0.5`.
+/// The portable body of one feature's scan at row width `W` (`0`: `d`
+/// read at run time). Per bin, the `d` per-output [`gain_term`]s go
+/// into a scratch row (element-wise, so the three divisions vectorise)
+/// and are then summed exactly as [`split_gain`] sums them: ascending
+/// `k` from `0.0`, scaled by `0.5`. Every row is sliced to exactly `d`
+/// elements and, at a fixed width, the scratch rows live on the stack,
+/// so the per-bin loops have a constant trip count and unroll.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn scan_feature_portable(
+fn scan_feature_portable<const W: usize>(
     hist: &NodeHistogram,
     f_local: usize,
     feature: u32,
@@ -248,20 +254,34 @@ fn scan_feature_portable(
     params: &SplitParams,
     constraints: Option<&ConstraintState<'_>>,
 ) -> (usize, f64) {
-    let d = hist.d;
+    let d = crate::simd::row_width::<W>(hist.d);
+    let (node_g, node_h) = (&node_g[..d], &node_h[..d]);
     let min_child = params.min_instances as u32;
     let c = constraints
         .map(|s| s.monotone[feature as usize])
         .unwrap_or(0);
-    // One allocation per feature holds the left sums and the terms.
-    let mut scratch = vec![0.0f64; 3 * d];
-    let (gl, rest) = scratch.split_at_mut(d);
-    let (hl, terms) = rest.split_at_mut(d);
+    // The left sums and the terms: on the stack at a fixed width, else
+    // one allocation per feature.
+    let mut fixed = [[0.0f64; W]; 3];
+    let mut spill;
+    let [gl, hl, terms] = if W > 0 {
+        fixed.each_mut().map(|row| &mut row[..])
+    } else {
+        spill = vec![0.0f64; 3 * d];
+        let (gl, rest) = spill.split_at_mut(d);
+        let (hl, terms) = rest.split_at_mut(d);
+        [gl, hl, terms]
+    };
     let mut left_cnt = 0u32;
     let mut best = (0usize, f64::NEG_INFINITY);
     for b in 0..hist.bins.saturating_sub(1) {
         left_cnt += hist.counts[hist.cnt_index(f_local, b)];
-        add_rows(gl, hl, hist.g_row(f_local, b), hist.h_row(f_local, b));
+        add_rows(
+            gl,
+            hl,
+            &hist.g_row(f_local, b)[..d],
+            &hist.h_row(f_local, b)[..d],
+        );
         let right_cnt = node_count - left_cnt;
         if left_cnt < min_child || right_cnt < min_child {
             continue;
@@ -389,7 +409,7 @@ pub fn find_best_split_range(
     params: &SplitParams,
 ) -> Option<SplitCandidate> {
     let out = best_split_impl(
-        scan_feature,
+        crate::simd::with_row_width!(hist.d, scan_feature),
         hist,
         features,
         f_lo,
@@ -464,7 +484,7 @@ pub fn find_best_split_constrained(
 ) -> Option<SplitCandidate> {
     charges.add(features.len(), hist.d, hist.bins);
     best_split_impl(
-        scan_feature,
+        crate::simd::with_row_width!(hist.d, scan_feature),
         hist,
         features,
         0,
@@ -710,12 +730,31 @@ mod tests {
         assert_eq!(v, vec![-1.0]);
     }
 
-    /// `find_best_split` equals, bit for bit, a scalar loop that walks
-    /// every (feature, bin) in order and calls [`split_gain`] per bin:
+    /// The dispatched best split and every build of the scan equal, bit
+    /// for bit, a scalar loop that walks every (feature, bin) in order
+    /// and calls [`split_gain`] per bin:
     /// same winner, gain bits and left-side sums, with `min_instances`
-    /// filtering both ends of every feature.
+    /// filtering both ends of every feature. The widths cover both sides
+    /// of the fixed-width boundary (8 fixed, 9 run-time); at `d = 4` a
+    /// monotone-constrained node must also match the reference, which
+    /// checks the clamped child values of every output itself.
     #[test]
     fn best_split_matches_a_scalar_reference_bit_for_bit() {
+        for d in [1, 3, 4, 8, 9, 40] {
+            check_scan_against_scalar_reference(d, None);
+        }
+        // Global features 0..6: two non-decreasing, one non-increasing.
+        let monotone = [1, 0, -1, 0, 0, 1];
+        let free = (f64::NEG_INFINITY, f64::INFINITY);
+        let bounds = [(-0.05, 0.05), free, (0.0, f64::INFINITY), free];
+        let state = ConstraintState {
+            monotone: &monotone,
+            bounds: &bounds,
+        };
+        check_scan_against_scalar_reference(4, Some(&state));
+    }
+
+    fn check_scan_against_scalar_reference(d: usize, constraints: Option<&ConstraintState<'_>>) {
         use crate::config::HistOptions;
         use crate::hist::test_support::{fixture, mixed_gradients};
         use crate::hist::{accumulate_dense, HistContext};
@@ -727,67 +766,104 @@ mod tests {
         let node_count = idx.len() as u32;
         let mut p = params();
         p.min_instances = 40;
-        for d in [1, 3, 40] {
-            let grads = mixed_gradients(400, d);
-            let ctx = HistContext {
-                device: &device,
-                data: &data,
-                grads: &grads,
-                features: &features,
-                bins: 32,
-                opts: HistOptions::default(),
-            };
-            let mut hist = NodeHistogram::new(features.len(), d, 32);
-            accumulate_dense(&ctx, &idx, &mut hist);
-            let (node_g, node_h) = grads.sums(&idx);
+        let grads = mixed_gradients(400, d);
+        let ctx = HistContext {
+            device: &device,
+            data: &data,
+            grads: &grads,
+            features: &features,
+            bins: 32,
+            opts: HistOptions::default(),
+        };
+        let mut hist = NodeHistogram::new(features.len(), d, 32);
+        accumulate_dense(&ctx, &idx, &mut hist);
+        let (node_g, node_h) = grads.sums(&idx);
 
-            let mut want: Option<(usize, usize, f64, u32)> = None;
-            let (mut left_g, mut left_h) = (vec![], vec![]);
-            let mut filtered = 0;
-            for f_local in 0..features.len() {
-                let (mut gl, mut hl, mut left) = (vec![0.0; d], vec![0.0; d], 0u32);
-                for b in 0..hist.bins - 1 {
-                    left += hist.counts[hist.cnt_index(f_local, b)];
-                    for k in 0..d {
-                        gl[k] += hist.g[hist.gh_index(f_local, k, b)];
-                        hl[k] += hist.h[hist.gh_index(f_local, k, b)];
-                    }
-                    if left < p.min_instances as u32 || node_count - left < p.min_instances as u32 {
-                        filtered += 1;
-                        continue;
-                    }
-                    let gain = split_gain(&gl, &hl, &node_g, &node_h, p.lambda);
-                    if want.is_none_or(|w| gain > w.2) {
-                        want = Some((f_local, b, gain, left));
-                        (left_g, left_h) = (gl.clone(), hl.clone());
-                    }
+        // Does the reference admit a left side of `(gl, hl)` on `feature`?
+        let admissible = |feature: u32, gl: &[f64], hl: &[f64]| {
+            let Some(state) = constraints else {
+                return true;
+            };
+            let c = state.monotone[feature as usize] as f64;
+            (0..d).all(|k| {
+                let vl = state.clamp(k, -(gl[k] / (hl[k] + p.lambda)));
+                let gr = node_g[k] - gl[k];
+                let vr = state.clamp(k, -(gr / (node_h[k] - hl[k] + p.lambda)));
+                c * (vr - vl) >= 0.0
+            })
+        };
+        let mut want: Option<(usize, usize, f64, u32)> = None;
+        let (mut left_g, mut left_h) = (vec![], vec![]);
+        let (mut filtered, mut blocked) = (0, 0);
+        for f_local in 0..features.len() {
+            let (mut gl, mut hl, mut left) = (vec![0.0; d], vec![0.0; d], 0u32);
+            for b in 0..hist.bins - 1 {
+                left += hist.counts[hist.cnt_index(f_local, b)];
+                for k in 0..d {
+                    gl[k] += hist.g[hist.gh_index(f_local, k, b)];
+                    hl[k] += hist.h[hist.gh_index(f_local, k, b)];
+                }
+                if left < p.min_instances as u32 || node_count - left < p.min_instances as u32 {
+                    filtered += 1;
+                    continue;
+                }
+                if !admissible(features[f_local], &gl, &hl) {
+                    blocked += 1;
+                    continue;
+                }
+                let gain = split_gain(&gl, &hl, &node_g, &node_h, p.lambda);
+                if want.is_none_or(|w| gain > w.2) {
+                    want = Some((f_local, b, gain, left));
+                    (left_g, left_h) = (gl.clone(), hl.clone());
                 }
             }
-            assert!(filtered > 0, "d={d}: min_instances filtered nothing");
-            let (f_local, bin, gain, left_count) = want.expect("reference finds a split");
-            assert!(gain > p.min_gain, "d={d}");
+        }
+        assert!(filtered > 0, "d={d}: min_instances filtered nothing");
+        if constraints.is_some() {
+            assert!(blocked > 0, "d={d}: the constraints blocked nothing");
+        }
+        let (f_local, bin, gain, left_count) = want.expect("reference finds a split");
+        assert!(gain > p.min_gain, "d={d}");
 
-            // The dispatched entry point, then every build the CPU runs.
-            let dispatched =
-                find_best_split(&device, &hist, &features, &node_g, &node_h, node_count, &p);
-            let mut runs = vec![("dispatched", dispatched)];
-            for (build, scan) in scan_feature::builds() {
-                let n = features.len();
-                let got = best_split_impl(
-                    scan, &hist, &features, 0, n, &node_g, &node_h, node_count, &p, None,
-                );
-                runs.push((build, got));
-            }
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for (build, got) in runs {
-                let got = got.expect("split must exist");
-                assert_eq!(got.feature, features[f_local], "d={d} {build}");
-                assert_eq!(got.bin as usize, bin, "d={d} {build}");
-                assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d} {build}");
-                assert_eq!(bits(&got.left_g), bits(&left_g), "d={d} {build}");
-                assert_eq!(bits(&got.left_h), bits(&left_h), "d={d} {build}");
-                assert_eq!(got.left_count, left_count, "d={d} {build}");
-            }
+        // The dispatched entry point, then every build the CPU runs.
+        let mut charges = LevelSplitCharges::new();
+        let dispatched = find_best_split_constrained(
+            &mut charges,
+            &hist,
+            &features,
+            &node_g,
+            &node_h,
+            node_count,
+            &p,
+            constraints,
+        );
+        let mut runs = vec![("dispatched", dispatched)];
+        let builds = crate::simd::with_row_width!(d, scan_feature::builds);
+        for (build, scan) in builds() {
+            let n = features.len();
+            let got = best_split_impl(
+                scan,
+                &hist,
+                &features,
+                0,
+                n,
+                &node_g,
+                &node_h,
+                node_count,
+                &p,
+                constraints,
+            );
+            runs.push((build, got));
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (build, got) in runs {
+            let got = got.expect("split must exist");
+            assert_eq!(got.feature, features[f_local], "d={d} {build}");
+            assert_eq!(got.bin as usize, bin, "d={d} {build}");
+            assert_eq!(got.gain.to_bits(), gain.to_bits(), "d={d} {build}");
+            assert_eq!(bits(&got.left_g), bits(&left_g), "d={d} {build}");
+            assert_eq!(bits(&got.left_h), bits(&left_h), "d={d} {build}");
+            assert_eq!(got.left_count, left_count, "d={d} {build}");
         }
     }
 

@@ -30,7 +30,10 @@ pub enum Node {
 }
 
 /// A single decision tree with `d`-dimensional leaf outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Deserialize` is hand-written (not derived): a decoded tree passes
+/// through [`Tree::from_parts`], like the binary decoders' trees.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tree {
     nodes: Vec<Node>,
     d: usize,
@@ -159,7 +162,9 @@ impl Tree {
     }
 
     /// Reassemble a tree from raw nodes (deserialization path),
-    /// validating child indices and leaf dimensions.
+    /// validating child indices and leaf dimensions. Every child must
+    /// come after its parent, as [`Tree::split_node`] appends them, so
+    /// no decoded tree holds a cycle and traversal terminates.
     pub fn from_parts(nodes: Vec<Node>, d: usize) -> Result<Tree, String> {
         if nodes.is_empty() {
             return Err("tree must have at least one node".into());
@@ -170,6 +175,12 @@ impl Tree {
                 Node::Split { left, right, .. } => {
                     if *left as usize >= n || *right as usize >= n {
                         return Err(format!("node {at}: child index out of range"));
+                    }
+                    if *left as usize <= at || *right as usize <= at {
+                        return Err(format!(
+                            "node {at}: child index does not point forward (traversal \
+                             would not terminate)"
+                        ));
                     }
                 }
                 Node::Leaf { value } => {
@@ -216,6 +227,15 @@ impl Tree {
                 Node::Leaf { value } => 8 + value.len() * 4,
             })
             .sum()
+    }
+}
+
+impl Deserialize for Tree {
+    fn from_value(v: &serde::Value) -> Result<Self, String> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| format!("expected object, got {}", v.kind()))?;
+        Tree::from_parts(serde::field(obj, "nodes")?, serde::field(obj, "d")?)
     }
 }
 
@@ -302,5 +322,66 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: Tree = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    /// A self-loop and a back edge: both stay inside the node range, so
+    /// only the forward-child rule catches them. Every decoder — the
+    /// binary model, the checkpoint and the JSON model — must refuse
+    /// them instead of handing back a tree that traversal never leaves.
+    #[test]
+    fn decoders_reject_cyclic_trees() {
+        use crate::checkpoint::Checkpoint;
+        use crate::config::TrainConfig;
+        use crate::model::Model;
+        use gbdt_data::Task;
+        use rand::SeedableRng;
+
+        let split = |left, right| Node::Split {
+            feature: 0,
+            bin: 0,
+            threshold: 0.5,
+            left,
+            right,
+        };
+        let leaf = || Node::Leaf {
+            value: vec![1.0, -1.0],
+        };
+        let self_loop = vec![split(0, 1), leaf()];
+        let back_edge = vec![split(1, 2), leaf(), split(0, 3), leaf()];
+        for (name, nodes) in [("self-loop", self_loop), ("back edge", back_edge)] {
+            let tree = Tree { nodes, d: 2 };
+            let model = Model {
+                trees: vec![tree.clone()],
+                base: vec![0.0; 2],
+                d: 2,
+                task: Task::MultiRegression,
+                config: TrainConfig::default(),
+            };
+            let checkpoint = Checkpoint {
+                completed_trees: 1,
+                trees: vec![tree],
+                base: vec![0.0; 2],
+                scores: vec![0.0; 2],
+                rng: rand_chacha::ChaCha8Rng::seed_from_u64(0).snapshot(),
+                n: 1,
+                d: 2,
+                task: Task::MultiRegression,
+                config: TrainConfig::default(),
+            };
+            let errors = [
+                crate::serialize::from_bytes(&crate::serialize::to_bytes(&model)).map(|_| ()),
+                Checkpoint::from_bytes(&checkpoint.to_bytes())
+                    .map(|_| ())
+                    .map_err(|e| e.to_string()),
+                Model::from_json(&model.to_json()).map(|_| ()),
+            ];
+            for (decoder, got) in ["binary", "checkpoint", "json"].iter().zip(errors) {
+                let err = got.expect_err(&format!("{decoder} accepted a {name}"));
+                assert!(
+                    err.contains("does not point forward"),
+                    "{decoder} {name}: {err}"
+                );
+            }
+        }
     }
 }

@@ -890,7 +890,7 @@ fn ablations(opts: &Opts) {
             render_table(&["#GPUs", "feat-par", "speedup", "data-par"], &rows)
         );
         println!(
-            "   (data-parallel all-reduces the full m×bins×d histogram per level —\n\
+            "   (data-parallel reduce-scatters the full m×bins×d histogram per node —\n\
              \x20   the communication blow-up that motivates the paper's feature partitioning)\n"
         );
     }
@@ -1405,13 +1405,13 @@ fn bench_cmd(opts: &Opts) -> bool {
         }
     }
     // Multi-GPU stream overlap: the headline win of the stream/event
-    // timeline. Train the data-parallel strategy (per-level full-
-    // histogram all-reduce — the communication-heaviest path) serial vs
-    // streamed on the same device group; the streamed schedule must
-    // produce the identical model while the all-reduce drains behind
-    // the next level's histogram builds. Savings are printed (and land
-    // in each record's `overlap_saved_ns` when `--streams > 1`), never
-    // gated.
+    // timeline. Train the data-parallel strategy (per-node full-
+    // histogram reduce-scatter — the communication-heaviest path)
+    // serial vs streamed on the same device group; the streamed
+    // schedule must produce the identical model while each node's
+    // reduce-scatter drains behind the next node's histogram build.
+    // Savings are printed (and land in each record's `overlap_saved_ns`
+    // when `--streams > 1`), never gated.
     {
         use gbdt_core::MultiGpuStrategy;
         let gpus = opts.gpus.max(2);

@@ -2,12 +2,11 @@
 //!
 //! One level-wise boosting loop serves both layouts of
 //! [`MultiGpuStrategy`]. Each device builds its slice of every node's
-//! histogram, and the group combines the slices with one collective per
-//! level. The functional work (gradients, histograms, splits, leaf
-//! values) runs once on the host and does not depend on the layout or
-//! the device count, so every group grows the same trees as a single
-//! device; only the charged costs differ. The layouts differ in five
-//! places, each a `match self.strategy` arm:
+//! histogram, and collectives give each device what it evaluates. The
+//! functional work (gradients, histograms, splits, leaf values) runs
+//! once on the host and does not depend on the layout or the device
+//! count, so every group grows the same trees as a single device; only
+//! the charged costs differ. The layouts differ in five places:
 //!
 //! - **Ingest:** a device loads its feature range over all rows
 //!   (feature-parallel, [`partition_features`]) or all columns of its
@@ -16,21 +15,23 @@
 //!   and score-update charges cover all `n` rows (feature-parallel) or
 //!   their `n/k` shard (data-parallel).
 //! - **Node histograms and splits:** a feature-parallel device builds
-//!   and evaluates only its own features, and the group picks the best
-//!   local candidate. A data-parallel device builds its shard over all
-//!   features, and every device evaluates the one reduced histogram.
-//! - **Partitioning:** feature-parallel flag and partition kernels are
-//!   charged once per level, after the candidate exchange; data-parallel
-//!   `partition_shard` kernels are charged per node.
-//! - **Level collective:** feature-parallel devices all-gather their
-//!   best-split candidates, then the owners' routing bitmaps (summary
-//!   statistics of a few bytes per instance). Data-parallel devices
-//!   ring-all-reduce every built node's `m × B × d` histogram.
+//!   only its own features. A data-parallel device builds its shard
+//!   over all features, and a ring reduce-scatter of each built node's
+//!   `m × B × d` histogram leaves it the reduced slice of its own
+//!   features. Either way a device evaluates only its own feature range
+//!   ([`partition_features`]), and the group picks the best candidate.
+//! - **Partitioning:** feature-parallel flag and partition kernels, or
+//!   each data-parallel device's `partition_shard` over its own shard,
+//!   are charged once per level, after the candidate exchange.
+//! - **Level collective:** both layouts all-gather the level's best-split
+//!   candidates; feature-parallel devices then all-gather the owners'
+//!   routing bitmaps (summary statistics of a few bytes per instance).
 //!
 //! The group runs bulk-synchronously; barrier waits book as idle time.
 //! With `streams > 1` the histogram builds run on their own stream and
-//! the level's collective drains on a comm stream while the next
-//! level's builds start.
+//! collectives drain on a comm stream: a node's reduce-scatter while
+//! the next node builds, the bitmap exchange while the next level's
+//! builds start.
 //!
 //! ## Fault recovery
 //!
@@ -54,7 +55,9 @@ use crate::hist::{accumulate_dense, charge_method_on, resolve_method, HistContex
 use crate::loss::loss_for_task;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
-use crate::split::{find_best_split_range, leaf_values, SplitCandidate, SplitParams};
+use crate::split::{
+    find_best_split_range_batched, leaf_values, LevelSplitCharges, SplitCandidate, SplitParams,
+};
 use crate::trainer::{base_score_matrix, TrainReport};
 use crate::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset};
@@ -68,8 +71,8 @@ use std::time::Instant;
 /// Stream carrying fresh histogram builds when `streams > 1` (stream 0
 /// keeps gradients, split evaluation, and partitioning serial).
 const HIST_STREAM: usize = 1;
-/// Stream carrying level-batched collectives when `streams > 1`: the
-/// NCCL channel runs on its own engine and overlaps compute.
+/// Stream carrying collectives when `streams > 1`: the NCCL channel
+/// runs on its own engine and overlaps compute.
 const COMM_STREAM: usize = 2;
 /// Collectives are modeled as pipelined into this many chunks: the
 /// first reduced chunk lands `1/COMM_CHUNKS` into the transfer, so the
@@ -214,6 +217,35 @@ fn all_gather_level(group: &DeviceGroup, sizes: &[usize], streamed: bool) -> Opt
     }
 }
 
+/// Reduce-scatter one built node's `bytes`-sized histogram once the
+/// slowest rank's build of it is done: each rank receives the reduced
+/// slice of its own feature range ([`partition_features`]). In streamed
+/// mode it drains on the comm streams while the next node builds.
+fn reduce_scatter_node(group: &DeviceGroup, bytes: f64, streamed: bool) {
+    let (devices, k) = (group.devices(), group.len());
+    let ns = devices[0].model().ring_reduce_scatter_ns(bytes, k);
+    if streamed {
+        let fence = stream_fence(devices, HIST_STREAM);
+        streamed_collective(devices, "hist_reduce_scatter", ns, fence);
+    } else {
+        group.barrier();
+        for dev in devices {
+            dev.charge_ns("hist_reduce_scatter", Phase::Comm, ns);
+        }
+    }
+    tel_collective_bytes(devices, bytes / k as f64);
+}
+
+/// A stable partition of `rows` instances: a flag scan and a scatter.
+fn partition_cost(rows: usize) -> KernelCost {
+    KernelCost {
+        flops: 3.0 * rows as f64,
+        dram_bytes: (rows * 17) as f64,
+        launches: 2.0,
+        ..Default::default()
+    }
+}
+
 /// The group's shared telemetry registry, if any device carries one.
 /// `MultiGpuTrainer` users attach one registry to every member (see
 /// `Device::attach_telemetry`), so the first hit is the group's.
@@ -221,8 +253,10 @@ fn group_telemetry(devices: &[Arc<Device>]) -> Option<Arc<Telemetry>> {
     devices.iter().find_map(|dv| dv.telemetry())
 }
 
-/// Count collective payload bytes on the group's registry. Pure
-/// observer: called after the collective's charges are booked.
+/// Count collective payload bytes on the group's registry: what lands
+/// on each rank (the gathered buffer of an all-gather, the `S/k` slice
+/// of a reduce-scatter of `S`). Pure observer: called after the
+/// collective's charges are booked.
 fn tel_collective_bytes(devices: &[Arc<Device>], bytes: f64) {
     if let Some(tel) = group_telemetry(devices) {
         tel.counter_add("multigpu.collective_bytes", bytes as u64);
@@ -252,10 +286,11 @@ pub enum MultiGpuStrategy {
     #[default]
     FeatureParallel,
     /// Partition instances: each device histograms its shard over *all*
-    /// features; per level, partial histograms are summed with a ring
-    /// all-reduce ("partial histograms are then aggregated via
-    /// CUDA-aware collective operations"). Gradient work divides by the
-    /// device count, but the collective moves the full multi-output
+    /// features; per node, partial histograms are summed with a ring
+    /// reduce-scatter ("partial histograms are then aggregated via
+    /// CUDA-aware collective operations") that leaves each device the
+    /// slice of its feature range to evaluate. Gradient work divides by
+    /// the device count, but the collective moves the full multi-output
     /// histogram — the communication blow-up that motivates the
     /// feature-parallel choice for large `d`.
     DataParallel,
@@ -399,7 +434,7 @@ impl MultiGpuTrainer {
         let mut hist_methods = BTreeMap::new();
         // Structure search runs at the sketch's effective output
         // dimension: the histogram, and with it the data-parallel
-        // all-reduce payload, shrinks from d to k columns.
+        // reduce-scatter payload, shrinks from d to k columns.
         let d_eff = self.config.sketch.effective_dim(d);
         let mut hist = NodeHistogram::new(m, d_eff, self.config.max_bins);
 
@@ -539,8 +574,9 @@ impl MultiGpuTrainer {
     }
 
     /// Grow one tree level by level across the group: each device
-    /// charges its slice of every node's histogram build, and the level
-    /// ends with the strategy's collective.
+    /// charges its slice of every node's histogram build and evaluates
+    /// its feature range of the node, and the level ends with the
+    /// candidate exchange and the partition.
     fn grow_tree(
         &self,
         group: &DeviceGroup,
@@ -556,8 +592,9 @@ impl MultiGpuTrainer {
         let ranges = partition_features(m, k);
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
-        // One node's histogram: the data-parallel all-reduce payload.
-        let hist_bytes = m * self.config.max_bins * grads.d * 2 * 8;
+        let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
+        // One node's histogram: the data-parallel reduce-scatter payload.
+        let hist_bytes = (m * self.config.max_bins * grads.d * 2 * 8) as f64;
         let params = SplitParams {
             lambda: self.config.lambda,
             min_gain: self.config.min_gain,
@@ -574,8 +611,9 @@ impl MultiGpuTrainer {
         let (rg, rh) = grads.sums(&root_idx);
         let mut frontier = vec![(0usize, root_idx, rg, rh)];
         // Streamed mode: builds of each level start at the previous
-        // level's alignment fence plus the first chunk of any
-        // in-flight collective — the collective's tail overlaps them.
+        // level's alignment fence, plus (feature-parallel) the first
+        // chunk of the in-flight bitmap exchange, whose tail they
+        // overlap.
         let mut level_fence: Option<Event> = None;
 
         for depth in 0..self.config.max_depth {
@@ -587,13 +625,16 @@ impl MultiGpuTrainer {
                 }
             }
             let mut next = Vec::new();
-            // Nodes whose histogram was built this level, and the
-            // per-device payloads of the feature-parallel
-            // candidate and routing-bitmap exchanges.
+            // Nodes whose histogram was built this level; per device,
+            // its level-batched split charges, its candidate payload,
+            // its routing-bitmap payload, and the rows it routes: the
+            // owner's flags (feature-parallel) or its own shard
+            // (data-parallel).
             let mut built = 0usize;
+            let mut split_charges = vec![LevelSplitCharges::new(); k];
             let mut candidate_bytes = vec![0usize; k];
             let mut flag_bytes = vec![0usize; k];
-            let mut flag_elems = vec![0usize; k];
+            let mut routed = vec![0usize; k];
             for (node, instances, g, h) in frontier {
                 if instances.len() < 2 * self.config.min_instances {
                     self.close_leaf(&mut grown, node, instances, &g, &h);
@@ -631,6 +672,9 @@ impl MultiGpuTrainer {
                     charge_method_on(&ctx, idx, method, hist_stream);
                     *hist_methods.entry(method).or_insert(0) += 1;
                 }
+                if data_parallel && k > 1 {
+                    reduce_scatter_node(group, hist_bytes, streamed);
+                }
                 // Functional accumulation once (identical results).
                 let full_ctx = HistContext {
                     device: &devices[0],
@@ -643,75 +687,43 @@ impl MultiGpuTrainer {
                 hist.reset();
                 accumulate_dense(&full_ctx, &instances, hist);
 
-                let best = match self.strategy {
-                    MultiGpuStrategy::FeatureParallel => {
-                        // Each device evaluates only its own feature
-                        // range, so it fences only its own fresh
-                        // build; the cross-device join is the
-                        // level's candidate all-gather.
-                        let mut best: Option<SplitCandidate> = None;
-                        for (rank, (dev, &(lo, hi))) in devices.iter().zip(&ranges).enumerate() {
-                            if streamed && lo < hi {
-                                dev.wait_event(0, dev.record_event(HIST_STREAM));
-                            }
-                            let local = find_best_split_range(
-                                dev,
-                                hist,
-                                &features,
-                                lo,
-                                hi,
-                                &g,
-                                &h,
-                                instances.len() as u32,
-                                &params,
-                            );
-                            candidate_bytes[rank] +=
-                                16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
-                            // Strictly-greater gain wins, so exact
-                            // ties resolve to the lowest feature
-                            // range — the single-device argmax rule.
-                            if let Some(c) = local {
-                                if best.as_ref().is_none_or(|b| c.gain > b.gain) {
-                                    best = Some(c);
-                                }
-                            }
+                // Each device evaluates only its own feature range.
+                let mut best: Option<SplitCandidate> = None;
+                for (rank, (dev, &(lo, hi))) in devices.iter().zip(&ranges).enumerate() {
+                    let local = find_best_split_range_batched(
+                        &mut split_charges[rank],
+                        hist,
+                        &features,
+                        lo,
+                        hi,
+                        &g,
+                        &h,
+                        instances.len() as u32,
+                        &params,
+                    );
+                    if !data_parallel {
+                        // A feature-parallel device evaluates as soon
+                        // as its own build is done; the cross-device
+                        // join is the level's candidate all-gather.
+                        if streamed && lo < hi {
+                            dev.wait_event(0, dev.record_event(HIST_STREAM));
                         }
-                        best
-                    }
-                    MultiGpuStrategy::DataParallel => {
-                        // Split evaluation is replicated and consumes
-                        // the reduced histogram of every shard: join
-                        // it on the slowest rank's fresh build.
-                        if streamed {
-                            let fence = stream_fence(devices, HIST_STREAM);
-                            for dev in devices {
-                                dev.wait_event(0, fence);
-                            }
-                        }
-                        let best = find_best_split_range(
-                            &devices[0],
-                            hist,
-                            &features,
-                            0,
-                            m,
-                            &g,
-                            &h,
-                            instances.len() as u32,
-                            &params,
+                        split_charges[rank].flush(
+                            dev,
+                            dev.model().params.sm_count,
+                            params.segments_c,
                         );
-                        for dev in &devices[1..] {
-                            dev.charge_kernel(
-                                "split_eval_replicated",
-                                Phase::SplitEval,
-                                &KernelCost::streaming(
-                                    (m * grads.d * self.config.max_bins) as f64 * 10.0,
-                                    (m * grads.d * self.config.max_bins * 16) as f64,
-                                ),
-                            );
-                        }
-                        best
                     }
-                };
+                    candidate_bytes[rank] += 16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
+                    // Strictly-greater gain wins, so exact ties
+                    // resolve to the lowest feature range — the
+                    // single-device argmax rule.
+                    if let Some(c) = local {
+                        if best.as_ref().is_none_or(|b| c.gain > b.gain) {
+                            best = Some(c);
+                        }
+                    }
+                }
                 let Some(split) = best else {
                     self.close_leaf(&mut grown, node, instances, &g, &h);
                     continue;
@@ -726,32 +738,21 @@ impl MultiGpuTrainer {
                     MultiGpuStrategy::FeatureParallel => {
                         // The owning device computes the routing
                         // flags; the level's bitmaps are exchanged
-                        // in one all-gather and the flag/partition
-                        // kernels are charged level-batched.
+                        // in one all-gather.
                         let f = split.feature as usize;
                         let owner = ranges
                             .iter()
                             .position(|&(lo, hi)| (lo..hi).contains(&f))
                             .expect("split feature must belong to a device");
-                        flag_elems[owner] += instances.len();
+                        routed[owner] += instances.len();
                         flag_bytes[owner] += instances.len().div_ceil(8);
                         crate::sanitize::trace_partition(&devices[owner], &flags);
                     }
                     MultiGpuStrategy::DataParallel => {
-                        // Every device partitions its shard as soon
-                        // as the replicated split is known.
+                        // Every device routes its own shard.
                         crate::sanitize::trace_partition(&devices[0], &flags);
-                        for dev in devices {
-                            dev.charge_kernel(
-                                "partition_shard",
-                                Phase::Partition,
-                                &KernelCost {
-                                    flops: 3.0 * (instances.len() / k) as f64,
-                                    dram_bytes: ((instances.len() / k) * 17) as f64,
-                                    launches: 2.0,
-                                    ..Default::default()
-                                },
-                            );
+                        for (rank, rows) in routed.iter_mut().enumerate() {
+                            *rows += shard_range(instances.len(), k, rank).len();
                         }
                     }
                 }
@@ -766,26 +767,39 @@ impl MultiGpuTrainer {
                 next.push((r, right_idx, right_g, right_h));
             }
 
-            // The level's collectives. In streamed mode the
+            if data_parallel {
+                // Each device reads its slice of the reduced
+                // histograms: it evaluates the level once the last
+                // build and the last reduce-scatter have landed.
+                if streamed {
+                    let landed =
+                        stream_fence(devices, HIST_STREAM).max(stream_fence(devices, COMM_STREAM));
+                    for dev in devices {
+                        dev.wait_event(0, landed);
+                    }
+                }
+                for (dev, charges) in devices.iter().zip(&mut split_charges) {
+                    charges.flush(dev, dev.model().params.sm_count, params.segments_c);
+                }
+            }
+            // Candidates are tiny summary statistics: winners wait the
+            // full exchange.
+            if built > 0 && k > 1 {
+                if let Some((done, _)) = all_gather_level(group, &candidate_bytes, streamed) {
+                    for dev in devices {
+                        dev.wait_event(0, done);
+                    }
+                }
+            }
+            // The level's partition kernels. In streamed mode the
             // returned event is when the next level's builds may
-            // start: the exchange's first chunk, whose tail they
-            // overlap.
+            // start: the bitmap exchange's first chunk.
             let comm_partial = match self.strategy {
                 MultiGpuStrategy::FeatureParallel => {
-                    if built > 0 && k > 1 {
-                        // Candidates are tiny summary statistics:
-                        // winners wait the full exchange.
-                        if let Some((done, _)) = all_gather_level(group, &candidate_bytes, streamed)
-                        {
-                            for dev in devices {
-                                dev.wait_event(0, done);
-                            }
-                        }
-                    }
                     // Every device partitions its (replicated) index
                     // lists; only the owners computed flags.
-                    let partition_elems: usize = flag_elems.iter().sum();
-                    for (dev, &elems) in devices.iter().zip(&flag_elems) {
+                    let partition_elems: usize = routed.iter().sum();
+                    for (dev, &elems) in devices.iter().zip(&routed) {
                         if elems > 0 {
                             dev.charge_kernel(
                                 "compute_flags_level",
@@ -797,12 +811,7 @@ impl MultiGpuTrainer {
                             dev.charge_kernel(
                                 "partition_level",
                                 Phase::Partition,
-                                &KernelCost {
-                                    flops: 3.0 * partition_elems as f64,
-                                    dram_bytes: (partition_elems * 17) as f64,
-                                    launches: 2.0,
-                                    ..Default::default()
-                                },
+                                &partition_cost(partition_elems),
                             );
                         }
                     }
@@ -813,28 +822,18 @@ impl MultiGpuTrainer {
                         None
                     }
                 }
-                MultiGpuStrategy::DataParallel if k > 1 && built > 0 => {
-                    // One ring all-reduce per built node's
-                    // histogram, batched into one level-wide
-                    // collective.
-                    let bytes = built * hist_bytes;
-                    tel_collective_bytes(devices, bytes as f64);
-                    let ns = devices[0].model().ring_all_reduce_ns(bytes as f64, k);
-                    if streamed {
-                        // It enters when the slowest rank's builds
-                        // finish and drains on the comm engines
-                        // while stream 0 proceeds.
-                        let fence = stream_fence(devices, HIST_STREAM);
-                        let done = streamed_collective(devices, "hist_all_reduce", ns, fence);
-                        Some(first_chunk(done, ns))
-                    } else {
-                        for dev in devices {
-                            dev.charge_ns("hist_all_reduce", Phase::Comm, ns);
+                MultiGpuStrategy::DataParallel => {
+                    for (dev, &rows) in devices.iter().zip(&routed) {
+                        if rows > 0 {
+                            dev.charge_kernel(
+                                "partition_shard",
+                                Phase::Partition,
+                                &partition_cost(rows),
+                            );
                         }
-                        None
                     }
+                    None
                 }
-                MultiGpuStrategy::DataParallel => None,
             };
             if streamed {
                 let align = align_stream0(devices);
@@ -996,7 +995,7 @@ impl MultiGpuTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GossConfig, HistOptions};
+    use crate::config::{GossConfig, HistOptions, OutputSketch};
     use crate::metrics::accuracy;
     use crate::trainer::GpuTrainer;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
@@ -1221,8 +1220,9 @@ mod tests {
     #[test]
     fn data_parallel_pays_histogram_sized_communication() {
         // The trade-off that justifies the paper's feature-parallel
-        // choice: data-parallel collectives move the full m×B×d
-        // histogram; feature-parallel moves only summary statistics.
+        // choice: a data-parallel reduce-scatter still moves the full
+        // m×B×d histogram of every built node, (k−1)/k of it per rank;
+        // feature-parallel moves only summary statistics.
         let ds = make_classification(&ClassificationSpec {
             instances: 3000,
             features: 24,
@@ -1313,6 +1313,125 @@ mod tests {
                     "{strategy:?}: device {} charge order must not change",
                     d1.id
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn data_parallel_split_and_partition_wait_for_the_collectives_they_consume() {
+        // Split evaluation reads the reduce-scattered histogram and the
+        // partition reads the gathered winners, so on every device no
+        // `SplitEval` or `Partition` charge may start before a `Comm`
+        // charge booked ahead of it has ended. A histogram large enough
+        // that its collective outlasts a node's build.
+        let ds = make_classification(&ClassificationSpec {
+            instances: 3000,
+            features: 24,
+            classes: 12,
+            informative: 16,
+            seed: 8,
+            ..Default::default()
+        });
+        let mut early = Vec::new();
+        for k in [2, 3] {
+            for streams in [1, 4] {
+                let cfg = TrainConfig {
+                    num_trees: 3,
+                    streams,
+                    ..quick_config()
+                };
+                let trainer = MultiGpuTrainer::with_strategy(
+                    DeviceGroup::rtx4090s(k),
+                    cfg,
+                    MultiGpuStrategy::DataParallel,
+                );
+                let _ = trainer.fit(&ds);
+                for dev in trainer.group().devices() {
+                    let mut comm_end = f64::NEG_INFINITY;
+                    let mut count = 0usize;
+                    for r in dev.records() {
+                        match r.phase {
+                            Phase::Comm => comm_end = comm_end.max(r.start_ns + r.ns),
+                            Phase::SplitEval | Phase::Partition if r.start_ns < comm_end => {
+                                count += 1
+                            }
+                            _ => {}
+                        }
+                    }
+                    if count > 0 {
+                        early.push(format!(
+                            "k={k} streams={streams} device {}: {count}",
+                            dev.id
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(
+            early.is_empty(),
+            "charges that start before a collective booked ahead of them ends: {early:?}"
+        );
+    }
+
+    /// Every node of every tree as raw words: structure, split
+    /// features, bins, threshold bits and leaf-value bits.
+    fn tree_bits(model: &Model) -> Vec<Vec<u64>> {
+        model
+            .trees
+            .iter()
+            .map(|tree| {
+                let mut words = Vec::new();
+                for node in tree.nodes() {
+                    match node {
+                        crate::tree::Node::Split {
+                            feature,
+                            bin,
+                            threshold,
+                            left,
+                            right,
+                        } => words.extend([
+                            u64::from(*feature),
+                            u64::from(*bin),
+                            u64::from(threshold.to_bits()),
+                            u64::from(*left),
+                            u64::from(*right),
+                        ]),
+                        crate::tree::Node::Leaf { value } => {
+                            words.extend(value.iter().map(|v| u64::from(v.to_bits())))
+                        }
+                    }
+                }
+                words
+            })
+            .collect()
+    }
+
+    #[test]
+    fn data_parallel_trees_equal_feature_parallel_trees_bit_for_bit() {
+        // The layouts differ only in what they charge: the functional
+        // search runs once on the host, so the trees must agree exactly.
+        let ds = dataset(10);
+        for k in 1..=3 {
+            for streams in [1, 4] {
+                for sketch in [OutputSketch::None, OutputSketch::TopOutputs(2)] {
+                    let cfg = TrainConfig {
+                        streams,
+                        sketch,
+                        ..quick_config()
+                    };
+                    let fit = |strategy| {
+                        let group = DeviceGroup::rtx4090s(k);
+                        MultiGpuTrainer::with_strategy(group, cfg.clone(), strategy).fit(&ds)
+                    };
+                    let fp = fit(MultiGpuStrategy::FeatureParallel);
+                    let dp = fit(MultiGpuStrategy::DataParallel);
+                    assert_eq!(
+                        tree_bits(&fp),
+                        tree_bits(&dp),
+                        "k={k} streams={streams} sketch={}",
+                        sketch.label()
+                    );
+                }
             }
         }
     }

@@ -393,12 +393,13 @@ fn best_split_impl(
     })
 }
 
-/// Best split over a feature range, charging `device` for this node's
-/// own (unbatched) kernels. Multi-GPU devices use this per node; the
-/// single-device grower prefers [`find_best_split_batched`].
+/// Best split over features `f_lo..f_hi` (local indices into
+/// `features`/`hist`), its kernel work accumulated into `charges`: a
+/// device evaluating its own feature range of every node in a level
+/// flushes them once per level.
 #[allow(clippy::too_many_arguments)]
-pub fn find_best_split_range(
-    device: &Device,
+pub fn find_best_split_range_batched(
+    charges: &mut LevelSplitCharges,
     hist: &NodeHistogram,
     features: &[u32],
     f_lo: usize,
@@ -420,8 +421,28 @@ pub fn find_best_split_range(
         params,
         None,
     );
+    charges.add(f_hi - f_lo, hist.d, hist.bins);
+    out
+}
+
+/// [`find_best_split_range_batched`] charged to `device` at once, as
+/// this node's own (unbatched) kernels.
+#[allow(clippy::too_many_arguments)]
+pub fn find_best_split_range(
+    device: &Device,
+    hist: &NodeHistogram,
+    features: &[u32],
+    f_lo: usize,
+    f_hi: usize,
+    node_g: &[f64],
+    node_h: &[f64],
+    node_count: u32,
+    params: &SplitParams,
+) -> Option<SplitCandidate> {
     let mut acc = LevelSplitCharges::new();
-    acc.add(f_hi - f_lo, hist.d, hist.bins);
+    let out = find_best_split_range_batched(
+        &mut acc, hist, features, f_lo, f_hi, node_g, node_h, node_count, params,
+    );
     acc.flush(device, device.model().params.sm_count, params.segments_c);
     out
 }

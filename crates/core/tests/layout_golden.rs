@@ -46,7 +46,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Adaptive/sparse_aware", 0xb7bd5256a4f5e471),
     ("Adaptive/subtraction", 0x02d13954346203fb),
     ("FP(2)", 0xfcd2af056361c017),
-    ("DP(2)", 0xe08f27ddc4df2425),
+    ("DP(2)", 0xc90535a73bb9d6d6),
     ("FP(1)/streams1/none", 0xea5bcf74def61c3d),
     ("FP(1)/streams1/top2", 0xdecf9ba09de07a52),
     ("FP(1)/streams4/none", 0x891106cb91f69780),
@@ -61,20 +61,20 @@ const GOLDEN: &[(&str, u64)] = &[
     ("FP(3)/streams4/top2", 0x6c33004cc3d96d1e),
     ("FP(3)/transient", 0x71c00412e3e47fa0),
     ("FP(3)/lost", 0x1d600263586f7281),
-    ("DP(1)/streams1/none", 0x90b67410b8bcf91e),
-    ("DP(1)/streams1/top2", 0xc1a19ab94d22cfc6),
-    ("DP(1)/streams4/none", 0xcaed467e396f135b),
-    ("DP(1)/streams4/top2", 0xea3e8f3bcb27a2b7),
-    ("DP(2)/streams1/none", 0x898ba746db4fcd78),
-    ("DP(2)/streams1/top2", 0x300948a389b240eb),
-    ("DP(2)/streams4/none", 0x745ba6fff7553c89),
-    ("DP(2)/streams4/top2", 0xc7550e4315b8f52a),
-    ("DP(3)/streams1/none", 0x078e1fe914873393),
-    ("DP(3)/streams1/top2", 0x1cd58be8c4a84106),
-    ("DP(3)/streams4/none", 0x51d1efd53a98fda0),
-    ("DP(3)/streams4/top2", 0x88d7326b077f052b),
-    ("DP(3)/transient", 0xeebd33c967014986),
-    ("DP(3)/lost", 0x932abfe7243a7f62),
+    ("DP(1)/streams1/none", 0xd693857fae7b312c),
+    ("DP(1)/streams1/top2", 0xd3f441ef7b84fb5b),
+    ("DP(1)/streams4/none", 0x9ab5de219c162600),
+    ("DP(1)/streams4/top2", 0x9934eb2af639afde),
+    ("DP(2)/streams1/none", 0x737df4043b5ff295),
+    ("DP(2)/streams1/top2", 0xf0d608abb3d46b8f),
+    ("DP(2)/streams4/none", 0xc7749903c252303a),
+    ("DP(2)/streams4/top2", 0x50835c1dd8c256f8),
+    ("DP(3)/streams1/none", 0x2b96d30a45e5b7d5),
+    ("DP(3)/streams1/top2", 0xf88bd1f7c841826d),
+    ("DP(3)/streams4/none", 0x25994e9f631c1ad9),
+    ("DP(3)/streams4/top2", 0xfdb867388b96300b),
+    ("DP(3)/transient", 0x93fa1e2357755e51),
+    ("DP(3)/lost", 0x1391e578365a43f3),
 ];
 
 fn dataset() -> Dataset {

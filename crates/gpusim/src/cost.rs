@@ -280,6 +280,21 @@ impl CostModel {
         (transfer + latency) * 1e9
     }
 
+    /// Time for a ring reduce-scatter of `bytes` per device over `k`
+    /// devices, ns: each rank ends with the reduced `1/k` slice.
+    /// `(k−1)/k · bytes / bw` plus `k−1` hop latencies — the first half
+    /// of [`CostModel::ring_all_reduce_ns`], whose second half is an
+    /// all-gather of the `bytes / k` slices.
+    pub fn ring_reduce_scatter_ns(&self, bytes: f64, k: usize) -> f64 {
+        if k <= 1 {
+            return 0.0;
+        }
+        let kf = k as f64;
+        let transfer = (kf - 1.0) / kf * bytes / self.params.p2p_bw;
+        let latency = (kf - 1.0) * self.params.p2p_latency_sec;
+        (transfer + latency) * 1e9
+    }
+
     /// Time for an all-gather where each of `k` devices contributes
     /// `bytes_per_rank`, ns.
     pub fn all_gather_ns(&self, bytes_per_rank: f64, k: usize) -> f64 {
@@ -383,6 +398,23 @@ mod tests {
         // the bandwidth term.
         assert!(t8 < t2 * 2.5);
         assert_eq!(m.ring_all_reduce_ns(1e8, 1), 0.0);
+    }
+
+    #[test]
+    fn ring_all_reduce_is_a_reduce_scatter_then_an_all_gather() {
+        let m = model();
+        let bytes = 3.7e7;
+        for k in 1..=8 {
+            let all_reduce = m.ring_all_reduce_ns(bytes, k);
+            let reduce_scatter = m.ring_reduce_scatter_ns(bytes, k);
+            let all_gather = m.all_gather_ns(bytes / k as f64, k);
+            if k == 1 {
+                assert_eq!((all_reduce, reduce_scatter, all_gather), (0.0, 0.0, 0.0));
+                continue;
+            }
+            let rel = (all_reduce - (reduce_scatter + all_gather)).abs() / all_reduce;
+            assert!(rel <= 1e-12, "k={k}: relative gap {rel}");
+        }
     }
 
     #[test]

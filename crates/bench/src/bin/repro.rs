@@ -19,8 +19,10 @@
 //!   hostbench  host wall-clock of the level-wise grower (subtraction
 //!              × parallel_level_hist), simulated time held fixed
 //!   sanitize   one boosting round per histogram method under full
-//!              memcheck+racecheck, plus a determinism audit; exits
-//!              nonzero if any violation is found
+//!              memcheck+racecheck, the same on FP(2) and DP(2) groups
+//!              with every device sanitized, plus a determinism audit;
+//!              exits nonzero if any violation is found or a kernel
+//!              goes untraced
 //!   bench      machine-readable perf/quality grid (per hist method ×
 //!              dataset): writes schema-versioned BENCH_repro.json with
 //!              per-phase simulated ns, hist-share %, host wall-clock
@@ -62,7 +64,9 @@
 use gbdt_bench::{
     bench_config, bench_dataset, fmt_secs, render_table, run_system, RunOutcome, SystemId,
 };
-use gbdt_core::{GpuTrainer, HistogramMethod, MultiGpuTrainer, OutputSketch, TrainConfig};
+use gbdt_core::{
+    GpuTrainer, HistogramMethod, MultiGpuStrategy, MultiGpuTrainer, OutputSketch, TrainConfig,
+};
 use gbdt_data::synth::{make_classification, ClassificationSpec};
 use gbdt_data::PaperDataset;
 use gpusim::{Device, DeviceGroup, Phase};
@@ -858,7 +862,6 @@ fn ablations(opts: &Opts) {
 
     // 6. Multi-GPU scaling (§3.4.2), feature-parallel vs data-parallel.
     {
-        use gbdt_core::MultiGpuStrategy;
         let mut rows = Vec::new();
         let mut t1 = 0.0;
         for k in [1usize, 2, 4, 8] {
@@ -956,9 +959,11 @@ fn hostbench(opts: &Opts) {
 }
 
 /// `repro sanitize` — run one boosting round per histogram method under
-/// full memcheck+racecheck, print the per-kernel violation report, then
+/// full memcheck+racecheck, print the per-kernel violation report, run
+/// feature- and data-parallel groups with every device sanitized, then
 /// replay one round twice as a determinism audit. Returns `false` (exit
-/// 1 from `main`) if any violation or divergence is found.
+/// 1 from `main`) if any violation or divergence is found, or if a
+/// group device did not trace the kernels it runs.
 fn sanitize_cmd(opts: &Opts) -> bool {
     use gpusim::sanitize::{audit_determinism, digest_f32s};
     use gpusim::SanitizeMode;
@@ -1032,6 +1037,47 @@ fn sanitize_cmd(opts: &Opts) -> bool {
                 println!("{}", report.table());
             }
             ok &= report.is_clean();
+        }
+    }
+
+    println!("== sanitize: multi-GPU groups (FP/DP × streams 1/4, every device) ==");
+    // Every device traces its ingest share, gradients and score update;
+    // the lead also traces the leaf values and the partition.
+    for (slabel, strategy) in [
+        ("FP", MultiGpuStrategy::FeatureParallel),
+        ("DP", MultiGpuStrategy::DataParallel),
+    ] {
+        for streams in [1, 4] {
+            let group = DeviceGroup::rtx4090s(2);
+            for dev in group.devices() {
+                dev.enable_sanitizer(SanitizeMode::Full);
+            }
+            let cfg = base.clone().with_streams(streams);
+            let _ = MultiGpuTrainer::with_strategy(group.clone(), cfg, strategy).fit(&ds);
+            for (rank, dev) in group.devices().iter().enumerate() {
+                let report = dev.sanitize_report().expect("sanitizer enabled");
+                let lead_only: &[&str] = if rank == 0 {
+                    &["leaf_values", "partition_level"]
+                } else {
+                    &[]
+                };
+                let missing: Vec<&str> = ["quantile_binning", "grad_hess", "update_scores"]
+                    .iter()
+                    .chain(lead_only)
+                    .copied()
+                    .filter(|k| !report.kernels.contains_key(k))
+                    .collect();
+                let clean = report.is_clean() && missing.is_empty();
+                let verdict = if clean { "clean" } else { "FAILED" };
+                println!("-- {slabel}(2) streams {streams} device {rank}: {verdict} --");
+                if !missing.is_empty() {
+                    println!("untraced kernels: {missing:?}");
+                }
+                if !report.is_clean() {
+                    println!("{}", report.table());
+                }
+                ok &= clean;
+            }
         }
     }
 
@@ -1413,7 +1459,6 @@ fn bench_cmd(opts: &Opts) -> bool {
     // Savings are printed (and land in each record's `overlap_saved_ns`
     // when `--streams > 1`), never gated.
     {
-        use gbdt_core::MultiGpuStrategy;
         let gpus = opts.gpus.max(2);
         let streams = opts.streams.max(4);
         let (train, _, name) = bench_dataset(PaperDataset::NusWide, scale_mult, opts.seed);

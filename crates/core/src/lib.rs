@@ -16,9 +16,10 @@
 //! 5. **Prediction** ([`predict`]) — instance- and tree-level parallel
 //!    inference, plus the incremental training-score update.
 //!
-//! [`trainer::GpuTrainer`] drives a single device;
-//! [`multigpu::MultiGpuTrainer`] partitions features across a
-//! [`gpusim::DeviceGroup`] (paper §3.4.2).
+//! [`trainer`] holds the one boosting loop. [`trainer::GpuTrainer`] runs
+//! it on a single device; [`multigpu::MultiGpuTrainer`] runs it across a
+//! [`gpusim::DeviceGroup`], partitioning features or instances (paper
+//! §3.4.2).
 //!
 //! For inference beyond training, [`compiled::CompiledEnsemble`]
 //! flattens trees into SoA arrays and [`serve`] uploads them to a

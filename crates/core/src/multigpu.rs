@@ -1,19 +1,20 @@
 //! Multi-GPU training on a single machine (paper §3.4.2).
 //!
-//! One level-wise boosting loop serves both layouts of
-//! [`MultiGpuStrategy`]. Each device builds its slice of every node's
-//! histogram, and collectives give each device what it evaluates. The
-//! functional work (gradients, histograms, splits, leaf values) runs
-//! once on the host and does not depend on the layout or the device
-//! count, so every group grows the same trees as a single device; only
-//! the charged costs differ. The layouts differ in five places:
+//! [`MultiGpuTrainer`] runs the boosting loop of [`crate::trainer`] on a
+//! group placement: this module says only where a round's work runs
+//! and what each device charges for it, for both layouts of
+//! [`MultiGpuStrategy`]. The lead device runs the functional work
+//! (gradients, histograms, splits, leaf values) once on the host, and
+//! it does not depend on the layout or the device count, so every group
+//! grows the same trees as a single device; only the charged costs
+//! differ. The layouts differ in five places:
 //!
 //! - **Ingest:** a device loads its feature range over all rows
 //!   (feature-parallel, [`partition_features`]) or all columns of its
 //!   instance shard (data-parallel).
 //! - **Mirrored work:** the replicas' gradient, sketch-apply, leaf-refit
 //!   and score-update charges cover all `n` rows (feature-parallel) or
-//!   their `n/k` shard (data-parallel).
+//!   their own shard (data-parallel).
 //! - **Node histograms and splits:** a feature-parallel device builds
 //!   only its own features. A data-parallel device builds its shard
 //!   over all features, and a ring reduce-scatter of each built node's
@@ -35,30 +36,27 @@
 //!
 //! ## Fault recovery
 //!
-//! When any device in the group has a fault injector attached
-//! (`Device::enable_faults`), every bulk-synchronous step ends with a
-//! group-wide poll. A transient launch fault re-runs the round within
-//! the [`crate::RetryPolicy`] budget (the failed attempt's charges stay
-//! booked — the grid ran and trapped). A lost device is *dropped from
-//! the active set*: the survivors re-partition the work, re-charge the
-//! ingest of their enlarged shares, re-run the interrupted round, and
-//! finish training — producing trees bit-identical to a fault-free run,
-//! because the functional compute is independent of the device count.
-//! Only when every device is gone does training fail, with
-//! [`TrainError::AllDevicesLost`].
+//! The loop's recovery routine polls every active device after each
+//! step. A transient fault is retried as on one device. A lost device is
+//! *dropped from the active set*: the survivors re-partition the work,
+//! re-charge the ingest of their enlarged shares, re-run the interrupted
+//! round, and finish training — producing trees bit-identical to a
+//! fault-free run, because the functional compute is independent of the
+//! device count. Only when every device is gone does training fail,
+//! with [`TrainError::AllDevicesLost`].
 
-use crate::config::{ConfigError, HistogramMethod, TrainConfig};
+use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
-use crate::grad::{compute_gradients, update_scores_from_leaves, Gradients};
+use crate::grad::Gradients;
 use crate::grow::{partition_stable, GrowResult};
-use crate::hist::{accumulate_dense, charge_method_on, resolve_method, HistContext, NodeHistogram};
-use crate::loss::loss_for_task;
+use crate::hist::{accumulate_dense, charge_method_on, resolve_method, HistContext};
+use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
 use crate::split::{
     find_best_split_range_batched, leaf_values, LevelSplitCharges, SplitCandidate, SplitParams,
 };
-use crate::trainer::{base_score_matrix, TrainReport};
+use crate::trainer::{boost, Placement, TrainReport};
 use crate::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::cost::KernelCost;
@@ -66,7 +64,6 @@ use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Stream carrying fresh histogram builds when `streams > 1` (stream 0
 /// keeps gradients, split evaluation, and partitioning serial).
@@ -101,53 +98,6 @@ pub fn partition_features(m: usize, k: usize) -> Vec<(usize, usize)> {
 fn shard_range(len: usize, k: usize, rank: usize) -> Range<usize> {
     let lo = rank * (len / k) + rank.min(len % k);
     lo..lo + len / k + usize::from(rank < len % k)
-}
-
-/// Outcome of polling every active device after one bulk-synchronous
-/// step (the group-wide `cudaGetLastError` analogue).
-enum GroupPoll {
-    /// No device reported a fault.
-    Clean,
-    /// At least one device trapped a retryable launch fault; the first
-    /// one (in rank order) is reported.
-    Transient(GpuFault),
-    /// One or more devices are gone. `dead` holds their positions in
-    /// the polled slice; loss dominates any pending transient.
-    Lost { dead: Vec<usize> },
-}
-
-fn poll_group(devices: &[Arc<Device>]) -> GroupPoll {
-    let mut dead = Vec::new();
-    let mut transient = None;
-    for (rank, dev) in devices.iter().enumerate() {
-        match dev.poll_fault() {
-            Ok(()) => {}
-            Err(GpuFault::DeviceLost { .. }) => dead.push(rank),
-            Err(fault @ GpuFault::Transient { .. }) => {
-                if transient.is_none() {
-                    transient = Some(fault);
-                }
-            }
-        }
-    }
-    if !dead.is_empty() {
-        GroupPoll::Lost { dead }
-    } else if let Some(fault) = transient {
-        GroupPoll::Transient(fault)
-    } else {
-        GroupPoll::Clean
-    }
-}
-
-/// What the caller should do after a polled step.
-enum StepVerdict {
-    /// Fault-free: commit the step's results.
-    Commit,
-    /// Transient fault within budget: re-run the step as-is.
-    Retry,
-    /// Devices were dropped: re-partition over the survivors, re-charge
-    /// their enlarged ingest shares, then re-run the step.
-    Degraded,
 }
 
 /// Book a level-batched collective on every device's comm stream:
@@ -406,189 +356,103 @@ impl MultiGpuTrainer {
     /// training (see the module docs); the error cases are an exhausted
     /// transient-retry budget and the loss of every device.
     pub fn try_fit_report(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        let host_start = Instant::now();
-        let (n, d, m) = (ds.n(), ds.d(), ds.m());
-        let start_summaries: Vec<_> = self.group.devices().iter().map(|dv| dv.summary()).collect();
-        let mut active: Vec<Arc<Device>> = self.group.devices().to_vec();
-        let faults_on = active.iter().any(|dv| dv.fault_injector().is_some());
-
-        // --- preprocessing, charged per device for its share ----------
-        let mut attempts = 0u32;
-        loop {
-            self.charge_preprocess(&DeviceGroup::from_devices(active.clone()), n, m);
-            if !faults_on {
-                break;
-            }
-            match self.recover_step(&mut active, &mut attempts, usize::MAX)? {
-                StepVerdict::Commit => break,
-                // Retry and degradation both simply re-run the ingest:
-                // the shares are recomputed from the survivors.
-                StepVerdict::Retry | StepVerdict::Degraded => {}
-            }
-        }
-        let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-        let (base, mut scores) = base_score_matrix(ds);
-        let loss = loss_for_task(ds.task());
-
-        let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods = BTreeMap::new();
-        // Structure search runs at the sketch's effective output
-        // dimension: the histogram, and with it the data-parallel
-        // reduce-scatter payload, shrinks from d to k columns.
-        let d_eff = self.config.sketch.effective_dim(d);
-        let mut hist = NodeHistogram::new(m, d_eff, self.config.max_bins);
-
-        for t in 0..self.config.num_trees {
-            // Snapshot the round's inputs so a faulted attempt can be
-            // rolled back and re-run (cloned only when injectors are
-            // attached — the fault-free path is untouched).
-            let saved = faults_on.then(|| (scores.clone(), hist_methods.clone()));
-            let mut attempts = 0u32;
-            let committed = loop {
-                let group = DeviceGroup::from_devices(active.clone());
-                let devices = group.devices();
-                let k = group.len();
-                // Rows each replica mirrors the lead's per-instance work
-                // over: all of them when gradients are replicated, its
-                // own shard when instances are.
-                let mirror_n = match self.strategy {
-                    MultiGpuStrategy::FeatureParallel => n,
-                    MultiGpuStrategy::DataParallel => n / k,
-                };
-                // Scope the round on the lead device (the representative
-                // timeline; devices run in lockstep between collectives).
-                let _round_scope = group.device(0).prof_scope("round", Some(t as u64));
-                // The lead computes the gradients and is charged for all
-                // n rows in both layouts. Only the replicas differ: they
-                // charge `grad_hess` over all n rows when gradients are
-                // replicated (feature-parallel), `grad_hess_shard` over
-                // n/k rows when instances are sharded (data-parallel).
-                let grads_full =
-                    compute_gradients(&devices[0], loss.as_ref(), &scores, ds.targets(), n, d);
-                let grad_kernel = match self.strategy {
-                    MultiGpuStrategy::FeatureParallel => "grad_hess",
-                    MultiGpuStrategy::DataParallel => "grad_hess_shard",
-                };
-                for dev in &devices[1..] {
-                    dev.charge_kernel(
-                        grad_kernel,
-                        Phase::Gradient,
-                        &KernelCost::streaming(
-                            mirror_n as f64 * d as f64 * loss.flops_per_output(),
-                            (mirror_n * d * 16) as f64,
-                        ),
-                    );
-                    crate::sanitize::trace_grad_hess(dev, mirror_n, d);
-                }
-                // Sketch once per tree: device 0 selects, the plan is
-                // broadcast, every device applies it locally.
-                let (grads, full_for_refit) = if self.config.sketch.is_none() {
-                    (grads_full, None)
-                } else {
-                    let sketched = self.sketch_round(&group, &grads_full, t, mirror_n);
-                    (sketched, Some(grads_full))
-                };
-
-                let mut grown =
-                    self.grow_tree(&group, &binned, &grads, &mut hist, &mut hist_methods);
-                // Sketched structure, full-output leaves: one gather-reduce
-                // pass over the complete gradients per leaf.
-                if let Some(full) = &full_for_refit {
-                    self.refit_round(&group, &mut grown, full, mirror_n);
-                }
-
-                // Score update on the lead; the replicas mirror it over
-                // every touched row, or over their shard of them.
-                update_scores_from_leaves(&devices[0], &mut scores, d, &grown.leaf_assignments);
-                let touched: usize = grown.leaf_assignments.iter().map(|(v, _)| v.len()).sum();
-                let (update_kernel, touched, leaf_bytes) = match self.strategy {
-                    MultiGpuStrategy::FeatureParallel => (
-                        "update_scores",
-                        touched,
-                        grown.leaf_assignments.len() * d * 4,
-                    ),
-                    MultiGpuStrategy::DataParallel => ("update_scores_shard", touched / k, 0),
-                };
-                for dev in &devices[1..] {
-                    dev.charge_kernel(
-                        update_kernel,
-                        Phase::Predict,
-                        &KernelCost::streaming(
-                            (touched * d) as f64,
-                            (touched * d * 8 + leaf_bytes) as f64,
-                        ),
-                    );
-                    // A data-parallel replica's replay covers every leaf,
-                    // a superset of the rows its shard touches.
-                    crate::sanitize::trace_update_scores(dev, d, n, &grown.leaf_assignments);
-                }
-                if !faults_on {
-                    break grown.tree;
-                }
-                match self.recover_step(&mut active, &mut attempts, t)? {
-                    StepVerdict::Commit => break grown.tree,
-                    StepVerdict::Retry => {}
-                    // Survivors take over the lost device's columns or
-                    // instances: charge the ingest of their new shares
-                    // before re-running the round.
-                    StepVerdict::Degraded => {
-                        self.charge_preprocess(&DeviceGroup::from_devices(active.clone()), n, m)
-                    }
-                }
-                let (saved_scores, saved_methods) =
-                    saved.as_ref().expect("snapshot exists when faults are on");
-                scores.copy_from_slice(saved_scores);
-                hist_methods = saved_methods.clone();
-            };
-            trees.push(committed);
-        }
-        // Clock spread is only visible before the final barrier joins
-        // every stream to the group makespan.
-        tel_makespan_skew(&active);
-        DeviceGroup::from_devices(active.clone()).barrier();
-
-        let model = Model {
-            trees,
-            base,
-            d,
-            task: ds.task(),
-            config: self.config.clone(),
+        let mut group = Group {
+            active: self.group.devices().to_vec(),
+            strategy: self.strategy,
+            config: &self.config,
         };
-        // Group time = slowest device (they are barrier-aligned); report
-        // the surviving lead's phase breakdown as representative.
-        let lead = &active[0];
-        let lead_pos = self
-            .group
-            .devices()
-            .iter()
-            .position(|dv| Arc::ptr_eq(dv, lead))
-            .expect("lead device comes from the original group");
-        let sim = lead.summary().since(&start_summaries[lead_pos]);
-        Ok(TrainReport {
-            sim_seconds: sim.total_ns * 1e-9,
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            sim,
-            model,
-            hist_methods,
-        })
+        Ok(boost(&mut group, &self.config, ds, None, None, None, None)?.0)
+    }
+}
+
+/// The device group as a [`Placement`]: the devices still active, lead
+/// first, and how they divide the work.
+struct Group<'a> {
+    active: Vec<Arc<Device>>,
+    strategy: MultiGpuStrategy,
+    config: &'a TrainConfig,
+}
+
+impl Group<'_> {
+    /// The active devices as a group, for its collectives.
+    fn group(&self) -> DeviceGroup {
+        DeviceGroup::from_devices(self.active.clone())
+    }
+
+    /// Every device but the lead, with its rank.
+    fn replicas(&self) -> impl Iterator<Item = (usize, &Arc<Device>)> {
+        self.active.iter().enumerate().skip(1)
+    }
+
+    /// Rows of `len` that rank `rank` mirrors the lead's per-instance
+    /// work over: all of them when gradients are replicated
+    /// (feature-parallel), its own shard when instances are sharded.
+    fn replica_rows(&self, len: usize, rank: usize) -> usize {
+        match self.strategy {
+            MultiGpuStrategy::FeatureParallel => len,
+            MultiGpuStrategy::DataParallel => shard_range(len, self.active.len(), rank).len(),
+        }
+    }
+
+    /// Close `node` as a leaf holding the regularized optimum of its
+    /// gradient sums, computed on the lead.
+    fn close_leaf(&self, grown: &mut GrowResult, node: usize, idx: Vec<u32>, g: &[f64], h: &[f64]) {
+        let v = leaf_values(g, h, self.config.lambda, self.config.learning_rate);
+        crate::sanitize::trace_leaf_values(&self.active[0], v.len());
+        grown.tree.set_leaf(node, v.clone());
+        grown.leaf_nodes.push(node);
+        grown.leaf_assignments.push((idx, v));
+    }
+}
+
+impl Placement for Group<'_> {
+    fn devices(&self) -> &[Arc<Device>] {
+        &self.active
+    }
+
+    /// Every device ingests and bins its share of the matrix: its
+    /// feature range over all rows (feature-parallel) or all columns of
+    /// its instance shard (data-parallel). Re-issued after degradation,
+    /// when the shares shift and survivors reload and rebin.
+    fn ingest(&self, n: usize, m: usize) {
+        let k = self.active.len();
+        let ranges = partition_features(m, k);
+        for (rank, dev) in self.active.iter().enumerate() {
+            let (rows, cols) = match self.strategy {
+                MultiGpuStrategy::FeatureParallel => (n, ranges[rank].1 - ranges[rank].0),
+                MultiGpuStrategy::DataParallel => (shard_range(n, k, rank).len(), m),
+            };
+            let bytes = (rows * cols * 4) as f64;
+            dev.charge_ns(
+                "htod_features",
+                Phase::Transfer,
+                dev.model().host_copy_ns(bytes),
+            );
+            dev.charge_kernel(
+                "quantile_binning",
+                Phase::Binning,
+                &KernelCost::streaming((rows * cols) as f64 * 16.0, bytes * 2.5),
+            );
+            crate::sanitize::trace_quantile_binning(dev, rows, cols, self.config.max_bins);
+        }
     }
 
     /// Grow one tree level by level across the group: each device
     /// charges its slice of every node's histogram build and evaluates
     /// its feature range of the node, and the level ends with the
     /// candidate exchange and the partition.
-    fn grow_tree(
+    fn grow(
         &self,
-        group: &DeviceGroup,
         binned: &BinnedDataset,
         grads: &Gradients,
-        hist: &mut NodeHistogram,
-        hist_methods: &mut BTreeMap<HistogramMethod, usize>,
+        features: &[u32],
+        root: Vec<u32>,
+        pool: &mut HistogramPool,
     ) -> GrowResult {
+        let group = self.group();
         let devices = group.devices();
         let k = group.len();
-        let (n, m) = (binned.n(), binned.m());
-        let features: Vec<u32> = (0..m as u32).collect();
+        let m = binned.m();
         let ranges = partition_features(m, k);
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
@@ -601,15 +465,18 @@ impl MultiGpuTrainer {
             min_instances: self.config.min_instances,
             segments_c: self.config.segments_per_block_c,
         };
+        // One working histogram: each node is accumulated, evaluated and
+        // done with before the next is built.
+        pool.ensure_shape(m, grads.d, self.config.max_bins);
+        let mut hist = pool.acquire();
         let mut grown = GrowResult {
             tree: Tree::new(grads.d),
             leaf_assignments: Vec::new(),
             leaf_nodes: Vec::new(),
             methods_used: BTreeMap::new(),
         };
-        let root_idx: Vec<u32> = (0..n as u32).collect();
-        let (rg, rh) = grads.sums(&root_idx);
-        let mut frontier = vec![(0usize, root_idx, rg, rh)];
+        let (rg, rh) = grads.sums(&root);
+        let mut frontier = vec![(0usize, root, rg, rh)];
         // Streamed mode: builds of each level start at the previous
         // level's alignment fence, plus (feature-parallel) the first
         // chunk of the in-flight bitmap exchange, whose tail they
@@ -657,7 +524,7 @@ impl MultiGpuTrainer {
                             if shard.is_empty() {
                                 continue;
                             }
-                            (&features[..], shard)
+                            (features, shard)
                         }
                     };
                     let ctx = HistContext {
@@ -670,30 +537,30 @@ impl MultiGpuTrainer {
                     };
                     let method = resolve_method(&ctx, idx.len());
                     charge_method_on(&ctx, idx, method, hist_stream);
-                    *hist_methods.entry(method).or_insert(0) += 1;
+                    *grown.methods_used.entry(method).or_insert(0) += 1;
                 }
                 if data_parallel && k > 1 {
-                    reduce_scatter_node(group, hist_bytes, streamed);
+                    reduce_scatter_node(&group, hist_bytes, streamed);
                 }
                 // Functional accumulation once (identical results).
                 let full_ctx = HistContext {
                     device: &devices[0],
                     data: binned,
                     grads,
-                    features: &features,
+                    features,
                     bins: self.config.max_bins,
                     opts: self.config.hist,
                 };
                 hist.reset();
-                accumulate_dense(&full_ctx, &instances, hist);
+                accumulate_dense(&full_ctx, &instances, &mut hist);
 
                 // Each device evaluates only its own feature range.
                 let mut best: Option<SplitCandidate> = None;
                 for (rank, (dev, &(lo, hi))) in devices.iter().zip(&ranges).enumerate() {
                     let local = find_best_split_range_batched(
                         &mut split_charges[rank],
-                        hist,
-                        &features,
+                        &hist,
+                        features,
                         lo,
                         hi,
                         &g,
@@ -785,7 +652,7 @@ impl MultiGpuTrainer {
             // Candidates are tiny summary statistics: winners wait the
             // full exchange.
             if built > 0 && k > 1 {
-                if let Some((done, _)) = all_gather_level(group, &candidate_bytes, streamed) {
+                if let Some((done, _)) = all_gather_level(&group, &candidate_bytes, streamed) {
                     for dev in devices {
                         dev.wait_event(0, done);
                     }
@@ -816,7 +683,7 @@ impl MultiGpuTrainer {
                         }
                     }
                     if k > 1 && flag_bytes.iter().any(|&b| b > 0) {
-                        all_gather_level(group, &flag_bytes, streamed)
+                        all_gather_level(&group, &flag_bytes, streamed)
                             .map(|(done, ns)| first_chunk(done, ns))
                     } else {
                         None
@@ -849,146 +716,121 @@ impl MultiGpuTrainer {
         for (node, instances, g, h) in frontier {
             self.close_leaf(&mut grown, node, instances, &g, &h);
         }
+        pool.release(hist);
         grown
     }
 
-    /// Close `node` as a leaf holding the regularized optimum of its
-    /// gradient sums.
-    fn close_leaf(&self, grown: &mut GrowResult, node: usize, idx: Vec<u32>, g: &[f64], h: &[f64]) {
-        let v = leaf_values(g, h, self.config.lambda, self.config.learning_rate);
-        grown.tree.set_leaf(node, v.clone());
-        grown.leaf_nodes.push(node);
-        grown.leaf_assignments.push((idx, v));
-    }
-
-    /// Charge every device for ingesting and binning its share of the
-    /// matrix: its feature range over all rows (feature-parallel) or all
-    /// columns of its instance shard (data-parallel). Re-issued after
-    /// degradation, when the shares shift and survivors reload and rebin.
-    fn charge_preprocess(&self, group: &DeviceGroup, n: usize, m: usize) {
-        let k = group.len();
-        let ranges = partition_features(m, k);
-        for (rank, dev) in group.devices().iter().enumerate() {
-            let (rows, cols) = match self.strategy {
-                MultiGpuStrategy::FeatureParallel => (n, ranges[rank].1 - ranges[rank].0),
-                MultiGpuStrategy::DataParallel => (shard_range(n, k, rank).len(), m),
-            };
-            let bytes = (rows * cols * 4) as f64;
-            dev.charge_ns(
-                "htod_features",
-                Phase::Transfer,
-                dev.model().host_copy_ns(bytes),
-            );
+    /// The lead computes the gradients over all `n` rows in both
+    /// layouts; the replicas charge `grad_hess` over all rows when
+    /// gradients are replicated, `grad_hess_shard` over their shard
+    /// when instances are sharded.
+    fn mirror_gradients(&self, n: usize, d: usize, flops_per_output: f64) {
+        let kernel = match self.strategy {
+            MultiGpuStrategy::FeatureParallel => "grad_hess",
+            MultiGpuStrategy::DataParallel => "grad_hess_shard",
+        };
+        for (rank, dev) in self.replicas() {
+            let rows = self.replica_rows(n, rank);
             dev.charge_kernel(
-                "quantile_binning",
-                Phase::Binning,
-                &KernelCost::streaming((rows * cols) as f64 * 16.0, bytes * 2.5),
+                kernel,
+                Phase::Gradient,
+                &KernelCost::streaming(
+                    rows as f64 * d as f64 * flops_per_output,
+                    (rows * d * 16) as f64,
+                ),
             );
+            crate::sanitize::trace_grad_hess(dev, rows, d);
         }
     }
 
-    /// End-of-step poll and recovery decision for one bulk-synchronous
-    /// step. Trims `active` on device loss. `round` is the boosting
-    /// round, or `usize::MAX` for preprocessing.
-    fn recover_step(
-        &self,
-        active: &mut Vec<Arc<Device>>,
-        attempts: &mut u32,
-        round: usize,
-    ) -> Result<StepVerdict, TrainError> {
-        // Observer only (may be `None`): counters and postmortems are
-        // recorded on the group's shared registry after the recovery
-        // decision is already made.
-        let tel = group_telemetry(self.group.devices());
-        let count = |name: &str| {
-            if let Some(tl) = &tel {
-                tl.counter_inc(name);
-            }
-        };
-        let fail = |err: TrainError| {
-            if let Some(tl) = &tel {
-                tl.record_postmortem(&err.to_string());
-            }
-            Err(err)
-        };
-        match poll_group(active) {
-            GroupPoll::Clean => Ok(StepVerdict::Commit),
-            GroupPoll::Transient(fault) => {
-                count("train.faults_total");
-                if *attempts >= self.config.retry.max_retries {
-                    return fail(TrainError::RetriesExhausted {
-                        round,
-                        attempts: *attempts,
-                        fault,
-                    });
-                }
-                *attempts += 1;
-                count("train.retries_total");
-                Ok(StepVerdict::Retry)
-            }
-            GroupPoll::Lost { dead } => {
-                for rank in dead.into_iter().rev() {
-                    active.remove(rank);
-                }
-                count("train.faults_total");
-                if active.is_empty() {
-                    return fail(TrainError::AllDevicesLost { round });
-                }
-                Ok(StepVerdict::Degraded)
-            }
-        }
-    }
-
-    /// Sketch the round's gradients once on device 0, broadcast the
-    /// plan (selected column indices or the projection matrix) as a
-    /// collective, and mirror the gather/projection apply on the
-    /// replica devices: `mirror_n` instances each.
-    fn sketch_round(
-        &self,
-        group: &DeviceGroup,
-        grads: &Gradients,
-        t: usize,
-        mirror_n: usize,
-    ) -> Gradients {
-        let dev0 = group.device(0);
-        let _sketch_scope = dev0.prof_scope("sketch", Some(t as u64));
-        let plan = plan_sketch(
-            dev0,
-            grads,
-            self.config.sketch,
-            self.config.seed.wrapping_add(t as u64),
-        );
+    /// The lead selects the sketch, the plan (selected column indices
+    /// or the projection matrix) is broadcast, and every device applies
+    /// it to its rows.
+    fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients {
+        let lead = &self.active[0];
+        let plan = plan_sketch(lead, grads, self.config.sketch, seed);
         let bytes = plan.broadcast_bytes(grads.d);
-        if group.len() > 1 && bytes > 0.0 {
-            group.broadcast(0, bytes as usize);
-            tel_collective_bytes(group.devices(), bytes);
+        if self.active.len() > 1 && bytes > 0.0 {
+            self.group().broadcast(0, bytes as usize);
+            tel_collective_bytes(&self.active, bytes);
         }
-        let sketched = apply_sketch(dev0, grads, &plan);
-        for dev in &group.devices()[1..] {
-            charge_apply(dev, mirror_n, grads.d, &plan);
+        let sketched = apply_sketch(lead, grads, &plan);
+        for (rank, dev) in self.replicas() {
+            charge_apply(dev, self.replica_rows(grads.n, rank), grads.d, &plan);
         }
         sketched
     }
 
-    /// Refit a sketch-grown tree's leaves to the full `d`-dimensional
-    /// optimum on device 0 and mirror the gather-reduce charge on the
-    /// replicas (`mirror_n` resident instances each).
-    fn refit_round(
-        &self,
-        group: &DeviceGroup,
-        grown: &mut GrowResult,
-        full: &Gradients,
-        mirror_n: usize,
-    ) {
-        refit_leaves_full_d(group.device(0), grown, full, &self.config);
+    /// The lead refits the leaves; the replicas mirror the gather-reduce
+    /// over their resident rows.
+    fn refit(&self, grown: &mut GrowResult, full: &Gradients) {
+        refit_leaves_full_d(&self.active[0], grown, full, self.config);
         let d = full.d;
-        for dev in &group.devices()[1..] {
+        for (rank, dev) in self.replicas() {
+            let rows = self.replica_rows(full.n, rank);
             dev.charge_kernel(
                 "leaf_refit_full_d",
                 Phase::LeafValue,
-                &KernelCost::streaming((mirror_n * d * 2) as f64, (mirror_n * d * 8) as f64),
+                &KernelCost::streaming((rows * d * 2) as f64, (rows * d * 8) as f64),
             );
         }
+    }
+
+    /// The replicas mirror the lead's score update over every touched
+    /// row, or over their shard of them.
+    fn mirror_update(&self, grown: &GrowResult, n: usize, d: usize) {
+        let touched: usize = grown.leaf_assignments.iter().map(|(v, _)| v.len()).sum();
+        let (kernel, leaf_bytes) = match self.strategy {
+            MultiGpuStrategy::FeatureParallel => {
+                ("update_scores", grown.leaf_assignments.len() * d * 4)
+            }
+            MultiGpuStrategy::DataParallel => ("update_scores_shard", 0),
+        };
+        for (rank, dev) in self.replicas() {
+            let rows = self.replica_rows(touched, rank);
+            dev.charge_kernel(
+                kernel,
+                Phase::Predict,
+                &KernelCost::streaming((rows * d) as f64, (rows * d * 8 + leaf_bytes) as f64),
+            );
+            // A data-parallel replica's replay covers every leaf, a
+            // superset of the rows its shard touches.
+            crate::sanitize::trace_update_scores(dev, d, n, &grown.leaf_assignments);
+        }
+    }
+
+    /// The group-wide `cudaGetLastError` analogue: every active device
+    /// is polled, lost ones leave the active set, and the first loss
+    /// (else the first transient fault) in rank order is reported.
+    fn poll(&mut self) -> Result<(), GpuFault> {
+        let (mut lost, mut transient) = (None, None);
+        self.active.retain(|dev| match dev.poll_fault() {
+            Ok(()) => true,
+            Err(fault) if fault.is_transient() => {
+                transient.get_or_insert(fault);
+                true
+            }
+            Err(fault) => {
+                lost.get_or_insert(fault);
+                false
+            }
+        });
+        lost.or(transient).map_or(Ok(()), Err)
+    }
+
+    /// Survivors re-partition the work and carry on; only losing every
+    /// device ends the fit.
+    fn fatal_loss(&self, round: usize, _fault: GpuFault) -> Option<TrainError> {
+        self.active
+            .is_empty()
+            .then_some(TrainError::AllDevicesLost { round })
+    }
+
+    fn join(&self) {
+        // Clock spread is only visible before the final barrier joins
+        // every stream to the group makespan.
+        tel_makespan_skew(&self.active);
+        self.group().barrier();
     }
 }
 
@@ -996,6 +838,7 @@ impl MultiGpuTrainer {
 mod tests {
     use super::*;
     use crate::config::{GossConfig, HistOptions, OutputSketch};
+    use crate::loss::loss_for_task;
     use crate::metrics::accuracy;
     use crate::trainer::GpuTrainer;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
@@ -1431,6 +1274,56 @@ mod tests {
                         "k={k} streams={streams} sketch={}",
                         sketch.label()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn data_parallel_replicas_charge_their_own_shard() {
+        // 401 rows over 3 devices: shards of 134, 134 and 133 rows.
+        // Every per-row kernel a replica mirrors is priced at its own
+        // shard, not at n / k.
+        let ds = make_classification(&ClassificationSpec {
+            instances: 401,
+            features: 16,
+            classes: 4,
+            informative: 10,
+            seed: 12,
+            ..Default::default()
+        });
+        let (n, d) = (ds.n(), ds.d() as f64);
+        let cfg = TrainConfig {
+            num_trees: 2,
+            sketch: OutputSketch::TopOutputs(2),
+            ..quick_config()
+        };
+        let trainer = MultiGpuTrainer::with_strategy(
+            DeviceGroup::rtx4090s(3),
+            cfg,
+            MultiGpuStrategy::DataParallel,
+        );
+        let _ = trainer.fit(&ds);
+        let flops = loss_for_task(ds.task()).flops_per_output();
+        for (rank, dev) in trainer.group().devices().iter().enumerate().skip(1) {
+            let rows = shard_range(n, 3, rank).len() as f64;
+            let want = [
+                ("grad_hess_shard", rows * d * flops, rows * d * 16.0),
+                ("sketch_gather", rows * 2.0 * 2.0, rows * 2.0 * 16.0 + 8.0),
+                ("leaf_refit_full_d", rows * d * 2.0, rows * d * 8.0),
+                ("update_scores_shard", rows * d, rows * d * 8.0),
+            ];
+            for (name, flops, bytes) in want {
+                let ns = dev.model().kernel_ns(&KernelCost::streaming(flops, bytes));
+                let charged: Vec<f64> = dev
+                    .records()
+                    .iter()
+                    .filter(|r| r.name == name)
+                    .map(|r| r.ns)
+                    .collect();
+                assert_eq!(charged.len(), 2, "device {rank}: one {name} per tree");
+                for got in charged {
+                    assert_eq!(got, ns, "device {rank}: {name} over {rows} rows");
                 }
             }
         }

@@ -445,7 +445,10 @@ pub(crate) fn trace_pair_kernel(
     let nn = idx.len();
     let scope = san.scope(name);
 
-    let b_id = scope.register("bin_ids", mf * n, MemSpace::Global, true);
+    // The bin-ID matrix is feature-major over every column: a node's
+    // feature list (a column sample, or a device's feature range) reads
+    // its columns at their global index.
+    let b_id = scope.register("bin_ids", ctx.data.m() * n, MemSpace::Global, true);
     let gr_id = scope.register("grad_rows", n * d * 2, MemSpace::Global, true);
     // Shared-memory strategies accumulate into a per-block tile; the
     // global strategy hits the global plane directly.

@@ -1,17 +1,27 @@
-//! The single-GPU training loop (paper Fig. 2): gradients → histograms
-//! → split selection → partition, per tree, fully device-charged.
+//! The boosting loop (paper Fig. 2): gradients → histograms → split
+//! selection → partition → score update, per tree, fully device-charged.
+//!
+//! `boost` is the only boosting loop. It is generic over a crate-private
+//! `Placement`, which says where the work runs: `Single` is one device
+//! ([`GpuTrainer`]), and the group placement in [`crate::multigpu`]
+//! spreads a round over a [`gpusim::DeviceGroup`] (paper §3.4.2). The
+//! loop owns what does not depend on the layout: sampling, the
+//! sketch-grow-refit order, the score update, early stopping,
+//! checkpoints and telemetry. After each step, one recovery routine
+//! (`recover`) commits it, retries it, re-runs it on the surviving
+//! devices or fails the fit.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{ConfigError, HistogramMethod, TrainConfig};
 use crate::error::TrainError;
-use crate::grad::{compute_gradients, update_scores_from_leaves};
-use crate::grow::grow_tree_pooled;
-use crate::loss::loss_for_task;
+use crate::grad::{compute_gradients, update_scores_from_leaves, Gradients};
+use crate::grow::{grow_tree_pooled, GrowResult};
+use crate::loss::{loss_for_task, MultiOutputLoss};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use gbdt_data::{BinnedDataset, Dataset, Task};
 use gpusim::cost::KernelCost;
-use gpusim::{Device, LedgerSummary, Phase};
+use gpusim::{Device, GpuFault, LedgerSummary, Phase, Telemetry};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,9 +54,482 @@ impl TrainReport {
     }
 }
 
-/// Validation curve produced by `fit_impl` when an eval split is
+/// Validation curve produced by `boost` when an eval split is
 /// supplied: per-round metric history plus the best iteration.
 type ValidationCurve = (Vec<f64>, usize);
+
+/// Where the boosting loop's work runs. The lead device, `devices()[0]`,
+/// runs every functional kernel; a placement adds what its other
+/// devices charge and grows each tree across them. The defaults are
+/// the single device's: no replicas to charge, no clocks to join.
+pub(crate) trait Placement {
+    /// The active devices, lead first.
+    fn devices(&self) -> &[Arc<Device>];
+
+    /// Charge uploading and binning the `n × m` feature matrix; re-run
+    /// after a retry or a degradation.
+    fn ingest(&self, n: usize, m: usize);
+
+    /// Grow one tree on `grads` over `features`, rooted at `root`.
+    fn grow(
+        &self,
+        binned: &BinnedDataset,
+        grads: &Gradients,
+        features: &[u32],
+        root: Vec<u32>,
+        pool: &mut HistogramPool,
+    ) -> GrowResult;
+
+    /// Charge the replicas' share of the lead's gradient pass.
+    fn mirror_gradients(&self, _n: usize, _d: usize, _flops_per_output: f64) {}
+
+    /// Sketch the round's gradients to the structure-search width.
+    fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients;
+
+    /// Refit a sketch-grown tree's leaves on the full gradients.
+    fn refit(&self, grown: &mut GrowResult, full: &Gradients);
+
+    /// Charge the replicas' share of the lead's score update.
+    fn mirror_update(&self, _grown: &GrowResult, _n: usize, _d: usize) {}
+
+    /// Poll every device after a step. A lost device dominates a
+    /// transient fault, and the placement stops using it.
+    fn poll(&mut self) -> Result<(), GpuFault>;
+
+    /// The error that ends the fit after a device loss at `round`, or
+    /// `None` when the survivors carry on.
+    fn fatal_loss(&self, round: usize, fault: GpuFault) -> Option<TrainError>;
+
+    /// Join the devices' clocks at the end of the fit.
+    fn join(&self) {}
+}
+
+/// One device: ingest on a copy stream when `streams > 1`, trees from
+/// [`grow_tree_pooled`], and a lost device ends the fit.
+struct Single<'a> {
+    device: &'a Arc<Device>,
+    config: &'a TrainConfig,
+}
+
+impl Placement for Single<'_> {
+    fn devices(&self) -> &[Arc<Device>] {
+        std::slice::from_ref(self.device)
+    }
+
+    fn ingest(&self, n: usize, m: usize) {
+        let device = &**self.device;
+        let _prep_scope = device.prof_scope("preprocess", None);
+        let raw_bytes = (n * m * 4) as f64;
+        let copy_ns = device.model().host_copy_ns(raw_bytes);
+        let copy_done = if self.config.streams > 1 {
+            // Ingest runs on a copy stream (engine work, no SM
+            // contention) and quantize pipelines one chunk behind it:
+            // the binning kernel starts once the first of 8 copy chunks
+            // has landed, instead of after the full transfer. Charge
+            // order is identical to the serial schedule — only start
+            // timestamps move.
+            let copy = device.stream(1);
+            copy.wait_event(device.record_event(0));
+            let copy_start = copy.record_event();
+            copy.charge_ns("htod_features", Phase::Transfer, copy_ns);
+            device.wait_event(0, copy_start.offset_ns(copy_ns / 8.0));
+            Some(copy.record_event())
+        } else {
+            device.charge_ns("htod_features", Phase::Transfer, copy_ns);
+            None
+        };
+        device.charge_kernel(
+            "quantile_binning",
+            Phase::Binning,
+            &KernelCost::streaming((n * m) as f64 * 16.0, raw_bytes * 2.5),
+        );
+        crate::sanitize::trace_quantile_binning(device, n, m, self.config.max_bins);
+        if let Some(done) = copy_done {
+            // Everything after preprocessing reads the device-resident
+            // features: join the copy stream before the first gradient
+            // kernel can issue.
+            device.wait_event(0, done);
+        }
+    }
+
+    fn grow(
+        &self,
+        binned: &BinnedDataset,
+        grads: &Gradients,
+        features: &[u32],
+        root: Vec<u32>,
+        pool: &mut HistogramPool,
+    ) -> GrowResult {
+        grow_tree_pooled(
+            self.device,
+            binned,
+            grads,
+            self.config,
+            features,
+            root,
+            pool,
+        )
+    }
+
+    fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients {
+        crate::sketch::sketch_gradients_device(self.device, grads, self.config.sketch, seed)
+    }
+
+    fn refit(&self, grown: &mut GrowResult, full: &Gradients) {
+        crate::sketch::refit_leaves_full_d(self.device, grown, full, self.config);
+    }
+
+    fn poll(&mut self) -> Result<(), GpuFault> {
+        self.device.poll_fault()
+    }
+
+    fn fatal_loss(&self, round: usize, fault: GpuFault) -> Option<TrainError> {
+        Some(TrainError::DeviceLost { round, fault })
+    }
+}
+
+/// What the loop does with a step after [`recover`] polled it.
+enum Step {
+    /// Fault-free: keep its results.
+    Commit,
+    /// A transient fault within the retry budget: re-run it.
+    Retry,
+    /// Devices were dropped: re-ingest the survivors' shares, re-run it.
+    Degraded,
+}
+
+/// The one fault-recovery routine. Polls `placement` after a step of
+/// `round` (`usize::MAX` for ingest) and decides: commit, retry within
+/// [`TrainConfig::with_retry`]'s budget, degrade to the survivors, or
+/// fail with a typed [`TrainError`]. Counters and postmortems go to
+/// `tel` after the decision is made.
+fn recover(
+    placement: &mut impl Placement,
+    attempts: &mut u32,
+    max_retries: u32,
+    round: usize,
+    tel: Option<&Telemetry>,
+) -> Result<Step, TrainError> {
+    let Err(fault) = placement.poll() else {
+        return Ok(Step::Commit);
+    };
+    let count = |name: &str| {
+        if let Some(t) = tel {
+            t.counter_inc(name);
+        }
+    };
+    count("train.faults_total");
+    let err = if !fault.is_transient() {
+        match placement.fatal_loss(round, fault) {
+            None => return Ok(Step::Degraded),
+            Some(err) => err,
+        }
+    } else if *attempts < max_retries {
+        // The faulted attempt's charges stay on the ledger (the grid
+        // ran and trapped) and the redo pays full price again.
+        *attempts += 1;
+        count("train.retries_total");
+        return Ok(Step::Retry);
+    } else {
+        TrainError::RetriesExhausted {
+            round,
+            attempts: *attempts,
+            fault,
+        }
+    };
+    if let Some(t) = tel {
+        t.record_postmortem(&err.to_string());
+    }
+    Err(err)
+}
+
+/// The boosting loop, for any [`Placement`]. `valid` enables early
+/// stopping with the given patience, `custom_loss` replaces the task's
+/// loss, `resume` restarts after a checkpoint's last tree, and
+/// `checkpoints` collects one snapshot per committed round.
+pub(crate) fn boost(
+    placement: &mut impl Placement,
+    config: &TrainConfig,
+    ds: &Dataset,
+    valid: Option<(&Dataset, usize)>,
+    custom_loss: Option<&dyn MultiOutputLoss>,
+    resume: Option<&Checkpoint>,
+    mut checkpoints: Option<&mut Vec<Checkpoint>>,
+) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
+    let starts: Vec<(Arc<Device>, LedgerSummary)> = placement
+        .devices()
+        .iter()
+        .map(|dev| (Arc::clone(dev), dev.summary()))
+        .collect();
+    let host_start = Instant::now();
+    let (n, d, m) = (ds.n(), ds.d(), ds.m());
+    // With no injector attached every poll is `Ok` and no snapshot is
+    // ever taken, so this path is bit-identical to a trainer without
+    // fault handling (regression-tested in tests/chaos.rs).
+    let faults_on = starts.iter().any(|(dev, _)| dev.fault_injector().is_some());
+    let max_retries = config.retry.max_retries;
+    // Pure observer (like the profiler): metric updates below are
+    // host-side only, charge nothing, and never feed back — with `None`
+    // every telemetry block is skipped entirely, so attached vs.
+    // detached runs stay bit-identical (tests/telemetry.rs). A group
+    // shares one registry, so the first device's is the fit's.
+    let tel = starts.iter().find_map(|(dev, _)| dev.telemetry());
+    let tel = tel.as_deref();
+
+    // --- ingest: upload + quantile binning (charged), with recovery --
+    let mut prep_attempts = 0u32;
+    loop {
+        placement.ingest(n, m);
+        if !faults_on {
+            break;
+        }
+        // Retry and degradation both re-run the ingest: the shares
+        // are recomputed from the survivors.
+        let step = recover(placement, &mut prep_attempts, max_retries, usize::MAX, tel)?;
+        if let Step::Commit = step {
+            break;
+        }
+    }
+    let binned = BinnedDataset::build(ds.features(), config.max_bins);
+
+    let base = base_scores(ds);
+    let mut scores = base.repeat(n);
+    let default_loss = loss_for_task(ds.task());
+    let loss = custom_loss.unwrap_or(default_loss.as_ref());
+    let all_features: Vec<u32> = (0..m as u32).collect();
+    let mut trees = Vec::with_capacity(config.num_trees);
+    let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let mut start_round = 0usize;
+    if let Some(ck) = resume {
+        // Shapes were validated by `try_fit_resumed`; restoring the
+        // trees, score matrix, and mid-stream RNG makes the rounds
+        // below indistinguishable from an uninterrupted run.
+        scores.copy_from_slice(&ck.scores);
+        trees = ck.trees.clone();
+        rng = ChaCha8Rng::from_snapshot(ck.rng.0, ck.rng.1, ck.rng.2);
+        start_round = ck.completed_trees;
+    }
+
+    // Early-stopping state (only when a validation set is given).
+    let mut valid_scores: Vec<f32> = valid.map(|(vd, _)| base.repeat(vd.n())).unwrap_or_default();
+    let mut history: Vec<f64> = Vec::new();
+    let mut best = (f64::INFINITY, 0usize);
+    // Histogram buffers are reused across levels and trees; the pool
+    // grows to the peak number of simultaneously live node histograms
+    // and then stops allocating.
+    let mut pool = HistogramPool::new(0, 0, 0);
+
+    for t in start_round..config.num_trees {
+        // Rollback snapshot for a re-run round: taken only when an
+        // injector is attached, so the fault-free hot path stays
+        // allocation-identical to a trainer without fault handling.
+        let saved = faults_on.then(|| {
+            (
+                scores.clone(),
+                rng.clone(),
+                valid_scores.clone(),
+                history.len(),
+                best,
+            )
+        });
+        let mut attempts = 0u32;
+        let (grown, early_stop) = loop {
+            let lead = &*Arc::clone(&placement.devices()[0]);
+            // Per-boosting-round profiling scope (no-op when profiling
+            // is off); levels and kernels nest beneath it.
+            let _round_scope = lead.prof_scope("round", Some(t as u64));
+            let mut grads_full = compute_gradients(lead, loss, &scores, ds.targets(), n, d);
+            placement.mirror_gradients(n, d, loss.flops_per_output());
+            if config.hist.quantized_gradients {
+                crate::grad::quantize_bf16(lead, &mut grads_full);
+            }
+
+            // Stochastic gradient boosting: per-tree row/column samples.
+            let tree_features = sample_fraction(&all_features, config.colsample_bytree, &mut rng);
+            let all_rows: Vec<u32> = (0..n as u32).collect();
+            let (root, grads, subsampled);
+            if let Some(goss) = config.goss {
+                let (idx, amplified) = goss_sample(&grads_full, goss, &mut rng);
+                // lint:allow(sanitize): host-side RNG rank sampling emits a private index list; no cross-thread access stream to replay
+                lead.charge_kernel(
+                    "goss_rank_sample",
+                    Phase::Gradient,
+                    &KernelCost {
+                        // Gradient-norm pass + top-k selection (sort).
+                        flops: (n * d) as f64 + n as f64 * 2.0,
+                        dram_bytes: (n * d * 4 + n * 8) as f64,
+                        sort_keys: n as f64,
+                        launches: 3.0,
+                        ..Default::default()
+                    },
+                );
+                root = idx;
+                grads = amplified;
+                subsampled = true;
+            } else {
+                subsampled = config.subsample < 1.0;
+                root = if subsampled {
+                    sample_fraction(&all_rows, config.subsample, &mut rng)
+                } else {
+                    all_rows
+                };
+                grads = grads_full;
+            }
+
+            let grown = if config.sketch.is_none() {
+                placement.grow(&binned, &grads, &tree_features, root, &mut pool)
+            } else {
+                // SketchBoost's recipe on the GPU pipeline: search the
+                // tree structure on an n × k sketch (every histogram,
+                // split and partition kernel runs at effective output
+                // dimension k), then refit the leaves on the full
+                // d-dimensional gradients.
+                let sketch_scope = lead.prof_scope("sketch", Some(t as u64));
+                let sketched = placement.sketch(&grads, config.seed.wrapping_add(t as u64));
+                drop(sketch_scope);
+                let mut grown = placement.grow(&binned, &sketched, &tree_features, root, &mut pool);
+                placement.refit(&mut grown, &grads);
+                grown
+            };
+            if subsampled {
+                // Out-of-sample instances still receive the tree's
+                // contribution: route every instance to its leaf.
+                for i in 0..n {
+                    grown
+                        .tree
+                        .predict_into(ds.features().row(i), &mut scores[i * d..(i + 1) * d]);
+                }
+                // lint:allow(sanitize): same disjoint per-instance row scatter as `update_scores`, replayed by trace_update_scores on the dense path
+                lead.charge_kernel(
+                    "update_scores_routed",
+                    Phase::Predict,
+                    &KernelCost::streaming(
+                        (n * grown.tree.depth().max(1)) as f64 * 4.0,
+                        (n * (grown.tree.depth().max(1) * 16 + d * 8)) as f64,
+                    ),
+                );
+            } else {
+                update_scores_from_leaves(lead, &mut scores, d, &grown.leaf_assignments);
+                placement.mirror_update(&grown, n, d);
+            }
+
+            let mut early_stop = false;
+            if let Some((vd, patience)) = valid {
+                let tree = &grown.tree;
+                for i in 0..vd.n() {
+                    tree.predict_into(vd.features().row(i), &mut valid_scores[i * d..(i + 1) * d]);
+                }
+                // lint:allow(sanitize): identical traversal/scatter pattern to `predict`, replayed by trace_predict on the training path
+                lead.charge_kernel(
+                    "validation_predict",
+                    Phase::Predict,
+                    &KernelCost::streaming(
+                        (vd.n() * tree.depth().max(1)) as f64 * 4.0,
+                        (vd.n() * (tree.depth().max(1) * 16 + d * 8)) as f64,
+                    ),
+                );
+                let vloss = crate::loss::mean_loss(loss, &valid_scores, vd.targets(), d);
+                history.push(vloss);
+                if vloss < best.0 {
+                    best = (vloss, t);
+                }
+                if t - best.1 >= patience {
+                    early_stop = true; // no improvement for `patience` trees
+                }
+            }
+
+            if !faults_on {
+                break (grown, early_stop);
+            }
+            // Sync point: surface any fault injected by this round's
+            // charges before committing its tree.
+            match recover(placement, &mut attempts, max_retries, t, tel)? {
+                Step::Commit => break (grown, early_stop),
+                Step::Retry => {}
+                // Survivors take over the lost devices' columns or
+                // instances: charge the ingest of their new shares
+                // before re-running the round.
+                Step::Degraded => placement.ingest(n, m),
+            }
+            let (s, r, v, hist_len, b) = saved.clone().expect("snapshot exists");
+            scores = s;
+            rng = r;
+            valid_scores = v;
+            history.truncate(hist_len);
+            best = b;
+        };
+
+        for (method, count) in grown.methods_used {
+            *hist_methods.entry(method).or_insert(0) += count;
+            if let Some(tl) = tel {
+                tl.counter_add(hist_method_metric(method), count as u64);
+            }
+        }
+        trees.push(grown.tree);
+        if let Some(tl) = tel {
+            tl.counter_inc("train.rounds_total");
+            // Host-side only: the loss is computed from the already-
+            // committed score matrix, charges nothing, and uses no RNG.
+            tl.gauge_set(
+                "train.loss",
+                crate::loss::mean_loss(loss, &scores, ds.targets(), d),
+            );
+            tl.gauge_set("train.pool_high_water", pool.allocated() as f64);
+        }
+        if let Some(out) = checkpoints.as_deref_mut() {
+            out.push(Checkpoint {
+                completed_trees: t + 1,
+                trees: trees.clone(),
+                base: base.clone(),
+                scores: scores.clone(),
+                rng: rng.snapshot(),
+                n,
+                d,
+                task: ds.task(),
+                config: config.clone(),
+            });
+            if let Some(tl) = tel {
+                tl.counter_inc("train.checkpoints_total");
+            }
+        }
+        if early_stop {
+            break;
+        }
+    }
+    if valid.is_some() {
+        trees.truncate(best.1 + 1);
+    }
+
+    placement.join();
+    let model = Model {
+        trees,
+        base,
+        d,
+        task: ds.task(),
+        config: config.clone(),
+    };
+    // A group's devices are joined, so the surviving lead's clock is
+    // the fit's and its phase breakdown is representative.
+    let lead = &placement.devices()[0];
+    let (_, start) = starts
+        .iter()
+        .find(|(dev, _)| Arc::ptr_eq(dev, lead))
+        .expect("the lead device was there at the start");
+    let sim = lead.summary().since(start);
+    if let Some(tl) = tel {
+        tl.gauge_set("train.overlap_saved_ns", sim.overlap_saved_ns);
+    }
+    let report = TrainReport {
+        sim_seconds: sim.total_ns * 1e-9,
+        host_seconds: host_start.elapsed().as_secs_f64(),
+        sim,
+        model,
+        hist_methods,
+    };
+    let curve = valid.map(|_| (history, best.1));
+    Ok((report, curve))
+}
 
 /// Single-device GBDT-MO trainer.
 pub struct GpuTrainer {
@@ -173,11 +656,7 @@ impl GpuTrainer {
     /// flexibility: "designed to accommodate user-defined loss
     /// functions"). The model's `task` is still taken from the dataset,
     /// which controls the prediction-space transform.
-    pub fn fit_with_loss(
-        &self,
-        ds: &Dataset,
-        loss: &dyn crate::loss::MultiOutputLoss,
-    ) -> TrainReport {
+    pub fn fit_with_loss(&self, ds: &Dataset, loss: &dyn MultiOutputLoss) -> TrainReport {
         self.fit_impl(ds, None, Some(loss), None, None)
             .unwrap_or_else(|e| panic!("training failed: {e}"))
             .0
@@ -210,388 +689,23 @@ impl GpuTrainer {
         &self,
         ds: &Dataset,
         valid: Option<(&Dataset, usize)>,
-        custom_loss: Option<&dyn crate::loss::MultiOutputLoss>,
+        custom_loss: Option<&dyn MultiOutputLoss>,
         resume: Option<&Checkpoint>,
-        mut checkpoints: Option<&mut Vec<Checkpoint>>,
+        checkpoints: Option<&mut Vec<Checkpoint>>,
     ) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
-        let start_summary = self.device.summary();
-        let host_start = Instant::now();
-        let n = ds.n();
-        let d = ds.d();
-        let device = &*self.device;
-        // With no injector attached every poll is `Ok` and no snapshot
-        // is ever taken, so this path is bit-identical to a trainer
-        // without fault handling (regression-tested in tests/chaos.rs).
-        let faults_on = device.fault_injector().is_some();
-        let max_retries = self.config.retry.max_retries;
-        // Pure observer (like the profiler): metric updates below are
-        // host-side only, charge nothing, and never feed back — with
-        // `None` every telemetry block is skipped entirely, so attached
-        // vs. detached runs stay bit-identical (tests/telemetry.rs).
-        let tel = device.telemetry();
-
-        // --- preprocessing: upload + quantile binning (charged), with
-        // --- bounded retry on transient faults ------------------------
-        let mut prep_attempts = 0u32;
-        let binned = loop {
-            let prep_scope = device.prof_scope("preprocess", None);
-            let raw_bytes = (n * ds.m() * 4) as f64;
-            let copy_ns = device.model().host_copy_ns(raw_bytes);
-            let overlap_ingest = self.config.streams > 1;
-            let copy_done = if overlap_ingest {
-                // Ingest runs on a copy stream (engine work, no SM
-                // contention) and quantize pipelines one chunk behind
-                // it: the binning kernel starts once the first of 8
-                // copy chunks has landed, instead of after the full
-                // transfer. Charge order is identical to the serial
-                // schedule — only start timestamps move.
-                let copy = device.stream(1);
-                copy.wait_event(device.record_event(0));
-                let copy_start = copy.record_event();
-                copy.charge_ns("htod_features", Phase::Transfer, copy_ns);
-                device.wait_event(0, copy_start.offset_ns(copy_ns / 8.0));
-                Some(copy.record_event())
-            } else {
-                device.charge_ns("htod_features", Phase::Transfer, copy_ns);
-                None
-            };
-            let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
-            device.charge_kernel(
-                "quantile_binning",
-                Phase::Binning,
-                &KernelCost::streaming((n * ds.m()) as f64 * 16.0, raw_bytes * 2.5),
-            );
-            crate::sanitize::trace_quantile_binning(device, n, ds.m(), self.config.max_bins);
-            if let Some(done) = copy_done {
-                // Everything after preprocessing reads the device-
-                // resident features: join the copy stream before the
-                // first gradient kernel can issue.
-                device.wait_event(0, done);
-            }
-            drop(prep_scope);
-            if !faults_on {
-                break binned;
-            }
-            match device.poll_fault() {
-                Ok(()) => break binned,
-                Err(fault) if fault.is_transient() && prep_attempts < max_retries => {
-                    prep_attempts += 1;
-                    if let Some(t) = &tel {
-                        t.counter_inc("train.faults_total");
-                        t.counter_inc("train.retries_total");
-                    }
-                }
-                Err(fault) if fault.is_transient() => {
-                    let err = TrainError::RetriesExhausted {
-                        round: usize::MAX,
-                        attempts: prep_attempts,
-                        fault,
-                    };
-                    if let Some(t) = &tel {
-                        t.counter_inc("train.faults_total");
-                        t.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-                Err(fault) => {
-                    let err = TrainError::DeviceLost {
-                        round: usize::MAX,
-                        fault,
-                    };
-                    if let Some(t) = &tel {
-                        t.counter_inc("train.faults_total");
-                        t.record_postmortem(&err.to_string());
-                    }
-                    return Err(err);
-                }
-            }
+        let mut single = Single {
+            device: &self.device,
+            config: &self.config,
         };
-
-        // --- base scores ----------------------------------------------
-        let (base, mut scores) = base_score_matrix(ds);
-
-        let default_loss = loss_for_task(ds.task());
-        let loss: &dyn crate::loss::MultiOutputLoss = custom_loss.unwrap_or(default_loss.as_ref());
-        let all_features: Vec<u32> = (0..ds.m() as u32).collect();
-        let mut trees = Vec::with_capacity(self.config.num_trees);
-        let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut start_round = 0usize;
-        if let Some(ck) = resume {
-            // Shapes were validated by `try_fit_resumed`; restoring the
-            // trees, score matrix, and mid-stream RNG makes the rounds
-            // below indistinguishable from an uninterrupted run.
-            scores.copy_from_slice(&ck.scores);
-            trees = ck.trees.clone();
-            rng = ChaCha8Rng::from_snapshot(ck.rng.0, ck.rng.1, ck.rng.2);
-            start_round = ck.completed_trees;
-        }
-
-        // Early-stopping state (only when a validation set is given).
-        let mut valid_scores: Vec<f32> = valid
-            .map(|(vd, _)| {
-                let mut s = vec![0.0f32; vd.n() * d];
-                for row in s.chunks_mut(d) {
-                    row.copy_from_slice(&base);
-                }
-                s
-            })
-            .unwrap_or_default();
-        let mut history: Vec<f64> = Vec::new();
-        let mut best = (f64::INFINITY, 0usize);
-        // Histogram buffers are reused across levels and trees; the
-        // pool grows to the peak number of simultaneously live node
-        // histograms and then stops allocating.
-        let mut pool = HistogramPool::new(0, 0, 0);
-
-        for t in start_round..self.config.num_trees {
-            // Rollback snapshot for transient-fault retry: taken only
-            // when an injector is attached, so the fault-free hot path
-            // stays allocation-identical to the pre-fault trainer.
-            let saved = faults_on.then(|| {
-                (
-                    scores.clone(),
-                    rng.clone(),
-                    valid_scores.clone(),
-                    history.len(),
-                    best,
-                )
-            });
-            let mut attempts = 0u32;
-            let (grown, early_stop) = loop {
-                // Per-boosting-round profiling scope (no-op when profiling
-                // is off); levels and kernels nest beneath it.
-                let _round_scope = device.prof_scope("round", Some(t as u64));
-                let mut grads_full = compute_gradients(device, loss, &scores, ds.targets(), n, d);
-                if self.config.hist.quantized_gradients {
-                    crate::grad::quantize_bf16(device, &mut grads_full);
-                }
-
-                // Stochastic gradient boosting: per-tree row/column samples.
-                let tree_features =
-                    sample_fraction(&all_features, self.config.colsample_bytree, &mut rng);
-                let all_rows: Vec<u32> = (0..n as u32).collect();
-                let (root, grads, subsampled);
-                if let Some(goss) = self.config.goss {
-                    let (idx, amplified) = goss_sample(&grads_full, goss, &mut rng);
-                    // lint:allow(sanitize): host-side RNG rank sampling emits a private index list; no cross-thread access stream to replay
-                    device.charge_kernel(
-                        "goss_rank_sample",
-                        Phase::Gradient,
-                        &KernelCost {
-                            // Gradient-norm pass + top-k selection (sort).
-                            flops: (n * d) as f64 + n as f64 * 2.0,
-                            dram_bytes: (n * d * 4 + n * 8) as f64,
-                            sort_keys: n as f64,
-                            launches: 3.0,
-                            ..Default::default()
-                        },
-                    );
-                    root = idx;
-                    grads = amplified;
-                    subsampled = true;
-                } else {
-                    subsampled = self.config.subsample < 1.0;
-                    root = if subsampled {
-                        sample_fraction(&all_rows, self.config.subsample, &mut rng)
-                    } else {
-                        all_rows
-                    };
-                    grads = grads_full;
-                }
-
-                let grown = if self.config.sketch.is_none() {
-                    grow_tree_pooled(
-                        device,
-                        &binned,
-                        &grads,
-                        &self.config,
-                        &tree_features,
-                        root,
-                        &mut pool,
-                    )
-                } else {
-                    // SketchBoost's recipe on the GPU pipeline: search the
-                    // tree structure on an n × k sketch (every histogram,
-                    // split and partition kernel runs at effective output
-                    // dimension k), then refit the leaves on the full
-                    // d-dimensional gradients.
-                    let sketch_scope = device.prof_scope("sketch", Some(t as u64));
-                    let sketched = crate::sketch::sketch_gradients_device(
-                        device,
-                        &grads,
-                        self.config.sketch,
-                        self.config.seed.wrapping_add(t as u64),
-                    );
-                    drop(sketch_scope);
-                    let mut grown = grow_tree_pooled(
-                        device,
-                        &binned,
-                        &sketched,
-                        &self.config,
-                        &tree_features,
-                        root,
-                        &mut pool,
-                    );
-                    crate::sketch::refit_leaves_full_d(device, &mut grown, &grads, &self.config);
-                    grown
-                };
-                if subsampled {
-                    // Out-of-sample instances still receive the tree's
-                    // contribution: route every instance to its leaf.
-                    for i in 0..n {
-                        grown
-                            .tree
-                            .predict_into(ds.features().row(i), &mut scores[i * d..(i + 1) * d]);
-                    }
-                    // lint:allow(sanitize): same disjoint per-instance row scatter as `update_scores`, replayed by trace_update_scores on the dense path
-                    device.charge_kernel(
-                        "update_scores_routed",
-                        Phase::Predict,
-                        &KernelCost::streaming(
-                            (n * grown.tree.depth().max(1)) as f64 * 4.0,
-                            (n * (grown.tree.depth().max(1) * 16 + d * 8)) as f64,
-                        ),
-                    );
-                } else {
-                    update_scores_from_leaves(device, &mut scores, d, &grown.leaf_assignments);
-                }
-
-                let mut early_stop = false;
-                if let Some((vd, patience)) = valid {
-                    let tree = &grown.tree;
-                    for i in 0..vd.n() {
-                        tree.predict_into(
-                            vd.features().row(i),
-                            &mut valid_scores[i * d..(i + 1) * d],
-                        );
-                    }
-                    // lint:allow(sanitize): identical traversal/scatter pattern to `predict`, replayed by trace_predict on the training path
-                    device.charge_kernel(
-                        "validation_predict",
-                        Phase::Predict,
-                        &KernelCost::streaming(
-                            (vd.n() * tree.depth().max(1)) as f64 * 4.0,
-                            (vd.n() * (tree.depth().max(1) * 16 + d * 8)) as f64,
-                        ),
-                    );
-                    let vloss = crate::loss::mean_loss(loss, &valid_scores, vd.targets(), d);
-                    history.push(vloss);
-                    if vloss < best.0 {
-                        best = (vloss, t);
-                    }
-                    if t - best.1 >= patience {
-                        early_stop = true; // no improvement for `patience` trees
-                    }
-                }
-
-                if !faults_on {
-                    break (grown, early_stop);
-                }
-                // Sync point: surface any fault injected by this round's
-                // charges before committing its tree.
-                match device.poll_fault() {
-                    Ok(()) => break (grown, early_stop),
-                    Err(fault) if fault.is_transient() && attempts < max_retries => {
-                        // Roll the mutated state back and re-run the round;
-                        // the faulted attempt's charges stay on the ledger
-                        // and the redo pays full price again.
-                        attempts += 1;
-                        if let Some(tl) = &tel {
-                            tl.counter_inc("train.faults_total");
-                            tl.counter_inc("train.retries_total");
-                        }
-                        let (s, r, v, hist_len, b) = saved.clone().expect("snapshot exists");
-                        scores = s;
-                        rng = r;
-                        valid_scores = v;
-                        history.truncate(hist_len);
-                        best = b;
-                    }
-                    Err(fault) if fault.is_transient() => {
-                        let err = TrainError::RetriesExhausted {
-                            round: t,
-                            attempts,
-                            fault,
-                        };
-                        if let Some(tl) = &tel {
-                            tl.counter_inc("train.faults_total");
-                            tl.record_postmortem(&err.to_string());
-                        }
-                        return Err(err);
-                    }
-                    Err(fault) => {
-                        let err = TrainError::DeviceLost { round: t, fault };
-                        if let Some(tl) = &tel {
-                            tl.counter_inc("train.faults_total");
-                            tl.record_postmortem(&err.to_string());
-                        }
-                        return Err(err);
-                    }
-                }
-            }; // retry loop
-
-            for (m, c) in grown.methods_used {
-                *hist_methods.entry(m).or_insert(0) += c;
-                if let Some(tl) = &tel {
-                    tl.counter_add(hist_method_metric(m), c as u64);
-                }
-            }
-            trees.push(grown.tree);
-            if let Some(tl) = &tel {
-                tl.counter_inc("train.rounds_total");
-                // Host-side only: the loss is computed from the already-
-                // committed score matrix, charges nothing, and uses no RNG.
-                tl.gauge_set(
-                    "train.loss",
-                    crate::loss::mean_loss(loss, &scores, ds.targets(), d),
-                );
-                tl.gauge_set("train.pool_high_water", pool.allocated() as f64);
-            }
-            if let Some(out) = checkpoints.as_deref_mut() {
-                out.push(Checkpoint {
-                    completed_trees: t + 1,
-                    trees: trees.clone(),
-                    base: base.clone(),
-                    scores: scores.clone(),
-                    rng: rng.snapshot(),
-                    n,
-                    d,
-                    task: ds.task(),
-                    config: self.config.clone(),
-                });
-                if let Some(tl) = &tel {
-                    tl.counter_inc("train.checkpoints_total");
-                }
-            }
-            if early_stop {
-                break;
-            }
-        }
-        if valid.is_some() {
-            trees.truncate(best.1 + 1);
-        }
-
-        let model = Model {
-            trees,
-            base,
-            d,
-            task: ds.task(),
-            config: self.config.clone(),
-        };
-        let sim = self.device.summary().since(&start_summary);
-        if let Some(tl) = &tel {
-            tl.gauge_set("train.overlap_saved_ns", sim.overlap_saved_ns);
-        }
-        let report = TrainReport {
-            sim_seconds: sim.total_ns * 1e-9,
-            host_seconds: host_start.elapsed().as_secs_f64(),
-            sim,
-            model,
-            hist_methods,
-        };
-        let curve = valid.map(|_| (history, best.1));
-        Ok((report, curve))
+        boost(
+            &mut single,
+            &self.config,
+            ds,
+            valid,
+            custom_loss,
+            resume,
+            checkpoints,
+        )
     }
 }
 
@@ -676,14 +790,6 @@ fn sample_fraction(items: &[u32], frac: f64, rng: &mut ChaCha8Rng) -> Vec<u32> {
     shuffled.truncate(keep);
     shuffled.sort_unstable();
     shuffled
-}
-
-/// [`base_scores`] and the row-major `n × d` score matrix that starts
-/// every row at them.
-pub(crate) fn base_score_matrix(ds: &Dataset) -> (Vec<f32>, Vec<f32>) {
-    let base = base_scores(ds);
-    let scores = base.repeat(ds.n());
-    (base, scores)
 }
 
 /// Initial per-output scores: the target mean for regression (centers

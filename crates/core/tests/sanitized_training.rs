@@ -7,12 +7,14 @@
 //! 2. Turning the sanitizer **off** is free: the trained model's
 //!    predictions are bit-identical and the simulated timeline is
 //!    exactly equal to a run that never knew the sanitizer existed.
+//! 3. Feature- and data-parallel groups are clean on every device, and
+//!    each device traces the kernels it runs.
 
 use gbdt_core::config::{HistogramMethod, TrainConfig};
-use gbdt_core::GpuTrainer;
+use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer};
 use gbdt_data::synth::{make_regression, RegressionSpec};
 use gbdt_data::Dataset;
-use gpusim::{Device, SanitizeMode};
+use gpusim::{Device, DeviceGroup, SanitizeMode};
 
 fn dataset() -> Dataset {
     make_regression(&RegressionSpec {
@@ -68,6 +70,46 @@ fn sanitized_training_round_is_clean_for_every_method() {
             k.starts_with("hist_gmem") || k.starts_with("hist_smem") || *k == "hist_sort_reduce"
         });
         assert!(hist_traced, "{m:?}: no histogram kernel was traced");
+    }
+}
+
+#[test]
+fn sanitized_group_training_is_clean_on_every_device() {
+    let ds = dataset();
+    for strategy in [
+        MultiGpuStrategy::FeatureParallel,
+        MultiGpuStrategy::DataParallel,
+    ] {
+        for streams in [1, 4] {
+            let group = DeviceGroup::rtx4090s(2);
+            for dev in group.devices() {
+                dev.enable_sanitizer(SanitizeMode::Full);
+            }
+            let cfg = TrainConfig {
+                streams,
+                ..config(HistogramMethod::Adaptive)
+            };
+            let _ = MultiGpuTrainer::with_strategy(group.clone(), cfg, strategy).fit(&ds);
+            for (rank, dev) in group.devices().iter().enumerate() {
+                let label = format!("{strategy:?} streams {streams} device {rank}");
+                let report = dev.sanitize_report().expect("sanitizer enabled");
+                assert!(report.is_clean(), "{label}: {:#?}", report.violations);
+                // Each device ingests its share, mirrors the gradients
+                // and the score update; the lead closes the leaves and
+                // (data-parallel, or owning a split feature) partitions.
+                let mut required = vec!["quantile_binning", "grad_hess", "update_scores"];
+                if rank == 0 {
+                    required.extend(["leaf_values", "partition_level"]);
+                }
+                for kernel in required {
+                    assert!(
+                        report.kernels.contains_key(kernel),
+                        "{label}: kernel {kernel} missing from {:?}",
+                        report.kernels.keys().collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -204,12 +204,12 @@ fn telemetry_is_invisible_to_multi_gpu_training() {
         for dev in tel_group.devices() {
             dev.attach_telemetry(Arc::clone(&tel));
         }
-        let observed =
-            MultiGpuTrainer::with_strategy(tel_group.clone(), cfg.clone(), strategy).fit(&ds);
+        let observed = MultiGpuTrainer::with_strategy(tel_group.clone(), cfg.clone(), strategy)
+            .fit_report(&ds);
 
         assert_eq!(
             plain.predict(ds.features()),
-            observed.predict(ds.features()),
+            observed.model.predict(ds.features()),
             "{label}: telemetry perturbed the multi-GPU model"
         );
         for (p, t) in plain_group.devices().iter().zip(tel_group.devices()) {
@@ -228,6 +228,29 @@ fn telemetry_is_invisible_to_multi_gpu_training() {
         assert!(
             snap.gauges.contains_key("multigpu.makespan_skew_ns"),
             "{label}: makespan skew gauge never set"
+        );
+        // Groups run the single-device boosting loop, so they record
+        // its training series too.
+        assert_eq!(
+            snap.counters.get("train.rounds_total").copied(),
+            Some(cfg.num_trees as u64),
+            "{label}: one round counted per tree"
+        );
+        let hist_counted: u64 = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("train.hist_method_"))
+            .map(|(_, count)| *count)
+            .sum();
+        let hist_reported: usize = observed.hist_methods.values().sum();
+        assert!(hist_reported > 0, "{label}: no histogram builds reported");
+        assert_eq!(
+            hist_counted, hist_reported as u64,
+            "{label}: hist-method counters disagree with the report"
+        );
+        assert!(
+            snap.gauges.contains_key("train.loss"),
+            "{label}: loss gauge never set"
         );
     }
 }

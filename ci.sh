@@ -38,8 +38,10 @@ echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"
 # workspace test run above does not reach it.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Every workspace member, not just the root package: the library crates,
+# repo-lint, the bench harness and their tests.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -91,9 +93,10 @@ cargo run --release -q -p gbdt-bench --bin repro -- sanitize --trees 2 --depth 4
 
 echo "==> bench smoke grid + schema validation + regression gate"
 # Runs the reduced paper grid, writes a schema-versioned BENCH_repro.json,
-# validates it parses under the strict schema reader, and diff-gates
-# hist-share / quality against the committed baseline (host wall-clock is
-# informational only and never gated).
+# validates it parses under the strict schema reader, and diff-gates it
+# against the committed baseline: simulated seconds, kernel counts and
+# per-phase ns exactly, hist-share and quality within tolerance (host
+# wall-clock is informational only and never gated).
 cargo run --release -q -p gbdt-bench --bin repro -- bench --smoke \
   --out BENCH_repro.json --baseline BENCH_baseline.json --check >/dev/null
 

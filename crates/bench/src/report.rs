@@ -9,6 +9,10 @@
 //!
 //! Gate semantics (`diff_gate`):
 //! * missing baseline record in the current run → fail;
+//! * any change in a record's `sim_seconds`, `kernel_count` or any
+//!   `phase_ns` entry → fail, one line per delta. Simulated time is
+//!   deterministic, so it is compared exactly; only `--update-baseline`
+//!   blesses a change;
 //! * histogram-share relative drift beyond [`HIST_SHARE_REL_TOL`] → fail
 //!   (this is the paper's Figure 4 quantity — the repo's perf north
 //!   star — so both regressions *and* silent speedups must be looked at
@@ -276,7 +280,8 @@ pub fn overlap_notes(current: &BenchReport, baseline: &BenchReport) -> Vec<Strin
 
 /// Compare `current` against `baseline`; returns a list of human-
 /// readable failures (empty ⇒ gate passes). Gates only deterministic
-/// quantities: hist-share drift and model quality.
+/// quantities: simulated time exactly (total, kernel count and every
+/// phase), hist-share drift and model quality.
 pub fn diff_gate(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
     let mut fails = Vec::new();
     if current.schema_version != baseline.schema_version {
@@ -299,6 +304,34 @@ pub fn diff_gate(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
             fails.push(format!("{id}: record missing from current run"));
             continue;
         };
+        // Simulated time, exactly: every delta is its own line.
+        if c.sim_seconds != b.sim_seconds {
+            fails.push(format!(
+                "{id}: sim_seconds {:e} -> {:e} ({:+e} s)",
+                b.sim_seconds,
+                c.sim_seconds,
+                c.sim_seconds - b.sim_seconds
+            ));
+        }
+        if c.kernel_count != b.kernel_count {
+            fails.push(format!(
+                "{id}: kernel_count {} -> {} ({:+})",
+                b.kernel_count,
+                c.kernel_count,
+                c.kernel_count as i64 - b.kernel_count as i64
+            ));
+        }
+        // Every report carries every phase key (`make_record` fills
+        // them and `from_json` rejects a missing one).
+        for (phase, &bn) in &b.phase_ns {
+            let cn = c.phase_ns.get(phase).copied().unwrap_or_default();
+            if cn != bn {
+                fails.push(format!(
+                    "{id}: phase_ns[{phase}] {bn} -> {cn} ({:+} ns)",
+                    cn - bn
+                ));
+            }
+        }
         // Histogram-share drift, relative to the baseline share.
         if b.hist_share > 0.0 {
             let rel = (c.hist_share - b.hist_share).abs() / b.hist_share;
@@ -424,18 +457,49 @@ mod tests {
     }
 
     #[test]
+    fn gate_fails_on_any_simulated_ns_change() {
+        let base = report(vec![
+            rec("mnist", "gmem", "accuracy%", 90.0, 0.7),
+            rec("rf1", "adaptive", "rmse", 0.5, 0.6),
+        ]);
+        // One nanosecond more in one phase of one record fails, and the
+        // line names the record, the phase and the delta.
+        let mut moved = base.clone();
+        *moved.records[1].phase_ns.get_mut("SplitEval").unwrap() += 1.0;
+        let fails = diff_gate(&moved, &base);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("rf1/adaptive/none"), "{fails:?}");
+        assert!(
+            fails[0].contains("phase_ns[SplitEval] 0 -> 1 (+1 ns)"),
+            "{fails:?}"
+        );
+        // Total time and kernel count are gated exactly too, and every
+        // delta is reported on its own line.
+        moved.records[0].sim_seconds += 1e-12;
+        moved.records[0].kernel_count -= 1;
+        let fails = diff_gate(&moved, &base);
+        assert_eq!(fails.len(), 3, "{fails:?}");
+        assert!(fails[0].contains("sim_seconds"), "{fails:?}");
+        assert!(fails[1].contains("kernel_count 10 -> 9 (-1)"), "{fails:?}");
+    }
+
+    #[test]
     fn gate_fails_on_hist_share_drift_beyond_tolerance() {
-        let base = report(vec![rec("mnist", "gmem", "accuracy%", 90.0, 0.70)]);
+        // Only the share moves here, so the exact simulated-ns rule
+        // stays quiet and the tolerance is what is tested.
+        let with_share = |share| {
+            let mut r = rec("mnist", "gmem", "accuracy%", 90.0, 0.70);
+            r.hist_share = share;
+            report(vec![r])
+        };
+        let base = with_share(0.70);
         // 8.6% drift passes…
-        let ok = report(vec![rec("mnist", "gmem", "accuracy%", 90.0, 0.64)]);
-        assert!(diff_gate(&ok, &base).is_empty());
+        assert!(diff_gate(&with_share(0.64), &base).is_empty());
         // …12.9% drift fails, in either direction.
-        let slow = report(vec![rec("mnist", "gmem", "accuracy%", 90.0, 0.79)]);
-        let fails = diff_gate(&slow, &base);
+        let fails = diff_gate(&with_share(0.79), &base);
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("hist-share"), "{fails:?}");
-        let fast = report(vec![rec("mnist", "gmem", "accuracy%", 90.0, 0.61)]);
-        assert!(!diff_gate(&fast, &base).is_empty());
+        assert!(!diff_gate(&with_share(0.61), &base).is_empty());
     }
 
     #[test]
@@ -493,11 +557,13 @@ mod tests {
 
     #[test]
     fn make_record_fills_every_phase_key() {
-        let mut sim = LedgerSummary::default();
-        sim.total_ns = 100.0;
+        let mut sim = LedgerSummary {
+            total_ns: 100.0,
+            kernel_count: 7,
+            ..Default::default()
+        };
         sim.by_phase.insert(Phase::Histogram, 80.0);
         sim.by_phase.insert(Phase::SplitEval, 20.0);
-        sim.kernel_count = 7;
         let r = make_record(
             "mnist",
             HistogramMethod::Adaptive,
@@ -518,9 +584,11 @@ mod tests {
 
     #[test]
     fn make_record_carries_overlap_savings() {
-        let mut sim = LedgerSummary::default();
-        sim.total_ns = 100.0;
-        sim.overlap_saved_ns = 37.5;
+        let sim = LedgerSummary {
+            total_ns: 100.0,
+            overlap_saved_ns: 37.5,
+            ..Default::default()
+        };
         let r = make_record(
             "mnist",
             HistogramMethod::Adaptive,

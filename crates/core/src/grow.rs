@@ -27,9 +27,7 @@
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
-use crate::hist::{
-    accumulate_only, charge_method, charge_method_on, resolve_method, HistContext, NodeHistogram,
-};
+use crate::hist::{accumulate_only, charge_method_on, HistContext, NodeHistogram};
 use crate::memory::HistogramPool;
 use crate::split::{
     find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitParams,
@@ -77,10 +75,11 @@ impl HistCharges {
         }
     }
 
-    fn charge(&mut self, ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
+    /// Charge one fresh build with the configured method; returns the
+    /// concrete method charged.
+    fn charge(&mut self, ctx: &HistContext<'_>, idx: &[u32]) -> HistogramMethod {
         if self.streams == 1 {
-            charge_method(ctx, idx, method);
-            return;
+            return charge_method_on(ctx, idx, ctx.opts.method, 0);
         }
         // Least-loaded worker stream first (greedy LPT, deterministic:
         // stream clocks are simulated and ties go to the lowest id).
@@ -97,7 +96,7 @@ impl HistCharges {
             ctx.device.wait_event(best, self.fence);
             self.used[best] = true;
         }
-        charge_method_on(ctx, idx, method, best);
+        charge_method_on(ctx, idx, ctx.opts.method, best)
     }
 
     /// End of level: the default stream waits for every used worker.
@@ -403,8 +402,7 @@ pub fn grow_tree_pooled(
             // node-index order so the stream-scheduling (LPT) outcome
             // is independent of how stage 1 was parallelized.
             if matches!(source, HistSource::Build) {
-                let m = resolve_method(&ctx, instances.len());
-                hist_charges.charge(&ctx, &instances, m);
+                let m = hist_charges.charge(&ctx, &instances);
                 *methods_used.entry(m).or_insert(0) += 1;
             }
 

@@ -19,7 +19,7 @@
 //! selector can flip its choice (e.g. sort-and-reduce loses its appeal
 //! once the per-key payload drops from `2d` to `2k` floats).
 
-use super::{gmem, smem, sortreduce, HistContext};
+use super::{gmem, smem, sortreduce, stats, HistContext};
 use crate::config::HistogramMethod;
 
 /// Predicted cost of every concrete method, in nanoseconds.
@@ -47,30 +47,21 @@ impl MethodCosts {
 }
 
 /// Predict all three methods' costs for a node of `node_size` instances.
+/// The expected contention statistics are computed once and priced
+/// through every method's cost descriptor.
 pub fn predict_costs(ctx: &HistContext<'_>, node_size: usize) -> MethodCosts {
+    let s = stats::expect(ctx, node_size);
+    let model = ctx.device.model();
     MethodCosts {
-        gmem_ns: gmem::estimate_ns(ctx, node_size),
-        smem_ns: smem::estimate_ns(ctx, node_size),
-        sort_ns: sortreduce::estimate_ns(ctx, node_size),
+        gmem_ns: model.kernel_ns(&gmem::cost_descriptor(ctx, node_size, &s)),
+        smem_ns: model.kernel_ns(&smem::cost_descriptor(ctx, node_size, &s)),
+        sort_ns: model.kernel_ns(&sortreduce::cost_descriptor(ctx, node_size)),
     }
 }
 
 /// Select the method to use for a node of `node_size` instances.
 pub fn select_method(ctx: &HistContext<'_>, node_size: usize) -> HistogramMethod {
     predict_costs(ctx, node_size).best()
-}
-
-/// Declare the access stream of the adaptively-selected concrete
-/// method: selection happens exactly as in the charged run, then the
-/// winner's own tracer runs, so sanitized adaptive training checks the
-/// same kernel mix it charges.
-pub fn trace(ctx: &HistContext<'_>, idx: &[u32], san: &gpusim::sanitize::Sanitizer) {
-    match select_method(ctx, idx.len()) {
-        HistogramMethod::GlobalMemory => gmem::trace(ctx, idx, san),
-        HistogramMethod::SharedMemory => smem::trace(ctx, idx, san),
-        HistogramMethod::SortReduce => sortreduce::trace(ctx, idx, san),
-        HistogramMethod::Adaptive => unreachable!("select_method returns a concrete method"),
-    }
 }
 
 #[cfg(test)]

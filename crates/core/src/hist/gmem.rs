@@ -10,7 +10,6 @@
 use super::stats::{self, ContentionStats};
 use super::HistContext;
 use gpusim::cost::KernelCost;
-use gpusim::Phase;
 
 /// Build the kernel-cost descriptor from contention statistics.
 pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) -> KernelCost {
@@ -46,58 +45,14 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     }
 }
 
-/// Charge one node's gmem histogram build using measured statistics.
-pub fn charge(ctx: &HistContext<'_>, idx: &[u32]) {
-    charge_on(ctx, idx, 0);
-}
-
-/// [`charge`] issued on a specific stream, so sibling-node builds can
-/// overlap. The measured statistics and charged nanoseconds are
-/// identical regardless of stream; only the start timestamp moves.
-pub fn charge_on(ctx: &HistContext<'_>, idx: &[u32], stream: usize) {
-    let _scope = ctx.device.prof_scope("hist_gmem", None);
-    let s = stats::measure(ctx, idx);
-    let name = if ctx.opts.warp_packing {
-        "hist_gmem_packed"
-    } else {
-        "hist_gmem"
-    };
-    ctx.device.stream(stream).charge_kernel(
-        name,
-        Phase::Histogram,
-        &cost_descriptor(ctx, idx.len(), &s),
-    );
-    if let Some(san) = ctx.device.sanitizer() {
-        trace(ctx, idx, &san);
-    }
-}
-
-/// Declare this kernel's access stream to an attached sanitizer: one
-/// thread per (instance, feature) pair issuing *declared-atomic*
-/// global-memory updates, which racecheck verifies rather than trusts.
-pub fn trace(ctx: &HistContext<'_>, idx: &[u32], san: &gpusim::sanitize::Sanitizer) {
-    let name = if ctx.opts.warp_packing {
-        "hist_gmem_packed"
-    } else {
-        "hist_gmem"
-    };
-    crate::sanitize::trace_pair_kernel(san, ctx, idx, name, gpusim::MemSpace::Global, true);
-}
-
-/// Predicted cost (ns) for the adaptive selector.
-pub fn estimate_ns(ctx: &HistContext<'_>, node_size: usize) -> f64 {
-    let s = stats::expect(ctx, node_size);
-    ctx.device
-        .model()
-        .kernel_ns(&cost_descriptor(ctx, node_size, &s))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::adaptive::predict_costs;
+    use super::super::charge_method;
     use super::super::test_support::fixture;
     use super::*;
-    use crate::config::HistOptions;
-    use gpusim::Device;
+    use crate::config::{HistOptions, HistogramMethod};
+    use gpusim::{Device, Phase};
 
     fn make_ctx<'a>(
         device: &'a gpusim::Device,
@@ -126,7 +81,7 @@ mod tests {
         let features: Vec<u32> = (0..6).collect();
         let ctx = make_ctx(&device, &data, &grads, &features, true);
         let idx: Vec<u32> = (0..400).collect();
-        charge(&ctx, &idx);
+        charge_method(&ctx, &idx, HistogramMethod::GlobalMemory);
         let s = device.summary();
         assert!(s.by_phase.contains_key(&Phase::Histogram));
         assert!(s.total_ns > 0.0);
@@ -140,11 +95,11 @@ mod tests {
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..8).collect();
         let ctx = make_ctx(&device, &data, &grads, &features, true);
-        let t_small = estimate_ns(&ctx, 10_000);
+        let t_small = predict_costs(&ctx, 10_000).gmem_ns;
 
         let (_, data8, grads8) = fixture(10_000, 8, 8, 2);
         let ctx8 = make_ctx(&device, &data8, &grads8, &features, true);
-        let t_big = estimate_ns(&ctx8, 10_000);
+        let t_big = predict_costs(&ctx8, 10_000).gmem_ns;
         assert!(
             t_big > t_small * 2.0,
             "d=8 ({t_big}) should cost ≫ d=2 ({t_small})"
@@ -160,10 +115,10 @@ mod tests {
 
         let d1 = Device::rtx4090();
         let ctx = make_ctx(&d1, &data, &grads, &features, false);
-        charge(&ctx, &idx);
+        charge_method(&ctx, &idx, HistogramMethod::GlobalMemory);
         let d2 = Device::rtx4090();
         let ctx_wo = make_ctx(&d2, &data, &grads, &features, true);
-        charge(&ctx_wo, &idx);
+        charge_method(&ctx_wo, &idx, HistogramMethod::GlobalMemory);
         assert!(
             d2.now_ns() <= d1.now_ns(),
             "+wo {} vs {}",
@@ -179,8 +134,8 @@ mod tests {
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..5).collect();
         let ctx = make_ctx(&device, &data, &grads, &features, true);
-        let t100 = estimate_ns(&ctx, 100);
-        let t1000 = estimate_ns(&ctx, 1000);
+        let t100 = predict_costs(&ctx, 100).gmem_ns;
+        let t1000 = predict_costs(&ctx, 1000).gmem_ns;
         assert!(t100 > 0.0);
         assert!(t1000 > t100);
     }

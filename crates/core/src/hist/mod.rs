@@ -11,10 +11,18 @@
 //! * [`sortreduce`] — sort-and-reduce (§3.3.4);
 //!
 //! each with and without the warp-level bin-packing optimization
-//! (§3.4.1). [`adaptive`] predicts each kernel's cost from the model and
-//! picks the cheapest per node — the paper's "dynamically selects the
-//! most appropriate histogram building method … based on the dataset
-//! characteristics and training stage".
+//! (§3.4.1). Each method's module holds its cost formula
+//! (`cost_descriptor`); sort-and-reduce also keeps its access tracer
+//! and an exact reference. [`adaptive`] predicts each kernel's cost from
+//! the model and picks the cheapest per node — the paper's "dynamically
+//! selects the most appropriate histogram building method … based on
+//! the dataset characteristics and training stage".
+//!
+//! [`charge_method_on`] is the one place a node build is charged. It
+//! resolves `Adaptive` to a concrete method, names the kernel once,
+//! opens the method's profiler scope, charges [`method_cost`] and traces
+//! the build for an attached sanitizer under the same name. It returns
+//! the concrete method, which is what the growers count.
 //!
 //! All builders share one deterministic functional accumulation
 //! ([`accumulate_dense`] / [`accumulate_sparse`]); only the charged cost
@@ -47,7 +55,7 @@ use crate::config::{HistOptions, HistogramMethod};
 use crate::grad::Gradients;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
-use gpusim::Device;
+use gpusim::{Device, MemSpace, Phase};
 use rayon::prelude::*;
 
 /// Effective L2 hit rate for gradient rows re-read across feature
@@ -403,10 +411,14 @@ pub fn accumulate_sparse(
         });
 }
 
-/// Resolve the configured method for a node of `node_size` instances
-/// (runs the adaptive selector when configured).
-pub fn resolve_method(ctx: &HistContext<'_>, node_size: usize) -> HistogramMethod {
-    match ctx.opts.method {
+/// The concrete method that builds a node of `node_size` instances:
+/// `method` itself, or the adaptive selector's pick for `Adaptive`.
+pub fn resolve_method(
+    ctx: &HistContext<'_>,
+    node_size: usize,
+    method: HistogramMethod,
+) -> HistogramMethod {
+    match method {
         HistogramMethod::Adaptive => adaptive::select_method(ctx, node_size),
         m => m,
     }
@@ -415,15 +427,12 @@ pub fn resolve_method(ctx: &HistContext<'_>, node_size: usize) -> HistogramMetho
 /// Kernel-cost descriptor of building one node's histogram with
 /// `method`, from measured access-pattern statistics.
 pub fn method_cost(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) -> KernelCost {
-    match method {
-        HistogramMethod::GlobalMemory => {
-            gmem::cost_descriptor(ctx, idx.len(), &stats::measure(ctx, idx))
-        }
-        HistogramMethod::SharedMemory => {
-            smem::cost_descriptor(ctx, idx.len(), &stats::measure(ctx, idx))
-        }
-        HistogramMethod::SortReduce => sortreduce::cost_descriptor(ctx, idx.len()),
-        HistogramMethod::Adaptive => method_cost(ctx, idx, resolve_method(ctx, idx.len())),
+    let nn = idx.len();
+    match resolve_method(ctx, nn, method) {
+        HistogramMethod::GlobalMemory => gmem::cost_descriptor(ctx, nn, &stats::measure(ctx, idx)),
+        HistogramMethod::SharedMemory => smem::cost_descriptor(ctx, nn, &stats::measure(ctx, idx)),
+        HistogramMethod::SortReduce => sortreduce::cost_descriptor(ctx, nn),
+        HistogramMethod::Adaptive => unreachable!("resolve_method returns a concrete method"),
     }
 }
 
@@ -432,26 +441,63 @@ pub fn charge_method(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod
     charge_method_on(ctx, idx, method, 0);
 }
 
-/// [`charge_method`] issued on a specific stream, so sibling-node fresh
-/// builds of one level can overlap on the timeline. Charged
-/// nanoseconds, sanitizer traces, and profiler aggregates are identical
-/// regardless of stream; only start timestamps move.
+/// Charge one node's histogram build with `method` on `stream` and
+/// return the concrete method charged: the one charge site for node
+/// builds (see the module doc). Only start timestamps depend on the
+/// stream, so sibling builds of one level can overlap.
 pub fn charge_method_on(
     ctx: &HistContext<'_>,
     idx: &[u32],
     method: HistogramMethod,
     stream: usize,
+) -> HistogramMethod {
+    let method = resolve_method(ctx, idx.len(), method);
+    let name = match (method, ctx.opts.warp_packing) {
+        (HistogramMethod::GlobalMemory, false) => "hist_gmem",
+        (HistogramMethod::GlobalMemory, true) => "hist_gmem_packed",
+        (HistogramMethod::SharedMemory, false) => "hist_smem",
+        (HistogramMethod::SharedMemory, true) => "hist_smem_packed",
+        (HistogramMethod::SortReduce, _) => "hist_sort_reduce",
+        (HistogramMethod::Adaptive, _) => unreachable!(), // resolved above
+    };
+    // Profiler scopes name the method, whatever its packing.
+    let scope = match method {
+        HistogramMethod::GlobalMemory => "hist_gmem",
+        HistogramMethod::SharedMemory => "hist_smem",
+        _ => "hist_sortreduce",
+    };
+    let _scope = ctx.device.prof_scope(scope, None);
+    ctx.device
+        .stream(stream)
+        // lint:allow(canonical_kernel_name): hist_smem/_packed are the shared-memory siblings of hist_gmem/_packed, one char apart by design
+        .charge_kernel(name, Phase::Histogram, &method_cost(ctx, idx, method));
+    trace_build(ctx, idx, method, name);
+    method
+}
+
+/// Declare one node build's access stream to an attached sanitizer
+/// under the kernel name it was charged as. gmem and smem run a thread
+/// per (instance, feature) pair whose *declared-atomic* updates
+/// racecheck verifies: gmem into the global histogram, smem into a
+/// per-block shared tile flushed by spread global atomics.
+pub(crate) fn trace_build(
+    ctx: &HistContext<'_>,
+    idx: &[u32],
+    method: HistogramMethod,
+    name: &'static str,
 ) {
+    let Some(san) = ctx.device.sanitizer() else {
+        return;
+    };
+    use crate::sanitize::trace_pair_kernel;
     match method {
-        HistogramMethod::GlobalMemory => gmem::charge_on(ctx, idx, stream),
-        HistogramMethod::SharedMemory => smem::charge_on(ctx, idx, stream),
-        HistogramMethod::SortReduce => sortreduce::charge_on(ctx, idx, stream),
-        HistogramMethod::Adaptive => {
-            // Scope the selector so adaptive picks show up as nested
-            // `hist_adaptive/hist_*` paths in the profile.
-            let _scope = ctx.device.prof_scope("hist_adaptive", None);
-            charge_method_on(ctx, idx, resolve_method(ctx, idx.len()), stream)
+        HistogramMethod::GlobalMemory => {
+            trace_pair_kernel(&san, ctx, idx, name, MemSpace::Global, true)
         }
+        HistogramMethod::SharedMemory => {
+            trace_pair_kernel(&san, ctx, idx, name, MemSpace::Shared, true)
+        }
+        _ => sortreduce::trace(ctx, idx, &san, name),
     }
 }
 
@@ -459,7 +505,7 @@ pub fn charge_method_on(
 /// device. Returns the method actually used (after adaptive selection).
 ///
 /// `node_g`/`node_h` are the node's per-output totals (required by the
-/// sparse path and by adaptive prediction).
+/// sparse path).
 pub fn build_node_histogram(
     ctx: &HistContext<'_>,
     idx: &[u32],
@@ -467,10 +513,8 @@ pub fn build_node_histogram(
     node_h: &[f64],
     out: &mut NodeHistogram,
 ) -> HistogramMethod {
-    let method = resolve_method(ctx, idx.len());
     accumulate_only(ctx, idx, node_g, node_h, out);
-    charge_method(ctx, idx, method);
-    method
+    charge_method_on(ctx, idx, ctx.opts.method, 0)
 }
 
 /// Functional accumulation without any device charge (the charging

@@ -16,7 +16,6 @@
 use super::stats::{self, ContentionStats};
 use super::HistContext;
 use gpusim::cost::KernelCost;
-use gpusim::Phase;
 
 /// Bank-conflict degree of byte-granular shared-memory staging without
 /// bin packing: four lanes' bytes share each 4-byte bank word.
@@ -70,57 +69,13 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     }
 }
 
-/// Charge one node's smem histogram build using measured statistics.
-pub fn charge(ctx: &HistContext<'_>, idx: &[u32]) {
-    charge_on(ctx, idx, 0);
-}
-
-/// [`charge`] issued on a specific stream, so sibling-node builds can
-/// overlap. The measured statistics and charged nanoseconds are
-/// identical regardless of stream; only the start timestamp moves.
-pub fn charge_on(ctx: &HistContext<'_>, idx: &[u32], stream: usize) {
-    let _scope = ctx.device.prof_scope("hist_smem", None);
-    let s = stats::measure(ctx, idx);
-    let name = if ctx.opts.warp_packing {
-        "hist_smem_packed"
-    } else {
-        "hist_smem"
-    };
-    let cost = cost_descriptor(ctx, idx.len(), &s);
-    ctx.device
-        .stream(stream)
-        // lint:allow(canonical_kernel_name): hist_smem/_packed are the shared-memory siblings of hist_gmem/_packed, one char apart by design
-        .charge_kernel(name, Phase::Histogram, &cost);
-    if let Some(san) = ctx.device.sanitizer() {
-        trace(ctx, idx, &san);
-    }
-}
-
-/// Declare this kernel's access stream to an attached sanitizer:
-/// per-block shared-memory tile atomics (intra-warp collisions legal
-/// because declared atomic) followed by a spread global-atomic flush.
-pub fn trace(ctx: &HistContext<'_>, idx: &[u32], san: &gpusim::sanitize::Sanitizer) {
-    let name = if ctx.opts.warp_packing {
-        "hist_smem_packed"
-    } else {
-        "hist_smem"
-    };
-    crate::sanitize::trace_pair_kernel(san, ctx, idx, name, gpusim::MemSpace::Shared, true);
-}
-
-/// Predicted cost (ns) for the adaptive selector.
-pub fn estimate_ns(ctx: &HistContext<'_>, node_size: usize) -> f64 {
-    let s = stats::expect(ctx, node_size);
-    ctx.device
-        .model()
-        .kernel_ns(&cost_descriptor(ctx, node_size, &s))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::adaptive::predict_costs;
+    use super::super::charge_method;
     use super::super::test_support::fixture;
     use super::*;
-    use crate::config::HistOptions;
+    use crate::config::{HistOptions, HistogramMethod};
     use gpusim::Device;
 
     fn make_ctx<'a>(
@@ -167,9 +122,17 @@ mod tests {
         let idx: Vec<u32> = (0..1500).collect();
 
         let d1 = Device::rtx4090();
-        charge(&make_ctx(&d1, &data, &grads, &features, false, 32), &idx);
+        charge_method(
+            &make_ctx(&d1, &data, &grads, &features, false, 32),
+            &idx,
+            HistogramMethod::SharedMemory,
+        );
         let d2 = Device::rtx4090();
-        charge(&make_ctx(&d2, &data, &grads, &features, true, 32), &idx);
+        charge_method(
+            &make_ctx(&d2, &data, &grads, &features, true, 32),
+            &idx,
+            HistogramMethod::SharedMemory,
+        );
         assert!(
             d2.now_ns() < d1.now_ns() * 0.9,
             "+wo {} vs unpacked {}",
@@ -186,9 +149,17 @@ mod tests {
         let idx: Vec<u32> = (0..4000).collect();
 
         let dg = Device::rtx4090();
-        super::super::gmem::charge(&make_ctx(&dg, &data, &grads, &features, true, 32), &idx);
+        charge_method(
+            &make_ctx(&dg, &data, &grads, &features, true, 32),
+            &idx,
+            HistogramMethod::GlobalMemory,
+        );
         let ds = Device::rtx4090();
-        charge(&make_ctx(&ds, &data, &grads, &features, true, 32), &idx);
+        charge_method(
+            &make_ctx(&ds, &data, &grads, &features, true, 32),
+            &idx,
+            HistogramMethod::SharedMemory,
+        );
         assert!(
             ds.now_ns() < dg.now_ns(),
             "smem {} should beat gmem {} on contended root",
@@ -208,8 +179,8 @@ mod tests {
         let device = Device::rtx4090();
         let ctx = make_ctx(&device, &data, &grads, &features, true, 256);
         let small = 40;
-        let g = super::super::gmem::estimate_ns(&ctx, small);
-        let s = estimate_ns(&ctx, small);
+        let costs = predict_costs(&ctx, small);
+        let (g, s) = (costs.gmem_ns, costs.smem_ns);
         assert!(
             g < s,
             "gmem {g} should beat smem {s} for {small}-instance nodes"

@@ -43,38 +43,24 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize) -> KernelCost {
     }
 }
 
-/// Charge one node's sort-and-reduce histogram build.
-pub fn charge(ctx: &HistContext<'_>, idx: &[u32]) {
-    charge_on(ctx, idx, 0);
-}
-
-/// [`charge`] issued on a specific stream, so sibling-node builds can
-/// overlap. The charged nanoseconds are identical regardless of stream;
-/// only the start timestamp moves.
-pub fn charge_on(ctx: &HistContext<'_>, idx: &[u32], stream: usize) {
-    let _scope = ctx.device.prof_scope("hist_sortreduce", None);
-    ctx.device.stream(stream).charge_kernel(
-        "hist_sort_reduce",
-        Phase::Histogram,
-        &cost_descriptor(ctx, idx.len()),
-    );
-    if let Some(san) = ctx.device.sanitizer() {
-        trace(ctx, idx, &san);
-    }
-}
-
-/// Declare this kernel's access stream to an attached sanitizer. After
+/// Declare this kernel's access stream to an attached sanitizer, under
+/// the kernel name `name` it was charged as. After
 /// the radix sort, `reduce_by_key` assigns each run of equal keys to
 /// one thread, which writes each histogram slot exactly once with a
 /// *plain* store — no atomics anywhere, and racecheck verifies the
 /// slots really are disjoint.
-pub fn trace(ctx: &HistContext<'_>, idx: &[u32], san: &gpusim::sanitize::Sanitizer) {
+pub fn trace(
+    ctx: &HistContext<'_>,
+    idx: &[u32],
+    san: &gpusim::sanitize::Sanitizer,
+    name: &'static str,
+) {
     use gpusim::{AccessKind, MemSpace, ThreadCtx};
     let mf = ctx.features.len();
     let d = ctx.d();
     let bins = ctx.bins;
     let nn = idx.len();
-    let scope = san.scope("hist_sort_reduce");
+    let scope = san.scope(name);
     let k_id = scope.register("sorted_keys", nn * mf, MemSpace::Global, true);
     let g_id = scope.register("hist_g", mf * d * bins, MemSpace::Global, false);
     let h_id = scope.register("hist_h", mf * d * bins, MemSpace::Global, false);
@@ -110,13 +96,6 @@ pub fn trace(ctx: &HistContext<'_>, idx: &[u32], san: &gpusim::sanitize::Sanitiz
         }
         scope.touch(c_id, tctx, f_local * bins + b, AccessKind::Write);
     }
-}
-
-/// Predicted cost (ns) for the adaptive selector.
-pub fn estimate_ns(ctx: &HistContext<'_>, node_size: usize) -> f64 {
-    ctx.device
-        .model()
-        .kernel_ns(&cost_descriptor(ctx, node_size))
 }
 
 /// Reference implementation that *actually* routes the data through the
@@ -192,10 +171,11 @@ pub fn build_exact_via_sort(
 
 #[cfg(test)]
 mod tests {
+    use super::super::adaptive::predict_costs;
     use super::super::test_support::fixture;
-    use super::super::{accumulate_dense, HistContext, NodeHistogram};
+    use super::super::{accumulate_dense, charge_method, HistContext, NodeHistogram};
     use super::*;
-    use crate::config::HistOptions;
+    use crate::config::{HistOptions, HistogramMethod};
     use gpusim::Device;
 
     fn make_ctx<'a>(
@@ -242,8 +222,8 @@ mod tests {
         let (_, data16, grads16) = fixture(20_000, 6, 16, 2);
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..6).collect();
-        let t2 = estimate_ns(&make_ctx(&device, &data2, &grads2, &features), 20_000);
-        let t16 = estimate_ns(&make_ctx(&device, &data16, &grads16, &features), 20_000);
+        let t2 = predict_costs(&make_ctx(&device, &data2, &grads2, &features), 20_000).sort_ns;
+        let t16 = predict_costs(&make_ctx(&device, &data16, &grads16, &features), 20_000).sort_ns;
         assert!(t16 > t2 * 2.0, "d=16 {t16} vs d=2 {t2}");
     }
 
@@ -255,9 +235,8 @@ mod tests {
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..8).collect();
         let ctx = make_ctx(&device, &data, &grads, &features);
-        let sr = estimate_ns(&ctx, 2000);
-        let g = super::super::gmem::estimate_ns(&ctx, 2000);
-        let s = super::super::smem::estimate_ns(&ctx, 2000);
+        let costs = predict_costs(&ctx, 2000);
+        let (sr, g, s) = (costs.sort_ns, costs.gmem_ns, costs.smem_ns);
         assert!(sr > g, "sort-reduce {sr} vs gmem {g}");
         assert!(sr > s, "sort-reduce {sr} vs smem {s}");
     }
@@ -268,7 +247,11 @@ mod tests {
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..4).collect();
         let ctx = make_ctx(&device, &data, &grads, &features);
-        charge(&ctx, &(0..200).collect::<Vec<u32>>());
+        charge_method(
+            &ctx,
+            &(0..200).collect::<Vec<u32>>(),
+            HistogramMethod::SortReduce,
+        );
         assert!(device.summary().by_phase.contains_key(&Phase::Histogram));
     }
 }

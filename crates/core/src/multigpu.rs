@@ -49,7 +49,7 @@ use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::Gradients;
 use crate::grow::{partition_stable, GrowResult};
-use crate::hist::{accumulate_dense, charge_method_on, resolve_method, HistContext};
+use crate::hist::{accumulate_dense, charge_method_on, HistContext};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
@@ -535,8 +535,7 @@ impl Placement for Group<'_> {
                         bins: self.config.max_bins,
                         opts: self.config.hist,
                     };
-                    let method = resolve_method(&ctx, idx.len());
-                    charge_method_on(&ctx, idx, method, hist_stream);
+                    let method = charge_method_on(&ctx, idx, ctx.opts.method, hist_stream);
                     *grown.methods_used.entry(method).or_insert(0) += 1;
                 }
                 if data_parallel && k > 1 {

@@ -50,22 +50,6 @@ pub(crate) fn sample_stride(len: usize, cap: usize) -> impl Iterator<Item = usiz
     (0..len).step_by(stride)
 }
 
-/// Declare one node's histogram build with the *resolved* method.
-/// No-op without an attached sanitizer. Used by the stream-batched
-/// charging path, which bypasses the per-method `charge` functions.
-pub fn trace_hist(ctx: &HistContext<'_>, idx: &[u32], method: crate::config::HistogramMethod) {
-    let Some(san) = ctx.device.sanitizer() else {
-        return;
-    };
-    use crate::config::HistogramMethod;
-    match method {
-        HistogramMethod::GlobalMemory => crate::hist::gmem::trace(ctx, idx, &san),
-        HistogramMethod::SharedMemory => crate::hist::smem::trace(ctx, idx, &san),
-        HistogramMethod::SortReduce => crate::hist::sortreduce::trace(ctx, idx, &san),
-        HistogramMethod::Adaptive => crate::hist::adaptive::trace(ctx, idx, &san),
-    }
-}
-
 /// Declare the histogram-subtraction kernel (`out = parent − sibling`):
 /// one thread per element, two reads and one plain write, all at the
 /// thread's own offset — disjoint by construction, and racecheck
@@ -526,6 +510,19 @@ mod tests {
     use crate::hist::HistContext;
     use gpusim::{Device, SanitizeMode};
 
+    /// Trace one build of `method`, resolved as a training run resolves
+    /// it, under the name the charge site gives it at the default
+    /// (packed) options.
+    fn trace_node_build(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
+        let method = crate::hist::resolve_method(ctx, idx.len(), method);
+        let name = match method {
+            HistogramMethod::GlobalMemory => "hist_gmem_packed",
+            HistogramMethod::SharedMemory => "hist_smem_packed",
+            _ => "hist_sort_reduce",
+        };
+        crate::hist::trace_build(ctx, idx, method, name);
+    }
+
     fn make_ctx<'a>(
         device: &'a Device,
         data: &'a gbdt_data::BinnedDataset,
@@ -560,7 +557,7 @@ mod tests {
             let device = Device::rtx4090();
             device.enable_sanitizer(SanitizeMode::Full);
             let ctx = make_ctx(&device, &data, &grads, &features, method);
-            trace_hist(&ctx, &idx, method);
+            trace_node_build(&ctx, &idx, method);
             let report = device.sanitize_report().expect("sanitizer attached");
             assert!(report.is_clean(), "{method:?}: {}", report.table());
             assert!(report.total_accesses > 0, "{method:?} declared nothing");
@@ -577,7 +574,7 @@ mod tests {
             let device = Device::rtx4090();
             device.enable_sanitizer(SanitizeMode::Full);
             let ctx = make_ctx(&device, &data, &grads, &features, method);
-            trace_hist(&ctx, &idx, method);
+            trace_node_build(&ctx, &idx, method);
             let r = device.sanitize_report().expect("sanitizer");
             assert!(r.is_clean(), "{method:?}: {}", r.table());
             r.kernels.values().map(|s| s.atomics).sum::<u64>()
@@ -633,8 +630,8 @@ mod tests {
             &features,
             HistogramMethod::GlobalMemory,
         );
-        trace_hist(&ctx, &idx, HistogramMethod::GlobalMemory);
-        trace_partition(&device, &vec![true; 150]);
+        trace_node_build(&ctx, &idx, HistogramMethod::GlobalMemory);
+        trace_partition(&device, &[true; 150]);
         assert_eq!(device.now_ns(), before);
     }
 

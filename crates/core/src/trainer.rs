@@ -41,8 +41,10 @@ pub struct TrainReport {
     pub sim_seconds: f64,
     /// Host wall-clock seconds the simulation itself took.
     pub host_seconds: f64,
-    /// Histogram-method usage counts across all nodes (adaptive
-    /// selection telemetry).
+    /// Charged node-histogram builds per concrete method (after
+    /// adaptive selection): one per built node on one device, one per
+    /// (node, device) that builds a slice of it on a device group.
+    /// Siblings derived by subtraction are not builds.
     pub hist_methods: BTreeMap<HistogramMethod, usize>,
 }
 

@@ -13,6 +13,7 @@ use gbdt_core::{GpuTrainer, MultiGpuTrainer, PredictMode};
 use gbdt_data::synth::{make_regression, RegressionSpec};
 use gbdt_data::Dataset;
 use gpusim::{Device, Phase};
+use std::collections::BTreeMap;
 
 fn dataset() -> Dataset {
     make_regression(&RegressionSpec {
@@ -37,18 +38,49 @@ fn config(m: HistogramMethod) -> TrainConfig {
     .with_hist_method(m)
 }
 
+/// The kernel a fixed method's node builds are charged as; `None` for
+/// `Adaptive`, whose builds may use any of them.
+fn node_kernel(m: HistogramMethod, packed: bool) -> Option<&'static str> {
+    Some(match (m, packed) {
+        (HistogramMethod::GlobalMemory, false) => "hist_gmem",
+        (HistogramMethod::GlobalMemory, true) => "hist_gmem_packed",
+        (HistogramMethod::SharedMemory, false) => "hist_smem",
+        (HistogramMethod::SharedMemory, true) => "hist_smem_packed",
+        (HistogramMethod::SortReduce, _) => "hist_sort_reduce",
+        (HistogramMethod::Adaptive, _) => return None,
+    })
+}
+
+/// The profiler scope a node-build kernel runs under: the method's, so
+/// packed and unpacked builds share one.
+fn method_scope(kernel: &str) -> &'static str {
+    match kernel {
+        "hist_gmem" | "hist_gmem_packed" => "round/level/hist_gmem",
+        "hist_smem" | "hist_smem_packed" => "round/level/hist_smem",
+        "hist_sort_reduce" => "round/level/hist_sortreduce",
+        other => panic!("unexpected node-build kernel {other}"),
+    }
+}
+
 /// Profiling on, off, or toggled: trees, predictions, and the simulated
-/// timeline never shift by a single bit.
+/// timeline never shift by a single bit. And each node build carries
+/// one name: its ledger record and its profiler scope agree, build for
+/// build, for every method and packing, with no separate scope for the
+/// adaptive selector.
 #[test]
 fn profiler_off_is_bit_identical_to_never_enabled() {
     let ds = dataset();
-    for m in [
+    for (m, packed) in [
         HistogramMethod::GlobalMemory,
         HistogramMethod::SharedMemory,
         HistogramMethod::SortReduce,
         HistogramMethod::Adaptive,
-    ] {
-        let cfg = config(m);
+    ]
+    .into_iter()
+    .flat_map(|m| [(m, true), (m, false)])
+    {
+        let cfg = config(m).with_warp_packing(packed);
+        let label = format!("{m:?} packed={packed}");
 
         let plain = Device::rtx4090();
         let model_plain = GpuTrainer::new(plain.clone(), cfg.clone()).fit(&ds);
@@ -61,28 +93,54 @@ fn profiler_off_is_bit_identical_to_never_enabled() {
         let p_prof = model_prof.predict(ds.features());
         assert_eq!(p_plain.len(), p_prof.len());
         for (a, b) in p_plain.iter().zip(&p_prof) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{m:?}: predictions diverged");
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}: predictions diverged");
         }
         assert_eq!(
             plain.now_ns().to_bits(),
             profiled.now_ns().to_bits(),
-            "{m:?}: profiler must never charge the ledger"
+            "{label}: profiler must never charge the ledger"
         );
         // The charged cost stream is bit-for-bit identical, record by
         // record (name, phase, ns, start time).
         let ra = plain.records();
         let rb = profiled.records();
-        assert_eq!(ra.len(), rb.len(), "{m:?}: record counts diverged");
+        assert_eq!(ra.len(), rb.len(), "{label}: record counts diverged");
         for (x, y) in ra.iter().zip(&rb) {
-            assert_eq!(x.name, y.name, "{m:?}");
-            assert_eq!(x.phase, y.phase, "{m:?}");
-            assert_eq!(x.ns.to_bits(), y.ns.to_bits(), "{m:?}: ns diverged");
+            assert_eq!(x.name, y.name, "{label}");
+            assert_eq!(x.phase, y.phase, "{label}");
+            assert_eq!(x.ns.to_bits(), y.ns.to_bits(), "{label}: ns diverged");
             assert_eq!(
                 x.start_ns.to_bits(),
                 y.start_ns.to_bits(),
-                "{m:?}: start diverged"
+                "{label}: start diverged"
             );
         }
+
+        // One name per build: the ledger's node-build records, grouped
+        // by their method's scope, are exactly the profiler's
+        // `round/level/hist_*` scope entries.
+        let mut built: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut by_scope: BTreeMap<&str, u64> = BTreeMap::new();
+        for r in rb.iter().filter(|r| r.phase == Phase::Histogram) {
+            *built.entry(r.name).or_default() += 1;
+            *by_scope.entry(method_scope(r.name)).or_default() += 1;
+        }
+        assert!(!built.is_empty(), "{label}: no node build charged");
+        if let Some(kernel) = node_kernel(m, packed) {
+            assert_eq!(
+                built.keys().copied().collect::<Vec<_>>(),
+                [kernel],
+                "{label}"
+            );
+        }
+        let prof = profiled.profile_summary().expect("profiler enabled");
+        let scopes: BTreeMap<&str, u64> = prof
+            .scopes
+            .iter()
+            .filter(|s| s.path.contains("hist_"))
+            .map(|s| (s.path.as_str(), s.count))
+            .collect();
+        assert_eq!(scopes, by_scope, "{label}: scopes vs ledger {built:?}");
 
         // Enabled-then-disabled matches a device that never profiled.
         let toggled = Device::rtx4090();
@@ -91,7 +149,7 @@ fn profiler_off_is_bit_identical_to_never_enabled() {
         let model_toggled = GpuTrainer::new(toggled.clone(), cfg).fit(&ds);
         let p_toggled = model_toggled.predict(ds.features());
         for (a, b) in p_plain.iter().zip(&p_toggled) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{m:?}: toggled diverged");
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}: toggled diverged");
         }
         assert_eq!(plain.now_ns().to_bits(), toggled.now_ns().to_bits());
     }
@@ -133,6 +191,11 @@ fn profiled_training_covers_the_pipeline() {
     assert!(
         paths.iter().any(|p| p.starts_with("round/level/hist_")),
         "histogram method scopes missing: {paths:?}"
+    );
+    // Adaptive builds run under the chosen method's scope alone.
+    assert!(
+        !paths.iter().any(|p| p.contains("hist_adaptive")),
+        "{paths:?}"
     );
     let round = prof
         .scopes

@@ -14,7 +14,8 @@ use gbdt_core::config::{HistogramMethod, TrainConfig};
 use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer};
 use gbdt_data::synth::{make_regression, RegressionSpec};
 use gbdt_data::Dataset;
-use gpusim::{Device, DeviceGroup, SanitizeMode};
+use gpusim::{Device, DeviceGroup, Phase, SanitizeMode};
+use std::collections::BTreeMap;
 
 fn dataset() -> Dataset {
     make_regression(&RegressionSpec {
@@ -39,37 +40,77 @@ fn config(m: HistogramMethod) -> TrainConfig {
     .with_hist_method(m)
 }
 
+/// The kernel a fixed method's node builds are charged as; `None` for
+/// `Adaptive`, whose builds may use any of them.
+fn node_kernel(m: HistogramMethod, packed: bool) -> Option<&'static str> {
+    Some(match (m, packed) {
+        (HistogramMethod::GlobalMemory, false) => "hist_gmem",
+        (HistogramMethod::GlobalMemory, true) => "hist_gmem_packed",
+        (HistogramMethod::SharedMemory, false) => "hist_smem",
+        (HistogramMethod::SharedMemory, true) => "hist_smem_packed",
+        (HistogramMethod::SortReduce, _) => "hist_sort_reduce",
+        (HistogramMethod::Adaptive, _) => return None,
+    })
+}
+
 #[test]
 fn sanitized_training_round_is_clean_for_every_method() {
     let ds = dataset();
-    for m in [
+    for (m, packed) in [
         HistogramMethod::GlobalMemory,
         HistogramMethod::SharedMemory,
         HistogramMethod::SortReduce,
         HistogramMethod::Adaptive,
-    ] {
+    ]
+    .into_iter()
+    .flat_map(|m| [(m, true), (m, false)])
+    {
+        let label = format!("{m:?} packed={packed}");
         let device = Device::rtx4090();
         device.enable_sanitizer(SanitizeMode::Full);
-        let _model = GpuTrainer::new(device.clone(), config(m)).fit(&ds);
+        let cfg = config(m).with_warp_packing(packed);
+        let _model = GpuTrainer::new(device.clone(), cfg).fit(&ds);
         let report = device.sanitize_report().expect("sanitizer enabled");
         assert!(
             report.is_clean(),
-            "{m:?}: sanitized training must be violation-free, got {:#?}",
+            "{label}: sanitized training must be violation-free, got {:#?}",
             report.violations
         );
-        assert!(report.total_accesses > 0, "{m:?}: nothing was traced");
+        assert!(report.total_accesses > 0, "{label}: nothing was traced");
         // The pipeline's kernels were actually covered, not skipped.
         for required in ["partition_level", "leaf_values", "update_scores"] {
             assert!(
                 report.kernels.contains_key(required),
-                "{m:?}: kernel {required} missing from {:?}",
+                "{label}: kernel {required} missing from {:?}",
                 report.kernels.keys().collect::<Vec<_>>()
             );
         }
-        let hist_traced = report.kernels.keys().any(|k| {
-            k.starts_with("hist_gmem") || k.starts_with("hist_smem") || *k == "hist_sort_reduce"
-        });
-        assert!(hist_traced, "{m:?}: no histogram kernel was traced");
+        // One name per build: every node build the ledger charged was
+        // traced under the same kernel name, launch for launch.
+        let mut built: BTreeMap<&str, u64> = BTreeMap::new();
+        for r in device.records() {
+            if r.phase == Phase::Histogram {
+                *built.entry(r.name).or_default() += 1;
+            }
+        }
+        assert!(
+            !built.is_empty(),
+            "{label}: no histogram kernel was charged"
+        );
+        if let Some(kernel) = node_kernel(m, packed) {
+            assert_eq!(
+                built.keys().copied().collect::<Vec<_>>(),
+                [kernel],
+                "{label}"
+            );
+        }
+        let traced: BTreeMap<&str, u64> = report
+            .kernels
+            .iter()
+            .filter(|(k, _)| k.starts_with("hist_"))
+            .map(|(&k, s)| (k, s.launches))
+            .collect();
+        assert_eq!(traced, built, "{label}: sanitizer keys vs ledger names");
     }
 }
 
@@ -174,8 +215,8 @@ fn sanitizer_off_is_bit_identical_to_never_enabled() {
 #[test]
 fn streamed_histogram_charging_still_traces() {
     // streams > 1 takes the LPT branch in HistCharges::charge, which
-    // bypasses the builders' charge() entry points; trace_hist must
-    // cover it explicitly.
+    // charges on worker streams; the one charge site traces every
+    // build whatever its stream.
     let ds = dataset();
     let device = Device::rtx4090();
     device.enable_sanitizer(SanitizeMode::Full);

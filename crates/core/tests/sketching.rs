@@ -137,12 +137,16 @@ fn assert_trees_agree(tag: &str, gpu: &gbdt_core::model::Model, oracle: &gbdt_co
     }
 }
 
+/// A sketch mode under test: its label, the trainer's sketch for a
+/// given `k`, and the oracle's matching strategy.
+type SketchMode = (&'static str, fn(usize) -> OutputSketch, SketchStrategy);
+
 /// The issue's differential satellite: `TopOutputs` and
 /// `RandomSampling` (and the projection, which shares the same seeded
 /// RNG stream) pinned split-for-split against the SketchBoost oracle.
 #[test]
 fn sketched_trainer_matches_sketchboost_oracle_split_for_split() {
-    let modes: [(&str, fn(usize) -> OutputSketch, SketchStrategy); 3] = [
+    let modes: [SketchMode; 3] = [
         ("top", OutputSketch::TopOutputs, SketchStrategy::TopOutputs),
         (
             "rand",

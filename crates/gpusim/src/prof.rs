@@ -578,8 +578,10 @@ mod tests {
 
     #[test]
     fn summary_phase_share() {
-        let mut ledger = crate::LedgerSummary::default();
-        ledger.total_ns = 100.0;
+        let mut ledger = crate::LedgerSummary {
+            total_ns: 100.0,
+            ..Default::default()
+        };
         ledger.by_phase.insert(Phase::Histogram, 80.0);
         let p = Profiler::default();
         let s = p.summarize("dev", &ledger);

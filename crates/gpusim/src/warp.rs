@@ -411,7 +411,9 @@ mod tests {
             for cap in [1usize, 2, 3, 64, 512] {
                 let s = WarpSampler::with_cap(total, cap);
                 assert!(s.sampled <= cap.max(1), "total={total} cap={cap}");
-                assert!(s.sampled <= total.max(0));
+                // Every total here is non-zero: at least one warp is
+                // sampled, and never more than exist.
+                assert!((1..=total).contains(&s.sampled), "total={total} cap={cap}");
                 let idx: Vec<usize> = s.indices().collect();
                 assert_eq!(idx.len(), s.sampled);
                 assert!(idx.iter().all(|&i| i < total.max(1)));

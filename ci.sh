@@ -66,8 +66,9 @@ fi
 echo "==> repo-lint self-check (contract rules must fire on bad_repo)"
 # Every v2 rule — near-dup kernel names, missing phase key, profiler
 # coverage, sanitizer coverage, inventory, HashMap iteration, unordered
-# parallel float reduce, and waiver-without-reason rejection — is seeded
-# in this fixture tree; the golden test pins the exact JSON.
+# parallel float reduce, waiver-without-reason rejection and unused
+# waivers — is seeded in this fixture tree; the golden test pins the
+# exact JSON.
 if cargo run --release -q -p repo-lint -- --contract-root crates/lint/fixtures/bad_repo >/dev/null 2>&1; then
   echo "ci: repo-lint failed to flag the bad_repo contract violations" >&2
   exit 1
@@ -75,7 +76,7 @@ fi
 for rule in canonical_kernel_name metric_name_canonical phase_in_bench_schema \
             prof_coverage sanitize \
             design_inventory hashmap_iteration unordered_float_reduce \
-            waiver_without_reason; do
+            waiver_without_reason unused_waiver; do
   # `|| true` inside the pipeline: the analyzer exits 1 on violations,
   # which is exactly the state being asserted — pipefail must not trip.
   (cargo run --release -q -p repo-lint -- --contract-root crates/lint/fixtures/bad_repo 2>/dev/null || true) \

@@ -21,7 +21,7 @@ use gbdt_core::config::TrainConfig;
 use gbdt_core::grad::{compute_gradients, update_scores_from_leaves, Gradients};
 use gbdt_core::grow::{grow_tree, GrowResult};
 use gbdt_core::loss::loss_for_task;
-use gbdt_core::predict::{predict_raw, PredictMode};
+use gbdt_core::predict::predict_raw;
 use gbdt_core::trainer::base_scores;
 use gbdt_core::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset, DenseMatrix, Task};
@@ -64,7 +64,7 @@ impl SoModel {
         let d = self.d;
         let mut scores = vec![0.0f32; n * d];
         for (k, trees) in self.per_output.iter().enumerate() {
-            let col = predict_raw(trees, &[self.base[k]], features, PredictMode::InstanceLevel);
+            let col = predict_raw(trees, &[self.base[k]], features);
             for i in 0..n {
                 scores[i * d + k] = col[i];
             }

@@ -12,7 +12,7 @@
 use gbdt_core::config::TrainConfig;
 use gbdt_core::grad::Gradients;
 use gbdt_core::grow::grow_tree_on;
-use gbdt_core::predict::{predict_raw, PredictMode};
+use gbdt_core::predict::predict_raw;
 use gbdt_core::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset, DenseMatrix};
 use gpusim::cost::KernelCost;
@@ -68,7 +68,7 @@ impl ForestModel {
     /// Averaged `n × d` predictions.
     pub fn predict(&self, features: &DenseMatrix) -> Vec<f32> {
         let base = vec![0.0f32; self.d];
-        let mut sum = predict_raw(&self.trees, &base, features, PredictMode::InstanceLevel);
+        let mut sum = predict_raw(&self.trees, &base, features);
         let inv = 1.0 / self.trees.len().max(1) as f32;
         for v in &mut sum {
             *v *= inv;

@@ -2,9 +2,10 @@
 //! the regression gates CI runs over them.
 //!
 //! `repro serve` measures the [`gbdt_core::serve`] subsystem on a
-//! NUS-WIDE-shaped model: the offline `predict_on_device` cost of both
-//! parallelization schemes, plus micro-batched serving throughput and
-//! latency percentiles for single-row vs batched submission. Everything
+//! NUS-WIDE-shaped model: the offline `DeviceEnsemble::predict` cost
+//! of both parallelization schemes on a fresh upload, plus
+//! micro-batched serving throughput and latency percentiles for
+//! single-row vs batched submission. Everything
 //! gated here is *simulated* and therefore deterministic; host noise
 //! never appears in the schema.
 //!
@@ -92,14 +93,16 @@ pub struct ServeReport {
     pub device: String,
     /// Run hyper-parameters.
     pub setup: ServeSetup,
-    /// Offline `predict_on_device` cost, instance-level scheme.
+    /// Offline `DeviceEnsemble::predict` cost after a fresh upload,
+    /// instance-level scheme.
     pub instance_predict_ns: f64,
-    /// Offline `predict_on_device` cost, tree-level scheme (must be
+    /// Offline `DeviceEnsemble::predict` cost after a fresh upload,
+    /// tree-level scheme (must be
     /// strictly higher: it pays the T×n×d partial-matrix reduction).
     pub tree_predict_ns: f64,
     /// Batched-over-single-row throughput ratio (instance scheme).
     pub batched_speedup: f64,
-    /// Whether every serving run reproduced `Model::predict` exactly.
+    /// Whether every serving run reproduced `predict_raw` exactly.
     pub bit_identical: bool,
     /// One record per (mode, predict) run.
     pub records: Vec<ServeRecord>,
@@ -147,7 +150,7 @@ impl ServeReport {
 pub fn serve_self_check(report: &ServeReport) -> Vec<String> {
     let mut fails = Vec::new();
     if !report.bit_identical {
-        fails.push("serving outputs are not bit-identical to Model::predict".to_string());
+        fails.push("serving outputs are not bit-identical to predict_raw".to_string());
     }
     if report.batched_speedup < MIN_BATCH_SPEEDUP {
         fails.push(format!(

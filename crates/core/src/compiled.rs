@@ -9,6 +9,7 @@
 //! loop with no enum matching.
 
 use crate::model::Model;
+use crate::serve::SoaView;
 use crate::tree::{Node, Tree};
 use gbdt_data::DenseMatrix;
 use rayon::prelude::*;
@@ -34,7 +35,7 @@ pub(crate) struct CompiledTree {
 }
 
 impl CompiledTree {
-    fn from_tree(tree: &Tree) -> Self {
+    pub(crate) fn from_tree(tree: &Tree) -> Self {
         let n = tree.num_nodes();
         let d = tree.d();
         let mut feature = vec![0u32; n];
@@ -82,21 +83,20 @@ impl CompiledTree {
         }
     }
 
-    /// Index into `leaf_values` (element offset) for `row`.
-    #[inline]
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(v > t)` routes NaN left
-    fn leaf_offset(&self, row: &[f32], d: usize) -> usize {
-        let mut at = self.root;
-        while at >= 0 {
-            let i = at as usize;
-            let v = row[self.feature[i] as usize];
-            at = if !(v > self.threshold[i]) {
-                self.left[i]
-            } else {
-                self.right[i]
-            };
+    /// This tree as a one-tree [`SoaView`], so the host walks it with
+    /// the serving traversal.
+    pub(crate) fn view(&self, d: usize) -> SoaView<'_> {
+        SoaView {
+            feature: &self.feature,
+            threshold: &self.threshold,
+            left: &self.left,
+            right: &self.right,
+            leaf_values: &self.leaf_values,
+            roots: std::slice::from_ref(&self.root),
+            node_base: &[0],
+            leaf_base: &[0],
+            d,
         }
-        ((-at - 1) as usize) * d
     }
 
     /// Check the structural invariants of the flat layout: parallel
@@ -257,16 +257,7 @@ impl CompiledEnsemble {
     /// [`CompiledEnsemble::compile`] always produces valid ensembles;
     /// this guards data arriving through deserialization.
     pub fn validate(&self) -> Result<(), String> {
-        if self.d == 0 {
-            return Err("output dimension d must be positive".to_string());
-        }
-        if self.base.len() != self.d {
-            return Err(format!(
-                "base length {} != output dimension d = {}",
-                self.base.len(),
-                self.d
-            ));
-        }
+        crate::model::check_base_width(self.d, &self.base)?;
         for (i, t) in self.trees.iter().enumerate() {
             t.validate(self.d).map_err(|e| format!("tree {i}: {e}"))?;
         }
@@ -277,10 +268,7 @@ impl CompiledEnsemble {
     pub fn predict_row_into(&self, row: &[f32], out: &mut [f32]) {
         out.copy_from_slice(&self.base);
         for t in &self.trees {
-            let off = t.leaf_offset(row, self.d);
-            for (o, v) in out.iter_mut().zip(&t.leaf_values[off..off + self.d]) {
-                *o += v;
-            }
+            t.view(self.d).add_row(row, out);
         }
     }
 
@@ -315,6 +303,7 @@ impl CompiledEnsemble {
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
+    use crate::predict::predict_raw;
     use crate::trainer::GpuTrainer;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
     use gpusim::Device;
@@ -344,7 +333,7 @@ mod tests {
         let compiled = CompiledEnsemble::compile(&model);
         assert_eq!(
             compiled.predict(ds.features()),
-            model.predict(ds.features())
+            predict_raw(&model.trees, &model.base, ds.features())
         );
         assert_eq!(compiled.num_trees(), model.num_trees());
         assert_eq!(compiled.d(), 4);
@@ -371,7 +360,10 @@ mod tests {
         let compiled = CompiledEnsemble::compile(&model);
         let row = vec![f32::NAN; 10];
         let x = DenseMatrix::from_rows(&[row]);
-        assert_eq!(compiled.predict(&x), model.predict(&x));
+        assert_eq!(
+            compiled.predict(&x),
+            predict_raw(&model.trees, &model.base, &x)
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!    gains + segmented/global reductions;
 //! 4. **Partition & growth** ([`grow`], [`tree`]) — level-wise
 //!    Algorithm 1 with optional histogram subtraction;
-//! 5. **Prediction** ([`predict`]) — instance- and tree-level parallel
-//!    inference, plus the incremental training-score update.
+//! 5. **Prediction** ([`predict`], [`serve`]) — instance- and
+//!    tree-level parallel inference on one compiled walk, plus the
+//!    incremental training-score update.
 //!
 //! [`trainer`] holds the one boosting loop. [`trainer::GpuTrainer`] runs
 //! it on a single device; [`multigpu::MultiGpuTrainer`] runs it across a

@@ -2,7 +2,6 @@
 
 use crate::config::TrainConfig;
 use crate::loss::loss_for_task;
-use crate::predict::{predict_raw, PredictMode};
 use crate::tree::Tree;
 use gbdt_data::{DenseMatrix, Task};
 use serde::{Deserialize, Serialize};
@@ -24,14 +23,9 @@ pub struct Model {
 }
 
 impl Model {
-    /// Raw additive scores (`n × d`).
+    /// Raw additive scores (`n × d`), walked on the compiled form.
     pub fn predict(&self, features: &DenseMatrix) -> Vec<f32> {
-        predict_raw(
-            &self.trees,
-            &self.base,
-            features,
-            PredictMode::InstanceLevel,
-        )
+        self.compile().predict(features)
     }
 
     /// Task-space predictions: softmax/sigmoid probabilities for
@@ -87,9 +81,19 @@ impl Model {
         serde_json::to_string(self).expect("model serialization cannot fail")
     }
 
-    /// Deserialize from JSON.
+    /// Deserialize from JSON. Like the binary decoder, rejects a model
+    /// whose base or trees disagree with its output dimension `d`.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
+        let model: Model = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        let d = model.d;
+        check_base_width(d, &model.base)?;
+        for (i, t) in model.trees.iter().enumerate() {
+            if t.d() != d {
+                let td = t.d();
+                return Err(format!("tree {i}: output dimension {td} != model d = {d}"));
+            }
+        }
+        Ok(model)
     }
 
     /// Resume an interrupted training run from `checkpoint` on a fresh
@@ -108,6 +112,22 @@ impl Model {
         let trainer = crate::trainer::GpuTrainer::try_new(device, checkpoint.config.clone())?;
         trainer.try_fit_resumed(ds, checkpoint)
     }
+}
+
+/// Reject an output dimension `d` of zero or a base whose length is
+/// not `d`: the shared width check of `Model::from_json` and
+/// `CompiledEnsemble::validate`.
+pub(crate) fn check_base_width(d: usize, base: &[f32]) -> Result<(), String> {
+    if d == 0 {
+        return Err("output dimension d must be positive".to_string());
+    }
+    if base.len() != d {
+        return Err(format!(
+            "base length {} != output dimension d = {d}",
+            base.len()
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -162,5 +182,41 @@ mod tests {
         assert_eq!(m.trees, back.trees);
         assert_eq!(m.base, back.base);
         assert!(Model::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_zero_d() {
+        let m = Model {
+            trees: vec![],
+            base: vec![],
+            d: 0,
+            ..tiny_model()
+        };
+        let err = Model::from_json(&m.to_json()).expect_err("d = 0 must be rejected");
+        assert!(err.contains("must be positive"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_base_of_wrong_width() {
+        let m = Model {
+            base: vec![0.0; 3],
+            ..tiny_model()
+        };
+        let err = Model::from_json(&m.to_json()).expect_err("base.len() != d must be rejected");
+        assert!(
+            err.contains("base length 3 != output dimension d = 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_tree_of_wrong_width() {
+        let mut m = tiny_model();
+        m.trees.push(Tree::new(3));
+        let err = Model::from_json(&m.to_json()).expect_err("tree.d() != d must be rejected");
+        assert!(
+            err.contains("tree 1: output dimension 3 != model d = 2"),
+            "{err}"
+        );
     }
 }

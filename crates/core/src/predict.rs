@@ -1,15 +1,19 @@
 //! Ensemble inference (paper §3.4.2).
 //!
-//! Two parallelization schemes, exactly as described: *instance-level*
-//! (a thread per instance walks all trees) and *tree-level* (trees are
-//! evaluated concurrently and their contributions reduced). Both
-//! produce identical raw scores; the tree-level path pays an extra
-//! reduction but exposes more parallelism for small batches.
+//! [`PredictMode`] names the paper's two parallelization schemes:
+//! *instance-level* (a thread per instance walks all trees) and
+//! *tree-level* (trees are evaluated concurrently and their
+//! contributions reduced). Both run in
+//! [`crate::serve::DeviceEnsemble::predict`] on the compiled walk that
+//! every prediction path shares, charged at the hops they measure. They
+//! produce bit-identical raw scores; the tree-level scheme pays an extra
+//! reduction for more parallelism on small batches.
+//!
+//! This module keeps the growth-form walk [`predict_raw`] (the test
+//! oracle and the baselines' predictor) and the leaf-index embedding.
 
 use crate::tree::Tree;
 use gbdt_data::DenseMatrix;
-use gpusim::cost::KernelCost;
-use gpusim::{Device, Phase};
 use rayon::prelude::*;
 
 /// Parallelization scheme for inference.
@@ -21,62 +25,20 @@ pub enum PredictMode {
     TreeLevel,
 }
 
-/// Raw ensemble scores (`n × d`, row-major): `base + Σ_t f_t(x)`.
-pub fn predict_raw(
-    trees: &[Tree],
-    base: &[f32],
-    features: &DenseMatrix,
-    mode: PredictMode,
-) -> Vec<f32> {
-    let n = features.rows();
+/// Raw ensemble scores (`n × d`, row-major): `base + Σ_t f_t(x)`,
+/// walking the growth-form trees one instance per task. Serving and
+/// [`crate::model::Model::predict`] walk the compiled form instead; this
+/// walk is their test oracle and the baselines' predictor.
+pub fn predict_raw(trees: &[Tree], base: &[f32], features: &DenseMatrix) -> Vec<f32> {
     let d = base.len();
-    match mode {
-        PredictMode::InstanceLevel => {
-            let mut scores = vec![0.0f32; n * d];
-            scores.par_chunks_mut(d).enumerate().for_each(|(i, out)| {
-                out.copy_from_slice(base);
-                let row = features.row(i);
-                for t in trees {
-                    t.predict_into(row, out);
-                }
-            });
-            scores
+    let mut scores = base.repeat(features.rows());
+    scores.par_chunks_mut(d).enumerate().for_each(|(i, out)| {
+        let row = features.row(i);
+        for t in trees {
+            t.predict_into(row, out);
         }
-        PredictMode::TreeLevel => {
-            // Per-tree partial score matrices, reduced in tree order.
-            // Every element accumulates `base + t₀ + t₁ + …` — exactly
-            // the order the instance path uses (each tree's partial is
-            // `0.0 + value`, which is value-preserving in IEEE 754) —
-            // so the two modes are bit-identical, not approximately so.
-            //
-            // Trees are processed in groups of at most `threads`, so at
-            // most that many `n × d` partials are live at once: peak
-            // memory is `O(threads · n · d)`, not `O(T · n · d)`.
-            let mut scores = vec![0.0f32; n * d];
-            for out in scores.chunks_mut(d) {
-                out.copy_from_slice(base);
-            }
-            let group = rayon::current_num_threads().max(1);
-            for chunk in trees.chunks(group) {
-                let partials: Vec<Vec<f32>> = chunk
-                    .par_iter()
-                    .map(|t| {
-                        let mut p = vec![0.0f32; n * d];
-                        for i in 0..n {
-                            t.predict_into(features.row(i), &mut p[i * d..(i + 1) * d]);
-                        }
-                        p
-                    })
-                    .collect();
-                for p in partials {
-                    for (s, v) in scores.iter_mut().zip(p) {
-                        *s += v;
-                    }
-                }
-            }
-            scores
-        }
-    }
+    });
+    scores
 }
 
 /// Leaf index of every (instance, tree) pair: `out[i * trees + t]` is
@@ -96,56 +58,6 @@ pub fn apply_leaf_indices(trees: &[Tree], features: &DenseMatrix) -> Vec<u32> {
             }
         });
     out
-}
-
-/// Device-charged inference: computes [`predict_raw`] and books the
-/// traversal cost (irregular per-node loads at sector granularity).
-pub fn predict_on_device(
-    device: &Device,
-    trees: &[Tree],
-    base: &[f32],
-    features: &DenseMatrix,
-    mode: PredictMode,
-) -> Vec<f32> {
-    let _scope = device.prof_scope("predict", None);
-    let n = features.rows();
-    let d = base.len();
-    let scores = predict_raw(trees, base, features, mode);
-    let total_depth: usize = trees.iter().map(Tree::depth).sum();
-    let hops = (n * total_depth.max(1)) as f64;
-    let traversal = KernelCost {
-        flops: hops * 4.0,
-        // Each hop reads a node (~16 B, poorly coalesced → sector)
-        // plus the tested feature value; leaves stream d values out.
-        dram_bytes: hops * 32.0 + (n * d * 4) as f64,
-        launches: match mode {
-            PredictMode::InstanceLevel => 1.0,
-            PredictMode::TreeLevel => trees.len().max(1) as f64,
-        },
-        ..Default::default()
-    };
-    let cost = match mode {
-        PredictMode::InstanceLevel => traversal,
-        PredictMode::TreeLevel => {
-            // The tree-level scheme materializes one `n × d` partial
-            // score matrix per tree and reduces them afterwards — the
-            // "extra reduction" of §3.4.2. Charge it: each of the
-            // `T × n × d` partials is written by its tree's kernel and
-            // read back by the reduce kernel, which adds them into the
-            // final `n × d` matrix in one extra launch.
-            let t = trees.len().max(1) as f64;
-            let elems = (n * d) as f64;
-            traversal.merged(&KernelCost {
-                flops: t * elems,
-                dram_bytes: 2.0 * t * elems * 4.0 + elems * 4.0,
-                launches: 1.0,
-                ..Default::default()
-            })
-        }
-    };
-    device.charge_kernel("predict", Phase::Predict, &cost);
-    crate::sanitize::trace_predict(device, n, d, total_depth);
-    scores
 }
 
 #[cfg(test)]
@@ -168,7 +80,7 @@ mod tests {
     #[test]
     fn instance_level_sums_trees_and_base() {
         let (trees, x) = two_trees();
-        let s = predict_raw(&trees, &[10.0, 20.0], &x, PredictMode::InstanceLevel);
+        let s = predict_raw(&trees, &[10.0, 20.0], &x);
         // Row 0: t1 → [1,0], t2 → [0.5,0.5].
         assert_eq!(&s[0..2], &[11.5, 20.5]);
         // Row 1: t1 → [0,1], t2 → [-0.5,-0.5].
@@ -176,42 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn both_modes_agree_bit_exactly() {
-        // Both paths accumulate `base + t₀ + t₁ + …` per element in the
-        // same order, so agreement is exact — serving-path refactors
-        // must not silently reorder the float sum.
-        let (trees, x) = two_trees();
-        let a = predict_raw(&trees, &[0.25, -3.5], &x, PredictMode::InstanceLevel);
-        let b = predict_raw(&trees, &[0.25, -3.5], &x, PredictMode::TreeLevel);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tree_level_is_bit_exact_beyond_thread_chunks() {
-        // More trees than worker threads forces several fold chunks;
-        // the chunked reduction must keep the tree-order sum.
-        let (seed, x) = two_trees();
-        let trees: Vec<Tree> = (0..64).map(|i| seed[i % 2].clone()).collect();
-        let a = predict_raw(&trees, &[0.1, 0.2], &x, PredictMode::InstanceLevel);
-        let b = predict_raw(&trees, &[0.1, 0.2], &x, PredictMode::TreeLevel);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn empty_ensemble_returns_base() {
         let x = DenseMatrix::from_rows(&[vec![1.0], vec![2.0]]);
-        let s = predict_raw(&[], &[3.0], &x, PredictMode::InstanceLevel);
+        let s = predict_raw(&[], &[3.0], &x);
         assert_eq!(s, vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn device_charged_prediction_matches_and_charges() {
-        let (trees, x) = two_trees();
-        let device = Device::rtx4090();
-        let a = predict_on_device(&device, &trees, &[0.0, 0.0], &x, PredictMode::InstanceLevel);
-        let b = predict_raw(&trees, &[0.0, 0.0], &x, PredictMode::InstanceLevel);
-        assert_eq!(a, b);
-        assert!(device.summary().by_phase.contains_key(&Phase::Predict));
     }
 
     #[test]
@@ -226,24 +106,5 @@ mod tests {
                 let _ = tree.leaf_value(leaves[i * 2 + t] as usize);
             }
         }
-    }
-
-    #[test]
-    fn tree_level_mode_charges_strictly_more() {
-        // The tree-level scheme pays the `T × n × d` partial-matrix
-        // reduction (plus per-tree launches) on top of the traversal,
-        // so its simulated time strictly exceeds instance-level.
-        let (trees, x) = two_trees();
-        assert!(trees.len() > 1, "needs a multi-tree ensemble");
-        let d1 = Device::rtx4090();
-        let _ = predict_on_device(&d1, &trees, &[0.0, 0.0], &x, PredictMode::InstanceLevel);
-        let d2 = Device::rtx4090();
-        let _ = predict_on_device(&d2, &trees, &[0.0, 0.0], &x, PredictMode::TreeLevel);
-        assert!(
-            d2.now_ns() > d1.now_ns(),
-            "tree-level {} ns must exceed instance-level {} ns",
-            d2.now_ns(),
-            d1.now_ns()
-        );
     }
 }

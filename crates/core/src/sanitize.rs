@@ -386,28 +386,6 @@ pub fn trace_split_level(device: &Device, segments: usize, candidates: usize, no
     }
 }
 
-/// Declare the training-path ensemble predict kernel: one thread per
-/// instance walks node records (shared reads) and writes its own score
-/// row — the same disjoint row-scatter the serving kernels replay.
-pub fn trace_predict(device: &Device, n: usize, d: usize, total_depth: usize) {
-    let Some(san) = device.sanitizer() else {
-        return;
-    };
-    let scope = san.scope("predict");
-    let hops = total_depth.max(1);
-    let t_id = scope.register("tree_nodes", hops, MemSpace::Global, true);
-    let s_id = scope.register("scores_out", n * d, MemSpace::Global, false);
-    for i in sample_stride(n, MAX_TRACE_INSTANCES) {
-        let ctx = ThreadCtx::from_global(i, 256);
-        for hop in sample_stride(hops, 8) {
-            scope.touch(t_id, ctx, hop, AccessKind::Read);
-        }
-        for k in 0..d.min(MAX_TRACE_OUTPUTS) {
-            scope.touch(s_id, ctx, i * d + k, AccessKind::Write);
-        }
-    }
-}
-
 /// Shared declaration core of the gmem/smem histogram kernels: one
 /// thread per (instance, feature) pair, feature-major, reading its bin
 /// ID and gradient row, then issuing `kind` updates to the histogram

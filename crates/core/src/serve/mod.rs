@@ -28,3 +28,4 @@ mod trace;
 
 pub use batch::{BatchConfig, BatchServer, ServeStats, ServedBatch};
 pub use soa::DeviceEnsemble;
+pub(crate) use soa::{add_tree_scores, SoaView};

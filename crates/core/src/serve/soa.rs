@@ -1,4 +1,6 @@
-//! Device-resident SoA ensemble and the charged traversal kernels.
+//! Device-resident SoA ensemble and the charged traversal kernels. The
+//! walk here ([`SoaView::walk`]) is the one every prediction path takes,
+//! and its measured hop count is the one traversal price.
 //!
 //! Cost formulas (RTX 4090 sector size `S = 32 B`, batch of `n` rows,
 //! `T` trees, `d` outputs, `H` = measured total hops over all
@@ -22,10 +24,11 @@
 //! instance path on a multi-tree ensemble — the "extra reduction" of
 //! paper §3.4.2 — while exposing more parallelism for small batches.
 
-use crate::compiled::CompiledEnsemble;
+use crate::compiled::{CompiledEnsemble, CompiledTree};
 use crate::error::ServeError;
 use crate::predict::PredictMode;
 use crate::serve::trace;
+use crate::tree::Tree;
 use gbdt_data::DenseMatrix;
 use gpusim::cost::KernelCost;
 use gpusim::{buffer_checksum_on, Device, GpuBuffer, Phase};
@@ -77,6 +80,97 @@ impl SoaView<'_> {
         }
         (self.leaf_base[t] + ((-at - 1) as usize) * self.d, hops)
     }
+
+    /// Add every tree's leaf vector for `row` into `out` (`d` wide,
+    /// already holding the prior) in tree order. Returns the hops.
+    pub(crate) fn add_row(&self, row: &[f32], out: &mut [f32]) -> u64 {
+        let mut hops = 0u64;
+        for tree in 0..self.roots.len() {
+            let (off, h) = self.walk(tree, row);
+            hops += h;
+            for (o, v) in out.iter_mut().zip(&self.leaf_values[off..off + self.d]) {
+                *o += v;
+            }
+        }
+        hops
+    }
+
+    /// Instance-level walk, one task per row: [`SoaView::add_row`] into
+    /// the row's slice of `scores` (`n × d`). Returns the total hops.
+    pub(crate) fn add_leaves(&self, features: &DenseMatrix, scores: &mut [f32]) -> u64 {
+        let (d, total_hops) = (self.d, AtomicU64::new(0));
+        scores.par_chunks_mut(d).enumerate().for_each(|(i, out)| {
+            // u64 addition is associative: the total is deterministic
+            // regardless of rayon's reduction order.
+            total_hops.fetch_add(self.add_row(features.row(i), out), Ordering::Relaxed);
+        });
+        total_hops.into_inner()
+    }
+}
+
+/// Traversal terms shared by both schemes: hop arithmetic + node/feature
+/// loads + one leaf-vector gather per (row, tree) pair at sector
+/// granularity. Returns `(flops, dram_bytes)`.
+fn traversal_cost(device: &Device, hops: u64, pairs: usize, d: usize) -> (f64, f64) {
+    let sect = device.props().cost.sector_bytes as f64;
+    let (hops, pairs) = (hops as f64, pairs as f64);
+    let leaf_gather = ((d * 4) as f64 / sect).ceil() * sect;
+    (
+        hops * 4.0 + pairs * d as f64,
+        hops * (sect + 4.0) + pairs * leaf_gather,
+    )
+}
+
+/// The instance-level kernel over `n` rows and `trees` trees at the
+/// measured `hops`: traversal terms, one add per output element, `4·n·d`
+/// score writes and the read of `prior` initial scores (the `d`-wide
+/// base when serving, the `n × d` running scores when training adds a
+/// tree).
+fn instance_cost(
+    device: &Device,
+    hops: u64,
+    n: usize,
+    trees: usize,
+    d: usize,
+    prior: usize,
+) -> KernelCost {
+    let (traverse_flops, traverse_dram) = traversal_cost(device, hops, n * trees, d);
+    let out_elems = (n * d) as f64;
+    KernelCost {
+        flops: traverse_flops + out_elems,
+        dram_bytes: traverse_dram + out_elems * 4.0 + (prior * 4) as f64,
+        launches: 1.0,
+        ..Default::default()
+    }
+}
+
+/// Add one grown tree's leaves into `scores` (`n × d`, the running
+/// scores of `features`' rows) through the compiled instance walk, then
+/// charge and trace the instance kernel at the hops actually walked.
+/// The kernel is `validation_predict` for the eval split and
+/// `update_scores_routed` for the training rows under row subsampling.
+pub(crate) fn add_tree_scores(
+    device: &Device,
+    tree: &Tree,
+    features: &DenseMatrix,
+    scores: &mut [f32],
+    validation: bool,
+) {
+    let compiled = CompiledTree::from_tree(tree);
+    let view = compiled.view(tree.d());
+    let hops = view.add_leaves(features, scores);
+    let name = if validation {
+        "validation_predict"
+    } else {
+        "update_scores_routed"
+    };
+    let (n, d) = (features.rows(), view.d);
+    device.charge_kernel(
+        name,
+        Phase::Predict,
+        &instance_cost(device, hops, n, 1, d, n * d),
+    );
+    trace::trace_predict_instance(device, name, &view, features, true);
 }
 
 /// A [`CompiledEnsemble`] resident on a simulated device as
@@ -281,40 +375,20 @@ impl DeviceEnsemble {
     fn predict_instance(&self, features: &DenseMatrix) -> Vec<f32> {
         let _scope = self.device.prof_scope("serve_predict", None);
         let n = features.rows();
-        let d = self.d;
-        let t = self.num_trees();
         let view = self.view();
-        let base = self.base.as_slice();
-        let mut scores = vec![0.0f32; n * d];
-        let total_hops = AtomicU64::new(0);
-        scores.par_chunks_mut(d).enumerate().for_each(|(i, out)| {
-            out.copy_from_slice(base);
-            let row = features.row(i);
-            let mut hops = 0u64;
-            for tree in 0..t {
-                let (off, h) = view.walk(tree, row);
-                hops += h;
-                for (o, v) in out.iter_mut().zip(&view.leaf_values[off..off + d]) {
-                    *o += v;
-                }
-            }
-            // u64 addition is associative: the total is deterministic
-            // regardless of rayon's reduction order.
-            total_hops.fetch_add(hops, Ordering::Relaxed);
-        });
-        trace::trace_predict_instance(&self.device, &view, features);
-        let hops = total_hops.load(Ordering::Relaxed) as f64;
-        let (traverse_flops, traverse_dram) = self.traversal_cost(hops, n);
-        let out_elems = (n * d) as f64;
+        let mut scores = self.base.as_slice().repeat(n);
+        let hops = view.add_leaves(features, &mut scores);
+        trace::trace_predict_instance(
+            &self.device,
+            "predict_compiled_instance",
+            &view,
+            features,
+            false,
+        );
         self.device.charge_kernel(
             "predict_compiled_instance",
             Phase::Serve,
-            &KernelCost {
-                flops: traverse_flops + out_elems,
-                dram_bytes: traverse_dram + out_elems * 4.0 + (d * 4) as f64,
-                launches: 1.0,
-                ..Default::default()
-            },
+            &instance_cost(&self.device, hops, n, self.num_trees(), self.d, self.d),
         );
         scores
     }
@@ -330,10 +404,7 @@ impl DeviceEnsemble {
         let d = self.d;
         let t = self.num_trees();
         let view = self.view();
-        let mut scores = vec![0.0f32; n * d];
-        for out in scores.chunks_mut(d) {
-            out.copy_from_slice(self.base.as_slice());
-        }
+        let mut scores = self.base.as_slice().repeat(n);
         let mut total_hops = 0u64;
         let group = rayon::current_num_threads().max(1);
         let tree_ids: Vec<usize> = (0..t).collect();
@@ -359,8 +430,7 @@ impl DeviceEnsemble {
             }
         }
         trace::trace_predict_tree(&self.device, &view, features);
-        let hops = total_hops as f64;
-        let (traverse_flops, traverse_dram) = self.traversal_cost(hops, n);
+        let (traverse_flops, traverse_dram) = traversal_cost(&self.device, total_hops, n * t, d);
         let out_elems = (n * d) as f64;
         let tf = t.max(1) as f64;
         self.device.charge_kernel(
@@ -385,15 +455,74 @@ impl DeviceEnsemble {
         );
         scores
     }
+}
 
-    /// Shared traversal cost terms: hop arithmetic + node/feature loads
-    /// + per-(row, tree) leaf-vector gathers at sector granularity.
-    fn traversal_cost(&self, hops: f64, n: usize) -> (f64, f64) {
-        let sect = self.device.props().cost.sector_bytes as f64;
-        let pairs = (n * self.num_trees()) as f64;
-        let leaf_gather = ((self.d * 4) as f64 / sect).ceil() * sect;
-        let flops = hops * 4.0 + pairs * self.d as f64;
-        let dram = hops * (sect + 4.0) + pairs * leaf_gather;
-        (flops, dram)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::TrainConfig;
+    use crate::model::Model;
+    use crate::predict::predict_raw;
+
+    /// Root split on feature 0 at 0.5: rows left of it reach a leaf in
+    /// one hop, rows past 2.5 walk three splits.
+    fn unbalanced() -> Tree {
+        let mut t = Tree::new(2);
+        let (l, r) = t.split_node(0, 0, 0, 0.5);
+        t.set_leaf(l, vec![1.0, 0.0]);
+        let (rl, rr) = t.split_node(r, 0, 0, 1.5);
+        t.set_leaf(rl, vec![0.0, 1.0]);
+        let (rrl, rrr) = t.split_node(rr, 0, 0, 2.5);
+        t.set_leaf(rrl, vec![2.0, 2.0]);
+        t.set_leaf(rrr, vec![-1.0, 3.0]);
+        t
+    }
+
+    #[test]
+    fn routed_update_is_charged_for_the_hops_walked() {
+        let tree = unbalanced();
+        let n = 1024;
+        let charge = |x: f32, want: [f32; 2]| {
+            let device = Device::rtx4090();
+            let rows = DenseMatrix::from_rows(&vec![vec![x]; n]);
+            let mut scores = vec![0.5f32; n * 2];
+            add_tree_scores(&device, &tree, &rows, &mut scores, false);
+            assert!(scores
+                .chunks(2)
+                .all(|s| s == [0.5 + want[0], 0.5 + want[1]]));
+            device.now_ns()
+        };
+        let shallow = charge(0.0, [1.0, 0.0]);
+        let deep = charge(9.0, [-1.0, 3.0]);
+        assert!(
+            shallow < deep,
+            "depth-1 rows charged {shallow} ns, depth-3 rows {deep} ns"
+        );
+    }
+
+    #[test]
+    fn both_schemes_match_the_oracle_beyond_thread_chunks() {
+        // More trees than worker threads forces several fold chunks in
+        // the tree-level scheme; both must keep the tree-order sum.
+        let mut second = Tree::new(2);
+        let (l, r) = second.split_node(0, 0, 0, 1.0);
+        second.set_leaf(l, vec![0.25, -0.5]);
+        second.set_leaf(r, vec![-0.75, 0.125]);
+        let model = Model {
+            trees: (0..64)
+                .map(|i| [unbalanced(), second.clone()][i % 2].clone())
+                .collect(),
+            base: vec![0.1, 0.2],
+            d: 2,
+            task: gbdt_data::Task::MultiRegression,
+            config: TrainConfig::default(),
+        };
+        let x =
+            DenseMatrix::from_rows(&[vec![0.0], vec![1.2], vec![2.0], vec![f32::NAN], vec![9.0]]);
+        let oracle = predict_raw(&model.trees, &model.base, &x);
+        let ens = DeviceEnsemble::upload(Device::rtx4090(), &model.compile());
+        for mode in [PredictMode::InstanceLevel, PredictMode::TreeLevel] {
+            assert_eq!(ens.predict(mode, &x), oracle, "{mode:?}");
+        }
     }
 }

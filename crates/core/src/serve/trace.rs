@@ -21,12 +21,14 @@ pub(crate) const MAX_TRACE_TREES: usize = 4;
 
 /// Register the resident SoA arrays with a kernel scope; returns the
 /// buffer ids in declaration order (feature, threshold, left, right,
-/// leaf_values, rows, out).
+/// leaf_values, rows, out). `out_initialized` marks an output the
+/// kernel reads before it writes.
 fn register_soa(
     scope: &KernelScope<'_>,
     view: &SoaView<'_>,
     features: &DenseMatrix,
     out_len: usize,
+    out_initialized: bool,
 ) -> [u32; 7] {
     let nodes = view.feature.len();
     [
@@ -46,7 +48,7 @@ fn register_soa(
             MemSpace::Global,
             true,
         ),
-        scope.register("serve_scores", out_len, MemSpace::Global, false),
+        scope.register("serve_scores", out_len, MemSpace::Global, out_initialized),
     ]
 }
 
@@ -85,10 +87,18 @@ fn touch_walk(
     view.leaf_base[t] + ((-at - 1) as usize) * view.d
 }
 
-/// Declare the instance-level serving kernel: one thread per row walks
+/// Declare the instance-level kernel `name`: one thread per row walks
 /// every (sampled) tree and writes its own `d`-wide score slice —
-/// disjoint by construction, which racecheck verifies.
-pub(crate) fn trace_predict_instance(device: &Device, view: &SoaView<'_>, features: &DenseMatrix) {
+/// disjoint by construction, which racecheck verifies. `accumulate`
+/// marks the training kernels, which read the running `n × d` scores
+/// before adding into them; serving writes fresh scores.
+pub(crate) fn trace_predict_instance(
+    device: &Device,
+    name: &'static str,
+    view: &SoaView<'_>,
+    features: &DenseMatrix,
+    accumulate: bool,
+) {
     let Some(san) = device.sanitizer() else {
         return;
     };
@@ -96,8 +106,8 @@ pub(crate) fn trace_predict_instance(device: &Device, view: &SoaView<'_>, featur
     if n == 0 || view.roots.is_empty() {
         return;
     }
-    let scope = san.scope("predict_compiled_instance");
-    let ids = register_soa(&scope, view, features, n * view.d);
+    let scope = san.scope(name);
+    let ids = register_soa(&scope, view, features, n * view.d, accumulate);
     let (leaf_id, out_id) = (ids[4], ids[6]);
     for i in sample_stride(n, MAX_TRACE_INSTANCES) {
         let ctx = ThreadCtx::from_global(i, 256);
@@ -105,6 +115,9 @@ pub(crate) fn trace_predict_instance(device: &Device, view: &SoaView<'_>, featur
             let off = touch_walk(&scope, &ids, view, features, ctx, i, t);
             for o in sample_stride(view.d, MAX_TRACE_OUTPUTS) {
                 scope.touch(leaf_id, ctx, off + o, AccessKind::Read);
+                if accumulate {
+                    scope.touch(out_id, ctx, i * view.d + o, AccessKind::Read);
+                }
                 scope.touch(out_id, ctx, i * view.d + o, AccessKind::Write);
             }
         }
@@ -127,7 +140,7 @@ pub(crate) fn trace_predict_tree(device: &Device, view: &SoaView<'_>, features: 
     let d = view.d;
     {
         let scope = san.scope("predict_compiled_tree");
-        let ids = register_soa(&scope, view, features, n * d);
+        let ids = register_soa(&scope, view, features, n * d, false);
         let leaf_id = ids[4];
         let partials = scope.register("serve_partials", trees * n * d, MemSpace::Global, false);
         for t in sample_stride(trees, MAX_TRACE_TREES) {

@@ -397,20 +397,7 @@ pub(crate) fn boost(
             if subsampled {
                 // Out-of-sample instances still receive the tree's
                 // contribution: route every instance to its leaf.
-                for i in 0..n {
-                    grown
-                        .tree
-                        .predict_into(ds.features().row(i), &mut scores[i * d..(i + 1) * d]);
-                }
-                // lint:allow(sanitize): same disjoint per-instance row scatter as `update_scores`, replayed by trace_update_scores on the dense path
-                lead.charge_kernel(
-                    "update_scores_routed",
-                    Phase::Predict,
-                    &KernelCost::streaming(
-                        (n * grown.tree.depth().max(1)) as f64 * 4.0,
-                        (n * (grown.tree.depth().max(1) * 16 + d * 8)) as f64,
-                    ),
-                );
+                crate::serve::add_tree_scores(lead, &grown.tree, ds.features(), &mut scores, false);
             } else {
                 update_scores_from_leaves(lead, &mut scores, d, &grown.leaf_assignments);
                 placement.mirror_update(&grown, n, d);
@@ -418,18 +405,12 @@ pub(crate) fn boost(
 
             let mut early_stop = false;
             if let Some((vd, patience)) = valid {
-                let tree = &grown.tree;
-                for i in 0..vd.n() {
-                    tree.predict_into(vd.features().row(i), &mut valid_scores[i * d..(i + 1) * d]);
-                }
-                // lint:allow(sanitize): identical traversal/scatter pattern to `predict`, replayed by trace_predict on the training path
-                lead.charge_kernel(
-                    "validation_predict",
-                    Phase::Predict,
-                    &KernelCost::streaming(
-                        (vd.n() * tree.depth().max(1)) as f64 * 4.0,
-                        (vd.n() * (tree.depth().max(1) * 16 + d * 8)) as f64,
-                    ),
+                crate::serve::add_tree_scores(
+                    lead,
+                    &grown.tree,
+                    vd.features(),
+                    &mut valid_scores,
+                    true,
                 );
                 let vloss = crate::loss::mean_loss(loss, &valid_scores, vd.targets(), d);
                 history.push(vloss);

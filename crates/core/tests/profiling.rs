@@ -9,7 +9,7 @@
 //!    and a Chrome trace that parses as JSON with a `traceEvents` array.
 
 use gbdt_core::config::{HistogramMethod, TrainConfig};
-use gbdt_core::{GpuTrainer, MultiGpuTrainer, PredictMode};
+use gbdt_core::{DeviceEnsemble, GpuTrainer, MultiGpuTrainer, PredictMode};
 use gbdt_data::synth::{make_regression, RegressionSpec};
 use gbdt_data::Dataset;
 use gpusim::{Device, Phase};
@@ -165,14 +165,8 @@ fn profiled_training_covers_the_pipeline() {
     let trainer = GpuTrainer::new(device.clone(), config(HistogramMethod::Adaptive));
     let model = trainer.fit(&ds);
     // Charged inference rides the same profiler.
-    let base = vec![0.0f32; ds.d()];
-    let _ = gbdt_core::predict::predict_on_device(
-        &device,
-        &model.trees,
-        &base,
-        ds.features(),
-        PredictMode::InstanceLevel,
-    );
+    let ens = DeviceEnsemble::upload(device.clone(), &model.compile());
+    let _ = ens.predict(PredictMode::InstanceLevel, ds.features());
 
     let prof = device.profile_summary().expect("profiler enabled");
     assert_eq!(prof.schema_version, gpusim::PROFILE_SCHEMA_VERSION);
@@ -182,12 +176,12 @@ fn profiled_training_covers_the_pipeline() {
     assert_eq!(prof.dropped_events, 0);
 
     // Hierarchical scopes: preprocess, rounds, levels under rounds,
-    // method scopes under levels, and the predict scope.
+    // method scopes under levels, and the serving predict scope.
     let paths: Vec<&str> = prof.scopes.iter().map(|s| s.path.as_str()).collect();
     assert!(paths.contains(&"preprocess"), "{paths:?}");
     assert!(paths.contains(&"round"), "{paths:?}");
     assert!(paths.contains(&"round/level"), "{paths:?}");
-    assert!(paths.contains(&"predict"), "{paths:?}");
+    assert!(paths.contains(&"serve_predict"), "{paths:?}");
     assert!(
         paths.iter().any(|p| p.starts_with("round/level/hist_")),
         "histogram method scopes missing: {paths:?}"

@@ -154,6 +154,31 @@ fn sanitized_group_training_is_clean_on_every_device() {
     }
 }
 
+/// Row subsampling routes every row through the grown tree, and a
+/// validation split is scored each round: both walks are traced under
+/// their own kernel names and come out clean.
+#[test]
+fn sanitized_subsampled_fit_with_validation_traces_both_walks() {
+    let ds = dataset();
+    let (train, valid) = ds.split(0.25, 3);
+    let device = Device::rtx4090();
+    device.enable_sanitizer(SanitizeMode::Full);
+    let cfg = TrainConfig {
+        subsample: 0.5,
+        ..config(HistogramMethod::Adaptive)
+    };
+    let _ = GpuTrainer::new(device.clone(), cfg).fit_with_validation(&train, &valid, 5);
+    let report = device.sanitize_report().expect("enabled");
+    assert!(report.is_clean(), "{:#?}", report.violations);
+    for kernel in ["update_scores_routed", "validation_predict"] {
+        assert!(
+            report.kernels.contains_key(kernel),
+            "kernel {kernel} missing from {:?}",
+            report.kernels.keys().collect::<Vec<_>>()
+        );
+    }
+}
+
 #[test]
 fn histogram_builders_declare_verified_atomics() {
     let ds = dataset();

@@ -5,6 +5,7 @@
 use gbdt_core::compiled::CompiledEnsemble;
 use gbdt_core::config::TrainConfig;
 use gbdt_core::memory::estimate_serving_bytes;
+use gbdt_core::predict::predict_raw;
 use gbdt_core::serve::{BatchConfig, BatchServer, DeviceEnsemble};
 use gbdt_core::trainer::GpuTrainer;
 use gbdt_core::{Model, PredictMode};
@@ -52,13 +53,14 @@ fn serve_all(server: &mut BatchServer, ds: &Dataset, arrival: impl Fn(usize) -> 
     out
 }
 
-/// Differential: `BatchServer` outputs are bit-identical to
-/// `CompiledEnsemble::predict` and `Model::predict` across batch sizes,
-/// in both predict modes.
+/// Differential: `BatchServer` outputs are bit-identical to the
+/// growth-form `predict_raw` oracle (as are `CompiledEnsemble::predict`
+/// and `Model::predict`) across batch sizes, in both predict modes.
 #[test]
 fn batch_server_is_bit_identical_across_batch_sizes_and_modes() {
     let (model, ds) = trained();
-    let reference = model.predict(ds.features());
+    let reference = predict_raw(&model.trees, &model.base, ds.features());
+    assert_eq!(model.predict(ds.features()), reference);
     let compiled = CompiledEnsemble::compile(&model);
     assert_eq!(compiled.predict(ds.features()), reference);
     let n = ds.features().rows();
@@ -70,6 +72,7 @@ fn batch_server_is_bit_identical_across_batch_sizes_and_modes() {
                 ens,
                 BatchConfig {
                     max_batch,
+                    mode,
                     ..BatchConfig::default()
                 },
             )
@@ -77,7 +80,7 @@ fn batch_server_is_bit_identical_across_batch_sizes_and_modes() {
             let got = serve_all(&mut server, &ds, |_| 0.0);
             assert_eq!(
                 got, reference,
-                "mode {mode:?} batch {max_batch} diverged from Model::predict"
+                "mode {mode:?} batch {max_batch} diverged from the predict_raw oracle"
             );
             let stats = server.stats();
             assert_eq!(stats.served, n as u64);

@@ -526,7 +526,7 @@ impl Workspace {
         report.raw_charge_names = raw_names.into_iter().collect();
 
         let all = self.all_files();
-        crate::file::apply_waivers(&mut findings, &all);
+        crate::file::apply_waivers(&mut findings, &all, true);
         report.diagnostics = findings;
         report.finalize();
         report

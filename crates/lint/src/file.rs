@@ -270,7 +270,8 @@ fn enclosing_fn(fns: &[FnInfo], i: usize) -> Option<usize> {
 
 /// Resolve a local `let name = …;` binding feeding a charge call: every
 /// string literal between the `=` and the statement-ending `;` is a candidate
-/// kernel name (handles `let name = if cond { "a" } else { "b" };`).
+/// kernel name (handles `let name = if cond { "a" } else { "b" };`), except
+/// literals inside a macro call such as `unreachable!("…")`.
 fn resolve_binding(toks: &[Tok], fn_start: usize, site: usize, var: &str) -> Vec<String> {
     let mut names = Vec::new();
     let mut i = fn_start;
@@ -298,6 +299,13 @@ fn resolve_binding(toks: &[Tok], fn_start: usize, site: usize, var: &str) -> Vec
         let mut depth = 0i32;
         let mut k = j + 1;
         while k < site {
+            let macro_call = ident_at(toks, k).is_some()
+                && punct_at(toks, k + 1, '!')
+                && ['(', '[', '{'].iter().any(|&c| punct_at(toks, k + 2, c));
+            if macro_call {
+                k = skip_group(toks, k + 2);
+                continue;
+            }
             match &toks[k].kind {
                 TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
                 TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
@@ -312,6 +320,23 @@ fn resolve_binding(toks: &[Tok], fn_start: usize, site: usize, var: &str) -> Vec
     names.sort();
     names.dedup();
     names
+}
+
+/// Index just past the delimited token tree that opens at `open` (a macro
+/// call's arguments).
+fn skip_group(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.kind {
+            TokKind::Punct('{' | '(' | '[') => depth += 1,
+            TokKind::Punct('}' | ')' | ']') => depth -= 1,
+            _ => {}
+        }
+        if depth <= 0 {
+            return k + 1;
+        }
+    }
+    toks.len()
 }
 
 fn parse_waivers(comments: &[crate::lexer::Comment]) -> Vec<Waiver> {
@@ -639,8 +664,12 @@ impl SourceFile {
 /// them — a contiguous block of waiver comment lines counts as one position,
 /// so several rules can be waived for the same site, stacked. Waivers
 /// without a reason or naming an unknown rule suppress nothing and are
-/// reported as `waiver_without_reason`.
-pub fn apply_waivers(findings: &mut Vec<Finding>, files: &[&SourceFile]) {
+/// reported as `waiver_without_reason`. With `report_unused`, a valid
+/// waiver that suppressed no finding is reported as `unused_waiver`; pass
+/// it only when every rule was checked, or a waiver of an unchecked rule
+/// would look stale.
+pub fn apply_waivers(findings: &mut Vec<Finding>, files: &[&SourceFile], report_unused: bool) {
+    let mut used: BTreeSet<(&str, u32, &str)> = BTreeSet::new();
     for f in findings.iter_mut() {
         let Some(sf) = files.iter().find(|s| s.path == f.file) else {
             continue;
@@ -673,6 +702,7 @@ pub fn apply_waivers(findings: &mut Vec<Finding>, files: &[&SourceFile]) {
             if eff + 1 >= f.line && w.line <= span_end {
                 f.waived = true;
                 f.waiver_reason = w.reason.clone();
+                used.insert((sf.path.as_str(), w.line, w.rule.as_str()));
                 break;
             }
         }
@@ -680,6 +710,17 @@ pub fn apply_waivers(findings: &mut Vec<Finding>, files: &[&SourceFile]) {
     for sf in files {
         for w in &sf.waivers {
             if w.reason.is_some() && RULE_IDS.contains(&w.rule.as_str()) {
+                if report_unused && !used.contains(&(sf.path.as_str(), w.line, w.rule.as_str())) {
+                    findings.push(Finding::new(
+                        "unused_waiver",
+                        &sf.path,
+                        w.line,
+                        format!(
+                            "waiver `lint:allow({})` suppresses no finding; remove it",
+                            w.rule
+                        ),
+                    ));
+                }
                 continue;
             }
             let msg = if RULE_IDS.contains(&w.rule.as_str()) {
@@ -736,6 +777,14 @@ fn a() {
         let sf = SourceFile::parse("x.rs", src);
         assert_eq!(sf.charges.len(), 1);
         assert_eq!(sf.charges[0].names, vec!["hist_gmem", "hist_gmem_packed"]);
+    }
+
+    #[test]
+    fn macro_literals_in_a_binding_are_not_kernel_names() {
+        let src = "fn h(m: Method) {\n    let name = match m {\n        Method::A => \"hist_a\",\n        Method::B => unreachable!(\"resolved above\"),\n        Method::C => \"hist_c\",\n    };\n    dev.charge_kernel(name, Phase::Histogram, &c);\n}\n";
+        let sf = SourceFile::parse("x.rs", src);
+        assert_eq!(sf.charges.len(), 1);
+        assert_eq!(sf.charges[0].names, vec!["hist_a", "hist_c"]);
     }
 
     #[test]
@@ -797,7 +846,7 @@ fn a() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // lint:allow(unwrap_in_lib)\n}\n";
         let sf = SourceFile::parse("lib.rs", src);
         let mut findings = sf.style_findings();
-        apply_waivers(&mut findings, &[&sf]);
+        apply_waivers(&mut findings, &[&sf], true);
         assert!(findings
             .iter()
             .any(|f| f.rule == "unwrap_in_lib" && !f.waived));
@@ -809,7 +858,7 @@ fn a() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    // lint:allow(unwrap_in_lib): invariant, x checked by caller\n    x.unwrap()\n}\n";
         let sf = SourceFile::parse("lib.rs", src);
         let mut findings = sf.style_findings();
-        apply_waivers(&mut findings, &[&sf]);
+        apply_waivers(&mut findings, &[&sf], true);
         let f = findings.iter().find(|f| f.rule == "unwrap_in_lib").unwrap();
         assert!(f.waived);
         assert_eq!(
@@ -824,9 +873,28 @@ fn a() {
         let src = "fn f(g: &Grid, x: Option<u32>) -> u32 {\n    // lint:allow(uncharged_launch): combinator, caller charges\n    // lint:allow(unwrap_in_lib): invariant, x checked by caller\n    g.run_blocks(|b| b); x.unwrap()\n}\n";
         let sf = SourceFile::parse("lib.rs", src);
         let mut findings = sf.style_findings();
-        apply_waivers(&mut findings, &[&sf]);
+        apply_waivers(&mut findings, &[&sf], true);
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.waived), "{findings:?}");
+    }
+
+    #[test]
+    fn waiver_that_suppresses_nothing_is_unused() {
+        let src = "fn f(x: Option<u32>) -> u32 {\n    // lint:allow(unwrap_in_lib): invariant, x checked by caller\n    x.unwrap()\n}\nfn g(v: &[f32]) -> f32 {\n    // lint:allow(unordered_float_reduce): stale, the sum is sequential\n    v.iter().sum()\n}\n";
+        let sf = SourceFile::parse("lib.rs", src);
+        let mut findings = sf.style_findings();
+        findings.extend(sf.hazard_findings());
+        apply_waivers(&mut findings, &[&sf], true);
+        let unused: Vec<u32> = findings
+            .iter()
+            .filter(|f| f.rule == "unused_waiver")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(unused, vec![6], "{findings:?}");
+        // Without `report_unused` (style-only runs) nothing is reported.
+        let mut findings = sf.style_findings();
+        apply_waivers(&mut findings, &[&sf], false);
+        assert!(findings.iter().all(|f| f.rule != "unused_waiver"));
     }
 
     #[test]

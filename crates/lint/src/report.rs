@@ -21,6 +21,7 @@ pub const RULE_IDS: &[&str] = &[
     "hashmap_iteration",
     "unordered_float_reduce",
     "waiver_without_reason",
+    "unused_waiver",
 ];
 
 #[derive(Debug, Clone)]

@@ -48,6 +48,7 @@ fn bad_repo_fires_every_v2_rule() {
         "hashmap_iteration",
         "unordered_float_reduce",
         "waiver_without_reason",
+        "unused_waiver",
         "unwrap_in_lib",
     ] {
         assert!(fired.contains(rule), "rule {rule} did not fire on bad_repo");

@@ -5,7 +5,7 @@
 //! cargo run --release --example model_persistence
 //! ```
 
-use gbdt_mo::core::{predict::PredictMode, rmse, Model};
+use gbdt_mo::core::{rmse, DeviceEnsemble, Model, PredictMode};
 use gbdt_mo::prelude::*;
 
 fn main() {
@@ -50,18 +50,9 @@ fn main() {
     println!("reloaded from {} — predictions identical", path.display());
 
     // --- serve with both inference modes (paper §3.4.2) ---------------
-    let a = gbdt_mo::core::predict::predict_raw(
-        &reloaded.trees,
-        &reloaded.base,
-        test.features(),
-        PredictMode::InstanceLevel,
-    );
-    let b = gbdt_mo::core::predict::predict_raw(
-        &reloaded.trees,
-        &reloaded.base,
-        test.features(),
-        PredictMode::TreeLevel,
-    );
+    let ens = DeviceEnsemble::upload(Device::rtx4090(), &reloaded.compile());
+    let a = ens.predict(PredictMode::InstanceLevel, test.features());
+    let b = ens.predict(PredictMode::TreeLevel, test.features());
     let max_diff = a
         .iter()
         .zip(&b)

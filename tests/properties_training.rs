@@ -6,9 +6,9 @@
 use gbdt_mo::core::grad::{compute_gradients, Gradients};
 use gbdt_mo::core::hist::{accumulate_dense, HistContext, NodeHistogram};
 use gbdt_mo::core::loss::MseLoss;
-use gbdt_mo::core::predict::{predict_raw, PredictMode};
+use gbdt_mo::core::predict::predict_raw;
 use gbdt_mo::core::split::{find_best_split, SplitParams};
-use gbdt_mo::core::{grow, HistOptions, TrainConfig};
+use gbdt_mo::core::{grow, DeviceEnsemble, HistOptions, PredictMode, TrainConfig};
 use gbdt_mo::prelude::*;
 use proptest::prelude::*;
 
@@ -198,12 +198,18 @@ proptest! {
         };
         let res = grow::grow_tree(&device, &binned, &grads, &config, &features);
         let features_mx = gbdt_mo::data::DenseMatrix::new(p.n, p.m, p.features);
-        let base = vec![0.0f32; p.d];
-        let trees = vec![res.tree];
-        let a = predict_raw(&trees, &base, &features_mx, PredictMode::InstanceLevel);
-        let b = predict_raw(&trees, &base, &features_mx, PredictMode::TreeLevel);
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() < 1e-5);
+        let model = Model {
+            trees: vec![res.tree],
+            base: vec![0.0f32; p.d],
+            d: p.d,
+            task: Task::MultiRegression,
+            config,
+        };
+        let bits = |s: Vec<f32>| s.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let oracle = bits(predict_raw(&model.trees, &model.base, &features_mx));
+        let ens = DeviceEnsemble::upload(Device::rtx4090(), &model.compile());
+        for mode in [PredictMode::InstanceLevel, PredictMode::TreeLevel] {
+            prop_assert_eq!(bits(ens.predict(mode, &features_mx)), oracle.clone());
         }
     }
 

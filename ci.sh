@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Scratch files of the smoke steps below, removed on any exit.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -107,12 +111,12 @@ echo "==> stream overlap smoke (streamed grid must record overlap savings)"
 # serial-vs-streamed comparison and per-record overlap_saved_ns prove
 # the overlap actually engaged.
 cargo run --release -q -p gbdt-bench --bin repro -- bench --smoke --streams 4 \
-  --out /tmp/BENCH_streams.json > /tmp/bench_streams.log
-grep -q "overlap_saved" /tmp/bench_streams.log || {
+  --out "$tmp"/BENCH_streams.json > "$tmp"/bench_streams.log
+grep -q "overlap_saved" "$tmp"/bench_streams.log || {
   echo "ci: streamed bench printed no overlap savings" >&2
   exit 1
 }
-grep -qE '"overlap_saved_ns":[1-9]' /tmp/BENCH_streams.json || {
+grep -qE '"overlap_saved_ns":[1-9]' "$tmp"/BENCH_streams.json || {
   echo "ci: no bench record carries nonzero overlap_saved_ns" >&2
   exit 1
 }
@@ -137,16 +141,16 @@ echo "==> unified run report smoke (served scores match; report carries the ledg
 # joined report. Per-phase time is the ledger's `by_phase`, embedded as
 # is: no observer keeps a second copy to reconcile.
 cargo run --release -q -p gbdt-bench --bin repro -- report --smoke \
-  --out /tmp/REPORT_repro.json --prom /tmp/metrics.prom >/dev/null
-grep -q 'telemetry_schema_version' /tmp/REPORT_repro.json || {
+  --out "$tmp"/REPORT_repro.json --prom "$tmp"/metrics.prom >/dev/null
+grep -q 'telemetry_schema_version' "$tmp"/REPORT_repro.json || {
   echo "ci: run report missing telemetry schema version" >&2
   exit 1
 }
-grep -qE '"ledger":\{[^}]*"by_phase":\{[^}]*"Histogram":' /tmp/REPORT_repro.json || {
+grep -qE '"ledger":\{[^}]*"by_phase":\{[^}]*"Histogram":' "$tmp"/REPORT_repro.json || {
   echo "ci: run report's ledger section lacks a by_phase Histogram entry" >&2
   exit 1
 }
-grep -q 'rounds_total' /tmp/metrics.prom || {
+grep -q 'rounds_total' "$tmp"/metrics.prom || {
   echo "ci: Prometheus exposition missing training counters" >&2
   exit 1
 }

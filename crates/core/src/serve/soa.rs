@@ -311,9 +311,10 @@ impl DeviceEnsemble {
                     actual: fresh.1,
                 };
                 // Observer only: the verdict is already decided; the
-                // flight recorder keeps what the device was serving.
+                // postmortem keeps what the device was serving.
                 if let Some(tel) = self.device.telemetry() {
-                    tel.record_postmortem(&err.to_string());
+                    let devices = std::slice::from_ref(&self.device);
+                    tel.push_postmortem(gpusim::postmortem(&err.to_string(), devices));
                 }
                 return Err(err);
             }

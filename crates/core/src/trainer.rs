@@ -19,6 +19,7 @@ use crate::grow::{grow_tree_pooled, GrowResult};
 use crate::loss::{loss_for_task, MultiOutputLoss};
 use crate::memory::HistogramPool;
 use crate::model::Model;
+use crate::tree::Node;
 use gbdt_data::{BinnedDataset, Dataset, Task};
 use gpusim::cost::KernelCost;
 use gpusim::{Device, GpuFault, LedgerSummary, Phase, Telemetry};
@@ -203,14 +204,16 @@ enum Step {
 /// The one fault-recovery routine. Polls `placement` after a step of
 /// `round` (`usize::MAX` for ingest) and decides: commit, retry within
 /// [`TrainConfig::with_retry`]'s budget, degrade to the survivors, or
-/// fail with a typed [`TrainError`]. Counters and postmortems go to
-/// `tel` after the decision is made.
+/// fail with a typed [`TrainError`]. Counters go to `tel` after the
+/// decision is made, and so does a failure's postmortem, built from the
+/// logs of `fleet` (every device the fit started on, lost ones too).
 fn recover(
     placement: &mut impl Placement,
     attempts: &mut u32,
     max_retries: u32,
     round: usize,
     tel: Option<&Telemetry>,
+    fleet: &[Arc<Device>],
 ) -> Result<Step, TrainError> {
     let Err(fault) = placement.poll() else {
         return Ok(Step::Commit);
@@ -240,7 +243,7 @@ fn recover(
         }
     };
     if let Some(t) = tel {
-        t.record_postmortem(&err.to_string());
+        t.push_postmortem(gpusim::postmortem(&err.to_string(), fleet));
     }
     Err(err)
 }
@@ -277,6 +280,7 @@ pub(crate) fn boost(
     // shares one registry, so the first device's is the fit's.
     let tel = starts.iter().find_map(|(dev, _)| dev.telemetry());
     let tel = tel.as_deref();
+    let fleet: Vec<Arc<Device>> = starts.iter().map(|(dev, _)| Arc::clone(dev)).collect();
 
     // --- ingest: upload + quantile binning (charged), with recovery --
     let mut prep_attempts = 0u32;
@@ -287,7 +291,14 @@ pub(crate) fn boost(
         }
         // Retry and degradation both re-run the ingest: the shares
         // are recomputed from the survivors.
-        let step = recover(placement, &mut prep_attempts, max_retries, usize::MAX, tel)?;
+        let step = recover(
+            placement,
+            &mut prep_attempts,
+            max_retries,
+            usize::MAX,
+            tel,
+            &fleet,
+        )?;
         if let Step::Commit = step {
             break;
         }
@@ -427,7 +438,7 @@ pub(crate) fn boost(
             }
             // Sync point: surface any fault injected by this round's
             // charges before committing its tree.
-            match recover(placement, &mut attempts, max_retries, t, tel)? {
+            match recover(placement, &mut attempts, max_retries, t, tel, &fleet)? {
                 Step::Commit => break (grown, early_stop),
                 Step::Retry => {}
                 // Survivors take over the lost devices' columns or
@@ -632,6 +643,20 @@ impl GpuTrainer {
                 ck.completed_trees, self.config.num_trees
             )));
         }
+        // The decoder cannot know the dataset's width; a split on a
+        // feature past it would index out of bounds in every predict.
+        for (t, tree) in ck.trees.iter().enumerate() {
+            for node in tree.nodes() {
+                if let Node::Split { feature, .. } = node {
+                    if *feature as usize >= ds.m() {
+                        return Err(TrainError::Checkpoint(format!(
+                            "tree {t} splits on feature {feature}, but the dataset has {} features",
+                            ds.m()
+                        )));
+                    }
+                }
+            }
+        }
         Ok(self.fit_impl(ds, None, None, Some(ck), None)?.0)
     }
 
@@ -810,6 +835,56 @@ mod tests {
             max_bins: 32,
             min_instances: 5,
             ..TrainConfig::default()
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_tree_that_splits_past_the_dataset_width() {
+        let ds = make_classification(&ClassificationSpec {
+            instances: 120,
+            features: 5,
+            classes: 3,
+            informative: 4,
+            seed: 5,
+            ..Default::default()
+        });
+        let cfg = TrainConfig {
+            num_trees: 3,
+            max_depth: 3,
+            ..quick_config()
+        };
+        let trainer = GpuTrainer::try_new(Device::rtx4090(), cfg).expect("valid config");
+        let (_, checkpoints) = trainer.try_fit_checkpointed(&ds).expect("fit succeeds");
+        let mut ck = checkpoints
+            .last()
+            .expect("one checkpoint per round")
+            .clone();
+        let nodes: Vec<Node> = ck.trees[1]
+            .nodes()
+            .iter()
+            .map(|node| match node {
+                Node::Split {
+                    bin,
+                    threshold,
+                    left,
+                    right,
+                    ..
+                } => Node::Split {
+                    feature: 5,
+                    bin: *bin,
+                    threshold: *threshold,
+                    left: *left,
+                    right: *right,
+                },
+                leaf => leaf.clone(),
+            })
+            .collect();
+        ck.trees[1] = crate::tree::Tree::from_parts(nodes, ds.d()).expect("valid structure");
+        match trainer.try_fit_resumed(&ds, &ck) {
+            Err(TrainError::Checkpoint(msg)) => {
+                assert!(msg.contains("tree 1") && msg.contains("feature 5"), "{msg}");
+            }
+            other => panic!("expected a checkpoint error, got {:?}", other.map(|_| ())),
         }
     }
 

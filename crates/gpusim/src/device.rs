@@ -4,14 +4,14 @@ use crate::buffer::GpuBuffer;
 use crate::cost::{CostModel, CostParams, KernelCost};
 use crate::fault::{Bits32, FaultInjector, FaultPlan, FaultReport, GpuFault};
 use crate::occupancy::{occupancy, BlockResources, SmLimits};
-use crate::prof::{ProfScope, ProfileSummary, Profiler, ScopeStack};
+use crate::prof::{self, ProfScope, ProfileSummary};
 use crate::sanitize::{SanitizeMode, SanitizeReport, Sanitizer};
-use crate::timeline::{Event, Ledger, LedgerSummary};
+use crate::timeline::{Entry, Event, Ledger, LedgerSummary, Mark};
 use crate::KernelRecord;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use telemetry::Telemetry;
+use telemetry::{Logged, Telemetry};
 
 /// Training-pipeline phase a kernel is attributed to. Used to regenerate
 /// the paper's Figure 4 breakdown (histogram share of total time).
@@ -142,10 +142,10 @@ impl DeviceProps {
 /// slots (see [`Device::compute_slots`]). Stream 0 is the default
 /// stream; code that never names a stream behaves exactly as the old
 /// single-stream device, bit for bit. `Device` is `Sync`: one lock
-/// guards the ledger and everything attached to it, and every charge is
-/// booked at one site that hands the booked [`KernelRecord`] to the
-/// profiler and telemetry under that lock, so observers see charges in
-/// ledger order and keep no totals of their own. The in-order-stream
+/// guards the ledger and everything attached to it. Charges (booked at
+/// one site), profiling scopes and surfaced faults all go into the
+/// ledger's one event log, and the records, profile, Chrome trace and
+/// postmortems are views of it ([`crate::prof`]). The in-order-stream
 /// abstraction means only subtotal order (not interleaving) matters.
 pub struct Device {
     /// Device index within its group (0-based, mirrors `cudaSetDevice`).
@@ -160,10 +160,10 @@ pub struct Device {
 struct DeviceState {
     ledger: Ledger,
     sanitizer: Option<Arc<Sanitizer>>,
-    profiler: Option<Arc<Profiler>>,
     fault: Option<Arc<FaultInjector>>,
     telemetry: Option<Arc<Telemetry>>,
-    scopes: ScopeStack,
+    /// Whether the profile and trace views report.
+    profiling: bool,
 }
 
 /// A lightweight handle binding a [`Device`] to a stream id, so call
@@ -220,8 +220,9 @@ impl std::fmt::Debug for Device {
 }
 
 impl Device {
-    /// Default number of detailed kernel records retained per device.
-    pub const DEFAULT_RECORD_LIMIT: usize = 100_000;
+    /// Default number of event-log entries retained per device; older
+    /// ones are folded into the log's running totals.
+    pub const DEFAULT_LOG_LIMIT: usize = 100_000;
 
     /// Create device `id` with the given properties.
     pub fn new(id: usize, props: DeviceProps) -> Arc<Self> {
@@ -232,7 +233,7 @@ impl Device {
             props,
             model,
             state: Mutex::new(DeviceState {
-                ledger: Ledger::with_slots(Self::DEFAULT_RECORD_LIMIT, slots),
+                ledger: Ledger::with_slots(Self::DEFAULT_LOG_LIMIT, slots),
                 ..DeviceState::default()
             }),
         })
@@ -302,8 +303,8 @@ impl Device {
     }
 
     /// The one booking site behind every charge (`cost` is `None` for
-    /// engine work). Observers get the booked record under the same
-    /// lock, after the ledger, and never feed anything back.
+    /// engine work): the ledger books it and logs it with the two facts
+    /// the profile takes from its cost. Nothing is fed back.
     fn book(
         &self,
         name: &'static str,
@@ -324,15 +325,12 @@ impl Device {
             Some(c) if self.model.saturates_device(c) => st.ledger.compute_slots(),
             Some(_) => 1,
         };
-        let r = st.ledger.charge_scheduled(stream, name, phase, ns, slots);
-        if let Some(prof) = &st.profiler {
-            let (dram_bytes, limited) = cost.map_or((0.0, false), |c| {
-                (c.dram_bytes, self.model.serialization_limited(c))
-            });
-            prof.on_kernel(&r, dram_bytes, limited);
-        }
+        let facts = cost.map_or((0.0, false), |c| {
+            (c.dram_bytes, self.model.serialization_limited(c))
+        });
+        st.ledger.book(stream, name, phase, ns, slots, facts);
         if let Some(tel) = &st.telemetry {
-            tel.record_charge(self.id, r.name, r.phase.name(), r.ns, r.start_ns, r.stream);
+            tel.count_logged(Logged::Charge);
         }
     }
 
@@ -389,11 +387,16 @@ impl Device {
         self.state.lock().ledger.summary()
     }
 
-    /// Clone of the retained detailed kernel records (up to
-    /// [`Device::DEFAULT_RECORD_LIMIT`]). Used by the determinism audit
-    /// to diff replayed cost streams.
+    /// The charges still in the event log, oldest first (all of them
+    /// until the log passes [`Device::DEFAULT_LOG_LIMIT`] entries). Used
+    /// by the determinism audit to diff replayed cost streams.
     pub fn records(&self) -> Vec<KernelRecord> {
-        self.state.lock().ledger.records().to_vec()
+        self.state.lock().ledger.records()
+    }
+
+    /// Run `f` on the ledger under the device lock (the log's views).
+    pub(crate) fn with_ledger<R>(&self, f: impl FnOnce(&Ledger) -> R) -> R {
+        f(&self.state.lock().ledger)
     }
 
     // ---- sanitizer ---------------------------------------------------------
@@ -428,63 +431,57 @@ impl Device {
 
     // ---- profiler ----------------------------------------------------------
 
-    /// Attach a fresh profiler (replacing any previous one, whose state
-    /// is dropped). Purely observational: attached or not, trees and
-    /// charged nanoseconds are bit-identical (regression-tested in
-    /// `crates/core/tests/profiling.rs`).
+    /// Turn on [`Device::profile_summary`] and [`Device::chrome_trace`],
+    /// views of the log since creation or the last reset. On or off,
+    /// trees and charged nanoseconds are bit-identical
+    /// (regression-tested in `crates/core/tests/profiling.rs`).
     pub fn enable_profiler(&self) {
-        self.state.lock().profiler = Some(Arc::new(Profiler::default()));
+        self.state.lock().profiling = true;
     }
 
-    /// Detach the profiler; accumulated state is dropped.
+    /// Turn the profile views off again (the log itself is kept).
     pub fn disable_profiler(&self) {
-        self.state.lock().profiler = None;
-    }
-
-    /// The attached profiler, if any. `None` (the default) keeps the
-    /// charge hot path free of recording overhead.
-    pub fn profiler(&self) -> Option<Arc<Profiler>> {
-        self.state.lock().profiler.clone()
+        self.state.lock().profiling = false;
     }
 
     /// Open a hierarchical profiling scope (`kind` is the aggregation
-    /// key, `index` labels this instance in the trace) on this device's
-    /// scope stack. A no-op guard that allocates nothing when neither a
-    /// profiler nor telemetry is attached.
+    /// key, `index` labels this instance in the trace); it closes when
+    /// the guard drops.
     pub fn prof_scope(&self, kind: &'static str, index: Option<u64>) -> ProfScope<'_> {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let pushed = st.profiler.is_some() || st.telemetry.is_some();
-        if pushed {
-            st.scopes.push(kind, index, st.ledger.total_ns());
-        }
+        let mut st = self.state.lock();
+        let at_ns = st.ledger.total_ns();
+        st.ledger.append(Entry::Open(Mark { kind, index, at_ns }));
         ProfScope {
             device: self,
-            pushed,
+            kind,
+            index,
         }
     }
 
-    /// Close the innermost scope and hand it to the attached observers.
-    pub(crate) fn pop_scope(&self) {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let (prof, tel) = (st.profiler.as_deref(), st.telemetry.as_deref());
-        st.scopes.pop(self.id, st.ledger.total_ns(), prof, tel);
+    /// Log the close of the innermost scope.
+    pub(crate) fn close_scope(&self, kind: &'static str, index: Option<u64>) {
+        let mut st = self.state.lock();
+        let at_ns = st.ledger.total_ns();
+        st.ledger.append(Entry::Close(Mark { kind, index, at_ns }));
+        if let Some(tel) = &st.telemetry {
+            tel.count_logged(Logged::Span);
+        }
     }
 
-    /// Snapshot the schema-versioned profile summary, or `None` when no
-    /// profiler is attached.
+    /// The schema-versioned profile summary, or `None` when the
+    /// profiler is off.
     pub fn profile_summary(&self) -> Option<ProfileSummary> {
         let st = self.state.lock();
-        st.profiler
-            .as_ref()
-            .map(|p| p.summarize(&self.props.name, &st.ledger.summary()))
+        st.profiling
+            .then(|| prof::summarize(&self.props.name, &st.ledger))
     }
 
-    /// Export the Chrome `chrome://tracing` JSON for this device, or
-    /// `None` when no profiler is attached.
+    /// The Chrome `chrome://tracing` JSON of this device's log, or
+    /// `None` when the profiler is off.
     pub fn chrome_trace(&self) -> Option<String> {
-        self.profiler().map(|p| p.chrome_trace(self.id))
+        let st = self.state.lock();
+        st.profiling
+            .then(|| prof::chrome_trace(self.id, &st.ledger))
     }
 
     // ---- telemetry ---------------------------------------------------------
@@ -493,7 +490,8 @@ impl Device {
     /// whose state is dropped) and return it. Purely observational,
     /// like the sanitizer and profiler: attached or not, trees, clocks,
     /// and charge records are bit-identical (regression-tested in
-    /// `crates/core/tests/telemetry.rs`).
+    /// `crates/core/tests/telemetry.rs`). It counts what this device
+    /// logs; failure paths hand it a [`prof::postmortem`].
     pub fn enable_telemetry(&self) -> Arc<Telemetry> {
         let tel = Arc::new(Telemetry::new());
         self.attach_telemetry(Arc::clone(&tel));
@@ -501,8 +499,7 @@ impl Device {
     }
 
     /// Attach an existing registry — several devices (a multi-GPU
-    /// group) can share one, interleaving their flight-recorder events
-    /// by recording order.
+    /// group) can share one.
     pub fn attach_telemetry(&self, tel: Arc<Telemetry>) {
         self.state.lock().telemetry = Some(tel);
     }
@@ -546,12 +543,17 @@ impl Device {
     /// attached or nothing fired; transient faults are cleared by the
     /// poll, device loss is sticky.
     pub fn poll_fault(&self) -> Result<(), GpuFault> {
-        let st = self.state.lock();
+        let mut st = self.state.lock();
         let res = st.fault.as_ref().map_or(Ok(()), |inj| inj.poll());
-        if let (Err(fault), Some(tel)) = (&res, &st.telemetry) {
-            // Observer only: the poll result is already decided; the
-            // flight recorder just remembers what surfaced.
-            tel.record_fault(self.id, &fault.to_string());
+        if let Err(fault) = &res {
+            // The poll result is already decided; the log just
+            // remembers what surfaced.
+            let at_ns = st.ledger.total_ns();
+            st.ledger
+                .append(Entry::Fault(Box::new((fault.clone(), at_ns))));
+            if let Some(tel) = &st.telemetry {
+                tel.count_logged(Logged::Fault);
+            }
         }
         res
     }
@@ -589,7 +591,8 @@ impl Device {
         }
     }
 
-    /// Reset the ledger to zero (e.g. between benchmark repetitions).
+    /// Reset the ledger and its event log to zero (e.g. between
+    /// benchmark repetitions), so every view starts afresh.
     pub fn reset(&self) {
         self.state.lock().ledger.reset();
     }
@@ -721,8 +724,36 @@ mod tests {
                 .map(|(_, v)| v.clone())
         });
         assert_eq!(dur, Some(serde::Value::Float(0.0)));
-        tel.record_postmortem("probe");
-        assert_eq!(tel.postmortems()[0].events[0].end_ns, 0.0);
+        assert_eq!(prof::postmortem("probe", &[dev]).events[0].end_ns, 0.0);
+        assert_eq!(tel.snapshot().charges_recorded, 1);
+    }
+
+    #[test]
+    fn reset_clears_what_the_views_report() {
+        let dev = Device::rtx4090();
+        dev.enable_profiler();
+        dev.charge_ns("before", Phase::Other, 1000.0);
+        dev.reset();
+        dev.charge_ns("after", Phase::Other, 10.0);
+        let prof = dev.profile_summary().expect("profiler attached");
+        let rows: f64 = prof.kernels.iter().map(|k| k.total_ns).sum();
+        assert_eq!(rows, prof.total_ns);
+        assert_eq!(prof.total_ns, 10.0);
+        let trace: serde::Value =
+            serde_json::from_str(&dev.chrome_trace().expect("profiler attached"))
+                .expect("valid trace JSON");
+        let names: Vec<String> = trace
+            .as_object()
+            .and_then(|o| o.iter().find(|(k, _)| k == "traceEvents"))
+            .and_then(|(_, events)| events.as_array())
+            .expect("traceEvents array")
+            .iter()
+            .filter_map(|e| {
+                let (_, name) = e.as_object()?.iter().find(|(k, _)| k == "name")?;
+                name.as_str().map(str::to_string)
+            })
+            .collect();
+        assert_eq!(names, ["after"]);
     }
 
     impl LedgerSummary {

@@ -57,7 +57,8 @@ pub use fault::{
 };
 pub use launch::LaunchCfg;
 pub use prof::{
-    KernelStatRow, ProfScope, ProfileSummary, Profiler, ScopeRow, PROFILE_SCHEMA_VERSION,
+    postmortem, KernelStatRow, ProfScope, ProfileSummary, ScopeRow, POSTMORTEM_TAIL,
+    PROFILE_SCHEMA_VERSION,
 };
 pub use sanitize::{
     AccessKind, MemSpace, SanitizeMode, SanitizeReport, Sanitizer, ThreadCtx, Violation,

@@ -1,36 +1,35 @@
-//! Kernel-level profiler for the simulated device.
+//! Views of a device's event log: the profile summary, the Chrome
+//! trace and the postmortem.
 //!
-//! Mirrors the sanitizer's attachment contract (`sanitize` module): a
-//! [`Profiler`] is an *observer* hung off the [`Device`](crate::Device).
-//! It never charges the ledger and never influences kernel results, so
-//! profiling off ⇒ bit-identical trees and charged nanoseconds (the
-//! zero-perturbation contract, regression-tested in `crates/core`).
-//! The device hands it the [`KernelRecord`] the ledger booked, so its
-//! durations are the ledger's, clamp included.
+//! A device keeps one append-only, sequence-numbered log in its ledger
+//! ([`crate::timeline`]): every booked charge, with the DRAM bytes and
+//! serialization flag of its cost; every profiling scope's open and
+//! close, stamped on the simulated clock; and every fault a poll
+//! surfaced. Nothing else keeps a copy. The views are built from the
+//! log when asked for, so they agree with the ledger and with each
+//! other, and looking never charges anything (regression-tested in
+//! `crates/core`):
 //!
-//! What it records, keyed by `(kernel name, Phase)`:
+//! * [`ProfileSummary`] — per-`(kernel, Phase)` launch count,
+//!   total/mean/max simulated ns, DRAM bytes and an *occupancy-limited*
+//!   flag (most launches dominated by serialized terms: atomics, sort,
+//!   launch overhead); and per scope path (`round/level`) from
+//!   [`Device::prof_scope`](crate::Device::prof_scope);
+//! * the Chrome `chrome://tracing` JSON of the retained entries;
+//! * [`postmortem`] — each device's last [`POSTMORTEM_TAIL`] charges,
+//!   spans and faults, merged across a group.
 //!
-//! * aggregate stats — launch count, total/mean/max simulated ns, DRAM
-//!   bytes, and an *occupancy-limited* flag set when the majority of
-//!   launches spent more time in serialized terms (atomics, sort,
-//!   launch overhead) than in overlapped streaming work;
-//! * hierarchical scopes — the trainer pushes per-boosting-round and
-//!   per-level scopes (and builders push per-method scopes) via
-//!   [`Device::prof_scope`](crate::Device::prof_scope) onto the device's
-//!   scope stack; scope durations are measured on the *simulated*
-//!   clock, so they are deterministic;
-//! * a bounded trace-event buffer exported as Chrome `chrome://tracing`
-//!   JSON ([`Profiler::chrome_trace`] wraps it in `traceEvents`).
-//!
-//! The compact, schema-versioned [`ProfileSummary`] is the machine-
-//! readable form consumed by the bench harness and CI diff gates.
+//! Past its cap the log folds its oldest entries into running totals,
+//! which the summary continues over the retained entries, so the
+//! aggregates stay exact; the trace and postmortems show the newest.
 
-use crate::device::Phase;
-use crate::KernelRecord;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use telemetry::Telemetry;
+use crate::device::{Device, Phase};
+use crate::timeline::{Entry, Ledger, Mark};
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
+use telemetry::{FlightEvent, Postmortem};
 
 /// Schema version of [`ProfileSummary`] and the Chrome-trace envelope.
 ///
@@ -42,9 +41,8 @@ use telemetry::Telemetry;
 /// stream renders as its own track; previously `tid` was always 0.
 pub const PROFILE_SCHEMA_VERSION: u32 = 2;
 
-/// Default cap on retained trace events (kernels + scopes). Aggregates
-/// stay exact past the cap; only the Chrome trace loses detail.
-pub const DEFAULT_EVENT_LIMIT: usize = 200_000;
+/// Events per device a [`postmortem`] carries: the most recent ones.
+pub const POSTMORTEM_TAIL: usize = 256;
 
 #[derive(Debug, Default, Clone)]
 struct KernelStat {
@@ -55,289 +53,304 @@ struct KernelStat {
     limited_launches: u64,
 }
 
-#[derive(Debug, Default, Clone)]
-struct ScopeStat {
-    count: u64,
-    total_ns: f64,
-    depth: u32,
+/// Keep `open` (the open scopes, outermost first) in step with `e` and
+/// hand `f` the scopes open around `e` — for a close, ending with the
+/// scope it closes. Opens, and closes with nothing open, reach nobody.
+fn step(open: &mut Vec<Mark>, e: &Entry, f: impl FnOnce(&[Mark])) {
+    match e {
+        Entry::Open(mark) => open.push(*mark),
+        Entry::Close(_) => {
+            if !open.is_empty() {
+                f(open);
+                open.pop();
+            }
+        }
+        _ => f(open),
+    }
 }
 
-#[derive(Debug, Clone)]
-struct TraceEvent {
-    name: String,
-    cat: &'static str,
-    start_ns: f64,
-    dur_ns: f64,
-    /// Stream the charge was issued on — rendered as the Chrome-trace
-    /// `tid`, so each stream gets its own track. Scope events use 0.
-    stream: u64,
+/// [`step`] through the retained log, from the scopes the shed entries
+/// left open; `f` also gets each entry's sequence number.
+fn walk(ledger: &Ledger, mut f: impl FnMut(u64, &Entry, &[Mark])) {
+    let mut open = ledger.shed.open.clone();
+    for (seq, e) in (ledger.shed.entries..).zip(&ledger.log) {
+        step(&mut open, e, |scopes| f(seq, e, scopes));
+    }
 }
 
-#[derive(Default)]
-struct ProfInner {
+/// A scope's trace label: its kind, then its index when it has one.
+fn label(mark: &Mark) -> Cow<'static, str> {
+    match mark.index {
+        Some(i) => Cow::Owned(format!("{} {i}", mark.kind)),
+        None => Cow::Borrowed(mark.kind),
+    }
+}
+
+/// Running totals of a prefix of the log, folded entry by entry in
+/// sequence order. The ledger keeps one for the entries it has shed;
+/// [`summarize`] continues a copy over the retained ones.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Totals {
+    /// Scopes open after the prefix, outermost first.
+    open: Vec<Mark>,
     kernels: BTreeMap<(&'static str, Phase), KernelStat>,
-    scopes: BTreeMap<String, ScopeStat>,
-    events: Vec<TraceEvent>,
-    dropped_events: u64,
+    scopes: BTreeMap<String, ScopeRow>,
+    entries: u64,
+    pub(crate) charges: u64,
+    spans: u64,
+    faults: u64,
 }
 
-/// Accumulating profiler state attached to one device.
-///
-/// All methods are internally locked; charges issue serially in node
-/// order (the repo's determinism contract), so recorded event order is
-/// deterministic.
-pub struct Profiler {
-    event_limit: usize,
-    inner: Mutex<ProfInner>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Self::new(DEFAULT_EVENT_LIMIT)
-    }
-}
-
-impl Profiler {
-    /// Create a profiler retaining at most `event_limit` trace events.
-    pub fn new(event_limit: usize) -> Self {
-        Profiler {
-            event_limit,
-            inner: Mutex::new(ProfInner::default()),
-        }
-    }
-
-    fn push_event(inner: &mut ProfInner, limit: usize, ev: TraceEvent) {
-        if inner.events.len() < limit {
-            inner.events.push(ev);
-        } else {
-            inner.dropped_events += 1;
-        }
-    }
-
-    /// Record one charge, as the ledger booked it. Called by the device
-    /// *after* the ledger charge; `limited` marks a launch dominated by
-    /// serialized terms.
-    pub fn on_kernel(&self, rec: &KernelRecord, dram_bytes: f64, limited: bool) {
-        let mut inner = self.inner.lock();
-        let stat = inner.kernels.entry((rec.name, rec.phase)).or_default();
-        stat.count += 1;
-        stat.total_ns += rec.ns;
-        if rec.ns > stat.max_ns {
-            stat.max_ns = rec.ns;
-        }
-        stat.dram_bytes += dram_bytes;
-        if limited {
-            stat.limited_launches += 1;
-        }
-        let limit = self.event_limit;
-        Self::push_event(
-            &mut inner,
-            limit,
-            TraceEvent {
-                name: rec.name.to_string(),
-                cat: rec.phase.name(),
-                start_ns: rec.start_ns,
-                dur_ns: rec.ns,
-                stream: rec.stream as u64,
-            },
-        );
-    }
-
-    /// Record a closed scope: aggregate its duration under `path`
-    /// (kinds joined by `/`, e.g. `round/level`, at nesting `depth`)
-    /// and emit a trace event labeled `label`.
-    pub fn on_scope(&self, path: &str, label: String, depth: u32, start_ns: f64, end_ns: f64) {
-        let mut inner = self.inner.lock();
-        let stat = inner.scopes.entry(path.to_string()).or_default();
-        stat.count += 1;
-        stat.total_ns += end_ns - start_ns;
-        stat.depth = depth;
-        let limit = self.event_limit;
-        Self::push_event(
-            &mut inner,
-            limit,
-            TraceEvent {
-                name: label,
-                cat: "scope",
-                start_ns,
-                dur_ns: end_ns - start_ns,
-                stream: 0,
-            },
-        );
-    }
-
-    /// Number of trace events shed past the event limit (aggregates
-    /// remain exact).
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().dropped_events
-    }
-
-    /// Snapshot the per-kernel and per-scope aggregates into the
-    /// schema-versioned summary. Ledger-derived fields (`total_ns`,
-    /// `by_phase`, `kernel_count`, `dropped_records`) are filled in by
-    /// the device, which owns the ledger.
-    pub fn summarize(&self, device_name: &str, ledger: &crate::LedgerSummary) -> ProfileSummary {
-        let inner = self.inner.lock();
-        let kernels = inner
-            .kernels
-            .iter()
-            .map(|((name, phase), s)| KernelStatRow {
-                name: (*name).to_string(),
-                phase: phase.name().to_string(),
-                count: s.count,
-                total_ns: s.total_ns,
-                mean_ns: if s.count > 0 {
-                    s.total_ns / s.count as f64
-                } else {
-                    0.0
-                },
-                max_ns: s.max_ns,
-                dram_bytes: s.dram_bytes,
-                occupancy_limited: s.limited_launches * 2 > s.count,
-            })
-            .collect();
-        let scopes = inner
-            .scopes
-            .iter()
-            .map(|(path, s)| ScopeRow {
-                path: path.clone(),
-                depth: s.depth,
-                count: s.count,
-                total_ns: s.total_ns,
-            })
-            .collect();
-        let mut by_phase = BTreeMap::new();
-        for (phase, ns) in &ledger.by_phase {
-            by_phase.insert(phase.name().to_string(), *ns);
-        }
-        ProfileSummary {
-            schema_version: PROFILE_SCHEMA_VERSION,
-            device: device_name.to_string(),
-            total_ns: ledger.total_ns,
-            kernel_count: ledger.kernel_count,
-            dropped_records: ledger.dropped_records,
-            dropped_events: inner.dropped_events,
-            by_phase,
+impl Totals {
+    /// Fold one more entry.
+    pub(crate) fn fold(&mut self, e: &Entry) {
+        let Totals {
+            open,
             kernels,
             scopes,
-        }
-    }
-
-    /// Export retained events as Chrome `chrome://tracing` JSON: an
-    /// object with a `traceEvents` array of `"ph":"X"` complete events
-    /// (`ts`/`dur` in microseconds of *simulated* time, `pid` = device
-    /// id). Load via `chrome://tracing` or <https://ui.perfetto.dev>.
-    pub fn chrome_trace(&self, device_id: usize) -> String {
-        use serde::Value;
-        let inner = self.inner.lock();
-        let events: Vec<Value> = inner
-            .events
-            .iter()
-            .map(|e| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::String(e.name.clone())),
-                    ("cat".to_string(), Value::String(e.cat.to_string())),
-                    ("ph".to_string(), Value::String("X".to_string())),
-                    ("ts".to_string(), Value::Float(e.start_ns * 1e-3)),
-                    ("dur".to_string(), Value::Float(e.dur_ns * 1e-3)),
-                    ("pid".to_string(), Value::UInt(device_id as u64)),
-                    ("tid".to_string(), Value::UInt(e.stream)),
-                ])
-            })
-            .collect();
-        let doc = Value::Object(vec![
-            ("traceEvents".to_string(), Value::Array(events)),
-            (
-                "displayTimeUnit".to_string(),
-                Value::String("ns".to_string()),
-            ),
-            (
-                "otherData".to_string(),
-                Value::Object(vec![
-                    (
-                        "schema_version".to_string(),
-                        Value::UInt(PROFILE_SCHEMA_VERSION as u64),
-                    ),
-                    (
-                        "dropped_events".to_string(),
-                        Value::UInt(inner.dropped_events),
-                    ),
-                ]),
-            ),
-        ]);
-        serde_json::to_string(&doc).expect("trace floats are finite simulated durations")
-    }
-}
-
-/// One device's open [`ProfScope`]s, outermost first.
-#[derive(Default)]
-pub(crate) struct ScopeStack(Vec<OpenScope>);
-
-struct OpenScope {
-    kind: &'static str,
-    label: String,
-    start_ns: f64,
-}
-
-impl ScopeStack {
-    pub(crate) fn push(&mut self, kind: &'static str, index: Option<u64>, start_ns: f64) {
-        let label = match index {
-            Some(i) => format!("{kind} {i}"),
-            None => kind.to_string(),
-        };
-        self.0.push(OpenScope {
-            kind,
-            label,
-            start_ns,
+            entries,
+            charges,
+            spans,
+            faults,
+        } = self;
+        *entries += 1;
+        step(open, e, |open| match e {
+            Entry::Charge {
+                name,
+                phase,
+                ns,
+                dram_bytes,
+                limited,
+                ..
+            } => {
+                *charges += 1;
+                let stat = kernels.entry((name, *phase)).or_default();
+                stat.count += 1;
+                stat.total_ns += ns;
+                if *ns > stat.max_ns {
+                    stat.max_ns = *ns;
+                }
+                stat.dram_bytes += dram_bytes;
+                stat.limited_launches += u64::from(*limited);
+            }
+            Entry::Close(end) => {
+                *spans += 1;
+                let kinds: Vec<&str> = open.iter().map(|m| m.kind).collect();
+                let path = kinds.join("/");
+                let row = scopes.entry(path.clone()).or_insert_with(|| ScopeRow {
+                    path,
+                    depth: 0,
+                    count: 0,
+                    total_ns: 0.0,
+                });
+                row.depth = (open.len() - 1) as u32;
+                row.count += 1;
+                row.total_ns += end.at_ns - open[open.len() - 1].at_ns;
+            }
+            Entry::Fault(..) => *faults += 1,
+            Entry::Open(_) => {}
         });
     }
 
-    /// Close the innermost scope: the profiler aggregates it under its
-    /// kind path (`round/level`), telemetry records its label path
-    /// (`round 0/level 2`).
-    pub(crate) fn pop(
-        &mut self,
-        device: usize,
-        end_ns: f64,
-        prof: Option<&Profiler>,
-        tel: Option<&Telemetry>,
-    ) {
-        let Some(scope) = self.0.pop() else {
-            return;
+    /// Trace events (charges and closed scopes) folded.
+    fn trace_events(&self) -> u64 {
+        self.charges + self.spans
+    }
+}
+
+/// The schema-versioned profile of `ledger`: the shed entries' totals
+/// continued over the retained entries.
+pub(crate) fn summarize(device_name: &str, ledger: &Ledger) -> ProfileSummary {
+    let mut totals = ledger.shed.clone();
+    for e in &ledger.log {
+        totals.fold(e);
+    }
+    let kernels = totals
+        .kernels
+        .iter()
+        .map(|((name, phase), s)| KernelStatRow {
+            name: (*name).to_string(),
+            phase: phase.name().to_string(),
+            count: s.count,
+            total_ns: s.total_ns,
+            mean_ns: if s.count > 0 {
+                s.total_ns / s.count as f64
+            } else {
+                0.0
+            },
+            max_ns: s.max_ns,
+            dram_bytes: s.dram_bytes,
+            occupancy_limited: s.limited_launches * 2 > s.count,
+        })
+        .collect();
+    let ledger_summary = ledger.summary();
+    let by_phase = ledger_summary
+        .by_phase
+        .iter()
+        .map(|(phase, ns)| (phase.name().to_string(), *ns))
+        .collect();
+    ProfileSummary {
+        schema_version: PROFILE_SCHEMA_VERSION,
+        device: device_name.to_string(),
+        total_ns: ledger_summary.total_ns,
+        kernel_count: ledger_summary.kernel_count,
+        dropped_records: ledger_summary.dropped_records,
+        dropped_events: ledger.shed.trace_events(),
+        by_phase,
+        kernels,
+        scopes: totals.scopes.into_values().collect(),
+    }
+}
+
+/// The retained log of device `device_id` as Chrome `chrome://tracing`
+/// JSON: an object with a `traceEvents` array of `"ph":"X"` complete
+/// events (`ts`/`dur` in microseconds of *simulated* time, `pid` = device
+/// id, `tid` = stream; scopes sit on stream 0's track). Load via
+/// `chrome://tracing` or <https://ui.perfetto.dev>.
+pub(crate) fn chrome_trace(device_id: usize, ledger: &Ledger) -> String {
+    let mut events = Vec::new();
+    walk(ledger, |_, e, open| {
+        let (name, cat, start_ns, dur_ns, tid) = match (e.record(), e) {
+            (Some(r), _) => (
+                Cow::Borrowed(r.name),
+                r.phase.name(),
+                r.start_ns,
+                r.ns,
+                r.stream,
+            ),
+            (None, Entry::Close(end)) => {
+                let mark = &open[open.len() - 1];
+                (label(mark), "scope", mark.at_ns, end.at_ns - mark.at_ns, 0)
+            }
+            _ => return,
         };
-        let open = || self.0.iter().chain([&scope]);
-        if let Some(tel) = tel {
-            let labels: Vec<&str> = open().map(|s| s.label.as_str()).collect();
-            tel.record_span(device, &labels.join("/"), scope.start_ns, end_ns);
+        events.push(Value::Object(vec![
+            ("name".to_string(), Value::String(name.into_owned())),
+            ("cat".to_string(), Value::String(cat.to_string())),
+            ("ph".to_string(), Value::String("X".to_string())),
+            ("ts".to_string(), Value::Float(start_ns * 1e-3)),
+            ("dur".to_string(), Value::Float(dur_ns * 1e-3)),
+            ("pid".to_string(), Value::UInt(device_id as u64)),
+            ("tid".to_string(), Value::UInt(tid as u64)),
+        ]));
+    });
+    let doc = Value::Object(vec![
+        ("traceEvents".to_string(), Value::Array(events)),
+        (
+            "displayTimeUnit".to_string(),
+            Value::String("ns".to_string()),
+        ),
+        (
+            "otherData".to_string(),
+            Value::Object(vec![
+                (
+                    "schema_version".to_string(),
+                    Value::UInt(PROFILE_SCHEMA_VERSION as u64),
+                ),
+                (
+                    "dropped_events".to_string(),
+                    Value::UInt(ledger.shed.trace_events()),
+                ),
+            ]),
+        ),
+    ]);
+    serde_json::to_string(&doc).expect("trace floats are finite simulated durations")
+}
+
+/// Device `device`'s last `tail` charges, spans and faults in `ledger`
+/// as postmortem events, each keyed by the device clock it was logged
+/// at (the running maximum of the times the entries carry). Returns the
+/// events and how many older ones it left out.
+fn flight_tail(device: usize, ledger: &Ledger, tail: usize) -> (VecDeque<(f64, FlightEvent)>, u64) {
+    let shed = &ledger.shed;
+    let mut left_out = shed.charges + shed.spans + shed.faults;
+    let mut kept = VecDeque::new();
+    let mut clock = 0.0f64;
+    walk(ledger, |seq, e, open| {
+        let (kind, name, detail, start_ns, end_ns, stream) = match (e.record(), e) {
+            (Some(r), _) => {
+                let name = Cow::Borrowed(r.name);
+                (
+                    "charge",
+                    name,
+                    r.phase.name(),
+                    r.start_ns,
+                    r.start_ns + r.ns,
+                    r.stream,
+                )
+            }
+            (None, Entry::Close(end)) => {
+                let labels: Vec<Cow<str>> = open.iter().map(label).collect();
+                let start_ns = open[open.len() - 1].at_ns;
+                ("span", labels.join("/").into(), "", start_ns, end.at_ns, 0)
+            }
+            (None, Entry::Fault(fault)) => {
+                let (fault, at_ns) = &**fault;
+                ("fault", fault.to_string().into(), "", *at_ns, *at_ns, 0)
+            }
+            _ => return,
+        };
+        clock = clock.max(end_ns);
+        kept.push_back((
+            clock,
+            FlightEvent {
+                seq,
+                kind,
+                device,
+                name,
+                detail,
+                start_ns,
+                end_ns,
+                stream,
+            },
+        ));
+        if kept.len() > tail {
+            kept.pop_front();
+            left_out += 1;
         }
-        if let Some(prof) = prof {
-            let kinds: Vec<&str> = open().map(|s| s.kind).collect();
-            let depth = self.0.len() as u32;
-            prof.on_scope(&kinds.join("/"), scope.label, depth, scope.start_ns, end_ns);
-        }
+    });
+    (kept, left_out)
+}
+
+/// The postmortem of a failure on `devices`: each device's last
+/// [`POSTMORTEM_TAIL`] charges, spans and faults, read from its log and
+/// merged across the group in simulated-time order — by the device
+/// clock each event was logged at, ties to the lower device id, then to
+/// the earlier entry. Every key is simulated, so the order is the same
+/// on every run. Hand it to [`telemetry::Telemetry::push_postmortem`].
+pub fn postmortem(reason: &str, devices: &[Arc<Device>]) -> Postmortem {
+    let mut events = Vec::new();
+    let mut dropped_events = 0;
+    for dev in devices {
+        let (tail, left_out) = dev.with_ledger(|l| flight_tail(dev.id, l, POSTMORTEM_TAIL));
+        events.extend(tail);
+        dropped_events += left_out;
+    }
+    events.sort_by(|(a, x), (b, y)| {
+        a.total_cmp(b)
+            .then(x.device.cmp(&y.device))
+            .then(x.seq.cmp(&y.seq))
+    });
+    Postmortem {
+        reason: reason.to_string(),
+        events: events.into_iter().map(|(_, e)| e).collect(),
+        dropped_events,
     }
 }
 
 /// RAII guard for a hierarchical profiling scope, opened via
-/// [`Device::prof_scope`](crate::Device::prof_scope).
-///
-/// The scope is pushed once, as `(kind, label)`, onto the device's one
-/// scope stack. On drop the profiler gets the kind path and telemetry
-/// the label path (`round 0/level 2`) for its flight recorder. When
-/// neither observer is attached the guard is a no-op that allocates
-/// nothing, keeping the hot path clean. Scope boundaries are
-/// timestamped on the simulated clock, so observing cannot perturb
-/// them.
+/// [`Device::prof_scope`](crate::Device::prof_scope): the open and, on
+/// drop, the close go into the device's log, stamped on the simulated
+/// clock, so observing cannot perturb them.
 pub struct ProfScope<'a> {
     pub(crate) device: &'a crate::Device,
-    pub(crate) pushed: bool,
+    pub(crate) kind: &'static str,
+    pub(crate) index: Option<u64>,
 }
 
 impl Drop for ProfScope<'_> {
     fn drop(&mut self) {
-        if self.pushed {
-            self.device.pop_scope();
-        }
+        self.device.close_scope(self.kind, self.index);
     }
 }
 
@@ -389,9 +402,11 @@ pub struct ProfileSummary {
     pub total_ns: f64,
     /// Number of ledger charges.
     pub kernel_count: u64,
-    /// Ledger records shed past its record limit (subtotals stay exact).
+    /// Charges shed from the event log past its cap (every aggregate
+    /// stays exact).
     pub dropped_records: u64,
-    /// Trace events shed past the profiler's event limit.
+    /// Trace events (charges and closed scopes) shed from the event log
+    /// past its cap; the Chrome trace lacks them.
     pub dropped_events: u64,
     /// Simulated nanoseconds per phase, keyed by [`Phase::name`].
     pub by_phase: BTreeMap<String, f64>,
@@ -411,83 +426,65 @@ impl ProfileSummary {
             self.by_phase.get(phase).copied().unwrap_or(0.0) / self.total_ns
         }
     }
-
-    /// Render a fixed-width per-kernel table, hottest first.
-    pub fn kernel_table(&self) -> String {
-        let mut rows: Vec<&KernelStatRow> = self.kernels.iter().collect();
-        rows.sort_by(|a, b| {
-            b.total_ns
-                .partial_cmp(&a.total_ns)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24} {:<10} {:>8} {:>12} {:>12} {:>12} {:>5}\n",
-            "kernel", "phase", "count", "total (ms)", "mean (µs)", "max (µs)", "lim"
-        ));
-        for r in rows {
-            out.push_str(&format!(
-                "{:<24} {:<10} {:>8} {:>12.3} {:>12.3} {:>12.3} {:>5}\n",
-                r.name,
-                r.phase,
-                r.count,
-                r.total_ns * 1e-6,
-                r.mean_ns * 1e-3,
-                r.max_ns * 1e-3,
-                if r.occupancy_limited { "yes" } else { "" }
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::KernelCost;
+    use crate::device::DeviceProps;
+    use crate::fault::GpuFault;
 
-    fn rec(
-        name: &'static str,
-        phase: Phase,
-        ns: f64,
-        start_ns: f64,
-        stream: usize,
-    ) -> KernelRecord {
-        KernelRecord {
-            name,
-            phase,
-            ns,
-            start_ns,
-            stream,
-        }
+    fn trace_events(json: &str) -> Vec<Vec<(String, Value)>> {
+        let v: Value = serde_json::from_str(json).expect("valid JSON");
+        let obj = v.as_object().expect("object envelope");
+        obj.iter()
+            .find(|(k, _)| k == "traceEvents")
+            .and_then(|(_, v)| v.as_array())
+            .expect("traceEvents array")
+            .iter()
+            .map(|e| e.as_object().expect("event object").to_vec())
+            .collect()
+    }
+
+    fn field(event: &[(String, Value)], name: &str) -> Option<Value> {
+        event
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.clone())
     }
 
     #[test]
     fn kernel_aggregates_accumulate() {
-        let p = Profiler::default();
-        p.on_kernel(&rec("k", Phase::Histogram, 10.0, 0.0, 0), 100.0, true);
-        p.on_kernel(&rec("k", Phase::Histogram, 30.0, 10.0, 0), 300.0, true);
-        p.on_kernel(&rec("k", Phase::Histogram, 20.0, 40.0, 0), 200.0, false);
-        p.on_kernel(&rec("other", Phase::SplitEval, 5.0, 60.0, 0), 0.0, false);
-        let ledger = crate::LedgerSummary::default();
-        let s = p.summarize("dev", &ledger);
+        let dev = Device::rtx4090();
+        dev.enable_profiler();
+        // Two launch-bound launches (serialized terms dominate) and one
+        // that streams 10 GB.
+        let small = KernelCost::streaming(0.0, 100.0);
+        let big = KernelCost::streaming(0.0, 1e10);
+        dev.charge_kernel("k", Phase::Histogram, &small);
+        dev.charge_kernel("k", Phase::Histogram, &big);
+        dev.charge_kernel("k", Phase::Histogram, &small);
+        dev.charge_ns("other", Phase::SplitEval, 5.0);
+        let ns: Vec<f64> = dev.records().iter().map(|r| r.ns).collect();
+        let s = dev.profile_summary().expect("profiler attached");
         assert_eq!(s.kernels.len(), 2);
         let k = &s.kernels[0];
         assert_eq!(k.name, "k");
         assert_eq!(k.count, 3);
-        assert_eq!(k.total_ns, 60.0);
-        assert_eq!(k.mean_ns, 20.0);
-        assert_eq!(k.max_ns, 30.0);
-        assert_eq!(k.dram_bytes, 600.0);
+        assert_eq!(k.total_ns, ns[0] + ns[1] + ns[2]);
+        assert_eq!(k.mean_ns, k.total_ns / 3.0);
+        assert_eq!(k.max_ns, ns[1]);
+        assert_eq!(k.dram_bytes, 100.0 + 1e10 + 100.0);
         assert!(k.occupancy_limited, "2 of 3 launches limited");
         assert!(!s.kernels[1].occupancy_limited);
+        assert_eq!(s.kernels[1].dram_bytes, 0.0);
     }
 
     #[test]
     fn scopes_nest_and_aggregate_by_path() {
-        let dev = crate::Device::rtx4090();
+        let dev = Device::rtx4090();
         dev.enable_profiler();
-        let tel = dev.enable_telemetry();
         {
             let _round = dev.prof_scope("round", Some(0));
             for (level, ns) in [10.0, 15.0].into_iter().enumerate() {
@@ -506,85 +503,125 @@ mod tests {
         assert_eq!(s.scopes[1].count, 2);
         assert_eq!(s.scopes[1].total_ns, 25.0);
         assert_eq!(s.scopes[1].depth, 1);
-        // Telemetry records the same scopes by label path.
-        tel.record_postmortem("spans");
-        let spans: Vec<String> = tel.postmortems()[0]
+        // The postmortem names the same scopes by label path.
+        let spans: Vec<String> = postmortem("spans", &[dev])
             .events
             .iter()
             .filter(|e| e.kind == "span")
-            .map(|e| e.name.clone())
+            .map(|e| e.name.to_string())
             .collect();
         assert_eq!(spans, ["round 0/level 0", "round 0/level 1", "round 0"]);
     }
 
-    #[test]
-    fn event_limit_sheds_but_aggregates_stay_exact() {
-        let p = Profiler::new(2);
-        for i in 0..5 {
-            p.on_kernel(&rec("k", Phase::Other, 1.0, i as f64, 0), 0.0, false);
+    /// Log a scope of `kind` (instance `index`) opening or closing.
+    fn scope(l: &mut Ledger, open: bool, kind: &'static str, index: u64) {
+        let (index, at_ns) = (Some(index), l.total_ns());
+        let mark = Mark { kind, index, at_ns };
+        l.append(if open {
+            Entry::Open(mark)
+        } else {
+            Entry::Close(mark)
+        });
+    }
+
+    /// Three rounds of two levels each, with a fault at the end.
+    fn script(l: &mut Ledger) {
+        for round in 0..3u64 {
+            scope(l, true, "round", round);
+            for level in 0..2u64 {
+                scope(l, true, "level", level);
+                let ns = 10.0 + round as f64 + 0.1 * level as f64;
+                l.book(0, "hist", Phase::Histogram, ns, 1, (64.0, level == 0));
+                l.charge("split", Phase::SplitEval, 3.0 / 7.0);
+                scope(l, false, "level", level);
+            }
+            scope(l, false, "round", round);
         }
-        assert_eq!(p.dropped_events(), 3);
-        let s = p.summarize("dev", &crate::LedgerSummary::default());
-        assert_eq!(s.dropped_events, 3);
-        assert_eq!(s.kernels[0].count, 5);
-        assert_eq!(s.kernels[0].total_ns, 5.0);
+        let fault = GpuFault::DeviceLost {
+            device: 0,
+            kernel: "split".to_string(),
+            charge_index: 11,
+        };
+        l.append(Entry::Fault(Box::new((fault, l.total_ns()))));
+    }
+
+    #[test]
+    fn aggregates_stay_exact_past_the_log_cap() {
+        let (mut small, mut big) = (Ledger::new(5), Ledger::new(1000));
+        script(&mut small);
+        script(&mut big);
+        let (s, b) = (summarize("dev", &small), summarize("dev", &big));
+        assert_eq!(small.records().len(), 2, "the cap bounds the log");
+        assert_eq!(s.dropped_records, 10);
+        assert_eq!(s.dropped_events, 10 + 7);
+        assert_eq!((b.dropped_records, b.dropped_events), (0, 0));
+        // Every aggregate is the uncapped one, bit for bit.
+        assert_eq!(format!("{:?}", s.kernels), format!("{:?}", b.kernels));
+        assert_eq!(format!("{:?}", s.scopes), format!("{:?}", b.scopes));
+        assert_eq!(s.kernels[0].count, 6);
+        assert_eq!(s.scopes[1].path, "round/level");
+        assert_eq!(s.scopes[1].count, 6);
+    }
+
+    #[test]
+    fn a_capped_postmortem_keeps_the_events_before_the_failure() {
+        let (mut small, mut big) = (Ledger::new(5), Ledger::new(1000));
+        script(&mut small);
+        script(&mut big);
+        let (tail, left_out) = flight_tail(0, &small, 4);
+        let (full, _) = flight_tail(0, &big, usize::MAX);
+        // The last four events, fault last, exactly as the uncapped log
+        // renders them: the closing level keeps its round's label even
+        // though the round's open was shed.
+        let last: Vec<String> = full
+            .iter()
+            .skip(full.len() - 4)
+            .map(|e| format!("{e:?}"))
+            .collect();
+        assert_eq!(
+            tail.iter().map(|e| format!("{e:?}")).collect::<Vec<_>>(),
+            last
+        );
+        let kinds: Vec<&str> = tail.iter().map(|(_, e)| e.kind).collect();
+        assert_eq!(kinds, ["charge", "span", "span", "fault"]);
+        assert_eq!(tail[1].1.name, "round 2/level 1");
+        assert_eq!(left_out as usize, full.len() - 4);
     }
 
     #[test]
     fn chrome_trace_is_valid_and_scaled_to_micros() {
-        let p = Profiler::default();
-        p.on_kernel(&rec("k", Phase::Histogram, 2000.0, 1000.0, 0), 0.0, false);
-        let json = p.chrome_trace(3);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let obj = v.as_object().expect("object envelope");
-        let events = obj
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .and_then(|(_, v)| v.as_array())
-            .expect("traceEvents array");
-        assert_eq!(events.len(), 1);
-        let ev = events[0].as_object().expect("event object");
-        let get = |name: &str| ev.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone());
-        assert_eq!(get("ph"), Some(serde::Value::String("X".to_string())));
-        assert_eq!(get("ts"), Some(serde::Value::Float(1.0)));
-        assert_eq!(get("dur"), Some(serde::Value::Float(2.0)));
-        assert_eq!(get("pid"), Some(serde::Value::UInt(3)));
-        assert_eq!(get("tid"), Some(serde::Value::UInt(0)));
+        let dev = Device::new(3, DeviceProps::rtx4090());
+        dev.enable_profiler();
+        dev.charge_ns("warmup", Phase::Other, 1000.0);
+        dev.charge_ns("k", Phase::Histogram, 2000.0);
+        let events = trace_events(&dev.chrome_trace().expect("profiler attached"));
+        assert_eq!(events.len(), 2);
+        let ev = &events[1];
+        assert_eq!(field(ev, "ph"), Some(Value::String("X".to_string())));
+        assert_eq!(field(ev, "ts"), Some(Value::Float(1.0)));
+        assert_eq!(field(ev, "dur"), Some(Value::Float(2.0)));
+        assert_eq!(field(ev, "pid"), Some(Value::UInt(3)));
+        assert_eq!(field(ev, "tid"), Some(Value::UInt(0)));
     }
 
     #[test]
     fn chrome_trace_renders_streams_as_separate_tracks() {
-        let p = Profiler::default();
-        p.on_kernel(&rec("a", Phase::Histogram, 10.0, 0.0, 1), 0.0, false);
-        p.on_kernel(&rec("b", Phase::Histogram, 10.0, 0.0, 2), 0.0, false);
-        let json = p.chrome_trace(0);
-        let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
-        let events = v
-            .as_object()
-            .and_then(|o| {
-                o.iter()
-                    .find(|(k, _)| k == "traceEvents")
-                    .and_then(|(_, v)| v.as_array())
-            })
-            .expect("traceEvents array");
-        let tid = |i: usize| {
-            events[i]
-                .as_object()
-                .and_then(|ev| ev.iter().find(|(k, _)| k == "tid").map(|(_, v)| v.clone()))
-        };
-        assert_eq!(tid(0), Some(serde::Value::UInt(1)));
-        assert_eq!(tid(1), Some(serde::Value::UInt(2)));
+        let dev = Device::rtx4090();
+        dev.enable_profiler();
+        dev.stream(1).charge_ns("a", Phase::Histogram, 10.0);
+        dev.stream(2).charge_ns("b", Phase::Histogram, 10.0);
+        let events = trace_events(&dev.chrome_trace().expect("profiler attached"));
+        assert_eq!(field(&events[0], "tid"), Some(Value::UInt(1)));
+        assert_eq!(field(&events[1], "tid"), Some(Value::UInt(2)));
     }
 
     #[test]
     fn summary_phase_share() {
-        let mut ledger = crate::LedgerSummary {
-            total_ns: 100.0,
-            ..Default::default()
-        };
-        ledger.by_phase.insert(Phase::Histogram, 80.0);
-        let p = Profiler::default();
-        let s = p.summarize("dev", &ledger);
+        let dev = Device::rtx4090();
+        dev.enable_profiler();
+        dev.charge_ns("h", Phase::Histogram, 80.0);
+        dev.charge_ns("o", Phase::Other, 20.0);
+        let s = dev.profile_summary().expect("profiler attached");
         assert!((s.phase_share("Histogram") - 0.8).abs() < 1e-12);
         assert_eq!(s.phase_share("Predict"), 0.0);
     }

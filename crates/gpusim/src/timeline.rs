@@ -1,4 +1,4 @@
-//! Per-device time ledger and kernel timeline.
+//! Per-device time ledger, kernel timeline and event log.
 //!
 //! Every simulated kernel appends a [`KernelRecord`]; the ledger keeps
 //! per-phase subtotals plus a *multi-stream* timeline: each stream is an
@@ -21,10 +21,18 @@
 //! (histogram-building share of total training time); subtotals are
 //! always the exact sum of charged nanoseconds, independent of how the
 //! charges were scheduled across streams.
+//!
+//! The ledger also keeps the device's one event log (charges, scope
+//! opens and closes, surfaced faults), of which the records, profile,
+//! Chrome trace and postmortems are views (`prof` module). It retains
+//! its newest `log_limit` entries and folds older ones into running
+//! totals, so aggregates stay exact past the cap.
 
 use crate::device::Phase;
+use crate::fault::GpuFault;
+use crate::prof::Totals;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A fence on the simulated timeline: the completion timestamp of all
 /// work issued to a stream before [`Ledger::record_event`] was called.
@@ -86,14 +94,74 @@ pub struct KernelRecord {
     pub stream: usize,
 }
 
+/// One entry of a device's event log: 48 bytes, no wider than a bare
+/// [`KernelRecord`] (tested), since a log holds one per charge and two
+/// per scope.
+#[derive(Debug, Clone)]
+pub(crate) enum Entry {
+    /// A booked charge ([`Entry::record`]), with the DRAM bytes of its
+    /// cost and whether serialized terms dominated it (0 and false for
+    /// engine work).
+    Charge {
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        start_ns: f64,
+        stream: u32,
+        dram_bytes: f64,
+        limited: bool,
+    },
+    /// A profiling scope opened.
+    Open(Mark),
+    /// The innermost open scope closed.
+    Close(Mark),
+    /// A fault a poll surfaced, at the device clock of the poll (boxed:
+    /// faults are rare, and inline one would widen every entry).
+    Fault(Box<(GpuFault, f64)>),
+}
+
+impl Entry {
+    /// The record the ledger booked, for a charge.
+    pub(crate) fn record(&self) -> Option<KernelRecord> {
+        match *self {
+            Entry::Charge {
+                name,
+                phase,
+                ns,
+                start_ns,
+                stream,
+                ..
+            } => Some(KernelRecord {
+                name,
+                phase,
+                ns,
+                start_ns,
+                stream: stream as usize,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// A scope boundary: the scope's kind (its aggregation key), the index
+/// labelling this instance, and the simulated time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mark {
+    pub(crate) kind: &'static str,
+    pub(crate) index: Option<u64>,
+    pub(crate) at_ns: f64,
+}
+
 /// Accumulated simulated time of one device.
 #[derive(Debug, Clone)]
 pub struct Ledger {
     by_phase: BTreeMap<Phase, f64>,
     kernel_count: u64,
-    records: Vec<KernelRecord>,
-    record_limit: usize,
-    dropped_records: u64,
+    /// The event log's newest entries, oldest first.
+    pub(crate) log: VecDeque<Entry>,
+    log_limit: usize,
+    /// Every entry shed from the front of `log`, folded in order.
+    pub(crate) shed: Totals,
     /// Per-stream completion clocks; index = stream id, stream 0 always
     /// exists. A stream is born idle at t = 0 when first touched —
     /// issue a fence ([`Ledger::wait_event`]) before its first charge
@@ -123,21 +191,22 @@ impl Default for Ledger {
 }
 
 impl Ledger {
-    /// Create a ledger retaining at most `record_limit` detailed records
-    /// (phase subtotals are always exact regardless of the limit).
-    pub fn new(record_limit: usize) -> Self {
-        Ledger::with_slots(record_limit, 1)
+    /// Create a ledger whose event log retains at most `log_limit`
+    /// entries (phase subtotals and the log's aggregates are always
+    /// exact regardless of the limit).
+    pub fn new(log_limit: usize) -> Self {
+        Ledger::with_slots(log_limit, 1)
     }
 
     /// Create a ledger with `compute_slots` concurrent-kernel capacity
     /// (the device derives this from the SM occupancy model).
-    pub fn with_slots(record_limit: usize, compute_slots: u32) -> Self {
+    pub fn with_slots(log_limit: usize, compute_slots: u32) -> Self {
         Ledger {
             by_phase: BTreeMap::new(),
             kernel_count: 0,
-            records: Vec::new(),
-            record_limit,
-            dropped_records: 0,
+            log: VecDeque::new(),
+            log_limit,
+            shed: Totals::default(),
             stream_clock: vec![0.0],
             makespan: 0.0,
             active: Vec::new(),
@@ -179,6 +248,20 @@ impl Ledger {
         phase: Phase,
         ns: f64,
         slots: u32,
+    ) -> KernelRecord {
+        self.book(stream, name, phase, ns, slots, (0.0, false))
+    }
+
+    /// [`Ledger::charge_scheduled`], logging with the record the DRAM
+    /// bytes of its cost and whether serialized terms dominated it.
+    pub(crate) fn book(
+        &mut self,
+        stream: usize,
+        name: &'static str,
+        phase: Phase,
+        ns: f64,
+        slots: u32,
+        (dram_bytes, limited): (f64, bool),
     ) -> KernelRecord {
         let ns = if ns < 0.0 {
             self.negative_charges += 1;
@@ -234,16 +317,28 @@ impl Ledger {
             start_ns: start,
             stream,
         };
-        if self.records.len() < self.record_limit {
-            self.records.push(record);
-        } else {
-            // Subtotals stay exact past the limit; count what we shed so
-            // downstream consumers know the record list is partial.
-            self.dropped_records += 1;
-        }
+        self.append(Entry::Charge {
+            name,
+            phase,
+            ns,
+            start_ns: start,
+            stream: u32::try_from(stream).expect("stream ids fit in u32"),
+            dram_bytes,
+            limited,
+        });
         *self.by_phase.entry(phase).or_insert(0.0) += ns;
         self.kernel_count += 1;
         record
+    }
+
+    /// Append `e` to the log, shedding the oldest entry into the running
+    /// totals once the log holds `log_limit` entries.
+    pub(crate) fn append(&mut self, e: Entry) {
+        self.log.push_back(e);
+        if self.log.len() > self.log_limit {
+            let oldest = self.log.pop_front().expect("the log is not empty");
+            self.shed.fold(&oldest);
+        }
     }
 
     /// Fence the work issued to `stream` so far.
@@ -312,15 +407,15 @@ impl Ledger {
         self.by_phase.get(&phase).copied().unwrap_or(0.0)
     }
 
-    /// Retained detailed records (up to the record limit).
-    pub fn records(&self) -> &[KernelRecord] {
-        &self.records
+    /// The charges still in the log, oldest first.
+    pub fn records(&self) -> Vec<KernelRecord> {
+        self.log.iter().filter_map(Entry::record).collect()
     }
 
-    /// Charges that exceeded `record_limit` and were not retained as
-    /// detailed records. Subtotals and `kernel_count` still include them.
+    /// Charges shed from the log past its limit. Subtotals and
+    /// `kernel_count` still include them.
     pub fn dropped_records(&self) -> u64 {
-        self.dropped_records
+        self.shed.charges
     }
 
     /// Charges that arrived with a negative duration (clamped to zero).
@@ -345,15 +440,15 @@ impl Ledger {
             total_ns: self.makespan,
             by_phase: self.by_phase.clone(),
             kernel_count: self.kernel_count,
-            dropped_records: self.dropped_records,
+            dropped_records: self.dropped_records(),
             negative_charges: self.negative_charges,
             overlap_saved_ns: self.overlap_saved_ns,
         }
     }
 
-    /// Clear all accumulated time and records.
+    /// Clear all accumulated time and the whole event log.
     pub fn reset(&mut self) {
-        *self = Ledger::with_slots(self.record_limit, self.compute_slots);
+        *self = Ledger::with_slots(self.log_limit, self.compute_slots);
     }
 }
 
@@ -367,8 +462,8 @@ pub struct LedgerSummary {
     pub by_phase: BTreeMap<Phase, f64>,
     /// Number of charges.
     pub kernel_count: u64,
-    /// Charges whose detailed records were shed past the record limit
-    /// (subtotals and `kernel_count` remain exact regardless).
+    /// Charges shed from the event log past its limit (subtotals and
+    /// `kernel_count` remain exact regardless).
     pub dropped_records: u64,
     /// Charges that arrived with a negative duration and were clamped
     /// to zero instead of corrupting the subtotals.
@@ -501,6 +596,14 @@ mod tests {
         l.charge("d", Phase::Other, 1.0);
         let delta = l.summary().since(&early);
         assert_eq!(delta.dropped_records, 2);
+    }
+
+    #[test]
+    fn a_log_entry_is_no_wider_than_a_record() {
+        assert_eq!(
+            std::mem::size_of::<Entry>(),
+            std::mem::size_of::<KernelRecord>()
+        );
     }
 
     #[test]

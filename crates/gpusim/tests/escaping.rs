@@ -1,16 +1,16 @@
-//! JSON string-escaping round-trips for the two exporters that embed
-//! free-form names: the profiler's Chrome trace and the telemetry
-//! registry's schema-versioned envelope.
+//! JSON string-escaping round-trips for the exporters that embed
+//! free-form names: the profiler's Chrome trace, the telemetry
+//! registry's schema-versioned envelope and the postmortem.
 //!
 //! Kernel names and scope labels are source-code identifiers today, but
 //! nothing in the charge API forbids quotes, backslashes or non-ASCII —
-//! and fault descriptions (which land in flight-recorder `detail`
-//! fields) interpolate error messages that may contain anything. A
+//! and fault descriptions (which land in postmortem event names)
+//! interpolate error messages that may contain anything. A
 //! single unescaped `"` would turn a postmortem dump into invalid JSON
 //! at exactly the moment it matters most, so every exporter must
 //! produce parseable output whose strings round-trip byte-for-byte.
 
-use gpusim::{Device, Phase, Telemetry};
+use gpusim::{postmortem, Device, FaultPlan, Phase, Telemetry};
 use serde::Value;
 
 /// Names exercising the JSON escape table: quote, backslash, control
@@ -93,12 +93,17 @@ fn telemetry_json_escapes_hostile_metric_names() {
 
 #[test]
 fn flight_recorder_postmortem_escapes_hostile_details() {
-    let tel = Telemetry::new();
-    for (i, name) in HOSTILE.iter().enumerate() {
-        tel.record_charge(0, name, "Other", 10.0, i as f64 * 10.0, 0);
-        tel.record_fault(0, &format!("fault with {name}"));
+    let device = Device::rtx4090();
+    let tel = device.enable_telemetry();
+    let plan = (0..HOSTILE.len() as u64).fold(FaultPlan::new(), FaultPlan::transient_at);
+    device.enable_faults(plan);
+    for name in HOSTILE {
+        device.charge_ns(name, Phase::Other, 10.0);
+        // Each charge faults; the poll logs a description naming it.
+        assert!(device.poll_fault().is_err());
     }
-    tel.record_postmortem("seeded \"loss\" on device\\0\nκατάρρευση");
+    let reason = "seeded \"loss\" on device\\0\nκατάρρευση";
+    tel.push_postmortem(postmortem(reason, &[device]));
     let json = tel.last_postmortem_json().expect("postmortem recorded");
     let doc: Value = serde_json::from_str(&json).expect("postmortem must stay valid JSON");
     let strings = names_in(&doc);
@@ -120,7 +125,6 @@ fn flight_recorder_postmortem_escapes_hostile_details() {
 fn scope_labels_with_hostile_names_round_trip_via_trace() {
     let device = Device::rtx4090();
     device.enable_profiler();
-    let tel = device.enable_telemetry();
     {
         let _scope = device.prof_scope("round \"zero\"", Some(7));
         device.charge_ns("inner", Phase::Other, 50.0);
@@ -131,12 +135,12 @@ fn scope_labels_with_hostile_names_round_trip_via_trace() {
         names_in(&doc).iter().any(|s| s.contains("round \"zero\"")),
         "hostile scope label missing from trace"
     );
-    let tel_doc: Value =
-        serde_json::from_str(&tel.to_json()).expect("telemetry must stay valid JSON");
+    let pm_doc: Value = serde_json::from_str(&postmortem("spans", &[device]).to_json())
+        .expect("postmortem must stay valid JSON");
     assert!(
-        names_in(&tel_doc)
+        names_in(&pm_doc)
             .iter()
             .any(|s| s.contains("round \"zero\" 7")),
-        "hostile span label missing from telemetry"
+        "hostile span label missing from the postmortem"
     );
 }

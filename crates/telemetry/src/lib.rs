@@ -5,9 +5,9 @@
 //! `u64`), **gauges** (last-write `f64`), and **fixed-bucket
 //! histograms** (deterministic power-of-two bounds, HDR-style), all
 //! keyed by canonical `lower_snake` dotted names (`train.split_gain`,
-//! `serve.latency_ns`). A **flight recorder** keeps a bounded ring of
-//! the most recent charge / fault / span events per device so a failed
-//! run can dump a postmortem of what the device was doing when it died.
+//! `serve.latency_ns`). It counts the charges, spans and faults its
+//! devices log, and it keeps the **postmortems** failure paths hand it:
+//! the events each device was logging when the run died.
 //!
 //! Two exporters: Prometheus text exposition ([`Telemetry::prometheus`])
 //! and schema-versioned JSON ([`Telemetry::to_json`],
@@ -15,8 +15,7 @@
 //!
 //! ## The zero-perturbation contract
 //!
-//! Telemetry is a *pure observer*, exactly like the profiler: the device
-//! hands it each charge **after** the ledger has booked it, it never
+//! Telemetry is a *pure observer*, exactly like the profiler: it never
 //! charges simulated time itself, it never allocates device memory, and
 //! nothing it returns feeds back into training or serving decisions.
 //! Attaching, detaching, or toggling telemetry must leave trees,
@@ -24,51 +23,64 @@
 //! the contract is regression-tested in `crates/core/tests/telemetry.rs`.
 //!
 //! This crate deliberately does **not** depend on `gpusim`: the device
-//! layer depends on telemetry (to hold the observer), so the booked
-//! record's kernel name and phase cross the boundary as plain strings.
-//! Charge events carry exactly what the ledger booked (clamped
-//! duration, scheduled start, stream). The registry keeps no time
-//! totals of its own: per-phase nanoseconds live in the device ledger
-//! (`LedgerSummary::by_phase`), which reports read directly.
+//! layer depends on telemetry (to hold the registry). The events
+//! themselves live in each device's event log, not here; a device only
+//! tells the registry what kind of entry it logged, and a postmortem
+//! arrives as a finished [`Postmortem`] built from the logs (kernel and
+//! phase names as the `'static` strings the device charged). The
+//! registry keeps no time totals of its own: per-phase nanoseconds live
+//! in the device ledger (`LedgerSummary::by_phase`), which reports read
+//! directly.
 
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
-use std::collections::{BTreeMap, VecDeque};
+use serde::Value;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// Version stamp of the JSON document emitted by [`Telemetry::to_json`].
 /// Bump when field names, ordering, or semantics change, and regenerate
 /// the golden fixture (`UPDATE_GOLDEN=1 cargo test -p telemetry`).
 ///
 /// v2: the `phase_ns` section is gone; per-phase time is the ledger's.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
-
-/// Default per-device flight-recorder capacity (events retained).
-pub const DEFAULT_RING_LIMIT: usize = 256;
+/// v3: the per-device `flight_recorder` section is gone (events live in
+/// the device logs); a postmortem event's `seq` is its position in its
+/// device's log, and a fault carries the device clock it surfaced at.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
 /// Number of histogram buckets: bucket `i < 63` holds values in
 /// `(2^(i-1), 2^i]` (bucket 0 holds everything `<= 1`), bucket 63 is
 /// the overflow (`+Inf`) bucket.
 pub const HIST_BUCKETS: usize = 64;
 
-/// One flight-recorder entry: a charge, fault, or span observed on a
-/// device, stamped with the simulated clock and a global sequence
-/// number (so events from several devices interleave deterministically
-/// in recording order).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+/// What a device logged, as counted by [`Telemetry::count_logged`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Logged {
+    /// A booked charge.
+    Charge,
+    /// A closed profiling scope.
+    Span,
+    /// A fault a poll surfaced.
+    Fault,
+}
+
+/// One postmortem event: a charge, fault, or span from a device's event
+/// log, stamped with the simulated clock and its position in that log.
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlightEvent {
-    /// Global recording order across all devices.
+    /// Position of the entry in its device's log.
     pub seq: u64,
     /// `"charge"`, `"fault"`, or `"span"`.
-    pub kind: String,
-    /// Device the event was observed on.
+    pub kind: &'static str,
+    /// Device the event was logged on.
     pub device: usize,
-    /// Kernel name, fault description, or span path.
-    pub name: String,
+    /// Kernel name, fault description, or span label path.
+    pub name: Cow<'static, str>,
     /// Secondary detail: phase name for charges, empty otherwise.
-    pub detail: String,
-    /// Simulated start timestamp (ns); 0 for faults.
+    pub detail: &'static str,
+    /// Simulated start timestamp (ns); for a fault, the device clock
+    /// when a poll surfaced it.
     pub start_ns: f64,
     /// Simulated end timestamp (ns); equals `start_ns` for faults.
     pub end_ns: f64,
@@ -76,36 +88,41 @@ pub struct FlightEvent {
     pub stream: usize,
 }
 
-/// A snapshot of the flight recorder taken at failure time, stored
-/// in memory until a caller (`repro report`, tests) writes it out.
+/// The events the devices of a failed run were logging, stored in
+/// memory until a caller (`repro report`, tests) writes it out.
 #[derive(Clone, Debug)]
 pub struct Postmortem {
     /// Why the postmortem was recorded (the error's display string).
     pub reason: String,
-    /// All retained events across devices, in recording order.
+    /// The most recent events of each device, merged across devices.
     pub events: Vec<FlightEvent>,
-    /// Events shed by the bounded rings before the failure.
+    /// Older events of those devices left out.
     pub dropped_events: u64,
 }
 
 impl Postmortem {
     /// The postmortem as a standalone JSON document (schema-versioned,
-    /// same event layout as the `flight_recorder` section of
+    /// same layout as an entry of the `postmortems` section of
     /// [`Telemetry::to_json`]).
     pub fn to_json(&self) -> String {
-        let doc = Value::Object(vec![
-            (
-                "telemetry_schema_version".into(),
-                Value::UInt(TELEMETRY_SCHEMA_VERSION as u64),
-            ),
+        let mut doc = vec![(
+            "telemetry_schema_version".into(),
+            Value::UInt(TELEMETRY_SCHEMA_VERSION as u64),
+        )];
+        doc.extend(self.fields());
+        serde_json::to_string(&Value::Object(doc)).expect("postmortem serializes")
+    }
+
+    /// The fields of both JSON layouts, in order.
+    fn fields(&self) -> Vec<(String, Value)> {
+        vec![
             ("reason".into(), Value::String(self.reason.clone())),
             ("dropped_events".into(), Value::UInt(self.dropped_events)),
             (
                 "events".into(),
                 Value::Array(self.events.iter().map(event_value).collect()),
             ),
-        ]);
-        serde_json::to_string(&doc).expect("postmortem serializes")
+        ]
     }
 }
 
@@ -147,11 +164,11 @@ pub struct TelemetrySnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, HistSnapshot>,
-    /// Charges observed (all devices).
+    /// Charges logged by attached devices.
     pub charges_recorded: u64,
-    /// Faults observed (all devices).
+    /// Faults logged by attached devices.
     pub faults_recorded: u64,
-    /// Spans observed (all devices).
+    /// Spans logged by attached devices.
     pub spans_recorded: u64,
 }
 
@@ -210,51 +227,29 @@ fn bucket_index(v: f64) -> usize {
 }
 
 #[derive(Default)]
-struct DeviceRing {
-    events: VecDeque<FlightEvent>,
-    dropped: u64,
-}
-
-#[derive(Default)]
 struct TelInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, FixedHistogram>,
-    rings: BTreeMap<usize, DeviceRing>,
     postmortems: Vec<Postmortem>,
-    next_seq: u64,
     charges_recorded: u64,
     faults_recorded: u64,
     spans_recorded: u64,
 }
 
-/// The metrics registry plus flight recorder. Cheap to share
+/// The metrics registry and its postmortems. Cheap to share
 /// (`Arc<Telemetry>`), internally locked; every recording method takes
 /// `&self` and returns nothing, so instrumentation sites cannot
 /// accidentally branch on observer state.
+#[derive(Default)]
 pub struct Telemetry {
-    ring_limit: usize,
     inner: Mutex<TelInner>,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Telemetry {
-    /// A registry with the default flight-recorder capacity.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_ring_limit(DEFAULT_RING_LIMIT)
-    }
-
-    /// A registry retaining at most `ring_limit` events per device.
-    pub fn with_ring_limit(ring_limit: usize) -> Self {
-        Telemetry {
-            ring_limit: ring_limit.max(1),
-            inner: Mutex::new(TelInner::default()),
-        }
+        Self::default()
     }
 
     // -- registry --------------------------------------------------------
@@ -282,103 +277,23 @@ impl Telemetry {
         inner.hists.entry(name.to_string()).or_default().observe(v);
     }
 
-    // -- flight recorder -------------------------------------------------
+    // -- device logs -----------------------------------------------------
 
-    /// Record a charge as the ledger booked it (`ns` already clamped,
-    /// `start_ns` as scheduled). Called by the device *after* the
-    /// ledger charged.
-    pub fn record_charge(
-        &self,
-        device: usize,
-        name: &str,
-        phase: &str,
-        ns: f64,
-        start_ns: f64,
-        stream: usize,
-    ) {
+    /// Count one entry an attached device logged.
+    pub fn count_logged(&self, kind: Logged) {
         let mut inner = self.inner.lock();
-        inner.charges_recorded += 1;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let ev = FlightEvent {
-            seq,
-            kind: "charge".into(),
-            device,
-            name: name.to_string(),
-            detail: phase.to_string(),
-            start_ns,
-            end_ns: start_ns + ns,
-            stream,
-        };
-        self.push_event(&mut inner, device, ev);
+        *match kind {
+            Logged::Charge => &mut inner.charges_recorded,
+            Logged::Span => &mut inner.spans_recorded,
+            Logged::Fault => &mut inner.faults_recorded,
+        } += 1;
     }
 
-    /// Record an injected-fault observation on `device`.
-    pub fn record_fault(&self, device: usize, desc: &str) {
-        let mut inner = self.inner.lock();
-        inner.faults_recorded += 1;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let ev = FlightEvent {
-            seq,
-            kind: "fault".into(),
-            device,
-            name: desc.to_string(),
-            detail: String::new(),
-            start_ns: 0.0,
-            end_ns: 0.0,
-            stream: 0,
-        };
-        self.push_event(&mut inner, device, ev);
-    }
-
-    /// Record a closed instrumentation span: `path` is the label path
-    /// of the device's open scopes (`round 0/level 2`), timestamps are
-    /// simulated.
-    pub fn record_span(&self, device: usize, path: &str, start_ns: f64, end_ns: f64) {
-        let mut inner = self.inner.lock();
-        inner.spans_recorded += 1;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let ev = FlightEvent {
-            seq,
-            kind: "span".into(),
-            device,
-            name: path.to_string(),
-            detail: String::new(),
-            start_ns,
-            end_ns,
-            stream: 0,
-        };
-        self.push_event(&mut inner, device, ev);
-    }
-
-    fn push_event(&self, inner: &mut TelInner, device: usize, ev: FlightEvent) {
-        let ring = inner.rings.entry(device).or_default();
-        ring.events.push_back(ev);
-        while ring.events.len() > self.ring_limit {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-    }
-
-    /// Snapshot the flight recorder into an in-memory [`Postmortem`].
-    /// Library code calls this on typed-error paths; nothing is written
-    /// to disk here — `repro report` and the tests retrieve and persist.
-    pub fn record_postmortem(&self, reason: &str) {
-        let mut inner = self.inner.lock();
-        let mut events: Vec<FlightEvent> = inner
-            .rings
-            .values()
-            .flat_map(|r| r.events.iter().cloned())
-            .collect();
-        events.sort_by_key(|e| e.seq);
-        let dropped_events = inner.rings.values().map(|r| r.dropped).sum();
-        inner.postmortems.push(Postmortem {
-            reason: reason.to_string(),
-            events,
-            dropped_events,
-        });
+    /// Keep `pm`, the postmortem a typed-error path built from its
+    /// devices' logs. Nothing is written to disk here — `repro report`
+    /// and the tests retrieve and persist.
+    pub fn push_postmortem(&self, pm: Postmortem) {
+        self.inner.lock().postmortems.push(pm);
     }
 
     /// All postmortems recorded so far, in order.
@@ -441,7 +356,7 @@ impl Telemetry {
         out
     }
 
-    /// The whole registry plus flight recorder as one JSON document
+    /// The whole registry and its postmortems as one JSON document
     /// (`TELEMETRY_SCHEMA_VERSION` header; layout golden-pinned).
     pub fn to_json(&self) -> String {
         serde_json::to_string(&self.to_value()).expect("telemetry serializes")
@@ -490,33 +405,10 @@ impl Telemetry {
                 )
             })
             .collect();
-        let recorder = inner
-            .rings
-            .iter()
-            .map(|(dev, ring)| {
-                Value::Object(vec![
-                    ("device".into(), Value::UInt(*dev as u64)),
-                    ("dropped".into(), Value::UInt(ring.dropped)),
-                    (
-                        "events".into(),
-                        Value::Array(ring.events.iter().map(event_value).collect()),
-                    ),
-                ])
-            })
-            .collect();
         let postmortems = inner
             .postmortems
             .iter()
-            .map(|p| {
-                Value::Object(vec![
-                    ("reason".into(), Value::String(p.reason.clone())),
-                    ("dropped_events".into(), Value::UInt(p.dropped_events)),
-                    (
-                        "events".into(),
-                        Value::Array(p.events.iter().map(event_value).collect()),
-                    ),
-                ])
-            })
+            .map(|p| Value::Object(p.fields()))
             .collect();
         Value::Object(vec![
             (
@@ -534,7 +426,6 @@ impl Telemetry {
                     ("spans".into(), Value::UInt(snap.spans_recorded)),
                 ]),
             ),
-            ("flight_recorder".into(), Value::Array(recorder)),
             ("postmortems".into(), Value::Array(postmortems)),
         ])
     }
@@ -543,10 +434,10 @@ impl Telemetry {
 fn event_value(e: &FlightEvent) -> Value {
     Value::Object(vec![
         ("seq".into(), Value::UInt(e.seq)),
-        ("kind".into(), Value::String(e.kind.clone())),
+        ("kind".into(), Value::String(e.kind.into())),
         ("device".into(), Value::UInt(e.device as u64)),
-        ("name".into(), Value::String(e.name.clone())),
-        ("detail".into(), Value::String(e.detail.clone())),
+        ("name".into(), Value::String(e.name.to_string())),
+        ("detail".into(), Value::String(e.detail.into())),
         ("start_ns".into(), Value::Float(e.start_ns)),
         ("end_ns".into(), Value::Float(e.end_ns)),
         ("stream".into(), Value::UInt(e.stream as u64)),
@@ -618,35 +509,20 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_ring_is_bounded() {
-        let tel = Telemetry::with_ring_limit(4);
-        for i in 0..10 {
-            tel.record_charge(0, "k", "Histogram", 1.0, i as f64, 0);
-        }
-        tel.record_postmortem("test failure");
-        let pm = &tel.postmortems()[0];
-        assert_eq!(pm.events.len(), 4);
-        assert_eq!(pm.dropped_events, 6);
-        // The retained events are the most recent ones, in seq order.
-        let seqs: Vec<u64> = pm.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, [6, 7, 8, 9]);
-        assert_eq!(pm.reason, "test failure");
-    }
-
-    #[test]
-    fn postmortem_interleaves_devices_in_recording_order() {
+    fn logged_entries_are_counted_by_kind() {
         let tel = Telemetry::new();
-        tel.record_charge(1, "a", "Histogram", 1.0, 0.0, 0);
-        tel.record_fault(0, "transient ECC");
-        tel.record_span(1, "round/level", 0.0, 5.0);
-        tel.record_postmortem("device lost");
-        let pm = &tel.postmortems()[0];
-        let kinds: Vec<&str> = pm.events.iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, ["charge", "fault", "span"]);
-        let json = pm.to_json();
-        let v: Value = serde_json::from_str(&json).expect("postmortem JSON parses");
-        let obj = v.as_object().expect("object");
-        assert!(obj.iter().any(|(k, _)| k == "telemetry_schema_version"));
+        for kind in [Logged::Charge, Logged::Charge, Logged::Span, Logged::Fault] {
+            tel.count_logged(kind);
+        }
+        let snap = tel.snapshot();
+        assert_eq!(
+            (
+                snap.charges_recorded,
+                snap.spans_recorded,
+                snap.faults_recorded
+            ),
+            (2, 1, 1)
+        );
     }
 
     #[test]
@@ -655,7 +531,6 @@ mod tests {
         tel.counter_inc("train.rounds_total");
         tel.gauge_set("train.pool_high_water", 7.0);
         tel.hist_observe("train.split_gain", 0.25);
-        tel.record_charge(0, "hist_build", "Histogram", 10.0, 0.0, 1);
         let json = tel.to_json();
         let v: Value = serde_json::from_str(&json).expect("telemetry JSON parses");
         let obj = v.as_object().expect("object");

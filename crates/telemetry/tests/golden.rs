@@ -8,7 +8,8 @@
 //! [`TELEMETRY_SCHEMA_VERSION`].
 
 use serde::Value;
-use telemetry::{Telemetry, TELEMETRY_SCHEMA_VERSION};
+use std::borrow::Cow;
+use telemetry::{FlightEvent, Logged, Postmortem, Telemetry, TELEMETRY_SCHEMA_VERSION};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -17,9 +18,11 @@ const GOLDEN_PATH: &str = concat!(
 
 /// A fixed synthetic registry exercising every section of the export:
 /// counters, gauges, histograms (with an overflow-adjacent value),
-/// flight-recorder rings on two devices, and a postmortem.
+/// logged-entry counts, and a postmortem of two devices. (What devices
+/// put into a postmortem is tested through real devices in
+/// `crates/gpusim/tests/postmortem.rs`.)
 fn golden_registry() -> Telemetry {
-    let tel = Telemetry::with_ring_limit(3);
+    let tel = Telemetry::new();
     tel.counter_add("train.rounds_total", 5);
     tel.counter_inc("train.retries_total");
     tel.gauge_set("train.pool_high_water", 6.0);
@@ -27,14 +30,33 @@ fn golden_registry() -> Telemetry {
     tel.hist_observe("train.split_gain", 0.5);
     tel.hist_observe("train.split_gain", 3.25);
     tel.hist_observe("serve.latency_ns", 1500.0);
-    tel.record_charge(0, "hist_build", "Histogram", 1200.0, 0.0, 0);
-    tel.record_charge(0, "split_eval", "SplitEval", 300.0, 1200.0, 0);
-    tel.record_charge(0, "all_gather", "Comm", 90.5, 1500.0, 2);
-    tel.record_charge(0, "partition", "Partition", 42.0, 1590.5, 1);
-    tel.record_charge(1, "hist_build", "Histogram", 1100.0, 0.0, 0);
-    tel.record_fault(1, "transient fault injected at charge 4");
-    tel.record_span(0, "round/level", 0.0, 1632.5);
-    tel.record_postmortem("DeviceLost at round 2 (golden fixture)");
+    for kind in [Logged::Charge; 5] {
+        tel.count_logged(kind);
+    }
+    tel.count_logged(Logged::Fault);
+    tel.count_logged(Logged::Span);
+    let event =
+        |seq, kind, device, name: &'static str, detail, start_ns, end_ns, stream| FlightEvent {
+            seq,
+            kind,
+            device,
+            name: Cow::Borrowed(name),
+            detail,
+            start_ns,
+            end_ns,
+            stream,
+        };
+    tel.push_postmortem(Postmortem {
+        reason: "DeviceLost at round 2 (golden fixture)".to_string(),
+        events: vec![
+            event(0, "charge", 1, "hist_build", "Histogram", 0.0, 1100.0, 0),
+            event(1, "fault", 1, "transient fault", "", 1100.0, 1100.0, 0),
+            event(4, "charge", 0, "all_gather", "Comm", 1500.0, 1590.5, 2),
+            event(5, "charge", 0, "partition", "Partition", 1590.5, 1632.5, 1),
+            event(6, "span", 0, "round 0/level 1", "", 0.0, 1632.5, 0),
+        ],
+        dropped_events: 2,
+    });
     tel
 }
 
@@ -75,7 +97,6 @@ fn telemetry_json_sections_are_stable() {
             "gauges",
             "histograms",
             "recorder",
-            "flight_recorder",
             "postmortems",
         ],
         "envelope sections changed — bump TELEMETRY_SCHEMA_VERSION"
@@ -83,15 +104,15 @@ fn telemetry_json_sections_are_stable() {
     let (_, ver) = &obj[0];
     assert_eq!(ver, &Value::UInt(TELEMETRY_SCHEMA_VERSION as u64));
 
-    // Every flight-recorder event carries the pinned field set.
-    let (_, recorder) = obj
+    // Every postmortem event carries the pinned field set.
+    let (_, postmortems) = obj
         .iter()
-        .find(|(k, _)| k == "flight_recorder")
-        .expect("flight_recorder");
-    for dev in recorder.as_array().expect("device array") {
-        let (_, events) = dev
+        .find(|(k, _)| k == "postmortems")
+        .expect("postmortems");
+    for pm in postmortems.as_array().expect("postmortem array") {
+        let (_, events) = pm
             .as_object()
-            .expect("device object")
+            .expect("postmortem object")
             .iter()
             .find(|(k, _)| k == "events")
             .expect("events");
@@ -111,17 +132,22 @@ fn telemetry_json_sections_are_stable() {
     }
 }
 
-/// The bounded ring sheds the oldest events: device 0 got 5 events
-/// (4 charges + 1 span) with limit 3, so 2 dropped and the postmortem
-/// keeps the most recent ones.
+/// The registry keeps the postmortem it was handed, and its standalone
+/// JSON carries the same events.
 #[test]
-fn golden_registry_ring_sheds_oldest() {
+fn golden_registry_keeps_its_postmortem() {
     let tel = golden_registry();
     let pms = tel.postmortems();
     assert_eq!(pms.len(), 1);
     assert_eq!(pms[0].dropped_events, 2);
-    assert!(pms[0].events.len() == 5, "3 (dev 0) + 2 (dev 1) retained");
+    assert_eq!(pms[0].events.len(), 5);
     let json = tel.last_postmortem_json().expect("postmortem present");
     let v: Value = serde_json::from_str(&json).expect("postmortem JSON parses");
-    assert!(v.as_object().is_some());
+    let (_, events) = v
+        .as_object()
+        .expect("postmortem object")
+        .iter()
+        .find(|(k, _)| k == "events")
+        .expect("events");
+    assert_eq!(events.as_array().map(|a| a.len()), Some(5));
 }

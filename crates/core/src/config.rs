@@ -286,8 +286,11 @@ impl TrainConfig {
         if !(2..=256).contains(&self.max_bins) {
             return Err(format!("max_bins {} out of range 2..=256", self.max_bins));
         }
-        if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
-            return Err("learning_rate must be positive".into());
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            return Err(format!(
+                "learning_rate {} must be finite and positive",
+                self.learning_rate
+            ));
         }
         if !self.lambda.is_finite() || self.lambda < 0.0 {
             return Err(format!(
@@ -422,6 +425,13 @@ mod tests {
                 .err()
                 .unwrap_or_else(|| panic!("min_gain {v} accepted"));
             assert!(err.contains("min_gain"), "{err}");
+            let mut c = TrainConfig::default();
+            c.learning_rate = v as f32;
+            let err = c
+                .validate()
+                .err()
+                .unwrap_or_else(|| panic!("learning_rate {v} accepted"));
+            assert!(err.contains("learning_rate"), "{err}");
         }
     }
 

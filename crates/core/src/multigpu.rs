@@ -161,8 +161,7 @@ fn all_gather_level(group: &DeviceGroup, sizes: &[usize], streamed: bool) -> Opt
         let fence = align_stream0(devices);
         Some((streamed_collective(devices, "all_gather", ns, fence), ns))
     } else {
-        let payload: Vec<Vec<u8>> = sizes.iter().map(|&s| vec![0u8; s]).collect();
-        let _ = group.all_gather_bytes(&payload);
+        group.all_gather(max_part);
         None
     }
 }

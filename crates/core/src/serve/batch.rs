@@ -234,7 +234,6 @@ impl BatchServer {
                 self.ens = staged;
             }
         }
-        let _scope = device.prof_scope("serve_batch", Some(self.batches));
         let k = self.arrivals.len();
         let m = self.m.expect("flush_at requires pending rows");
         let feats = DenseMatrix::new(k, m, std::mem::take(&mut self.rows));

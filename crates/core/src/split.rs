@@ -27,10 +27,17 @@
 
 use crate::hist::{add_rows, NodeHistogram};
 use gpusim::cost::KernelCost;
-use gpusim::primitives::reduce::segments_per_block;
 use gpusim::{Device, Phase};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Number of segments each block handles under the paper's adaptive
+/// mapping (§3.1.3): `1 + #segments / #SMs × C`. A naive one-segment-
+/// per-block grid pays kernel-launch and scheduling overhead per segment
+/// on high-dimensional data; batching segments amortizes it.
+fn segments_per_block(num_segments: usize, sm_count: u32, c: f64) -> usize {
+    (1.0 + num_segments as f64 / sm_count as f64 * c).floor() as usize
+}
 
 /// Parameters governing split acceptance.
 #[derive(Debug, Clone, Copy)]
@@ -733,6 +740,16 @@ mod tests {
             d_batch.now_ns(),
             d_per.now_ns()
         );
+    }
+
+    #[test]
+    fn segments_per_block_adaptive_mapping() {
+        // Few segments on many SMs → one per block (naive mapping).
+        assert_eq!(segments_per_block(10, 128, 4.0), 1);
+        // Many segments → batched.
+        assert!(segments_per_block(100_000, 128, 4.0) > 1000);
+        // Monotone in C.
+        assert!(segments_per_block(5000, 128, 8.0) >= segments_per_block(5000, 128, 2.0));
     }
 
     #[test]

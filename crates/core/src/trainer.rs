@@ -261,6 +261,15 @@ pub(crate) fn boost(
     resume: Option<&Checkpoint>,
     mut checkpoints: Option<&mut Vec<Checkpoint>>,
 ) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
+    // The one config check that needs the data's shape, made before
+    // any kernel runs.
+    let constraints = config.monotone_constraints.len();
+    if constraints != 0 && constraints != ds.m() {
+        return Err(TrainError::Config(ConfigError::from(format!(
+            "monotone_constraints has {constraints} entries for {} features",
+            ds.m()
+        ))));
+    }
     let starts: Vec<(Arc<Device>, LedgerSummary)> = placement
         .devices()
         .iter()
@@ -1018,6 +1027,31 @@ mod tests {
     #[should_panic(expected = "invalid training configuration")]
     fn invalid_config_rejected_at_construction() {
         let _ = GpuTrainer::new(Device::rtx4090(), TrainConfig::default().with_trees(0));
+    }
+
+    #[test]
+    fn monotone_constraints_of_the_wrong_width_are_a_config_error() {
+        let ds = make_regression(&RegressionSpec {
+            instances: 200,
+            features: 5,
+            outputs: 2,
+            informative: 3,
+            seed: 3,
+            ..Default::default()
+        });
+        let device = Device::rtx4090();
+        let config = TrainConfig {
+            monotone_constraints: vec![1, 0, -1],
+            ..quick_config()
+        };
+        let err = GpuTrainer::new(Arc::clone(&device), config)
+            .try_fit(&ds)
+            .expect_err("3 constraints for 5 features must be rejected");
+        let TrainError::Config(e) = err else {
+            panic!("expected a config error, got {err}");
+        };
+        assert!(e.message().contains("monotone_constraints"), "{e}");
+        assert_eq!(device.now_ns(), 0.0, "rejected before any kernel ran");
     }
 
     #[test]

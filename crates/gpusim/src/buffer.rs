@@ -1,12 +1,10 @@
 //! Device-resident buffers.
 //!
 //! A [`GpuBuffer`] models `cudaMalloc`'d memory: it is owned by one
-//! device, and moving data across the host boundary must go through
-//! [`crate::Device::htod`] / [`crate::Device::dtoh`] so the transfer is
-//! charged. *Within* kernels (primitives and user kernels built on
-//! [`crate::launch::run_blocks`]) the backing slice is accessed directly;
-//! kernels account for their memory traffic via their
-//! [`crate::KernelCost`] instead of per-access bookkeeping.
+//! device, and host data enters it through [`crate::Device::htod`] so
+//! the transfer is charged. Kernels access the backing slice directly
+//! and account for their memory traffic via their [`crate::KernelCost`]
+//! instead of per-access bookkeeping.
 
 /// A typed, device-owned buffer.
 #[derive(Debug, Clone)]
@@ -18,7 +16,7 @@ pub struct GpuBuffer<T> {
 impl<T: Copy + Send + Sync> GpuBuffer<T> {
     /// Wrap an already-materialized vector as a buffer on `device_id`.
     /// Crate-internal construction path; external users go through
-    /// [`crate::Device::htod`] / [`crate::Device::alloc_zeroed`].
+    /// [`crate::Device::htod`].
     ///
     /// # Invariant
     ///
@@ -26,14 +24,12 @@ impl<T: Copy + Send + Sync> GpuBuffer<T> {
     /// to validate against (devices are plain `Arc`s, and multi-device
     /// topologies are assembled ad hoc by [`crate::DeviceGroup`]), so a
     /// buffer's owner cannot be checked at construction time. The
-    /// invariant is instead enforced at every *use* that crosses a
-    /// device boundary: [`crate::Device::dtoh`] panics when asked to
-    /// read a buffer whose `device_id` differs from the device's own
-    /// `id` — the simulator's analogue of an invalid-device-pointer
-    /// fault. Callers constructing buffers directly must pass the `id`
-    /// of the device whose ledger will be charged for kernels touching
-    /// the buffer.
-    pub fn from_vec(device_id: usize, data: Vec<T>) -> Self {
+    /// invariant is instead enforced where a use crosses a device
+    /// boundary: [`crate::buffer_checksum_on`] panics when asked to scrub
+    /// a buffer whose `device_id` differs from the device's own `id`.
+    /// Callers must pass the `id` of the device whose ledger will be
+    /// charged for kernels touching the buffer.
+    pub(crate) fn from_vec(device_id: usize, data: Vec<T>) -> Self {
         GpuBuffer { device_id, data }
     }
 
@@ -66,13 +62,6 @@ impl<T: Copy + Send + Sync> GpuBuffer<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    /// Consume the buffer, returning the backing vector *without*
-    /// charging a transfer (used when handing a result to another
-    /// same-device operation).
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +77,6 @@ mod tests {
         assert_eq!(b.size_bytes(), 12);
         b.as_mut_slice()[0] = 9;
         assert_eq!(b.as_slice(), &[9, 2, 3]);
-        assert_eq!(b.into_vec(), vec![9, 2, 3]);
     }
 
     #[test]
@@ -98,7 +86,6 @@ mod tests {
         assert_eq!(b.len(), 0);
         assert_eq!(b.size_bytes(), 0);
         assert_eq!(b.as_slice(), &[] as &[f64]);
-        assert_eq!(b.into_vec(), Vec::<f64>::new());
     }
 
     #[test]
@@ -109,23 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_buffer_roundtrips_through_device() {
+    fn empty_upload_is_well_formed() {
         use crate::device::Device;
         let dev = Device::rtx4090();
-        let buf = dev.htod::<f32>(&[]);
-        assert!(buf.is_empty());
-        assert_eq!(buf.device_id(), dev.id);
-        let back = dev.dtoh(&buf);
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn alloc_zeroed_empty_is_well_formed() {
-        use crate::device::Device;
-        let dev = Device::rtx4090();
-        let buf = dev.alloc_zeroed::<u32>(0);
+        let buf = dev.htod::<u32>(&[]);
         assert!(buf.is_empty());
         assert_eq!(buf.size_bytes(), 0);
-        assert_eq!(buf.into_vec(), Vec::<u32>::new());
+        assert_eq!(buf.device_id(), dev.id);
     }
 }

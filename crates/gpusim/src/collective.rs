@@ -78,54 +78,18 @@ impl DeviceGroup {
         }
     }
 
-    /// Ring all-reduce: elementwise sum of per-device vectors; every
-    /// device receives the sum. Implies a barrier (collectives are
+    /// All-gather of `bytes_per_rank` from every device: each device
+    /// receives every rank's part. Data movement is modeled only (callers
+    /// share host-side state); implies a barrier (collectives are
     /// synchronizing).
-    pub fn all_reduce_sum_f64(&self, contributions: &[Vec<f64>]) -> Vec<f64> {
-        assert_eq!(
-            contributions.len(),
-            self.devices.len(),
-            "one contribution per device required"
-        );
-        let len = contributions[0].len();
-        assert!(
-            contributions.iter().all(|c| c.len() == len),
-            "all contributions must have equal length"
-        );
-        let mut out = vec![0.0f64; len];
-        for c in contributions {
-            for (o, v) in out.iter_mut().zip(c) {
-                *o += v;
-            }
-        }
+    pub fn all_gather(&self, bytes_per_rank: usize) {
         self.barrier();
         let ns = self.devices[0]
             .model()
-            .ring_all_reduce_ns((len * 8) as f64, self.devices.len());
-        for d in &self.devices {
-            d.charge_ns("all_reduce", Phase::Comm, ns);
-        }
-        out
-    }
-
-    /// All-gather of raw byte payloads: every device receives the
-    /// concatenation (in rank order). Returns the concatenated payload.
-    pub fn all_gather_bytes(&self, contributions: &[Vec<u8>]) -> Vec<u8> {
-        assert_eq!(
-            contributions.len(),
-            self.devices.len(),
-            "one contribution per device required"
-        );
-        let max_part = contributions.iter().map(Vec::len).max().unwrap_or(0);
-        let out: Vec<u8> = contributions.iter().flatten().copied().collect();
-        self.barrier();
-        let ns = self.devices[0]
-            .model()
-            .all_gather_ns(max_part as f64, self.devices.len());
+            .all_gather_ns(bytes_per_rank as f64, self.devices.len());
         for d in &self.devices {
             d.charge_ns("all_gather", Phase::Comm, ns);
         }
-        out
     }
 
     /// Broadcast `bytes` of payload from `root` to all devices; data
@@ -148,25 +112,6 @@ mod tests {
     use crate::cost::KernelCost;
 
     #[test]
-    fn all_reduce_sums_elementwise() {
-        let g = DeviceGroup::rtx4090s(4);
-        let contribs: Vec<Vec<f64>> = (0..4).map(|d| vec![d as f64; 8]).collect();
-        let out = g.all_reduce_sum_f64(&contribs);
-        assert_eq!(out, vec![6.0; 8]); // 0+1+2+3
-        for d in g.devices() {
-            assert!(d.summary().by_phase.contains_key(&Phase::Comm));
-        }
-    }
-
-    #[test]
-    fn single_device_all_reduce_is_free() {
-        let g = DeviceGroup::rtx4090s(1);
-        let out = g.all_reduce_sum_f64(&[vec![1.0, 2.0]]);
-        assert_eq!(out, vec![1.0, 2.0]);
-        assert_eq!(g.now_ns(), 0.0);
-    }
-
-    #[test]
     fn barrier_aligns_clocks_and_books_idle() {
         let g = DeviceGroup::rtx4090s(2);
         g.device(0)
@@ -178,10 +123,32 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_concatenates_in_rank_order() {
+    fn all_gather_aligns_clocks_then_charges_each_device_once() {
         let g = DeviceGroup::rtx4090s(3);
-        let parts = vec![vec![1u8], vec![2, 2], vec![3]];
-        assert_eq!(g.all_gather_bytes(&parts), vec![1, 2, 2, 3]);
+        g.device(1).charge_ns("w", Phase::Histogram, 700.0);
+        g.all_gather(1 << 20);
+        let ns = g.device(0).model().all_gather_ns((1 << 20) as f64, 3);
+        assert!(ns > 0.0);
+        // The barrier booked the idle devices' wait before the exchange.
+        assert_eq!(g.device(0).summary().by_phase[&Phase::Idle], 700.0);
+        for d in g.devices() {
+            assert_eq!(d.now_ns(), 700.0 + ns);
+            let gathers: Vec<_> = d
+                .records()
+                .into_iter()
+                .filter(|r| r.name == "all_gather")
+                .collect();
+            assert_eq!(gathers.len(), 1);
+            assert_eq!(gathers[0].phase, Phase::Comm);
+            assert_eq!(gathers[0].ns, ns);
+        }
+    }
+
+    #[test]
+    fn single_device_all_gather_is_free() {
+        let g = DeviceGroup::rtx4090s(1);
+        g.all_gather(1 << 20);
+        assert_eq!(g.now_ns(), 0.0);
     }
 
     #[test]
@@ -189,13 +156,6 @@ mod tests {
         let g = DeviceGroup::rtx4090s(2);
         g.device(1).charge_ns("x", Phase::Other, 500.0);
         assert_eq!(g.now_ns(), 500.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one contribution per device")]
-    fn all_reduce_arity_checked() {
-        let g = DeviceGroup::rtx4090s(2);
-        let _ = g.all_reduce_sum_f64(&[vec![1.0]]);
     }
 
     #[test]

@@ -279,13 +279,7 @@ impl Device {
     /// The kernel occupies one compute slot, or every slot when the
     /// cost model says it saturates the SMs — co-resident kernels on
     /// other streams then serialize exactly as real hardware would.
-    pub fn charge_kernel_on(
-        &self,
-        name: &'static str,
-        phase: Phase,
-        cost: &KernelCost,
-        stream: usize,
-    ) {
+    fn charge_kernel_on(&self, name: &'static str, phase: Phase, cost: &KernelCost, stream: usize) {
         self.book(name, phase, self.model.kernel_ns(cost), stream, Some(cost));
     }
 
@@ -298,7 +292,7 @@ impl Device {
     /// Charge a raw duration on `stream`. Engine work: consumes no
     /// compute slots, so it overlaps freely with kernels on other
     /// streams (copy and collective engines do not contend for SMs).
-    pub fn charge_ns_on(&self, name: &'static str, phase: Phase, ns: f64, stream: usize) {
+    fn charge_ns_on(&self, name: &'static str, phase: Phase, ns: f64, stream: usize) {
         self.book(name, phase, ns, stream, None);
     }
 
@@ -599,16 +593,6 @@ impl Device {
 
     // ---- memory management -------------------------------------------------
 
-    /// Allocate a zero-initialized device buffer of `len` elements.
-    /// Charges the memset's DRAM write traffic.
-    pub fn alloc_zeroed<T: Copy + Default + Send + Sync>(&self, len: usize) -> GpuBuffer<T> {
-        let bytes = (len * std::mem::size_of::<T>()) as f64;
-        // lint:allow(prof_coverage): allocation-time zero-fill can happen before any profiler scope exists
-        // lint:allow(sanitize): zero-fill of a freshly allocated buffer has no cross-kernel access stream to replay
-        self.charge_kernel("memset", Phase::Other, &KernelCost::streaming(0.0, bytes));
-        GpuBuffer::from_vec(self.id, vec![T::default(); len])
-    }
-
     /// Copy host data to a new device buffer (`cudaMemcpyHostToDevice`).
     pub fn htod<T: Copy + Send + Sync>(&self, host: &[T]) -> GpuBuffer<T> {
         self.htod_on(host, 0)
@@ -628,20 +612,6 @@ impl Device {
             stream,
         );
         GpuBuffer::from_vec(self.id, host.to_vec())
-    }
-
-    /// Copy a device buffer back to the host (`cudaMemcpyDeviceToHost`).
-    pub fn dtoh<T: Copy + Send + Sync>(&self, buf: &GpuBuffer<T>) -> Vec<T> {
-        assert_eq!(
-            buf.device_id(),
-            self.id,
-            "dtoh from buffer on device {} via device {}",
-            buf.device_id(),
-            self.id
-        );
-        let bytes = (buf.len() * std::mem::size_of::<T>()) as f64;
-        self.charge_ns("dtoh", Phase::Transfer, self.model.host_copy_ns(bytes));
-        buf.as_slice().to_vec()
     }
 }
 
@@ -664,32 +634,14 @@ mod tests {
     }
 
     #[test]
-    fn htod_dtoh_roundtrip_charges_transfer() {
+    fn htod_copies_and_charges_transfer() {
         let dev = Device::rtx4090();
         let data: Vec<f32> = (0..1024).map(|i| i as f32).collect();
         let buf = dev.htod(&data);
         assert_eq!(buf.len(), 1024);
-        let back = dev.dtoh(&buf);
-        assert_eq!(back, data);
+        assert_eq!(buf.as_slice(), &data[..]);
         let s = dev.summary();
         assert!(s.phase_ns(Phase::Transfer) > 0.0);
-    }
-
-    #[test]
-    fn alloc_zeroed_returns_defaults_and_charges_memset() {
-        let dev = Device::rtx4090();
-        let buf = dev.alloc_zeroed::<f64>(100);
-        assert!(buf.as_slice().iter().all(|&x| x == 0.0));
-        assert!(dev.summary().phase_ns(Phase::Other) > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dtoh from buffer on device")]
-    fn dtoh_wrong_device_panics() {
-        let a = Device::new(0, DeviceProps::rtx4090());
-        let b = Device::new(1, DeviceProps::rtx4090());
-        let buf = a.htod(&[1u32, 2, 3]);
-        let _ = b.dtoh(&buf);
     }
 
     #[test]

@@ -89,15 +89,6 @@ pub fn occupancy(res: BlockResources, limits: &SmLimits) -> Occupancy {
     }
 }
 
-/// The largest shared-memory allocation per block (bytes, rounded down
-/// to `granularity`) that still admits `min_blocks` resident blocks per
-/// SM — how the tiled histogram picks its chunk size.
-pub fn max_smem_for_blocks(min_blocks: u32, granularity: u32, limits: &SmLimits) -> u32 {
-    assert!(min_blocks > 0);
-    let per_block = limits.smem_bytes / min_blocks;
-    (per_block / granularity.max(1)) * granularity.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,22 +154,6 @@ mod tests {
         assert_eq!(o.blocks_per_sm, 24); // max_blocks, not 1536/32 = 48
         assert_eq!(o.active_warps, 24);
         assert!((o.fraction - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_smem_for_blocks_inverts_occupancy() {
-        let lm = limits();
-        let budget = max_smem_for_blocks(2, 1024, &lm);
-        assert!(budget <= lm.smem_bytes / 2);
-        let o = occupancy(
-            BlockResources {
-                threads: 256,
-                smem_bytes: budget,
-                regs_per_thread: 0,
-            },
-            &lm,
-        );
-        assert!(o.blocks_per_sm >= 2);
     }
 
     #[test]

@@ -1,11 +1,17 @@
-//! Key sorting and key-grouped reduction — the backbone of the paper's
-//! *sort-and-reduce* histogram strategy (§3.3.4).
+//! Key sorting and key-grouped reduction — the simulator's CUB layer and
+//! the backbone of the paper's *sort-and-reduce* histogram strategy
+//! (§3.3.4).
 //!
 //! `sort_by_key_u32` is a stable LSD radix sort over 8-bit digits (four
 //! passes for 32-bit keys), matching how CUB's `DeviceRadixSort`
 //! processes keys; the cost model charges its measured-throughput
 //! equivalent. `reduce_by_key_sorted` then collapses runs of equal keys,
-//! exactly like `thrust::reduce_by_key` on pre-sorted input.
+//! exactly like `thrust::reduce_by_key` on pre-sorted input. Both compute
+//! their real result on the host and charge the owning device; the
+//! callers name the kernel and the [`Phase`] it is attributed to.
+//! `gbdt-core`'s `hist::sortreduce::build_exact_via_sort` routes a node
+//! histogram through them as the reference the production accumulation
+//! is tested against.
 
 use crate::cost::KernelCost;
 use crate::device::{Device, Phase};

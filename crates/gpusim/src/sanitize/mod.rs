@@ -23,18 +23,13 @@
 //!   functional output digest and the charged [`crate::KernelRecord`]s,
 //!   catching nondeterministic cost accounting.
 //!
-//! Two ways to feed the access log:
-//!
-//! 1. The checked execution layer ([`view::BufferView`] /
-//!    [`view::BufferViewMut`]): kernels compute *through* the view, and
-//!    every `get`/`set`/`atomic_add` is logged and checked.
-//! 2. The shadow recorder ([`Sanitizer::record`] /
-//!    [`KernelScope::touch`]): existing kernels keep their functional
-//!    path untouched and *declare* the access pattern their launch
-//!    geometry implies. This is how `gbdt-core`'s histogram, partition
-//!    and leaf-value kernels are wired (their functional execution is a
-//!    deterministic host fold, but the declared pattern mirrors what
-//!    the real CUDA kernel would issue).
+//! Kernels feed the access log through the shadow recorder
+//! ([`KernelScope::register`] / [`KernelScope::touch`]): each kernel
+//! keeps its functional path untouched and *declares* the access pattern
+//! its launch geometry implies. This is how `gbdt-core`'s histogram,
+//! partition and leaf-value kernels are wired (their functional
+//! execution is a deterministic host fold, but the declared pattern
+//! mirrors what the real CUDA kernel would issue).
 //!
 //! Enabling the sanitizer never charges the ledger and never perturbs
 //! functional results: with [`SanitizeMode::Off`] (the default) the
@@ -42,10 +37,8 @@
 
 pub mod racecheck;
 pub mod replay;
-pub mod view;
 
-pub use replay::{audit_determinism, digest_f32s, digest_f64s, digest_u32s, ReplayReport};
-pub use view::{BufferView, BufferViewMut};
+pub use replay::{audit_determinism, digest_f32s, ReplayReport};
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -368,7 +361,7 @@ impl Sanitizer {
 
     /// Record one access in the active scope (memcheck runs
     /// immediately; the record feeds racecheck at scope end).
-    pub fn record(&self, buffer: u32, ctx: ThreadCtx, offset: usize, kind: AccessKind) {
+    fn record(&self, buffer: u32, ctx: ThreadCtx, offset: usize, kind: AccessKind) {
         let mut inner = self.inner.lock();
         let mode = inner.mode;
         if !mode.enabled() {
@@ -522,34 +515,9 @@ impl<'a> KernelScope<'a> {
         self.san.register(label, len, space, initialized)
     }
 
-    /// Declare one access (shadow-recorder path for kernels whose
-    /// functional execution does not go through the checked views).
+    /// Declare one access of `buffer` by thread `ctx`.
     pub fn touch(&self, buffer: u32, ctx: ThreadCtx, offset: usize, kind: AccessKind) {
         self.san.record(buffer, ctx, offset, kind);
-    }
-
-    /// Checked read-only view over `data`, registered as initialized.
-    pub fn view<'d, T: Copy + Default>(
-        &'a self,
-        label: &'static str,
-        data: &'d [T],
-    ) -> BufferView<'a, 'd, T> {
-        let id = self.register(label, data.len(), MemSpace::Global, true);
-        BufferView::new(self.san, id, data)
-    }
-
-    /// Checked mutable view over `data` in `space`; `initialized`
-    /// declares whether pre-existing contents may be read before the
-    /// kernel writes them.
-    pub fn view_mut<'d, T: Copy + Default>(
-        &'a self,
-        label: &'static str,
-        data: &'d mut [T],
-        space: MemSpace,
-        initialized: bool,
-    ) -> BufferViewMut<'a, 'd, T> {
-        let id = self.register(label, data.len(), space, initialized);
-        BufferViewMut::new(self.san, id, data)
     }
 }
 
@@ -594,6 +562,39 @@ mod tests {
             "{kinds:?}"
         );
         assert_eq!(r.violations.len(), 2, "{:?}", r.violations);
+    }
+
+    #[test]
+    fn memcheck_flags_out_of_bounds_reads_and_writes() {
+        let san = Sanitizer::new(SanitizeMode::Memcheck, 32);
+        {
+            let scope = san.scope("oob");
+            let b = scope.register("data", 3, MemSpace::Global, true);
+            scope.touch(b, t(0, 0), 10, AccessKind::Read);
+            scope.touch(b, t(0, 1), 5, AccessKind::Write);
+        }
+        let r = san.report();
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert_eq!(r.violations[0].kind, ViolationKind::OutOfBounds);
+        assert_eq!(r.violations[0].count, 2);
+    }
+
+    #[test]
+    fn disjoint_writes_across_blocks_are_clean() {
+        let san = Sanitizer::new(SanitizeMode::Full, 32);
+        {
+            let scope = san.scope("scale2");
+            let input = scope.register("input", 4, MemSpace::Global, true);
+            let output = scope.register("output", 4, MemSpace::Global, false);
+            for i in 0..4 {
+                let ctx = t(i as u32 / 2, i as u32 % 2);
+                scope.touch(input, ctx, i, AccessKind::Read);
+                scope.touch(output, ctx, i, AccessKind::Write);
+            }
+        }
+        let r = san.report();
+        assert!(r.is_clean(), "disjoint writes must be clean: {r:?}");
+        assert_eq!(r.total_accesses, 8);
     }
 
     #[test]

@@ -30,16 +30,6 @@ pub fn digest_f32s(xs: &[f32]) -> u64 {
     fnv1a(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()))
 }
 
-/// Order-sensitive digest of an `f64` slice (bit-exact, NaN-safe).
-pub fn digest_f64s(xs: &[f64]) -> u64 {
-    fnv1a(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()))
-}
-
-/// Order-sensitive digest of a `u32` slice.
-pub fn digest_u32s(xs: &[u32]) -> u64 {
-    fnv1a(xs.iter().flat_map(|x| x.to_le_bytes()))
-}
-
 /// One divergence found by the replay audit.
 #[derive(Debug, Clone)]
 pub struct ReplayDivergence {
@@ -100,10 +90,10 @@ impl ReplayReport {
 /// results.
 ///
 /// `work` receives a brand-new device each time and must return an
-/// order-sensitive digest of its functional output (use
-/// [`digest_f32s`] / [`digest_f64s`] / [`digest_u32s`]). The audit
-/// compares the returned digest, the total simulated time, the charge
-/// count, and every retained [`KernelRecord`](crate::timeline::KernelRecord)
+/// order-sensitive digest of its functional output (e.g.
+/// [`digest_f32s`]). The audit compares the returned digest, the total
+/// simulated time, the charge count, and every retained
+/// [`KernelRecord`](crate::timeline::KernelRecord)
 /// field-by-field (floats compared by bit pattern, so `-0.0` vs `0.0`
 /// or NaN payload drift is caught).
 pub fn audit_determinism<F>(props: &DeviceProps, work: F) -> ReplayReport
@@ -188,8 +178,8 @@ mod tests {
     fn digests_are_order_and_bit_sensitive() {
         assert_ne!(digest_f32s(&[1.0, 2.0]), digest_f32s(&[2.0, 1.0]));
         assert_ne!(digest_f32s(&[0.0]), digest_f32s(&[-0.0]));
-        assert_eq!(digest_u32s(&[1, 2, 3]), digest_u32s(&[1, 2, 3]));
-        assert_ne!(digest_f64s(&[]), digest_f64s(&[0.0]));
+        assert_eq!(digest_f32s(&[1.0, 2.0, 3.0]), digest_f32s(&[1.0, 2.0, 3.0]));
+        assert_ne!(digest_f32s(&[]), digest_f32s(&[0.0]));
     }
 
     #[test]

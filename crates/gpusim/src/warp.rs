@@ -1,10 +1,10 @@
 //! Warp-level access-pattern analysis.
 //!
-//! These helpers inspect the set of addresses touched by the 32 lanes of
-//! one warp and derive the hardware penalties the paper's optimizations
-//! target: uncoalesced global transactions (§3.4.1 "bin packing"),
-//! shared-memory bank conflicts, and atomic replay serialization
-//! (§3.3.2/§3.3.3).
+//! [`sectors_touched`] inspects the addresses touched by the lanes of
+//! one warp and counts the global-memory transactions they issue — the
+//! uncoalesced traffic the paper's bin packing targets (§3.4.1).
+//! `gbdt-core`'s `hist::stats::measure` counts atomic replays itself,
+//! from the bin ids of the same sampled warps.
 //!
 //! Analyzing *every* warp of a large kernel would double the simulator's
 //! own runtime, so [`WarpSampler`] samples a bounded number of warps with
@@ -57,84 +57,6 @@ pub fn sectors_touched(addrs: &[u64], access_bytes: u32, sector_bytes: u32) -> u
         }
     }
     count
-}
-
-/// Shared-memory bank-conflict degree of one warp access.
-///
-/// Shared memory interleaves 4-byte words across `banks` banks. Lanes
-/// that read the *same* word are served by a broadcast (no conflict);
-/// lanes hitting *different* words in the same bank serialize. The
-/// returned degree is the maximum, over banks, of the number of distinct
-/// words addressed in that bank — i.e. the number of serialized passes
-/// the access takes (1 = conflict-free).
-pub fn bank_conflict_degree(addrs: &[u64], banks: u32) -> u32 {
-    if addrs.is_empty() {
-        return 0;
-    }
-    // (bank, word) pairs; degree = max per-bank count of distinct words.
-    let mut pairs: Vec<(u32, u64)> = addrs
-        .iter()
-        .map(|&a| {
-            let word = a / 4;
-            ((word % banks as u64) as u32, word)
-        })
-        .collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    let mut best = 1u32;
-    let mut i = 0;
-    while i < pairs.len() {
-        let bank = pairs[i].0;
-        let mut j = i;
-        while j < pairs.len() && pairs[j].0 == bank {
-            j += 1;
-        }
-        best = best.max((j - i) as u32);
-        i = j;
-    }
-    best
-}
-
-/// Atomic replay degree of one warp's atomic operations.
-///
-/// Hardware resolves a warp-wide atomic to the same address by replaying
-/// the instruction once per colliding lane. The degree is the maximum
-/// multiplicity of any single address among the lanes (1 = no replay).
-pub fn atomic_replay_degree(addrs: &[u64]) -> u32 {
-    if addrs.is_empty() {
-        return 0;
-    }
-    let mut sorted = addrs.to_vec();
-    sorted.sort_unstable();
-    let mut best = 1u32;
-    let mut run = 1u32;
-    for w in sorted.windows(2) {
-        if w[0] == w[1] {
-            run += 1;
-            best = best.max(run);
-        } else {
-            run = 1;
-        }
-    }
-    best
-}
-
-/// Total excess (replayed) atomic operations for one warp: issued ops
-/// minus the number of distinct addresses. This is the quantity charged
-/// as `*_atomic_replays` in [`crate::KernelCost`].
-pub fn atomic_replay_excess(addrs: &[u64]) -> u64 {
-    if addrs.is_empty() {
-        return 0;
-    }
-    let mut sorted = addrs.to_vec();
-    sorted.sort_unstable();
-    let mut distinct = 1u64;
-    for w in sorted.windows(2) {
-        if w[0] != w[1] {
-            distinct += 1;
-        }
-    }
-    addrs.len() as u64 - distinct
 }
 
 /// Deterministic warp sampler: selects up to `max_samples` warps out of
@@ -271,46 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_free_unit_stride() {
-        let addrs: Vec<u64> = (0..32).map(|i| i * 4).collect();
-        assert_eq!(bank_conflict_degree(&addrs, 32), 1);
-    }
-
-    #[test]
-    fn broadcast_same_word_no_conflict() {
-        let addrs = vec![128u64; 32];
-        assert_eq!(bank_conflict_degree(&addrs, 32), 1);
-    }
-
-    #[test]
-    fn stride_two_words_gives_two_way_conflict() {
-        let addrs: Vec<u64> = (0..32).map(|i| i * 8).collect();
-        assert_eq!(bank_conflict_degree(&addrs, 32), 2);
-    }
-
-    #[test]
-    fn stride_bank_count_gives_full_serialization() {
-        let addrs: Vec<u64> = (0..32).map(|i| i * 4 * 32).collect();
-        assert_eq!(bank_conflict_degree(&addrs, 32), 32);
-    }
-
-    #[test]
-    fn replay_degree_counts_max_multiplicity() {
-        assert_eq!(atomic_replay_degree(&[1, 2, 3, 4]), 1);
-        assert_eq!(atomic_replay_degree(&[7, 7, 7, 3]), 3);
-        assert_eq!(atomic_replay_degree(&[5; 32]), 32);
-        assert_eq!(atomic_replay_degree(&[]), 0);
-    }
-
-    #[test]
-    fn replay_excess_is_ops_minus_distinct() {
-        assert_eq!(atomic_replay_excess(&[1, 2, 3, 4]), 0);
-        assert_eq!(atomic_replay_excess(&[7, 7, 7, 3]), 2);
-        assert_eq!(atomic_replay_excess(&[5; 32]), 31);
-        assert_eq!(atomic_replay_excess(&[]), 0);
-    }
-
-    #[test]
     fn sampler_covers_small_kernels_exactly() {
         let s = WarpSampler::new(100);
         assert_eq!(s.sampled, 100);
@@ -339,53 +221,6 @@ mod tests {
     }
 
     // ---- edge cases ----------------------------------------------------
-
-    #[test]
-    fn bank_conflict_all_lanes_same_bank_distinct_words() {
-        // 32 lanes, each a *different* word in bank 0 (stride = banks
-        // words): worst case, fully serialized.
-        let banks = 32u32;
-        let addrs: Vec<u64> = (0..32u64).map(|i| i * 4 * banks as u64).collect();
-        assert_eq!(bank_conflict_degree(&addrs, banks), banks);
-        // Duplicate those addresses: broadcast dedup keeps degree at 32.
-        let doubled: Vec<u64> = addrs.iter().chain(addrs.iter()).copied().collect();
-        assert_eq!(bank_conflict_degree(&doubled, banks), banks);
-    }
-
-    #[test]
-    fn bank_conflict_empty_addrs_is_zero() {
-        assert_eq!(bank_conflict_degree(&[], 32), 0);
-    }
-
-    #[test]
-    fn bank_conflict_single_lane_is_one_pass() {
-        assert_eq!(bank_conflict_degree(&[4096], 32), 1);
-    }
-
-    #[test]
-    fn replay_duplicate_free_lanes_have_no_excess() {
-        let addrs: Vec<u64> = (0..32).map(|i| 1000 + i * 4).collect();
-        assert_eq!(atomic_replay_degree(&addrs), 1);
-        assert_eq!(atomic_replay_excess(&addrs), 0);
-    }
-
-    #[test]
-    fn replay_all_duplicate_lanes_fully_serialize() {
-        let addrs = vec![42u64; 32];
-        assert_eq!(atomic_replay_degree(&addrs), 32);
-        assert_eq!(atomic_replay_excess(&addrs), 31);
-        // Single lane: degree 1, no excess.
-        assert_eq!(atomic_replay_degree(&[42]), 1);
-        assert_eq!(atomic_replay_excess(&[42]), 0);
-    }
-
-    #[test]
-    fn replay_excess_consistent_with_degree_bound() {
-        // excess ≤ ops − ops/degree for any multiset.
-        let addrs = vec![1u64, 1, 2, 2, 2, 3];
-        assert_eq!(atomic_replay_degree(&addrs), 3);
-        assert_eq!(atomic_replay_excess(&addrs), 3); // 6 ops − 3 distinct
-    }
 
     #[test]
     fn sampler_with_cap_zero_warps() {

@@ -1,15 +1,11 @@
-//! Property-based tests of the simulator's primitives and cost model.
+//! Property-based tests of the simulator's sort primitives, warp
+//! analysis and cost model.
 
 use gpusim::cost::{CostModel, CostParams, KernelCost};
 use gpusim::occupancy::{occupancy, BlockResources, SmLimits};
-use gpusim::primitives::{
-    exclusive_scan_u32, reduce_by_key_sorted, reduce_sum_f64, segmented_reduce_sum_f64,
-    sort_by_key_u32,
-};
+use gpusim::primitives::{reduce_by_key_sorted, sort_by_key_u32};
 use gpusim::timeline::Ledger;
-use gpusim::warp::{
-    atomic_replay_degree, atomic_replay_excess, bank_conflict_degree, sectors_touched,
-};
+use gpusim::warp::sectors_touched;
 use gpusim::{Device, Phase};
 use proptest::prelude::*;
 
@@ -47,43 +43,6 @@ proptest! {
     }
 
     #[test]
-    fn scan_prefix_property(vals in proptest::collection::vec(0u32..1000, 0..300)) {
-        let dev = Device::rtx4090();
-        let scan = exclusive_scan_u32(&dev, Phase::Other, "scan", &vals);
-        prop_assert_eq!(scan.len(), vals.len() + 1);
-        prop_assert_eq!(scan[0], 0);
-        for i in 0..vals.len() {
-            prop_assert_eq!(scan[i + 1], scan[i] + vals[i]);
-        }
-    }
-
-    #[test]
-    fn reduce_matches_sequential_sum(
-        vals in proptest::collection::vec(-1e6f64..1e6, 0..2000)
-    ) {
-        let dev = Device::rtx4090();
-        let got = reduce_sum_f64(&dev, Phase::Other, "r", &vals);
-        let want: f64 = vals.iter().sum();
-        prop_assert!((got - want).abs() <= 1e-6 * (1.0 + want.abs()));
-    }
-
-    #[test]
-    fn segmented_reduce_matches_chunks(
-        vals in proptest::collection::vec(-100.0f64..100.0, 1..300),
-        seg in 1usize..20,
-    ) {
-        let dev = Device::rtx4090();
-        let len = (vals.len() / seg) * seg;
-        if len == 0 { return Ok(()); }
-        let vals = &vals[..len];
-        let out = segmented_reduce_sum_f64(&dev, Phase::Other, "sr", vals, seg);
-        for (s, chunk) in vals.chunks(seg).enumerate() {
-            let want: f64 = chunk.iter().sum();
-            prop_assert!((out[s] - want).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn reduce_by_key_conserves_total(
         raw in proptest::collection::vec((0u32..32, -10.0f64..10.0), 0..300)
     ) {
@@ -106,16 +65,6 @@ proptest! {
         let lanes = addrs.len() as u32;
         let sectors = sectors_touched(&addrs, 4, 32);
         prop_assert!(sectors >= 1 && sectors <= 2 * lanes as usize);
-        let conflict = bank_conflict_degree(&addrs, 32);
-        prop_assert!(conflict >= 1 && conflict <= lanes);
-        let degree = atomic_replay_degree(&addrs);
-        prop_assert!(degree >= 1 && degree <= lanes);
-        let excess = atomic_replay_excess(&addrs);
-        prop_assert!(excess <= (lanes - 1) as u64);
-        // Degree and excess are consistent: all-same addresses maximize both.
-        if excess == (lanes - 1) as u64 {
-            prop_assert_eq!(degree, lanes);
-        }
     }
 
     #[test]

@@ -7,24 +7,21 @@
 //! A second group proves the sanitizer is cost-invisible: a sanitized
 //! launch charges bit-identical time to an unsanitized one.
 
-use gpusim::launch::{run_blocks, LaunchCfg};
 use gpusim::sanitize::audit_determinism;
 use gpusim::{
     AccessKind, Device, KernelCost, MemSpace, Phase, SanitizeMode, ThreadCtx, ViolationKind,
 };
 
+/// Elements (one per thread) each block of the test kernel reduces.
+const BLOCK: usize = 256;
+
 /// Test-only grid-sum kernel. Each block reduces its element range
-/// functionally (via [`run_blocks`]), then the per-block partials are
-/// combined into `out[0]`. The `atomic` flag selects how that combine
-/// step is *declared* to the sanitizer: `false` models the classic
-/// missing-`atomicAdd` bug, `true` the corrected kernel.
+/// functionally, then the per-block partials are combined into `out[0]`.
+/// The `atomic` flag selects how that combine step is *declared* to the
+/// sanitizer: `false` models the classic missing-`atomicAdd` bug (a
+/// plain read-modify-write), `true` the corrected kernel.
 fn grid_sum(device: &Device, xs: &[f32], atomic: bool) -> f32 {
-    let cfg = LaunchCfg::for_elems(xs.len());
-    let partials = run_blocks(cfg, |b| {
-        let (lo, hi) = cfg.block_range(b, xs.len());
-        xs[lo..hi].iter().sum::<f32>()
-    });
-    let mut out = [0.0f32];
+    let partials: Vec<f32> = xs.chunks(BLOCK).map(|c| c.iter().sum()).collect();
     device.charge_kernel(
         "test_grid_sum",
         Phase::Histogram,
@@ -32,32 +29,25 @@ fn grid_sum(device: &Device, xs: &[f32], atomic: bool) -> f32 {
     );
     if let Some(san) = device.sanitizer() {
         let scope = san.scope("test_grid_sum");
-        let xs_view = scope.view("xs", xs);
-        let mut out_view = scope.view_mut("out", &mut out, MemSpace::Global, true);
-        for (b, &p) in partials.iter().enumerate() {
+        let xs_id = scope.register("xs", xs.len(), MemSpace::Global, true);
+        let out_id = scope.register("out", 1, MemSpace::Global, true);
+        for b in 0..partials.len() {
             let t = ThreadCtx {
                 block: b as u32,
                 thread: 0,
             };
-            // Each block "reads" the head of its range…
-            let (lo, hi) = cfg.block_range(b, xs.len());
-            if lo < hi {
-                let _ = xs_view.get(t, lo);
-            }
+            // Each block reads the head of its range…
+            scope.touch(xs_id, t, b * BLOCK, AccessKind::Read);
             // …then combines into the single shared slot.
             if atomic {
-                out_view.atomic_add(t, 0, p);
+                scope.touch(out_id, t, 0, AccessKind::Atomic);
             } else {
-                let prev = out_view.get(t, 0);
-                out_view.set(t, 0, prev + p);
+                scope.touch(out_id, t, 0, AccessKind::Read);
+                scope.touch(out_id, t, 0, AccessKind::Write);
             }
         }
-    } else {
-        out[0] = partials.iter().sum();
     }
-    // With a sanitizer attached the views already executed the combine
-    // while recording it; without one the fold above did.
-    out[0]
+    partials.iter().sum()
 }
 
 #[test]

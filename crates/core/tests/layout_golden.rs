@@ -4,16 +4,18 @@
 //!
 //! Small fixed-seed fits run over every histogram method × {dense,
 //! sparsity-aware, subtraction} on one device, plus the feature- and
-//! data-parallel multi-GPU trainers on two devices. Each fit is reduced
-//! to an FNV-1a hash of every tree's split features, bins, threshold
-//! bits and leaf-value bits, followed by the fit's simulated total ns
-//! bits, and compared with the committed value.
+//! data-parallel multi-GPU trainers on two devices. Each of these rows
+//! carries two hashes: an FNV-1a hash of every tree's split features,
+//! bins, threshold bits and leaf-value bits, and a hash of the fit's
+//! simulated total ns bits. A change in what a fit charges therefore
+//! shows in the second column alone when the trees hold.
 //!
 //! A second set of rows pins the multi-GPU trainers' whole charge
 //! stream: {feature, data} parallel × {1, 2, 3} devices × {1, 4}
 //! streams × {no sketch, top-2 sketch}, plus a transient fault with a
 //! retry and a device loss on a 3-device group. Each of those rows
-//! carries two hashes. The charges hash extends the fingerprint by
+//! carries two hashes. The charges hash extends the trees hash, followed
+//! by the simulated total ns bits, by
 //! `TrainReport::hist_methods` and every device's clock and charge
 //! records (name, phase, stream, start and duration bits). The
 //! telemetry hash covers the counters and gauges of a registry shared
@@ -23,7 +25,8 @@
 //! A mismatch means the model, the charged cost or the recorded
 //! telemetry moved. If that is intended, print the new tables with
 //! `UPDATE_GOLDEN=1 cargo test -p gbdt-core --test layout_golden -- --nocapture`
-//! and paste them over `GOLDEN` and `CHARGE_GOLDEN`.
+//! and paste them over `GOLDEN` and `CHARGE_GOLDEN`. A re-bless whose
+//! trees column moved changed a model, not only a charge.
 
 use gbdt_core::config::TrainConfig;
 use gbdt_core::multigpu::{MultiGpuStrategy, MultiGpuTrainer};
@@ -35,21 +38,22 @@ use gbdt_data::Dataset;
 use gpusim::{Device, DeviceGroup, FaultPlan, Telemetry};
 use std::sync::Arc;
 
-const GOLDEN: &[(&str, u64)] = &[
-    ("GlobalMemory/dense", 0xa48611ddbdb59ce1),
-    ("GlobalMemory/sparse_aware", 0xb7bd5256a4f5e471),
-    ("GlobalMemory/subtraction", 0x5edcf2c1c7d573fb),
-    ("SharedMemory/dense", 0x169163d641cbc62f),
-    ("SharedMemory/sparse_aware", 0xaf6fe37cabaa3576),
-    ("SharedMemory/subtraction", 0xd060fb8106320513),
-    ("SortReduce/dense", 0x5b3bf1b7db0208b1),
-    ("SortReduce/sparse_aware", 0x292f61bdc7b51bf7),
-    ("SortReduce/subtraction", 0x8d4284487240f9e4),
-    ("Adaptive/dense", 0x4ddfec1ea3e5a4aa),
-    ("Adaptive/sparse_aware", 0xb7bd5256a4f5e471),
-    ("Adaptive/subtraction", 0x02d13954346203fb),
-    ("FP(2)", 0xfcd2af056361c017),
-    ("DP(2)", 0xc90535a73bb9d6d6),
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("GlobalMemory/dense", 0xded628e5fad8ea62, 0x08da8472c21a132a),
+    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0xb40d85eb70508e9e),
+    ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0xbc9a572803d022b0),
+    ("SharedMemory/dense", 0xded628e5fad8ea62, 0x65aa7c8c1bff80ec),
+    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0xd55e59ba156e0539),
+    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0x642a58f80687b744),
+    ("SortReduce/dense", 0xded628e5fad8ea62, 0xafdc1417d94315aa),
+    ("SortReduce/sparse_aware", 0xded628e5fad8ea62, 0x1ff2f7e3246d2124),
+    ("SortReduce/subtraction", 0xded628e5fad8ea62, 0xfb5b8077bfd2befb),
+    ("Adaptive/dense", 0xded628e5fad8ea62, 0x51bd7daaa07208fd),
+    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xb40d85eb70508e9e),
+    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x4c3b38fd24881b94),
+    ("FP(2)", 0xded628e5fad8ea62, 0x10db0a1466b56df4),
+    ("DP(2)", 0xded628e5fad8ea62, 0x3befa4518d3f6ca1),
 ];
 
 #[rustfmt::skip]
@@ -129,7 +133,9 @@ impl Fnv {
     }
 }
 
-fn fingerprint(report: &TrainReport) -> u64 {
+/// Hash of every tree's split features, bins, threshold bits and
+/// leaf-value bits, left open so [`fingerprint`] can extend it.
+fn trees_hash(report: &TrainReport) -> Fnv {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for tree in &report.model.trees {
         h.word(tree.num_nodes() as u64);
@@ -153,8 +159,27 @@ fn fingerprint(report: &TrainReport) -> u64 {
             }
         }
     }
+    h
+}
+
+/// Hash of the fit's simulated total ns bits.
+fn sim_hash(report: &TrainReport) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     h.word(report.sim.total_ns.to_bits());
     h.0
+}
+
+/// The trees hash followed by the simulated total ns bits: the seed of
+/// every [`charge_fingerprint`].
+fn fingerprint(report: &TrainReport) -> u64 {
+    let mut h = trees_hash(report);
+    h.word(report.sim.total_ns.to_bits());
+    h.0
+}
+
+/// A single-device or `GOLDEN` multi-GPU row: `(label, trees, sim)`.
+fn row(label: String, report: &TrainReport) -> (String, u64, u64) {
+    (label, trees_hash(report).0, sim_hash(report))
 }
 
 /// [`fingerprint`] extended by everything a multi-GPU fit charges: the
@@ -276,7 +301,7 @@ fn multigpu_fits() -> Vec<(String, u64, u64)> {
     out
 }
 
-fn fits() -> Vec<(String, u64)> {
+fn fits() -> Vec<(String, u64, u64)> {
     let ds = dataset();
     let mut out = Vec::new();
     for method in [
@@ -305,7 +330,7 @@ fn fits() -> Vec<(String, u64)> {
         for (label, opts) in variants {
             let hist = HistOptions { method, ..opts };
             let report = GpuTrainer::new(Device::rtx4090(), config(hist)).fit_report(&ds);
-            out.push((format!("{method:?}/{label}"), fingerprint(&report)));
+            out.push(row(format!("{method:?}/{label}"), &report));
         }
     }
     for (label, strategy) in [
@@ -317,7 +342,7 @@ fn fits() -> Vec<(String, u64)> {
             config(HistOptions::default()),
             strategy,
         );
-        out.push((label.to_string(), fingerprint(&trainer.fit_report(&ds))));
+        out.push(row(label.to_string(), &trainer.fit_report(&ds)));
     }
     out
 }
@@ -327,8 +352,8 @@ fn trained_models_and_clocks_match_their_golden_fingerprints() {
     let got = fits();
     let got_streams = multigpu_fits();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        for (label, hash) in &got {
-            println!("    (\"{label}\", {hash:#018x}),");
+        for (label, trees, sim) in &got {
+            println!("    (\"{label}\", {trees:#018x}, {sim:#018x}),");
         }
         println!();
         for (label, charges, tel) in &got_streams {
@@ -336,20 +361,26 @@ fn trained_models_and_clocks_match_their_golden_fingerprints() {
         }
         return;
     }
-    let want: Vec<(String, u64)> = GOLDEN.iter().map(|&(l, h)| (l.to_string(), h)).collect();
-    assert_eq!(got, want, "a trained model or its simulated clock moved");
+    let owned = |rows: &[(&str, u64, u64)]| -> Vec<(String, u64, u64)> {
+        rows.iter()
+            .map(|&(l, a, b)| (l.to_string(), a, b))
+            .collect()
+    };
+    let first = |rows: &[(String, u64, u64)]| -> Vec<(String, u64)> {
+        rows.iter().map(|(l, a, _)| (l.clone(), *a)).collect()
+    };
+    let second = |rows: &[(String, u64, u64)]| -> Vec<(String, u64)> {
+        rows.iter().map(|(l, _, b)| (l.clone(), *b)).collect()
+    };
+    // Trees first: a model that moved is reported as such even when its
+    // clock moved with it.
+    let want = owned(GOLDEN);
+    assert_eq!(first(&got), first(&want), "a trained model moved");
+    assert_eq!(second(&got), second(&want), "a fit's simulated clock moved");
     // Charges first: a charge that moved is reported as such even when
     // the telemetry moved with it.
-    let want_streams: Vec<(String, u64, u64)> = CHARGE_GOLDEN
-        .iter()
-        .map(|&(l, c, t)| (l.to_string(), c, t))
-        .collect();
-    let charges = |rows: &[(String, u64, u64)]| -> Vec<(String, u64)> {
-        rows.iter().map(|(l, c, _)| (l.clone(), *c)).collect()
-    };
-    let telemetry = |rows: &[(String, u64, u64)]| -> Vec<(String, u64)> {
-        rows.iter().map(|(l, _, t)| (l.clone(), *t)).collect()
-    };
+    let want_streams = owned(CHARGE_GOLDEN);
+    let (charges, telemetry) = (first, second);
     assert_eq!(
         charges(&got_streams),
         charges(&want_streams),

@@ -210,6 +210,7 @@ pub fn grow_tree_leafwise(
         leaf_assignments,
         leaf_nodes,
         methods_used,
+        hist_launches: BTreeMap::new(),
     }
 }
 
@@ -348,6 +349,7 @@ pub fn grow_tree_oblivious(
         leaf_assignments,
         leaf_nodes,
         methods_used,
+        hist_launches: BTreeMap::new(),
     }
 }
 

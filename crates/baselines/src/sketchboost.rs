@@ -268,6 +268,7 @@ impl SketchBoostTrainer {
             sim,
             model,
             hist_methods,
+            hist_launches: BTreeMap::new(),
         }
     }
 }

@@ -1934,6 +1934,28 @@ fn report_cmd(opts: &Opts) -> bool {
         ledger.dropped_records,
         ledger.negative_charges
     );
+    // Histogram launches per depth: one batched kernel per (level,
+    // method), summed over trees, against the node builds it covers.
+    let launch_rows: Vec<Vec<String>> = r
+        .hist_launches
+        .iter()
+        .map(|((depth, method), l)| {
+            vec![
+                depth.to_string(),
+                format!("{method:?}"),
+                l.kernels.to_string(),
+                l.nodes.to_string(),
+                format!("{:.0}", l.launches),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["depth", "hist method", "kernels", "nodes", "launches"],
+            &launch_rows
+        )
+    );
     println!(
         "serve: {} requests in {} batches, p50 {:.0} ns, p99 {:.0} ns, {:.0} rows/s",
         stats.served, stats.batches, stats.p50_ns, stats.p99_ns, stats.throughput_rps

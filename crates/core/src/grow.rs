@@ -27,7 +27,9 @@
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
-use crate::hist::{accumulate_only, charge_method_on, HistContext, NodeHistogram};
+use crate::hist::{
+    accumulate_only, charge_builds_on, plan_build, HistContext, Launches, NodeHistogram,
+};
 use crate::memory::HistogramPool;
 use crate::split::{
     find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitParams,
@@ -39,74 +41,132 @@ use gpusim::{Device, Event, Phase};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
-/// Charging policy for one level's per-node fresh-histogram kernels.
+/// Charging policy for one level's histogram kernels: one launch per
+/// (level, method), not one per node.
 ///
-/// At `streams = 1` every charge goes to the default stream, which
-/// reproduces the serial clock bit for bit. With more streams, each
-/// fresh build issues on the currently least-loaded worker stream
-/// (`1..=streams`): a level's node histograms are mutually independent,
-/// so sibling builds overlap on the simulated timeline up to the
-/// device's occupancy-derived concurrency cap. Every worker stream is
-/// fenced to the level-start clock of the default stream before its
-/// first charge, and [`HistCharges::flush`] joins the default stream to
-/// every used worker's completion fence — so split evaluation and the
-/// partition kernel (default stream) start only after the last build.
+/// Each fresh build is planned in node-index order: the adaptive
+/// selector resolves its method pricing it without launches
+/// ([`Launches::PerLevel`]), it is priced from measured statistics, and
+/// its launch-free cost joins its method's batch. [`HistCharges::flush`]
+/// charges each method used as one kernel: the merged costs of its
+/// nodes, that method's launch count once, and a 4-byte node-slot read
+/// per row (the batched kernel looks up which node each row accumulates
+/// into). Every build is still traced for an attached sanitizer. The
+/// level's subtraction derives are likewise one `hist_subtract` launch
+/// on the default stream.
 ///
-/// Charges still *issue* in node-index order regardless of stream
-/// count: the ledger's record list, the fault injector's charge-index
-/// semantics, and the profiler's aggregates are identical to the serial
-/// schedule. Only start timestamps and the makespan move.
+/// At `streams = 1` every kernel goes to the default stream. With more
+/// streams each method's kernel issues on the currently least-loaded
+/// worker stream (`1..=streams`, ties to the lowest id), fenced to the
+/// default stream's clock at level start, and the flush joins the
+/// default stream to every used worker, so split evaluation and the
+/// partition kernel start only after the last build.
 struct HistCharges {
     streams: usize,
-    /// Default-stream clock at level start (before this level's derive
-    /// subtractions), which is what fresh builds actually depend on.
+    /// Default-stream clock at level start, which is what fresh builds
+    /// actually depend on.
     fence: Event,
-    /// Worker streams fenced (and charged) since construction.
-    used: Vec<bool>,
+    /// Fresh builds of the level, per concrete method.
+    batches: BTreeMap<HistogramMethod, MethodBatch>,
+    /// Histogram elements derived by subtraction this level.
+    derived: usize,
+}
+
+/// The fresh builds one method handles in a level.
+#[derive(Default)]
+struct MethodBatch {
+    /// Merged launch-free costs of the method's nodes.
+    work: KernelCost,
+    /// The method's launch count, paid once per level.
+    launches: f64,
+    nodes: usize,
+    rows: usize,
+    /// The nodes' instances, kept only for an attached sanitizer.
+    traced: Vec<Vec<u32>>,
 }
 
 impl HistCharges {
     fn new(device: &Device, streams: usize) -> Self {
-        let streams = streams.max(1);
         HistCharges {
-            streams,
+            streams: streams.max(1),
             fence: device.record_event(0),
-            used: vec![false; streams + 1],
+            batches: BTreeMap::new(),
+            derived: 0,
         }
     }
 
-    /// Charge one fresh build with the configured method; returns the
-    /// concrete method charged.
-    fn charge(&mut self, ctx: &HistContext<'_>, idx: &[u32]) -> HistogramMethod {
-        if self.streams == 1 {
-            return charge_method_on(ctx, idx, ctx.opts.method, 0);
+    /// Plan one fresh build with the configured method and add it to its
+    /// method's batch; returns the concrete method.
+    fn build(&mut self, ctx: &HistContext<'_>, idx: &[u32]) -> HistogramMethod {
+        let (method, cost) = plan_build(ctx, idx, ctx.opts.method, Launches::PerLevel);
+        let batch = self.batches.entry(method).or_default();
+        batch.work = batch.work.merged(&KernelCost {
+            launches: 0.0,
+            ..cost
+        });
+        batch.launches = cost.launches;
+        batch.nodes += 1;
+        batch.rows += idx.len();
+        if ctx.device.sanitizer().is_some() {
+            batch.traced.push(idx.to_vec());
         }
-        // Least-loaded worker stream first (greedy LPT, deterministic:
-        // stream clocks are simulated and ties go to the lowest id).
-        let mut best = 1;
-        let mut best_now = f64::INFINITY;
-        for s in 1..=self.streams {
-            let now = ctx.device.stream_now(s);
-            if now < best_now {
-                best_now = now;
-                best = s;
-            }
-        }
-        if !self.used[best] {
-            ctx.device.wait_event(best, self.fence);
-            self.used[best] = true;
-        }
-        charge_method_on(ctx, idx, ctx.opts.method, best)
+        method
     }
 
-    /// End of level: the default stream waits for every used worker.
-    fn flush(&mut self, device: &Device) {
-        for (s, used) in self.used.iter_mut().enumerate() {
-            if *used {
-                let done = device.record_event(s);
-                device.wait_event(0, done);
-                *used = false;
-            }
+    /// Trace one subtraction derive of `elems` histogram elements.
+    fn derive(&mut self, device: &Device, elems: usize) {
+        crate::sanitize::trace_subtract(device, elems);
+        self.derived += elems;
+    }
+
+    /// End of level: charge the derive kernel and one kernel per method
+    /// used, then join the default stream to every used worker. Each
+    /// method's kernel, nodes and launches are added to `launches` at
+    /// `depth`.
+    fn flush(
+        &mut self,
+        ctx: &HistContext<'_>,
+        depth: usize,
+        launches: &mut BTreeMap<(usize, HistogramMethod), HistLaunches>,
+    ) {
+        let device = ctx.device;
+        if self.derived > 0 {
+            let elems = self.derived as f64;
+            device.charge_kernel(
+                "hist_subtract",
+                Phase::Histogram,
+                &KernelCost::streaming(elems * 2.0, elems * 3.0 * 8.0),
+            );
+            self.derived = 0;
+        }
+        let mut used = vec![false; self.streams + 1];
+        for (method, batch) in std::mem::take(&mut self.batches) {
+            let seen = launches.entry((depth, method)).or_default();
+            seen.kernels += 1;
+            seen.nodes += batch.nodes;
+            seen.launches += batch.launches;
+            let stream = if self.streams == 1 {
+                0
+            } else {
+                let s = (1..=self.streams)
+                    .min_by(|&a, &b| device.stream_now(a).total_cmp(&device.stream_now(b)))
+                    .expect("at least one worker stream");
+                if !used[s] {
+                    device.wait_event(s, self.fence);
+                    used[s] = true;
+                }
+                s
+            };
+            let cost = batch.work.merged(&KernelCost {
+                dram_bytes: 4.0 * batch.rows as f64,
+                launches: batch.launches,
+                ..Default::default()
+            });
+            charge_builds_on(ctx, method, stream, &cost, &batch.traced);
+        }
+        for (s, _) in used.iter().enumerate().filter(|(_, u)| **u) {
+            let done = device.record_event(s);
+            device.wait_event(0, done);
         }
     }
 }
@@ -182,6 +242,22 @@ pub struct GrowResult {
     /// How many nodes each histogram method handled (adaptive
     /// selection telemetry, reported by the ablation benches).
     pub methods_used: BTreeMap<HistogramMethod, usize>,
+    /// Histogram kernels per (depth, method) of a grower that charges a
+    /// level's builds as one kernel per method; empty where each build
+    /// is a kernel of its own.
+    pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
+}
+
+/// The histogram kernels of one (depth, method): how many were charged,
+/// the fresh node builds they cover and the launches they pay.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HistLaunches {
+    /// Batched kernels charged (one per level and tree).
+    pub kernels: usize,
+    /// Fresh node builds.
+    pub nodes: usize,
+    /// Kernel launches paid for them.
+    pub launches: f64,
 }
 
 /// Grow one tree over `features` (global IDs) on `device`, rooting at
@@ -253,6 +329,7 @@ pub fn grow_tree_pooled(
     let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
     let mut leaf_nodes: Vec<usize> = Vec::new();
     let mut methods_used: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
+    let mut hist_launches = BTreeMap::new();
 
     let constrained = !config.monotone_constraints.is_empty();
     if constrained {
@@ -334,8 +411,9 @@ pub fn grow_tree_pooled(
             }
 
             // Subtraction-inherited nodes derive `parent − sibling`
-            // (one streaming pass, charged per node); afterwards the
-            // parent buffers return to the pool.
+            // (one streaming pass, charged with the level's other
+            // derives at flush); afterwards the parent buffers return to
+            // the pool.
             for (i, work) in frontier.iter().enumerate() {
                 let HistSource::Derive { parent, sibling } = work.source else {
                     continue;
@@ -345,12 +423,7 @@ pub fn grow_tree_pooled(
                     .as_ref()
                     .expect("smaller sibling builds fresh in the same level");
                 out.assign_difference(&parents[parent], sib);
-                device.charge_kernel(
-                    "hist_subtract",
-                    Phase::Histogram,
-                    &KernelCost::streaming(out.g.len() as f64 * 2.0, (out.g.len() * 3 * 8) as f64),
-                );
-                crate::sanitize::trace_subtract(device, out.g.len());
+                hist_charges.derive(device, out.g.len());
                 hists[i] = Some(out);
             }
         }
@@ -398,11 +471,11 @@ pub fn grow_tree_pooled(
                 continue;
             };
 
-            // Device charge for the fresh build, issued strictly in
-            // node-index order so the stream-scheduling (LPT) outcome
-            // is independent of how stage 1 was parallelized.
+            // The fresh build joins its method's level batch, strictly
+            // in node-index order so the batches are independent of how
+            // stage 1 was parallelized.
             if matches!(source, HistSource::Build) {
-                let m = hist_charges.charge(&ctx, &instances);
+                let m = hist_charges.build(&ctx, &instances);
                 *methods_used.entry(m).or_insert(0) += 1;
             }
 
@@ -528,7 +601,7 @@ pub fn grow_tree_pooled(
                 bounds: right_bounds,
             });
         }
-        hist_charges.flush(device);
+        hist_charges.flush(&ctx, depth, &mut hist_launches);
         split_charges.flush(device, device.model().params.sm_count, params.segments_c);
         if partition_elems > 0 {
             device.charge_kernel(
@@ -571,6 +644,7 @@ pub fn grow_tree_pooled(
         leaf_assignments,
         leaf_nodes,
         methods_used,
+        hist_launches,
     }
 }
 
@@ -818,12 +892,16 @@ mod tests {
         );
     }
 
+    /// With subtraction a level has two independent histogram kernels:
+    /// the derive on the default stream and the fresh builds' batch on a
+    /// worker stream fenced at level start. Streams overlap them.
     #[test]
     fn streams_shorten_levels_without_changing_the_model() {
         let (_, data, grads) = setup(2000, 10, 4);
         let features: Vec<u32> = (0..10).collect();
         let mut serial_cfg = config();
         serial_cfg.max_depth = 6;
+        serial_cfg.hist.subtraction = true;
         let mut streamed_cfg = serial_cfg.clone();
         streamed_cfg.streams = 4;
 
@@ -832,19 +910,84 @@ mod tests {
         let d2 = Device::rtx4090();
         let streamed = grow_tree(&d2, &data, &grads, &streamed_cfg, &features);
 
-        // Identical model: streams are a scheduling change only.
+        // Identical model and charges: streams are a scheduling change
+        // only.
         assert_eq!(serial.tree, streamed.tree);
-        // Deep levels have many independent node kernels → overlap wins.
+        let (s1, s2) = (d1.summary(), d2.summary());
+        assert_eq!(s1.kernel_count, s2.kernel_count);
+        assert_eq!(s1.by_phase, s2.by_phase);
+        // The derive and the build batch of a level overlap.
         assert!(
             d2.now_ns() < d1.now_ns(),
             "4 streams ({}) should beat serial ({})",
             d2.now_ns(),
             d1.now_ns()
         );
-        // Never better than perfect 4× overlap of the histogram phase.
-        let hist_serial = d1.summary().by_phase[&Phase::Histogram];
-        let hist_streamed = d2.summary().by_phase[&Phase::Histogram];
-        assert!(hist_streamed * 4.2 > hist_serial, "superlinear overlap");
+        // Never better than running every histogram kernel in parallel.
+        let hist = s1.by_phase[&Phase::Histogram];
+        assert!(d1.now_ns() - d2.now_ns() < hist, "superlinear overlap");
+    }
+
+    /// A level books one `Phase::Histogram` record per method it used:
+    /// the merged launch-free costs of the method's nodes, its launch
+    /// count once and a 4-byte node-slot read per row, priced by
+    /// `kernel_ns`.
+    #[test]
+    fn a_level_books_one_histogram_kernel_per_method() {
+        let (_, data, grads) = setup(3000, 8, 4);
+        let features: Vec<u32> = (0..8).collect();
+        let device = Device::rtx4090();
+        let mut cfg = config();
+        cfg.max_bins = 256;
+        let ctx = HistContext {
+            device: &device,
+            data: &data,
+            grads: &grads,
+            features: &features,
+            bins: cfg.max_bins,
+            opts: cfg.hist,
+        };
+        // A large node and many small ones: the selector picks smem for
+        // the first and gmem for the rest.
+        let nodes: Vec<Vec<u32>> = std::iter::once((0..2500).collect())
+            .chain((0..10).map(|j| (2500 + 50 * j..2550 + 50 * j).collect()))
+            .collect();
+        let mut charges = HistCharges::new(&device, 1);
+        let mut want: BTreeMap<HistogramMethod, (KernelCost, f64, usize)> = BTreeMap::new();
+        for idx in &nodes {
+            let m = charges.build(&ctx, idx);
+            let (method, cost) = plan_build(&ctx, idx, cfg.hist.method, Launches::PerLevel);
+            assert_eq!(method, m);
+            let e = want.entry(m).or_insert((KernelCost::default(), 0.0, 0));
+            e.0 = e.0.merged(&KernelCost {
+                launches: 0.0,
+                ..cost
+            });
+            e.1 = cost.launches;
+            e.2 += idx.len();
+        }
+        assert_eq!(want.len(), 2, "the level must use two methods");
+        let mut launches = BTreeMap::new();
+        charges.flush(&ctx, 3, &mut launches);
+
+        let records = device.records();
+        assert!(records.iter().all(|r| r.phase == Phase::Histogram));
+        assert_eq!(records.len(), want.len(), "one record per method used");
+        for (r, (method, (work, method_launches, rows))) in records.iter().zip(&want) {
+            let cost = work.merged(&KernelCost {
+                dram_bytes: 4.0 * *rows as f64,
+                launches: *method_launches,
+                ..Default::default()
+            });
+            assert_eq!(
+                r.ns.to_bits(),
+                device.model().kernel_ns(&cost).to_bits(),
+                "{method:?}"
+            );
+            assert_eq!(launches[&(3, *method)].launches, *method_launches);
+        }
+        let nodes_seen: usize = launches.values().map(|l| l.nodes).sum();
+        assert_eq!(nodes_seen, nodes.len());
     }
 
     #[test]

@@ -18,9 +18,27 @@
 //! sketched round's predicted costs shrink automatically and the
 //! selector can flip its choice (e.g. sort-and-reduce loses its appeal
 //! once the per-key payload drops from `2d` to `2k` floats).
+//!
+//! A node's price includes its kernel launches only when the node pays
+//! for them ([`Launches::PerNode`]). The single-device grower charges a
+//! level's builds as one kernel per method ([`Launches::PerLevel`]), so
+//! there a node adds only its work; pricing its launches too would
+//! charge the selector for overhead the level never pays.
 
 use super::{gmem, smem, sortreduce, stats, HistContext};
 use crate::config::HistogramMethod;
+use gpusim::cost::KernelCost;
+
+/// Who pays a node build's kernel launches, which decides whether the
+/// selector prices them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Launches {
+    /// Each node build is its own kernel and pays its method's launches.
+    PerNode,
+    /// One kernel per method covers a level's builds; a node adds only
+    /// its work.
+    PerLevel,
+}
 
 /// Predicted cost of every concrete method, in nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -46,22 +64,42 @@ impl MethodCosts {
     }
 }
 
-/// Predict all three methods' costs for a node of `node_size` instances.
-/// The expected contention statistics are computed once and priced
-/// through every method's cost descriptor.
+/// Predict all three methods' costs for a node of `node_size` instances
+/// built as its own kernel, launches included.
 pub fn predict_costs(ctx: &HistContext<'_>, node_size: usize) -> MethodCosts {
+    predict_costs_with(ctx, node_size, Launches::PerNode)
+}
+
+/// Predict all three methods' costs for a node of `node_size` instances,
+/// with or without its launches as `launches` says. The expected
+/// contention statistics are computed once and priced through every
+/// method's cost descriptor.
+pub fn predict_costs_with(
+    ctx: &HistContext<'_>,
+    node_size: usize,
+    launches: Launches,
+) -> MethodCosts {
     let s = stats::expect(ctx, node_size);
     let model = ctx.device.model();
+    let price = |c: KernelCost| match launches {
+        Launches::PerNode => model.kernel_ns(&c),
+        Launches::PerLevel => model.work_ns(&c),
+    };
     MethodCosts {
-        gmem_ns: model.kernel_ns(&gmem::cost_descriptor(ctx, node_size, &s)),
-        smem_ns: model.kernel_ns(&smem::cost_descriptor(ctx, node_size, &s)),
-        sort_ns: model.kernel_ns(&sortreduce::cost_descriptor(ctx, node_size)),
+        gmem_ns: price(gmem::cost_descriptor(ctx, node_size, &s)),
+        smem_ns: price(smem::cost_descriptor(ctx, node_size, &s)),
+        sort_ns: price(sortreduce::cost_descriptor(ctx, node_size)),
     }
 }
 
-/// Select the method to use for a node of `node_size` instances.
-pub fn select_method(ctx: &HistContext<'_>, node_size: usize) -> HistogramMethod {
-    predict_costs(ctx, node_size).best()
+/// Select the method to use for a node of `node_size` instances whose
+/// launches are paid as `launches` says.
+pub fn select_method(
+    ctx: &HistContext<'_>,
+    node_size: usize,
+    launches: Launches,
+) -> HistogramMethod {
+    predict_costs_with(ctx, node_size, launches).best()
 }
 
 #[cfg(test)]
@@ -114,7 +152,10 @@ mod tests {
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..8).collect();
         let ctx = make_ctx(&device, &data, &grads, &features, 256);
-        assert_eq!(select_method(&ctx, 30), HistogramMethod::GlobalMemory);
+        assert_eq!(
+            select_method(&ctx, 30, Launches::PerNode),
+            HistogramMethod::GlobalMemory
+        );
     }
 
     #[test]
@@ -125,7 +166,43 @@ mod tests {
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..8).collect();
         let ctx = make_ctx(&device, &data, &grads, &features, 32);
-        assert_eq!(select_method(&ctx, 4000), HistogramMethod::SharedMemory);
+        assert_eq!(
+            select_method(&ctx, 4000, Launches::PerNode),
+            HistogramMethod::SharedMemory
+        );
+    }
+
+    /// The level-batched price of a node is its per-node price less
+    /// exactly its method's launches: gmem one, smem `passes + 1`,
+    /// sort-and-reduce `1 + 2·4 + d`; `predict_costs` keeps them.
+    #[test]
+    fn the_batched_price_leaves_out_only_the_launch_term() {
+        let (_, data, grads) = fixture(3000, 8, 8, 1);
+        let device = Device::rtx4090();
+        let features: Vec<u32> = (0..8).collect();
+        let ctx = make_ctx(&device, &data, &grads, &features, 256);
+        let launch_ns = device.model().params.launch_overhead_sec * 1e9;
+        let passes = super::super::smem::tile_passes(&ctx) as f64;
+        for size in [20, 500, 3000] {
+            let per_node = predict_costs(&ctx, size);
+            let per_level = predict_costs_with(&ctx, size, Launches::PerLevel);
+            for (label, node, level, launches) in [
+                ("gmem", per_node.gmem_ns, per_level.gmem_ns, 1.0),
+                ("smem", per_node.smem_ns, per_level.smem_ns, passes + 1.0),
+                (
+                    "sort",
+                    per_node.sort_ns,
+                    per_level.sort_ns,
+                    9.0 + ctx.d() as f64,
+                ),
+            ] {
+                let gap = node - level;
+                assert!(
+                    (gap - launches * launch_ns).abs() < 1e-6 * node,
+                    "{label} at {size}: per-node {node} − per-level {level} = {gap}"
+                );
+            }
+        }
     }
 
     #[test]

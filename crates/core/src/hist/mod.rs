@@ -18,11 +18,17 @@
 //! selects the most appropriate histogram building method … based on
 //! the dataset characteristics and training stage".
 //!
-//! [`charge_method_on`] is the one place a node build is charged. It
-//! resolves `Adaptive` to a concrete method, names the kernel once,
-//! opens the method's profiler scope, charges [`method_cost`] and traces
-//! the build for an attached sanitizer under the same name. It returns
-//! the concrete method, which is what the growers count.
+//! [`plan_build`] resolves a node build to a concrete method and prices
+//! it ([`method_cost`]); [`charge_builds_on`] is the one place histogram
+//! builds are charged: it names the kernel once, opens the method's
+//! profiler scope, charges, and traces each build for an attached
+//! sanitizer under the same name. Two charging modes use them.
+//! [`charge_method_on`] charges each build as a kernel of its own; the
+//! group grower, the baseline growers and the public probes use it. The
+//! single-device grower (`grow`) charges a level's builds as one kernel
+//! per method, so its selector prices nodes without their launches
+//! ([`adaptive::Launches`]). Either way the growers count the concrete
+//! method.
 //!
 //! All builders share one deterministic functional accumulation
 //! ([`accumulate_dense`] / [`accumulate_sparse`]); only the charged cost
@@ -50,6 +56,8 @@ pub mod gmem;
 pub mod smem;
 pub mod sortreduce;
 pub mod stats;
+
+pub use adaptive::Launches;
 
 use crate::config::{HistOptions, HistogramMethod};
 use crate::grad::Gradients;
@@ -412,14 +420,16 @@ pub fn accumulate_sparse(
 }
 
 /// The concrete method that builds a node of `node_size` instances:
-/// `method` itself, or the adaptive selector's pick for `Adaptive`.
+/// `method` itself, or the adaptive selector's pick for `Adaptive`,
+/// priced with or without the node's launches as `launches` says.
 pub fn resolve_method(
     ctx: &HistContext<'_>,
     node_size: usize,
     method: HistogramMethod,
+    launches: Launches,
 ) -> HistogramMethod {
     match method {
-        HistogramMethod::Adaptive => adaptive::select_method(ctx, node_size),
+        HistogramMethod::Adaptive => adaptive::select_method(ctx, node_size, launches),
         m => m,
     }
 }
@@ -428,7 +438,7 @@ pub fn resolve_method(
 /// `method`, from measured access-pattern statistics.
 pub fn method_cost(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) -> KernelCost {
     let nn = idx.len();
-    match resolve_method(ctx, nn, method) {
+    match resolve_method(ctx, nn, method, Launches::PerNode) {
         HistogramMethod::GlobalMemory => gmem::cost_descriptor(ctx, nn, &stats::measure(ctx, idx)),
         HistogramMethod::SharedMemory => smem::cost_descriptor(ctx, nn, &stats::measure(ctx, idx)),
         HistogramMethod::SortReduce => sortreduce::cost_descriptor(ctx, nn),
@@ -436,29 +446,59 @@ pub fn method_cost(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) 
     }
 }
 
+/// Resolve `method` for the node `idx` (the selector pricing launches
+/// as `launches` says) and price the build from measured statistics,
+/// launches included: what the per-node charge and the grower's level
+/// batch share.
+pub fn plan_build(
+    ctx: &HistContext<'_>,
+    idx: &[u32],
+    method: HistogramMethod,
+    launches: Launches,
+) -> (HistogramMethod, KernelCost) {
+    let method = resolve_method(ctx, idx.len(), method, launches);
+    (method, method_cost(ctx, idx, method))
+}
+
 /// Charge one node's histogram build with `method` to the device.
 pub fn charge_method(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
     charge_method_on(ctx, idx, method, 0);
 }
 
-/// Charge one node's histogram build with `method` on `stream` and
-/// return the concrete method charged: the one charge site for node
-/// builds (see the module doc). Only start timestamps depend on the
-/// stream, so sibling builds of one level can overlap.
+/// Charge one node's histogram build with `method` on `stream` as a
+/// kernel of its own and return the concrete method charged. Only start
+/// timestamps depend on the stream, so sibling builds of one level can
+/// overlap.
 pub fn charge_method_on(
     ctx: &HistContext<'_>,
     idx: &[u32],
     method: HistogramMethod,
     stream: usize,
 ) -> HistogramMethod {
-    let method = resolve_method(ctx, idx.len(), method);
+    let (method, cost) = plan_build(ctx, idx, method, Launches::PerNode);
+    charge_builds_on(ctx, method, stream, &cost, &[idx]);
+    method
+}
+
+/// Charge `cost` as one histogram kernel of the concrete `method` on
+/// `stream`, then declare each of `builds` (a node's instances) to an
+/// attached sanitizer under the same name: the one place histogram
+/// builds reach the ledger (see the module doc). `cost` covers one node
+/// or a level's nodes of `method`.
+pub fn charge_builds_on<I: AsRef<[u32]>>(
+    ctx: &HistContext<'_>,
+    method: HistogramMethod,
+    stream: usize,
+    cost: &KernelCost,
+    builds: &[I],
+) {
     let name = match (method, ctx.opts.warp_packing) {
         (HistogramMethod::GlobalMemory, false) => "hist_gmem",
         (HistogramMethod::GlobalMemory, true) => "hist_gmem_packed",
         (HistogramMethod::SharedMemory, false) => "hist_smem",
         (HistogramMethod::SharedMemory, true) => "hist_smem_packed",
         (HistogramMethod::SortReduce, _) => "hist_sort_reduce",
-        (HistogramMethod::Adaptive, _) => unreachable!(), // resolved above
+        (HistogramMethod::Adaptive, _) => unreachable!("a concrete method is charged"),
     };
     // Profiler scopes name the method, whatever its packing.
     let scope = match method {
@@ -470,9 +510,10 @@ pub fn charge_method_on(
     ctx.device
         .stream(stream)
         // lint:allow(canonical_kernel_name): hist_smem/_packed are the shared-memory siblings of hist_gmem/_packed, one char apart by design
-        .charge_kernel(name, Phase::Histogram, &method_cost(ctx, idx, method));
-    trace_build(ctx, idx, method, name);
-    method
+        .charge_kernel(name, Phase::Histogram, cost);
+    for idx in builds {
+        trace_build(ctx, idx.as_ref(), method, name);
+    }
 }
 
 /// Declare one node build's access stream to an attached sanitizer

@@ -473,6 +473,7 @@ impl Placement for Group<'_> {
             leaf_assignments: Vec::new(),
             leaf_nodes: Vec::new(),
             methods_used: BTreeMap::new(),
+            hist_launches: BTreeMap::new(),
         };
         let (rg, rh) = grads.sums(&root);
         let mut frontier = vec![(0usize, root, rg, rh)];

@@ -488,11 +488,12 @@ mod tests {
     use crate::hist::HistContext;
     use gpusim::{Device, SanitizeMode};
 
-    /// Trace one build of `method`, resolved as a training run resolves
-    /// it, under the name the charge site gives it at the default
-    /// (packed) options.
+    /// Trace one build of `method`, resolved as the single-device grower
+    /// resolves it, under the name the charge site gives it at the
+    /// default (packed) options.
     fn trace_node_build(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
-        let method = crate::hist::resolve_method(ctx, idx.len(), method);
+        let launches = crate::hist::Launches::PerLevel;
+        let method = crate::hist::resolve_method(ctx, idx.len(), method, launches);
         let name = match method {
             HistogramMethod::GlobalMemory => "hist_gmem_packed",
             HistogramMethod::SharedMemory => "hist_smem_packed",

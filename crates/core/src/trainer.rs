@@ -15,7 +15,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{ConfigError, HistogramMethod, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::{compute_gradients, update_scores_from_leaves, Gradients};
-use crate::grow::{grow_tree_pooled, GrowResult};
+use crate::grow::{grow_tree_pooled, GrowResult, HistLaunches};
 use crate::loss::{loss_for_task, MultiOutputLoss};
 use crate::memory::HistogramPool;
 use crate::model::Model;
@@ -47,6 +47,10 @@ pub struct TrainReport {
     /// (node, device) that builds a slice of it on a device group.
     /// Siblings derived by subtraction are not builds.
     pub hist_methods: BTreeMap<HistogramMethod, usize>,
+    /// Histogram kernels per (depth, method), summed over trees: filled
+    /// on one device, where a level's builds of one method share one
+    /// kernel; empty on a device group, which charges each build.
+    pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
 }
 
 impl TrainReport {
@@ -321,6 +325,7 @@ pub(crate) fn boost(
     let all_features: Vec<u32> = (0..m as u32).collect();
     let mut trees = Vec::with_capacity(config.num_trees);
     let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
+    let mut hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches> = BTreeMap::new();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut start_round = 0usize;
     if let Some(ck) = resume {
@@ -463,6 +468,12 @@ pub(crate) fn boost(
             best = b;
         };
 
+        for (key, seen) in grown.hist_launches {
+            let sum = hist_launches.entry(key).or_default();
+            sum.kernels += seen.kernels;
+            sum.nodes += seen.nodes;
+            sum.launches += seen.launches;
+        }
         for (method, count) in grown.methods_used {
             *hist_methods.entry(method).or_insert(0) += count;
             if let Some(tl) = tel {
@@ -529,6 +540,7 @@ pub(crate) fn boost(
         sim,
         model,
         hist_methods,
+        hist_launches,
     };
     let curve = valid.map(|_| (history, best.1));
     Ok((report, curve))
@@ -956,12 +968,18 @@ mod tests {
         assert!(report.host_seconds > 0.0);
         assert_eq!(report.model.num_trees(), 8);
         // The paper's core observation (Fig. 4): histogram building is
-        // the dominant phase.
-        assert!(
-            report.histogram_fraction() > 0.4,
-            "histogram fraction only {}",
-            report.histogram_fraction()
-        );
+        // the dominant phase. On this 800-row fit the level-batched
+        // histogram kernels cost about as much as the level-batched
+        // split scan, so the check is that no phase outweighs it; the
+        // paper's share (> 0.5) is pinned on a larger fit by
+        // `tests/simulation.rs`.
+        let hist = report.histogram_fraction();
+        for (phase, ns) in &report.sim.by_phase {
+            assert!(
+                *phase == Phase::Histogram || hist >= ns / report.sim.total_ns,
+                "{phase:?} outweighs histogram building ({hist})"
+            );
+        }
         let total: usize = report.hist_methods.values().sum();
         assert!(total > 0, "adaptive telemetry must record node builds");
     }

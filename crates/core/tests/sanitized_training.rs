@@ -69,7 +69,7 @@ fn sanitized_training_round_is_clean_for_every_method() {
         let device = Device::rtx4090();
         device.enable_sanitizer(SanitizeMode::Full);
         let cfg = config(m).with_warp_packing(packed);
-        let _model = GpuTrainer::new(device.clone(), cfg).fit(&ds);
+        let fit = GpuTrainer::new(device.clone(), cfg).fit_report(&ds);
         let report = device.sanitize_report().expect("sanitizer enabled");
         assert!(
             report.is_clean(),
@@ -85,8 +85,9 @@ fn sanitized_training_round_is_clean_for_every_method() {
                 report.kernels.keys().collect::<Vec<_>>()
             );
         }
-        // One name per build: every node build the ledger charged was
-        // traced under the same kernel name, launch for launch.
+        // One name per method: every node build was traced under the
+        // name its level's kernel was charged as. The ledger books one
+        // kernel per (level, method); the sanitizer sees every build.
         let mut built: BTreeMap<&str, u64> = BTreeMap::new();
         for r in device.records() {
             if r.phase == Phase::Histogram {
@@ -110,7 +111,18 @@ fn sanitized_training_round_is_clean_for_every_method() {
             .filter(|(k, _)| k.starts_with("hist_"))
             .map(|(&k, s)| (k, s.launches))
             .collect();
-        assert_eq!(traced, built, "{label}: sanitizer keys vs ledger names");
+        assert_eq!(
+            traced.keys().collect::<Vec<_>>(),
+            built.keys().collect::<Vec<_>>(),
+            "{label}: sanitizer keys vs ledger names"
+        );
+        let builds: usize = fit.hist_methods.values().sum();
+        assert_eq!(traced.values().sum::<u64>(), builds as u64, "{label}");
+        assert_eq!(
+            built.values().sum::<u64>(),
+            fit.hist_launches.values().map(|l| l.kernels as u64).sum(),
+            "{label}: one charge per (level, method)"
+        );
     }
 }
 
@@ -239,9 +251,8 @@ fn sanitizer_off_is_bit_identical_to_never_enabled() {
 
 #[test]
 fn streamed_histogram_charging_still_traces() {
-    // streams > 1 takes the LPT branch in HistCharges::charge, which
-    // charges on worker streams; the one charge site traces every
-    // build whatever its stream.
+    // streams > 1 charges each level's build batch on a worker stream;
+    // every build is traced whatever the stream of its batch.
     let ds = dataset();
     let device = Device::rtx4090();
     device.enable_sanitizer(SanitizeMode::Full);

@@ -210,6 +210,24 @@ impl CostModel {
     /// atomic and sort terms are serialized on dedicated units and are
     /// added on top together with per-launch overhead.
     pub fn kernel_ns(&self, c: &KernelCost) -> f64 {
+        let launches = c.launches.max(if c.flops > 0.0 || c.dram_bytes > 0.0 {
+            1.0
+        } else {
+            0.0
+        });
+        (self.work_secs(c) + launches * self.params.launch_overhead_sec) * 1e9
+    }
+
+    /// [`CostModel::kernel_ns`] without the launch overhead: what a
+    /// kernel's work adds to a launch that is paid for elsewhere, as
+    /// when one batched launch covers a level's node builds.
+    pub fn work_ns(&self, c: &KernelCost) -> f64 {
+        self.work_secs(c) * 1e9
+    }
+
+    /// Overlapped streaming time plus the serialized atomic and sort
+    /// terms, in seconds, summed in [`CostModel::kernel_ns`]'s order.
+    fn work_secs(&self, c: &KernelCost) -> f64 {
         let p = &self.params;
         let compute = c.flops / p.flops();
         let dram = c.dram_bytes / p.dram_bw;
@@ -218,14 +236,7 @@ impl CostModel {
         let smem_atomic = c.smem_atomics / p.smem_atomic_ops_per_sec
             + c.smem_atomic_replays * p.smem_atomic_replay_sec;
         let sort = c.sort_keys / p.sort_keys_per_sec;
-        let launches = c.launches.max(if c.flops > 0.0 || c.dram_bytes > 0.0 {
-            1.0
-        } else {
-            0.0
-        });
-        let secs =
-            compute.max(dram) + gmem_atomic + smem_atomic + sort + launches * p.launch_overhead_sec;
-        secs * 1e9
+        compute.max(dram) + gmem_atomic + smem_atomic + sort
     }
 
     /// True when a launch's serialized terms (atomics, replays, sort,
@@ -267,24 +278,10 @@ impl CostModel {
         (bytes / self.params.pcie_bw + self.params.p2p_latency_sec) * 1e9
     }
 
-    /// Time for a ring all-reduce of `bytes` per device over `k`
-    /// devices, ns. Standard α–β model: `2(k−1)/k · bytes / bw` plus
-    /// `2(k−1)` hop latencies.
-    pub fn ring_all_reduce_ns(&self, bytes: f64, k: usize) -> f64 {
-        if k <= 1 {
-            return 0.0;
-        }
-        let kf = k as f64;
-        let transfer = 2.0 * (kf - 1.0) / kf * bytes / self.params.p2p_bw;
-        let latency = 2.0 * (kf - 1.0) * self.params.p2p_latency_sec;
-        (transfer + latency) * 1e9
-    }
-
     /// Time for a ring reduce-scatter of `bytes` per device over `k`
     /// devices, ns: each rank ends with the reduced `1/k` slice.
-    /// `(k−1)/k · bytes / bw` plus `k−1` hop latencies — the first half
-    /// of [`CostModel::ring_all_reduce_ns`], whose second half is an
-    /// all-gather of the `bytes / k` slices.
+    /// Standard α–β model: `(k−1)/k · bytes / bw` plus `k−1` hop
+    /// latencies.
     pub fn ring_reduce_scatter_ns(&self, bytes: f64, k: usize) -> f64 {
         if k <= 1 {
             return 0.0;
@@ -389,35 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_all_reduce_grows_sublinearly_with_devices() {
-        let m = model();
-        let t2 = m.ring_all_reduce_ns(1e8, 2);
-        let t8 = m.ring_all_reduce_ns(1e8, 8);
-        assert!(t8 > t2);
-        // 2(k-1)/k factor approaches 2: t8/t2 ≈ (2·7/8)/(2·1/2) = 1.75 on
-        // the bandwidth term.
-        assert!(t8 < t2 * 2.5);
-        assert_eq!(m.ring_all_reduce_ns(1e8, 1), 0.0);
-    }
-
-    #[test]
-    fn ring_all_reduce_is_a_reduce_scatter_then_an_all_gather() {
-        let m = model();
-        let bytes = 3.7e7;
-        for k in 1..=8 {
-            let all_reduce = m.ring_all_reduce_ns(bytes, k);
-            let reduce_scatter = m.ring_reduce_scatter_ns(bytes, k);
-            let all_gather = m.all_gather_ns(bytes / k as f64, k);
-            if k == 1 {
-                assert_eq!((all_reduce, reduce_scatter, all_gather), (0.0, 0.0, 0.0));
-                continue;
-            }
-            let rel = (all_reduce - (reduce_scatter + all_gather)).abs() / all_reduce;
-            assert!(rel <= 1e-12, "k={k}: relative gap {rel}");
-        }
-    }
-
-    #[test]
     fn merged_sums_terms() {
         let a = KernelCost::streaming(10.0, 20.0);
         let b = KernelCost {
@@ -465,7 +433,7 @@ mod tests {
     fn nvlink_collectives_beat_pcie() {
         let pcie = CostModel::new(CostParams::rtx4090());
         let nvlink = CostModel::new(CostParams::a100());
-        assert!(nvlink.ring_all_reduce_ns(1e8, 4) < pcie.ring_all_reduce_ns(1e8, 4));
+        assert!(nvlink.ring_reduce_scatter_ns(1e8, 4) < pcie.ring_reduce_scatter_ns(1e8, 4));
     }
 
     #[test]

@@ -101,21 +101,21 @@ proptest! {
         }
     }
 
-    /// Ring all-reduce: zero at k ≤ 1, monotone in bytes at fixed k,
-    /// and monotone in k at fixed bytes (more hops, more latency).
+    /// Ring reduce-scatter: zero at k ≤ 1, monotone in bytes at fixed
+    /// k, and monotone in k at fixed bytes (more hops, more latency).
     #[test]
-    fn all_reduce_monotone_and_degenerate(
+    fn reduce_scatter_monotone_and_degenerate(
         bytes in 0.0f64..1e10,
         extra in 0.0f64..1e10,
         k in 2usize..64,
     ) {
         for m in models() {
-            prop_assert_eq!(m.ring_all_reduce_ns(bytes, 0), 0.0);
-            prop_assert_eq!(m.ring_all_reduce_ns(bytes, 1), 0.0);
-            let t = m.ring_all_reduce_ns(bytes, k);
+            prop_assert_eq!(m.ring_reduce_scatter_ns(bytes, 0), 0.0);
+            prop_assert_eq!(m.ring_reduce_scatter_ns(bytes, 1), 0.0);
+            let t = m.ring_reduce_scatter_ns(bytes, k);
             prop_assert!(t.is_finite() && t >= 0.0);
-            prop_assert!(m.ring_all_reduce_ns(bytes + extra, k) >= t);
-            prop_assert!(m.ring_all_reduce_ns(bytes, k + 1) >= t);
+            prop_assert!(m.ring_reduce_scatter_ns(bytes + extra, k) >= t);
+            prop_assert!(m.ring_reduce_scatter_ns(bytes, k + 1) >= t);
         }
     }
 

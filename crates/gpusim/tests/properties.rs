@@ -118,16 +118,6 @@ proptest! {
         prop_assert!(base.fraction <= 1.0 + 1e-12);
     }
 
-    #[test]
-    fn ring_all_reduce_monotone_in_bytes_and_devices(
-        bytes in 1.0f64..1e9,
-        k in 2usize..16,
-    ) {
-        let m = CostModel::new(CostParams::rtx4090());
-        prop_assert!(m.ring_all_reduce_ns(bytes * 2.0, k) >= m.ring_all_reduce_ns(bytes, k));
-        prop_assert!(m.ring_all_reduce_ns(bytes, k + 1) >= m.ring_all_reduce_ns(bytes, k) * 0.8);
-    }
-
     /// The multi-stream makespan is sandwiched between the critical
     /// path (no schedule can beat the busiest stream, nor the longest
     /// single charge) and the serial sum (overlap never slows things

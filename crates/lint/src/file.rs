@@ -512,7 +512,8 @@ impl SourceFile {
     }
 
     /// v1 style rules, now token-accurate: `.unwrap()` in library code,
-    /// `as_mut_slice` outside the buffer module, `run_blocks` in a function
+    /// `as_mut_slice` outside the buffer module, and a `run_blocks` call
+    /// (any block-grid launcher; gpusim itself has none) in a function
     /// that never charges the device ledger.
     pub fn style_findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
@@ -547,7 +548,7 @@ impl SourceFile {
                         "raw_buffer_mut",
                         &self.path,
                         toks[i].line,
-                        "raw `as_mut_slice` outside gpusim/src/buffer.rs; device memory must be mutated through checked views".to_string(),
+                        "raw `as_mut_slice` outside gpusim/src/buffer.rs; device memory is written by uploads (`Device::htod`) and by kernels that declare their writes through `KernelScope::touch`".to_string(),
                     ));
                 }
                 "run_blocks" => {
@@ -565,7 +566,7 @@ impl SourceFile {
                             "uncharged_launch",
                             &self.path,
                             toks[i].line,
-                            "`run_blocks` in a function that never charges the device ledger; simulated launches must be accounted".to_string(),
+                            "`run_blocks` (a block-grid launch) in a function that never charges the device ledger; gpusim has no launcher, so code that runs blocks must charge them itself".to_string(),
                         ));
                     }
                 }

@@ -14,9 +14,11 @@
 //!    in stage 2 over a single hot pooled buffer (better cache reuse
 //!    single-threaded).
 //! 2. **Split selection** — nodes are visited strictly in node-index
-//!    order: device charges are issued, the best split is found via
-//!    segmented reductions, and instances are partitioned into the
-//!    children.
+//!    order: each fresh build joins its method's level batch, the best
+//!    split is found via segmented reductions, and instances are
+//!    partitioned into the children. At the level's end the histogram,
+//!    split and partition kernels are charged once per level
+//!    (`HistCharges`, [`LevelSplitCharges`]).
 //!
 //! Because stage 2 is serial and consumes histograms in node-index
 //! order, the grown tree and the simulated timeline are bit-identical
@@ -28,7 +30,8 @@
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
 use crate::hist::{
-    accumulate_only, charge_builds_on, plan_build, HistContext, Launches, NodeHistogram,
+    accumulate_only, charge_builds_on, method_cost, resolve_method, HistContext, Launches,
+    NodeHistogram,
 };
 use crate::memory::HistogramPool;
 use crate::split::{
@@ -98,7 +101,8 @@ impl HistCharges {
     /// Plan one fresh build with the configured method and add it to its
     /// method's batch; returns the concrete method.
     fn build(&mut self, ctx: &HistContext<'_>, idx: &[u32]) -> HistogramMethod {
-        let (method, cost) = plan_build(ctx, idx, ctx.opts.method, Launches::PerLevel);
+        let method = resolve_method(ctx, idx.len(), ctx.opts.method, Launches::PerLevel);
+        let cost = method_cost(ctx, idx, method);
         let batch = self.batches.entry(method).or_default();
         batch.work = batch.work.merged(&KernelCost {
             launches: 0.0,
@@ -956,8 +960,9 @@ mod tests {
         let mut want: BTreeMap<HistogramMethod, (KernelCost, f64, usize)> = BTreeMap::new();
         for idx in &nodes {
             let m = charges.build(&ctx, idx);
-            let (method, cost) = plan_build(&ctx, idx, cfg.hist.method, Launches::PerLevel);
+            let method = resolve_method(&ctx, idx.len(), cfg.hist.method, Launches::PerLevel);
             assert_eq!(method, m);
+            let cost = method_cost(&ctx, idx, method);
             let e = want.entry(m).or_insert((KernelCost::default(), 0.0, 0));
             e.0 = e.0.merged(&KernelCost {
                 launches: 0.0,

@@ -18,9 +18,9 @@
 //! selects the most appropriate histogram building method … based on
 //! the dataset characteristics and training stage".
 //!
-//! [`plan_build`] resolves a node build to a concrete method and prices
-//! it ([`method_cost`]); [`charge_builds_on`] is the one place histogram
-//! builds are charged: it names the kernel once, opens the method's
+//! [`resolve_method`] turns `Adaptive` into a concrete method for a node
+//! and [`method_cost`] prices the build; [`charge_builds_on`] is the one
+//! place histogram builds are charged: it names the kernel once, opens the method's
 //! profiler scope, charges, and traces each build for an attached
 //! sanitizer under the same name. Two charging modes use them.
 //! [`charge_method_on`] charges each build as a kernel of its own; the
@@ -446,20 +446,6 @@ pub fn method_cost(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) 
     }
 }
 
-/// Resolve `method` for the node `idx` (the selector pricing launches
-/// as `launches` says) and price the build from measured statistics,
-/// launches included: what the per-node charge and the grower's level
-/// batch share.
-pub fn plan_build(
-    ctx: &HistContext<'_>,
-    idx: &[u32],
-    method: HistogramMethod,
-    launches: Launches,
-) -> (HistogramMethod, KernelCost) {
-    let method = resolve_method(ctx, idx.len(), method, launches);
-    (method, method_cost(ctx, idx, method))
-}
-
 /// Charge one node's histogram build with `method` to the device.
 pub fn charge_method(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
     charge_method_on(ctx, idx, method, 0);
@@ -475,8 +461,8 @@ pub fn charge_method_on(
     method: HistogramMethod,
     stream: usize,
 ) -> HistogramMethod {
-    let (method, cost) = plan_build(ctx, idx, method, Launches::PerNode);
-    charge_builds_on(ctx, method, stream, &cost, &[idx]);
+    let method = resolve_method(ctx, idx.len(), method, Launches::PerNode);
+    charge_builds_on(ctx, method, stream, &method_cost(ctx, idx, method), &[idx]);
     method
 }
 

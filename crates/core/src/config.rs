@@ -161,14 +161,14 @@ pub struct TrainConfig {
     /// entry per feature. Enforced on every output dimension with bound
     /// propagation down the tree.
     pub monotone_constraints: Vec<i8>,
-    /// Number of CUDA-style streams used to overlap the *independent*
-    /// per-node histogram kernels of one tree level. 1 serializes (the
-    /// default); more streams shorten deep levels full of small nodes,
-    /// whose launch latencies then overlap.
+    /// Number of CUDA-style streams per device. 1 serializes (the
+    /// default). More streams overlap the feature upload with binning,
+    /// and on a device group a level's histogram builds with its
+    /// collectives. One device charges a level's histogram builds as
+    /// one kernel per method, all on the default stream.
     pub streams: usize,
     /// Build the histograms of one tree level's nodes in parallel on
-    /// the host (they are mutually independent — the same property the
-    /// `streams` overlap exploits on the simulated device). Affects
+    /// the host (they are mutually independent). Affects
     /// host wall-clock only: device charges are issued serially in
     /// node-index order either way, so the simulated timeline and the
     /// grown tree are bit-identical at any thread count.

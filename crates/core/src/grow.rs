@@ -40,7 +40,7 @@ use crate::split::{
 use crate::tree::Tree;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
-use gpusim::{Device, Event, Phase};
+use gpusim::{Device, Phase};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -55,20 +55,14 @@ use std::collections::BTreeMap;
 /// nodes, that method's launch count once, and a 4-byte node-slot read
 /// per row (the batched kernel looks up which node each row accumulates
 /// into). Every build is still traced for an attached sanitizer. The
-/// level's subtraction derives are likewise one `hist_subtract` launch
-/// on the default stream.
+/// level's subtraction derives follow as one `hist_subtract` launch: a
+/// derive reads its sibling's fresh histogram.
 ///
-/// At `streams = 1` every kernel goes to the default stream. With more
-/// streams each method's kernel issues on the currently least-loaded
-/// worker stream (`1..=streams`, ties to the lowest id), fenced to the
-/// default stream's clock at level start, and the flush joins the
-/// default stream to every used worker, so split evaluation and the
-/// partition kernel start only after the last build.
+/// Every kernel goes to the default stream. A level's batches are few
+/// (one per method used) and its derive depends on them, so worker
+/// streams would have nothing to overlap.
+#[derive(Default)]
 struct HistCharges {
-    streams: usize,
-    /// Default-stream clock at level start, which is what fresh builds
-    /// actually depend on.
-    fence: Event,
     /// Fresh builds of the level, per concrete method.
     batches: BTreeMap<HistogramMethod, MethodBatch>,
     /// Histogram elements derived by subtraction this level.
@@ -89,15 +83,6 @@ struct MethodBatch {
 }
 
 impl HistCharges {
-    fn new(device: &Device, streams: usize) -> Self {
-        HistCharges {
-            streams: streams.max(1),
-            fence: device.record_event(0),
-            batches: BTreeMap::new(),
-            derived: 0,
-        }
-    }
-
     /// Plan one fresh build with the configured method and add it to its
     /// method's batch; returns the concrete method.
     fn build(&mut self, ctx: &HistContext<'_>, idx: &[u32]) -> HistogramMethod {
@@ -123,54 +108,35 @@ impl HistCharges {
         self.derived += elems;
     }
 
-    /// End of level: charge the derive kernel and one kernel per method
-    /// used, then join the default stream to every used worker. Each
-    /// method's kernel, nodes and launches are added to `launches` at
-    /// `depth`.
+    /// End of level: charge one kernel per method used, then the derive
+    /// kernel. Each method's kernel, nodes and launches are added to
+    /// `launches` at `depth`.
     fn flush(
         &mut self,
         ctx: &HistContext<'_>,
         depth: usize,
         launches: &mut BTreeMap<(usize, HistogramMethod), HistLaunches>,
     ) {
-        let device = ctx.device;
-        if self.derived > 0 {
-            let elems = self.derived as f64;
-            device.charge_kernel(
-                "hist_subtract",
-                Phase::Histogram,
-                &KernelCost::streaming(elems * 2.0, elems * 3.0 * 8.0),
-            );
-            self.derived = 0;
-        }
-        let mut used = vec![false; self.streams + 1];
         for (method, batch) in std::mem::take(&mut self.batches) {
             let seen = launches.entry((depth, method)).or_default();
             seen.kernels += 1;
             seen.nodes += batch.nodes;
             seen.launches += batch.launches;
-            let stream = if self.streams == 1 {
-                0
-            } else {
-                let s = (1..=self.streams)
-                    .min_by(|&a, &b| device.stream_now(a).total_cmp(&device.stream_now(b)))
-                    .expect("at least one worker stream");
-                if !used[s] {
-                    device.wait_event(s, self.fence);
-                    used[s] = true;
-                }
-                s
-            };
             let cost = batch.work.merged(&KernelCost {
                 dram_bytes: 4.0 * batch.rows as f64,
                 launches: batch.launches,
                 ..Default::default()
             });
-            charge_builds_on(ctx, method, stream, &cost, &batch.traced);
+            charge_builds_on(ctx, method, 0, &cost, &batch.traced);
         }
-        for (s, _) in used.iter().enumerate().filter(|(_, u)| **u) {
-            let done = device.record_event(s);
-            device.wait_event(0, done);
+        if self.derived > 0 {
+            let elems = self.derived as f64;
+            ctx.device.charge_kernel(
+                "hist_subtract",
+                Phase::Histogram,
+                &KernelCost::streaming(elems * 2.0, elems * 3.0 * 8.0),
+            );
+            self.derived = 0;
         }
     }
 }
@@ -366,7 +332,7 @@ pub fn grow_tree_pooled(
         // as batched kernels (paper §3.1.3) — per-node launches would
         // dominate at depth.
         let mut split_charges = LevelSplitCharges::new();
-        let mut hist_charges = HistCharges::new(device, config.streams);
+        let mut hist_charges = HistCharges::default();
         let mut partition_elems = 0usize;
 
         // ---- stage 1: histogram build ------------------------------
@@ -896,11 +862,12 @@ mod tests {
         );
     }
 
-    /// With subtraction a level has two independent histogram kernels:
-    /// the derive on the default stream and the fresh builds' batch on a
-    /// worker stream fenced at level start. Streams overlap them.
+    /// A level's histogram kernels are its method batches and then the
+    /// derive that reads them, so the grower keeps them all on the
+    /// default stream: streams change neither the model nor a single
+    /// charge, start stamp or stream id.
     #[test]
-    fn streams_shorten_levels_without_changing_the_model() {
+    fn streams_change_neither_the_model_nor_the_level_timeline() {
         let (_, data, grads) = setup(2000, 10, 4);
         let features: Vec<u32> = (0..10).collect();
         let mut serial_cfg = config();
@@ -914,22 +881,32 @@ mod tests {
         let d2 = Device::rtx4090();
         let streamed = grow_tree(&d2, &data, &grads, &streamed_cfg, &features);
 
-        // Identical model and charges: streams are a scheduling change
-        // only.
         assert_eq!(serial.tree, streamed.tree);
-        let (s1, s2) = (d1.summary(), d2.summary());
-        assert_eq!(s1.kernel_count, s2.kernel_count);
-        assert_eq!(s1.by_phase, s2.by_phase);
-        // The derive and the build batch of a level overlap.
-        assert!(
-            d2.now_ns() < d1.now_ns(),
-            "4 streams ({}) should beat serial ({})",
-            d2.now_ns(),
-            d1.now_ns()
-        );
-        // Never better than running every histogram kernel in parallel.
-        let hist = s1.by_phase[&Phase::Histogram];
-        assert!(d1.now_ns() - d2.now_ns() < hist, "superlinear overlap");
+        assert_eq!(d1.now_ns().to_bits(), d2.now_ns().to_bits());
+        let (r1, r2) = (d1.records(), d2.records());
+        assert_eq!(r1.len(), r2.len());
+        for (a, b) in r1.iter().zip(&r2) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.ns.to_bits(), b.ns.to_bits(), "{}", a.name);
+            assert_eq!(a.start_ns.to_bits(), b.start_ns.to_bits(), "{}", a.name);
+            assert_eq!(b.stream, 0, "{} left the default stream", b.name);
+        }
+        // Each derive starts after the fresh builds it subtracts.
+        let derives = r2.iter().filter(|r| r.name == "hist_subtract").count();
+        assert!(derives > 0, "subtraction must derive some nodes");
+        for (i, r) in r2
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.name == "hist_subtract")
+        {
+            let build = &r2[i - 1];
+            assert!(
+                build.name.starts_with("hist_"),
+                "{} precedes a derive",
+                build.name
+            );
+            assert!(r.start_ns >= build.start_ns + build.ns);
+        }
     }
 
     /// A level books one `Phase::Histogram` record per method it used:
@@ -956,7 +933,7 @@ mod tests {
         let nodes: Vec<Vec<u32>> = std::iter::once((0..2500).collect())
             .chain((0..10).map(|j| (2500 + 50 * j..2550 + 50 * j).collect()))
             .collect();
-        let mut charges = HistCharges::new(&device, 1);
+        let mut charges = HistCharges::default();
         let mut want: BTreeMap<HistogramMethod, (KernelCost, f64, usize)> = BTreeMap::new();
         for idx in &nodes {
             let m = charges.build(&ctx, idx);

@@ -968,18 +968,12 @@ mod tests {
         assert!(report.host_seconds > 0.0);
         assert_eq!(report.model.num_trees(), 8);
         // The paper's core observation (Fig. 4): histogram building is
-        // the dominant phase. On this 800-row fit the level-batched
-        // histogram kernels cost about as much as the level-batched
-        // split scan, so the check is that no phase outweighs it; the
-        // paper's share (> 0.5) is pinned on a larger fit by
-        // `tests/simulation.rs`.
-        let hist = report.histogram_fraction();
-        for (phase, ns) in &report.sim.by_phase {
-            assert!(
-                *phase == Phase::Histogram || hist >= ns / report.sim.total_ns,
-                "{phase:?} outweighs histogram building ({hist})"
-            );
-        }
+        // the dominant phase.
+        assert!(
+            report.histogram_fraction() > 0.4,
+            "histogram fraction only {}",
+            report.histogram_fraction()
+        );
         let total: usize = report.hist_methods.values().sum();
         assert!(total > 0, "adaptive telemetry must record node builds");
     }

@@ -45,13 +45,13 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0xaaa5d45ea517066a),
     ("SharedMemory/dense", 0xded628e5fad8ea62, 0xc3415358f12de3a4),
     ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0xc07737cd824b8d2c),
-    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0x6298bf154ecdda6c),
+    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0xebee14d147838055),
     ("SortReduce/dense", 0xded628e5fad8ea62, 0x8ea1ab12bf16a5cb),
     ("SortReduce/sparse_aware", 0xded628e5fad8ea62, 0xd4afcbfa5c840dc3),
     ("SortReduce/subtraction", 0xded628e5fad8ea62, 0xa2d31311aafbeb3b),
     ("Adaptive/dense", 0xded628e5fad8ea62, 0xc3415358f12de3a4),
     ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xc07737cd824b8d2c),
-    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x6298bf154ecdda6c),
+    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0xebee14d147838055),
     ("FP(2)", 0xded628e5fad8ea62, 0x10db0a1466b56df4),
     ("DP(2)", 0xded628e5fad8ea62, 0x3befa4518d3f6ca1),
 ];

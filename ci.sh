@@ -27,9 +27,11 @@ echo "==> bitwise pins under release codegen"
 # benchmark runs opt-level 3 without them, and the two can vectorise the
 # host loops differently. Re-run the tree/charge golden table, the
 # bit-for-bit histogram, split and contention-sampling tests, the
-# thread-count independence of grown trees, and the equality of data-
-# and feature-parallel trees in the release profile.
+# thread-count independence of grown trees, the equality of data-
+# and feature-parallel trees, and the trees and histogram/split time
+# that appended constant columns must not move, in the release profile.
 cargo test --release -q -p gbdt-core --test layout_golden
+cargo test --release -q -p gbdt-core --test differential -- constant
 cargo test --release -q -p gbdt-core --lib -- \
   hist::tests::accumulate_dense_matches_a_scalar_reference_bit_for_bit \
   split::tests::best_split_matches_a_scalar_reference_bit_for_bit \

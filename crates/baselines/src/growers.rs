@@ -34,7 +34,8 @@ fn split_params(config: &TrainConfig) -> SplitParams {
 /// Grow one tree leaf-wise (LightGBM-style): repeatedly expand the
 /// open leaf with the highest split gain until `max_leaves` leaves
 /// exist or no leaf can split. Depth is still bounded by
-/// `config.max_depth`.
+/// `config.max_depth`. As in the level-wise grower, only the columns
+/// of `features` that can split are built and scanned.
 pub fn grow_tree_leafwise(
     device: &Device,
     data: &BinnedDataset,
@@ -44,6 +45,7 @@ pub fn grow_tree_leafwise(
     max_leaves: usize,
 ) -> GrowResult {
     let d = grads.d;
+    let features = &data.splittable(features)[..];
     let ctx = HistContext {
         device,
         data,
@@ -211,12 +213,14 @@ pub fn grow_tree_leafwise(
         leaf_nodes,
         methods_used,
         hist_launches: BTreeMap::new(),
+        features_built: features.len(),
     }
 }
 
 /// Grow one oblivious (symmetric) tree, CatBoost-style: at every level,
 /// a single `(feature, bin)` condition is chosen to split *all* open
-/// nodes, by maximizing the summed gain across them.
+/// nodes, by maximizing the summed gain across them. Only the columns
+/// of `features` that can split are built and scanned.
 pub fn grow_tree_oblivious(
     device: &Device,
     data: &BinnedDataset,
@@ -226,6 +230,7 @@ pub fn grow_tree_oblivious(
 ) -> GrowResult {
     let d = grads.d;
     let bins = config.max_bins;
+    let features = &data.splittable(features)[..];
     let ctx = HistContext {
         device,
         data,
@@ -269,9 +274,7 @@ pub fn grow_tree_oblivious(
                         hist.h_row(f_local, b),
                     );
                     let right_cnt = instances.len() as u32 - left_cnt;
-                    if (left_cnt as usize) < config.min_instances
-                        || (right_cnt as usize) < config.min_instances
-                    {
+                    if left_cnt < params.min_child() || right_cnt < params.min_child() {
                         continue;
                     }
                     level_gains[f_local * bins + b] += split_gain(&gl, &hl, g, h, config.lambda);
@@ -350,6 +353,7 @@ pub fn grow_tree_oblivious(
         leaf_nodes,
         methods_used,
         hist_launches: BTreeMap::new(),
+        features_built: features.len(),
     }
 }
 

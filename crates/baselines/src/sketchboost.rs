@@ -217,6 +217,7 @@ impl SketchBoostTrainer {
         let features: Vec<u32> = (0..ds.m() as u32).collect();
         let mut trees = Vec::with_capacity(self.config.num_trees);
         let mut hist_methods = BTreeMap::new();
+        let mut features_built = 0;
 
         for t in 0..self.config.num_trees {
             let grads = compute_gradients(device, loss.as_ref(), &scores, ds.targets(), n, d);
@@ -229,6 +230,7 @@ impl SketchBoostTrainer {
             );
             // Structure from the sketch…
             let mut grown = grow_tree(device, &binned, &sketched, &self.config, &features);
+            features_built = features_built.max(grown.features_built);
             for (m, c) in std::mem::take(&mut grown.methods_used) {
                 *hist_methods.entry(m).or_insert(0) += c;
             }
@@ -269,6 +271,8 @@ impl SketchBoostTrainer {
             model,
             hist_methods,
             hist_launches: BTreeMap::new(),
+            features_built,
+            features_one_bin: features.len() - binned.splittable(&features).len(),
         }
     }
 }

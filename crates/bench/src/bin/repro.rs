@@ -1934,6 +1934,12 @@ fn report_cmd(opts: &Opts) -> bool {
         ledger.dropped_records,
         ledger.negative_charges
     );
+    println!(
+        "features: {} of {} built ({} one-bin skipped)",
+        r.features_built,
+        train.m(),
+        r.features_one_bin
+    );
     // Histogram launches per depth: one batched kernel per (level,
     // method), summed over trees, against the node builds it covers.
     let launch_rows: Vec<Vec<String>> = r

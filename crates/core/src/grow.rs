@@ -216,6 +216,9 @@ pub struct GrowResult {
     /// level's builds as one kernel per method; empty where each build
     /// is a kernel of its own.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
+    /// Feature columns histograms were built and scanned over: the
+    /// grower's features that can split ([`BinnedDataset::splittable`]).
+    pub features_built: usize,
 }
 
 /// The histogram kernels of one (depth, method): how many were charged,
@@ -262,6 +265,11 @@ pub fn grow_tree_on(
 /// [`grow_tree_on`] with a caller-owned histogram-buffer pool, so
 /// consecutive trees reuse the same multi-MB allocations.
 ///
+/// Only the columns of `features` that can split are built, charged
+/// and scanned ([`BinnedDataset::splittable`]): a one-bin column has no
+/// threshold that leaves both children non-empty, so dropping it leaves
+/// the tree unchanged. With no such column the root is the only leaf.
+///
 /// The grower is deliberately sketch-agnostic: every histogram shape,
 /// cost estimate, and leaf value is sized by `grads.d` — the width of
 /// whatever gradient matrix it is handed. Under gradient sketching
@@ -279,6 +287,12 @@ pub fn grow_tree_pooled(
     pool: &mut HistogramPool,
 ) -> GrowResult {
     let d = grads.d;
+    let features = &data.splittable(features)[..];
+    let max_depth = if features.is_empty() {
+        0
+    } else {
+        config.max_depth
+    };
     pool.ensure_shape(features.len(), d, config.max_bins);
     let ctx = HistContext {
         device,
@@ -322,7 +336,7 @@ pub fn grow_tree_pooled(
     // `HistSource::Derive` children can subtract against them.
     let mut parents: Vec<NodeHistogram> = Vec::new();
 
-    for depth in 0..config.max_depth {
+    for depth in 0..max_depth {
         // Per-level profiling scope nested under the trainer's round
         // scope (no-op when profiling is off; purely observational).
         let _level_scope = device.prof_scope("level", Some(depth as u64));
@@ -527,7 +541,7 @@ pub fn grow_tree_pooled(
             // level loop keeps alive until both children resolve.
             let (mut left_source, mut right_source) = (HistSource::Build, HistSource::Build);
             let mut parent_survives = false;
-            if config.hist.subtraction && depth + 1 < config.max_depth {
+            if config.hist.subtraction && depth + 1 < max_depth {
                 let smaller_is_left = left_idx.len() <= right_idx.len();
                 let smaller_len = left_idx.len().min(right_idx.len());
                 if smaller_len >= 2 * config.min_instances {
@@ -615,6 +629,7 @@ pub fn grow_tree_pooled(
         leaf_nodes,
         methods_used,
         hist_launches,
+        features_built: features.len(),
     }
 }
 

@@ -223,17 +223,29 @@ const _: fn() = || {
 };
 
 /// Fraction of (instance, feature) pairs the histogram kernel actually
-/// touches: 1.0 on the dense path, the data's non-zero density when the
-/// sparsity-aware CSC path is enabled. The sparse path also scales the
-/// measured contention (zero-bin collisions vanish when zeros are
-/// handled in closed form — an approximation noted in DESIGN.md).
+/// touches: 1.0 on the dense path, the non-zero density of the columns
+/// it builds when the sparsity-aware CSC path is enabled. The sparse
+/// path also scales the measured contention (zero-bin collisions vanish
+/// when zeros are handled in closed form — an approximation noted in
+/// DESIGN.md).
 pub(crate) fn density_factor(ctx: &HistContext<'_>) -> f64 {
     if ctx.opts.sparse_aware {
-        let total = (ctx.data.n() * ctx.data.m()).max(1);
-        (ctx.data.sparse.nnz() as f64 / total as f64).clamp(0.001, 1.0)
+        built_density(ctx).clamp(0.001, 1.0)
     } else {
         1.0
     }
+}
+
+/// Non-zero share of the (instance, feature) pairs of the columns
+/// `ctx` builds, from the CSC column lengths.
+pub(crate) fn built_density(ctx: &HistContext<'_>) -> f64 {
+    let sparse = &ctx.data.sparse;
+    let nnz: usize = ctx
+        .features
+        .iter()
+        .map(|&f| sparse.col_nnz(f as usize))
+        .sum();
+    nnz as f64 / (ctx.data.n() * ctx.features.len()).max(1) as f64
 }
 
 /// Add a gradient row and a Hessian row into `d`-wide `f64` accumulator

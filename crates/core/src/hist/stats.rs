@@ -141,7 +141,7 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
 
 /// Closed-form expectation of the same statistics, used by the adaptive
 /// selector. Assumes: bins roughly uniform except a skew mass equal to
-/// the dataset's zero fraction landing in one bin; instance indices
+/// the built columns' zero fraction landing in one bin; instance indices
 /// partially scattered (half-coalesced) after the first splits.
 pub fn expect(ctx: &HistContext<'_>, node_size: usize) -> ContentionStats {
     let nn = node_size as f64;
@@ -158,9 +158,8 @@ pub fn expect(ctx: &HistContext<'_>, node_size: usize) -> ContentionStats {
     let uniform_distinct = bins * (1.0 - (1.0 - 1.0 / bins).powf(w));
     let uniform_excess = (w - uniform_distinct).max(0.0);
     // Skew: a zero-heavy feature funnels `sparsity` of each warp into
-    // one bin.
-    let total = (ctx.data.n() * ctx.data.m()) as f64;
-    let sparsity = 1.0 - ctx.data.sparse.nnz() as f64 / total.max(1.0);
+    // one bin; the zero fraction is that of the columns built.
+    let sparsity = 1.0 - super::built_density(ctx);
     let skew_excess = (w * sparsity - 1.0).max(0.0);
     let excess_per_warp = uniform_excess.max(skew_excess).min(w - 1.0);
 

@@ -15,12 +15,15 @@
 //! - **Mirrored work:** the replicas' gradient, sketch-apply, leaf-refit
 //!   and score-update charges cover all `n` rows (feature-parallel) or
 //!   their own shard (data-parallel).
-//! - **Node histograms and splits:** a feature-parallel device builds
-//!   only its own features. A data-parallel device builds its shard
-//!   over all features, and a ring reduce-scatter of each built node's
-//!   `m × B × d` histogram leaves it the reduced slice of its own
-//!   features. Either way a device evaluates only its own feature range
-//!   ([`partition_features`]), and the group picks the best candidate.
+//! - **Node histograms and splits:** only the `m'` columns that can
+//!   split are built, reduce-scattered and scanned
+//!   (`BinnedDataset::splittable`). A feature-parallel device builds the
+//!   splittable columns of the range it ingested ([`partition_features`]
+//!   over all `m`). A data-parallel device builds its shard over all
+//!   `m'`, and a ring reduce-scatter of each built node's `m' × B × d`
+//!   histogram leaves it the reduced slice of its range of them. Either
+//!   way a device evaluates only its own range, and the group picks the
+//!   best candidate.
 //! - **Partitioning:** feature-parallel flag and partition kernels, or
 //!   each data-parallel device's `partition_shard` over its own shard,
 //!   are charged once per level, after the candidate exchange.
@@ -77,8 +80,8 @@ const COMM_STREAM: usize = 2;
 /// trainer's chunked ingest copy).
 const COMM_CHUNKS: f64 = 8.0;
 
-/// Contiguous feature ranges per device: device `i` owns
-/// `[ranges[i].0, ranges[i].1)` as local indices into `0..m`.
+/// Contiguous ranges of `m` features per device: device `i` owns
+/// `[ranges[i].0, ranges[i].1)`.
 pub fn partition_features(m: usize, k: usize) -> Vec<(usize, usize)> {
     assert!(k > 0, "need at least one device");
     let base = m / k;
@@ -235,10 +238,10 @@ pub enum MultiGpuStrategy {
     #[default]
     FeatureParallel,
     /// Partition instances: each device histograms its shard over *all*
-    /// features; per node, partial histograms are summed with a ring
-    /// reduce-scatter ("partial histograms are then aggregated via
-    /// CUDA-aware collective operations") that leaves each device the
-    /// slice of its feature range to evaluate. Gradient work divides by
+    /// features that can split; per node, partial histograms are summed
+    /// with a ring reduce-scatter ("partial histograms are then
+    /// aggregated via CUDA-aware collective operations") that leaves
+    /// each device the slice of its feature range to evaluate. Gradient work divides by
     /// the device count, but the collective moves the full multi-output
     /// histogram — the communication blow-up that motivates the
     /// feature-parallel choice for large `d`.
@@ -451,13 +454,31 @@ impl Placement for Group<'_> {
         let group = self.group();
         let devices = group.devices();
         let k = group.len();
-        let m = binned.m();
-        let ranges = partition_features(m, k);
+        // Only the columns that can split are built, reduce-scattered
+        // and scanned, as on one device.
+        let features = &binned.splittable(features)[..];
+        let mf = features.len();
+        let max_depth = if mf == 0 { 0 } else { self.config.max_depth };
+        // Each device's range of `features` (local indices). A
+        // feature-parallel device keeps the columns it ingested and
+        // builds the splittable ones among them; data-parallel devices
+        // divide the splittable list.
+        let ranges: Vec<(usize, usize)> = match self.strategy {
+            MultiGpuStrategy::FeatureParallel => {
+                debug_assert!(features.is_sorted(), "features ascend");
+                let local = |f: usize| features.partition_point(|&x| (x as usize) < f);
+                partition_features(binned.m(), k)
+                    .into_iter()
+                    .map(|(lo, hi)| (local(lo), local(hi)))
+                    .collect()
+            }
+            MultiGpuStrategy::DataParallel => partition_features(mf, k),
+        };
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
         let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
         // One node's histogram: the data-parallel reduce-scatter payload.
-        let hist_bytes = (m * self.config.max_bins * grads.d * 2 * 8) as f64;
+        let hist_bytes = (mf * self.config.max_bins * grads.d * 2 * 8) as f64;
         let params = SplitParams {
             lambda: self.config.lambda,
             min_gain: self.config.min_gain,
@@ -466,7 +487,7 @@ impl Placement for Group<'_> {
         };
         // One working histogram: each node is accumulated, evaluated and
         // done with before the next is built.
-        pool.ensure_shape(m, grads.d, self.config.max_bins);
+        pool.ensure_shape(mf, grads.d, self.config.max_bins);
         let mut hist = pool.acquire();
         let mut grown = GrowResult {
             tree: Tree::new(grads.d),
@@ -474,6 +495,7 @@ impl Placement for Group<'_> {
             leaf_nodes: Vec::new(),
             methods_used: BTreeMap::new(),
             hist_launches: BTreeMap::new(),
+            features_built: mf,
         };
         let (rg, rh) = grads.sums(&root);
         let mut frontier = vec![(0usize, root, rg, rh)];
@@ -483,7 +505,7 @@ impl Placement for Group<'_> {
         // overlap.
         let mut level_fence: Option<Event> = None;
 
-        for depth in 0..self.config.max_depth {
+        for depth in 0..max_depth {
             let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
             if streamed {
                 for dev in devices {
@@ -605,10 +627,10 @@ impl Placement for Group<'_> {
                         // The owning device computes the routing
                         // flags; the level's bitmaps are exchanged
                         // in one all-gather.
-                        let f = split.feature as usize;
+                        let f_local = features.partition_point(|&x| x < split.feature);
                         let owner = ranges
                             .iter()
-                            .position(|&(lo, hi)| (lo..hi).contains(&f))
+                            .position(|&(lo, hi)| (lo..hi).contains(&f_local))
                             .expect("split feature must belong to a device");
                         routed[owner] += instances.len();
                         flag_bytes[owner] += instances.len().div_ceil(8);

@@ -52,6 +52,14 @@ pub struct SplitParams {
     pub segments_c: f64,
 }
 
+impl SplitParams {
+    /// Fewest instances a child may hold: `min_instances`, and never
+    /// fewer than one, so no split leaves a child empty.
+    pub fn min_child(&self) -> u32 {
+        self.min_instances.max(1) as u32
+    }
+}
+
 /// A chosen split.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SplitCandidate {
@@ -263,7 +271,7 @@ fn scan_feature_portable<const W: usize>(
 ) -> (usize, f64) {
     let d = crate::simd::row_width::<W>(hist.d);
     let (node_g, node_h) = (&node_g[..d], &node_h[..d]);
-    let min_child = params.min_instances as u32;
+    let min_child = params.min_child();
     let c = constraints
         .map(|s| s.monotone[feature as usize])
         .unwrap_or(0);
@@ -607,6 +615,24 @@ mod tests {
         p.min_instances = 25; // no boundary leaves ≥25 on both sides
         let s = find_best_split(&device, &hist, &[0], &[0.0], &[8.0], 40, &p);
         assert!(s.is_none());
+    }
+
+    #[test]
+    fn no_split_leaves_a_child_empty_even_at_min_instances_zero() {
+        let device = Device::rtx4090();
+        // A one-bin feature: every row sits in bin 0. Node totals that
+        // differ from the bin sums give the "everything goes left"
+        // boundary a positive gain.
+        let mut hist = NodeHistogram::new(1, 1, 4);
+        hist.g[0] = -5.0;
+        hist.h[0] = 2.0;
+        hist.counts[0] = 10;
+        let mut p = params();
+        p.min_instances = 0;
+        p.min_gain = 0.0;
+        let s = find_best_split(&device, &hist, &[0], &[-5.0], &[3.0], 10, &p);
+        assert!(s.is_none(), "an empty child was admitted: {s:?}");
+        assert_eq!(p.min_child(), 1);
     }
 
     #[test]

@@ -51,6 +51,11 @@ pub struct TrainReport {
     /// on one device, where a level's builds of one method share one
     /// kernel; empty on a device group, which charges each build.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
+    /// Feature columns the widest tree built histograms over
+    /// ([`GrowResult::features_built`]).
+    pub features_built: usize,
+    /// Feature columns binned to a single bin: no tree builds them.
+    pub features_one_bin: usize,
 }
 
 impl TrainReport {
@@ -323,6 +328,8 @@ pub(crate) fn boost(
     let default_loss = loss_for_task(ds.task());
     let loss = custom_loss.unwrap_or(default_loss.as_ref());
     let all_features: Vec<u32> = (0..m as u32).collect();
+    let features_one_bin = m - binned.splittable(&all_features).len();
+    let mut features_built = 0;
     let mut trees = Vec::with_capacity(config.num_trees);
     let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
     let mut hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches> = BTreeMap::new();
@@ -474,6 +481,7 @@ pub(crate) fn boost(
             sum.nodes += seen.nodes;
             sum.launches += seen.launches;
         }
+        features_built = features_built.max(grown.features_built);
         for (method, count) in grown.methods_used {
             *hist_methods.entry(method).or_insert(0) += count;
             if let Some(tl) = tel {
@@ -541,6 +549,8 @@ pub(crate) fn boost(
         model,
         hist_methods,
         hist_launches,
+        features_built,
+        features_one_bin,
     };
     let curve = valid.map(|_| (history, best.1));
     Ok((report, curve))

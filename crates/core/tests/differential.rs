@@ -11,17 +11,21 @@
 //! Three seeded dataset families cover the paper's task spread:
 //! regression (RF1-like), multiclass (MNIST-like), and sparse
 //! multilabel (NUS-WIDE-like).
+//!
+//! The second half pins what skipping one-bin columns may not change:
+//! appended constant columns leave every placement's trees, and one
+//! device's histogram and split-evaluation time, bit-identical.
 
 use gbdt_baselines::{CpuMoTrainer, CpuStorage};
 use gbdt_core::config::{HistogramMethod, TrainConfig};
 use gbdt_core::tree::Node;
-use gbdt_core::GpuTrainer;
+use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer};
 use gbdt_data::synth::{
     make_classification, make_multilabel, make_regression, ClassificationSpec, MultilabelSpec,
     RegressionSpec,
 };
-use gbdt_data::Dataset;
-use gpusim::Device;
+use gbdt_data::{Dataset, DenseMatrix};
+use gpusim::{Device, DeviceGroup, Phase};
 
 fn datasets() -> Vec<(&'static str, Dataset)> {
     vec![
@@ -181,6 +185,206 @@ fn predictions_agree_with_oracle() {
                 (a - b).abs() <= 1e-5 * b.abs().max(1.0),
                 "{tag}: prediction {i}: gpu={a} cpu={b}"
             );
+        }
+    }
+}
+
+/// `ds` with `extra` columns appended: alternately all-zero and a
+/// non-zero constant, so each bins to a single bin and can never split.
+fn with_constant_columns(ds: &Dataset, extra: usize) -> Dataset {
+    let (n, m) = (ds.n(), ds.m());
+    let mut values = Vec::with_capacity(n * (m + extra));
+    for i in 0..n {
+        values.extend_from_slice(ds.features().row(i));
+        values.extend((0..extra).map(|j| if j % 2 == 0 { 0.0 } else { 2.5 }));
+    }
+    Dataset::new(
+        DenseMatrix::new(n, m + extra, values),
+        ds.targets().to_vec(),
+        ds.d(),
+        ds.task(),
+    )
+}
+
+/// Every split's feature, bin, threshold bits and children, and every
+/// leaf value's bits, tree by tree.
+fn tree_bits(model: &gbdt_core::model::Model) -> Vec<Vec<u64>> {
+    model
+        .trees
+        .iter()
+        .map(|tree| {
+            let mut words = Vec::new();
+            for node in tree.nodes() {
+                match node {
+                    Node::Split {
+                        feature,
+                        bin,
+                        threshold,
+                        left,
+                        right,
+                    } => words.extend([
+                        u64::from(*feature),
+                        u64::from(*bin),
+                        u64::from(threshold.to_bits()),
+                        u64::from(*left),
+                        u64::from(*right),
+                    ]),
+                    Node::Leaf { value } => {
+                        words.extend(value.iter().map(|v| u64::from(v.to_bits())))
+                    }
+                }
+            }
+            words
+        })
+        .collect()
+}
+
+/// A one-bin column has no split that leaves both children non-empty,
+/// so skipping it must not move a tree: appending constant columns
+/// leaves the trees bit-identical on one device and on every placement
+/// of a device group. With 12 real and 6 constant columns, the last of
+/// three feature-parallel devices owns only constant columns.
+#[test]
+fn constant_columns_leave_trees_bit_identical_on_every_placement() {
+    let base = make_classification(&ClassificationSpec {
+        instances: 300,
+        features: 12,
+        classes: 4,
+        informative: 8,
+        sparsity: 0.3,
+        seed: 5,
+        ..Default::default()
+    });
+    let wide = with_constant_columns(&base, 6);
+    for streams in [1, 4] {
+        let cfg = TrainConfig {
+            streams,
+            ..config()
+        };
+        let want = tree_bits(&GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit(&base));
+        let single = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit(&wide);
+        assert_eq!(tree_bits(&single), want, "one device, streams={streams}");
+        for k in 1..=3 {
+            for strategy in [
+                MultiGpuStrategy::FeatureParallel,
+                MultiGpuStrategy::DataParallel,
+            ] {
+                let group = DeviceGroup::rtx4090s(k);
+                let model = MultiGpuTrainer::with_strategy(group, cfg.clone(), strategy).fit(&wide);
+                assert_eq!(
+                    tree_bits(&model),
+                    want,
+                    "{strategy:?}({k}), streams={streams}"
+                );
+            }
+        }
+    }
+}
+
+/// The columns skipped are never charged: with the method fixed, the
+/// histogram and split-evaluation ns of a fit do not see appended
+/// constant columns, and neither do a sparse-aware fit's histogram ns,
+/// whose density counts only the columns built.
+#[test]
+fn constant_columns_cost_no_histogram_or_split_time() {
+    let (_, base) = datasets().swap_remove(2);
+    let wide = with_constant_columns(&base, 5);
+    let phases = |cfg: &TrainConfig, ds: &Dataset| {
+        let r = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_report(ds);
+        assert_eq!(r.features_built + r.features_one_bin, ds.m());
+        let ns = |p| r.sim.by_phase.get(&p).copied().unwrap_or(0.0).to_bits();
+        (
+            ns(Phase::Histogram),
+            ns(Phase::SplitEval),
+            r.features_one_bin,
+        )
+    };
+    let smem = config().with_hist_method(HistogramMethod::SharedMemory);
+    let (hist, split, skipped) = phases(&smem, &wide);
+    let (base_hist, base_split, base_skipped) = phases(&smem, &base);
+    assert_eq!((hist, split), (base_hist, base_split));
+    assert_eq!(skipped, base_skipped + 5);
+    let mut sparse = config();
+    sparse.hist.sparse_aware = true;
+    assert_eq!(phases(&sparse, &wide).0, phases(&sparse, &base).0);
+}
+
+/// With no column that can split, every placement grows single-leaf
+/// trees.
+#[test]
+fn an_all_constant_dataset_trains_to_single_leaf_trees() {
+    let base = datasets().swap_remove(0).1;
+    let flat = Dataset::new(
+        DenseMatrix::new(base.n(), 4, vec![1.0; base.n() * 4]),
+        base.targets().to_vec(),
+        base.d(),
+        base.task(),
+    );
+    let r = GpuTrainer::new(Device::rtx4090(), config()).fit_report(&flat);
+    assert_eq!((r.features_built, r.features_one_bin), (0, 4));
+    let mut models = vec![r.model];
+    for strategy in [
+        MultiGpuStrategy::FeatureParallel,
+        MultiGpuStrategy::DataParallel,
+    ] {
+        let group = DeviceGroup::rtx4090s(2);
+        models.push(MultiGpuTrainer::with_strategy(group, config(), strategy).fit(&flat));
+    }
+    for model in &models {
+        assert_eq!(model.trees.len(), config().num_trees);
+        assert!(model.trees.iter().all(|t| t.num_nodes() == 1));
+    }
+    assert_eq!(tree_bits(&models[1]), tree_bits(&models[0]));
+    assert_eq!(tree_bits(&models[2]), tree_bits(&models[0]));
+}
+
+/// `min_instances: 0` still never leaves a child empty: every split of
+/// every tree routes at least one training row to each side, on data
+/// with constant columns, whose only boundaries send every row left.
+#[test]
+fn no_split_leaves_a_child_empty_at_min_instances_zero() {
+    for (tag, base) in datasets() {
+        let ds = with_constant_columns(&base, 2);
+        let cfg = TrainConfig {
+            min_instances: 0,
+            min_gain: 0.0,
+            max_depth: 8,
+            ..config()
+        };
+        let model = GpuTrainer::new(Device::rtx4090(), cfg).fit(&ds);
+        for (t, tree) in model.trees.iter().enumerate() {
+            let mut rows = vec![0usize; tree.num_nodes()];
+            for i in 0..ds.n() {
+                let row = ds.features().row(i);
+                let mut at = 0usize;
+                loop {
+                    rows[at] += 1;
+                    match &tree.nodes()[at] {
+                        Node::Split {
+                            feature,
+                            threshold,
+                            left,
+                            right,
+                            ..
+                        } => {
+                            at = if row[*feature as usize] <= *threshold {
+                                *left as usize
+                            } else {
+                                *right as usize
+                            }
+                        }
+                        Node::Leaf { .. } => break,
+                    }
+                }
+            }
+            for (i, node) in tree.nodes().iter().enumerate() {
+                if let Node::Split { left, right, .. } = node {
+                    assert!(
+                        rows[*left as usize] > 0 && rows[*right as usize] > 0,
+                        "{tag}: tree {t} node {i} leaves a child empty"
+                    );
+                }
+            }
         }
     }
 }

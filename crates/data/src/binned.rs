@@ -195,6 +195,11 @@ impl SparseBinned {
         (&self.row_indices[s..e], &self.bins[s..e])
     }
 
+    /// Explicit entries of feature `f`.
+    pub fn col_nnz(&self, f: usize) -> usize {
+        self.col_pointers[f + 1] - self.col_pointers[f]
+    }
+
     /// Implicit bin of feature `f`'s absent entries.
     pub fn zero_bin(&self, f: usize) -> u8 {
         self.zero_bins[f]
@@ -260,6 +265,18 @@ impl BinnedDataset {
     /// Number of features.
     pub fn m(&self) -> usize {
         self.bins.m()
+    }
+
+    /// The columns of `features` that can split, in their given order:
+    /// those binned to more than one bin. Every instance of a one-bin
+    /// column shares its bin, so no threshold leaves both children
+    /// non-empty and its histogram never decides a split.
+    pub fn splittable(&self, features: &[u32]) -> Vec<u32> {
+        features
+            .iter()
+            .copied()
+            .filter(|&f| self.cuts.num_bins(f as usize) > 1)
+            .collect()
     }
 }
 
@@ -339,6 +356,23 @@ mod tests {
         let f = DenseMatrix::new(n, 1, vals);
         let ds = BinnedDataset::build(&f, 256);
         assert!(ds.sparse.memory_bytes() < ds.bins.memory_bytes());
+    }
+
+    #[test]
+    fn only_columns_with_two_bins_are_splittable() {
+        // Columns: varying, constant, all-zero, varying.
+        let f = DenseMatrix::from_rows(&[
+            vec![0.0, 3.0, 0.0, 1.0],
+            vec![1.0, 3.0, 0.0, 2.0],
+            vec![2.0, 3.0, 0.0, 1.0],
+        ]);
+        let ds = BinnedDataset::build(&f, 16);
+        assert_eq!(ds.splittable(&[0, 1, 2, 3]), vec![0, 3]);
+        assert_eq!(ds.splittable(&[3, 1]), vec![3]);
+        assert!(ds.splittable(&[1, 2]).is_empty());
+        assert_eq!(ds.sparse.col_nnz(0), 2);
+        assert_eq!(ds.sparse.col_nnz(1), 3);
+        assert_eq!(ds.sparse.col_nnz(2), 0);
     }
 
     #[test]

@@ -28,8 +28,10 @@ echo "==> bitwise pins under release codegen"
 # host loops differently. Re-run the tree/charge golden table, the
 # bit-for-bit histogram, split and contention-sampling tests, the
 # thread-count independence of grown trees, the equality of data-
-# and feature-parallel trees, and the trees and histogram/split time
-# that appended constant columns must not move, in the release profile.
+# and feature-parallel trees, the data-parallel level schedule
+# (smallest builds first, gapless reduce-scatters), and the trees and
+# histogram/split time that appended constant columns must not move, in
+# the release profile.
 cargo test --release -q -p gbdt-core --test layout_golden
 cargo test --release -q -p gbdt-core --test differential -- constant
 cargo test --release -q -p gbdt-core --lib -- \
@@ -37,7 +39,8 @@ cargo test --release -q -p gbdt-core --lib -- \
   split::tests::best_split_matches_a_scalar_reference_bit_for_bit \
   hist::stats::tests::measure_is_bit_identical_to_the_sort_based_reference \
   grow::tests::trees_do_not_depend_on_the_thread_count \
-  multigpu::tests::data_parallel_trees_equal_feature_parallel_trees_bit_for_bit
+  multigpu::tests::data_parallel_trees_equal_feature_parallel_trees_bit_for_bit \
+  multigpu::tests::data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"
 # The benchmark is a package of its own (benchmark/Cargo.toml), so the

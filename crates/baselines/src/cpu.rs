@@ -74,7 +74,9 @@ impl CpuMoTrainer {
             min_instances: self.config.min_instances,
             segments_c: self.config.segments_per_block_c,
         };
-        let features: Vec<u32> = (0..ds.m() as u32).collect();
+        // Only the columns that can split are built and scanned, as in
+        // the GPU growers, so both sides of Table 4 do the same work.
+        let features = binned.splittable(&(0..ds.m() as u32).collect::<Vec<_>>());
 
         let base = base_scores(ds);
         let mut scores = vec![0.0f32; n * d];
@@ -210,6 +212,7 @@ mod tests {
     use gbdt_core::metrics::accuracy;
     use gbdt_core::trainer::GpuTrainer;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
+    use gbdt_data::DenseMatrix;
 
     fn dataset(sparsity: f64, seed: u64) -> Dataset {
         make_classification(&ClassificationSpec {
@@ -254,6 +257,58 @@ mod tests {
         let cpu = CpuMoTrainer::new(quick_config(), CpuStorage::Dense).fit(&ds);
         let gpu = GpuTrainer::new(Device::rtx4090(), quick_config()).fit(&ds);
         assert_eq!(cpu.predict(ds.features()), gpu.predict(ds.features()));
+    }
+
+    /// `ds` with `extra` one-bin columns appended (zero, then a
+    /// non-zero constant).
+    fn with_constant_columns(ds: &Dataset, extra: usize) -> Dataset {
+        let (n, m) = (ds.n(), ds.m());
+        let mut values = Vec::with_capacity(n * (m + extra));
+        for i in 0..n {
+            values.extend_from_slice(ds.features().row(i));
+            values.extend((0..extra).map(|j| if j % 2 == 0 { 0.0 } else { 2.5 }));
+        }
+        Dataset::new(
+            DenseMatrix::new(n, m + extra, values),
+            ds.targets().to_vec(),
+            ds.d(),
+            ds.task(),
+        )
+    }
+
+    #[test]
+    fn constant_columns_leave_cpu_trees_unchanged() {
+        let base = dataset(0.3, 6);
+        let wide = with_constant_columns(&base, 5);
+        for min_instances in [0, 5] {
+            let cfg = TrainConfig {
+                min_instances,
+                ..quick_config()
+            };
+            for storage in [CpuStorage::Dense, CpuStorage::Sparse] {
+                let want = CpuMoTrainer::new(cfg.clone(), storage).fit(&base);
+                let got = CpuMoTrainer::new(cfg.clone(), storage).fit(&wide);
+                assert_eq!(
+                    got.trees, want.trees,
+                    "{storage:?}, min_instances {min_instances}"
+                );
+            }
+        }
+        // With no column that can split, every tree is one leaf.
+        let (n, d) = (base.n(), base.d());
+        let flat = Dataset::new(
+            DenseMatrix::new(n, 2, vec![2.5; n * 2]),
+            base.targets().to_vec(),
+            d,
+            base.task(),
+        );
+        for storage in [CpuStorage::Dense, CpuStorage::Sparse] {
+            let model = CpuMoTrainer::new(quick_config(), storage).fit(&flat);
+            assert!(
+                model.trees.iter().all(|t| t.num_nodes() == 1),
+                "{storage:?}"
+            );
+        }
     }
 
     #[test]

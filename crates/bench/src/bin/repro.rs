@@ -1469,21 +1469,44 @@ fn bench_cmd(opts: &Opts) -> bool {
             MultiGpuStrategy::DataParallel,
         )
         .fit_report(&train);
-        let streamed = MultiGpuTrainer::with_strategy(
+        let trainer = MultiGpuTrainer::with_strategy(
             DeviceGroup::rtx4090s(gpus),
             cfg.clone().with_streams(streams),
             MultiGpuStrategy::DataParallel,
-        )
-        .fit_report(&train);
+        );
+        let streamed = trainer.fit_report(&train);
         if serial.model.predict(train.features()) != streamed.model.predict(train.features()) {
             eprintln!("error: streamed multi-GPU schedule changed the model on {name}");
             return false;
         }
         let cut = 100.0 * (1.0 - streamed.sim_seconds / serial.sim_seconds);
+        // Per level on the lead: its builds and reduce-scatters pipeline
+        // at best to the longer of the two, so Σ max(build, reduce-
+        // scatter) bounds the levels' walls from below; the rest is
+        // pipeline fill and drain.
+        let (mut walls, mut bound) = (0.0, 0.0);
+        for level in trainer.group().device(0).scope_spans("level") {
+            let (mut build, mut reduce) = (0.0, 0.0);
+            for r in &level.records {
+                if r.phase == Phase::Histogram {
+                    build += r.ns;
+                } else if r.name == "hist_reduce_scatter" {
+                    reduce += r.ns;
+                }
+            }
+            walls += level.close_ns - level.open_ns;
+            bound += build.max(reduce);
+        }
         println!(
             "== bench: multi-GPU stream overlap ({name}, data-parallel, {gpus} GPUs) ==\n\
-             serial {:.4}s -> {streams} streams {:.4}s  (sim-ns -{cut:.1}%, overlap_saved {:.0} ns; models bit-identical)",
-            serial.sim_seconds, streamed.sim_seconds, streamed.sim.overlap_saved_ns
+             serial {:.4}s -> {streams} streams {:.4}s  (sim-ns -{cut:.1}%, overlap_saved {:.0} ns, waited {:.0} ns; models bit-identical)\n\
+             levels on the lead: walls {:.4} ms vs Σ max(build, reduce-scatter) {:.4} ms",
+            serial.sim_seconds,
+            streamed.sim_seconds,
+            streamed.sim.overlap_saved_ns,
+            streamed.sim.waited_ns,
+            walls * 1e-6,
+            bound * 1e-6
         );
     }
 

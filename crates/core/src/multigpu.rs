@@ -35,7 +35,9 @@
 //! With `streams > 1` the histogram builds run on their own stream and
 //! collectives drain on a comm stream: a node's reduce-scatter while
 //! the next node builds, the bitmap exchange while the next level's
-//! builds start.
+//! builds start. A data-parallel level issues its builds, each with its
+//! reduce-scatter, smallest node first, so the comm stream starts early
+//! and stays busy.
 //!
 //! ## Fault recovery
 //!
@@ -504,6 +506,41 @@ impl Placement for Group<'_> {
         // chunk of the in-flight bitmap exchange, whose tail they
         // overlap.
         let mut level_fence: Option<Event> = None;
+        // Data-parallel groups reduce-scatter every built node.
+        let reduces = data_parallel && k > 1;
+        let builds = |instances: &[u32]| instances.len() >= 2 * self.config.min_instances;
+        // Each device charges the build of its slice of a node: its
+        // feature range, or its instance shard.
+        let charge_build = |instances: &[u32], methods_used: &mut BTreeMap<_, usize>| {
+            for (rank, dev) in devices.iter().enumerate() {
+                let (feats, idx) = match self.strategy {
+                    MultiGpuStrategy::FeatureParallel => {
+                        let (lo, hi) = ranges[rank];
+                        if lo == hi {
+                            continue;
+                        }
+                        (&features[lo..hi], instances)
+                    }
+                    MultiGpuStrategy::DataParallel => {
+                        let shard = &instances[shard_range(instances.len(), k, rank)];
+                        if shard.is_empty() {
+                            continue;
+                        }
+                        (features, shard)
+                    }
+                };
+                let ctx = HistContext {
+                    device: dev,
+                    data: binned,
+                    grads,
+                    features: feats,
+                    bins: self.config.max_bins,
+                    opts: self.config.hist,
+                };
+                let method = charge_method_on(&ctx, idx, ctx.opts.method, hist_stream);
+                *methods_used.entry(method).or_insert(0) += 1;
+            }
+        };
 
         for depth in 0..max_depth {
             let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
@@ -524,44 +561,30 @@ impl Placement for Group<'_> {
             let mut candidate_bytes = vec![0usize; k];
             let mut flag_bytes = vec![0usize; k];
             let mut routed = vec![0usize; k];
+            if reduces {
+                // Each build feeds a reduce-scatter of fixed length: a
+                // two-stage flow shop, whose makespan Johnson's rule
+                // minimizes by issuing the smallest builds first (ties
+                // to the lower frontier index). All of them are charged
+                // before the node loop below, which charges nothing of
+                // a data-parallel level until its end.
+                let mut order: Vec<usize> = (0..frontier.len())
+                    .filter(|&i| builds(&frontier[i].1))
+                    .collect();
+                order.sort_by_key(|&i| frontier[i].1.len());
+                for i in order {
+                    charge_build(&frontier[i].1, &mut grown.methods_used);
+                    reduce_scatter_node(&group, hist_bytes, streamed);
+                }
+            }
             for (node, instances, g, h) in frontier {
-                if instances.len() < 2 * self.config.min_instances {
+                if !builds(&instances) {
                     self.close_leaf(&mut grown, node, instances, &g, &h);
                     continue;
                 }
                 built += 1;
-                // Each device charges the build of its slice of the
-                // node: its feature range, or its instance shard.
-                for (rank, dev) in devices.iter().enumerate() {
-                    let (feats, idx) = match self.strategy {
-                        MultiGpuStrategy::FeatureParallel => {
-                            let (lo, hi) = ranges[rank];
-                            if lo == hi {
-                                continue;
-                            }
-                            (&features[lo..hi], &instances[..])
-                        }
-                        MultiGpuStrategy::DataParallel => {
-                            let shard = &instances[shard_range(instances.len(), k, rank)];
-                            if shard.is_empty() {
-                                continue;
-                            }
-                            (features, shard)
-                        }
-                    };
-                    let ctx = HistContext {
-                        device: dev,
-                        data: binned,
-                        grads,
-                        features: feats,
-                        bins: self.config.max_bins,
-                        opts: self.config.hist,
-                    };
-                    let method = charge_method_on(&ctx, idx, ctx.opts.method, hist_stream);
-                    *grown.methods_used.entry(method).or_insert(0) += 1;
-                }
-                if data_parallel && k > 1 {
-                    reduce_scatter_node(&group, hist_bytes, streamed);
+                if !reduces {
+                    charge_build(&instances, &mut grown.methods_used);
                 }
                 // Functional accumulation once (identical results).
                 let full_ctx = HistContext {
@@ -862,8 +885,9 @@ mod tests {
     use crate::loss::loss_for_task;
     use crate::metrics::accuracy;
     use crate::trainer::GpuTrainer;
+    use crate::tree::Node;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
-    use gpusim::Device;
+    use gpusim::{Device, KernelRecord};
 
     fn dataset(seed: u64) -> Dataset {
         make_classification(&ClassificationSpec {
@@ -1237,6 +1261,151 @@ mod tests {
         );
     }
 
+    /// The rows reaching each node of each level the grower visited,
+    /// in frontier (node-index) order.
+    fn level_rows(tree: &Tree, ds: &Dataset, max_depth: usize) -> Vec<Vec<usize>> {
+        let mut rows = vec![0usize; tree.num_nodes()];
+        for i in 0..ds.n() {
+            let row = ds.features().row(i);
+            let mut at = 0usize;
+            loop {
+                rows[at] += 1;
+                match &tree.nodes()[at] {
+                    Node::Leaf { .. } => break,
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                        ..
+                    } => {
+                        let v = row[*feature as usize];
+                        at = if v > *threshold { *right } else { *left } as usize;
+                    }
+                }
+            }
+        }
+        let mut levels = Vec::new();
+        let mut frontier = vec![0usize];
+        for _ in 0..max_depth {
+            levels.push(frontier.iter().map(|&n| rows[n]).collect());
+            frontier = frontier
+                .iter()
+                .filter_map(|&n| match &tree.nodes()[n] {
+                    Node::Split { left, right, .. } => Some([*left as usize, *right as usize]),
+                    Node::Leaf { .. } => None,
+                })
+                .flatten()
+                .collect();
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        levels
+    }
+
+    #[test]
+    fn data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives() {
+        // Sort-and-reduce prices a build by its row count alone, so the
+        // order of a level's build durations is the order of the shard
+        // rows they were issued for. A histogram whose collective
+        // outlasts the small builds of deep levels.
+        let ds = make_classification(&ClassificationSpec {
+            instances: 3000,
+            features: 24,
+            classes: 24,
+            informative: 16,
+            seed: 8,
+            ..Default::default()
+        });
+        let cfg = TrainConfig {
+            num_trees: 3,
+            max_depth: 6,
+            max_bins: 255,
+            streams: 4,
+            hist: HistOptions {
+                method: crate::HistogramMethod::SortReduce,
+                ..HistOptions::default()
+            },
+            ..quick_config()
+        };
+        let k = 2;
+        let trainer = MultiGpuTrainer::with_strategy(
+            DeviceGroup::rtx4090s(k),
+            cfg.clone(),
+            MultiGpuStrategy::DataParallel,
+        );
+        let model = trainer.fit(&ds);
+        let levels: Vec<Vec<usize>> = model
+            .trees
+            .iter()
+            .flat_map(|t| level_rows(t, &ds, cfg.max_depth))
+            .collect();
+        let built = |level: &[usize]| -> Vec<usize> {
+            let rows = level.iter().copied();
+            rows.filter(|&rows| rows >= 2 * cfg.min_instances).collect()
+        };
+        assert!(
+            levels.iter().any(|l| !built(l).is_sorted()),
+            "some level's frontier order must differ from its row order"
+        );
+        // Only the lead logs level scopes.
+        let spans = trainer.group().device(0).scope_spans("level");
+        assert_eq!(spans.len(), levels.len(), "one level scope per grown level");
+        // The lead's shard rows → build ns over the whole fit: a
+        // strictly increasing function when every level issued its
+        // builds in non-decreasing shard-row order.
+        let mut price: BTreeMap<usize, f64> = BTreeMap::new();
+        let (mut gapless, mut spans_checked) = (0usize, 0usize);
+        for (depth, (level, span)) in levels.iter().zip(&spans).enumerate() {
+            let mut want = built(level);
+            want.sort_unstable();
+            let of = |name: &str| -> Vec<KernelRecord> {
+                span.records
+                    .iter()
+                    .filter(|r| r.name == name)
+                    .copied()
+                    .collect()
+            };
+            let (builds, collectives) = (of("hist_sort_reduce"), of("hist_reduce_scatter"));
+            assert_eq!(builds.len(), want.len(), "level {depth}: builds issued");
+            assert_eq!(collectives.len(), want.len(), "level {depth}: collectives");
+            for (b, rows) in builds.iter().zip(&want) {
+                let rows = shard_range(*rows, k, 0).len();
+                let ns = *price.entry(rows).or_insert(b.ns);
+                assert_eq!(
+                    ns.to_bits(),
+                    b.ns.to_bits(),
+                    "{rows} shard rows priced two ways: builds out of row order"
+                );
+            }
+            // Reduce-scatter j + 1 waits for build j + 1 on the lead,
+            // the slowest rank. Sorted ascending, no prefix of the builds
+            // after the first averages more than all of them, so when
+            // their sum is within m - 1 reduce-scatters, each lands
+            // before the comm stream runs dry.
+            let waited_on: f64 = builds.iter().skip(1).map(|b| b.ns).sum();
+            let draining: f64 = collectives.iter().skip(1).map(|c| c.ns).sum();
+            if collectives.len() > 1 && waited_on <= draining {
+                spans_checked += 1;
+                let contiguous = collectives
+                    .windows(2)
+                    .all(|w| w[1].start_ns == w[0].start_ns + w[0].ns);
+                gapless += usize::from(contiguous);
+            }
+        }
+        let ns: Vec<f64> = price.values().copied().collect();
+        assert!(
+            ns.windows(2).all(|w| w[0] < w[1]),
+            "builds out of shard-row order: {price:?}"
+        );
+        assert!(
+            spans_checked > 0,
+            "no level's reduce-scatters outweigh its builds"
+        );
+        assert_eq!(gapless, spans_checked, "a comm stream idled inside a level");
+    }
+
     /// Every node of every tree as raw words: structure, split
     /// features, bins, threshold bits and leaf-value bits.
     fn tree_bits(model: &Model) -> Vec<Vec<u64>> {
@@ -1247,7 +1416,7 @@ mod tests {
                 let mut words = Vec::new();
                 for node in tree.nodes() {
                     match node {
-                        crate::tree::Node::Split {
+                        Node::Split {
                             feature,
                             bin,
                             threshold,
@@ -1260,7 +1429,7 @@ mod tests {
                             u64::from(*left),
                             u64::from(*right),
                         ]),
-                        crate::tree::Node::Leaf { value } => {
+                        Node::Leaf { value } => {
                             words.extend(value.iter().map(|v| u64::from(v.to_bits())))
                         }
                     }

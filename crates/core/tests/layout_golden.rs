@@ -53,7 +53,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xc07737cd824b8d2c),
     ("Adaptive/subtraction", 0xded628e5fad8ea62, 0xebee14d147838055),
     ("FP(2)", 0xded628e5fad8ea62, 0x10db0a1466b56df4),
-    ("DP(2)", 0xded628e5fad8ea62, 0x3befa4518d3f6ca1),
+    ("DP(2)", 0xded628e5fad8ea62, 0x80e909aa57d0ea6b),
 ];
 
 #[rustfmt::skip]
@@ -64,28 +64,28 @@ const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
     ("FP(1)/streams4/top2", 0xb57e312722dd05d1, 0x1b618479c48a06c9),
     ("FP(2)/streams1/none", 0xe4ce8dcfe9b18b8a, 0xef67ef696fe7935d),
     ("FP(2)/streams1/top2", 0xa77d64d0c60987c4, 0xd9015bfd0e804e51),
-    ("FP(2)/streams4/none", 0x16ae2f95ac775d4d, 0x11d392511e05fb16),
-    ("FP(2)/streams4/top2", 0x392e377cbed543bf, 0x815a43329f1cb05a),
+    ("FP(2)/streams4/none", 0x16ae2f95ac775d4d, 0x97674f1eab64baf7),
+    ("FP(2)/streams4/top2", 0x392e377cbed543bf, 0xeaadbb91fc4dd872),
     ("FP(3)/streams1/none", 0x330f5e284852b606, 0xdbea5c08337aa153),
     ("FP(3)/streams1/top2", 0x0daa6823f9048f5b, 0xf9f97ec3d1dda71c),
-    ("FP(3)/streams4/none", 0xffc9e0f330216a68, 0xc2c25f53d4aa6f70),
-    ("FP(3)/streams4/top2", 0x1db35566f8494a6a, 0x0e6072d2f7baf9cc),
+    ("FP(3)/streams4/none", 0xffc9e0f330216a68, 0x74d829a0be6b3c9d),
+    ("FP(3)/streams4/top2", 0x1db35566f8494a6a, 0x47b7e1bf084b584e),
     ("FP(3)/transient", 0xafa3f88de2bc6ab2, 0xcae0214a60f35cc1),
     ("FP(3)/lost", 0xc9c4197324534a76, 0xc909273c95dc4638),
     ("DP(1)/streams1/none", 0xa11a7a09228eab89, 0x97465ff69a01efc6),
     ("DP(1)/streams1/top2", 0xb458d03b218f559e, 0xde4f8568254add6f),
     ("DP(1)/streams4/none", 0xb0f306690946b9a5, 0x97465ff69a01efc6),
     ("DP(1)/streams4/top2", 0x2214be8f79e89ebb, 0xde4f8568254add6f),
-    ("DP(2)/streams1/none", 0xd4b5cffcd54247c7, 0x8e3f1bfe294f3ddd),
-    ("DP(2)/streams1/top2", 0xa3a673d8469592c1, 0x125973781d485a3d),
-    ("DP(2)/streams4/none", 0x95b6d52ec8b4f078, 0x24bbbd6c4132d803),
-    ("DP(2)/streams4/top2", 0xa8c65840212e3502, 0xa767aed894aae258),
-    ("DP(3)/streams1/none", 0xf6352ea18ffba4c6, 0x28383733b02a0ddc),
-    ("DP(3)/streams1/top2", 0x8b72a1f008d33fdc, 0x3876f5831dc5683d),
-    ("DP(3)/streams4/none", 0x229897f740207702, 0xd3f42cda6b5267f4),
-    ("DP(3)/streams4/top2", 0xa89cf12c90f1994a, 0xf867c6e7c2707edb),
-    ("DP(3)/transient", 0x264635b2b82b2cbc, 0x24b66699e991dafe),
-    ("DP(3)/lost", 0x440f8f2187e1c805, 0x735b90495613e1fd),
+    ("DP(2)/streams1/none", 0x6770d1f90afc9385, 0x8e3f1bfe294f3ddd),
+    ("DP(2)/streams1/top2", 0x8d14a4fb2a14be75, 0x125973781d485a3d),
+    ("DP(2)/streams4/none", 0xeabbbaf46cad02b0, 0xfcd81fd96475ea04),
+    ("DP(2)/streams4/top2", 0xc0b1df5a4bb89f10, 0xfbebfb017e7a7df1),
+    ("DP(3)/streams1/none", 0x23f5b8d18f22f5cf, 0x28383733b02a0ddc),
+    ("DP(3)/streams1/top2", 0x866d9d4727177815, 0x3876f5831dc5683d),
+    ("DP(3)/streams4/none", 0x428aa99b70e950d7, 0x23a68077b74af4bc),
+    ("DP(3)/streams4/top2", 0x2bdd4f7441d0178a, 0xb1ae47be761d104f),
+    ("DP(3)/transient", 0x5041238f5add56c9, 0x24b66699e991dafe),
+    ("DP(3)/lost", 0x7c8d32b8a63fe751, 0x735b90495613e1fd),
 ];
 
 fn dataset() -> Dataset {

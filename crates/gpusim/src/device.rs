@@ -4,7 +4,7 @@ use crate::buffer::GpuBuffer;
 use crate::cost::{CostModel, CostParams, KernelCost};
 use crate::fault::{Bits32, FaultInjector, FaultPlan, FaultReport, GpuFault};
 use crate::occupancy::{occupancy, BlockResources, SmLimits};
-use crate::prof::{self, ProfScope, ProfileSummary};
+use crate::prof::{self, ProfScope, ProfileSummary, ScopeSpan};
 use crate::sanitize::{SanitizeMode, SanitizeReport, Sanitizer};
 use crate::timeline::{Entry, Event, Ledger, LedgerSummary, Mark};
 use crate::KernelRecord;
@@ -460,6 +460,14 @@ impl Device {
         if let Some(tel) = &st.telemetry {
             tel.count_logged(Logged::Span);
         }
+    }
+
+    /// Each closed instance of scope `kind` in the retained log, with
+    /// its open and close clocks and the charges issued inside it. A
+    /// view of the log like [`Device::records`]: available with the
+    /// profiler on or off.
+    pub fn scope_spans(&self, kind: &str) -> Vec<ScopeSpan> {
+        prof::scope_spans(&self.state.lock().ledger, kind)
     }
 
     /// The schema-versioned profile summary, or `None` when the

@@ -59,7 +59,7 @@ pub use fault::{
     FaultReport, GpuFault,
 };
 pub use prof::{
-    postmortem, KernelStatRow, ProfScope, ProfileSummary, ScopeRow, POSTMORTEM_TAIL,
+    postmortem, KernelStatRow, ProfScope, ProfileSummary, ScopeRow, ScopeSpan, POSTMORTEM_TAIL,
     PROFILE_SCHEMA_VERSION,
 };
 pub use sanitize::{

@@ -24,7 +24,7 @@
 //! aggregates stay exact; the trace and postmortems show the newest.
 
 use crate::device::{Device, Phase};
-use crate::timeline::{Entry, Ledger, Mark};
+use crate::timeline::{Entry, KernelRecord, Ledger, Mark};
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -312,6 +312,62 @@ fn flight_tail(device: usize, ledger: &Ledger, tail: usize) -> (VecDeque<(f64, F
     (kept, left_out)
 }
 
+/// One closed instance of a scope kind in the retained log, for
+/// [`Device::scope_spans`](crate::Device::scope_spans).
+#[derive(Debug, Clone)]
+pub struct ScopeSpan {
+    /// The index the scope was opened with.
+    pub index: Option<u64>,
+    /// Device clock when the scope opened.
+    pub open_ns: f64,
+    /// Device clock when the scope closed.
+    pub close_ns: f64,
+    /// The charges issued while it was open, nested scopes included,
+    /// in issue order.
+    pub records: Vec<KernelRecord>,
+}
+
+/// Every closed instance of scope `kind` that opened in the retained
+/// log, in log order. An instance nested in another of the same kind
+/// belongs to the outer one.
+pub(crate) fn scope_spans(ledger: &Ledger, kind: &str) -> Vec<ScopeSpan> {
+    let mut spans = Vec::new();
+    // Scopes opened in the retained log and still open, and the open
+    // instance of `kind` with the depth it opened at.
+    let mut depth = 0usize;
+    let mut current: Option<(usize, ScopeSpan)> = None;
+    for e in &ledger.log {
+        match e {
+            Entry::Open(mark) => {
+                depth += 1;
+                if current.is_none() && mark.kind == kind {
+                    let span = ScopeSpan {
+                        index: mark.index,
+                        open_ns: mark.at_ns,
+                        close_ns: mark.at_ns,
+                        records: Vec::new(),
+                    };
+                    current = Some((depth, span));
+                }
+            }
+            Entry::Close(mark) => {
+                if current.as_ref().is_some_and(|(at, _)| *at == depth) {
+                    let (_, mut span) = current.take().expect("checked above");
+                    span.close_ns = mark.at_ns;
+                    spans.push(span);
+                }
+                depth = depth.saturating_sub(1);
+            }
+            _ => {
+                if let (Some((_, span)), Some(r)) = (&mut current, e.record()) {
+                    span.records.push(r);
+                }
+            }
+        }
+    }
+    spans
+}
+
 /// The postmortem of a failure on `devices`: each device's last
 /// [`POSTMORTEM_TAIL`] charges, spans and faults, read from its log and
 /// merged across the group in simulated-time order — by the device
@@ -479,6 +535,38 @@ mod tests {
         assert!(k.occupancy_limited, "2 of 3 launches limited");
         assert!(!s.kernels[1].occupancy_limited);
         assert_eq!(s.kernels[1].dram_bytes, 0.0);
+    }
+
+    #[test]
+    fn scope_spans_hold_the_charges_issued_inside_each_instance() {
+        let dev = Device::rtx4090();
+        dev.charge_ns("before", Phase::Other, 1.0);
+        {
+            let _round = dev.prof_scope("round", Some(0));
+            for (level, ns) in [10.0, 15.0].into_iter().enumerate() {
+                let _level = dev.prof_scope("level", Some(level as u64));
+                let _inner = dev.prof_scope("hist_smem", None);
+                dev.stream(1).charge_ns("k", Phase::Histogram, ns);
+                dev.charge_ns("j", Phase::Other, 2.0);
+            }
+            dev.charge_ns("after", Phase::Other, 5.0);
+        }
+        let spans = dev.scope_spans("level");
+        assert_eq!(spans.len(), 2);
+        let names: Vec<Vec<&str>> = spans
+            .iter()
+            .map(|s| s.records.iter().map(|r| r.name).collect())
+            .collect();
+        assert_eq!(names, [["k", "j"], ["k", "j"]]);
+        assert_eq!(spans[1].index, Some(1));
+        assert_eq!(spans[1].records[0].ns, 15.0);
+        assert_eq!(spans[1].records[0].stream, 1);
+        // Clocks are the device makespan at the open and the close:
+        // stream 1's builds outlast stream 0's work.
+        assert_eq!((spans[0].open_ns, spans[0].close_ns), (1.0, 10.0));
+        assert_eq!((spans[1].open_ns, spans[1].close_ns), (10.0, 25.0));
+        assert_eq!(dev.scope_spans("round")[0].records.len(), 5);
+        assert!(dev.scope_spans("serve_batch").is_empty());
     }
 
     #[test]

@@ -182,6 +182,9 @@ pub struct Ledger {
     /// Simulated nanoseconds the serial schedule would have added on
     /// top of the makespan — the win from stream overlap.
     overlap_saved_ns: f64,
+    /// Simulated nanoseconds charges waited past the makespan before
+    /// starting: a fence on another device's event held them back.
+    waited_ns: f64,
 }
 
 impl Default for Ledger {
@@ -213,6 +216,7 @@ impl Ledger {
             compute_slots: compute_slots.max(1),
             negative_charges: 0,
             overlap_saved_ns: 0.0,
+            waited_ns: 0.0,
         }
     }
 
@@ -304,11 +308,18 @@ impl Ledger {
         if end > self.makespan {
             self.makespan = end;
         }
-        // The serial schedule would have finished this charge at
-        // `prev_makespan + ns`; anything earlier is overlap savings.
-        // On the default stream with no other streams in play the two
-        // coincide exactly and the increment is 0.0.
-        self.overlap_saved_ns += (prev_makespan + ns) - self.makespan;
+        if start > prev_makespan {
+            // Held back past the device clock by a fence (only another
+            // device's event lies beyond it): the gap is waiting, not
+            // work, and the charge overlaps nothing.
+            self.waited_ns += start - prev_makespan;
+        } else {
+            // The serial schedule would have finished this charge at
+            // `prev_makespan + ns`; anything earlier is overlap savings.
+            // On the default stream with no other streams in play the
+            // two coincide exactly and the increment is 0.0.
+            self.overlap_saved_ns += (prev_makespan + ns) - self.makespan;
+        }
 
         let record = KernelRecord {
             name,
@@ -424,9 +435,17 @@ impl Ledger {
     }
 
     /// Simulated nanoseconds saved by stream overlap versus the serial
-    /// schedule of the same charges (0 on a serial timeline).
+    /// schedule of the same charges (0 on a serial timeline, never
+    /// negative).
     pub fn overlap_saved_ns(&self) -> f64 {
         self.overlap_saved_ns
+    }
+
+    /// Simulated nanoseconds charges waited past the makespan on
+    /// cross-device fences. The serial sum of the charges plus this
+    /// equals the makespan plus [`Ledger::overlap_saved_ns`].
+    pub fn waited_ns(&self) -> f64 {
+        self.waited_ns
     }
 
     /// The compute-slot concurrency cap.
@@ -443,6 +462,7 @@ impl Ledger {
             dropped_records: self.dropped_records(),
             negative_charges: self.negative_charges,
             overlap_saved_ns: self.overlap_saved_ns,
+            waited_ns: self.waited_ns,
         }
     }
 
@@ -471,6 +491,10 @@ pub struct LedgerSummary {
     /// Simulated nanoseconds saved by stream overlap versus the serial
     /// schedule of the same charges.
     pub overlap_saved_ns: f64,
+    /// Simulated nanoseconds charges waited past the makespan on
+    /// cross-device fences: the phase subtotals plus this equal
+    /// `total_ns + overlap_saved_ns`.
+    pub waited_ns: f64,
 }
 
 impl LedgerSummary {
@@ -499,6 +523,7 @@ impl LedgerSummary {
             dropped_records: self.dropped_records - earlier.dropped_records,
             negative_charges: self.negative_charges - earlier.negative_charges,
             overlap_saved_ns: self.overlap_saved_ns - earlier.overlap_saved_ns,
+            waited_ns: self.waited_ns - earlier.waited_ns,
         }
     }
 
@@ -765,6 +790,23 @@ mod tests {
         // Waiting on an already-passed fence is a no-op.
         l.wait_event(2, Event::at_ns(1.0));
         assert_eq!(l.stream_now(2), 50.0);
+    }
+
+    #[test]
+    fn a_fence_past_the_clock_books_waiting_not_negative_overlap() {
+        let mut l = Ledger::with_slots(16, 4);
+        l.charge_scheduled(1, "build", Phase::Histogram, 40.0, 1);
+        // Another device's event, 25 ns past this device's clock.
+        l.wait_event(2, Event::at_ns(65.0));
+        l.charge_scheduled(2, "collective", Phase::Comm, 10.0, 0);
+        assert_eq!(l.total_ns(), 75.0);
+        assert_eq!(l.waited_ns(), 25.0);
+        assert_eq!(l.overlap_saved_ns(), 0.0);
+        // Work inside the clock still overlaps.
+        l.charge_scheduled(1, "next_build", Phase::Histogram, 20.0, 1);
+        assert_eq!(l.overlap_saved_ns(), 20.0);
+        let s = l.summary();
+        assert_eq!(70.0 + s.waited_ns, s.total_ns + s.overlap_saved_ns);
     }
 
     #[test]

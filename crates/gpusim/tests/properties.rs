@@ -6,7 +6,7 @@ use gpusim::occupancy::{occupancy, BlockResources, SmLimits};
 use gpusim::primitives::{reduce_by_key_sorted, sort_by_key_u32};
 use gpusim::timeline::Ledger;
 use gpusim::warp::sectors_touched;
-use gpusim::{Device, Phase};
+use gpusim::{Device, Event, Phase};
 use proptest::prelude::*;
 
 proptest! {
@@ -120,19 +120,26 @@ proptest! {
 
     /// The multi-stream makespan is sandwiched between the critical
     /// path (no schedule can beat the busiest stream, nor the longest
-    /// single charge) and the serial sum (overlap never slows things
-    /// down), and `overlap_saved_ns` is exactly their gap.
+    /// single charge) and the serial sum plus the time charges waited
+    /// on fences (overlap never slows things down). Fences past the
+    /// clock, as another device's events are, book their gap as
+    /// waiting: `overlap_saved_ns` never goes negative, and the serial
+    /// sum plus the waiting is the makespan plus the savings.
     #[test]
     fn stream_makespan_is_bounded_by_critical_path_and_serial_sum(
         charges in proptest::collection::vec(
-            (0usize..4, 0.0f64..1e6, 0u32..3), 1..200),
+            (0usize..4, 0.0f64..1e6, 0u32..3, 0u32..3, 0.0f64..2e6), 1..200),
         slots in 1u32..8,
     ) {
         let mut l = Ledger::with_slots(0, slots);
         let mut per_stream = [0.0f64; 4];
         let mut serial_sum = 0.0;
         let mut longest = 0.0f64;
-        for &(s, ns, k) in &charges {
+        for &(s, ns, k, wait, ahead) in &charges {
+            if wait == 0 {
+                // A fence up to 2 ms past the device clock.
+                l.wait_event(s, Event::at_ns(l.total_ns() + ahead));
+            }
             l.charge_scheduled(s, "k", Phase::Other, ns, k);
             per_stream[s] += ns;
             serial_sum += ns;
@@ -140,14 +147,22 @@ proptest! {
         }
         let critical = per_stream.iter().cloned().fold(longest, f64::max);
         let makespan = l.total_ns();
-        prop_assert!(makespan <= serial_sum * (1.0 + 1e-12) + 1e-9,
-            "makespan {makespan} exceeds serial sum {serial_sum}");
+        let (saved, waited) = (l.overlap_saved_ns(), l.waited_ns());
+        let tol = 1e-9 * (1.0 + serial_sum + waited);
+        prop_assert!(saved >= 0.0, "overlap_saved {saved} is negative");
+        prop_assert!(waited >= 0.0, "waited {waited} is negative");
+        prop_assert!(makespan <= serial_sum + waited + tol,
+            "makespan {makespan} exceeds serial sum {serial_sum} + waited {waited}");
         prop_assert!(makespan >= critical * (1.0 - 1e-12) - 1e-9,
             "makespan {makespan} beats critical path {critical}");
-        let saved = l.overlap_saved_ns();
-        prop_assert!((saved - (serial_sum - makespan)).abs()
-            <= 1e-9 * (1.0 + serial_sum.abs()),
-            "overlap_saved {saved} != serial {serial_sum} - makespan {makespan}");
+        prop_assert!((serial_sum + waited - (makespan + saved)).abs() <= tol,
+            "serial {serial_sum} + waited {waited} != makespan {makespan} + saved {saved}");
+        if charges.iter().all(|c| c.3 != 0) {
+            prop_assert_eq!(waited.to_bits(), 0.0f64.to_bits());
+        }
+        let summary = l.summary();
+        prop_assert_eq!(summary.waited_ns.to_bits(), waited.to_bits());
+        prop_assert_eq!(summary.overlap_saved_ns.to_bits(), saved.to_bits());
         // Phase subtotals are schedule-independent: the exact charged sum.
         prop_assert!((l.phase_ns(Phase::Other) - serial_sum).abs()
             <= 1e-9 * (1.0 + serial_sum.abs()));

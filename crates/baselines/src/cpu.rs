@@ -211,6 +211,7 @@ mod tests {
     use super::*;
     use gbdt_core::metrics::accuracy;
     use gbdt_core::trainer::GpuTrainer;
+    use gbdt_core::tree::Node;
     use gbdt_data::synth::{make_classification, ClassificationSpec};
     use gbdt_data::DenseMatrix;
 
@@ -259,27 +260,46 @@ mod tests {
         assert_eq!(cpu.predict(ds.features()), gpu.predict(ds.features()));
     }
 
-    /// `ds` with `extra` one-bin columns appended (zero, then a
-    /// non-zero constant).
-    fn with_constant_columns(ds: &Dataset, extra: usize) -> Dataset {
+    /// `ds` with one-bin columns (alternately zero and a non-zero
+    /// constant) at the wide positions `at`, and the original id of each
+    /// wide column that is not one of them.
+    fn with_constant_columns(ds: &Dataset, at: &[usize]) -> (Dataset, Vec<Option<u32>>) {
         let (n, m) = (ds.n(), ds.m());
-        let mut values = Vec::with_capacity(n * (m + extra));
-        for i in 0..n {
-            values.extend_from_slice(ds.features().row(i));
-            values.extend((0..extra).map(|j| if j % 2 == 0 { 0.0 } else { 2.5 }));
+        let mut original = Vec::with_capacity(m + at.len());
+        let mut next = 0u32;
+        for j in 0..m + at.len() {
+            if at.contains(&j) {
+                original.push(None);
+            } else {
+                original.push(Some(next));
+                next += 1;
+            }
         }
-        Dataset::new(
-            DenseMatrix::new(n, m + extra, values),
+        let mut values = Vec::with_capacity(n * original.len());
+        for i in 0..n {
+            let row = ds.features().row(i);
+            values.extend(original.iter().enumerate().map(|(j, orig)| match orig {
+                Some(f) => row[*f as usize],
+                None if j % 2 == 0 => 0.0,
+                None => 2.5,
+            }));
+        }
+        let wide = Dataset::new(
+            DenseMatrix::new(n, original.len(), values),
             ds.targets().to_vec(),
             ds.d(),
             ds.task(),
-        )
+        );
+        (wide, original)
     }
 
     #[test]
     fn constant_columns_leave_cpu_trees_unchanged() {
         let base = dataset(0.3, 6);
-        let wide = with_constant_columns(&base, 5);
+        // One-bin columns first, between splittable ones and last, so a
+        // column's position among the splittable ones differs from its id.
+        let (wide, original) = with_constant_columns(&base, &[0, 4, 5, 9, 16]);
+        assert_eq!(wide.m(), base.m() + 5);
         for min_instances in [0, 5] {
             let cfg = TrainConfig {
                 min_instances,
@@ -288,8 +308,38 @@ mod tests {
             for storage in [CpuStorage::Dense, CpuStorage::Sparse] {
                 let want = CpuMoTrainer::new(cfg.clone(), storage).fit(&base);
                 let got = CpuMoTrainer::new(cfg.clone(), storage).fit(&wide);
+                assert_eq!(got.trees.len(), want.trees.len());
+                for (g, w) in got.trees.iter().zip(&want.trees) {
+                    let mapped: Vec<Node> = g
+                        .nodes()
+                        .iter()
+                        .map(|node| match node.clone() {
+                            Node::Split {
+                                feature,
+                                bin,
+                                threshold,
+                                left,
+                                right,
+                            } => Node::Split {
+                                feature: original[feature as usize]
+                                    .expect("a one-bin column never splits"),
+                                bin,
+                                threshold,
+                                left,
+                                right,
+                            },
+                            leaf => leaf,
+                        })
+                        .collect();
+                    assert_eq!(
+                        mapped,
+                        w.nodes(),
+                        "{storage:?}, min_instances {min_instances}"
+                    );
+                }
                 assert_eq!(
-                    got.trees, want.trees,
+                    got.predict(wide.features()),
+                    want.predict(base.features()),
                     "{storage:?}, min_instances {min_instances}"
                 );
             }

@@ -54,11 +54,15 @@ struct KernelStat {
 }
 
 /// Keep `open` (the open scopes, outermost first) in step with `e` and
-/// hand `f` the scopes open around `e` — for a close, ending with the
-/// scope it closes. Opens, and closes with nothing open, reach nobody.
+/// hand `f` the scopes open around `e` — for an open, ending with the
+/// scope it opens; for a close, ending with the scope it closes. Closes
+/// with nothing open reach nobody.
 fn step(open: &mut Vec<Mark>, e: &Entry, f: impl FnOnce(&[Mark])) {
     match e {
-        Entry::Open(mark) => open.push(*mark),
+        Entry::Open(mark) => {
+            open.push(*mark);
+            f(open);
+        }
         Entry::Close(_) => {
             if !open.is_empty() {
                 f(open);
@@ -332,39 +336,29 @@ pub struct ScopeSpan {
 /// belongs to the outer one.
 pub(crate) fn scope_spans(ledger: &Ledger, kind: &str) -> Vec<ScopeSpan> {
     let mut spans = Vec::new();
-    // Scopes opened in the retained log and still open, and the open
-    // instance of `kind` with the depth it opened at.
-    let mut depth = 0usize;
+    // The open instance of `kind` and the depth of the scope stack it tops.
     let mut current: Option<(usize, ScopeSpan)> = None;
-    for e in &ledger.log {
-        match e {
-            Entry::Open(mark) => {
-                depth += 1;
-                if current.is_none() && mark.kind == kind {
-                    let span = ScopeSpan {
-                        index: mark.index,
-                        open_ns: mark.at_ns,
-                        close_ns: mark.at_ns,
-                        records: Vec::new(),
-                    };
-                    current = Some((depth, span));
-                }
-            }
-            Entry::Close(mark) => {
-                if current.as_ref().is_some_and(|(at, _)| *at == depth) {
-                    let (_, mut span) = current.take().expect("checked above");
-                    span.close_ns = mark.at_ns;
-                    spans.push(span);
-                }
-                depth = depth.saturating_sub(1);
-            }
-            _ => {
-                if let (Some((_, span)), Some(r)) = (&mut current, e.record()) {
-                    span.records.push(r);
-                }
+    walk(ledger, |_, e, open| match e {
+        Entry::Open(mark) if current.is_none() && mark.kind == kind => {
+            let span = ScopeSpan {
+                index: mark.index,
+                open_ns: mark.at_ns,
+                close_ns: mark.at_ns,
+                records: Vec::new(),
+            };
+            current = Some((open.len(), span));
+        }
+        Entry::Close(mark) if current.as_ref().is_some_and(|(at, _)| *at == open.len()) => {
+            let (_, mut span) = current.take().expect("checked above");
+            span.close_ns = mark.at_ns;
+            spans.push(span);
+        }
+        _ => {
+            if let (Some((_, span)), Some(r)) = (&mut current, e.record()) {
+                span.records.push(r);
             }
         }
-    }
+    });
     spans
 }
 

@@ -151,7 +151,7 @@ proptest! {
         let tol = 1e-9 * (1.0 + serial_sum + waited);
         prop_assert!(saved >= 0.0, "overlap_saved {saved} is negative");
         prop_assert!(waited >= 0.0, "waited {waited} is negative");
-        prop_assert!(makespan <= serial_sum + waited + tol,
+        prop_assert!(makespan <= (serial_sum + waited) * (1.0 + 1e-12) + 1e-9,
             "makespan {makespan} exceeds serial sum {serial_sum} + waited {waited}");
         prop_assert!(makespan >= critical * (1.0 - 1e-12) - 1e-9,
             "makespan {makespan} beats critical path {critical}");

@@ -27,8 +27,9 @@ echo "==> bitwise pins under release codegen"
 # benchmark runs opt-level 3 without them, and the two can vectorise the
 # host loops differently. Re-run the tree/charge golden table, the
 # bit-for-bit histogram, split and contention-sampling tests, the
-# thread-count independence of grown trees, the equality of data-
-# and feature-parallel trees, the data-parallel level schedule
+# thread-count independence of grown trees, the pair-local subtraction
+# (bit-identical trees, a pool that frees parents early), the equality
+# of data- and feature-parallel trees, the data-parallel level schedule
 # (smallest builds first, gapless reduce-scatters), and the trees and
 # histogram/split time that appended constant columns must not move, in
 # the release profile.
@@ -39,6 +40,7 @@ cargo test --release -q -p gbdt-core --lib -- \
   split::tests::best_split_matches_a_scalar_reference_bit_for_bit \
   hist::stats::tests::measure_is_bit_identical_to_the_sort_based_reference \
   grow::tests::trees_do_not_depend_on_the_thread_count \
+  grow::tests::subtraction_pairs_resolve_at_their_first_node_and_free_parents_early \
   multigpu::tests::data_parallel_trees_equal_feature_parallel_trees_bit_for_bit \
   multigpu::tests::data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives
 

@@ -12,13 +12,12 @@
 
 use gbdt_core::config::TrainConfig;
 use gbdt_core::grad::Gradients;
-use gbdt_core::grow::partition_stable;
+use gbdt_core::grow::{GrowResult, OpenNode};
 use gbdt_core::hist::{accumulate_dense, accumulate_sparse, HistContext, NodeHistogram};
 use gbdt_core::loss::loss_for_task;
 use gbdt_core::model::Model;
-use gbdt_core::split::{find_best_split_batched, leaf_values, LevelSplitCharges, SplitParams};
+use gbdt_core::split::{find_best_split_constrained, LevelSplitCharges, SplitParams};
 use gbdt_core::trainer::base_scores;
-use gbdt_core::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::Device;
 use rayon::prelude::*;
@@ -68,12 +67,7 @@ impl CpuMoTrainer {
         let d = ds.d();
         let binned = BinnedDataset::build(ds.features(), self.config.max_bins);
         let loss = loss_for_task(ds.task());
-        let params = SplitParams {
-            lambda: self.config.lambda,
-            min_gain: self.config.min_gain,
-            min_instances: self.config.min_instances,
-            segments_c: self.config.segments_per_block_c,
-        };
+        let params = SplitParams::from(&self.config);
         // Only the columns that can split are built and scanned, as in
         // the GPU growers, so both sides of Table 4 do the same work.
         let features = binned.splittable(&(0..ds.m() as u32).collect::<Vec<_>>());
@@ -118,71 +112,53 @@ impl CpuMoTrainer {
             };
 
             // Level-wise growth (identical logic to the GPU grower).
-            let mut tree = Tree::new(d);
-            let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-            let root_idx: Vec<u32> = (0..n as u32).collect();
-            let (rg, rh) = grads.sums(&root_idx);
-            let mut frontier = vec![(0usize, root_idx, rg, rh)];
+            let mut grown = GrowResult::new(d, features.len());
+            let mut frontier = vec![OpenNode::root(&grads, (0..n as u32).collect())];
             let mut sink = LevelSplitCharges::new();
 
             for _depth in 0..self.config.max_depth {
                 let mut next = Vec::new();
-                for (tree_node, instances, g, h) in frontier {
-                    if instances.len() < 2 * self.config.min_instances {
-                        let v = leaf_values(&g, &h, self.config.lambda, self.config.learning_rate);
-                        tree.set_leaf(tree_node, v.clone());
-                        leaf_assignments.push((instances, v));
-                        continue;
-                    }
-                    hist.reset();
-                    match self.storage {
-                        CpuStorage::Dense => accumulate_dense(&ctx, &instances, &mut hist),
-                        CpuStorage::Sparse => {
-                            accumulate_sparse(&ctx, &instances, &g, &h, &mut hist)
+                for open in frontier {
+                    let split = if open.instances.len() < 2 * self.config.min_instances {
+                        None
+                    } else {
+                        hist.reset();
+                        match self.storage {
+                            CpuStorage::Dense => accumulate_dense(&ctx, &open.instances, &mut hist),
+                            CpuStorage::Sparse => accumulate_sparse(
+                                &ctx,
+                                &open.instances,
+                                &open.g,
+                                &open.h,
+                                &mut hist,
+                            ),
                         }
-                    }
-                    let split = find_best_split_batched(
-                        &mut sink,
-                        &hist,
-                        &features,
-                        &g,
-                        &h,
-                        instances.len() as u32,
-                        &params,
-                    );
-                    let Some(split) = split else {
-                        let v = leaf_values(&g, &h, self.config.lambda, self.config.learning_rate);
-                        tree.set_leaf(tree_node, v.clone());
-                        leaf_assignments.push((instances, v));
-                        continue;
+                        find_best_split_constrained(
+                            &mut sink,
+                            &hist,
+                            &features,
+                            &open.g,
+                            &open.h,
+                            open.instances.len() as u32,
+                            &params,
+                            None,
+                        )
                     };
-                    let col = binned.bins.col(split.feature as usize);
-                    let flags: Vec<bool> = instances
-                        .iter()
-                        .map(|&i| col[i as usize] <= split.bin)
-                        .collect();
-                    let (left_idx, right_idx) = partition_stable(&instances, &flags);
-                    let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
-                    let (l, r) = tree.split_node(tree_node, split.feature, split.bin, threshold);
-                    let right_g: Vec<f64> =
-                        g.iter().zip(&split.left_g).map(|(a, b)| a - b).collect();
-                    let right_h: Vec<f64> =
-                        h.iter().zip(&split.left_h).map(|(a, b)| a - b).collect();
-                    next.push((l, left_idx, split.left_g, split.left_h));
-                    next.push((r, right_idx, right_g, right_h));
+                    match split {
+                        Some(split) => next.extend(open.split(split, &binned, &mut grown.tree).0),
+                        None => open.close_leaf(&mut grown, &self.config, None, &scratch_device),
+                    }
                 }
                 frontier = next;
                 if frontier.is_empty() {
                     break;
                 }
             }
-            for (tree_node, instances, g, h) in frontier {
-                let v = leaf_values(&g, &h, self.config.lambda, self.config.learning_rate);
-                tree.set_leaf(tree_node, v.clone());
-                leaf_assignments.push((instances, v));
+            for open in frontier {
+                open.close_leaf(&mut grown, &self.config, None, &scratch_device);
             }
 
-            for (instances, value) in &leaf_assignments {
+            for (instances, value) in &grown.leaf_assignments {
                 for &i in instances {
                     let bss = i as usize * d;
                     for k in 0..d {
@@ -190,7 +166,7 @@ impl CpuMoTrainer {
                     }
                 }
             }
-            trees.push(tree);
+            trees.push(grown.tree);
         }
 
         CpuReport {

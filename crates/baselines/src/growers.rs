@@ -11,25 +11,14 @@
 
 use gbdt_core::config::TrainConfig;
 use gbdt_core::grad::Gradients;
-use gbdt_core::grow::{partition_stable, GrowResult};
+use gbdt_core::grow::{partition_cost, partition_stable, GrowResult, OpenNode};
 use gbdt_core::hist::{add_rows, build_node_histogram, HistContext, NodeHistogram};
 use gbdt_core::split::{
-    find_best_split_batched, leaf_values, split_gain, LevelSplitCharges, SplitParams,
+    find_best_split_constrained, split_gain, LevelSplitCharges, SplitCandidate, SplitParams,
 };
-use gbdt_core::tree::Tree;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
 use gpusim::{Device, Phase};
-use std::collections::BTreeMap;
-
-fn split_params(config: &TrainConfig) -> SplitParams {
-    SplitParams {
-        lambda: config.lambda,
-        min_gain: config.min_gain,
-        min_instances: config.min_instances,
-        segments_c: config.segments_per_block_c,
-    }
-}
 
 /// Grow one tree leaf-wise (LightGBM-style): repeatedly expand the
 /// open leaf with the highest split gain until `max_leaves` leaves
@@ -54,42 +43,32 @@ pub fn grow_tree_leafwise(
         bins: config.max_bins,
         opts: config.hist,
     };
-    let params = split_params(config);
+    let params = SplitParams::from(config);
 
     struct Open {
-        tree_node: usize,
-        instances: Vec<u32>,
-        g: Vec<f64>,
-        h: Vec<f64>,
+        node: OpenNode,
         depth: usize,
-        split: Option<gbdt_core::split::SplitCandidate>,
+        split: Option<SplitCandidate>,
     }
 
-    let mut tree = Tree::new(d);
-    let mut methods_used = BTreeMap::new();
+    let mut grown = GrowResult::new(d, features.len());
     let mut hist = NodeHistogram::new(features.len(), d, config.max_bins);
     let mut charges = LevelSplitCharges::new();
 
-    let evaluate = |hist: &mut NodeHistogram,
-                    charges: &mut LevelSplitCharges,
-                    methods: &mut BTreeMap<gbdt_core::HistogramMethod, usize>,
-                    tree_node: usize,
-                    instances: Vec<u32>,
-                    g: Vec<f64>,
-                    h: Vec<f64>,
-                    depth: usize|
-     -> Open {
-        let split = if instances.len() >= 2 * config.min_instances && depth < config.max_depth {
-            let m = build_node_histogram(&ctx, &instances, &g, &h, hist);
-            *methods.entry(m).or_insert(0) += 1;
-            let s = find_best_split_batched(
-                charges,
-                hist,
+    let mut evaluate = |grown: &mut GrowResult, node: OpenNode, depth: usize| -> Open {
+        let split = if node.instances.len() >= 2 * config.min_instances && depth < config.max_depth
+        {
+            let m = build_node_histogram(&ctx, &node.instances, &node.g, &node.h, &mut hist);
+            *grown.methods_used.entry(m).or_insert(0) += 1;
+            let s = find_best_split_constrained(
+                &mut charges,
+                &hist,
                 features,
-                &g,
-                &h,
-                instances.len() as u32,
+                &node.g,
+                &node.h,
+                node.instances.len() as u32,
                 &params,
+                None,
             );
             // Leaf-wise expansion is inherently sequential: every
             // evaluation is its own kernel group (no level batching).
@@ -98,28 +77,11 @@ pub fn grow_tree_leafwise(
         } else {
             None
         };
-        Open {
-            tree_node,
-            instances,
-            g,
-            h,
-            depth,
-            split,
-        }
+        Open { node, depth, split }
     };
 
-    let root_idx: Vec<u32> = (0..grads.n as u32).collect();
-    let (rg, rh) = grads.sums(&root_idx);
-    let mut open = vec![evaluate(
-        &mut hist,
-        &mut charges,
-        &mut methods_used,
-        0,
-        root_idx,
-        rg,
-        rh,
-        0,
-    )];
+    let root = OpenNode::root(grads, (0..grads.n as u32).collect());
+    let mut open = vec![evaluate(&mut grown, root, 0)];
     let mut leaves = 1usize;
 
     while leaves < max_leaves {
@@ -137,84 +99,23 @@ pub fn grow_tree_leafwise(
         else {
             break;
         };
-        let node = open.swap_remove(best_at);
-        let split = node.split.expect("filtered for splittable");
-
-        let col = data.bins.col(split.feature as usize);
-        let flags: Vec<bool> = node
-            .instances
-            .iter()
-            .map(|&i| col[i as usize] <= split.bin)
-            .collect();
-        let (left_idx, right_idx) = partition_stable(&node.instances, &flags);
+        let Open { node, depth, split } = open.swap_remove(best_at);
+        let split = split.expect("filtered for splittable");
+        let ([left, right], _) = node.split(split, data, &mut grown.tree);
         device.charge_kernel(
             "partition",
             Phase::Partition,
-            &KernelCost {
-                flops: 3.0 * node.instances.len() as f64,
-                dram_bytes: (node.instances.len() * 17) as f64,
-                launches: 2.0,
-                ..Default::default()
-            },
+            &partition_cost(node.instances.len()),
         );
-
-        let threshold = data.cuts.threshold(split.feature as usize, split.bin);
-        let (l, r) = tree.split_node(node.tree_node, split.feature, split.bin, threshold);
-        let right_g: Vec<f64> = node
-            .g
-            .iter()
-            .zip(&split.left_g)
-            .map(|(a, b)| a - b)
-            .collect();
-        let right_h: Vec<f64> = node
-            .h
-            .iter()
-            .zip(&split.left_h)
-            .map(|(a, b)| a - b)
-            .collect();
-
-        let lg = split.left_g;
-        let lh = split.left_h;
-        open.push(evaluate(
-            &mut hist,
-            &mut charges,
-            &mut methods_used,
-            l,
-            left_idx,
-            lg,
-            lh,
-            node.depth + 1,
-        ));
-        open.push(evaluate(
-            &mut hist,
-            &mut charges,
-            &mut methods_used,
-            r,
-            right_idx,
-            right_g,
-            right_h,
-            node.depth + 1,
-        ));
+        open.push(evaluate(&mut grown, left, depth + 1));
+        open.push(evaluate(&mut grown, right, depth + 1));
         leaves += 1;
     }
 
-    let mut leaf_assignments = Vec::with_capacity(open.len());
-    let mut leaf_nodes = Vec::with_capacity(open.len());
-    for node in open {
-        let v = leaf_values(&node.g, &node.h, config.lambda, config.learning_rate);
-        tree.set_leaf(node.tree_node, v.clone());
-        leaf_assignments.push((node.instances, v));
-        leaf_nodes.push(node.tree_node);
+    for o in open {
+        o.node.close_leaf(&mut grown, config, None, device);
     }
-
-    GrowResult {
-        tree,
-        leaf_assignments,
-        leaf_nodes,
-        methods_used,
-        hist_launches: BTreeMap::new(),
-        features_built: features.len(),
-    }
+    grown
 }
 
 /// Grow one oblivious (symmetric) tree, CatBoost-style: at every level,
@@ -239,28 +140,26 @@ pub fn grow_tree_oblivious(
         bins,
         opts: config.hist,
     };
-    let params = split_params(config);
+    let params = SplitParams::from(config);
 
-    let mut tree = Tree::new(d);
-    let mut methods_used = BTreeMap::new();
+    let mut grown = GrowResult::new(d, features.len());
     let mut hist = NodeHistogram::new(features.len(), d, bins);
-
-    // Frontier: (tree node, instances, g sums, h sums).
-    let root_idx: Vec<u32> = (0..grads.n as u32).collect();
-    let (rg, rh) = grads.sums(&root_idx);
-    let mut frontier = vec![(0usize, root_idx, rg, rh)];
+    let mut frontier = vec![OpenNode::root(grads, (0..grads.n as u32).collect())];
 
     for _level in 0..config.max_depth {
         // Summed gain per (feature, bin) over all splittable nodes.
         let mut level_gains = vec![0.0f64; features.len() * bins];
         let mut any = false;
-        for (_, instances, g, h) in &frontier {
+        for OpenNode {
+            instances, g, h, ..
+        } in &frontier
+        {
             if instances.len() < 2 * config.min_instances {
                 continue;
             }
             any = true;
             let m = build_node_histogram(&ctx, instances, g, h, &mut hist);
-            *methods_used.entry(m).or_insert(0) += 1;
+            *grown.methods_used.entry(m).or_insert(0) += 1;
             for f_local in 0..features.len() {
                 let mut gl = vec![0.0f64; d];
                 let mut hl = vec![0.0f64; d];
@@ -314,47 +213,45 @@ pub fn grow_tree_oblivious(
         // Split every node by the shared condition.
         let mut next = Vec::with_capacity(frontier.len() * 2);
         let mut partition_elems = 0usize;
-        for (tree_node, instances, g, h) in frontier {
+        for OpenNode {
+            node,
+            instances,
+            g,
+            h,
+        } in frontier
+        {
             let flags: Vec<bool> = instances.iter().map(|&i| col[i as usize] <= b).collect();
             partition_elems += instances.len();
             let (left_idx, right_idx) = partition_stable(&instances, &flags);
-            let (l, r) = tree.split_node(tree_node, feature, b, threshold);
+            let (l, r) = grown.tree.split_node(node, feature, b, threshold);
             let (lg, lh) = grads.sums(&left_idx);
             let rg: Vec<f64> = g.iter().zip(&lg).map(|(a, x)| a - x).collect();
             let rh: Vec<f64> = h.iter().zip(&lh).map(|(a, x)| a - x).collect();
-            next.push((l, left_idx, lg, lh));
-            next.push((r, right_idx, rg, rh));
+            next.push(OpenNode {
+                node: l,
+                instances: left_idx,
+                g: lg,
+                h: lh,
+            });
+            next.push(OpenNode {
+                node: r,
+                instances: right_idx,
+                g: rg,
+                h: rh,
+            });
         }
         device.charge_kernel(
             "partition_level",
             Phase::Partition,
-            &KernelCost {
-                flops: 3.0 * partition_elems as f64,
-                dram_bytes: (partition_elems * 17) as f64,
-                launches: 2.0,
-                ..Default::default()
-            },
+            &partition_cost(partition_elems),
         );
         frontier = next;
     }
 
-    let mut leaf_assignments = Vec::with_capacity(frontier.len());
-    let mut leaf_nodes = Vec::with_capacity(frontier.len());
-    for (tree_node, instances, g, h) in frontier {
-        let v = leaf_values(&g, &h, config.lambda, config.learning_rate);
-        tree.set_leaf(tree_node, v.clone());
-        leaf_assignments.push((instances, v));
-        leaf_nodes.push(tree_node);
+    for open in frontier {
+        open.close_leaf(&mut grown, config, None, device);
     }
-
-    GrowResult {
-        tree,
-        leaf_assignments,
-        leaf_nodes,
-        methods_used,
-        hist_launches: BTreeMap::new(),
-        features_built: features.len(),
-    }
+    grown
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!   fig7       Fig. 7   training time vs tree depth
 //!   ablations  design-choice ablations from DESIGN.md
 //!   hostbench  host wall-clock of the level-wise grower (subtraction
-//!              × parallel_level_hist), simulated time held fixed
+//!              × host threads {1, all}) and its histogram-pool
+//!              high-water mark; exits nonzero if simulated time
+//!              depends on the thread count
 //!   sanitize   one boosting round per histogram method under full
 //!              memcheck+racecheck, the same on FP(2) and DP(2) groups
 //!              with every device sanitized, plus a determinism audit;
@@ -70,7 +72,8 @@ use gbdt_core::{
 };
 use gbdt_data::synth::{make_classification, ClassificationSpec};
 use gbdt_data::PaperDataset;
-use gpusim::{Device, DeviceGroup, Phase};
+use gpusim::{Device, DeviceGroup, Phase, Telemetry};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -219,7 +222,11 @@ fn main() {
         "fig6b" => fig6b(&opts),
         "fig7" => fig7(&opts),
         "ablations" => ablations(&opts),
-        "hostbench" => hostbench(&opts),
+        "hostbench" => {
+            if !hostbench(&opts) {
+                std::process::exit(1);
+            }
+        }
         "sanitize" => {
             if !sanitize_cmd(&opts) {
                 std::process::exit(1);
@@ -901,12 +908,14 @@ fn ablations(opts: &Opts) {
 }
 
 /// Host-side cost of the level-wise grower on a synthetic multi-output
-/// workload: `host_seconds` (wall-clock of the simulation itself) for
-/// every combination of the subtraction trick and the
-/// `parallel_level_hist` toggle. Simulated seconds are printed next to
-/// each row — identical within a subtraction setting by construction
-/// (the toggle moves host arithmetic only, never device charges).
-fn hostbench(opts: &Opts) {
+/// workload: `host_seconds` (wall-clock of the simulation itself, the
+/// median of 3 fits) with and without the subtraction trick, at one
+/// host thread and at every available one, each inside its own rayon
+/// pool. Each row also prints simulated seconds and the pool's
+/// high-water mark of live histogram buffers (`train.pool_high_water`).
+/// Returns `false` if simulated seconds differ across thread counts
+/// within a subtraction setting.
+fn hostbench(opts: &Opts) -> bool {
     let spec = ClassificationSpec {
         instances: (4_000.0 * opts.scale).round() as usize,
         features: 64,
@@ -917,22 +926,36 @@ fn hostbench(opts: &Opts) {
         ..Default::default()
     };
     let train = make_classification(&spec);
+    let mut thread_counts = vec![
+        1,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    ];
+    thread_counts.dedup();
     let mut rows = Vec::new();
+    let mut ok = true;
     for subtraction in [false, true] {
-        for parallel in [false, true] {
-            let mut cfg = opts.config();
-            cfg.max_depth = cfg.max_depth.max(8); // deep frontier: many live hists
-            cfg.hist.subtraction = subtraction;
-            cfg.parallel_level_hist = parallel;
-            // Median of 3 runs to steady the wall-clock.
+        let mut cfg = opts.config();
+        cfg.max_depth = cfg.max_depth.max(8); // deep frontier: many live hists
+        cfg.hist.subtraction = subtraction;
+        let mut sims = Vec::new();
+        for &threads in &thread_counts {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool");
             let mut host = Vec::new();
-            let mut sim = 0.0;
+            let (mut sim, mut high_water) = (0.0, 0.0);
             for _ in 0..3 {
-                let r = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_report(&train);
+                let device = Device::rtx4090();
+                let tel = Arc::new(Telemetry::new());
+                device.attach_telemetry(tel.clone());
+                let r = pool.install(|| GpuTrainer::new(device, cfg.clone()).fit_report(&train));
                 host.push(r.host_seconds);
                 sim = r.sim_seconds;
+                high_water = tel.snapshot().gauges["train.pool_high_water"];
             }
             host.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sims.push(sim);
             rows.push(vec![
                 if subtraction {
                     "parent−child"
@@ -940,10 +963,15 @@ fn hostbench(opts: &Opts) {
                     "rebuild both"
                 }
                 .to_string(),
-                if parallel { "parallel" } else { "serial" }.to_string(),
+                threads.to_string(),
                 format!("{:.3}", host[1]),
                 fmt_secs(sim),
+                format!("{high_water:.0}"),
             ]);
+        }
+        if sims.iter().any(|s| s.to_bits() != sims[0].to_bits()) {
+            eprintln!("error: simulated seconds depend on the host thread count: {sims:?}");
+            ok = false;
         }
     }
     println!(
@@ -953,10 +981,17 @@ fn hostbench(opts: &Opts) {
     println!(
         "{}",
         render_table(
-            &["children hists", "level build", "host(s)", "sim(s)"],
+            &[
+                "children hists",
+                "threads",
+                "host(s)",
+                "sim(s)",
+                "pool high-water"
+            ],
             &rows
         )
     );
+    ok
 }
 
 /// `repro sanitize` — run one boosting round per histogram method under
@@ -1499,10 +1534,10 @@ fn bench_cmd(opts: &Opts) -> bool {
         }
         println!(
             "== bench: multi-GPU stream overlap ({name}, data-parallel, {gpus} GPUs) ==\n\
-             serial {:.4}s -> {streams} streams {:.4}s  (sim-ns -{cut:.1}%, overlap_saved {:.0} ns, waited {:.0} ns; models bit-identical)\n\
+             serial {:.4} ms -> {streams} streams {:.4} ms  (sim-ns -{cut:.1}%, overlap_saved {:.0} ns, waited {:.0} ns; models bit-identical)\n\
              levels on the lead: walls {:.4} ms vs Σ max(build, reduce-scatter) {:.4} ms",
-            serial.sim_seconds,
-            streamed.sim_seconds,
+            serial.sim_seconds * 1e3,
+            streamed.sim_seconds * 1e3,
             streamed.sim.overlap_saved_ns,
             streamed.sim.waited_ns,
             walls * 1e-6,

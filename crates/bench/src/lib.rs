@@ -22,7 +22,7 @@ use gbdt_baselines::{
 };
 use gbdt_core::loss::loss_for_task;
 use gbdt_core::{accuracy, rmse, GpuTrainer, HistogramMethod, MultiGpuTrainer, TrainConfig};
-use gbdt_data::{Dataset, DenseMatrix, PaperDataset, Task};
+use gbdt_data::{Dataset, PaperDataset, Task};
 use gpusim::{Device, DeviceGroup, DeviceProps, LedgerSummary};
 use serde::Serialize;
 use std::sync::Arc;
@@ -129,11 +129,6 @@ pub fn bench_config(trees: usize, depth: usize, bins: usize) -> TrainConfig {
         learning_rate: 1.0,
         ..TrainConfig::default()
     }
-}
-
-/// Default harness configuration (scaled from the paper's 100×7×256).
-pub fn default_config() -> TrainConfig {
-    bench_config(20, 5, 64)
 }
 
 /// Task-appropriate test metric on raw scores, as in Tables 3–4:
@@ -256,11 +251,6 @@ pub fn bench_dataset(ds: PaperDataset, scale_mult: f64, seed: u64) -> (Dataset, 
 pub fn model_metric(model: &gbdt_core::Model, test: &Dataset) -> f64 {
     let (_, v) = metric_of(test.task(), &model.predict(test.features()), test);
     v
-}
-
-/// Raw scores helper for external models.
-pub fn predict_scores(model: &gbdt_core::Model, features: &DenseMatrix) -> Vec<f32> {
-    model.predict(features)
 }
 
 /// Fixed-width table renderer (first column left-aligned).

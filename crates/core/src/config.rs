@@ -167,12 +167,6 @@ pub struct TrainConfig {
     /// collectives. One device charges a level's histogram builds as
     /// one kernel per method, all on the default stream.
     pub streams: usize,
-    /// Build the histograms of one tree level's nodes in parallel on
-    /// the host (they are mutually independent). Affects
-    /// host wall-clock only: device charges are issued serially in
-    /// node-index order either way, so the simulated timeline and the
-    /// grown tree are bit-identical at any thread count.
-    pub parallel_level_hist: bool,
     /// Gradient sketching for tree-structure search: grow each tree on
     /// an `n × k` sketch of the gradients while leaf values stay
     /// full-`d` (SketchBoost's recipe). [`OutputSketch::None`] (the
@@ -204,7 +198,6 @@ impl Default for TrainConfig {
             goss: None,
             monotone_constraints: Vec::new(),
             streams: 1,
-            parallel_level_hist: true,
             sketch: OutputSketch::None,
             seed: 0,
             retry: crate::error::RetryPolicy::default(),

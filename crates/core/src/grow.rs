@@ -1,31 +1,29 @@
 //! Level-wise tree growth (paper Algorithm 1).
 //!
-//! The frontier of open nodes is processed one depth level at a time in
-//! a **two-stage pass**:
+//! The frontier of open nodes is processed one depth level at a time,
+//! strictly in node-index order: each node's histogram is produced, the
+//! best split is found via segmented reductions, and instances are
+//! partitioned into the children. At the level's end the histogram,
+//! split and partition kernels are charged once per level
+//! (`HistCharges`, [`LevelSplitCharges`]).
 //!
-//! 1. **Histogram build** — every open node's histogram is produced:
-//!    fresh builds accumulate from instance data (in parallel across
-//!    nodes when [`TrainConfig::parallel_level_hist`] is set — they are
-//!    mutually independent), then subtraction-inherited nodes derive
-//!    `parent − sibling` from the parent buffer that survived the
-//!    previous level. Level-batched buffers are only used when the
-//!    subtraction trick or real host parallelism calls for them;
-//!    otherwise stage 1 is skipped and each histogram is built lazily
-//!    in stage 2 over a single hot pooled buffer (better cache reuse
-//!    single-threaded).
-//! 2. **Split selection** — nodes are visited strictly in node-index
-//!    order: each fresh build joins its method's level batch, the best
-//!    split is found via segmented reductions, and instances are
-//!    partitioned into the children. At the level's end the histogram,
-//!    split and partition kernels are charged once per level
-//!    (`HistCharges`, [`LevelSplitCharges`]).
+//! A node's histogram is built when the loop reaches it, over a pooled
+//! buffer still hot in cache; the build's accumulation spreads over the
+//! host threads on its own. Under the subtraction trick the loop walks
+//! each sibling pair as one step: the smaller child builds fresh and the
+//! larger derives `parent − smaller` from the parent's buffer, which the
+//! larger child carries, before either node's split is selected.
 //!
-//! Because stage 2 is serial and consumes histograms in node-index
-//! order, the grown tree and the simulated timeline are bit-identical
-//! at any host thread count and with the parallel build disabled.
-//! Histogram buffers come from a [`HistogramPool`] reused across
-//! levels and trees; on the subtraction path the parent's buffer stays
-//! alive (owned by the level loop) until both children have resolved.
+//! Every charge is planned in node-index order, so the grown tree and
+//! the simulated timeline are bit-identical at any host thread count.
+//! Histogram buffers come from a [`HistogramPool`] reused across levels
+//! and trees; a parent's buffer returns to it as soon as its pair has
+//! derived.
+//!
+//! The node steps the device-group grower ([`crate::multigpu`]) and the
+//! baselines share live here too: [`OpenNode::split`] routes a split,
+//! [`OpenNode::close_leaf`] closes a leaf, and [`partition_cost`] prices
+//! the partition kernel.
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
@@ -35,13 +33,13 @@ use crate::hist::{
 };
 use crate::memory::HistogramPool;
 use crate::split::{
-    find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitParams,
+    find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitCandidate,
+    SplitParams,
 };
 use crate::tree::Tree;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
 use gpusim::{Device, Phase};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Charging policy for one level's histogram kernels: one launch per
@@ -83,9 +81,15 @@ struct MethodBatch {
 }
 
 impl HistCharges {
-    /// Plan one fresh build with the configured method and add it to its
-    /// method's batch; returns the concrete method.
-    fn build(&mut self, ctx: &HistContext<'_>, idx: &[u32]) -> HistogramMethod {
+    /// Build `node`'s histogram into a pooled buffer, planning the build
+    /// with the configured method in its method's batch.
+    fn build(
+        &mut self,
+        ctx: &HistContext<'_>,
+        node: &OpenNode,
+        pool: &mut HistogramPool,
+    ) -> NodeHistogram {
+        let idx = &node.instances[..];
         let method = resolve_method(ctx, idx.len(), ctx.opts.method, Launches::PerLevel);
         let cost = method_cost(ctx, idx, method);
         let batch = self.batches.entry(method).or_default();
@@ -99,7 +103,9 @@ impl HistCharges {
         if ctx.device.sanitizer().is_some() {
             batch.traced.push(idx.to_vec());
         }
-        method
+        let mut buf = pool.acquire();
+        accumulate_only(ctx, idx, &node.g, &node.h, &mut buf);
+        buf
     }
 
     /// Trace one subtraction derive of `elems` histogram elements.
@@ -109,16 +115,13 @@ impl HistCharges {
     }
 
     /// End of level: charge one kernel per method used, then the derive
-    /// kernel. Each method's kernel, nodes and launches are added to
-    /// `launches` at `depth`.
-    fn flush(
-        &mut self,
-        ctx: &HistContext<'_>,
-        depth: usize,
-        launches: &mut BTreeMap<(usize, HistogramMethod), HistLaunches>,
-    ) {
+    /// kernel. Each method's nodes count into `grown.methods_used`, and
+    /// its kernel, nodes and launches into `grown.hist_launches` at
+    /// `depth`.
+    fn flush(&mut self, ctx: &HistContext<'_>, depth: usize, grown: &mut GrowResult) {
         for (method, batch) in std::mem::take(&mut self.batches) {
-            let seen = launches.entry((depth, method)).or_default();
+            *grown.methods_used.entry(method).or_insert(0) += batch.nodes;
+            let seen = grown.hist_launches.entry((depth, method)).or_default();
             seen.kernels += 1;
             seen.nodes += batch.nodes;
             seen.launches += batch.launches;
@@ -142,8 +145,7 @@ impl HistCharges {
 }
 
 /// Stable in-order partition of `idx` by `flags` (`true` → left). The
-/// functional core of the scan-based partition kernel; its cost is
-/// charged level-batched by the grower.
+/// functional core of the scan-based partition kernel.
 pub fn partition_stable(idx: &[u32], flags: &[bool]) -> (Vec<u32>, Vec<u32>) {
     debug_assert_eq!(idx.len(), flags.len());
     let mut left = Vec::with_capacity(idx.len());
@@ -158,32 +160,113 @@ pub fn partition_stable(idx: &[u32], flags: &[bool]) -> (Vec<u32>, Vec<u32>) {
     (left, right)
 }
 
-/// Where a frontier node's histogram comes from in the level's build
-/// stage.
-#[derive(Debug, Clone, Copy)]
-enum HistSource {
-    /// Accumulate from instance data (fresh build; charged as a
-    /// histogram kernel).
-    Build,
-    /// Derive as `parents[parent] − sibling's histogram` — the
-    /// subtraction trick. The sibling (at frontier index `sibling`,
-    /// always the smaller child) builds fresh in the same level; the
-    /// parent's buffer survived the previous level for exactly this.
-    Derive { parent: usize, sibling: usize },
+/// The scan-based partition kernel over `rows` instances: a flag scan
+/// and a scatter (flag read + index read + scan traffic + scatter).
+pub fn partition_cost(rows: usize) -> KernelCost {
+    KernelCost {
+        flops: 3.0 * rows as f64,
+        dram_bytes: (rows * 17) as f64,
+        launches: 2.0,
+        ..Default::default()
+    }
 }
 
-/// One open node during growth.
-struct NodeWork {
+/// A tree node open for growth.
+pub struct OpenNode {
     /// Index of this node in the tree.
-    tree_node: usize,
+    pub node: usize,
     /// Instances resident in the node.
-    instances: Vec<u32>,
+    pub instances: Vec<u32>,
     /// Per-output gradient totals.
-    g: Vec<f64>,
+    pub g: Vec<f64>,
     /// Per-output Hessian totals.
-    h: Vec<f64>,
-    /// How this node's histogram is produced.
-    source: HistSource,
+    pub h: Vec<f64>,
+}
+
+impl OpenNode {
+    /// The root of a tree over `instances`.
+    pub fn root(grads: &Gradients, instances: Vec<u32>) -> Self {
+        let (g, h) = grads.sums(&instances);
+        OpenNode {
+            node: 0,
+            instances,
+            g,
+            h,
+        }
+    }
+
+    /// Route the node's instances by `split` (Algorithm 1 lines 16–17)
+    /// and split its tree node at the cut's threshold. Each instance is
+    /// flagged by its bin (`true` → left) and the instances are
+    /// partitioned stably; the right child's sums are the node's minus
+    /// the left's. Returns `[left, right]` and the flags, which the
+    /// caller traces on the device that computed them; the caller also
+    /// charges the partition kernel.
+    pub fn split(
+        &self,
+        split: SplitCandidate,
+        data: &BinnedDataset,
+        tree: &mut Tree,
+    ) -> ([OpenNode; 2], Vec<bool>) {
+        let col = data.bins.col(split.feature as usize);
+        let flags: Vec<bool> = self
+            .instances
+            .iter()
+            .map(|&i| col[i as usize] <= split.bin)
+            .collect();
+        let (left, right) = partition_stable(&self.instances, &flags);
+        debug_assert_eq!(left.len(), split.left_count as usize);
+        debug_assert_eq!(right.len(), split.right_count as usize);
+        let threshold = data.cuts.threshold(split.feature as usize, split.bin);
+        let (l, r) = tree.split_node(self.node, split.feature, split.bin, threshold);
+        let minus = |total: &[f64], part: &[f64]| -> Vec<f64> {
+            total.iter().zip(part).map(|(a, b)| a - b).collect()
+        };
+        let (right_g, right_h) = (minus(&self.g, &split.left_g), minus(&self.h, &split.left_h));
+        let children = [
+            OpenNode {
+                node: l,
+                instances: left,
+                g: split.left_g,
+                h: split.left_h,
+            },
+            OpenNode {
+                node: r,
+                instances: right,
+                g: right_g,
+                h: right_h,
+            },
+        ];
+        (children, flags)
+    }
+
+    /// Close the node as a leaf holding the regularized optimum of its
+    /// sums, clamped into monotone `bounds` when given, and record it in
+    /// `grown`. The leaf-value kernel is traced on `trace_on`.
+    pub fn close_leaf(
+        self,
+        grown: &mut GrowResult,
+        config: &TrainConfig,
+        bounds: Option<&[(f64, f64)]>,
+        trace_on: &Device,
+    ) {
+        let mut v = leaf_values(&self.g, &self.h, config.lambda, config.learning_rate);
+        if let Some(b) = bounds {
+            clamp_leaf(&mut v, b, config.learning_rate);
+        }
+        crate::sanitize::trace_leaf_values(trace_on, v.len());
+        grown.tree.set_leaf(self.node, v.clone());
+        grown.leaf_assignments.push((self.instances, v));
+        grown.leaf_nodes.push(self.node);
+    }
+}
+
+/// One open node of the level grower.
+struct NodeWork {
+    open: OpenNode,
+    /// The parent's histogram, carried by the larger child of a
+    /// subtraction pair: that child derives `parent − smaller sibling`.
+    parent: Option<NodeHistogram>,
     /// Per-output leaf-value bounds from constrained ancestors (only
     /// allocated when monotone constraints are active).
     bounds: Option<Vec<(f64, f64)>>,
@@ -219,6 +302,21 @@ pub struct GrowResult {
     /// Feature columns histograms were built and scanned over: the
     /// grower's features that can split ([`BinnedDataset::splittable`]).
     pub features_built: usize,
+}
+
+impl GrowResult {
+    /// A tree of `d` outputs with no leaf closed yet, grown over
+    /// `features_built` columns.
+    pub fn new(d: usize, features_built: usize) -> Self {
+        GrowResult {
+            tree: Tree::new(d),
+            leaf_assignments: Vec::new(),
+            leaf_nodes: Vec::new(),
+            methods_used: BTreeMap::new(),
+            hist_launches: BTreeMap::new(),
+            features_built,
+        }
+    }
 }
 
 /// The histogram kernels of one (depth, method): how many were charged,
@@ -302,18 +400,8 @@ pub fn grow_tree_pooled(
         bins: config.max_bins,
         opts: config.hist,
     };
-    let params = SplitParams {
-        lambda: config.lambda,
-        min_gain: config.min_gain,
-        min_instances: config.min_instances,
-        segments_c: config.segments_per_block_c,
-    };
-
-    let mut tree = Tree::new(d);
-    let mut leaf_assignments: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-    let mut leaf_nodes: Vec<usize> = Vec::new();
-    let mut methods_used: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
-    let mut hist_launches = BTreeMap::new();
+    let params = SplitParams::from(config);
+    let mut grown = GrowResult::new(d, features.len());
 
     let constrained = !config.monotone_constraints.is_empty();
     if constrained {
@@ -323,25 +411,19 @@ pub fn grow_tree_pooled(
             "monotone_constraints must have one entry per feature"
         );
     }
-    let (root_g, root_h) = grads.sums(&root_idx);
     let mut frontier = vec![NodeWork {
-        tree_node: 0,
-        instances: root_idx,
-        g: root_g,
-        h: root_h,
-        source: HistSource::Build,
+        open: OpenNode::root(grads, root_idx),
+        parent: None,
         bounds: constrained.then(|| vec![(f64::NEG_INFINITY, f64::INFINITY); d]),
     }];
-    // Parent histograms surviving from the previous level so that
-    // `HistSource::Derive` children can subtract against them.
-    let mut parents: Vec<NodeHistogram> = Vec::new();
+    // Nodes too small to split get no histogram.
+    let splittable = |w: &NodeWork| w.open.instances.len() >= 2 * config.min_instances;
 
     for depth in 0..max_depth {
         // Per-level profiling scope nested under the trainer's round
         // scope (no-op when profiling is off; purely observational).
         let _level_scope = device.prof_scope("level", Some(depth as u64));
         let mut next = Vec::new();
-        let mut next_parents: Vec<NodeHistogram> = Vec::new();
         // Split evaluation and partitioning are charged once per level
         // as batched kernels (paper §3.1.3) — per-node launches would
         // dominate at depth.
@@ -349,288 +431,151 @@ pub fn grow_tree_pooled(
         let mut hist_charges = HistCharges::default();
         let mut partition_elems = 0usize;
 
-        // ---- stage 1: histogram build ------------------------------
-        // Level-batched buffers are needed when subtraction derives
-        // must see their sibling's and parent's buffers at once, and
-        // they pay off when real host parallelism is available. With
-        // neither, each histogram is instead built immediately before
-        // its split is selected (in stage 2), keeping a single hot
-        // buffer resident in cache — measurably faster single-threaded.
-        // Either way every buffer comes from the pool and all device
-        // charges are issued in stage 2's node-index order, so the tree
-        // and the simulated timeline are identical across modes.
-        let batch = config.hist.subtraction
-            || (config.parallel_level_hist && rayon::current_num_threads() > 1);
-        let mut hists: Vec<Option<NodeHistogram>> = frontier.iter().map(|_| None).collect();
-        if batch {
-            // Fresh builds of the level run over pooled buffers; they
-            // are mutually independent, so they may run across host
-            // threads. Nodes too small to split get no histogram.
-            let mut jobs: Vec<(usize, NodeHistogram)> = Vec::new();
-            for (i, work) in frontier.iter().enumerate() {
-                if work.instances.len() < 2 * config.min_instances {
-                    debug_assert!(
-                        matches!(work.source, HistSource::Build),
-                        "derive nodes are at least 2×min_instances by construction"
-                    );
-                    continue;
-                }
-                if matches!(work.source, HistSource::Build) {
-                    jobs.push((i, pool.acquire()));
-                }
+        // Children come in sibling pairs below the root. A subtraction
+        // pair resolves before its nodes' split steps: the smaller child
+        // builds fresh, the larger derives `parent − smaller`, and the
+        // parent's buffer goes back to the pool. Every other node builds
+        // when the loop reaches it, so a build still joins its method's
+        // batch in node-index order.
+        let mut level = std::mem::take(&mut frontier).into_iter();
+        while let Some(first) = level.next() {
+            let mut pair: Vec<NodeWork> = std::iter::once(first).chain(level.next()).collect();
+            let mut hists: [Option<NodeHistogram>; 2] = [None, None];
+            if let Some(larger) = pair.iter().position(|w| w.parent.is_some()) {
+                let smaller = 1 - larger;
+                let parent = pair[larger].parent.take().expect("carried parent");
+                let fresh = hist_charges.build(&ctx, &pair[smaller].open, pool);
+                let mut derived = pool.acquire();
+                derived.assign_difference(&parent, &fresh);
+                pool.release(parent);
+                hist_charges.derive(device, derived.g.len());
+                hists[smaller] = Some(fresh);
+                hists[larger] = Some(derived);
             }
-            {
-                let build = |(i, buf): &mut (usize, NodeHistogram)| {
-                    let w = &frontier[*i];
-                    accumulate_only(&ctx, &w.instances, &w.g, &w.h, buf);
+            for (work, hist) in pair.into_iter().zip(hists) {
+                let hist = match hist {
+                    Some(hist) => hist,
+                    None if splittable(&work) => hist_charges.build(&ctx, &work.open, pool),
+                    None => {
+                        work.open
+                            .close_leaf(&mut grown, config, work.bounds.as_deref(), device);
+                        continue;
+                    }
                 };
-                if config.parallel_level_hist && jobs.len() > 1 {
-                    jobs.par_iter_mut().for_each(build);
-                } else {
-                    jobs.iter_mut().for_each(build);
-                }
-            }
-            for (i, buf) in jobs {
-                hists[i] = Some(buf);
-            }
+                let NodeWork { open, bounds, .. } = work;
 
-            // Subtraction-inherited nodes derive `parent − sibling`
-            // (one streaming pass, charged with the level's other
-            // derives at flush); afterwards the parent buffers return to
-            // the pool.
-            for (i, work) in frontier.iter().enumerate() {
-                let HistSource::Derive { parent, sibling } = work.source else {
+                let state = bounds.as_ref().map(|b| ConstraintState {
+                    monotone: &config.monotone_constraints,
+                    bounds: b,
+                });
+                let split = find_best_split_constrained(
+                    &mut split_charges,
+                    &hist,
+                    features,
+                    &open.g,
+                    &open.h,
+                    open.instances.len() as u32,
+                    &params,
+                    state.as_ref(),
+                );
+                let Some(split) = split else {
+                    pool.release(hist);
+                    open.close_leaf(&mut grown, config, bounds.as_deref(), device);
                     continue;
                 };
-                let mut out = pool.acquire();
-                let sib = hists[sibling]
-                    .as_ref()
-                    .expect("smaller sibling builds fresh in the same level");
-                out.assign_difference(&parents[parent], sib);
-                hist_charges.derive(device, out.g.len());
-                hists[i] = Some(out);
-            }
-        }
-        for p in parents.drain(..) {
-            pool.release(p);
-        }
-
-        // ---- stage 2: split selection, node-index order ------------
-        for (i, work) in std::mem::take(&mut frontier).into_iter().enumerate() {
-            let NodeWork {
-                tree_node,
-                instances,
-                g,
-                h,
-                source,
-                bounds,
-            } = work;
-
-            let leaf_bounds = bounds.clone();
-            let mut finalize_leaf = |tree: &mut Tree, instances: Vec<u32>, g: &[f64], h: &[f64]| {
-                let mut v = leaf_values(g, h, config.lambda, config.learning_rate);
-                if let Some(b) = &leaf_bounds {
-                    clamp_leaf(&mut v, b, config.learning_rate);
+                if let Some(tel) = device.telemetry() {
+                    // Observer only: the split decision above is final.
+                    tel.hist_observe("train.split_gain", split.gain);
                 }
-                crate::sanitize::trace_leaf_values(device, v.len());
-                tree.set_leaf(tree_node, v.clone());
-                leaf_assignments.push((instances, v));
-                leaf_nodes.push(tree_node);
-            };
 
-            // Un-batched levels build the histogram right here, just
-            // before it is consumed (same pooled buffer every node).
-            let hist_slot = hists[i].take().or_else(|| {
-                if !batch && instances.len() >= 2 * config.min_instances {
-                    let mut buf = pool.acquire();
-                    accumulate_only(&ctx, &instances, &g, &h, &mut buf);
-                    Some(buf)
-                } else {
-                    None
-                }
-            });
-            let Some(hist) = hist_slot else {
-                // Too small to split (no histogram was built).
-                finalize_leaf(&mut tree, instances, &g, &h);
-                continue;
-            };
+                // The scan-based partition kernel for all of the level's
+                // nodes is charged once below.
+                partition_elems += open.instances.len();
+                let feature = split.feature as usize;
+                let ([left, right], flags) = open.split(split, data, &mut grown.tree);
+                crate::sanitize::trace_partition(device, &flags);
 
-            // The fresh build joins its method's level batch, strictly
-            // in node-index order so the batches are independent of how
-            // stage 1 was parallelized.
-            if matches!(source, HistSource::Build) {
-                let m = hist_charges.build(&ctx, &instances);
-                *methods_used.entry(m).or_insert(0) += 1;
-            }
-
-            let state = bounds.as_ref().map(|b| ConstraintState {
-                monotone: &config.monotone_constraints,
-                bounds: b,
-            });
-            let split = find_best_split_constrained(
-                &mut split_charges,
-                &hist,
-                features,
-                &g,
-                &h,
-                instances.len() as u32,
-                &params,
-                state.as_ref(),
-            );
-            let Some(split) = split else {
-                pool.release(hist);
-                finalize_leaf(&mut tree, instances, &g, &h);
-                continue;
-            };
-            if let Some(tel) = device.telemetry() {
-                // Observer only: the split decision above is final.
-                tel.hist_observe("train.split_gain", split.gain);
-            }
-
-            // Partition instances by the winning condition (Algorithm 1
-            // lines 16–17); the scan-based partition kernel for all of
-            // the level's nodes is charged once below.
-            let col = data.bins.col(split.feature as usize);
-            let flags: Vec<bool> = instances
-                .iter()
-                .map(|&i| col[i as usize] <= split.bin)
-                .collect();
-            partition_elems += instances.len();
-            crate::sanitize::trace_partition(device, &flags);
-            let (left_idx, right_idx) = partition_stable(&instances, &flags);
-            debug_assert_eq!(left_idx.len(), split.left_count as usize);
-            debug_assert_eq!(right_idx.len(), split.right_count as usize);
-
-            let threshold = data.cuts.threshold(split.feature as usize, split.bin);
-            let (l, r) = tree.split_node(tree_node, split.feature, split.bin, threshold);
-
-            let right_g: Vec<f64> = g.iter().zip(&split.left_g).map(|(a, b)| a - b).collect();
-            let right_h: Vec<f64> = h.iter().zip(&split.left_h).map(|(a, b)| a - b).collect();
-
-            // Monotone bound propagation: a constrained split fixes the
-            // midpoint of the two (clamped) child values as the new
-            // boundary between the children's admissible intervals.
-            let (left_bounds, right_bounds) = if let Some(parent_bounds) = &bounds {
-                let c = config.monotone_constraints[split.feature as usize];
-                let mut lb = parent_bounds.clone();
-                let mut rb = parent_bounds.clone();
-                if c != 0 {
-                    for k in 0..d {
-                        let (lo, hi) = parent_bounds[k];
-                        let vl =
-                            (-(split.left_g[k] / (split.left_h[k] + config.lambda))).clamp(lo, hi);
-                        let vr = (-(right_g[k] / (right_h[k] + config.lambda))).clamp(lo, hi);
-                        let mid = 0.5 * (vl + vr);
-                        if c > 0 {
-                            lb[k].1 = lb[k].1.min(mid);
-                            rb[k].0 = rb[k].0.max(mid);
-                        } else {
-                            lb[k].0 = lb[k].0.max(mid);
-                            rb[k].1 = rb[k].1.min(mid);
+                // Monotone bound propagation: a constrained split fixes the
+                // midpoint of the two (clamped) child values as the new
+                // boundary between the children's admissible intervals.
+                let (left_bounds, right_bounds) = if let Some(parent_bounds) = &bounds {
+                    let c = config.monotone_constraints[feature];
+                    let mut lb = parent_bounds.clone();
+                    let mut rb = parent_bounds.clone();
+                    if c != 0 {
+                        for k in 0..d {
+                            let (lo, hi) = parent_bounds[k];
+                            let value =
+                                |n: &OpenNode| (-(n.g[k] / (n.h[k] + config.lambda))).clamp(lo, hi);
+                            let mid = 0.5 * (value(&left) + value(&right));
+                            if c > 0 {
+                                lb[k].1 = lb[k].1.min(mid);
+                                rb[k].0 = rb[k].0.max(mid);
+                            } else {
+                                lb[k].0 = lb[k].0.max(mid);
+                                rb[k].1 = rb[k].1.min(mid);
+                            }
                         }
                     }
-                }
-                (Some(lb), Some(rb))
-            } else {
-                (None, None)
-            };
+                    (Some(lb), Some(rb))
+                } else {
+                    (None, None)
+                };
 
-            // Histogram subtraction: plan to rebuild only the smaller
-            // child next level; the larger then derives
-            // `parent − smaller` from this node's buffer, which the
-            // level loop keeps alive until both children resolve.
-            let (mut left_source, mut right_source) = (HistSource::Build, HistSource::Build);
-            let mut parent_survives = false;
-            if config.hist.subtraction && depth + 1 < max_depth {
-                let smaller_is_left = left_idx.len() <= right_idx.len();
-                let smaller_len = left_idx.len().min(right_idx.len());
-                if smaller_len >= 2 * config.min_instances {
-                    let parent = next_parents.len();
-                    let left_pos = next.len();
-                    let right_pos = next.len() + 1;
-                    if smaller_is_left {
-                        right_source = HistSource::Derive {
-                            parent,
-                            sibling: left_pos,
-                        };
-                    } else {
-                        left_source = HistSource::Derive {
-                            parent,
-                            sibling: right_pos,
-                        };
-                    }
-                    parent_survives = true;
-                }
+                // Histogram subtraction: next level the smaller child builds
+                // fresh and the larger derives `parent − smaller`, so the
+                // larger carries this node's buffer (the right on a tie).
+                let smaller_is_left = left.instances.len() <= right.instances.len();
+                let smaller = left.instances.len().min(right.instances.len());
+                let parent = if config.hist.subtraction
+                    && depth + 1 < max_depth
+                    && smaller >= 2 * config.min_instances
+                {
+                    Some(hist)
+                } else {
+                    pool.release(hist);
+                    None
+                };
+                let (left_parent, right_parent) = if smaller_is_left {
+                    (None, parent)
+                } else {
+                    (parent, None)
+                };
+                next.push(NodeWork {
+                    open: left,
+                    parent: left_parent,
+                    bounds: left_bounds,
+                });
+                next.push(NodeWork {
+                    open: right,
+                    parent: right_parent,
+                    bounds: right_bounds,
+                });
             }
-            if parent_survives {
-                next_parents.push(hist);
-            } else {
-                pool.release(hist);
-            }
-
-            next.push(NodeWork {
-                tree_node: l,
-                instances: left_idx,
-                g: split.left_g,
-                h: split.left_h,
-                source: left_source,
-                bounds: left_bounds,
-            });
-            next.push(NodeWork {
-                tree_node: r,
-                instances: right_idx,
-                g: right_g,
-                h: right_h,
-                source: right_source,
-                bounds: right_bounds,
-            });
         }
-        hist_charges.flush(&ctx, depth, &mut hist_launches);
+        hist_charges.flush(&ctx, depth, &mut grown);
         split_charges.flush(device, device.model().params.sm_count, params.segments_c);
         if partition_elems > 0 {
             device.charge_kernel(
                 "partition_level",
                 Phase::Partition,
-                &KernelCost {
-                    flops: 3.0 * partition_elems as f64,
-                    // flag read + index read + scan traffic + scatter
-                    dram_bytes: (partition_elems * 17) as f64,
-                    launches: 2.0,
-                    ..Default::default()
-                },
+                &partition_cost(partition_elems),
             );
         }
         frontier = next;
-        parents = next_parents;
         if frontier.is_empty() {
             break;
         }
     }
-    // Parent buffers planned for a level that never ran (depth limit).
-    for p in parents.drain(..) {
-        pool.release(p);
-    }
 
-    // Depth limit reached: everything still open becomes a leaf.
+    // Depth limit reached: everything still open becomes a leaf. No
+    // node of the last level carries a parent buffer.
     for work in frontier {
-        let mut v = leaf_values(&work.g, &work.h, config.lambda, config.learning_rate);
-        if let Some(b) = &work.bounds {
-            clamp_leaf(&mut v, b, config.learning_rate);
-        }
-        crate::sanitize::trace_leaf_values(device, v.len());
-        tree.set_leaf(work.tree_node, v.clone());
-        leaf_assignments.push((work.instances, v));
-        leaf_nodes.push(work.tree_node);
+        debug_assert!(work.parent.is_none());
+        work.open
+            .close_leaf(&mut grown, config, work.bounds.as_deref(), device);
     }
-
-    GrowResult {
-        tree,
-        leaf_assignments,
-        leaf_nodes,
-        methods_used,
-        hist_launches,
-        features_built: features.len(),
-    }
+    grown
 }
 
 #[cfg(test)]
@@ -949,28 +894,34 @@ mod tests {
             .chain((0..10).map(|j| (2500 + 50 * j..2550 + 50 * j).collect()))
             .collect();
         let mut charges = HistCharges::default();
-        let mut want: BTreeMap<HistogramMethod, (KernelCost, f64, usize)> = BTreeMap::new();
+        let mut pool = HistogramPool::new(features.len(), 4, cfg.max_bins);
+        let mut want: BTreeMap<HistogramMethod, (KernelCost, f64, usize, usize)> = BTreeMap::new();
         for idx in &nodes {
-            let m = charges.build(&ctx, idx);
+            let node = OpenNode::root(&grads, idx.clone());
+            let built = charges.build(&ctx, &node, &mut pool);
+            pool.release(built);
             let method = resolve_method(&ctx, idx.len(), cfg.hist.method, Launches::PerLevel);
-            assert_eq!(method, m);
             let cost = method_cost(&ctx, idx, method);
-            let e = want.entry(m).or_insert((KernelCost::default(), 0.0, 0));
+            let e = want
+                .entry(method)
+                .or_insert((KernelCost::default(), 0.0, 0, 0));
             e.0 = e.0.merged(&KernelCost {
                 launches: 0.0,
                 ..cost
             });
             e.1 = cost.launches;
             e.2 += idx.len();
+            e.3 += 1;
         }
         assert_eq!(want.len(), 2, "the level must use two methods");
-        let mut launches = BTreeMap::new();
-        charges.flush(&ctx, 3, &mut launches);
+        let mut grown = GrowResult::new(4, features.len());
+        charges.flush(&ctx, 3, &mut grown);
+        let launches = grown.hist_launches;
 
         let records = device.records();
         assert!(records.iter().all(|r| r.phase == Phase::Histogram));
         assert_eq!(records.len(), want.len(), "one record per method used");
-        for (r, (method, (work, method_launches, rows))) in records.iter().zip(&want) {
+        for (r, (method, (work, method_launches, rows, built))) in records.iter().zip(&want) {
             let cost = work.merged(&KernelCost {
                 dram_bytes: 4.0 * *rows as f64,
                 launches: *method_launches,
@@ -982,38 +933,10 @@ mod tests {
                 "{method:?}"
             );
             assert_eq!(launches[&(3, *method)].launches, *method_launches);
+            assert_eq!(grown.methods_used[method], *built, "{method:?}");
         }
         let nodes_seen: usize = launches.values().map(|l| l.nodes).sum();
         assert_eq!(nodes_seen, nodes.len());
-    }
-
-    #[test]
-    fn parallel_toggle_changes_neither_model_nor_simulated_time() {
-        let (_, data, grads) = setup(2000, 10, 4);
-        let features: Vec<u32> = (0..10).collect();
-        for subtraction in [false, true] {
-            let mut on_cfg = config();
-            on_cfg.max_depth = 6;
-            on_cfg.hist.subtraction = subtraction;
-            on_cfg.parallel_level_hist = true;
-            let mut off_cfg = on_cfg.clone();
-            off_cfg.parallel_level_hist = false;
-
-            let d_on = Device::rtx4090();
-            let on = grow_tree(&d_on, &data, &grads, &on_cfg, &features);
-            let d_off = Device::rtx4090();
-            let off = grow_tree(&d_off, &data, &grads, &off_cfg, &features);
-
-            // Bit-identical model and leaf values…
-            assert_eq!(on.tree, off.tree, "subtraction={subtraction}");
-            for ((ia, va), (ib, vb)) in on.leaf_assignments.iter().zip(&off.leaf_assignments) {
-                assert_eq!(ia, ib);
-                assert_eq!(va, vb, "leaf values must match bitwise");
-            }
-            // …and bit-identical simulated timeline: charges are issued
-            // serially in node-index order regardless of the toggle.
-            assert_eq!(d_on.now_ns(), d_off.now_ns(), "subtraction={subtraction}");
-        }
     }
 
     /// The histogram pass and the split scan run inside `par_chunks_mut`
@@ -1052,12 +975,7 @@ mod tests {
                     let (g, h) = grads.sums(&root);
                     let mut hist = NodeHistogram::new(features.len(), 4, cfg.max_bins);
                     accumulate_only(&ctx, &root, &g, &h, &mut hist);
-                    let params = SplitParams {
-                        lambda: cfg.lambda,
-                        min_gain: cfg.min_gain,
-                        min_instances: cfg.min_instances,
-                        segments_c: cfg.segments_per_block_c,
-                    };
+                    let params = SplitParams::from(&cfg);
                     let mut charges = LevelSplitCharges::new();
                     let split = find_best_split_constrained(
                         &mut charges,
@@ -1099,6 +1017,109 @@ mod tests {
                 assert_eq!(ns.to_bits(), one_ns.to_bits(), "{at}");
             }
         }
+    }
+
+    /// Under subtraction a sibling pair resolves when the loop reaches
+    /// it, whichever child is smaller, and the parent's buffer returns to
+    /// the pool as soon as the larger child has derived from it. The pool
+    /// therefore holds the parents carried across a level boundary plus
+    /// the pair being resolved, never a whole level of builds and
+    /// derives. Dyadic gradients make every histogram sum
+    /// exact, so derived and rebuilt histograms agree bit for bit, and
+    /// so do the trees.
+    #[test]
+    fn subtraction_pairs_resolve_at_their_first_node_and_free_parents_early() {
+        use crate::tree::Node;
+        let (n, m, d) = (3000, 10, 4);
+        let (_, data, _) = setup(n, m, d);
+        let mut state = 7u64;
+        let mut dyadic = |lo: i64, span: i64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) as i64 % span + lo) as f32 / 256.0
+        };
+        let g: Vec<f32> = (0..n * d).map(|_| dyadic(-1024, 2048)).collect();
+        let h: Vec<f32> = (0..n * d).map(|_| dyadic(1, 1024)).collect();
+        let grads = Gradients { g, h, n, d };
+        let features: Vec<u32> = (0..m as u32).collect();
+        let mut cfg = config();
+        cfg.max_depth = 7;
+        let fit = |subtraction: bool| {
+            let mut cfg = cfg.clone();
+            cfg.hist.subtraction = subtraction;
+            let one_thread = rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("thread pool");
+            one_thread.install(|| {
+                let device = Device::rtx4090();
+                let mut pool = HistogramPool::new(m, d, cfg.max_bins);
+                let root = (0..n as u32).collect();
+                let res =
+                    grow_tree_pooled(&device, &data, &grads, &cfg, &features, root, &mut pool);
+                (res, pool.allocated())
+            })
+        };
+        let (plain, _) = fit(false);
+        let (sub, high_water) = fit(true);
+        assert_eq!(sub.tree, plain.tree, "subtraction changed the tree");
+
+        // Rows and depth of every node; children follow their parent.
+        let nodes = sub.tree.nodes();
+        let mut rows = vec![0usize; nodes.len()];
+        for ((idx, _), &at) in sub.leaf_assignments.iter().zip(&sub.leaf_nodes) {
+            rows[at] = idx.len();
+        }
+        let children = |at: usize| match &nodes[at] {
+            Node::Split { left, right, .. } => Some((*left as usize, *right as usize)),
+            Node::Leaf { .. } => None,
+        };
+        for at in (0..nodes.len()).rev() {
+            if let Some((l, r)) = children(at) {
+                rows[at] = rows[l] + rows[r];
+            }
+        }
+        let mut depth = vec![0usize; nodes.len()];
+        for at in 0..nodes.len() {
+            if let Some((l, r)) = children(at) {
+                (depth[l], depth[r]) = (depth[at] + 1, depth[at] + 1);
+            }
+        }
+        // Pairs whose level ran and whose smaller child could split
+        // derive the larger child; count them by side and by level.
+        let mut derived_at = vec![0usize; cfg.max_depth];
+        let (mut smaller_left, mut smaller_right) = (0, 0);
+        for at in 0..nodes.len() {
+            let Some((l, r)) = children(at) else { continue };
+            if depth[l] >= cfg.max_depth || rows[l].min(rows[r]) < 2 * cfg.min_instances {
+                continue;
+            }
+            derived_at[depth[l]] += 1;
+            smaller_left += usize::from(rows[l] < rows[r]);
+            smaller_right += usize::from(rows[r] < rows[l]);
+        }
+        assert!(
+            smaller_left > 0,
+            "no pair with the smaller child on the left"
+        );
+        assert!(
+            smaller_right > 0,
+            "no pair with the smaller child on the right"
+        );
+
+        // At most every parent carried into a level and every parent
+        // carried out of it, plus the pair in flight: its fresh build
+        // and its derive.
+        let carried = derived_at
+            .windows(2)
+            .map(|w| w[0] + w[1])
+            .max()
+            .unwrap_or(0);
+        assert!(
+            high_water <= carried + 2,
+            "pool high-water {high_water} exceeds {carried} carried parents + 2"
+        );
     }
 
     #[test]

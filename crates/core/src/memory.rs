@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// Reusable pool of [`NodeHistogram`] buffers.
 ///
-/// A level of the tree grower holds one histogram per frontier node
+/// The tree grower holds the histograms of the nodes it is resolving
 /// (plus surviving parent buffers on the subtraction path); each buffer
 /// is multi-MB for wide × many-output configurations, so allocating and
 /// freeing them per node dominates *host* time. The pool keeps released
@@ -177,7 +177,9 @@ pub fn estimate_training_bytes(
     let one_hist = m * bins * d * 2 * 8 + m * bins * 4;
     let live_hists = if config.hist.subtraction {
         // Parent histograms ride along to the next level: up to half the
-        // frontier inherits, so ~2^(depth−1) + 1 buffers peak.
+        // frontier inherits, so ~2^(depth−1) + 1 buffers bound the peak.
+        // This is an upper bound: the level grower frees each parent
+        // once its pair has derived.
         (1usize << config.max_depth.saturating_sub(1)) + 1
     } else {
         1

@@ -53,16 +53,13 @@
 use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::Gradients;
-use crate::grow::{partition_stable, GrowResult};
+use crate::grow::{partition_cost, GrowResult, OpenNode};
 use crate::hist::{accumulate_dense, charge_method_on, HistContext};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
-use crate::split::{
-    find_best_split_range_batched, leaf_values, LevelSplitCharges, SplitCandidate, SplitParams,
-};
+use crate::split::{find_best_split_range_batched, LevelSplitCharges, SplitCandidate, SplitParams};
 use crate::trainer::{boost, Placement, TrainReport};
-use crate::tree::Tree;
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::cost::KernelCost;
 use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
@@ -188,16 +185,6 @@ fn reduce_scatter_node(group: &DeviceGroup, bytes: f64, streamed: bool) {
         }
     }
     tel_collective_bytes(devices, bytes / k as f64);
-}
-
-/// A stable partition of `rows` instances: a flag scan and a scatter.
-fn partition_cost(rows: usize) -> KernelCost {
-    KernelCost {
-        flops: 3.0 * rows as f64,
-        dram_bytes: (rows * 17) as f64,
-        launches: 2.0,
-        ..Default::default()
-    }
 }
 
 /// The group's shared telemetry registry, if any device carries one.
@@ -397,16 +384,6 @@ impl Group<'_> {
             MultiGpuStrategy::DataParallel => shard_range(len, self.active.len(), rank).len(),
         }
     }
-
-    /// Close `node` as a leaf holding the regularized optimum of its
-    /// gradient sums, computed on the lead.
-    fn close_leaf(&self, grown: &mut GrowResult, node: usize, idx: Vec<u32>, g: &[f64], h: &[f64]) {
-        let v = leaf_values(g, h, self.config.lambda, self.config.learning_rate);
-        crate::sanitize::trace_leaf_values(&self.active[0], v.len());
-        grown.tree.set_leaf(node, v.clone());
-        grown.leaf_nodes.push(node);
-        grown.leaf_assignments.push((idx, v));
-    }
 }
 
 impl Placement for Group<'_> {
@@ -481,26 +458,13 @@ impl Placement for Group<'_> {
         let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
         // One node's histogram: the data-parallel reduce-scatter payload.
         let hist_bytes = (mf * self.config.max_bins * grads.d * 2 * 8) as f64;
-        let params = SplitParams {
-            lambda: self.config.lambda,
-            min_gain: self.config.min_gain,
-            min_instances: self.config.min_instances,
-            segments_c: self.config.segments_per_block_c,
-        };
+        let params = SplitParams::from(self.config);
         // One working histogram: each node is accumulated, evaluated and
         // done with before the next is built.
         pool.ensure_shape(mf, grads.d, self.config.max_bins);
         let mut hist = pool.acquire();
-        let mut grown = GrowResult {
-            tree: Tree::new(grads.d),
-            leaf_assignments: Vec::new(),
-            leaf_nodes: Vec::new(),
-            methods_used: BTreeMap::new(),
-            hist_launches: BTreeMap::new(),
-            features_built: mf,
-        };
-        let (rg, rh) = grads.sums(&root);
-        let mut frontier = vec![(0usize, root, rg, rh)];
+        let mut grown = GrowResult::new(grads.d, mf);
+        let mut frontier = vec![OpenNode::root(grads, root)];
         // Streamed mode: builds of each level start at the previous
         // level's alignment fence, plus (feature-parallel) the first
         // chunk of the in-flight bitmap exchange, whose tail they
@@ -508,7 +472,7 @@ impl Placement for Group<'_> {
         let mut level_fence: Option<Event> = None;
         // Data-parallel groups reduce-scatter every built node.
         let reduces = data_parallel && k > 1;
-        let builds = |instances: &[u32]| instances.len() >= 2 * self.config.min_instances;
+        let builds = |open: &OpenNode| open.instances.len() >= 2 * self.config.min_instances;
         // Each device charges the build of its slice of a node: its
         // feature range, or its instance shard.
         let charge_build = |instances: &[u32], methods_used: &mut BTreeMap<_, usize>| {
@@ -543,7 +507,10 @@ impl Placement for Group<'_> {
         };
 
         for depth in 0..max_depth {
-            let _level_scope = group.device(0).prof_scope("level", Some(depth as u64));
+            let _level_scopes: Vec<_> = devices
+                .iter()
+                .map(|dev| dev.prof_scope("level", Some(depth as u64)))
+                .collect();
             if streamed {
                 for dev in devices {
                     let f = level_fence.unwrap_or_else(|| dev.record_event(0));
@@ -569,22 +536,22 @@ impl Placement for Group<'_> {
                 // before the node loop below, which charges nothing of
                 // a data-parallel level until its end.
                 let mut order: Vec<usize> = (0..frontier.len())
-                    .filter(|&i| builds(&frontier[i].1))
+                    .filter(|&i| builds(&frontier[i]))
                     .collect();
-                order.sort_by_key(|&i| frontier[i].1.len());
+                order.sort_by_key(|&i| frontier[i].instances.len());
                 for i in order {
-                    charge_build(&frontier[i].1, &mut grown.methods_used);
+                    charge_build(&frontier[i].instances, &mut grown.methods_used);
                     reduce_scatter_node(&group, hist_bytes, streamed);
                 }
             }
-            for (node, instances, g, h) in frontier {
-                if !builds(&instances) {
-                    self.close_leaf(&mut grown, node, instances, &g, &h);
+            for open in frontier {
+                if !builds(&open) {
+                    open.close_leaf(&mut grown, self.config, None, &devices[0]);
                     continue;
                 }
                 built += 1;
                 if !reduces {
-                    charge_build(&instances, &mut grown.methods_used);
+                    charge_build(&open.instances, &mut grown.methods_used);
                 }
                 // Functional accumulation once (identical results).
                 let full_ctx = HistContext {
@@ -596,7 +563,7 @@ impl Placement for Group<'_> {
                     opts: self.config.hist,
                 };
                 hist.reset();
-                accumulate_dense(&full_ctx, &instances, &mut hist);
+                accumulate_dense(&full_ctx, &open.instances, &mut hist);
 
                 // Each device evaluates only its own feature range.
                 let mut best: Option<SplitCandidate> = None;
@@ -607,9 +574,9 @@ impl Placement for Group<'_> {
                         features,
                         lo,
                         hi,
-                        &g,
-                        &h,
-                        instances.len() as u32,
+                        &open.g,
+                        &open.h,
+                        open.instances.len() as u32,
                         &params,
                     );
                     if !data_parallel {
@@ -636,16 +603,12 @@ impl Placement for Group<'_> {
                     }
                 }
                 let Some(split) = best else {
-                    self.close_leaf(&mut grown, node, instances, &g, &h);
+                    open.close_leaf(&mut grown, self.config, None, &devices[0]);
                     continue;
                 };
 
-                let col = binned.bins.col(split.feature as usize);
-                let flags: Vec<bool> = instances
-                    .iter()
-                    .map(|&i| col[i as usize] <= split.bin)
-                    .collect();
-                match self.strategy {
+                let len = open.instances.len();
+                let traced_on = match self.strategy {
                     MultiGpuStrategy::FeatureParallel => {
                         // The owning device computes the routing
                         // flags; the level's bitmaps are exchanged
@@ -655,27 +618,21 @@ impl Placement for Group<'_> {
                             .iter()
                             .position(|&(lo, hi)| (lo..hi).contains(&f_local))
                             .expect("split feature must belong to a device");
-                        routed[owner] += instances.len();
-                        flag_bytes[owner] += instances.len().div_ceil(8);
-                        crate::sanitize::trace_partition(&devices[owner], &flags);
+                        routed[owner] += len;
+                        flag_bytes[owner] += len.div_ceil(8);
+                        &devices[owner]
                     }
                     MultiGpuStrategy::DataParallel => {
                         // Every device routes its own shard.
-                        crate::sanitize::trace_partition(&devices[0], &flags);
                         for (rank, rows) in routed.iter_mut().enumerate() {
-                            *rows += shard_range(instances.len(), k, rank).len();
+                            *rows += shard_range(len, k, rank).len();
                         }
+                        &devices[0]
                     }
-                }
-                let (left_idx, right_idx) = partition_stable(&instances, &flags);
-                let threshold = binned.cuts.threshold(split.feature as usize, split.bin);
-                let (l, r) = grown
-                    .tree
-                    .split_node(node, split.feature, split.bin, threshold);
-                let right_g: Vec<f64> = g.iter().zip(&split.left_g).map(|(a, b)| a - b).collect();
-                let right_h: Vec<f64> = h.iter().zip(&split.left_h).map(|(a, b)| a - b).collect();
-                next.push((l, left_idx, split.left_g, split.left_h));
-                next.push((r, right_idx, right_g, right_h));
+                };
+                let (children, flags) = open.split(split, binned, &mut grown.tree);
+                crate::sanitize::trace_partition(traced_on, &flags);
+                next.extend(children);
             }
 
             if data_parallel {
@@ -757,8 +714,8 @@ impl Placement for Group<'_> {
                 break;
             }
         }
-        for (node, instances, g, h) in frontier {
-            self.close_leaf(&mut grown, node, instances, &g, &h);
+        for open in frontier {
+            open.close_leaf(&mut grown, self.config, None, &devices[0]);
         }
         pool.release(hist);
         grown
@@ -885,7 +842,7 @@ mod tests {
     use crate::loss::loss_for_task;
     use crate::metrics::accuracy;
     use crate::trainer::GpuTrainer;
-    use crate::tree::Node;
+    use crate::tree::{Node, Tree};
     use gbdt_data::synth::{make_classification, ClassificationSpec};
     use gpusim::{Device, KernelRecord};
 
@@ -1349,56 +1306,62 @@ mod tests {
             levels.iter().any(|l| !built(l).is_sorted()),
             "some level's frontier order must differ from its row order"
         );
-        // Only the lead logs level scopes.
-        let spans = trainer.group().device(0).scope_spans("level");
-        assert_eq!(spans.len(), levels.len(), "one level scope per grown level");
-        // The lead's shard rows → build ns over the whole fit: a
-        // strictly increasing function when every level issued its
-        // builds in non-decreasing shard-row order.
-        let mut price: BTreeMap<usize, f64> = BTreeMap::new();
         let (mut gapless, mut spans_checked) = (0usize, 0usize);
-        for (depth, (level, span)) in levels.iter().zip(&spans).enumerate() {
-            let mut want = built(level);
-            want.sort_unstable();
-            let of = |name: &str| -> Vec<KernelRecord> {
-                span.records
-                    .iter()
-                    .filter(|r| r.name == name)
-                    .copied()
-                    .collect()
-            };
-            let (builds, collectives) = (of("hist_sort_reduce"), of("hist_reduce_scatter"));
-            assert_eq!(builds.len(), want.len(), "level {depth}: builds issued");
-            assert_eq!(collectives.len(), want.len(), "level {depth}: collectives");
-            for (b, rows) in builds.iter().zip(&want) {
-                let rows = shard_range(*rows, k, 0).len();
-                let ns = *price.entry(rows).or_insert(b.ns);
-                assert_eq!(
-                    ns.to_bits(),
-                    b.ns.to_bits(),
-                    "{rows} shard rows priced two ways: builds out of row order"
-                );
+        for (rank, dev) in trainer.group().devices().iter().enumerate() {
+            let spans = dev.scope_spans("level");
+            assert_eq!(
+                spans.len(),
+                levels.len(),
+                "device {rank}: one level scope per grown level"
+            );
+            // The device's shard rows → build ns over the whole fit: a
+            // strictly increasing function when every level issued its
+            // builds in non-decreasing shard-row order.
+            let mut price: BTreeMap<usize, f64> = BTreeMap::new();
+            for (depth, (level, span)) in levels.iter().zip(&spans).enumerate() {
+                let mut want = built(level);
+                want.sort_unstable();
+                let of = |name: &str| -> Vec<KernelRecord> {
+                    span.records
+                        .iter()
+                        .filter(|r| r.name == name)
+                        .copied()
+                        .collect()
+                };
+                let (builds, collectives) = (of("hist_sort_reduce"), of("hist_reduce_scatter"));
+                let at = format!("device {rank} level {depth}");
+                assert_eq!(builds.len(), want.len(), "{at}: builds issued");
+                assert_eq!(collectives.len(), want.len(), "{at}: collectives");
+                for (b, rows) in builds.iter().zip(&want) {
+                    let rows = shard_range(*rows, k, rank).len();
+                    let ns = *price.entry(rows).or_insert(b.ns);
+                    assert_eq!(
+                        ns.to_bits(),
+                        b.ns.to_bits(),
+                        "{at}: {rows} shard rows priced two ways: builds out of row order"
+                    );
+                }
+                // Reduce-scatter j + 1 waits for build j + 1 on the lead,
+                // the slowest rank. Sorted ascending, no prefix of the
+                // builds after the first averages more than all of them,
+                // so when their sum is within m - 1 reduce-scatters, each
+                // lands before the comm stream runs dry.
+                let waited_on: f64 = builds.iter().skip(1).map(|b| b.ns).sum();
+                let draining: f64 = collectives.iter().skip(1).map(|c| c.ns).sum();
+                if rank == 0 && collectives.len() > 1 && waited_on <= draining {
+                    spans_checked += 1;
+                    let contiguous = collectives
+                        .windows(2)
+                        .all(|w| w[1].start_ns == w[0].start_ns + w[0].ns);
+                    gapless += usize::from(contiguous);
+                }
             }
-            // Reduce-scatter j + 1 waits for build j + 1 on the lead,
-            // the slowest rank. Sorted ascending, no prefix of the builds
-            // after the first averages more than all of them, so when
-            // their sum is within m - 1 reduce-scatters, each lands
-            // before the comm stream runs dry.
-            let waited_on: f64 = builds.iter().skip(1).map(|b| b.ns).sum();
-            let draining: f64 = collectives.iter().skip(1).map(|c| c.ns).sum();
-            if collectives.len() > 1 && waited_on <= draining {
-                spans_checked += 1;
-                let contiguous = collectives
-                    .windows(2)
-                    .all(|w| w[1].start_ns == w[0].start_ns + w[0].ns);
-                gapless += usize::from(contiguous);
-            }
+            let ns: Vec<f64> = price.values().copied().collect();
+            assert!(
+                ns.windows(2).all(|w| w[0] < w[1]),
+                "device {rank}: builds out of shard-row order: {price:?}"
+            );
         }
-        let ns: Vec<f64> = price.values().copied().collect();
-        assert!(
-            ns.windows(2).all(|w| w[0] < w[1]),
-            "builds out of shard-row order: {price:?}"
-        );
         assert!(
             spans_checked > 0,
             "no level's reduce-scatters outweigh its builds"

@@ -108,10 +108,10 @@ pub fn plan_sketch(
     seed: u64,
 ) -> SketchPlan {
     let (n, d) = (grads.n, grads.d);
-    let Some(k) = sketch.k() else {
+    if sketch.is_none() {
         return SketchPlan::Identity;
-    };
-    let k = k.min(d).max(1);
+    }
+    let k = sketch.effective_dim(d);
     if k == d && !matches!(sketch, OutputSketch::RandomProjection(_)) {
         return SketchPlan::Identity;
     }

@@ -25,6 +25,7 @@
 //! Gains, winners and left sums are bit-identical under every build and
 //! width.
 
+use crate::config::TrainConfig;
 use crate::hist::{add_rows, NodeHistogram};
 use gpusim::cost::KernelCost;
 use gpusim::{Device, Phase};
@@ -50,6 +51,17 @@ pub struct SplitParams {
     pub min_instances: usize,
     /// Adaptive segments-per-block constant `C` (§3.1.3).
     pub segments_c: f64,
+}
+
+impl From<&TrainConfig> for SplitParams {
+    fn from(config: &TrainConfig) -> Self {
+        SplitParams {
+            lambda: config.lambda,
+            min_gain: config.min_gain,
+            min_instances: config.min_instances,
+            segments_c: config.segments_per_block_c,
+        }
+    }
 }
 
 impl SplitParams {
@@ -440,29 +452,8 @@ pub fn find_best_split_range_batched(
     out
 }
 
-/// [`find_best_split_range_batched`] charged to `device` at once, as
-/// this node's own (unbatched) kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_split_range(
-    device: &Device,
-    hist: &NodeHistogram,
-    features: &[u32],
-    f_lo: usize,
-    f_hi: usize,
-    node_g: &[f64],
-    node_h: &[f64],
-    node_count: u32,
-    params: &SplitParams,
-) -> Option<SplitCandidate> {
-    let mut acc = LevelSplitCharges::new();
-    let out = find_best_split_range_batched(
-        &mut acc, hist, features, f_lo, f_hi, node_g, node_h, node_count, params,
-    );
-    acc.flush(device, device.model().params.sm_count, params.segments_c);
-    out
-}
-
-/// Best split over the full feature range with per-node charging.
+/// Best split over the full feature range, charged to `device` at once
+/// as this node's own (unbatched) kernels.
 pub fn find_best_split(
     device: &Device,
     hist: &NodeHistogram,
@@ -472,8 +463,9 @@ pub fn find_best_split(
     node_count: u32,
     params: &SplitParams,
 ) -> Option<SplitCandidate> {
-    find_best_split_range(
-        device,
+    let mut acc = LevelSplitCharges::new();
+    let out = find_best_split_range_batched(
+        &mut acc,
         hist,
         features,
         0,
@@ -482,31 +474,17 @@ pub fn find_best_split(
         node_h,
         node_count,
         params,
-    )
+    );
+    acc.flush(device, device.model().params.sm_count, params.segments_c);
+    out
 }
 
-/// Best split whose kernel work is accumulated into `charges` instead of
+/// Best split over the full feature range, optionally under monotone
+/// constraints, its kernel work accumulated into `charges` instead of
 /// being charged immediately — call [`LevelSplitCharges::flush`] once
-/// per level (paper §3.1.3's batched segmented reduction).
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_split_batched(
-    charges: &mut LevelSplitCharges,
-    hist: &NodeHistogram,
-    features: &[u32],
-    node_g: &[f64],
-    node_h: &[f64],
-    node_count: u32,
-    params: &SplitParams,
-) -> Option<SplitCandidate> {
-    find_best_split_constrained(
-        charges, hist, features, node_g, node_h, node_count, params, None,
-    )
-}
-
-/// [`find_best_split_batched`] with optional monotone constraints: a
-/// candidate on a constrained feature is admissible only if its
-/// (bound-clamped) child leaf values respect the required ordering on
-/// every output.
+/// per level (paper §3.1.3's batched segmented reduction). A candidate
+/// on a constrained feature is admissible only if its (bound-clamped)
+/// child leaf values respect the required ordering on every output.
 #[allow(clippy::too_many_arguments)]
 pub fn find_best_split_constrained(
     charges: &mut LevelSplitCharges,
@@ -691,7 +669,6 @@ mod tests {
 
     #[test]
     fn range_restriction_is_respected() {
-        let device = Device::rtx4090();
         // Two features; only feature 1 carries signal. Restricting the
         // range to feature 0 must find nothing.
         let mut hist = NodeHistogram::new(2, 1, 4);
@@ -719,10 +696,22 @@ mod tests {
             }
         }
         let p = params();
-        let none = find_best_split_range(&device, &hist, &[4, 9], 0, 1, &[0.0], &[8.0], 40, &p);
-        assert!(none.is_none());
-        let some = find_best_split_range(&device, &hist, &[4, 9], 1, 2, &[0.0], &[8.0], 40, &p)
-            .expect("feature 1 must split");
+        let mut charges = LevelSplitCharges::new();
+        let mut range = |lo, hi| {
+            find_best_split_range_batched(
+                &mut charges,
+                &hist,
+                &[4, 9],
+                lo,
+                hi,
+                &[0.0],
+                &[8.0],
+                40,
+                &p,
+            )
+        };
+        assert!(range(0, 1).is_none());
+        let some = range(1, 2).expect("feature 1 must split");
         assert_eq!(some.feature, 9);
     }
 
@@ -733,9 +722,17 @@ mod tests {
         let per_node =
             find_best_split(&device, &hist, &[7], &[0.0], &[8.0], 40, &params()).unwrap();
         let mut charges = LevelSplitCharges::new();
-        let batched =
-            find_best_split_batched(&mut charges, &hist, &[7], &[0.0], &[8.0], 40, &params())
-                .unwrap();
+        let batched = find_best_split_constrained(
+            &mut charges,
+            &hist,
+            &[7],
+            &[0.0],
+            &[8.0],
+            40,
+            &params(),
+            None,
+        )
+        .unwrap();
         assert_eq!(per_node.feature, batched.feature);
         assert_eq!(per_node.bin, batched.bin);
         assert_eq!(per_node.gain, batched.gain);
@@ -756,8 +753,16 @@ mod tests {
         let d_batch = Device::rtx4090();
         let mut charges = LevelSplitCharges::new();
         for _ in 0..16 {
-            let _ =
-                find_best_split_batched(&mut charges, &hist, &[0], &[0.0], &[8.0], 40, &params());
+            let _ = find_best_split_constrained(
+                &mut charges,
+                &hist,
+                &[0],
+                &[0.0],
+                &[8.0],
+                40,
+                &params(),
+                None,
+            );
         }
         charges.flush(&d_batch, d_batch.model().params.sm_count, 4.0);
         assert!(

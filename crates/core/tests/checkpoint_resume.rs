@@ -147,6 +147,61 @@ fn resume_from_final_checkpoint_is_a_no_op_fit() {
     );
 }
 
+/// A checkpoint whose embedded config carries a key the config type no
+/// longer has (`parallel_level_hist`, a removed host-threading toggle)
+/// still loads, and resuming from it is bit-identical to the
+/// uninterrupted fit: trees, predictions and the charge stream's tail.
+#[test]
+fn checkpoint_with_a_removed_config_key_resumes_bit_identically() {
+    let ds = dataset();
+    let cfg = TrainConfig {
+        num_trees: 4,
+        max_depth: 3,
+        max_bins: 16,
+        min_instances: 5,
+        hist: HistOptions {
+            subtraction: true,
+            ..HistOptions::default()
+        },
+        ..TrainConfig::default()
+    };
+    let dev_a = Device::new(0, DeviceProps::rtx4090());
+    let (full, checkpoints) = GpuTrainer::try_new(dev_a.clone(), cfg)
+        .expect("valid config")
+        .try_fit_checkpointed(&ds)
+        .expect("fit succeeds");
+    let bytes = checkpoints[1].to_bytes();
+
+    // The config JSON follows a 19-byte header and its u32 length.
+    let len = u32::from_le_bytes(bytes[19..23].try_into().unwrap()) as usize;
+    let json = std::str::from_utf8(&bytes[23..23 + len]).expect("config is JSON");
+    assert!(!json.contains("parallel_level_hist"));
+    let old = json.replacen('{', "{\"parallel_level_hist\":false,", 1);
+    let mut spliced = bytes[..19].to_vec();
+    spliced.extend((old.len() as u32).to_le_bytes());
+    spliced.extend(old.as_bytes());
+    spliced.extend(&bytes[23 + len..]);
+    let ck = Checkpoint::from_bytes(&spliced).expect("an unknown config key is ignored");
+    assert_eq!(ck.completed_trees, 2);
+
+    let dev_b = Device::new(0, DeviceProps::rtx4090());
+    let resumed = gbdt_core::Model::resume_from(dev_b.clone(), &ck, &ds).expect("resume");
+    assert_eq!(resumed.model.trees, full.model.trees);
+    assert_eq!(
+        resumed.model.predict(ds.features()),
+        full.model.predict(ds.features())
+    );
+    // After the two preprocess charges, the resumed stream is the tail
+    // of the uninterrupted one.
+    let (a, b) = (dev_a.records(), dev_b.records());
+    let tail = &b[2..];
+    assert!(!tail.is_empty() && a.len() >= tail.len());
+    for (x, y) in a[a.len() - tail.len()..].iter().zip(tail) {
+        assert_eq!(x.name, y.name);
+        assert_eq!(x.ns.to_bits(), y.ns.to_bits(), "{} charge drifted", x.name);
+    }
+}
+
 /// A checkpoint taken against one dataset refuses to resume against a
 /// mismatched one — typed error, not a wrong model.
 #[test]

@@ -94,11 +94,6 @@ impl BinCuts {
         self.cuts[f].len() + 1
     }
 
-    /// Cut points of feature `f`.
-    pub fn feature_cuts(&self, f: usize) -> &[f32] {
-        &self.cuts[f]
-    }
-
     /// Bin ID of value `v` under feature `f`'s cuts.
     #[inline]
     pub fn bin_value(&self, f: usize, v: f32) -> u8 {

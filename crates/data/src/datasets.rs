@@ -179,17 +179,6 @@ impl PaperDataset {
         }
     }
 
-    /// Generate the synthetic stand-in at full Table 1 shape.
-    pub fn generate_full(&self, seed: u64) -> Dataset {
-        self.generate(1.0, usize::MAX, usize::MAX, seed)
-    }
-
-    /// Generate at the benchmark driver's default reduced shape.
-    pub fn generate_bench(&self, seed: u64) -> Dataset {
-        let (scale, m_cap, d_cap) = self.bench_shape();
-        self.generate(scale, m_cap, d_cap, seed)
-    }
-
     /// Generate with an instance-count `scale` and caps on features and
     /// outputs. Scaled instance count is floored at 300.
     pub fn generate(

@@ -529,12 +529,6 @@ impl Device {
         self.state.lock().fault = Some(Arc::new(FaultInjector::new(plan)));
     }
 
-    /// Detach the fault injector; accumulated state (including a sticky
-    /// device loss) is dropped.
-    pub fn disable_faults(&self) {
-        self.state.lock().fault = None;
-    }
-
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
         self.state.lock().fault.clone()

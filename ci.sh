@@ -30,9 +30,10 @@ echo "==> bitwise pins under release codegen"
 # thread-count independence of grown trees, the pair-local subtraction
 # (bit-identical trees, a pool that frees parents early), the equality
 # of data- and feature-parallel trees, the data-parallel level schedule
-# (smallest builds first, gapless reduce-scatters), and the trees and
-# histogram/split time that appended constant columns must not move, in
-# the release profile.
+# (smallest builds first, gapless reduce-scatters), the trees and
+# histogram/split time that appended constant columns must not move, and
+# the uniform-Hessian fits that must equal fits forced onto the general
+# Hessian path, in the release profile.
 cargo test --release -q -p gbdt-core --test layout_golden
 cargo test --release -q -p gbdt-core --test differential -- constant
 cargo test --release -q -p gbdt-core --lib -- \
@@ -42,7 +43,8 @@ cargo test --release -q -p gbdt-core --lib -- \
   grow::tests::trees_do_not_depend_on_the_thread_count \
   grow::tests::subtraction_pairs_resolve_at_their_first_node_and_free_parents_early \
   multigpu::tests::data_parallel_trees_equal_feature_parallel_trees_bit_for_bit \
-  multigpu::tests::data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives
+  multigpu::tests::data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives \
+  uniform_differential::
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"
 # The benchmark is a package of its own (benchmark/Cargo.toml), so the

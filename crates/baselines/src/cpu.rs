@@ -101,7 +101,7 @@ impl CpuMoTrainer {
                         hr,
                     );
                 });
-            let grads = Gradients { g, h, n, d };
+            let grads = Gradients::new(g, h, n, d);
             let ctx = HistContext {
                 device: &scratch_device,
                 data: &binned,

@@ -186,12 +186,7 @@ mod tests {
     fn exact_split_maximizes_gain() {
         // One feature separating two gradient groups perfectly.
         let features = DenseMatrix::new(6, 1, vec![1.0, 1.0, 1.0, 5.0, 5.0, 5.0]);
-        let grads = Gradients {
-            g: vec![-2.0, -2.0, -2.0, 2.0, 2.0, 2.0],
-            h: vec![2.0; 6],
-            n: 6,
-            d: 1,
-        };
+        let grads = Gradients::new(vec![-2.0, -2.0, -2.0, 2.0, 2.0, 2.0], vec![2.0; 6], 6, 1);
         let s = exact_best_split(&features, &grads, &[0, 1, 2, 3, 4, 5], 1.0, 0.0, 1).unwrap();
         assert_eq!(s.feature, 0);
         assert_eq!(s.threshold, 3.0);
@@ -201,12 +196,7 @@ mod tests {
     #[test]
     fn no_split_on_constant_feature() {
         let features = DenseMatrix::new(4, 1, vec![7.0; 4]);
-        let grads = Gradients {
-            g: vec![-1.0, 1.0, -1.0, 1.0],
-            h: vec![2.0; 4],
-            n: 4,
-            d: 1,
-        };
+        let grads = Gradients::new(vec![-1.0, 1.0, -1.0, 1.0], vec![2.0; 4], 4, 1);
         assert!(exact_best_split(&features, &grads, &[0, 1, 2, 3], 1.0, 0.0, 1).is_none());
     }
 

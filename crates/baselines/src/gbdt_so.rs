@@ -191,16 +191,17 @@ impl GbdtSoTrainer {
             let grads = compute_gradients(device, loss.as_ref(), &scores, ds.targets(), n, d);
             for k in 0..d {
                 // Column k as a single-output gradient set.
-                let gk = Gradients {
-                    g: (0..n).map(|i| grads.g[i * d + k]).collect(),
-                    h: (0..n).map(|i| grads.h[i * d + k]).collect(),
+                let gk = Gradients::new(
+                    (0..n).map(|i| grads.g[i * d + k]).collect(),
+                    (0..n).map(|i| grads.h[i * d + k]).collect(),
                     n,
-                    d: 1,
-                };
+                    1,
+                );
                 device.charge_kernel(
                     "strided_gather_column",
                     Phase::Gradient,
-                    &KernelCost::streaming(n as f64, (n * 16) as f64),
+                    // The gather plus the uniform-Hessian check of the column.
+                    &KernelCost::streaming((n * 2) as f64, (n * 16) as f64),
                 );
                 let grown = self.grow(&binned, &gk, &features);
                 // Scatter this tree's leaf deltas into score column k.

@@ -138,16 +138,17 @@ impl RandomForestTrainer {
         // A variance-reduction tree = one full MSE gradient step from
         // zero scores: g = −2y, h = 2 ⇒ leaf value −G/(H+λ) = mean(y)
         // with λ = 0.
-        let grads = Gradients {
-            g: ds.targets().iter().map(|&y| -2.0 * y).collect(),
-            h: vec![2.0; n * d],
+        let grads = Gradients::new(
+            ds.targets().iter().map(|&y| -2.0 * y).collect(),
+            vec![2.0; n * d],
             n,
             d,
-        };
+        );
         device.charge_kernel(
             "rf_pseudo_gradients",
             Phase::Gradient,
-            &KernelCost::streaming((n * d) as f64, (n * d * 12) as f64),
+            // One write and one uniform-Hessian compare per element.
+            &KernelCost::streaming((n * d * 2) as f64, (n * d * 12) as f64),
         );
 
         let m = ds.m();

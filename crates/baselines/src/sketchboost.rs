@@ -125,11 +125,13 @@ pub fn sketch_gradients(
                     k
                 } else {
                     1
-                }) as f64,
+                }
+                // …plus the uniform-Hessian check of the sketch.
+                + n * k) as f64,
             (n * (d + k) * 8) as f64,
         ),
     );
-    Gradients { g, h, n, d: k }
+    Gradients::new(g, h, n, k)
 }
 
 fn select_columns(grads: &Gradients, cols: &[usize]) -> (Vec<f32>, Vec<f32>) {
@@ -337,12 +339,7 @@ mod tests {
     #[test]
     fn sketch_shapes_are_correct() {
         let device = Device::rtx4090();
-        let grads = Gradients {
-            g: (0..60).map(|i| i as f32).collect(),
-            h: vec![1.0; 60],
-            n: 10,
-            d: 6,
-        };
+        let grads = Gradients::new((0..60).map(|i| i as f32).collect(), vec![1.0; 60], 10, 6);
         for strategy in [
             SketchStrategy::TopOutputs,
             SketchStrategy::RandomSampling,
@@ -366,12 +363,7 @@ mod tests {
             g[i * d + 1] = 1.0;
             g[i * d + 2] = 100.0;
         }
-        let grads = Gradients {
-            g,
-            h: vec![1.0; n * d],
-            n,
-            d,
-        };
+        let grads = Gradients::new(g, vec![1.0; n * d], n, d);
         let s = sketch_gradients(&device, &grads, 2, SketchStrategy::TopOutputs, 0);
         // Kept columns (sorted): 1 and 2 → first kept column is 1.
         assert_eq!(s.g[0], 0.0 + 1.0 * 0.0 + s.g[0]); // placeholder no-op
@@ -382,12 +374,12 @@ mod tests {
     #[test]
     fn full_width_sketch_is_identity_for_selection_strategies() {
         let device = Device::rtx4090();
-        let grads = Gradients {
-            g: (0..40).map(|i| i as f32 * 0.5).collect(),
-            h: vec![2.0; 40],
-            n: 10,
-            d: 4,
-        };
+        let grads = Gradients::new(
+            (0..40).map(|i| i as f32 * 0.5).collect(),
+            vec![2.0; 40],
+            10,
+            4,
+        );
         let s = sketch_gradients(&device, &grads, 4, SketchStrategy::TopOutputs, 9);
         assert_eq!(s.g, grads.g);
         assert_eq!(s.h, grads.h);

@@ -1999,7 +1999,9 @@ fn report_cmd(opts: &Opts) -> bool {
         r.features_one_bin
     );
     // Histogram launches per depth: one batched kernel per (level,
-    // method), summed over trees, against the node builds it covers.
+    // method), summed over trees, against the node builds it covers and
+    // how many of those carried one count column instead of `d` Hessian
+    // columns (every row shared its Hessians).
     let launch_rows: Vec<Vec<String>> = r
         .hist_launches
         .iter()
@@ -2009,6 +2011,7 @@ fn report_cmd(opts: &Opts) -> bool {
                 format!("{method:?}"),
                 l.kernels.to_string(),
                 l.nodes.to_string(),
+                l.one_column.to_string(),
                 format!("{:.0}", l.launches),
             ]
         })
@@ -2016,7 +2019,14 @@ fn report_cmd(opts: &Opts) -> bool {
     println!(
         "{}",
         render_table(
-            &["depth", "hist method", "kernels", "nodes", "launches"],
+            &[
+                "depth",
+                "hist method",
+                "kernels",
+                "nodes",
+                "1-col nodes",
+                "launches"
+            ],
             &launch_rows
         )
     );

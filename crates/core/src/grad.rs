@@ -14,6 +14,12 @@ use rayon::prelude::*;
 
 /// Per-instance, per-output first and second loss derivatives,
 /// row-major: `g[i*d + k]`.
+///
+/// Built only through [`Gradients::new`], which records whether every
+/// row shares one Hessian row ([`Gradients::uniform_h`]). Histogram
+/// builds then carry one count column instead of `d` Hessian columns
+/// (see `crate::hist`). Code that changes `h` in place must rebuild the
+/// record, as [`quantize_bf16`] does.
 #[derive(Debug, Clone)]
 pub struct Gradients {
     /// First derivatives.
@@ -29,9 +35,86 @@ pub struct Gradients {
     /// (histogram shapes, cost formulas via `HistContext::d()`, split
     /// scan, leaf widths) sizes itself from this field.
     pub d: usize,
+    /// The Hessian row every instance shares, if one does.
+    uniform_h: Option<Vec<f32>>,
+}
+
+/// Rows at or above this count could make a partial sum of one `f32`
+/// Hessian inexact in `f64` (24 + 29 bits), so they are never uniform.
+const MAX_UNIFORM_ROWS: usize = 1 << 29;
+
+#[cfg(test)]
+thread_local! {
+    /// Off inside [`on_general_path`]: every `Gradients` built on this
+    /// thread reports no uniform row.
+    static DETECT_UNIFORM: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+}
+
+/// Run `f` with uniform-Hessian detection off on this thread, so every
+/// histogram it builds takes the general `d`-column path. The
+/// differential tests compare such fits with detecting ones.
+#[cfg(test)]
+pub(crate) fn on_general_path<R>(f: impl FnOnce() -> R) -> R {
+    let was = DETECT_UNIFORM.with(|c| c.replace(false));
+    let out = f();
+    DETECT_UNIFORM.with(|c| c.set(was));
+    out
+}
+
+/// The Hessian row all `n` rows of `h` share, bit for bit. Only a row
+/// of finite, sign-positive values counts, so a bin's `count × c[k]`
+/// has the bits of summing `c[k]` `count` times from `+0.0`.
+fn uniform_row(h: &[f32], n: usize, d: usize) -> Option<Vec<f32>> {
+    #[cfg(test)]
+    if !DETECT_UNIFORM.with(|c| c.get()) {
+        return None;
+    }
+    if n == 0 || d == 0 || n >= MAX_UNIFORM_ROWS {
+        return None;
+    }
+    let first = &h[..d];
+    if !first.iter().all(|v| v.is_finite() && v.is_sign_positive()) {
+        return None;
+    }
+    let same = |row: &[f32]| {
+        row.iter()
+            .zip(first)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+    };
+    h.chunks_exact(d).all(same).then(|| first.to_vec())
 }
 
 impl Gradients {
+    /// Wrap `n × d` gradient and Hessian matrices, recording whether
+    /// every row has the same Hessian row. The check is one compare per
+    /// element; the kernel that writes `h` charges it as flops.
+    pub fn new(g: Vec<f32>, h: Vec<f32>, n: usize, d: usize) -> Self {
+        assert_eq!(g.len(), n * d, "g must be n × d");
+        assert_eq!(h.len(), n * d, "h must be n × d");
+        let uniform_h = uniform_row(&h, n, d);
+        Gradients {
+            g,
+            h,
+            n,
+            d,
+            uniform_h,
+        }
+    }
+
+    /// [`Gradients::new`] with the uniform-Hessian check skipped: the
+    /// general `d`-column path whatever the data.
+    #[cfg(test)]
+    pub(crate) fn general(g: Vec<f32>, h: Vec<f32>, n: usize, d: usize) -> Self {
+        on_general_path(|| Self::new(g, h, n, d))
+    }
+
+    /// The Hessian row every instance shares, if one does: MSE on every
+    /// round, and sigmoid and softmax on round 0, when every row starts
+    /// from the base scores.
+    pub fn uniform_h(&self) -> Option<&[f32]> {
+        self.uniform_h.as_deref()
+    }
+
     /// Gradient row of instance `i`.
     pub fn g_row(&self, i: usize) -> &[f32] {
         &self.g[i * self.d..(i + 1) * self.d]
@@ -57,6 +140,16 @@ impl Gradients {
         }
         (gs, hs)
     }
+}
+
+/// The `grad_hess` kernel over `rows` instances of `d` outputs: the
+/// loss's flops per output plus one compare per element for the
+/// uniform-Hessian check, reading scores and targets and writing g and h.
+pub(crate) fn grad_hess_cost(rows: usize, d: usize, flops_per_output: f64) -> KernelCost {
+    KernelCost::streaming(
+        rows as f64 * d as f64 * (flops_per_output + 1.0),
+        (rows * d * 16) as f64,
+    )
 }
 
 /// Evaluate `loss` derivatives for every instance on `device`.
@@ -88,14 +181,10 @@ pub fn compute_gradients(
     device.charge_kernel(
         "grad_hess",
         Phase::Gradient,
-        &KernelCost::streaming(
-            n as f64 * d as f64 * loss.flops_per_output(),
-            // read scores + targets, write g + h
-            (n * d * 16) as f64,
-        ),
+        &grad_hess_cost(n, d, loss.flops_per_output()),
     );
     crate::sanitize::trace_grad_hess(device, n, d);
-    Gradients { g, h, n, d }
+    Gradients::new(g, h, n, d)
 }
 
 /// Round an `f32` to bfloat16 precision (keep the upper 16 bits, round
@@ -109,14 +198,17 @@ pub fn bf16_round(x: f32) -> f32 {
 
 /// Quantize a gradient set to bfloat16 precision in place (paper
 /// motivation: GBDT-MO's gradient storage is `d×` a single-output
-/// trainer's; bf16 halves it and the histogram read traffic).
+/// trainer's; bf16 halves it and the histogram read traffic). Rounding
+/// can make distinct Hessian rows equal, so the uniform row is found
+/// again from the rounded data, one more compare per element.
 pub fn quantize_bf16(device: &Device, grads: &mut Gradients) {
     grads.g.iter_mut().for_each(|v| *v = bf16_round(*v));
     grads.h.iter_mut().for_each(|v| *v = bf16_round(*v));
+    grads.uniform_h = uniform_row(&grads.h, grads.n, grads.d);
     device.charge_kernel(
         "quantize_bf16",
         Phase::Gradient,
-        &KernelCost::streaming((grads.g.len() * 2) as f64, (grads.g.len() * 2 * 6) as f64),
+        &KernelCost::streaming((grads.g.len() * 3) as f64, (grads.g.len() * 2 * 6) as f64),
     );
     crate::sanitize::trace_quantize_bf16(device, grads.g.len());
 }
@@ -261,6 +353,64 @@ mod tests {
     fn shape_mismatch_panics() {
         let device = Device::rtx4090();
         let _ = compute_gradients(&device, &MseLoss, &[0.0; 3], &[0.0; 4], 2, 2);
+    }
+
+    #[test]
+    fn mse_and_shared_scores_give_one_hessian_row() {
+        let device = Device::rtx4090();
+        let targets: Vec<f32> = (0..12).map(|i| i as f32 * 0.3 - 1.0).collect();
+        let scores: Vec<f32> = (0..12).map(|i| (i % 5) as f32 * 0.7).collect();
+        let mse = compute_gradients(&device, &MseLoss, &scores, &targets, 4, 3);
+        assert_eq!(mse.uniform_h(), Some(&[2.0f32, 2.0, 2.0][..]));
+        // Softmax from shared scores (round 0), then from scores that
+        // differ by row.
+        let shared = [0.1f32, -0.4, 0.3].repeat(4);
+        let round0 = compute_gradients(&device, &SoftmaxLoss, &shared, &targets, 4, 3);
+        assert_eq!(round0.uniform_h(), Some(round0.h_row(0)));
+        let later = compute_gradients(&device, &SoftmaxLoss, &scores, &targets, 4, 3);
+        assert_eq!(later.uniform_h(), None);
+        // Forced onto the general path, nothing is uniform.
+        let general = Gradients::general(mse.g.clone(), mse.h.clone(), 4, 3);
+        assert_eq!(general.uniform_h(), None);
+    }
+
+    #[test]
+    fn huber_and_custom_asymmetric_gradients_report_no_uniform_row() {
+        use crate::loss::{CustomLoss, HuberLoss};
+        let device = Device::rtx4090();
+        let scores: Vec<f32> = (0..8).map(|i| i as f32 * 0.25).collect();
+        let targets = vec![0.8f32; 8];
+        let huber = compute_gradients(&device, &HuberLoss::default(), &scores, &targets, 4, 2);
+        assert_eq!(huber.uniform_h(), None);
+        // Under-prediction weighs 3×, so the Hessian follows the sign of
+        // the residual.
+        let asymmetric = CustomLoss::new(
+            "asymmetric-mse",
+            |scores, targets, g, h| {
+                for k in 0..scores.len() {
+                    let r = scores[k] - targets[k];
+                    let w = if r < 0.0 { 3.0 } else { 1.0 };
+                    g[k] = 2.0 * w * r;
+                    h[k] = 2.0 * w;
+                }
+            },
+            |_, _| 0.0,
+            6.0,
+        );
+        let custom = compute_gradients(&device, &asymmetric, &scores, &targets, 4, 2);
+        assert_eq!(custom.uniform_h(), None);
+    }
+
+    #[test]
+    fn quantization_refreshes_the_uniform_row() {
+        let device = Device::rtx4090();
+        // Hessians 1 + 2^-20 and 1 differ in f32 and round to the same
+        // bf16 value.
+        let h = [1.0f32 + 2f32.powi(-20), 1.0, 1.0, 1.0];
+        let mut grads = Gradients::new(vec![0.5; 4], h.to_vec(), 4, 1);
+        assert_eq!(grads.uniform_h(), None);
+        quantize_bf16(&device, &mut grads);
+        assert_eq!(grads.uniform_h(), Some(&[1.0f32][..]));
     }
 
     #[test]

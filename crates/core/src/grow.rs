@@ -63,7 +63,7 @@ use std::collections::BTreeMap;
 struct HistCharges {
     /// Fresh builds of the level, per concrete method.
     batches: BTreeMap<HistogramMethod, MethodBatch>,
-    /// Histogram elements derived by subtraction this level.
+    /// Histogram columns derived by subtraction this level.
     derived: usize,
 }
 
@@ -75,6 +75,8 @@ struct MethodBatch {
     /// The method's launch count, paid once per level.
     launches: f64,
     nodes: usize,
+    /// Nodes built on the uniform-Hessian path.
+    one_column: usize,
     rows: usize,
     /// The nodes' instances, kept only for an attached sanitizer.
     traced: Vec<Vec<u32>>,
@@ -99,6 +101,7 @@ impl HistCharges {
         });
         batch.launches = cost.launches;
         batch.nodes += 1;
+        batch.one_column += usize::from(ctx.grads.uniform_h().is_some());
         batch.rows += idx.len();
         if ctx.device.sanitizer().is_some() {
             batch.traced.push(idx.to_vec());
@@ -108,10 +111,12 @@ impl HistCharges {
         buf
     }
 
-    /// Trace one subtraction derive of `elems` histogram elements.
-    fn derive(&mut self, device: &Device, elems: usize) {
-        crate::sanitize::trace_subtract(device, elems);
-        self.derived += elems;
+    /// Trace one subtraction derive of `hist`: its gradient and Hessian
+    /// (or count) columns over every (feature, bin).
+    fn derive(&mut self, device: &Device, hist: &NodeHistogram) {
+        let cols = hist.num_features * hist.bins * (hist.d + hist.hess_cols);
+        crate::sanitize::trace_subtract(device, cols);
+        self.derived += cols;
     }
 
     /// End of level: charge one kernel per method used, then the derive
@@ -124,6 +129,7 @@ impl HistCharges {
             let seen = grown.hist_launches.entry((depth, method)).or_default();
             seen.kernels += 1;
             seen.nodes += batch.nodes;
+            seen.one_column += batch.one_column;
             seen.launches += batch.launches;
             let cost = batch.work.merged(&KernelCost {
                 dram_bytes: 4.0 * batch.rows as f64,
@@ -133,11 +139,13 @@ impl HistCharges {
             charge_builds_on(ctx, method, 0, &cost, &batch.traced);
         }
         if self.derived > 0 {
-            let elems = self.derived as f64;
+            // One subtract per column element, reading the parent and
+            // the sibling and writing the derive.
+            let cols = self.derived as f64;
             ctx.device.charge_kernel(
                 "hist_subtract",
                 Phase::Histogram,
-                &KernelCost::streaming(elems * 2.0, elems * 3.0 * 8.0),
+                &KernelCost::streaming(cols, cols * 12.0),
             );
             self.derived = 0;
         }
@@ -327,6 +335,9 @@ pub struct HistLaunches {
     pub kernels: usize,
     /// Fresh node builds.
     pub nodes: usize,
+    /// Those of the builds that took the uniform-Hessian path, carrying
+    /// one count column instead of `d` Hessian columns.
+    pub one_column: usize,
     /// Kernel launches paid for them.
     pub launches: f64,
 }
@@ -448,7 +459,7 @@ pub fn grow_tree_pooled(
                 let mut derived = pool.acquire();
                 derived.assign_difference(&parent, &fresh);
                 pool.release(parent);
-                hist_charges.derive(device, derived.g.len());
+                hist_charges.derive(device, &derived);
                 hists[smaller] = Some(fresh);
                 hists[larger] = Some(derived);
             }
@@ -1041,7 +1052,7 @@ mod tests {
         };
         let g: Vec<f32> = (0..n * d).map(|_| dyadic(-1024, 2048)).collect();
         let h: Vec<f32> = (0..n * d).map(|_| dyadic(1, 1024)).collect();
-        let grads = Gradients { g, h, n, d };
+        let grads = Gradients::new(g, h, n, d);
         let features: Vec<u32> = (0..m as u32).collect();
         let mut cfg = config();
         cfg.max_depth = 7;

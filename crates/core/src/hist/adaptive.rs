@@ -17,7 +17,8 @@
 //! sketching ([`crate::sketch`]) that is `k`, not the model's `d`, so a
 //! sketched round's predicted costs shrink automatically and the
 //! selector can flip its choice (e.g. sort-and-reduce loses its appeal
-//! once the per-key payload drops from `2d` to `2k` floats).
+//! once the per-key payload drops from `d + hc` to `k + hc` columns,
+//! `hc` being the Hessian (or count) columns, [`HistContext::hess_cols`]).
 //!
 //! A node's price includes its kernel launches only when the node pays
 //! for them ([`Launches::PerNode`]). The single-device grower charges a

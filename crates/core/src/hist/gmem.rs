@@ -2,7 +2,8 @@
 //!
 //! One simulated thread per (instance, feature) pair: fetch the bin ID,
 //! then `atomicAdd` the instance's `d` gradient and `d` Hessian values
-//! into the global histogram. Simple and launch-cheap, but every update
+//! (one count when every row shares its Hessians) into the global
+//! histogram. Simple and launch-cheap, but every update
 //! is a global atomic: intra-warp bin collisions serialize into replays,
 //! so skewed bin distributions (sparse data funnelling into the zero
 //! bin) degrade it sharply — the motivation for the other strategies.
@@ -22,7 +23,9 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     // (feature, output), negligible against the entry stream).
     let density = super::density_factor(ctx);
     let pairs = nn as f64 * mf as f64 * density;
-    let updates = pairs * d as f64 * 2.0; // g and h per output
+    // Gradient and Hessian (or count) columns each pair updates.
+    let cols = (d + ctx.hess_cols()) as f64;
+    let updates = pairs * cols;
 
     let (bin_trans, issue_per_pair, aggregation) = if ctx.opts.warp_packing {
         // Packed: one u32 serves 4 instances, and each thread
@@ -35,11 +38,10 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     };
 
     KernelCost {
-        flops: pairs * (2.0 * d as f64 + issue_per_pair),
-        dram_bytes: bin_trans * p.sector_bytes as f64
-            + stats::gh_bytes(nn, mf, d, stats::pair_bytes(ctx)),
+        flops: pairs * (cols + issue_per_pair),
+        dram_bytes: bin_trans * p.sector_bytes as f64 + stats::gh_bytes(ctx, nn),
         gmem_atomics: updates * aggregation,
-        gmem_atomic_replays: s.replay_excess * d as f64 * 2.0 * aggregation * density,
+        gmem_atomic_replays: s.replay_excess * cols * aggregation * density,
         launches: 1.0,
         ..Default::default()
     }

@@ -85,6 +85,12 @@ pub struct NodeHistogram {
     pub h: Vec<f64>,
     /// Per-(feature, bin) instance counts.
     pub counts: Vec<u32>,
+    /// Hessian columns the device kernels built and moved per (feature,
+    /// bin): `d`, or `1` when the Hessian plane was filled from the
+    /// counts and the gradients' uniform row
+    /// ([`HistContext::hess_cols`]). The host `h` plane is full either
+    /// way; only charges read this.
+    pub hess_cols: usize,
     /// Number of (local) features covered.
     pub num_features: usize,
     /// Output dimension.
@@ -100,6 +106,7 @@ impl NodeHistogram {
             g: vec![0.0; num_features * d * bins],
             h: vec![0.0; num_features * d * bins],
             counts: vec![0; num_features * bins],
+            hess_cols: d,
             num_features,
             d,
             bins,
@@ -145,6 +152,7 @@ impl NodeHistogram {
     /// sibling's histogram, obtained without touching instance data.
     pub fn subtract_from(&mut self, parent: &NodeHistogram) {
         assert_eq!(self.g.len(), parent.g.len(), "histogram shape mismatch");
+        self.hess_cols = parent.hess_cols;
         for (s, p) in self.g.iter_mut().zip(&parent.g) {
             *s = p - *s;
         }
@@ -166,6 +174,7 @@ impl NodeHistogram {
     pub fn assign_difference(&mut self, parent: &NodeHistogram, child: &NodeHistogram) {
         assert_eq!(parent.g.len(), child.g.len(), "histogram shape mismatch");
         assert_eq!(self.g.len(), parent.g.len(), "histogram shape mismatch");
+        self.hess_cols = parent.hess_cols;
         for ((o, p), c) in self.g.iter_mut().zip(&parent.g).zip(&child.g) {
             *o = p - c;
         }
@@ -211,6 +220,22 @@ impl HistContext<'_> {
     pub fn d(&self) -> usize {
         self.grads.d
     }
+
+    /// Hessian columns a build accumulates and moves per (feature, bin):
+    /// `d`, or `1` (the count column) when every row shares one Hessian
+    /// row ([`Gradients::uniform_h`]).
+    pub fn hess_cols(&self) -> usize {
+        hess_cols(self.grads)
+    }
+}
+
+/// [`HistContext::hess_cols`] of a gradient set.
+pub(crate) fn hess_cols(grads: &Gradients) -> usize {
+    if grads.uniform_h().is_some() {
+        1
+    } else {
+        grads.d
+    }
 }
 
 // The level-parallel grower shares one `&HistContext` across worker
@@ -248,9 +273,17 @@ pub(crate) fn built_density(ctx: &HistContext<'_>) -> f64 {
     nnz as f64 / (ctx.data.n() * ctx.features.len()).max(1) as f64
 }
 
-/// Add a gradient row and a Hessian row into `d`-wide `f64` accumulator
-/// rows, in ascending `k`. Always inlined, so each build of a
-/// multiversioned caller compiles it with that build's extension.
+/// Add a row into a `d`-wide `f64` accumulator row, in ascending `k`.
+/// Always inlined, so each build of a multiversioned caller compiles it
+/// with that build's extension.
+#[inline(always)]
+pub(crate) fn add_row<T: Copy + Into<f64>>(acc: &mut [f64], row: &[T]) {
+    for (acc, &v) in acc.iter_mut().zip(row) {
+        *acc += v.into();
+    }
+}
+
+/// `add_row` for a gradient row and a Hessian row.
 #[inline(always)]
 pub fn add_rows<T: Copy + Into<f64>>(
     g_acc: &mut [f64],
@@ -258,11 +291,20 @@ pub fn add_rows<T: Copy + Into<f64>>(
     g_row: &[T],
     h_row: &[T],
 ) {
-    for (acc, &v) in g_acc.iter_mut().zip(g_row) {
-        *acc += v.into();
-    }
-    for (acc, &v) in h_acc.iter_mut().zip(h_row) {
-        *acc += v.into();
+    add_row(g_acc, g_row);
+    add_row(h_acc, h_row);
+}
+
+/// Set every bin's Hessian row to `count × c`, the uniform-Hessian
+/// path's fill. These are the bits the general path's sum gives: `c` is
+/// finite and sign-positive ([`Gradients::uniform_h`]), a partial sum
+/// of fewer than 2^29 copies of an `f32` is exact in `f64`, and so is
+/// the product.
+fn fill_uniform_h(hh: &mut [f64], cnt: &[u32], c: &[f32]) {
+    for (row, &count) in hh.chunks_exact_mut(c.len()).zip(cnt) {
+        for (v, &ck) in row.iter_mut().zip(c) {
+            *v = ck as f64 * count as f64;
+        }
     }
 }
 
@@ -271,7 +313,9 @@ pub fn add_rows<T: Copy + Into<f64>>(
 ///
 /// Each instance adds its gradient and Hessian rows into the two
 /// contiguous `d`-wide rows of its bin, so every cell sums its
-/// instances in node order whatever the layout.
+/// instances in node order whatever the layout. When the gradients
+/// share one Hessian row, instances add only their gradient rows and
+/// the Hessian plane is filled from the counts.
 pub fn accumulate_dense(ctx: &HistContext<'_>, idx: &[u32], out: &mut NodeHistogram) {
     let pass = crate::simd::with_row_width!(ctx.d(), dense_feature_pass);
     accumulate_dense_with(ctx, idx, out, pass);
@@ -296,8 +340,11 @@ pub(crate) fn accumulate_dense_with(
     debug_assert_eq!(out.num_features, ctx.features.len());
 
     let g = &ctx.grads.g;
-    let h = &ctx.grads.h;
+    let uniform = ctx.grads.uniform_h();
+    // An empty Hessian matrix tells the pass to skip the Hessian adds.
+    let h: &[f32] = if uniform.is_some() { &[] } else { &ctx.grads.h };
     let gh_stride = d * bins;
+    out.hess_cols = ctx.hess_cols();
     out.g
         .par_chunks_mut(gh_stride)
         .zip(out.h.par_chunks_mut(gh_stride))
@@ -306,6 +353,9 @@ pub(crate) fn accumulate_dense_with(
         .for_each(|(f_local, ((gh, hh), cnt))| {
             let col = ctx.data.bins.col(ctx.features[f_local] as usize);
             pass(col, idx, g, h, d, gh, hh, cnt);
+            if let Some(c) = uniform {
+                fill_uniform_h(hh, cnt, c);
+            }
         });
 }
 
@@ -326,9 +376,9 @@ crate::simd::multiversion! {
 
 /// The portable body of one feature's pass at row width `W` (`0`: `d`
 /// read at run time): each instance of `idx` adds its rows into its
-/// bin's rows, in node order. Every row is sliced to exactly `d`
-/// elements, so at a fixed width [`add_rows`] has a constant trip count
-/// and unrolls.
+/// bin's rows, in node order, its Hessian row only when `h` is not
+/// empty. Every row is sliced to exactly `d` elements, so at a fixed
+/// width [`add_row`] has a constant trip count and unrolls.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn dense_feature_pass_portable<const W: usize>(
@@ -346,19 +396,19 @@ fn dense_feature_pass_portable<const W: usize>(
         let i = i as usize;
         let b = col[i] as usize;
         cnt[b] += 1;
-        add_rows(
-            &mut gh[b * d..][..d],
-            &mut hh[b * d..][..d],
-            &g[i * d..][..d],
-            &h[i * d..][..d],
-        );
+        add_row(&mut gh[b * d..][..d], &g[i * d..][..d]);
+        if !h.is_empty() {
+            add_row(&mut hh[b * d..][..d], &h[i * d..][..d]);
+        }
     }
 }
 
 /// Sparsity-aware accumulation (paper §3.2's CSC storage): explicit
 /// entries accumulate individually; each feature's implicit-zero bin
 /// receives the node remainder `node_totals − Σ explicit` in closed
-/// form, so cost scales with non-zeros instead of `n × m`.
+/// form, so cost scales with non-zeros instead of `n × m`. On the
+/// uniform-Hessian path only gradients and counts accumulate, and the
+/// Hessian plane, zero bin included, is filled from the counts.
 ///
 /// `node_g`/`node_h` are the node's per-output gradient totals and
 /// `idx` the node's instances.
@@ -381,8 +431,10 @@ pub fn accumulate_sparse(
 
     let g = &ctx.grads.g;
     let h = &ctx.grads.h;
+    let uniform = ctx.grads.uniform_h();
     let gh_stride = d * bins;
     let sparse = &ctx.data.sparse;
+    out.hess_cols = ctx.hess_cols();
     out.g
         .par_chunks_mut(gh_stride)
         .zip(out.h.par_chunks_mut(gh_stride))
@@ -401,12 +453,10 @@ pub fn accumulate_sparse(
                 let b = b as usize;
                 explicit_in_node += 1;
                 cnt[b] += 1;
-                add_rows(
-                    &mut gh[b * d..(b + 1) * d],
-                    &mut hh[b * d..(b + 1) * d],
-                    &g[i * d..(i + 1) * d],
-                    &h[i * d..(i + 1) * d],
-                );
+                add_row(&mut gh[b * d..(b + 1) * d], &g[i * d..(i + 1) * d]);
+                if uniform.is_none() {
+                    add_row(&mut hh[b * d..(b + 1) * d], &h[i * d..(i + 1) * d]);
+                }
             }
             // Implicit entries: everything in the node not explicit here.
             cnt[zb] += idx.len() as u32 - explicit_in_node;
@@ -414,19 +464,19 @@ pub fn accumulate_sparse(
             // bin-major walk keeps each output's order), then set the
             // zero bin — which so far holds only explicit zero-valued
             // entries — to the node remainder.
-            let mut eg = vec![0.0f64; d];
-            let mut eh = vec![0.0f64; d];
-            for b in (0..bins).filter(|&b| b != zb) {
-                add_rows(
-                    &mut eg,
-                    &mut eh,
-                    &gh[b * d..(b + 1) * d],
-                    &hh[b * d..(b + 1) * d],
-                );
-            }
-            for k in 0..d {
-                gh[zb * d + k] = node_g[k] - eg[k];
-                hh[zb * d + k] = node_h[k] - eh[k];
+            let remainder = |plane: &mut [f64], node: &[f64]| {
+                let mut explicit = vec![0.0f64; d];
+                for b in (0..bins).filter(|&b| b != zb) {
+                    add_row(&mut explicit, &plane[b * d..(b + 1) * d]);
+                }
+                for k in 0..d {
+                    plane[zb * d + k] = node[k] - explicit[k];
+                }
+            };
+            remainder(gh, node_g);
+            match uniform {
+                Some(c) => fill_uniform_h(hh, cnt, c),
+                None => remainder(hh, node_h),
             }
         });
 }
@@ -620,18 +670,25 @@ pub(crate) mod test_support {
         (ds, binned, grads)
     }
 
+    /// `n × d` Hessians whose rows are all one row of inexact (0.1, 3.7),
+    /// tiny (1e-30), exact (2) and zero values.
+    pub fn shared_hessians(n: usize, d: usize) -> Vec<f32> {
+        let row = [0.1f32, 2.0, 1e-30, 0.0, 3.7];
+        (0..n * d).map(|j| row[j % d % row.len()]).collect()
+    }
+
     /// `n × d` gradients (Hessians positive) whose magnitude varies by
     /// instance over eight decades but not by output, so f64 sums round
     /// and any change in summation order, over instances or over
     /// outputs, shows in the bits.
     pub fn mixed_gradients(n: usize, d: usize) -> Gradients {
         let wave = |j: usize| (j as f32 * 0.618).sin() * 10f32.powi((j / d) as i32 % 9 - 4);
-        Gradients {
-            g: (0..n * d).map(wave).collect(),
-            h: (0..n * d).map(|j| wave(j + 7).abs() + 1e-3).collect(),
+        Gradients::new(
+            (0..n * d).map(wave).collect(),
+            (0..n * d).map(|j| wave(j + 7).abs() + 1e-3).collect(),
             n,
             d,
-        }
+        )
     }
 }
 
@@ -690,6 +747,8 @@ mod tests {
     /// sums its instances in node order, outputs in ascending `k`. The
     /// widths cover one lane, vector tails, several full vectors and
     /// both sides of the fixed-width boundary (8 fixed, 9 run-time).
+    /// Each width runs once with Hessians that vary by row and once with
+    /// one shared Hessian row, which takes the uniform-Hessian fill.
     #[test]
     fn accumulate_dense_matches_a_scalar_reference_bit_for_bit() {
         let (_, data, _) = fixture(300, 7, 3, 6);
@@ -698,38 +757,82 @@ mod tests {
         let features: Vec<u32> = vec![6, 0, 3, 4];
         let idx: Vec<u32> = (0..300).filter(|i| i % 4 != 2).collect();
         for d in [1, 3, 4, 5, 8, 9, 40] {
-            let grads = test_support::mixed_gradients(300, d);
-            let c = ctx(&device, &data, &grads, &features, HistOptions::default());
+            let mixed = test_support::mixed_gradients(300, d);
+            let shared = Gradients::new(
+                mixed.g.clone(),
+                test_support::shared_hessians(300, d),
+                300,
+                d,
+            );
+            assert!(mixed.uniform_h().is_none() && shared.uniform_h().is_some());
+            for grads in [&mixed, &shared] {
+                let c = ctx(&device, &data, grads, &features, HistOptions::default());
 
-            let mut want = NodeHistogram::new(features.len(), d, 32);
-            for (f_local, &f) in features.iter().enumerate() {
-                let col = data.bins.col(f as usize);
-                for &i in &idx {
-                    let i = i as usize;
-                    let b = col[i] as usize;
-                    let at = want.cnt_index(f_local, b);
-                    want.counts[at] += 1;
-                    for k in 0..d {
-                        let at = want.gh_index(f_local, k, b);
-                        want.g[at] += grads.g[i * d + k] as f64;
-                        want.h[at] += grads.h[i * d + k] as f64;
+                let mut want = NodeHistogram::new(features.len(), d, 32);
+                for (f_local, &f) in features.iter().enumerate() {
+                    let col = data.bins.col(f as usize);
+                    for &i in &idx {
+                        let i = i as usize;
+                        let b = col[i] as usize;
+                        let at = want.cnt_index(f_local, b);
+                        want.counts[at] += 1;
+                        for k in 0..d {
+                            let at = want.gh_index(f_local, k, b);
+                            want.g[at] += grads.g[i * d + k] as f64;
+                            want.h[at] += grads.h[i * d + k] as f64;
+                        }
                     }
                 }
-            }
 
-            // The dispatched entry point, then every build the CPU runs.
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let builds = crate::simd::with_row_width!(d, dense_feature_pass::builds);
-            let dispatched: FeaturePass = crate::simd::with_row_width!(d, dense_feature_pass);
-            let mut runs = vec![("dispatched", dispatched)];
-            runs.extend(builds());
-            for (build, pass) in runs {
-                let mut got = NodeHistogram::new(features.len(), d, 32);
-                accumulate_dense_with(&c, &idx, &mut got, pass);
-                assert_eq!(got.counts, want.counts, "d={d} {build}");
-                assert_eq!(bits(&got.g), bits(&want.g), "d={d} {build}");
-                assert_eq!(bits(&got.h), bits(&want.h), "d={d} {build}");
+                // The dispatched entry point, then every build the CPU runs.
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let builds = crate::simd::with_row_width!(d, dense_feature_pass::builds);
+                let dispatched: FeaturePass = crate::simd::with_row_width!(d, dense_feature_pass);
+                let mut runs = vec![("dispatched", dispatched)];
+                runs.extend(builds());
+                for (build, pass) in runs {
+                    let mut got = NodeHistogram::new(features.len(), d, 32);
+                    accumulate_dense_with(&c, &idx, &mut got, pass);
+                    assert_eq!(got.counts, want.counts, "d={d} {build}");
+                    assert_eq!(bits(&got.g), bits(&want.g), "d={d} {build}");
+                    assert_eq!(bits(&got.h), bits(&want.h), "d={d} {build}");
+                }
             }
+        }
+    }
+
+    /// Uniform-Hessian builds, dense and sparsity-aware, equal the same
+    /// builds forced onto the general path bit for bit, for a shared row
+    /// of inexact, tiny and zero Hessians.
+    #[test]
+    fn uniform_builds_equal_general_builds_bit_for_bit() {
+        let (_, data, _) = fixture(400, 6, 5, 9);
+        let device = Device::rtx4090();
+        let features: Vec<u32> = vec![5, 1, 2, 0];
+        let idx: Vec<u32> = (0..400).filter(|i| i % 3 != 1).collect();
+        let g = test_support::mixed_gradients(400, 5).g;
+        let h = test_support::shared_hessians(400, 5);
+        let uniform = Gradients::new(g.clone(), h.clone(), 400, 5);
+        let general = Gradients::general(g, h, 400, 5);
+        assert!(uniform.uniform_h().is_some() && general.uniform_h().is_none());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for sparse_aware in [false, true] {
+            let opts = HistOptions {
+                sparse_aware,
+                ..HistOptions::default()
+            };
+            let build = |grads: &Gradients| {
+                let c = ctx(&device, &data, grads, &features, opts);
+                let (node_g, node_h) = grads.sums(&idx);
+                let mut out = NodeHistogram::new(features.len(), 5, 32);
+                accumulate_only(&c, &idx, &node_g, &node_h, &mut out);
+                out
+            };
+            let (one, full) = (build(&uniform), build(&general));
+            assert_eq!((one.hess_cols, full.hess_cols), (1, 5));
+            assert_eq!(one.counts, full.counts, "sparse_aware={sparse_aware}");
+            assert_eq!(bits(&one.g), bits(&full.g), "sparse_aware={sparse_aware}");
+            assert_eq!(bits(&one.h), bits(&full.h), "sparse_aware={sparse_aware}");
         }
     }
 

@@ -21,11 +21,12 @@ use gpusim::cost::KernelCost;
 /// bin packing: four lanes' bytes share each 4-byte bank word.
 const UNPACKED_BANK_CONFLICT: f64 = 4.0;
 
-/// Number of tile passes needed to cover the (bins × outputs) plane of
-/// one feature in shared memory ((g, h) pairs of f32).
+/// Number of tile passes needed to cover the (bins × columns) plane of
+/// one feature in shared memory: `d` gradient and `hess_cols` Hessian
+/// (or count) columns of 4 bytes.
 pub fn tile_passes(ctx: &HistContext<'_>) -> usize {
     let p = &ctx.device.model().params;
-    let full_bytes = ctx.bins * ctx.d() * 2 * 4;
+    let full_bytes = ctx.bins * (ctx.d() + ctx.hess_cols()) * 4;
     full_bytes.div_ceil(p.smem_per_block).max(1)
 }
 
@@ -36,7 +37,8 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     let p = &ctx.device.model().params;
     let density = super::density_factor(ctx);
     let pairs = nn as f64 * mf as f64 * density;
-    let updates = pairs * d as f64 * 2.0;
+    let cols = (d + ctx.hess_cols()) as f64;
+    let updates = pairs * cols;
     let passes = tile_passes(ctx) as f64;
 
     let (bin_trans, issue_per_pair, aggregation) = if ctx.opts.warp_packing {
@@ -47,19 +49,19 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     let updates = updates * aggregation;
     // Collision replays at smem cost; plus bank-conflict replays on the
     // unpacked layout.
-    let mut smem_replays = s.replay_excess * d as f64 * 2.0 * aggregation * density;
+    let mut smem_replays = s.replay_excess * cols * aggregation * density;
     if !ctx.opts.warp_packing {
         smem_replays += updates * (UNPACKED_BANK_CONFLICT - 1.0) / UNPACKED_BANK_CONFLICT;
     }
     // Flush: one spread (conflict-free) global atomic per histogram slot.
-    let flush_atomics = (mf * ctx.bins * d * 2) as f64;
+    let flush_atomics = (mf * ctx.bins * (d + ctx.hess_cols())) as f64;
 
     KernelCost {
-        flops: pairs * (2.0 * d as f64 + issue_per_pair) * passes.sqrt(),
+        flops: pairs * (cols + issue_per_pair) * passes.sqrt(),
         // Bin IDs re-read once per tile pass; gradients read once total
         // (each pass covers a disjoint output range).
         dram_bytes: bin_trans * p.sector_bytes as f64 * passes
-            + stats::gh_bytes(nn, mf, d, stats::pair_bytes(ctx))
+            + stats::gh_bytes(ctx, nn)
             + flush_atomics * 4.0,
         smem_atomics: updates,
         smem_atomic_replays: smem_replays,
@@ -76,6 +78,7 @@ mod tests {
     use super::super::test_support::fixture;
     use super::*;
     use crate::config::{HistOptions, HistogramMethod};
+    use crate::grad::Gradients;
     use gpusim::Device;
 
     fn make_ctx<'a>(
@@ -108,9 +111,32 @@ mod tests {
         let ctx = make_ctx(&device, &data, &grads2, &features, true, 256);
         assert_eq!(tile_passes(&ctx), 1);
         // 256 × 100 × 8 = 200 KB → ≥ 5 passes in 48 KB.
-        let (_, data100, grads100) = fixture(100, 4, 100, 1);
-        let ctx100 = make_ctx(&device, &data100, &grads100, &features, true, 256);
+        let (_, data100, uniform) = fixture(100, 4, 100, 1);
+        let general = Gradients::general(uniform.g.clone(), uniform.h.clone(), 100, 100);
+        let ctx100 = make_ctx(&device, &data100, &general, &features, true, 256);
         assert!(tile_passes(&ctx100) >= 4, "got {}", tile_passes(&ctx100));
+        // One count column instead of 100 Hessian columns: 256 × 101 × 4
+        // = 101 KB → 3 passes.
+        let ctx_uniform = make_ctx(&device, &data100, &uniform, &features, true, 256);
+        assert_eq!(tile_passes(&ctx_uniform), 3);
+    }
+
+    /// On the uniform-Hessian path each (instance, feature) pair issues
+    /// `d` gradient updates and one count update; off it, `2d`.
+    #[test]
+    fn a_uniform_build_charges_d_plus_one_atomics_per_pair() {
+        let (_, data, uniform) = super::super::test_support::fixture_dense(600, 5, 4, 7);
+        let general = Gradients::general(uniform.g.clone(), uniform.h.clone(), 600, 4);
+        let features: Vec<u32> = (0..5).collect();
+        let idx: Vec<u32> = (0..600).filter(|i| i % 3 != 0).collect();
+        let device = Device::rtx4090();
+        let pairs = (idx.len() * features.len()) as f64;
+        for (grads, cols) in [(&uniform, 4.0 + 1.0), (&general, 8.0)] {
+            // Unpacked, so no register pre-aggregation scales the count.
+            let ctx = make_ctx(&device, &data, grads, &features, false, 32);
+            let cost = cost_descriptor(&ctx, idx.len(), &stats::measure(&ctx, &idx));
+            assert_eq!(cost.smem_atomics, pairs * cols);
+        }
     }
 
     #[test]
@@ -170,7 +196,7 @@ mod tests {
 
     #[test]
     fn gmem_beats_smem_on_tiny_nodes() {
-        // The flush term (bins × d × 2 global atomics) plus the extra
+        // The flush term (bins × (d + hc) global atomics) plus the extra
         // launch dominate for nodes much smaller than the histogram —
         // the training-stage dependence behind the adaptive selector.
         // Dense data: no zero-bin skew inflating gmem replays.

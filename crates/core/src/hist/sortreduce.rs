@@ -21,19 +21,22 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize) -> KernelCost {
     let mf = ctx.features.len();
     let d = ctx.d();
     let keys = nn as f64 * mf as f64 * super::density_factor(ctx);
-    // Payload carried through each radix pass: key (4 B) + d (g,h)
-    // pairs (8d B for f32, 4d B quantized), read + written per pass.
-    let payload_bytes = 4.0 + super::stats::pair_bytes(ctx) * d as f64;
+    // Gradient and Hessian (or count) columns of each key's payload.
+    let cols = (d + ctx.hess_cols()) as f64;
+    // Payload carried through each radix pass: key (4 B) + the columns
+    // (4 B each for f32, 2 B quantized), read + written per pass.
+    let payload_bytes = 4.0 + super::stats::elem_bytes(ctx) * cols;
     let sort_traffic = RADIX_PASSES * 2.0 * keys * payload_bytes;
     // Reduce: per output, the (g, h) pair is gathered through the sort
     // permutation — a random-access pattern served at L2-sector
     // granularity — then streamed into reduce_by_key and the histogram.
     let sector = ctx.device.model().params.sector_bytes as f64;
-    let reduce_traffic =
-        keys * d as f64 * sector + keys * payload_bytes + (mf * ctx.bins * d * 2) as f64 * 8.0;
+    let reduce_traffic = keys * d as f64 * sector
+        + keys * payload_bytes
+        + (mf * ctx.bins * (d + ctx.hess_cols())) as f64 * 8.0;
 
     KernelCost {
-        flops: keys * (8.0 + 2.0 * d as f64),
+        flops: keys * (8.0 + cols),
         dram_bytes: sort_traffic + reduce_traffic,
         sort_keys: keys,
         // Key build + 4 radix passes (histogram + scatter each) + one
@@ -88,11 +91,14 @@ pub fn trace(
             (f_local * nn).min(nn * mf - 1),
             AccessKind::Read,
         );
-        // …and writes each output's (g, h) slot plus the count once.
+        // …and writes each output's (g, h) slot plus the count once;
+        // on the uniform-Hessian path, only g and the count.
         for k in 0..d.min(crate::sanitize::MAX_TRACE_OUTPUTS) {
             let slot = crate::sanitize::device_gh_slot(f_local, k, b, d, bins);
             scope.touch(g_id, tctx, slot, AccessKind::Write);
-            scope.touch(h_id, tctx, slot, AccessKind::Write);
+            if ctx.grads.uniform_h().is_none() {
+                scope.touch(h_id, tctx, slot, AccessKind::Write);
+            }
         }
         scope.touch(c_id, tctx, f_local * bins + b, AccessKind::Write);
     }

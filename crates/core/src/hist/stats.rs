@@ -37,7 +37,7 @@ const MAX_SAMPLED_WARPS: usize = 64;
 pub struct ContentionStats {
     /// Total excess (replayed) bin-address collisions across all
     /// (warp, feature) atomic groups, **per output-pass** — multiply by
-    /// `2d` for the (g, h) update stream.
+    /// `d + hess_cols` for the (g, h) update stream.
     pub replay_excess: f64,
     /// Global-memory transactions needed to fetch bin IDs, unpacked
     /// (1-byte lanes).
@@ -183,21 +183,29 @@ pub fn expect(ctx: &HistContext<'_>, node_size: usize) -> ContentionStats {
     }
 }
 
-/// Effective DRAM bytes for the gradient/Hessian rows a histogram pass
-/// reads: each of the node's `nn` rows (`d` (g, h) pairs of
-/// `pair_bytes` — 8 for f32, 4 for bf16-quantized) is touched once per
-/// feature, with L2 capturing most cross-feature reuse.
-pub fn gh_bytes(nn: usize, mf: usize, d: usize, pair_bytes: f64) -> f64 {
-    let base = nn as f64 * d as f64 * pair_bytes;
+/// Effective DRAM bytes for the gradient rows a histogram pass reads:
+/// each of the node's `nn` rows (`d` gradients and, off the
+/// uniform-Hessian path, `d` Hessians, of [`elem_bytes`] each) is
+/// touched once per feature, with L2 capturing most cross-feature reuse.
+pub fn gh_bytes(ctx: &HistContext<'_>, nn: usize) -> f64 {
+    let mf = ctx.features.len();
+    let d = ctx.d();
+    let cols = if ctx.grads.uniform_h().is_some() {
+        d
+    } else {
+        2 * d
+    };
+    let base = nn as f64 * cols as f64 * elem_bytes(ctx);
     base * (1.0 + (mf.saturating_sub(1)) as f64 * (1.0 - super::GH_L2_HIT))
 }
 
-/// Bytes of one (g, h) pair under the context's gradient precision.
-pub fn pair_bytes(ctx: &HistContext<'_>) -> f64 {
+/// Bytes of one gradient or Hessian value under the context's gradient
+/// precision: 4 for f32, 2 bf16-quantized.
+pub fn elem_bytes(ctx: &HistContext<'_>) -> f64 {
     if ctx.opts.quantized_gradients {
-        4.0
+        2.0
     } else {
-        8.0
+        4.0
     }
 }
 
@@ -207,6 +215,7 @@ mod tests {
     use super::super::HistContext;
     use super::*;
     use crate::config::HistOptions;
+    use crate::grad::Gradients;
     use gbdt_data::BinnedDataset;
     use gpusim::Device;
 
@@ -425,12 +434,33 @@ mod tests {
 
     #[test]
     fn gh_bytes_grow_with_features_but_sublinearly() {
-        let one = gh_bytes(1000, 1, 10, 8.0);
-        let many = gh_bytes(1000, 100, 10, 8.0);
+        let (_, data, uniform) = fixture(1000, 100, 10, 1);
+        let general = Gradients::general(uniform.g.clone(), uniform.h.clone(), 1000, 10);
+        let device = Device::rtx4090();
+        let all: Vec<u32> = (0..100).collect();
+        let bytes = |grads: &Gradients, features: &[u32], quantized_gradients: bool| {
+            let opts = HistOptions {
+                quantized_gradients,
+                ..HistOptions::default()
+            };
+            let ctx = HistContext {
+                device: &device,
+                data: &data,
+                grads,
+                features,
+                bins: 32,
+                opts,
+            };
+            gh_bytes(&ctx, 1000)
+        };
+        let one = bytes(&general, &all[..1], false);
+        let many = bytes(&general, &all, false);
         assert!(many > one);
         assert!(many < one * 100.0, "L2 reuse must dampen the growth");
-        // Quantized pairs halve the traffic.
-        assert!((gh_bytes(1000, 100, 10, 4.0) - many / 2.0).abs() < 1e-6);
+        // Quantized values halve the traffic, and so does reading the
+        // gradients alone when every row shares its Hessians.
+        assert_eq!(bytes(&general, &all, true), many / 2.0);
+        assert_eq!(bytes(&uniform, &all, false), many / 2.0);
     }
 
     #[test]
@@ -438,8 +468,9 @@ mod tests {
         // Replay/traffic statistics describe the bin-access pattern only
         // (per output-pass, see `ContentionStats::replay_excess`), so a
         // k-column gradient sketch must leave them bit-identical — the
-        // whole sketch saving enters through the `2d → 2k` multiplier in
-        // the per-method cost formulas, not through contention.
+        // whole sketch saving enters through the `d + hc → k + hc`
+        // multiplier in the per-method cost formulas, not through
+        // contention.
         use crate::config::OutputSketch;
         use crate::sketch::{apply_sketch, plan_sketch};
         let (_, data, grads) = fixture(1500, 6, 12, 9);

@@ -52,6 +52,8 @@ pub mod sketch;
 pub mod split;
 pub mod trainer;
 pub mod tree;
+#[cfg(test)]
+mod uniform_differential;
 
 pub use checkpoint::Checkpoint;
 pub use compiled::CompiledEnsemble;

@@ -154,6 +154,25 @@ pub fn human(bytes: usize) -> String {
     }
 }
 
+/// Most node histograms the level grower holds at once: its pool's
+/// worst-case high-water mark. Without subtraction each node's buffer
+/// returns to the pool after its split step, so one is live. Under
+/// subtraction a node that splits carries its buffer into the next level
+/// as its pair's parent, and a pair frees it as soon as it has derived.
+/// While a level `L < depth − 1` runs, the parents it has not yet used
+/// and the parents it has made so far are live: with the pair in flight
+/// (its fresh build and its derive) at most `2^L + 1 ≤ 2^(depth−2) + 1`.
+/// The deepest level that builds, `L = depth − 1`, makes no parents; it
+/// starts with the `2^(depth−2)` parents carried into it, so the peak is
+/// those plus the pair in flight: `2^(depth−2) + 2`.
+pub(crate) fn live_histograms(config: &TrainConfig) -> usize {
+    if config.hist.subtraction && config.max_depth >= 2 {
+        (1usize << (config.max_depth - 2)) + 2
+    } else {
+        1
+    }
+}
+
 /// Estimate the training footprint of `config` on an `n × m` dataset
 /// with `d` outputs.
 pub fn estimate_training_bytes(
@@ -175,15 +194,7 @@ pub fn estimate_training_bytes(
     // One histogram = m × bins × d × 2 gradient sums (f64 accumulators)
     // + m × bins counts.
     let one_hist = m * bins * d * 2 * 8 + m * bins * 4;
-    let live_hists = if config.hist.subtraction {
-        // Parent histograms ride along to the next level: up to half the
-        // frontier inherits, so ~2^(depth−1) + 1 buffers bound the peak.
-        // This is an upper bound: the level grower frees each parent
-        // once its pair has derived.
-        (1usize << config.max_depth.saturating_sub(1)) + 1
-    } else {
-        1
-    };
+    let live_hists = live_histograms(config);
     let histogram_bytes = one_hist * live_hists;
     // Widest frontier holds every instance exactly once, twice over
     // during partition (in + out).

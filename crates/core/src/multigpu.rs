@@ -54,7 +54,7 @@ use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::Gradients;
 use crate::grow::{partition_cost, GrowResult, OpenNode};
-use crate::hist::{accumulate_dense, charge_method_on, HistContext};
+use crate::hist::{accumulate_dense, charge_method_on, hess_cols, HistContext};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
@@ -456,8 +456,9 @@ impl Placement for Group<'_> {
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
         let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
-        // One node's histogram: the data-parallel reduce-scatter payload.
-        let hist_bytes = (mf * self.config.max_bins * grads.d * 2 * 8) as f64;
+        // One node's histogram, gradient and Hessian (or count) columns:
+        // the data-parallel reduce-scatter payload.
+        let hist_bytes = (mf * self.config.max_bins * (grads.d + hess_cols(grads)) * 8) as f64;
         let params = SplitParams::from(self.config);
         // One working histogram: each node is accumulated, evaluated and
         // done with before the next is built.
@@ -735,10 +736,7 @@ impl Placement for Group<'_> {
             dev.charge_kernel(
                 kernel,
                 Phase::Gradient,
-                &KernelCost::streaming(
-                    rows as f64 * d as f64 * flops_per_output,
-                    (rows * d * 16) as f64,
-                ),
+                &crate::grad::grad_hess_cost(rows, d, flops_per_output),
             );
             crate::sanitize::trace_grad_hess(dev, rows, d);
         }
@@ -1293,17 +1291,24 @@ mod tests {
             MultiGpuStrategy::DataParallel,
         );
         let model = trainer.fit(&ds);
-        let levels: Vec<Vec<usize>> = model
+        // Each grown level with its tree: a tree's rounds price builds
+        // from its own gradients (the uniform-Hessian path on round 0).
+        let levels: Vec<(usize, Vec<usize>)> = model
             .trees
             .iter()
-            .flat_map(|t| level_rows(t, &ds, cfg.max_depth))
+            .enumerate()
+            .flat_map(|(tree, t)| {
+                level_rows(t, &ds, cfg.max_depth)
+                    .into_iter()
+                    .map(move |l| (tree, l))
+            })
             .collect();
         let built = |level: &[usize]| -> Vec<usize> {
             let rows = level.iter().copied();
             rows.filter(|&rows| rows >= 2 * cfg.min_instances).collect()
         };
         assert!(
-            levels.iter().any(|l| !built(l).is_sorted()),
+            levels.iter().any(|(_, l)| !built(l).is_sorted()),
             "some level's frontier order must differ from its row order"
         );
         let (mut gapless, mut spans_checked) = (0usize, 0usize);
@@ -1314,11 +1319,11 @@ mod tests {
                 levels.len(),
                 "device {rank}: one level scope per grown level"
             );
-            // The device's shard rows → build ns over the whole fit: a
-            // strictly increasing function when every level issued its
-            // builds in non-decreasing shard-row order.
-            let mut price: BTreeMap<usize, f64> = BTreeMap::new();
-            for (depth, (level, span)) in levels.iter().zip(&spans).enumerate() {
+            // The device's (tree, shard rows) → build ns over the whole
+            // fit: strictly increasing in the rows of each tree when every
+            // level issued its builds in non-decreasing shard-row order.
+            let mut price: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+            for (depth, ((tree, level), span)) in levels.iter().zip(&spans).enumerate() {
                 let mut want = built(level);
                 want.sort_unstable();
                 let of = |name: &str| -> Vec<KernelRecord> {
@@ -1334,7 +1339,7 @@ mod tests {
                 assert_eq!(collectives.len(), want.len(), "{at}: collectives");
                 for (b, rows) in builds.iter().zip(&want) {
                     let rows = shard_range(*rows, k, rank).len();
-                    let ns = *price.entry(rows).or_insert(b.ns);
+                    let ns = *price.entry((*tree, rows)).or_insert(b.ns);
                     assert_eq!(
                         ns.to_bits(),
                         b.ns.to_bits(),
@@ -1356,9 +1361,11 @@ mod tests {
                     gapless += usize::from(contiguous);
                 }
             }
-            let ns: Vec<f64> = price.values().copied().collect();
+            let priced: Vec<_> = price.iter().collect();
             assert!(
-                ns.windows(2).all(|w| w[0] < w[1]),
+                priced
+                    .windows(2)
+                    .all(|w| w[0].0 .0 != w[1].0 .0 || w[0].1 < w[1].1),
                 "device {rank}: builds out of shard-row order: {price:?}"
             );
         }

@@ -338,51 +338,30 @@ pub fn trace_quantile_binning(device: &Device, n: usize, m: usize, max_bins: usi
     }
 }
 
-/// Declare the level's three split-evaluation kernels (scan+gain,
-/// per-segment argmax, global per-node argmax). Scan and segment
-/// reductions write disjoint slots; the cross-segment winner update is
-/// claimed atomic — which is exactly what a broken segment mapping
-/// would violate.
+/// Declare the level's fused split-evaluation kernel,
+/// `split_eval_level`: candidates are only read, and the cross-segment
+/// winner update is claimed atomic — which is exactly what a broken
+/// segment mapping would violate.
 pub fn trace_split_level(device: &Device, segments: usize, candidates: usize, nodes: usize) {
     let Some(san) = device.sanitizer() else {
         return;
     };
     let (segments, candidates, nodes) = (segments.max(1), candidates.max(1), nodes.max(1));
-    {
-        let scope = san.scope("split_scan_gain_level");
-        let h_id = scope.register("node_hist", candidates, MemSpace::Global, true);
-        let g_id = scope.register("gain_out", candidates, MemSpace::Global, false);
-        for e in sample_stride(candidates, MAX_TRACE_ELEMS) {
-            let ctx = ThreadCtx::from_global(e, 256);
-            scope.touch(h_id, ctx, e, AccessKind::Read);
-            scope.touch(g_id, ctx, e, AccessKind::Write);
-        }
+    let scope = san.scope("split_eval_level");
+    let h_id = scope.register("node_hist", candidates, MemSpace::Global, true);
+    let w_id = scope.register("node_winner", nodes, MemSpace::Global, true);
+    // A thread per candidate reads its histogram slot and keeps the
+    // running argmax in registers…
+    for e in sample_stride(candidates, MAX_TRACE_ELEMS) {
+        scope.touch(h_id, ThreadCtx::from_global(e, 256), e, AccessKind::Read);
     }
-    {
-        let scope = san.scope("split_seg_argmax_level");
-        let g_id = scope.register("gain_out", candidates, MemSpace::Global, true);
-        let s_id = scope.register("seg_best", segments, MemSpace::Global, false);
-        let per_seg = (candidates / segments).max(1);
-        for s in sample_stride(segments, MAX_TRACE_ELEMS) {
-            let ctx = ThreadCtx::from_global(s, 256);
-            scope.touch(
-                g_id,
-                ctx,
-                (s * per_seg).min(candidates - 1),
-                AccessKind::Read,
-            );
-            scope.touch(s_id, ctx, s, AccessKind::Write);
-        }
-    }
-    {
-        let scope = san.scope("split_global_argmax_level");
-        let s_id = scope.register("seg_best", segments, MemSpace::Global, true);
-        let w_id = scope.register("node_winner", nodes, MemSpace::Global, true);
-        for s in sample_stride(segments, MAX_TRACE_ELEMS) {
-            let ctx = ThreadCtx::from_global(s, 256);
-            scope.touch(s_id, ctx, s, AccessKind::Read);
-            scope.touch(w_id, ctx, s % nodes, AccessKind::Atomic);
-        }
+    // …and each segment's first thread issues one packed (gain, index)
+    // atomic max on its node's winner slot. A node's segments are
+    // contiguous.
+    let per_seg = (candidates / segments).max(1);
+    for s in sample_stride(segments, MAX_TRACE_ELEMS) {
+        let ctx = ThreadCtx::from_global((s * per_seg).min(candidates - 1), 256);
+        scope.touch(w_id, ctx, s * nodes / segments, AccessKind::Atomic);
     }
 }
 
@@ -433,6 +412,9 @@ pub(crate) fn trace_pair_kernel(
     } else {
         AccessKind::Write
     };
+    // On the uniform-Hessian path a pair reads and adds no Hessians:
+    // its gradients and one count.
+    let hessians = ctx.grads.uniform_h().is_none();
 
     let f_stride = mf.div_ceil(MAX_TRACE_FEATURES).max(1);
     for f_local in (0..mf).step_by(f_stride) {
@@ -446,10 +428,12 @@ pub(crate) fn trace_pair_kernel(
             scope.touch(b_id, tctx, f * n + i, AccessKind::Read);
             for k in 0..d.min(MAX_TRACE_OUTPUTS) {
                 scope.touch(gr_id, tctx, (i * d + k) * 2, AccessKind::Read);
-                scope.touch(gr_id, tctx, (i * d + k) * 2 + 1, AccessKind::Read);
                 let slot = device_gh_slot(if tile { 0 } else { f_local }, k, b, d, bins);
                 scope.touch(g_id, tctx, slot, kind);
-                scope.touch(h_id, tctx, slot, kind);
+                if hessians {
+                    scope.touch(gr_id, tctx, (i * d + k) * 2 + 1, AccessKind::Read);
+                    scope.touch(h_id, tctx, slot, kind);
+                }
             }
             let cnt_slot = if tile { b } else { f_local * bins + b };
             scope.touch(c_id, tctx, cnt_slot, kind);
@@ -458,10 +442,11 @@ pub(crate) fn trace_pair_kernel(
 
     // Shared-memory tiles flush once per block into the global plane —
     // spread atomics, one per histogram slot, verified legal across
-    // blocks.
+    // blocks. Without Hessians the count column is flushed instead.
     if tile {
         let fg = scope.register("hist_g", mf * d * bins, MemSpace::Global, true);
         let fh = scope.register("hist_h", mf * d * bins, MemSpace::Global, true);
+        let fc = scope.register("hist_counts", mf * bins, MemSpace::Global, true);
         for block in 0..2u32 {
             for f_local in (0..mf).step_by(f_stride) {
                 for k in 0..d.min(MAX_TRACE_OUTPUTS) {
@@ -472,7 +457,11 @@ pub(crate) fn trace_pair_kernel(
                             thread: (k * bins + b) as u32 % 256,
                         };
                         scope.touch(fg, tctx, slot, AccessKind::Atomic);
-                        scope.touch(fh, tctx, slot, AccessKind::Atomic);
+                        if hessians {
+                            scope.touch(fh, tctx, slot, AccessKind::Atomic);
+                        } else if k == 0 {
+                            scope.touch(fc, tctx, f_local * bins + b, AccessKind::Atomic);
+                        }
                     }
                 }
             }

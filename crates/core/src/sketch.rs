@@ -213,7 +213,7 @@ pub fn apply_sketch(device: &Device, grads: &Gradients, plan: &SketchPlan) -> Gr
             }
             charge_apply(device, n, d, plan);
             crate::sanitize::trace_sketch_gather(device, n, d, cols);
-            Gradients { g, h, n, d: k }
+            Gradients::new(g, h, n, k)
         }
         SketchPlan::Projection { r, k } => {
             let k = *k;
@@ -237,7 +237,7 @@ pub fn apply_sketch(device: &Device, grads: &Gradients, plan: &SketchPlan) -> Gr
             }
             charge_apply(device, n, d, plan);
             crate::sanitize::trace_sketch_projection(device, n, d, k);
-            Gradients { g, h, n, d: k }
+            Gradients::new(g, h, n, k)
         }
     }
 }
@@ -255,18 +255,20 @@ pub fn charge_apply(device: &Device, n: usize, d: usize, plan: &SketchPlan) {
                 "sketch_gather",
                 Phase::Sketch,
                 // Read k gathered columns of g and h, write both n×k
-                // planes, read the k column indices once.
-                &KernelCost::streaming((n * k * 2) as f64, (n * k * 16 + k * 4) as f64),
+                // planes (checking the Hessians for one uniform row),
+                // read the k column indices once.
+                &KernelCost::streaming((n * k * 3) as f64, (n * k * 16 + k * 4) as f64),
             );
         }
         SketchPlan::Projection { k, .. } => {
             device.charge_kernel(
                 "sketch_projection",
                 Phase::Sketch,
-                // Multiply-add over n×d×k plus the Hessian mean pass;
-                // read g and h planes, the d×k matrix, write n×k g/h.
+                // Multiply-add over n×d×k plus the Hessian mean pass and
+                // the uniform-Hessian check; read g and h planes, the
+                // d×k matrix, write n×k g/h.
                 &KernelCost::streaming(
-                    (2 * n * d * k + n * d) as f64,
+                    (2 * n * d * k + n * d + n * k) as f64,
                     (n * d * 8 + n * k * 8 + d * k * 4) as f64,
                 ),
             );
@@ -340,12 +342,12 @@ mod tests {
     use super::*;
 
     fn grads(n: usize, d: usize) -> Gradients {
-        Gradients {
-            g: (0..n * d).map(|i| ((i * 37 % 23) as f32) - 11.0).collect(),
-            h: (0..n * d).map(|i| 1.0 + (i % 5) as f32 * 0.25).collect(),
+        Gradients::new(
+            (0..n * d).map(|i| ((i * 37 % 23) as f32) - 11.0).collect(),
+            (0..n * d).map(|i| 1.0 + (i % 5) as f32 * 0.25).collect(),
             n,
             d,
-        }
+        )
     }
 
     #[test]
@@ -382,12 +384,7 @@ mod tests {
             g[i * d + 1] = 5.0;
             g[i * d + 3] = 100.0;
         }
-        let gr = Gradients {
-            g,
-            h: vec![1.0; n * d],
-            n,
-            d,
-        };
+        let gr = Gradients::new(g, vec![1.0; n * d], n, d);
         let plan = plan_sketch(&device, &gr, OutputSketch::TopOutputs(2), 0);
         assert_eq!(plan, SketchPlan::Columns(vec![1, 3]));
     }

@@ -12,7 +12,13 @@
 //! pair as a segment of *one* level-wide reduction, mapped to blocks by
 //! the adaptive `1 + #segments/#SMs × C` rule. [`LevelSplitCharges`]
 //! models exactly that: per-node calls accumulate their work, and one
-//! flush per level charges the three batched kernels.
+//! flush per level charges one fused kernel, `split_eval_level`. Its
+//! blocks scan their segments and keep the running argmax in registers,
+//! and each segment then issues one packed `(gain, index)` atomic max
+//! on its node's winner slot, as XGBoost's GPU evaluator scans and
+//! reduces in one pass (1806.11248). The packed index orders
+//! candidates by feature, then bin, so ties go to the lowest index as
+//! the host argmax breaks them.
 //!
 //! **Host scan.** The functional per-feature scan is built portable,
 //! AVX2 and AVX-512, and the widest build the CPU runs is picked at run
@@ -114,11 +120,15 @@ pub fn split_gain(
     0.5 * gain
 }
 
-/// Accumulated split-evaluation work for one tree level, flushed as
-/// three batched kernels (scan+gain, segmented argmax, global argmax).
+/// Accumulated split-evaluation work for one tree level, flushed as one
+/// fused `split_eval_level` kernel (scan, gain and both argmaxes).
 #[derive(Debug, Default, Clone)]
 pub struct LevelSplitCharges {
-    scan_elems: f64,
+    /// Per-output gain terms: one per (feature, bin, output).
+    gain_terms: f64,
+    /// Histogram elements the scan reads: gradient and Hessian (or
+    /// count) columns over every (feature, bin).
+    hist_elems: f64,
     gain_candidates: f64,
     segments: f64,
     nodes: f64,
@@ -130,14 +140,16 @@ impl LevelSplitCharges {
         Self::default()
     }
 
-    fn add(&mut self, mf: usize, d: usize, bins: usize) {
-        self.scan_elems += (mf * d * bins) as f64;
-        self.gain_candidates += (mf * bins) as f64;
+    /// Add one node's scan of `mf` features of `hist`.
+    fn add(&mut self, mf: usize, hist: &NodeHistogram) {
+        self.gain_terms += (mf * hist.d * hist.bins) as f64;
+        self.hist_elems += (mf * hist.bins * (hist.d + hist.hess_cols)) as f64;
+        self.gain_candidates += (mf * hist.bins) as f64;
         self.segments += mf as f64;
         self.nodes += 1.0;
     }
 
-    /// Charge the level's batched kernels to `device` and reset.
+    /// Charge the level's fused kernel to `device` and reset.
     pub fn flush(&mut self, device: &Device, sm_count: u32, segments_c: f64) {
         if self.nodes == 0.0 {
             return;
@@ -152,32 +164,17 @@ impl LevelSplitCharges {
         let blocks = (self.segments / spb.max(1.0)).ceil();
         let waves = (blocks / sm_count as f64).ceil();
         device.charge_kernel(
-            "split_scan_gain_level",
+            "split_eval_level",
             Phase::SplitEval,
             &KernelCost {
-                flops: self.scan_elems * 10.0,
-                dram_bytes: self.scan_elems * 16.0 + self.gain_candidates * 8.0,
-                launches: 1.0,
-                ..Default::default()
-            },
-        );
-        device.charge_kernel(
-            "split_seg_argmax_level",
-            Phase::SplitEval,
-            &KernelCost {
-                flops: self.gain_candidates,
-                dram_bytes: self.gain_candidates * 8.0 + self.segments * 16.0,
+                // Prefix scan and gain per output, then the in-register
+                // argmax over each candidate.
+                flops: self.gain_terms * 10.0 + self.gain_candidates,
+                // Histogram reads, then each node's winning split.
+                dram_bytes: self.hist_elems * 8.0 + self.nodes * 32.0,
+                // One packed (gain, index) atomic max per segment.
+                gmem_atomics: self.segments,
                 launches: waves.max(1.0),
-                ..Default::default()
-            },
-        );
-        device.charge_kernel(
-            "split_global_argmax_level",
-            Phase::SplitEval,
-            &KernelCost {
-                flops: self.segments,
-                dram_bytes: self.segments * 16.0 + self.nodes * 32.0,
-                launches: 1.0,
                 ..Default::default()
             },
         );
@@ -448,7 +445,7 @@ pub fn find_best_split_range_batched(
         params,
         None,
     );
-    charges.add(f_hi - f_lo, hist.d, hist.bins);
+    charges.add(f_hi - f_lo, hist);
     out
 }
 
@@ -496,7 +493,7 @@ pub fn find_best_split_constrained(
     params: &SplitParams,
     constraints: Option<&ConstraintState<'_>>,
 ) -> Option<SplitCandidate> {
-    charges.add(features.len(), hist.d, hist.bins);
+    charges.add(features.len(), hist);
     best_split_impl(
         crate::simd::with_row_width!(hist.d, scan_feature),
         hist,
@@ -736,10 +733,11 @@ mod tests {
         assert_eq!(per_node.feature, batched.feature);
         assert_eq!(per_node.bin, batched.bin);
         assert_eq!(per_node.gain, batched.gain);
-        // Flushing once charges exactly three kernels.
+        // Flushing once charges exactly one fused kernel.
         let d2 = Device::rtx4090();
         charges.flush(&d2, d2.model().params.sm_count, 4.0);
-        assert_eq!(d2.summary().kernel_count, 3);
+        assert_eq!(d2.summary().kernel_count, 1);
+        assert_eq!(d2.records()[0].name, "split_eval_level");
     }
 
     #[test]

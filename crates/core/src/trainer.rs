@@ -390,8 +390,10 @@ pub(crate) fn boost(
                     "goss_rank_sample",
                     Phase::Gradient,
                     &KernelCost {
-                        // Gradient-norm pass + top-k selection (sort).
-                        flops: (n * d) as f64 + n as f64 * 2.0,
+                        // Gradient-norm pass + top-k selection (sort),
+                        // then the uniform-Hessian check of the
+                        // amplified set.
+                        flops: (n * d * 2) as f64 + n as f64 * 2.0,
                         dram_bytes: (n * d * 4 + n * 8) as f64,
                         sort_keys: n as f64,
                         launches: 3.0,
@@ -479,6 +481,7 @@ pub(crate) fn boost(
             let sum = hist_launches.entry(key).or_default();
             sum.kernels += seen.kernels;
             sum.nodes += seen.nodes;
+            sum.one_column += seen.one_column;
             sum.launches += seen.launches;
         }
         features_built = features_built.max(grown.features_built);
@@ -814,7 +817,7 @@ fn goss_sample(
     }
     let mut kept: Vec<u32> = order[..top_k].iter().copied().chain(rest_pool).collect();
     kept.sort_unstable();
-    (kept, crate::grad::Gradients { g, h, n, d })
+    (kept, crate::grad::Gradients::new(g, h, n, d))
 }
 
 /// Sample `frac` of `items` without replacement (sorted, deterministic
@@ -961,6 +964,38 @@ mod tests {
             .collect();
         let e0 = rmse(&mean_pred, test.targets());
         assert!(e < e0 * 0.7, "model rmse {e} vs mean-baseline {e0}");
+    }
+
+    /// A fit whose every pair splits holds as many histograms as
+    /// `memory::live_histograms` allows, and never more.
+    #[test]
+    fn pool_high_water_reaches_the_live_histogram_bound() {
+        use gbdt_data::synth::{make_regression, RegressionSpec};
+        let ds = make_regression(&RegressionSpec {
+            instances: 4000,
+            features: 8,
+            outputs: 2,
+            informative: 6,
+            noise: 0.1,
+            seed: 3,
+            ..Default::default()
+        });
+        let mut cfg = quick_config();
+        cfg.num_trees = 2;
+        cfg.max_depth = 6;
+        cfg.min_instances = 1;
+        cfg.hist.subtraction = true;
+        let device = Device::rtx4090();
+        let tel = device.enable_telemetry();
+        let model = GpuTrainer::new(device, cfg.clone()).fit(&ds);
+        assert_eq!(model.trees[0].depth(), cfg.max_depth, "a full-depth fit");
+        let high_water = tel.snapshot().gauges["train.pool_high_water"] as usize;
+        let bound = crate::memory::live_histograms(&cfg);
+        assert_eq!(bound, (1 << 4) + 2);
+        assert!(
+            high_water <= bound && high_water + 2 >= bound,
+            "pool high-water {high_water} against the bound {bound}"
+        );
     }
 
     #[test]
@@ -1169,12 +1204,7 @@ mod tests {
         use crate::grad::Gradients;
         let n = 100;
         // Instance i has gradient magnitude i.
-        let grads = Gradients {
-            g: (0..n).map(|i| i as f32).collect(),
-            h: vec![1.0; n],
-            n,
-            d: 1,
-        };
+        let grads = Gradients::new((0..n).map(|i| i as f32).collect(), vec![1.0; n], n, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let goss = GossConfig {
             top_rate: 0.2,
@@ -1197,6 +1227,10 @@ mod tests {
         // Unsampled instances untouched.
         let dropped = (0..80u32).find(|i| !kept.contains(i)).unwrap();
         assert_eq!(amplified.g[dropped as usize], grads.g[dropped as usize]);
+        // Amplified Hessians differ from the rest, so the shared row of
+        // the input is gone.
+        assert_eq!(grads.uniform_h(), Some(&[1.0f32][..]));
+        assert_eq!(amplified.uniform_h(), None);
     }
 
     #[test]

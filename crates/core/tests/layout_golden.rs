@@ -40,52 +40,52 @@ use std::sync::Arc;
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("GlobalMemory/dense", 0xded628e5fad8ea62, 0x0aab624b663603b8),
-    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0x7ddc6151844c24c8),
-    ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0xaaa5d45ea517066a),
-    ("SharedMemory/dense", 0xded628e5fad8ea62, 0xc3415358f12de3a4),
-    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0xc07737cd824b8d2c),
-    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0xebee14d147838055),
-    ("SortReduce/dense", 0xded628e5fad8ea62, 0x8ea1ab12bf16a5cb),
-    ("SortReduce/sparse_aware", 0xded628e5fad8ea62, 0xd4afcbfa5c840dc3),
-    ("SortReduce/subtraction", 0xded628e5fad8ea62, 0xa2d31311aafbeb3b),
-    ("Adaptive/dense", 0xded628e5fad8ea62, 0xc3415358f12de3a4),
-    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xc07737cd824b8d2c),
-    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0xebee14d147838055),
-    ("FP(2)", 0xded628e5fad8ea62, 0x10db0a1466b56df4),
-    ("DP(2)", 0xded628e5fad8ea62, 0x80e909aa57d0ea6b),
+    ("GlobalMemory/dense", 0xded628e5fad8ea62, 0xb741e7cb327bdef5),
+    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0x5e9ac93a384692d9),
+    ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0x99f682e81de58aff),
+    ("SharedMemory/dense", 0xded628e5fad8ea62, 0xfa54236cb0bf4193),
+    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0x1e973735ce7140ac),
+    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0x3ad737ca005c074b),
+    ("SortReduce/dense", 0xded628e5fad8ea62, 0x19374724bfbedf82),
+    ("SortReduce/sparse_aware", 0xded628e5fad8ea62, 0xbf8fb0ce59fa9e64),
+    ("SortReduce/subtraction", 0xded628e5fad8ea62, 0x68cf7083d98edd78),
+    ("Adaptive/dense", 0xded628e5fad8ea62, 0xfa54236cb0bf4193),
+    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0x1e973735ce7140ac),
+    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x3ad737ca005c074b),
+    ("FP(2)", 0xded628e5fad8ea62, 0xd6cf3b8d1d2148f9),
+    ("DP(2)", 0xded628e5fad8ea62, 0x65df109d0a6e898e),
 ];
 
 #[rustfmt::skip]
 const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
-    ("FP(1)/streams1/none", 0xf0fe574812263df8, 0x97465ff69a01efc6),
-    ("FP(1)/streams1/top2", 0xccd7428be831d6b7, 0xde4f8568254add6f),
-    ("FP(1)/streams4/none", 0x243292e233af1b25, 0x366849b1e421265b),
-    ("FP(1)/streams4/top2", 0xb57e312722dd05d1, 0x1b618479c48a06c9),
-    ("FP(2)/streams1/none", 0xe4ce8dcfe9b18b8a, 0xef67ef696fe7935d),
-    ("FP(2)/streams1/top2", 0xa77d64d0c60987c4, 0xd9015bfd0e804e51),
-    ("FP(2)/streams4/none", 0x16ae2f95ac775d4d, 0x97674f1eab64baf7),
-    ("FP(2)/streams4/top2", 0x392e377cbed543bf, 0xeaadbb91fc4dd872),
-    ("FP(3)/streams1/none", 0x330f5e284852b606, 0xdbea5c08337aa153),
-    ("FP(3)/streams1/top2", 0x0daa6823f9048f5b, 0xf9f97ec3d1dda71c),
-    ("FP(3)/streams4/none", 0xffc9e0f330216a68, 0x74d829a0be6b3c9d),
-    ("FP(3)/streams4/top2", 0x1db35566f8494a6a, 0x47b7e1bf084b584e),
-    ("FP(3)/transient", 0xafa3f88de2bc6ab2, 0xcae0214a60f35cc1),
-    ("FP(3)/lost", 0xc9c4197324534a76, 0xc909273c95dc4638),
-    ("DP(1)/streams1/none", 0xa11a7a09228eab89, 0x97465ff69a01efc6),
-    ("DP(1)/streams1/top2", 0xb458d03b218f559e, 0xde4f8568254add6f),
-    ("DP(1)/streams4/none", 0xb0f306690946b9a5, 0x97465ff69a01efc6),
-    ("DP(1)/streams4/top2", 0x2214be8f79e89ebb, 0xde4f8568254add6f),
-    ("DP(2)/streams1/none", 0x6770d1f90afc9385, 0x8e3f1bfe294f3ddd),
-    ("DP(2)/streams1/top2", 0x8d14a4fb2a14be75, 0x125973781d485a3d),
-    ("DP(2)/streams4/none", 0xeabbbaf46cad02b0, 0xfcd81fd96475ea04),
-    ("DP(2)/streams4/top2", 0xc0b1df5a4bb89f10, 0xfbebfb017e7a7df1),
-    ("DP(3)/streams1/none", 0x23f5b8d18f22f5cf, 0x28383733b02a0ddc),
-    ("DP(3)/streams1/top2", 0x866d9d4727177815, 0x3876f5831dc5683d),
-    ("DP(3)/streams4/none", 0x428aa99b70e950d7, 0x23a68077b74af4bc),
-    ("DP(3)/streams4/top2", 0x2bdd4f7441d0178a, 0xb1ae47be761d104f),
-    ("DP(3)/transient", 0x5041238f5add56c9, 0x24b66699e991dafe),
-    ("DP(3)/lost", 0x7c8d32b8a63fe751, 0x735b90495613e1fd),
+    ("FP(1)/streams1/none", 0x6fab8a4c9add4eb9, 0x70503113ca298d46),
+    ("FP(1)/streams1/top2", 0x0a62be271fa56999, 0xde4f8568254add6f),
+    ("FP(1)/streams4/none", 0x3018bc297e64ef9d, 0x38cd93ff5a344443),
+    ("FP(1)/streams4/top2", 0x78abdb83ba854c85, 0x40698901d6d108c9),
+    ("FP(2)/streams1/none", 0x8b9e0f7e45a12081, 0xef67ef696fe7935d),
+    ("FP(2)/streams1/top2", 0x026beb229af1cf47, 0xd9015bfd0e804e51),
+    ("FP(2)/streams4/none", 0xe097100d838e78a7, 0x3c2593a1ea76bbf2),
+    ("FP(2)/streams4/top2", 0x85bc7b2cec7fbcf8, 0xb23607af8c976ec7),
+    ("FP(3)/streams1/none", 0x48af35a900ae40b9, 0xdbea5c08337aa153),
+    ("FP(3)/streams1/top2", 0xda13f9e6778ce45a, 0xf9f97ec3d1dda71c),
+    ("FP(3)/streams4/none", 0x245857953ef3a5e5, 0x2b02d1373cb4b81c),
+    ("FP(3)/streams4/top2", 0x7816adc50e9ce402, 0x4606b61666ecf256),
+    ("FP(3)/transient", 0x69541ec39c6c3e1b, 0xcae0214a60f35cc1),
+    ("FP(3)/lost", 0x6eb709ebcb1b79fe, 0xc909273c95dc4638),
+    ("DP(1)/streams1/none", 0x4732f0562050d341, 0x70503113ca298d46),
+    ("DP(1)/streams1/top2", 0x9bbef3b8a7f7a5fb, 0xde4f8568254add6f),
+    ("DP(1)/streams4/none", 0xf6e5041419019e6d, 0x70503113ca298d46),
+    ("DP(1)/streams4/top2", 0x91ef9d111bfe1cba, 0xde4f8568254add6f),
+    ("DP(2)/streams1/none", 0x488912eccc90be02, 0x1058320fa58f2178),
+    ("DP(2)/streams1/top2", 0x7bea702261e833b0, 0xe668a62bbfb79601),
+    ("DP(2)/streams4/none", 0x36c06adddea83f9d, 0x4d3a00c4e0c64629),
+    ("DP(2)/streams4/top2", 0x2b4c751dfe2eabec, 0x583169f559f5e65e),
+    ("DP(3)/streams1/none", 0x5e4dd3903ceb8426, 0x5fce1ebab35c09cb),
+    ("DP(3)/streams1/top2", 0xf25cd757eb189d9a, 0x4787c9835d2dc615),
+    ("DP(3)/streams4/none", 0x2b0ed8195d862c09, 0x65d39cbcd5bfbd6c),
+    ("DP(3)/streams4/top2", 0x046537f81fe70399, 0x0e53c4ee51e0e7c0),
+    ("DP(3)/transient", 0x720635398a32cc54, 0x412dd0e5720350b0),
+    ("DP(3)/lost", 0x990aca1063453ac8, 0xf802ea79a4e865c3),
 ];
 
 fn dataset() -> Dataset {

@@ -79,7 +79,7 @@ proptest! {
         };
         let g: Vec<f32> = (0..n * d).map(|_| dyadic(-1024, 1024)).collect();
         let h: Vec<f32> = (0..n * d).map(|_| dyadic(1, 1024)).collect();
-        let grads = Gradients { g, h, n, d };
+        let grads = Gradients::new(g, h, n, d);
 
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..m as u32).collect();

@@ -4,7 +4,8 @@
 //! ([`crate::grad::on_general_path`]), on every histogram method, with
 //! and without sparsity-aware builds, subtraction and quantized
 //! gradients, on one device and on feature- and data-parallel pairs.
-//! A placement that rejects a knob must reject it on both paths.
+//! A placement that rejects a knob must reject it on both paths. GOSS,
+//! pseudo-Huber and asymmetric custom-loss fits never take the path.
 
 use crate::config::{HistOptions, HistogramMethod, TrainConfig};
 use crate::grad::on_general_path;
@@ -192,5 +193,46 @@ fn sigmoid_and_softmax_take_the_one_column_path_on_round_0_only() {
         );
         assert!(all_later > all, "{name}: later rounds built nothing");
         assert_eq!(one_column_builds(&general).0, 0, "{name}");
+    }
+}
+
+/// GOSS amplifies the sampled rows' Hessians, and pseudo-Huber and an
+/// asymmetric custom loss give each row its own Hessian from its
+/// residual, so no round of these fits takes the one-column path.
+#[test]
+fn goss_huber_and_custom_asymmetric_fits_never_take_the_one_column_path() {
+    use crate::config::GossConfig;
+    use crate::loss::{CustomLoss, HuberLoss};
+    let ds = regression();
+    let cfg = config(HistOptions::default());
+    let asymmetric = CustomLoss::new(
+        "asymmetric-mse",
+        |scores, targets, g, h| {
+            for k in 0..scores.len() {
+                let r = scores[k] - targets[k];
+                let w = if r < 0.0 { 3.0 } else { 1.0 };
+                g[k] = 2.0 * w * r;
+                h[k] = 2.0 * w;
+            }
+        },
+        |_, _| 0.0,
+        6.0,
+    );
+    let goss = TrainConfig {
+        goss: Some(GossConfig::default_rates()),
+        ..cfg.clone()
+    };
+    let trainer = GpuTrainer::new(Device::rtx4090(), cfg);
+    for (name, report) in [
+        (
+            "goss",
+            fit(&ds, &goss, Placement::Single).expect("one device fits"),
+        ),
+        ("huber", trainer.fit_with_loss(&ds, &HuberLoss::default())),
+        ("asymmetric", trainer.fit_with_loss(&ds, &asymmetric)),
+    ] {
+        let (one, all) = one_column_builds(&report);
+        assert!(all > 0, "{name}: no builds");
+        assert_eq!(one, 0, "{name}: a build took the one-column path");
     }
 }

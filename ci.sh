@@ -31,15 +31,19 @@ echo "==> bitwise pins under release codegen"
 # (bit-identical trees, a pool that frees parents early), the equality
 # of data- and feature-parallel trees, the data-parallel level schedule
 # (smallest builds first, gapless reduce-scatters), the trees and
-# histogram/split time that appended constant columns must not move, and
-# the uniform-Hessian fits that must equal fits forced onto the general
-# Hessian path, in the release profile.
+# histogram/split time that appended constant columns must not move, the
+# uniform-Hessian fits that must equal fits forced onto the general
+# Hessian path, and the warp-aggregated atomic pricing (one atomic per
+# distinct bin per warp, an unpacked path priced as before aggregation,
+# the selector's closed form agreeing with the measured charge), in the
+# release profile.
 cargo test --release -q -p gbdt-core --test layout_golden
 cargo test --release -q -p gbdt-core --test differential -- constant
 cargo test --release -q -p gbdt-core --lib -- \
   hist::tests::accumulate_dense_matches_a_scalar_reference_bit_for_bit \
   split::tests::best_split_matches_a_scalar_reference_bit_for_bit \
   hist::stats::tests::measure_is_bit_identical_to_the_sort_based_reference \
+  hist::stats::tests::aggregation_ \
   grow::tests::trees_do_not_depend_on_the_thread_count \
   grow::tests::subtraction_pairs_resolve_at_their_first_node_and_free_parents_early \
   multigpu::tests::data_parallel_trees_equal_feature_parallel_trees_bit_for_bit \

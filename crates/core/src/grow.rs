@@ -63,8 +63,11 @@ use std::collections::BTreeMap;
 struct HistCharges {
     /// Fresh builds of the level, per concrete method.
     batches: BTreeMap<HistogramMethod, MethodBatch>,
-    /// Histogram columns derived by subtraction this level.
-    derived: usize,
+    /// `f64` gradient and Hessian elements derived by subtraction this
+    /// level.
+    derived_values: usize,
+    /// `u32` count elements derived with them.
+    derived_counts: usize,
 }
 
 /// The fresh builds one method handles in a level.
@@ -111,12 +114,20 @@ impl HistCharges {
         buf
     }
 
-    /// Trace one subtraction derive of `hist`: its gradient and Hessian
-    /// (or count) columns over every (feature, bin).
-    fn derive(&mut self, device: &Device, hist: &NodeHistogram) {
-        let cols = hist.num_features * hist.bins * (hist.d + hist.hess_cols);
-        crate::sanitize::trace_subtract(device, cols);
-        self.derived += cols;
+    /// Trace one subtraction derive of `hist`: over every (feature,
+    /// bin), its `d` gradient columns, its `d` Hessian columns off the
+    /// uniform-Hessian path, and its count.
+    fn derive(&mut self, ctx: &HistContext<'_>, hist: &NodeHistogram) {
+        let slots = hist.num_features * hist.bins;
+        let hessians = if ctx.grads.uniform_h().is_some() {
+            0
+        } else {
+            hist.d
+        };
+        let values = slots * (hist.d + hessians);
+        crate::sanitize::trace_subtract(ctx.device, values + slots);
+        self.derived_values += values;
+        self.derived_counts += slots;
     }
 
     /// End of level: charge one kernel per method used, then the derive
@@ -138,16 +149,18 @@ impl HistCharges {
             });
             charge_builds_on(ctx, method, 0, &cost, &batch.traced);
         }
-        if self.derived > 0 {
-            // One subtract per column element, reading the parent and
-            // the sibling and writing the derive.
-            let cols = self.derived as f64;
+        if self.derived_counts > 0 {
+            // One subtract per element, reading the parent and the
+            // sibling and writing the derive: 24 bytes per `f64` value,
+            // 12 per `u32` count.
+            let (values, counts) = (self.derived_values as f64, self.derived_counts as f64);
             ctx.device.charge_kernel(
                 "hist_subtract",
                 Phase::Histogram,
-                &KernelCost::streaming(cols, cols * 12.0),
+                &KernelCost::streaming(values + counts, values * 24.0 + counts * 12.0),
             );
-            self.derived = 0;
+            self.derived_values = 0;
+            self.derived_counts = 0;
         }
     }
 }
@@ -459,7 +472,7 @@ pub fn grow_tree_pooled(
                 let mut derived = pool.acquire();
                 derived.assign_difference(&parent, &fresh);
                 pool.release(parent);
-                hist_charges.derive(device, &derived);
+                hist_charges.derive(&ctx, &derived);
                 hists[smaller] = Some(fresh);
                 hists[larger] = Some(derived);
             }
@@ -877,6 +890,37 @@ mod tests {
                 build.name
             );
             assert!(r.start_ns >= build.start_ns + build.ns);
+        }
+    }
+
+    /// A derive subtracts the sibling from the parent over every
+    /// (feature, bin): each `f64` value (`d` gradients, plus `d`
+    /// Hessians off the uniform-Hessian path) reads two operands and
+    /// writes one, 24 bytes, and each `u32` count 12 bytes.
+    #[test]
+    fn a_derive_is_priced_per_f64_value_and_u32_count() {
+        let (_, data, uniform) = setup(2000, 6, 3);
+        let general = Gradients::general(uniform.g.clone(), uniform.h.clone(), 2000, 3);
+        let features: Vec<u32> = (0..6).collect();
+        let slots = (data.splittable(&features).len() * 32) as f64;
+        let mut cfg = config();
+        // The root's children form the one pair, so one level derives.
+        cfg.max_depth = 2;
+        cfg.hist.subtraction = true;
+        for (grads, values) in [(&uniform, slots * 3.0), (&general, slots * 6.0)] {
+            let device = Device::rtx4090();
+            grow_tree(&device, &data, grads, &cfg, &features);
+            let derives: Vec<_> = device
+                .records()
+                .into_iter()
+                .filter(|r| r.name == "hist_subtract")
+                .collect();
+            assert_eq!(derives.len(), 1);
+            let want = KernelCost::streaming(values + slots, values * 24.0 + slots * 12.0);
+            assert_eq!(
+                derives[0].ns.to_bits(),
+                device.model().kernel_ns(&want).to_bits()
+            );
         }
     }
 

@@ -161,15 +161,38 @@ mod tests {
 
     #[test]
     fn contended_roots_prefer_smem() {
-        // A large sparse root with many outputs: zero-bin collisions
-        // make global atomics replay-heavy.
+        // A large sparse root with many outputs: without the warp-level
+        // optimization, zero-bin collisions make global atomics
+        // replay-heavy.
+        let (_, data, grads) = fixture(4000, 8, 8, 3);
+        let device = Device::rtx4090();
+        let features: Vec<u32> = (0..8).collect();
+        let ctx = HistContext {
+            opts: HistOptions {
+                warp_packing: false,
+                ..HistOptions::default()
+            },
+            ..make_ctx(&device, &data, &grads, &features, 32)
+        };
+        assert_eq!(
+            select_method(&ctx, 4000, Launches::PerNode),
+            HistogramMethod::SharedMemory
+        );
+    }
+
+    /// With the warp-level optimization the same root's warps aggregate
+    /// their same-bin lanes, so no global atomic replays, and gmem's one
+    /// launch beats smem's tile pass, flush and flush launch.
+    #[test]
+    fn aggregated_contended_roots_prefer_gmem() {
         let (_, data, grads) = fixture(4000, 8, 8, 3);
         let device = Device::rtx4090();
         let features: Vec<u32> = (0..8).collect();
         let ctx = make_ctx(&device, &data, &grads, &features, 32);
+        assert!(ctx.opts.warp_packing);
         assert_eq!(
             select_method(&ctx, 4000, Launches::PerNode),
-            HistogramMethod::SharedMemory
+            HistogramMethod::GlobalMemory
         );
     }
 

@@ -7,11 +7,13 @@
 //! tile's output range of gradients ("the tiling parameters — chunk size
 //! and bin offset — are computed dynamically per block").
 //!
-//! Collision replays still happen, but at shared-memory atomic cost —
-//! an order of magnitude cheaper than global replays. Without the
-//! warp-level optimization, byte-granular bin staging adds a modeled
+//! Without the warp-level optimization collision replays still happen,
+//! but at shared-memory atomic cost — an order of magnitude cheaper
+//! than global replays — and byte-granular bin staging adds a modeled
 //! 4-way bank-conflict penalty on the accumulate stream (the paper's
-//! "data compression to reduce bank conflicts").
+//! "data compression to reduce bank conflicts"). With it, each warp
+//! aggregates its same-bin lanes before the shared-memory atomics
+//! ([`stats::atomic_updates`]), so nothing replays.
 
 use super::stats::{self, ContentionStats};
 use super::HistContext;
@@ -38,20 +40,20 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
     let density = super::density_factor(ctx);
     let pairs = nn as f64 * mf as f64 * density;
     let cols = (d + ctx.hess_cols()) as f64;
-    let updates = pairs * cols;
     let passes = tile_passes(ctx) as f64;
 
-    let (bin_trans, issue_per_pair, aggregation) = if ctx.opts.warp_packing {
-        (s.bin_transactions_packed, 1.0, s.packed_aggregation_ratio)
+    let (bin_trans, issue_per_pair) = if ctx.opts.warp_packing {
+        (s.bin_transactions_packed, 1.0)
     } else {
-        (s.bin_transactions_unpacked, 4.0, 1.0)
+        (s.bin_transactions_unpacked, 4.0)
     };
-    let updates = updates * aggregation;
+    // Each tile pass is a launch of its own, so it groups its lanes anew.
+    let updates = stats::atomic_updates(ctx, nn, s, passes);
     // Collision replays at smem cost; plus bank-conflict replays on the
     // unpacked layout.
-    let mut smem_replays = s.replay_excess * cols * aggregation * density;
+    let mut smem_replays = updates.replays;
     if !ctx.opts.warp_packing {
-        smem_replays += updates * (UNPACKED_BANK_CONFLICT - 1.0) / UNPACKED_BANK_CONFLICT;
+        smem_replays += updates.atomics * (UNPACKED_BANK_CONFLICT - 1.0) / UNPACKED_BANK_CONFLICT;
     }
     // Flush: one spread (conflict-free) global atomic per histogram slot.
     let flush_atomics = (mf * ctx.bins * (d + ctx.hess_cols())) as f64;
@@ -63,8 +65,9 @@ pub fn cost_descriptor(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) ->
         dram_bytes: bin_trans * p.sector_bytes as f64 * passes
             + stats::gh_bytes(ctx, nn)
             + flush_atomics * 4.0,
-        smem_atomics: updates,
+        smem_atomics: updates.atomics,
         smem_atomic_replays: smem_replays,
+        shuffles: updates.shuffles,
         gmem_atomics: flush_atomics,
         launches: passes + 1.0, // accumulate passes + flush kernel
         ..Default::default()
@@ -132,7 +135,7 @@ mod tests {
         let device = Device::rtx4090();
         let pairs = (idx.len() * features.len()) as f64;
         for (grads, cols) in [(&uniform, 4.0 + 1.0), (&general, 8.0)] {
-            // Unpacked, so no register pre-aggregation scales the count.
+            // Unpacked, so no warp aggregation scales the count.
             let ctx = make_ctx(&device, &data, grads, &features, false, 32);
             let cost = cost_descriptor(&ctx, idx.len(), &stats::measure(&ctx, &idx));
             assert_eq!(cost.smem_atomics, pairs * cols);
@@ -167,31 +170,51 @@ mod tests {
         );
     }
 
+    /// Charge one build of `idx` with `method` on a fresh device and
+    /// return its time.
+    fn charged_ns(
+        data: &gbdt_data::BinnedDataset,
+        grads: &Gradients,
+        features: &[u32],
+        idx: &[u32],
+        packing: bool,
+        method: HistogramMethod,
+    ) -> f64 {
+        let device = Device::rtx4090();
+        let ctx = make_ctx(&device, data, grads, features, packing, 32);
+        charge_method(&ctx, idx, method);
+        device.now_ns()
+    }
+
     #[test]
     fn smem_beats_gmem_on_large_contended_nodes() {
-        // Sparse data → heavy zero-bin collisions → gmem replays costly.
+        // Sparse data → heavy zero-bin collisions → without the
+        // warp-level optimization, gmem replays are costly.
         let (_, data, grads) = fixture(4000, 8, 8, 3);
         let features: Vec<u32> = (0..8).collect();
         let idx: Vec<u32> = (0..4000).collect();
+        let ns = |method| charged_ns(&data, &grads, &features, &idx, false, method);
+        let (g, s) = (
+            ns(HistogramMethod::GlobalMemory),
+            ns(HistogramMethod::SharedMemory),
+        );
+        assert!(s < g, "smem {s} should beat gmem {g} on contended root");
+    }
 
-        let dg = Device::rtx4090();
-        charge_method(
-            &make_ctx(&dg, &data, &grads, &features, true, 32),
-            &idx,
-            HistogramMethod::GlobalMemory,
+    /// With the warp-level optimization nothing replays on either
+    /// path, so on the same root the cheaper global atomics of one
+    /// launch beat smem's pass, flush and two launches.
+    #[test]
+    fn gmem_beats_smem_on_aggregated_contended_nodes() {
+        let (_, data, grads) = fixture(4000, 8, 8, 3);
+        let features: Vec<u32> = (0..8).collect();
+        let idx: Vec<u32> = (0..4000).collect();
+        let ns = |method| charged_ns(&data, &grads, &features, &idx, true, method);
+        let (g, s) = (
+            ns(HistogramMethod::GlobalMemory),
+            ns(HistogramMethod::SharedMemory),
         );
-        let ds = Device::rtx4090();
-        charge_method(
-            &make_ctx(&ds, &data, &grads, &features, true, 32),
-            &idx,
-            HistogramMethod::SharedMemory,
-        );
-        assert!(
-            ds.now_ns() < dg.now_ns(),
-            "smem {} should beat gmem {} on contended root",
-            ds.now_ns(),
-            dg.now_ns()
-        );
+        assert!(g < s, "gmem {g} should beat smem {s} once warps aggregate");
     }
 
     #[test]

@@ -12,16 +12,19 @@
 //!   [`sectors_touched`] (a stack-buffer count) once as 1-byte reads and
 //!   once rounded down to their packed 4-byte word, reusing one lane
 //!   buffer per call;
-//! - replay excess: bin ids are `u8`, so a warp's distinct bins are the
-//!   set bits of a 256-bit set (`[u64; 4]`) and its excess is
-//!   `lanes − distinct`;
-//! - packed-group distinctness: each group of 4 consecutive lanes is
-//!   copied into a `[u8; 4]` and a lane counts if no earlier lane of
-//!   the group holds the same bin.
+//! - bin multiplicity: bin ids are `u8`, so a warp's distinct bins are
+//!   the set bits of a 256-bit set (`[u64; 4]`); its replay excess is
+//!   `lanes − distinct`, and it collides when the excess is not zero.
 //!
 //! The counts are the integers a sort-and-dedup count gives, so the
 //! statistics are bit-identical to that reference (pinned by
 //! `measure_is_bit_identical_to_the_sort_based_reference`).
+//!
+//! [`atomic_updates`] turns the statistics into the update stream of an
+//! atomic kernel (gmem or smem): one atomic per lane with its collisions
+//! replayed, or, with the warp-level optimization, one atomic per
+//! distinct bin per warp after a `__match_any_sync` grouping and a
+//! shuffle reduction in the warps that collide.
 
 use super::HistContext;
 use gpusim::warp::{sectors_touched, WarpSampler};
@@ -32,36 +35,25 @@ const MAX_SAMPLED_FEATURES: usize = 8;
 const MAX_SAMPLED_WARPS: usize = 64;
 
 /// Contention/traffic statistics of one node-histogram launch,
-/// already scaled to the full (instances × features) workload.
-#[derive(Debug, Clone, Copy)]
+/// already scaled to the full (instances × features) workload. Every
+/// count is **per output-pass**: multiply by `d + hess_cols` for the
+/// (g, h) update stream.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ContentionStats {
     /// Total excess (replayed) bin-address collisions across all
-    /// (warp, feature) atomic groups, **per output-pass** — multiply by
-    /// `d + hess_cols` for the (g, h) update stream.
+    /// (warp, feature) atomic groups.
     pub replay_excess: f64,
+    /// Distinct bins summed over all (warp, feature) groups: the
+    /// atomics left once each warp aggregates its same-bin lanes.
+    pub distinct_bins: f64,
+    /// (warp, feature) groups in which at least two lanes share a bin:
+    /// the warps that reduce with shuffles before their atomics.
+    pub colliding_warps: f64,
     /// Global-memory transactions needed to fetch bin IDs, unpacked
     /// (1-byte lanes).
     pub bin_transactions_unpacked: f64,
     /// Same, with 4-per-word bin packing (§3.4.1).
     pub bin_transactions_packed: f64,
-    /// Mean fraction of *distinct* bins within each packed group of 4
-    /// consecutive instances (∈ [0.25, 1]). With bin packing, a thread
-    /// owns 4 instances and pre-aggregates same-bin contributions in
-    /// registers before issuing atomics, so both the atomic count and
-    /// the replay count scale by this ratio — the data-dependent part
-    /// of the paper's "+wo" speedup (§3.4.1).
-    pub packed_aggregation_ratio: f64,
-}
-
-impl Default for ContentionStats {
-    fn default() -> Self {
-        ContentionStats {
-            replay_excess: 0.0,
-            bin_transactions_unpacked: 0.0,
-            bin_transactions_packed: 0.0,
-            packed_aggregation_ratio: 1.0,
-        }
-    }
 }
 
 /// Measure statistics from the real instance list and bin columns.
@@ -91,11 +83,11 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     }
     let warp_scale = sampler.scale();
 
-    // --- replay excess: sample features and reuse the warp sample.
+    // --- bin multiplicity: sample features and reuse the warp sample.
     let f_stride = mf.div_ceil(MAX_SAMPLED_FEATURES).max(1);
     let mut excess = 0u64;
-    let mut group_distinct = 0u64;
-    let mut group_lanes = 0u64;
+    let mut distinct_bins = 0u64;
+    let mut colliding = 0u64;
     let mut sampled_features = 0usize;
     let mut fi = 0;
     while fi < mf {
@@ -106,22 +98,15 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
             // Bin ids are `u8`: the warp's distinct bins are the set bits
             // of a 256-bit set, and every other lane replays its atomic.
             let mut bin_set = [0u64; 4];
-            // Register-level pre-aggregation potential of packed groups
-            // of 4 consecutive instances.
-            for group in warp_idx.chunks(4) {
-                let mut bins = [0u8; 4];
-                for (slot, &i) in bins.iter_mut().zip(group) {
-                    *slot = col[i as usize];
-                    bin_set[(*slot >> 6) as usize] |= 1 << (*slot & 63);
-                }
-                let bins = &bins[..group.len()];
-                group_distinct += (0..bins.len())
-                    .filter(|&j| !bins[..j].contains(&bins[j]))
-                    .count() as u64;
-                group_lanes += group.len() as u64;
+            for &i in warp_idx {
+                let b = col[i as usize];
+                bin_set[(b >> 6) as usize] |= 1 << (b & 63);
             }
             let distinct: u32 = bin_set.iter().map(|word| word.count_ones()).sum();
-            excess += warp_idx.len() as u64 - distinct as u64;
+            let lane_excess = warp_idx.len() as u64 - distinct as u64;
+            excess += lane_excess;
+            distinct_bins += distinct as u64;
+            colliding += u64::from(lane_excess > 0);
         }
         fi += f_stride;
     }
@@ -129,13 +114,10 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
 
     ContentionStats {
         replay_excess: excess as f64 * warp_scale * feature_scale,
+        distinct_bins: distinct_bins as f64 * warp_scale * feature_scale,
+        colliding_warps: colliding as f64 * warp_scale * feature_scale,
         bin_transactions_unpacked: trans_unpacked as f64 * warp_scale * mf as f64,
         bin_transactions_packed: trans_packed as f64 * warp_scale * mf as f64,
-        packed_aggregation_ratio: if group_lanes == 0 {
-            1.0
-        } else {
-            group_distinct as f64 / group_lanes as f64
-        },
     }
 }
 
@@ -169,17 +151,96 @@ pub fn expect(ctx: &HistContext<'_>, node_size: usize) -> ContentionStats {
     let trans_unpacked_per_warp = (w / sector).max(1.0) * 8.0; // ~8 sectors when scattered
     let trans_packed_per_warp = trans_unpacked_per_warp / 2.0;
 
-    // Expected distinct bins in a packed group of 4: uniform draws vs
-    // the zero-bin skew collapsing duplicates.
-    let uniform_distinct4 = bins * (1.0 - (1.0 - 1.0 / bins).powi(4));
-    let skew_distinct4 = 4.0 - (4.0 * sparsity - 1.0).max(0.0);
-    let distinct4 = uniform_distinct4.min(skew_distinct4).clamp(1.0, 4.0);
+    // Per warp of `lanes` lanes, each landing in the zero bin with
+    // probability `p0` (the zero fraction, or `1/bins` when that is
+    // larger) and in each of the other bins uniformly: its expected
+    // distinct bins, `Σ_b 1 − (1 − p_b)^lanes`, and the chance that two
+    // lanes share a bin, one minus that of at most one zero lane with
+    // the rest in distinct non-zero bins.
+    let p0 = sparsity.max(1.0 / bins);
+    let rest = (bins - 1.0).max(1.0);
+    let per_warp = |lanes: f64| -> (f64, f64) {
+        if lanes == 0.0 {
+            return (0.0, 0.0);
+        }
+        let q = (1.0 - p0) / rest;
+        let distinct = 1.0 - (1.0 - p0).powf(lanes) + rest * (1.0 - (1.0 - q).powf(lanes));
+        let apart = |n: f64| -> f64 {
+            (0..n as usize)
+                .map(|i| (1.0 - i as f64 / rest).max(0.0))
+                .product()
+        };
+        let no_zero = (1.0 - p0).powf(lanes) * apart(lanes);
+        let one_zero = lanes * p0 * (1.0 - p0).powf(lanes - 1.0) * apart(lanes - 1.0);
+        (distinct, 1.0 - no_zero - one_zero)
+    };
+    // Full warps, then the tail warp of the remaining lanes.
+    let full = (nn / w).floor();
+    let (full_distinct, full_collide) = per_warp(w);
+    let (tail_distinct, tail_collide) = per_warp(nn - full * w);
 
     ContentionStats {
         replay_excess: excess_per_warp * warps * mf,
+        distinct_bins: (full * full_distinct + tail_distinct) * mf,
+        colliding_warps: (full * full_collide + tail_collide) * mf,
         bin_transactions_unpacked: trans_unpacked_per_warp * warps * mf,
         bin_transactions_packed: trans_packed_per_warp * warps * mf,
-        packed_aggregation_ratio: distinct4 / 4.0,
+    }
+}
+
+/// The update stream of one atomic histogram build (gmem or smem) of
+/// `nn` instances, per [`atomic_updates`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AtomicUpdates {
+    /// Atomic adds issued.
+    pub atomics: f64,
+    /// Extra adds replayed because lanes of one warp hit one address.
+    pub replays: f64,
+    /// Warp-wide match and shuffle instructions.
+    pub shuffles: f64,
+}
+
+/// The atomic updates of a build of `nn` instances with statistics `s`,
+/// over every (gradient, Hessian or count) column, by a kernel that
+/// reads each bin id in `passes` launches (smem tile passes, each over
+/// its own columns).
+///
+/// Without the warp-level optimization each (instance, feature) pair
+/// adds its own value into every column, and each lane beyond the first
+/// on a bin replays its add. With it (§3.4.1), a warp groups its lanes
+/// by bin once per feature and pass (`__match_any_sync`, priced as one
+/// shuffle). A warp with no shared bin takes a warp-uniform branch and
+/// adds as is; a warp with one reduces each group's values with
+/// `log2(warp)` shuffle-add steps per column. Either way only one lane
+/// per group adds, so the atomics are the distinct bins per warp ×
+/// columns and nothing replays.
+///
+/// The sparsity-aware path visits only a `density` share of the
+/// pairs, and every term scales with it.
+pub fn atomic_updates(
+    ctx: &HistContext<'_>,
+    nn: usize,
+    s: &ContentionStats,
+    passes: f64,
+) -> AtomicUpdates {
+    let mf = ctx.features.len() as f64;
+    let density = super::density_factor(ctx);
+    let cols = (ctx.d() + ctx.hess_cols()) as f64;
+    if !ctx.opts.warp_packing {
+        let pairs = nn as f64 * mf * density;
+        return AtomicUpdates {
+            atomics: pairs * cols,
+            replays: s.replay_excess * cols * density,
+            shuffles: 0.0,
+        };
+    }
+    let warp = ctx.device.model().params.warp_size as usize;
+    let matches = nn.div_ceil(warp) as f64 * mf * passes;
+    let reduce_steps = (warp as f64).log2();
+    AtomicUpdates {
+        atomics: s.distinct_bins * cols * density,
+        replays: 0.0,
+        shuffles: (matches + s.colliding_warps * cols * reduce_steps) * density,
     }
 }
 
@@ -219,9 +280,9 @@ mod tests {
     use gbdt_data::BinnedDataset;
     use gpusim::Device;
 
-    /// `measure` as it counted before the bit-set rewrite: every sampled
-    /// warp and group of 4 copied, sorted and deduplicated. Kept only
-    /// as the reference the allocation-free counts must equal.
+    /// `measure` counted by sorting: every sampled warp's addresses and
+    /// bins copied, sorted and deduplicated. Kept only as the reference
+    /// the allocation-free counts must equal.
     fn measure_by_sorting(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
         fn distinct_sorted(addrs: &[u64]) -> u64 {
             let mut v = addrs.to_vec();
@@ -257,7 +318,7 @@ mod tests {
             trans_packed += sectors(&packed, 4, sb);
         }
         let f_stride = mf.div_ceil(MAX_SAMPLED_FEATURES).max(1);
-        let (mut excess, mut group_distinct, mut group_lanes) = (0u64, 0u64, 0u64);
+        let (mut excess, mut distinct_bins, mut colliding) = (0u64, 0u64, 0u64);
         let mut sampled_features = 0usize;
         for fi in (0..mf).step_by(f_stride) {
             sampled_features += 1;
@@ -267,24 +328,20 @@ mod tests {
                     .iter()
                     .map(|&i| col[i as usize] as u64)
                     .collect();
-                excess += bin_addrs.len() as u64 - distinct_sorted(&bin_addrs);
-                for group in bin_addrs.chunks(4) {
-                    group_distinct += distinct_sorted(group);
-                    group_lanes += group.len() as u64;
-                }
+                let distinct = distinct_sorted(&bin_addrs);
+                excess += bin_addrs.len() as u64 - distinct;
+                distinct_bins += distinct;
+                colliding += u64::from(distinct < bin_addrs.len() as u64);
             }
         }
         let warp_scale = sampler.scale();
         let feature_scale = mf as f64 / sampled_features as f64;
         ContentionStats {
             replay_excess: excess as f64 * warp_scale * feature_scale,
+            distinct_bins: distinct_bins as f64 * warp_scale * feature_scale,
+            colliding_warps: colliding as f64 * warp_scale * feature_scale,
             bin_transactions_unpacked: trans_unpacked as f64 * warp_scale * mf as f64,
             bin_transactions_packed: trans_packed as f64 * warp_scale * mf as f64,
-            packed_aggregation_ratio: if group_lanes == 0 {
-                1.0
-            } else {
-                group_distinct as f64 / group_lanes as f64
-            },
         }
     }
 
@@ -307,7 +364,7 @@ mod tests {
         // Under the 64-warp cap: 1000 ids whose last warp has 8 lanes.
         let contiguous: Vec<u32> = (0..1000).collect();
         // Scattered post-partition pattern; 1447 = 45·32 + 7 gives a
-        // 7-lane tail warp whose last group of 4 holds 3 lanes.
+        // 7-lane tail warp.
         let scattered: Vec<u32> = (0..n as u32)
             .filter(|i| (i.wrapping_mul(2_654_435_761) >> 7) % 4 == 1)
             .take(1447)
@@ -352,8 +409,13 @@ mod tests {
                         "{case}"
                     );
                     assert_eq!(
-                        got.packed_aggregation_ratio.to_bits(),
-                        want.packed_aggregation_ratio.to_bits(),
+                        got.distinct_bins.to_bits(),
+                        want.distinct_bins.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        got.colliding_warps.to_bits(),
+                        want.colliding_warps.to_bits(),
                         "{case}"
                     );
                 }
@@ -506,11 +568,244 @@ mod tests {
             mf.bin_transactions_packed.to_bits(),
             mt.bin_transactions_packed.to_bits()
         );
-        assert_eq!(
-            mf.packed_aggregation_ratio.to_bits(),
-            mt.packed_aggregation_ratio.to_bits()
-        );
+        assert_eq!(mf.distinct_bins.to_bits(), mt.distinct_bins.to_bits());
+        assert_eq!(mf.colliding_warps.to_bits(), mt.colliding_warps.to_bits());
         let (ef, et) = (expect(&full, 1500), expect(&thin, 1500));
         assert_eq!(ef.replay_excess.to_bits(), et.replay_excess.to_bits());
+    }
+
+    /// A fixture context over `features` at `bins`, with or without the
+    /// warp-level optimization.
+    fn ctx_with<'a>(
+        device: &'a Device,
+        data: &'a BinnedDataset,
+        grads: &'a Gradients,
+        features: &'a [u32],
+        bins: usize,
+        opts: HistOptions,
+    ) -> HistContext<'a> {
+        HistContext {
+            device,
+            data,
+            grads,
+            features,
+            bins,
+            opts,
+        }
+    }
+
+    fn packing(on: bool) -> HistOptions {
+        HistOptions {
+            warp_packing: on,
+            ..HistOptions::default()
+        }
+    }
+
+    /// One warp whose 32 lanes all hit one bin: unpacked, 31 lanes
+    /// replay in every column; aggregated, the warp matches once,
+    /// reduces each column in `log2(32) = 5` shuffle steps and its
+    /// leader issues one atomic per column, with nothing replayed.
+    #[test]
+    fn aggregation_one_bin_warp_charges_no_replays_and_one_atomic_per_column() {
+        let (_, data, grads) = fixture(2000, 4, 3, 5);
+        let col = data.bins.col(0);
+        // The zero bin of a 40 %-sparse column: its most frequent.
+        let mut hits = [0usize; 256];
+        col.iter().for_each(|&b| hits[b as usize] += 1);
+        let zero = (0..=255u8).max_by_key(|&b| hits[b as usize]).unwrap();
+        let idx: Vec<u32> = (0..2000u32)
+            .filter(|&i| col[i as usize] == zero)
+            .take(32)
+            .collect();
+        assert_eq!(idx.len(), 32);
+        let device = Device::rtx4090();
+        let features = [0u32];
+        let cols = (3 + 1) as f64; // d gradients and the uniform path's count
+        let ctx = ctx_with(&device, &data, &grads, &features, 32, packing(true));
+        let s = measure(&ctx, &idx);
+        assert_eq!(
+            (s.replay_excess, s.distinct_bins, s.colliding_warps),
+            (31.0, 1.0, 1.0)
+        );
+        let aggregated = atomic_updates(&ctx, idx.len(), &s, 1.0);
+        assert_eq!(
+            aggregated,
+            AtomicUpdates {
+                atomics: cols,
+                replays: 0.0,
+                shuffles: 1.0 + 5.0 * cols,
+            }
+        );
+        let gmem = super::super::gmem::cost_descriptor(&ctx, idx.len(), &s);
+        assert_eq!((gmem.gmem_atomics, gmem.gmem_atomic_replays), (cols, 0.0));
+        let smem = super::super::smem::cost_descriptor(&ctx, idx.len(), &s);
+        assert_eq!((smem.smem_atomics, smem.smem_atomic_replays), (cols, 0.0));
+        let unpacked = ctx_with(&device, &data, &grads, &features, 32, packing(false));
+        assert_eq!(
+            atomic_updates(&unpacked, idx.len(), &s, 1.0),
+            AtomicUpdates {
+                atomics: 32.0 * cols,
+                replays: 31.0 * cols,
+                shuffles: 0.0,
+            }
+        );
+    }
+
+    /// One warp whose 32 lanes hit 32 distinct bins takes the
+    /// warp-uniform branch: its match is its only shuffle, and each lane
+    /// adds its own values.
+    #[test]
+    fn aggregation_all_distinct_warp_pays_no_shuffle_reduction() {
+        let (ds, _, grads) = super::super::test_support::fixture_dense(4000, 4, 3, 6);
+        let data = BinnedDataset::build(ds.features(), 64);
+        let col = data.bins.col(0);
+        let mut seen = [false; 256];
+        let idx: Vec<u32> = (0..4000u32)
+            .filter(|&i| !std::mem::replace(&mut seen[col[i as usize] as usize], true))
+            .take(32)
+            .collect();
+        assert_eq!(idx.len(), 32);
+        let device = Device::rtx4090();
+        let features = [0u32];
+        let ctx = ctx_with(&device, &data, &grads, &features, 64, packing(true));
+        let s = measure(&ctx, &idx);
+        assert_eq!(
+            (s.replay_excess, s.distinct_bins, s.colliding_warps),
+            (0.0, 32.0, 0.0)
+        );
+        assert_eq!(
+            atomic_updates(&ctx, idx.len(), &s, 1.0),
+            AtomicUpdates {
+                atomics: 32.0 * 4.0,
+                replays: 0.0,
+                shuffles: 1.0,
+            }
+        );
+        // Each smem tile pass is a launch that matches anew.
+        assert_eq!(atomic_updates(&ctx, idx.len(), &s, 3.0).shuffles, 3.0);
+    }
+
+    /// Without the warp-level optimization both atomic kernels price a
+    /// build with the formulas they had before aggregation existed, bit
+    /// for bit, and charge no shuffle, so `kernel_ns` adds `+0.0`.
+    #[test]
+    fn aggregation_leaves_the_unpacked_path_bit_identical() {
+        use super::super::test_support::{fixture_dense, mixed_gradients};
+        use super::super::{density_factor, gmem, smem};
+        use gpusim::cost::KernelCost;
+        // The formulas as they stood before warp aggregation.
+        fn gmem_before(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) -> KernelCost {
+            let p = &ctx.device.model().params;
+            let density = density_factor(ctx);
+            let pairs = nn as f64 * ctx.features.len() as f64 * density;
+            let cols = (ctx.d() + ctx.hess_cols()) as f64;
+            let updates = pairs * cols;
+            KernelCost {
+                flops: pairs * (cols + 4.0),
+                dram_bytes: s.bin_transactions_unpacked * p.sector_bytes as f64 + gh_bytes(ctx, nn),
+                gmem_atomics: updates * 1.0,
+                gmem_atomic_replays: s.replay_excess * cols * 1.0 * density,
+                launches: 1.0,
+                ..Default::default()
+            }
+        }
+        fn smem_before(ctx: &HistContext<'_>, nn: usize, s: &ContentionStats) -> KernelCost {
+            let p = &ctx.device.model().params;
+            let mf = ctx.features.len();
+            let density = density_factor(ctx);
+            let pairs = nn as f64 * mf as f64 * density;
+            let cols = (ctx.d() + ctx.hess_cols()) as f64;
+            let passes = smem::tile_passes(ctx) as f64;
+            let updates = pairs * cols * 1.0;
+            let replays = s.replay_excess * cols * 1.0 * density + updates * 3.0 / 4.0;
+            let flush = (mf * ctx.bins * (ctx.d() + ctx.hess_cols())) as f64;
+            KernelCost {
+                flops: pairs * (cols + 4.0) * passes.sqrt(),
+                dram_bytes: s.bin_transactions_unpacked * p.sector_bytes as f64 * passes
+                    + gh_bytes(ctx, nn)
+                    + flush * 4.0,
+                smem_atomics: updates,
+                smem_atomic_replays: replays,
+                gmem_atomics: flush,
+                launches: passes + 1.0,
+                ..Default::default()
+            }
+        }
+        let bits = |c: &KernelCost| {
+            [
+                c.flops,
+                c.dram_bytes,
+                c.gmem_atomics,
+                c.gmem_atomic_replays,
+                c.smem_atomics,
+                c.smem_atomic_replays,
+                c.shuffles,
+                c.sort_keys,
+                c.launches,
+            ]
+            .map(f64::to_bits)
+        };
+        let device = Device::rtx4090();
+        let features: Vec<u32> = (0..8).collect();
+        let contiguous: Vec<u32> = (0..3000).collect();
+        let scattered: Vec<u32> = (0..3000).filter(|i| i % 7 != 2).take(1447).collect();
+        for (_, data, uniform) in [fixture(3000, 8, 6, 8), fixture_dense(3000, 8, 6, 8)] {
+            let general = mixed_gradients(3000, 6);
+            for grads in [&uniform, &general] {
+                for sparse_aware in [false, true] {
+                    let opts = HistOptions {
+                        sparse_aware,
+                        ..packing(false)
+                    };
+                    let ctx = ctx_with(&device, &data, grads, &features, 32, opts);
+                    for idx in [&contiguous, &scattered] {
+                        let nn = idx.len();
+                        for s in [measure(&ctx, idx), expect(&ctx, nn)] {
+                            let got = gmem::cost_descriptor(&ctx, nn, &s);
+                            assert_eq!(bits(&got), bits(&gmem_before(&ctx, nn, &s)));
+                            let got = smem::cost_descriptor(&ctx, nn, &s);
+                            assert_eq!(bits(&got), bits(&smem_before(&ctx, nn, &s)));
+                            assert_eq!(got.shuffles, 0.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The selector's closed form prices the aggregated kernels as the
+    /// charge does: on sparse and dense fixtures at 32 and 256 bins, from
+    /// roots to 20-row nodes, `expect`'s distinct bins and colliding
+    /// warps track `measure`'s, and the +wo gmem and smem prices agree
+    /// within 10 %.
+    #[test]
+    fn aggregation_expect_agrees_with_measure() {
+        use super::super::test_support::{fixture_dense, mixed_gradients};
+        use super::super::{gmem, smem};
+        let device = Device::rtx4090();
+        let model = device.model();
+        let features: Vec<u32> = (0..8).collect();
+        let general = mixed_gradients(4000, 8);
+        for (ds, _, uniform) in [fixture(4000, 8, 8, 3), fixture_dense(4000, 8, 8, 3)] {
+            for bins in [32usize, 256] {
+                let data = BinnedDataset::build(ds.features(), bins);
+                for grads in [&uniform, &general] {
+                    let ctx = ctx_with(&device, &data, grads, &features, bins, packing(true));
+                    for nn in [4000u32, 1000, 100, 20] {
+                        let idx: Vec<u32> = (0..4000).step_by((4000 / nn) as usize).collect();
+                        let (m, e) = (measure(&ctx, &idx), expect(&ctx, idx.len()));
+                        let case = format!("bins={bins} nn={nn} measured {m:?} expected {e:?}");
+                        let near = |a: f64, b: f64, tol: f64| (a - b).abs() <= tol * b + 1.0;
+                        assert!(near(e.distinct_bins, m.distinct_bins, 0.1), "{case}");
+                        assert!(near(e.colliding_warps, m.colliding_warps, 0.1), "{case}");
+                        for price in [gmem::cost_descriptor, smem::cost_descriptor] {
+                            let charged = model.kernel_ns(&price(&ctx, idx.len(), &m));
+                            let predicted = model.kernel_ns(&price(&ctx, idx.len(), &e));
+                            assert!(near(predicted, charged, 0.1), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

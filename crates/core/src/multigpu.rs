@@ -456,9 +456,12 @@ impl Placement for Group<'_> {
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
         let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
-        // One node's histogram, gradient and Hessian (or count) columns:
-        // the data-parallel reduce-scatter payload.
-        let hist_bytes = (mf * self.config.max_bins * (grads.d + hess_cols(grads)) * 8) as f64;
+        // One node's histogram, the data-parallel reduce-scatter payload:
+        // its gradient and Hessian (or count) columns in `f64`, plus the
+        // `u32` counts the split scan reads when no column carries them.
+        let count_bytes = if grads.uniform_h().is_some() { 0 } else { 4 };
+        let hist_bytes =
+            (mf * self.config.max_bins * ((grads.d + hess_cols(grads)) * 8 + count_bytes)) as f64;
         let params = SplitParams::from(self.config);
         // One working histogram: each node is accumulated, evaluated and
         // done with before the next is built.
@@ -725,7 +728,10 @@ impl Placement for Group<'_> {
     /// The lead computes the gradients over all `n` rows in both
     /// layouts; the replicas charge `grad_hess` over all rows when
     /// gradients are replicated, `grad_hess_shard` over their shard
-    /// when instances are sharded.
+    /// when instances are sharded. A sharded device sees only its rows'
+    /// Hessians, so the group agrees on whether every row shares one
+    /// Hessian row (the uniform-Hessian path) with a one-byte flag per
+    /// rank, all-gathered before the round's root build.
     fn mirror_gradients(&self, n: usize, d: usize, flops_per_output: f64) {
         let kernel = match self.strategy {
             MultiGpuStrategy::FeatureParallel => "grad_hess",
@@ -739,6 +745,11 @@ impl Placement for Group<'_> {
                 &crate::grad::grad_hess_cost(rows, d, flops_per_output),
             );
             crate::sanitize::trace_grad_hess(dev, rows, d);
+        }
+        let k = self.active.len();
+        if self.strategy == MultiGpuStrategy::DataParallel && k > 1 {
+            self.group().all_gather(1);
+            tel_collective_bytes(&self.active, k as f64);
         }
     }
 
@@ -1487,6 +1498,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each data-parallel round all-gathers one uniform-Hessian flag
+    /// per rank after its gradients and before its first histogram
+    /// build; a feature-parallel device holds every row's gradients and
+    /// exchanges nothing there.
+    #[test]
+    fn data_parallel_rounds_agree_on_the_uniform_hessian_path_first() {
+        let ds = dataset(3);
+        let cfg = quick_config();
+        for (strategy, flags_per_round) in [
+            (MultiGpuStrategy::DataParallel, 1),
+            (MultiGpuStrategy::FeatureParallel, 0),
+        ] {
+            let trainer =
+                MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(2), cfg.clone(), strategy);
+            let _ = trainer.fit(&ds);
+            for dev in trainer.group().devices() {
+                let flag_ns = dev.model().all_gather_ns(1.0, 2);
+                // Per round: the flag gathers between its gradient
+                // kernel and its first histogram build.
+                let mut rounds: Vec<usize> = Vec::new();
+                let mut before_build = false;
+                for r in dev.records() {
+                    if r.name.starts_with("grad_hess") {
+                        rounds.push(0);
+                        before_build = true;
+                    } else if r.name.starts_with("hist_") {
+                        before_build = false;
+                    } else if before_build && r.name == "all_gather" {
+                        assert_eq!(r.ns, flag_ns, "{strategy:?}: a one-byte gather");
+                        *rounds.last_mut().unwrap() += 1;
+                    }
+                }
+                assert_eq!(rounds, vec![flags_per_round; cfg.num_trees], "{strategy:?}");
+            }
+        }
+    }
+
+    /// A data-parallel node's reduce-scatter moves its `f64` gradient
+    /// and Hessian columns and, off the uniform-Hessian path, its `u32`
+    /// counts: `m' × B × (2d × 8 + 4)` bytes. On the uniform path (a
+    /// softmax fit's round 0) the count column is the `f64` Hessian
+    /// column: `m' × B × (d + 1) × 8`.
+    #[test]
+    fn data_parallel_reduce_scatters_carry_the_count_column() {
+        let ds = dataset(4);
+        let cfg = quick_config();
+        let all: Vec<u32> = (0..ds.m() as u32).collect();
+        let mf = BinnedDataset::build(ds.features(), cfg.max_bins)
+            .splittable(&all)
+            .len();
+        let (slots, d) = ((mf * cfg.max_bins) as f64, ds.d() as f64);
+        let trainer = MultiGpuTrainer::with_strategy(
+            DeviceGroup::rtx4090s(2),
+            cfg,
+            MultiGpuStrategy::DataParallel,
+        );
+        let _ = trainer.fit(&ds);
+        let model = trainer.group().device(0).model();
+        let uniform = model.ring_reduce_scatter_ns(slots * (d + 1.0) * 8.0, 2);
+        let general = model.ring_reduce_scatter_ns(slots * (2.0 * d * 8.0 + 4.0), 2);
+        let mut seen = BTreeMap::new();
+        for r in trainer.group().device(0).records() {
+            if r.name == "hist_reduce_scatter" {
+                *seen.entry(r.ns.to_bits()).or_insert(0usize) += 1;
+            }
+        }
+        assert_eq!(
+            seen.keys().copied().collect::<Vec<_>>(),
+            {
+                let mut want = vec![uniform.to_bits(), general.to_bits()];
+                want.sort_unstable();
+                want
+            },
+            "payloads priced at neither formula"
+        );
     }
 
     #[test]

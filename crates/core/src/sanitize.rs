@@ -368,7 +368,9 @@ pub fn trace_split_level(device: &Device, segments: usize, candidates: usize, no
 /// Shared declaration core of the gmem/smem histogram kernels: one
 /// thread per (instance, feature) pair, feature-major, reading its bin
 /// ID and gradient row, then issuing `kind` updates to the histogram
-/// accumulators named by `g_label`/`h_label` in `space`.
+/// accumulators in `space`. With the warp-level optimization only the
+/// first lane of each same-bin group of a warp updates
+/// ([`crate::hist::stats::atomic_updates`]).
 ///
 /// Returns nothing; violations accumulate on the sanitizer.
 pub(crate) fn trace_pair_kernel(
@@ -415,6 +417,11 @@ pub(crate) fn trace_pair_kernel(
     // On the uniform-Hessian path a pair reads and adds no Hessians:
     // its gradients and one count.
     let hessians = ctx.grads.uniform_h().is_none();
+    // With the warp-level optimization a warp's lanes that share a bin
+    // shuffle their values to the group's first lane, the only one that
+    // updates the histogram.
+    let warp = ctx.device.model().params.warp_size as usize;
+    let aggregated = ctx.opts.warp_packing;
 
     let f_stride = mf.div_ceil(MAX_TRACE_FEATURES).max(1);
     for f_local in (0..mf).step_by(f_stride) {
@@ -426,17 +433,28 @@ pub(crate) fn trace_pair_kernel(
             // Thread per pair, feature-major over the node's instances.
             let tctx = ThreadCtx::from_global(f_local * nn + j, 256);
             scope.touch(b_id, tctx, f * n + i, AccessKind::Read);
+            let first_lane = j - j % warp;
+            let leads = !aggregated
+                || idx[first_lane..j]
+                    .iter()
+                    .all(|&e| col[e as usize] != col[i]);
             for k in 0..d.min(MAX_TRACE_OUTPUTS) {
                 scope.touch(gr_id, tctx, (i * d + k) * 2, AccessKind::Read);
-                let slot = device_gh_slot(if tile { 0 } else { f_local }, k, b, d, bins);
-                scope.touch(g_id, tctx, slot, kind);
                 if hessians {
                     scope.touch(gr_id, tctx, (i * d + k) * 2 + 1, AccessKind::Read);
-                    scope.touch(h_id, tctx, slot, kind);
+                }
+                if leads {
+                    let slot = device_gh_slot(if tile { 0 } else { f_local }, k, b, d, bins);
+                    scope.touch(g_id, tctx, slot, kind);
+                    if hessians {
+                        scope.touch(h_id, tctx, slot, kind);
+                    }
                 }
             }
-            let cnt_slot = if tile { b } else { f_local * bins + b };
-            scope.touch(c_id, tctx, cnt_slot, kind);
+            if leads {
+                let cnt_slot = if tile { b } else { f_local * bins + b };
+                scope.touch(c_id, tctx, cnt_slot, kind);
+            }
         }
     }
 
@@ -550,6 +568,53 @@ mod tests {
         assert!(atomics_of(HistogramMethod::GlobalMemory) > 0);
         assert!(atomics_of(HistogramMethod::SharedMemory) > 0);
         assert_eq!(atomics_of(HistogramMethod::SortReduce), 0);
+    }
+
+    /// With the warp-level optimization only the first lane of each
+    /// same-bin group of a warp declares histogram updates. A 32-row
+    /// node on one bin declares one lane's `d` gradient atomics and its
+    /// count (the fixture's MSE gradients share their Hessians) where
+    /// the unpacked build declares 32 lanes'; a mixed node declares
+    /// fewer than unpacked. Every trace is clean.
+    #[test]
+    fn aggregated_builds_declare_only_group_leaders() {
+        let (_, data, grads) = fixture(2000, 4, 3, 5);
+        let col = data.bins.col(0);
+        let one_bin: Vec<u32> = (0..2000u32)
+            .filter(|&i| col[i as usize] == col[0])
+            .take(32)
+            .collect();
+        assert_eq!(one_bin.len(), 32);
+        let mixed: Vec<u32> = (0..2000).collect();
+        let atomics = |features: &[u32], idx: &[u32], warp_packing: bool, method| {
+            let device = Device::rtx4090();
+            device.enable_sanitizer(SanitizeMode::Full);
+            let ctx = HistContext {
+                opts: HistOptions {
+                    warp_packing,
+                    ..HistOptions::default()
+                },
+                ..make_ctx(&device, &data, &grads, features, method)
+            };
+            crate::hist::trace_build(&ctx, idx, method, "hist_gmem");
+            let r = device.sanitize_report().expect("sanitizer");
+            assert!(r.is_clean(), "{method:?}: {}", r.table());
+            r.kernels.values().map(|s| s.atomics).sum::<u64>()
+        };
+        let gmem = HistogramMethod::GlobalMemory;
+        assert_eq!(atomics(&[0], &one_bin, true, gmem), 3 + 1);
+        assert_eq!(atomics(&[0], &one_bin, false, gmem), 32 * (3 + 1));
+        let all: Vec<u32> = (0..4).collect();
+        for method in [gmem, HistogramMethod::SharedMemory] {
+            let (packed, unpacked) = (
+                atomics(&all, &mixed, true, method),
+                atomics(&all, &mixed, false, method),
+            );
+            assert!(
+                0 < packed && packed < unpacked,
+                "{method:?}: {packed} vs {unpacked}"
+            );
+        }
     }
 
     #[test]

@@ -40,52 +40,52 @@ use std::sync::Arc;
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("GlobalMemory/dense", 0xded628e5fad8ea62, 0xb741e7cb327bdef5),
-    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0x5e9ac93a384692d9),
-    ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0x99f682e81de58aff),
-    ("SharedMemory/dense", 0xded628e5fad8ea62, 0xfa54236cb0bf4193),
-    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0x1e973735ce7140ac),
-    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0x3ad737ca005c074b),
+    ("GlobalMemory/dense", 0xded628e5fad8ea62, 0xc7c525e78dcfd6b5),
+    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0x96b4a2de80160920),
+    ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0x796130bf5f6173c1),
+    ("SharedMemory/dense", 0xded628e5fad8ea62, 0x9f27e7036239fe38),
+    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0xb12b594f35755988),
+    ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0xf67c9dc07332ba00),
     ("SortReduce/dense", 0xded628e5fad8ea62, 0x19374724bfbedf82),
     ("SortReduce/sparse_aware", 0xded628e5fad8ea62, 0xbf8fb0ce59fa9e64),
-    ("SortReduce/subtraction", 0xded628e5fad8ea62, 0x68cf7083d98edd78),
-    ("Adaptive/dense", 0xded628e5fad8ea62, 0xfa54236cb0bf4193),
-    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0x1e973735ce7140ac),
-    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x3ad737ca005c074b),
-    ("FP(2)", 0xded628e5fad8ea62, 0xd6cf3b8d1d2148f9),
-    ("DP(2)", 0xded628e5fad8ea62, 0x65df109d0a6e898e),
+    ("SortReduce/subtraction", 0xded628e5fad8ea62, 0xfb2074854e6f51bc),
+    ("Adaptive/dense", 0xded628e5fad8ea62, 0x760ba4ece5c0b23f),
+    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xedc47e631aaa82f9),
+    ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x18c75f62e43de574),
+    ("FP(2)", 0xded628e5fad8ea62, 0x4b4eefc7084efd11),
+    ("DP(2)", 0xded628e5fad8ea62, 0xdc050aafac897a69),
 ];
 
 #[rustfmt::skip]
 const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
-    ("FP(1)/streams1/none", 0x6fab8a4c9add4eb9, 0x70503113ca298d46),
-    ("FP(1)/streams1/top2", 0x0a62be271fa56999, 0xde4f8568254add6f),
-    ("FP(1)/streams4/none", 0x3018bc297e64ef9d, 0x38cd93ff5a344443),
-    ("FP(1)/streams4/top2", 0x78abdb83ba854c85, 0x40698901d6d108c9),
-    ("FP(2)/streams1/none", 0x8b9e0f7e45a12081, 0xef67ef696fe7935d),
-    ("FP(2)/streams1/top2", 0x026beb229af1cf47, 0xd9015bfd0e804e51),
-    ("FP(2)/streams4/none", 0xe097100d838e78a7, 0x3c2593a1ea76bbf2),
-    ("FP(2)/streams4/top2", 0x85bc7b2cec7fbcf8, 0xb23607af8c976ec7),
-    ("FP(3)/streams1/none", 0x48af35a900ae40b9, 0xdbea5c08337aa153),
-    ("FP(3)/streams1/top2", 0xda13f9e6778ce45a, 0xf9f97ec3d1dda71c),
-    ("FP(3)/streams4/none", 0x245857953ef3a5e5, 0x2b02d1373cb4b81c),
-    ("FP(3)/streams4/top2", 0x7816adc50e9ce402, 0x4606b61666ecf256),
-    ("FP(3)/transient", 0x69541ec39c6c3e1b, 0xcae0214a60f35cc1),
-    ("FP(3)/lost", 0x6eb709ebcb1b79fe, 0xc909273c95dc4638),
-    ("DP(1)/streams1/none", 0x4732f0562050d341, 0x70503113ca298d46),
-    ("DP(1)/streams1/top2", 0x9bbef3b8a7f7a5fb, 0xde4f8568254add6f),
-    ("DP(1)/streams4/none", 0xf6e5041419019e6d, 0x70503113ca298d46),
-    ("DP(1)/streams4/top2", 0x91ef9d111bfe1cba, 0xde4f8568254add6f),
-    ("DP(2)/streams1/none", 0x488912eccc90be02, 0x1058320fa58f2178),
-    ("DP(2)/streams1/top2", 0x7bea702261e833b0, 0xe668a62bbfb79601),
-    ("DP(2)/streams4/none", 0x36c06adddea83f9d, 0x4d3a00c4e0c64629),
-    ("DP(2)/streams4/top2", 0x2b4c751dfe2eabec, 0x583169f559f5e65e),
-    ("DP(3)/streams1/none", 0x5e4dd3903ceb8426, 0x5fce1ebab35c09cb),
-    ("DP(3)/streams1/top2", 0xf25cd757eb189d9a, 0x4787c9835d2dc615),
-    ("DP(3)/streams4/none", 0x2b0ed8195d862c09, 0x65d39cbcd5bfbd6c),
-    ("DP(3)/streams4/top2", 0x046537f81fe70399, 0x0e53c4ee51e0e7c0),
-    ("DP(3)/transient", 0x720635398a32cc54, 0x412dd0e5720350b0),
-    ("DP(3)/lost", 0x990aca1063453ac8, 0xf802ea79a4e865c3),
+    ("FP(1)/streams1/none", 0x865074e3e7f0a4d3, 0x94259551b336fb8e),
+    ("FP(1)/streams1/top2", 0x19eb209da1b45c29, 0xde4f8568254add6f),
+    ("FP(1)/streams4/none", 0x3707dcf50374a8b6, 0x6c8fbc9664228f92),
+    ("FP(1)/streams4/top2", 0x0131dcfcc2d9a823, 0xe5a78d3bffe143de),
+    ("FP(2)/streams1/none", 0x6457115b4998d7a0, 0xef67ef696fe7935d),
+    ("FP(2)/streams1/top2", 0x53f8081f86ef9348, 0xd9015bfd0e804e51),
+    ("FP(2)/streams4/none", 0x032257aa3a3fa690, 0x253cfa4b888ef326),
+    ("FP(2)/streams4/top2", 0xec14cc064d70e8bb, 0x5533f34cf91e431f),
+    ("FP(3)/streams1/none", 0xaf30c78635af37e8, 0xdbea5c08337aa153),
+    ("FP(3)/streams1/top2", 0xd0c64c839aeb7042, 0xf9f97ec3d1dda71c),
+    ("FP(3)/streams4/none", 0x3608d0212f00869f, 0x2571b3879e88e5ca),
+    ("FP(3)/streams4/top2", 0xc685838f21b97d93, 0x1451a9edf06bc6f0),
+    ("FP(3)/transient", 0x4c618b8578bb0b76, 0xcae0214a60f35cc1),
+    ("FP(3)/lost", 0xdefb4b5df6900d03, 0xc909273c95dc4638),
+    ("DP(1)/streams1/none", 0xfad53c3584da0661, 0x94259551b336fb8e),
+    ("DP(1)/streams1/top2", 0x5137d4b9f91201f4, 0xde4f8568254add6f),
+    ("DP(1)/streams4/none", 0x2dc77ae091069b6d, 0x94259551b336fb8e),
+    ("DP(1)/streams4/top2", 0x6e3b221383f21331, 0xde4f8568254add6f),
+    ("DP(2)/streams1/none", 0xd11f01a03bbb9449, 0x602193c2790ac345),
+    ("DP(2)/streams1/top2", 0x3b234da58a581871, 0x68394f4e92b43e48),
+    ("DP(2)/streams4/none", 0x8dad3e89ce165594, 0x3a1c97a5ac0b7796),
+    ("DP(2)/streams4/top2", 0x9a4bd5fa60517a58, 0xb07455c1c5513e14),
+    ("DP(3)/streams1/none", 0xd4fbe2105c5de192, 0xe8e93623fc96e1f8),
+    ("DP(3)/streams1/top2", 0x2768d570f4b012ac, 0x6b2a8a77e1646676),
+    ("DP(3)/streams4/none", 0x8427a755b43f7c85, 0xb87b91aa82da82da),
+    ("DP(3)/streams4/top2", 0x827fc0ad4bb5dfd5, 0xf4c6c3348711bc7a),
+    ("DP(3)/transient", 0x12f8ba203f07f5c4, 0x385e5ebf119113af),
+    ("DP(3)/lost", 0x2c7e9fd81b3841f3, 0xc30630c21ff7b317),
 ];
 
 fn dataset() -> Dataset {

@@ -2,7 +2,8 @@
 //!
 //! The model is roofline-shaped: a kernel's execution time is the maximum
 //! of its compute time and its DRAM time, plus serialization terms that
-//! cannot overlap (atomic replay, shared-memory bank conflicts) and a
+//! cannot overlap (atomic replay, shared-memory bank conflicts, warp
+//! shuffles) and a
 //! fixed launch overhead. All throughput parameters live in
 //! [`CostParams`]; the defaults approximate an NVIDIA RTX 4090, the
 //! device used in the paper's evaluation.
@@ -47,6 +48,9 @@ pub struct CostParams {
     pub smem_atomic_ops_per_sec: f64,
     /// Extra cost of one replayed shared-memory atomic, seconds.
     pub smem_atomic_replay_sec: f64,
+    /// Warp-shuffle lanes one SM moves per clock (`shfl.sync`, and
+    /// `match.sync`, which prices on the same unit).
+    pub shuffle_lanes_per_sm_clk: u32,
     /// Fixed kernel launch overhead in seconds (driver + grid setup).
     pub launch_overhead_sec: f64,
     /// Radix sort throughput, 32-bit keys/second (CUB-class).
@@ -82,6 +86,8 @@ impl CostParams {
             gmem_atomic_replay_sec: 1.0e-10,
             smem_atomic_ops_per_sec: 6.0e11,
             smem_atomic_replay_sec: 1.0 / 6.4e10,
+            // A quarter of the FP32 rate, as on every generation here.
+            shuffle_lanes_per_sm_clk: 32,
             launch_overhead_sec: 1.2e-6,
             sort_keys_per_sec: 3.0e9,
             pcie_bw: 2.5e10,
@@ -136,6 +142,14 @@ impl CostParams {
     pub fn flops(&self) -> f64 {
         self.sm_count as f64 * self.cores_per_sm as f64 * self.clock_ghz * 1e9
     }
+
+    /// Warp-wide shuffle (or match) instructions per second across the
+    /// device.
+    pub fn shuffles_per_sec(&self) -> f64 {
+        self.sm_count as f64 * self.shuffle_lanes_per_sm_clk as f64 / self.warp_size as f64
+            * self.clock_ghz
+            * 1e9
+    }
 }
 
 /// Work descriptor for one kernel launch, filled in by each primitive
@@ -157,6 +171,9 @@ pub struct KernelCost {
     pub smem_atomics: f64,
     /// Extra replayed shared-memory atomics caused by bank conflicts.
     pub smem_atomic_replays: f64,
+    /// Warp-wide shuffle and match instructions (warp-level
+    /// reductions), serialized on the SMs' shuffle units.
+    pub shuffles: f64,
     /// 32-bit keys processed by a radix sort inside this kernel.
     pub sort_keys: f64,
     /// Number of device-side kernel launches this logical operation
@@ -185,6 +202,7 @@ impl KernelCost {
         self.gmem_atomic_replays += other.gmem_atomic_replays;
         self.smem_atomics += other.smem_atomics;
         self.smem_atomic_replays += other.smem_atomic_replays;
+        self.shuffles += other.shuffles;
         self.sort_keys += other.sort_keys;
         self.launches += other.launches;
         self
@@ -225,8 +243,10 @@ impl CostModel {
         self.work_secs(c) * 1e9
     }
 
-    /// Overlapped streaming time plus the serialized atomic and sort
-    /// terms, in seconds, summed in [`CostModel::kernel_ns`]'s order.
+    /// Overlapped streaming time plus the serialized atomic, shuffle and
+    /// sort terms, in seconds, summed in [`CostModel::kernel_ns`]'s
+    /// order. A kernel without shuffles adds `+0.0`, which keeps the
+    /// bits it had before the shuffle term existed.
     fn work_secs(&self, c: &KernelCost) -> f64 {
         let p = &self.params;
         let compute = c.flops / p.flops();
@@ -235,11 +255,12 @@ impl CostModel {
             + c.gmem_atomic_replays * p.gmem_atomic_replay_sec;
         let smem_atomic = c.smem_atomics / p.smem_atomic_ops_per_sec
             + c.smem_atomic_replays * p.smem_atomic_replay_sec;
+        let shuffle = c.shuffles / p.shuffles_per_sec();
         let sort = c.sort_keys / p.sort_keys_per_sec;
-        compute.max(dram) + gmem_atomic + smem_atomic + sort
+        compute.max(dram) + gmem_atomic + smem_atomic + shuffle + sort
     }
 
-    /// True when a launch's serialized terms (atomics, replays, sort,
+    /// True when a launch's serialized terms (atomics, replays, shuffles, sort,
     /// launch overhead) exceed its overlapped streaming time
     /// `max(compute, dram)` — i.e. the kernel is limited by
     /// serialization/occupancy rather than raw throughput. Used for the
@@ -253,6 +274,7 @@ impl CostModel {
             + c.gmem_atomic_replays * p.gmem_atomic_replay_sec
             + c.smem_atomics / p.smem_atomic_ops_per_sec
             + c.smem_atomic_replays * p.smem_atomic_replay_sec
+            + c.shuffles / p.shuffles_per_sec()
             + c.sort_keys / p.sort_keys_per_sec
             + c.launches * p.launch_overhead_sec;
         serialized > streaming
@@ -359,6 +381,29 @@ mod tests {
         assert!(m.kernel_ns(&contended) > m.kernel_ns(&base));
     }
 
+    /// On Ada a shuffle moves 32 lanes per SM-clock, a quarter of the
+    /// FP32 rate: one warp shuffle costs what four warp-wide FP32 ops
+    /// cost, and the term adds to the overlapped streaming time.
+    #[test]
+    fn shuffles_price_at_a_quarter_of_the_fp32_rate() {
+        let m = model();
+        let n = 1e9;
+        let shuffles = KernelCost {
+            shuffles: n,
+            launches: 1.0,
+            ..Default::default()
+        };
+        let fp32 = KernelCost::streaming(n * 4.0 * 32.0, 0.0);
+        let (a, b) = (m.kernel_ns(&shuffles), m.kernel_ns(&fp32));
+        assert!((a - b).abs() < 1e-9 * b, "{a} vs {b}");
+        let both = KernelCost {
+            flops: n * 4.0 * 32.0,
+            ..shuffles
+        };
+        assert!(m.kernel_ns(&both) > 1.9 * (a - m.params.launch_overhead_sec * 1e9));
+        assert!(m.serialization_limited(&shuffles));
+    }
+
     #[test]
     fn saturation_classification_follows_streaming_vs_launch_overhead() {
         let m = model();
@@ -390,6 +435,7 @@ mod tests {
         let a = KernelCost::streaming(10.0, 20.0);
         let b = KernelCost {
             gmem_atomics: 5.0,
+            shuffles: 3.0,
             sort_keys: 7.0,
             launches: 2.0,
             ..Default::default()
@@ -398,6 +444,7 @@ mod tests {
         assert_eq!(m.flops, 10.0);
         assert_eq!(m.dram_bytes, 20.0);
         assert_eq!(m.gmem_atomics, 5.0);
+        assert_eq!(m.shuffles, 3.0);
         assert_eq!(m.sort_keys, 7.0);
         assert_eq!(m.launches, 3.0);
     }

@@ -21,11 +21,13 @@ fn cost_strategy() -> impl Strategy<Value = KernelCost> {
     (
         (0.0f64..1e12, 0.0f64..1e11, 0.0f64..1e8, 0.0f64..1e8),
         (0.0f64..1e8, 0.0f64..1e8, 0.0f64..1e8, 0.0f64..1e4),
+        0.0f64..1e8,
     )
         .prop_map(
             |(
                 (flops, dram_bytes, gmem_atomics, gmem_atomic_replays),
                 (smem_atomics, smem_atomic_replays, sort_keys, launches),
+                shuffles,
             )| KernelCost {
                 flops,
                 dram_bytes,
@@ -33,6 +35,7 @@ fn cost_strategy() -> impl Strategy<Value = KernelCost> {
                 gmem_atomic_replays,
                 smem_atomics,
                 smem_atomic_replays,
+                shuffles,
                 sort_keys,
                 launches,
             },
@@ -79,13 +82,13 @@ proptest! {
         }
     }
 
-    /// Serialized terms (atomics, replays, sort keys, launches) each
+    /// Serialized terms (atomics, replays, shuffles, sort keys, launches) each
     /// strictly add: inflating any one never reduces the charge.
     #[test]
     fn kernel_ns_monotone_in_serialized_terms(
         c in cost_strategy(),
         extra in 1.0f64..1e8,
-        which in 0usize..6,
+        which in 0usize..7,
     ) {
         for m in models() {
             let mut bigger = c;
@@ -95,6 +98,7 @@ proptest! {
                 2 => bigger.smem_atomics += extra,
                 3 => bigger.smem_atomic_replays += extra,
                 4 => bigger.sort_keys += extra,
+                5 => bigger.shuffles += extra,
                 _ => bigger.launches += extra,
             }
             prop_assert!(m.kernel_ns(&bigger) >= m.kernel_ns(&c));
@@ -171,6 +175,7 @@ proptest! {
             ab.smem_atomic_replays.to_bits(),
             ba.smem_atomic_replays.to_bits()
         );
+        prop_assert_eq!(ab.shuffles.to_bits(), ba.shuffles.to_bits());
         prop_assert_eq!(ab.sort_keys.to_bits(), ba.sort_keys.to_bits());
         prop_assert_eq!(ab.launches.to_bits(), ba.launches.to_bits());
         // And the model sees the same work either way.

@@ -186,19 +186,41 @@ fn adaptive_selection_is_at_least_as_good_as_the_best_fixed() {
     );
 }
 
+/// Simulated seconds of a 4-output and a 16-output fit of the same
+/// shape, with or without the warp-level optimization.
+fn output_costs(warp_packing: bool) -> (f64, f64) {
+    let time_of = |d: usize| {
+        let cfg = config(5, 4).with_warp_packing(warp_packing);
+        GpuTrainer::new(Device::rtx4090(), cfg)
+            .fit_report(&classification(1500, 20, d, 0.3, 9))
+            .sim_seconds
+    };
+    (time_of(4), time_of(16))
+}
+
 #[test]
 fn larger_output_dimension_costs_more() {
-    let small = classification(1500, 20, 4, 0.3, 9);
-    let large = classification(1500, 20, 16, 0.3, 9);
-    let ts = GpuTrainer::new(Device::rtx4090(), config(5, 4))
-        .fit_report(&small)
-        .sim_seconds;
-    let tl = GpuTrainer::new(Device::rtx4090(), config(5, 4))
-        .fit_report(&large)
-        .sim_seconds;
+    // Without the warp-level optimization every colliding lane replays
+    // its atomic once per column, the paper's contention regime.
+    let (ts, tl) = output_costs(false);
     assert!(
         tl > ts * 1.5,
         "4× outputs should clearly cost more: {tl} vs {ts}"
+    );
+}
+
+#[test]
+fn larger_output_dimension_costs_more_under_warp_aggregation() {
+    // Warps aggregate their same-bin lanes, so no column replays: 4×
+    // outputs still cost more, but grow the fit less than unpacked.
+    let (ts, tl) = output_costs(true);
+    let (us, ul) = output_costs(false);
+    assert!(tl > ts * 1.25, "4× outputs should cost more: {tl} vs {ts}");
+    assert!(
+        tl / ts < ul / us,
+        "aggregated growth {} should stay below unpacked {}",
+        tl / ts,
+        ul / us
     );
 }
 

@@ -15,6 +15,9 @@
 //! - bin multiplicity: bin ids are `u8`, so a warp's distinct bins are
 //!   the set bits of a 256-bit set (`[u64; 4]`); its replay excess is
 //!   `lanes − distinct`, and it collides when the excess is not zero.
+//!   On the sparsity-aware path the aggregated warps hold non-zero
+//!   lanes only: each sampled warp's are gathered from its first lane
+//!   on, in a scan of bounded length.
 //!
 //! The counts are the integers a sort-and-dedup count gives, so the
 //! statistics are bit-identical to that reference (pinned by
@@ -33,6 +36,10 @@ use gpusim::warp::{sectors_touched, WarpSampler};
 const MAX_SAMPLED_FEATURES: usize = 8;
 /// Warp-sampling cap per sampled feature.
 const MAX_SAMPLED_WARPS: usize = 64;
+/// Lanes scanned for one warp of non-zero lanes on the sparsity-aware
+/// path: a full warp wherever a feature's non-zero share in the node
+/// is at least 1/32.
+const MAX_NONZERO_SCAN: usize = 1024;
 
 /// Contention/traffic statistics of one node-histogram launch,
 /// already scaled to the full (instances × features) workload. Every
@@ -44,10 +51,13 @@ pub struct ContentionStats {
     /// (warp, feature) atomic groups.
     pub replay_excess: f64,
     /// Distinct bins summed over all (warp, feature) groups: the
-    /// atomics left once each warp aggregates its same-bin lanes.
+    /// atomics left once each warp aggregates its same-bin lanes. On
+    /// the sparsity-aware path the groups are the CSC kernel's warps,
+    /// of non-zero lanes only.
     pub distinct_bins: f64,
     /// (warp, feature) groups in which at least two lanes share a bin:
-    /// the warps that reduce with shuffles before their atomics.
+    /// the warps that reduce with shuffles before their atomics. Over
+    /// the same groups as `distinct_bins`.
     pub colliding_warps: f64,
     /// Global-memory transactions needed to fetch bin IDs, unpacked
     /// (1-byte lanes).
@@ -84,6 +94,10 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let warp_scale = sampler.scale();
 
     // --- bin multiplicity: sample features and reuse the warp sample.
+    // On the sparsity-aware path the aggregated kernel's warps hold a
+    // feature's non-zero lanes only, so its distinct bins and collisions
+    // are counted over those, from each sampled warp's first lane on.
+    let sparse_aware = ctx.opts.sparse_aware;
     let f_stride = mf.div_ceil(MAX_SAMPLED_FEATURES).max(1);
     let mut excess = 0u64;
     let mut distinct_bins = 0u64;
@@ -92,33 +106,79 @@ pub fn measure(ctx: &HistContext<'_>, idx: &[u32]) -> ContentionStats {
     let mut fi = 0;
     while fi < mf {
         sampled_features += 1;
-        let col = ctx.data.bins.col(ctx.features[fi] as usize);
+        let f = ctx.features[fi] as usize;
+        let col = ctx.data.bins.col(f);
+        let zero_bin = ctx.data.sparse.zero_bin(f);
         for w in sampler.indices() {
             let warp_idx = lanes(w);
-            // Bin ids are `u8`: the warp's distinct bins are the set bits
-            // of a 256-bit set, and every other lane replays its atomic.
-            let mut bin_set = [0u64; 4];
-            for &i in warp_idx {
-                let b = col[i as usize];
-                bin_set[(b >> 6) as usize] |= 1 << (b & 63);
-            }
-            let distinct: u32 = bin_set.iter().map(|word| word.count_ones()).sum();
-            let lane_excess = warp_idx.len() as u64 - distinct as u64;
+            // Every lane beyond a bin's first replays its atomic.
+            let distinct = distinct_bins_of(warp_idx.iter().map(|&i| col[i as usize]));
+            let lane_excess = warp_idx.len() as u64 - distinct;
             excess += lane_excess;
-            distinct_bins += distinct as u64;
-            colliding += u64::from(lane_excess > 0);
+            let (distinct, lanes) = if sparse_aware {
+                nonzero_warp(col, idx, w * warp, zero_bin, warp)
+            } else {
+                (distinct, warp_idx.len() as u64)
+            };
+            distinct_bins += distinct;
+            colliding += u64::from(lanes > distinct);
         }
         fi += f_stride;
     }
     let feature_scale = mf as f64 / sampled_features as f64;
+    // The aggregated groups: the node's warps, or on the sparsity-aware
+    // path the warps of its non-zero lanes.
+    let group_scale = if sparse_aware {
+        nonzero_warps(ctx, nn).0 / sampler.indices().count() as f64
+    } else {
+        warp_scale
+    };
 
     ContentionStats {
         replay_excess: excess as f64 * warp_scale * feature_scale,
-        distinct_bins: distinct_bins as f64 * warp_scale * feature_scale,
-        colliding_warps: colliding as f64 * warp_scale * feature_scale,
+        distinct_bins: distinct_bins as f64 * group_scale * feature_scale,
+        colliding_warps: colliding as f64 * group_scale * feature_scale,
         bin_transactions_unpacked: trans_unpacked as f64 * warp_scale * mf as f64,
         bin_transactions_packed: trans_packed as f64 * warp_scale * mf as f64,
     }
+}
+
+/// Distinct values among a warp's bin ids. Bin ids are `u8`, so they
+/// are the set bits of a 256-bit set.
+fn distinct_bins_of(bins: impl Iterator<Item = u8>) -> u64 {
+    let mut bin_set = [0u64; 4];
+    for b in bins {
+        bin_set[(b >> 6) as usize] |= 1 << (b & 63);
+    }
+    bin_set.iter().map(|word| word.count_ones() as u64).sum()
+}
+
+/// One warp of the sparsity-aware kernel, which visits a feature's
+/// non-zero entries only: the first `warp` lanes of `idx` whose bin is
+/// not `zero_bin`, from `start` on and wrapping around, scanning at most
+/// [`MAX_NONZERO_SCAN`] lanes. Returns its distinct bins and its lanes.
+fn nonzero_warp(col: &[u8], idx: &[u32], start: usize, zero_bin: u8, warp: usize) -> (u64, u64) {
+    let mut lanes = 0;
+    let distinct = distinct_bins_of(
+        idx[start..]
+            .iter()
+            .chain(&idx[..start])
+            .take(MAX_NONZERO_SCAN)
+            .map(|&i| col[i as usize])
+            .filter(|&b| b != zero_bin)
+            .take(warp)
+            .inspect(|_| lanes += 1),
+    );
+    (distinct, lanes)
+}
+
+/// The sparsity-aware kernel's warps per feature over a node of `nn`
+/// instances, and the lanes of each: its `nn × density` non-zero lanes
+/// in full warps, or one warp of them all when they fill none.
+fn nonzero_warps(ctx: &HistContext<'_>, nn: usize) -> (f64, f64) {
+    let warp = ctx.device.model().params.warp_size as f64;
+    let lanes = nn as f64 * super::density_factor(ctx);
+    ((lanes / warp).ceil(), lanes.min(warp))
 }
 
 /// Closed-form expectation of the same statistics, used by the adaptive
@@ -156,8 +216,13 @@ pub fn expect(ctx: &HistContext<'_>, node_size: usize) -> ContentionStats {
     // larger) and in each of the other bins uniformly: its expected
     // distinct bins, `Σ_b 1 − (1 − p_b)^lanes`, and the chance that two
     // lanes share a bin, one minus that of at most one zero lane with
-    // the rest in distinct non-zero bins.
-    let p0 = sparsity.max(1.0 / bins);
+    // the rest in distinct non-zero bins. The sparsity-aware kernel's
+    // lanes are all non-zero: `p0 = 0`.
+    let p0 = if ctx.opts.sparse_aware {
+        0.0
+    } else {
+        sparsity.max(1.0 / bins)
+    };
     let rest = (bins - 1.0).max(1.0);
     let per_warp = |lanes: f64| -> (f64, f64) {
         if lanes == 0.0 {
@@ -174,15 +239,25 @@ pub fn expect(ctx: &HistContext<'_>, node_size: usize) -> ContentionStats {
         let one_zero = lanes * p0 * (1.0 - p0).powf(lanes - 1.0) * apart(lanes - 1.0);
         (distinct, 1.0 - no_zero - one_zero)
     };
-    // Full warps, then the tail warp of the remaining lanes.
-    let full = (nn / w).floor();
-    let (full_distinct, full_collide) = per_warp(w);
-    let (tail_distinct, tail_collide) = per_warp(nn - full * w);
+    let (distinct_bins, colliding_warps) = if ctx.opts.sparse_aware {
+        let (groups, lanes) = nonzero_warps(ctx, node_size);
+        let (distinct, collide) = per_warp(lanes);
+        (groups * distinct, groups * collide)
+    } else {
+        // Full warps, then the tail warp of the remaining lanes.
+        let full = (nn / w).floor();
+        let (full_distinct, full_collide) = per_warp(w);
+        let (tail_distinct, tail_collide) = per_warp(nn - full * w);
+        (
+            full * full_distinct + tail_distinct,
+            full * full_collide + tail_collide,
+        )
+    };
 
     ContentionStats {
         replay_excess: excess_per_warp * warps * mf,
-        distinct_bins: (full * full_distinct + tail_distinct) * mf,
-        colliding_warps: (full * full_collide + tail_collide) * mf,
+        distinct_bins: distinct_bins * mf,
+        colliding_warps: colliding_warps * mf,
         bin_transactions_unpacked: trans_unpacked_per_warp * warps * mf,
         bin_transactions_packed: trans_packed_per_warp * warps * mf,
     }
@@ -215,8 +290,9 @@ pub struct AtomicUpdates {
 /// per group adds, so the atomics are the distinct bins per warp ×
 /// columns and nothing replays.
 ///
-/// The sparsity-aware path visits only a `density` share of the
-/// pairs, and every term scales with it.
+/// The sparsity-aware path visits only a `density` share of the pairs,
+/// and the pairs and matches scale with it; `s` counts its distinct
+/// bins and colliding warps over its own warps of non-zero lanes.
 pub fn atomic_updates(
     ctx: &HistContext<'_>,
     nn: usize,
@@ -238,9 +314,9 @@ pub fn atomic_updates(
     let matches = nn.div_ceil(warp) as f64 * mf * passes;
     let reduce_steps = (warp as f64).log2();
     AtomicUpdates {
-        atomics: s.distinct_bins * cols * density,
+        atomics: s.distinct_bins * cols,
         replays: 0.0,
-        shuffles: (matches + s.colliding_warps * cols * reduce_steps) * density,
+        shuffles: matches * density + s.colliding_warps * cols * reduce_steps,
     }
 }
 
@@ -685,6 +761,48 @@ mod tests {
         assert_eq!(atomic_updates(&ctx, idx.len(), &s, 3.0).shuffles, 3.0);
     }
 
+    /// The sparsity-aware kernel's warps hold non-zero lanes only. A
+    /// 32-lane node of 16 zero-bin lanes and 16 lanes in distinct
+    /// non-zero bins is one warp of 16 distinct lanes for it: no
+    /// collision, 16 atomics per column and the match its only shuffle,
+    /// where the dense kernel's warp collides on the zero bin.
+    #[test]
+    fn aggregation_sparse_aware_warps_hold_non_zero_lanes_only() {
+        let (_, data, grads) = fixture(2000, 4, 3, 5);
+        let col = data.bins.col(0);
+        let zero = data.sparse.zero_bin(0);
+        let mut seen = [false; 256];
+        seen[zero as usize] = true;
+        let distinct: Vec<u32> = (0..2000u32)
+            .filter(|&i| !std::mem::replace(&mut seen[col[i as usize] as usize], true))
+            .take(16)
+            .collect();
+        let zeros = (0..2000u32).filter(|&i| col[i as usize] == zero).take(16);
+        let idx: Vec<u32> = zeros.chain(distinct).collect();
+        assert_eq!(idx.len(), 32);
+        let device = Device::rtx4090();
+        let features = [0u32];
+        let dense = ctx_with(&device, &data, &grads, &features, 32, packing(true));
+        let s = measure(&dense, &idx);
+        assert_eq!((s.distinct_bins, s.colliding_warps), (17.0, 1.0));
+        let opts = HistOptions {
+            sparse_aware: true,
+            ..packing(true)
+        };
+        let sparse = ctx_with(&device, &data, &grads, &features, 32, opts);
+        let s = measure(&sparse, &idx);
+        assert_eq!((s.distinct_bins, s.colliding_warps), (16.0, 0.0));
+        let density = super::super::density_factor(&sparse);
+        assert_eq!(
+            atomic_updates(&sparse, idx.len(), &s, 1.0),
+            AtomicUpdates {
+                atomics: 16.0 * 4.0,
+                replays: 0.0,
+                shuffles: density,
+            }
+        );
+    }
+
     /// Without the warp-level optimization both atomic kernels price a
     /// build with the formulas they had before aggregation existed, bit
     /// for bit, and charge no shuffle, so `kernel_ns` adds `+0.0`.
@@ -775,9 +893,9 @@ mod tests {
 
     /// The selector's closed form prices the aggregated kernels as the
     /// charge does: on sparse and dense fixtures at 32 and 256 bins, from
-    /// roots to 20-row nodes, `expect`'s distinct bins and colliding
-    /// warps track `measure`'s, and the +wo gmem and smem prices agree
-    /// within 10 %.
+    /// roots to 20-row nodes, with and without the sparsity-aware kernel,
+    /// `expect`'s distinct bins and colliding warps track `measure`'s, and
+    /// the +wo gmem and smem prices agree within 10 %.
     #[test]
     fn aggregation_expect_agrees_with_measure() {
         use super::super::test_support::{fixture_dense, mixed_gradients};
@@ -789,12 +907,22 @@ mod tests {
         for (ds, _, uniform) in [fixture(4000, 8, 8, 3), fixture_dense(4000, 8, 8, 3)] {
             for bins in [32usize, 256] {
                 let data = BinnedDataset::build(ds.features(), bins);
-                for grads in [&uniform, &general] {
-                    let ctx = ctx_with(&device, &data, grads, &features, bins, packing(true));
+                for (grads, sparse_aware) in [&uniform, &general]
+                    .into_iter()
+                    .flat_map(|g| [(g, false), (g, true)])
+                {
+                    let opts = HistOptions {
+                        sparse_aware,
+                        ..packing(true)
+                    };
+                    let ctx = ctx_with(&device, &data, grads, &features, bins, opts);
                     for nn in [4000u32, 1000, 100, 20] {
                         let idx: Vec<u32> = (0..4000).step_by((4000 / nn) as usize).collect();
                         let (m, e) = (measure(&ctx, &idx), expect(&ctx, idx.len()));
-                        let case = format!("bins={bins} nn={nn} measured {m:?} expected {e:?}");
+                        let case = format!(
+                            "bins={bins} nn={nn} sparse_aware={sparse_aware} \
+                             measured {m:?} expected {e:?}"
+                        );
                         let near = |a: f64, b: f64, tol: f64| (a - b).abs() <= tol * b + 1.0;
                         assert!(near(e.distinct_bins, m.distinct_bins, 0.1), "{case}");
                         assert!(near(e.colliding_warps, m.colliding_warps, 0.1), "{case}");

@@ -419,9 +419,11 @@ pub(crate) fn trace_pair_kernel(
     let hessians = ctx.grads.uniform_h().is_none();
     // With the warp-level optimization a warp's lanes that share a bin
     // shuffle their values to the group's first lane, the only one that
-    // updates the histogram.
+    // updates the histogram. Warps are per feature, as the cost model
+    // prices them: each feature's lanes start at a warp boundary.
     let warp = ctx.device.model().params.warp_size as usize;
     let aggregated = ctx.opts.warp_packing;
+    let lanes_per_feature = nn.next_multiple_of(warp);
 
     let f_stride = mf.div_ceil(MAX_TRACE_FEATURES).max(1);
     for f_local in (0..mf).step_by(f_stride) {
@@ -431,7 +433,7 @@ pub(crate) fn trace_pair_kernel(
             let i = idx[j] as usize;
             let b = col[i] as usize;
             // Thread per pair, feature-major over the node's instances.
-            let tctx = ThreadCtx::from_global(f_local * nn + j, 256);
+            let tctx = ThreadCtx::from_global(f_local * lanes_per_feature + j, 256);
             scope.touch(b_id, tctx, f * n + i, AccessKind::Read);
             let first_lane = j - j % warp;
             let leads = !aggregated
@@ -604,6 +606,9 @@ mod tests {
         let gmem = HistogramMethod::GlobalMemory;
         assert_eq!(atomics(&[0], &one_bin, true, gmem), 3 + 1);
         assert_eq!(atomics(&[0], &one_bin, false, gmem), 32 * (3 + 1));
+        // A 20-lane node over two features: each feature's lanes form a
+        // warp of their own, with one leader each.
+        assert_eq!(atomics(&[0, 0], &one_bin[..20], true, gmem), 2 * (3 + 1));
         let all: Vec<u32> = (0..4).collect();
         for method in [gmem, HistogramMethod::SharedMemory] {
             let (packed, unpacked) = (

@@ -41,16 +41,16 @@ use std::sync::Arc;
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("GlobalMemory/dense", 0xded628e5fad8ea62, 0xc7c525e78dcfd6b5),
-    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0x96b4a2de80160920),
+    ("GlobalMemory/sparse_aware", 0xded628e5fad8ea62, 0x13a793f67ea774ba),
     ("GlobalMemory/subtraction", 0xded628e5fad8ea62, 0x796130bf5f6173c1),
     ("SharedMemory/dense", 0xded628e5fad8ea62, 0x9f27e7036239fe38),
-    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0xb12b594f35755988),
+    ("SharedMemory/sparse_aware", 0xded628e5fad8ea62, 0xe1cfbf4cbc41388c),
     ("SharedMemory/subtraction", 0xded628e5fad8ea62, 0xf67c9dc07332ba00),
     ("SortReduce/dense", 0xded628e5fad8ea62, 0x19374724bfbedf82),
     ("SortReduce/sparse_aware", 0xded628e5fad8ea62, 0xbf8fb0ce59fa9e64),
     ("SortReduce/subtraction", 0xded628e5fad8ea62, 0xfb2074854e6f51bc),
     ("Adaptive/dense", 0xded628e5fad8ea62, 0x760ba4ece5c0b23f),
-    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xedc47e631aaa82f9),
+    ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xfe92bf0163d609bf),
     ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x18c75f62e43de574),
     ("FP(2)", 0xded628e5fad8ea62, 0x4b4eefc7084efd11),
     ("DP(2)", 0xded628e5fad8ea62, 0xdc050aafac897a69),

@@ -15,6 +15,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Warp-shuffle lanes one SM moves per clock (`shfl.sync`, and
+/// `match.sync`, which prices on the same unit). 32 on every preset
+/// here: a quarter of the FP32 rate on the 128-lane SMs (Ampere GA102,
+/// Ada, Hopper) and half of it on the A100's 64-lane SMs.
+const SHUFFLE_LANES_PER_SM_CLK: f64 = 32.0;
+
 /// Throughput and latency parameters of the modeled device.
 ///
 /// Defaults approximate an RTX 4090 (Ada, AD102): 128 SMs × 128 FP32
@@ -48,9 +54,6 @@ pub struct CostParams {
     pub smem_atomic_ops_per_sec: f64,
     /// Extra cost of one replayed shared-memory atomic, seconds.
     pub smem_atomic_replay_sec: f64,
-    /// Warp-shuffle lanes one SM moves per clock (`shfl.sync`, and
-    /// `match.sync`, which prices on the same unit).
-    pub shuffle_lanes_per_sm_clk: u32,
     /// Fixed kernel launch overhead in seconds (driver + grid setup).
     pub launch_overhead_sec: f64,
     /// Radix sort throughput, 32-bit keys/second (CUB-class).
@@ -86,8 +89,6 @@ impl CostParams {
             gmem_atomic_replay_sec: 1.0e-10,
             smem_atomic_ops_per_sec: 6.0e11,
             smem_atomic_replay_sec: 1.0 / 6.4e10,
-            // A quarter of the FP32 rate, as on every generation here.
-            shuffle_lanes_per_sm_clk: 32,
             launch_overhead_sec: 1.2e-6,
             sort_keys_per_sec: 3.0e9,
             pcie_bw: 2.5e10,
@@ -146,7 +147,7 @@ impl CostParams {
     /// Warp-wide shuffle (or match) instructions per second across the
     /// device.
     pub fn shuffles_per_sec(&self) -> f64 {
-        self.sm_count as f64 * self.shuffle_lanes_per_sm_clk as f64 / self.warp_size as f64
+        self.sm_count as f64 * SHUFFLE_LANES_PER_SM_CLK / self.warp_size as f64
             * self.clock_ghz
             * 1e9
     }

@@ -30,7 +30,12 @@ echo "==> bitwise pins under release codegen"
 # thread-count independence of grown trees, the pair-local subtraction
 # (bit-identical trees, a pool that frees parents early), the equality
 # of data- and feature-parallel trees, the data-parallel level schedule
-# (smallest builds first, gapless reduce-scatters), the trees and
+# (smallest builds first, gapless reduce-scatters; the row exchange first
+# and the row-path builds behind it), the pricing of each data-parallel
+# node's path (the cheaper of reduce-scatter and row exchange, `g` alone
+# on uniform-Hessian rounds, the largest shard and widest range at three
+# devices, a train-dp2-shaped fit's roots and deep nodes, no path on one
+# device or a feature-parallel group), the trees and
 # histogram/split time that appended constant columns must not move, the
 # uniform-Hessian fits that must equal fits forced onto the general
 # Hessian path, and the warp-aggregated atomic pricing (one atomic per
@@ -48,6 +53,12 @@ cargo test --release -q -p gbdt-core --lib -- \
   grow::tests::subtraction_pairs_resolve_at_their_first_node_and_free_parents_early \
   multigpu::tests::data_parallel_trees_equal_feature_parallel_trees_bit_for_bit \
   multigpu::tests::data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives \
+  multigpu::tests::row_path_builds_wait_for_the_exchange_and_reduce_scatter_builds_do_not \
+  multigpu::tests::data_parallel_nodes_pay_the_cheaper_of_reduce_scatter_and_row_exchange \
+  multigpu::tests::data_parallel_uniform_hessian_rounds_exchange_gradients_only \
+  multigpu::tests::data_parallel_exchange_payload_takes_the_largest_shard_and_widest_range \
+  multigpu::tests::a_train_dp2_shaped_root_reduce_scatters_and_small_nodes_exchange_rows \
+  multigpu::tests::single_devices_and_feature_parallel_groups_exchange_nothing \
   uniform_differential::
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"

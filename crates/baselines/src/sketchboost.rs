@@ -273,6 +273,7 @@ impl SketchBoostTrainer {
             model,
             hist_methods,
             hist_launches: BTreeMap::new(),
+            node_paths: BTreeMap::new(),
             features_built,
             features_one_bin: features.len() - binned.splittable(&features).len(),
         }

@@ -66,6 +66,7 @@
 use gbdt_bench::{
     bench_config, bench_dataset, fmt_secs, render_table, run_system, RunOutcome, SystemId,
 };
+use gbdt_core::multigpu::{ExchangeShape, NodePath};
 use gbdt_core::predict::predict_raw;
 use gbdt_core::{
     GpuTrainer, HistogramMethod, MultiGpuStrategy, MultiGpuTrainer, OutputSketch, TrainConfig,
@@ -901,8 +902,9 @@ fn ablations(opts: &Opts) {
             render_table(&["#GPUs", "feat-par", "speedup", "data-par"], &rows)
         );
         println!(
-            "   (data-parallel reduce-scatters the full m×bins×d histogram per node —\n\
-             \x20   the communication blow-up that motivates the paper's feature partitioning)\n"
+            "   (data-parallel moves every built node's data: a large node's m×bins×d histogram\n\
+             \x20   by reduce-scatter, a small node's gradient rows by exchange — the communication\n\
+             \x20   that motivates the paper's feature partitioning)\n"
         );
     }
 }
@@ -1077,7 +1079,8 @@ fn sanitize_cmd(opts: &Opts) -> bool {
     }
 
     println!("== sanitize: multi-GPU groups (FP/DP × streams 1/4, every device) ==");
-    // Every device traces its ingest share, gradients and score update;
+    // Every device traces its ingest share, gradients and score update,
+    // and a data-parallel device its row packs for the row exchange;
     // the lead also traces the leaf values and the partition.
     for (slabel, strategy) in [
         ("FP", MultiGpuStrategy::FeatureParallel),
@@ -1097,9 +1100,15 @@ fn sanitize_cmd(opts: &Opts) -> bool {
                 } else {
                     &[]
                 };
+                let exchanging: &[&str] = if strategy == MultiGpuStrategy::DataParallel {
+                    &["pack_node_rows"]
+                } else {
+                    &[]
+                };
                 let missing: Vec<&str> = ["quantile_binning", "grad_hess", "update_scores"]
                     .iter()
                     .chain(lead_only)
+                    .chain(exchanging)
                     .copied()
                     .filter(|k| !report.kernels.contains_key(k))
                     .collect();
@@ -1487,11 +1496,12 @@ fn bench_cmd(opts: &Opts) -> bool {
         }
     }
     // Multi-GPU stream overlap: the headline win of the stream/event
-    // timeline. Train the data-parallel strategy (per-node full-
-    // histogram reduce-scatter — the communication-heaviest path)
-    // serial vs streamed on the same device group; the streamed
-    // schedule must produce the identical model while each node's
-    // reduce-scatter drains behind the next node's histogram build.
+    // timeline. Train the data-parallel strategy (every built node's
+    // histogram slice or rows cross the link — the communication-
+    // heaviest path) serial vs streamed on the same device group; the
+    // streamed schedule must produce the identical model while each
+    // level's row exchange and each node's reduce-scatter drain behind
+    // the histogram builds.
     // Savings are printed (and land in each record's `overlap_saved_ns`
     // when `--streams > 1`), never gated.
     {
@@ -1515,27 +1525,28 @@ fn bench_cmd(opts: &Opts) -> bool {
             return false;
         }
         let cut = 100.0 * (1.0 - streamed.sim_seconds / serial.sim_seconds);
-        // Per level on the lead: its builds and reduce-scatters pipeline
-        // at best to the longer of the two, so Σ max(build, reduce-
-        // scatter) bounds the levels' walls from below; the rest is
+        // Per level on the lead: its builds (and row packs) and its node
+        // collectives (the row exchange and the reduce-scatters)
+        // pipeline at best to the longer of the two, so Σ max(build,
+        // node comm) bounds the levels' walls from below; the rest is
         // pipeline fill and drain.
         let (mut walls, mut bound) = (0.0, 0.0);
         for level in trainer.group().device(0).scope_spans("level") {
-            let (mut build, mut reduce) = (0.0, 0.0);
+            let (mut build, mut comm) = (0.0, 0.0);
             for r in &level.records {
                 if r.phase == Phase::Histogram {
                     build += r.ns;
-                } else if r.name == "hist_reduce_scatter" {
-                    reduce += r.ns;
+                } else if r.name == "hist_reduce_scatter" || r.name == "node_row_exchange" {
+                    comm += r.ns;
                 }
             }
             walls += level.close_ns - level.open_ns;
-            bound += build.max(reduce);
+            bound += build.max(comm);
         }
         println!(
             "== bench: multi-GPU stream overlap ({name}, data-parallel, {gpus} GPUs) ==\n\
              serial {:.4} ms -> {streams} streams {:.4} ms  (sim-ns -{cut:.1}%, overlap_saved {:.0} ns, waited {:.0} ns; models bit-identical)\n\
-             levels on the lead: walls {:.4} ms vs Σ max(build, reduce-scatter) {:.4} ms",
+             levels on the lead: walls {:.4} ms vs Σ max(build, row exchange + reduce-scatters) {:.4} ms",
             serial.sim_seconds * 1e3,
             streamed.sim_seconds * 1e3,
             streamed.sim.overlap_saved_ns,
@@ -2030,6 +2041,57 @@ fn report_cmd(opts: &Opts) -> bool {
             &launch_rows
         )
     );
+    // Data-parallel node paths: the same fit on a two-device
+    // data-parallel group, where each built node's data reaches its
+    // evaluators by the cheaper path. Per depth, summed over trees: the
+    // nodes that took each path and the collective bytes landing on
+    // each rank for them; then the node size, per gradient path, from
+    // which the group's pricing makes a node reduce-scatter.
+    let dp = MultiGpuTrainer::with_strategy(
+        DeviceGroup::rtx4090s(2),
+        cfg.clone(),
+        MultiGpuStrategy::DataParallel,
+    )
+    .fit_report(&train);
+    let path_rows: Vec<Vec<String>> = dp
+        .node_paths
+        .iter()
+        .map(|((depth, path), t)| {
+            vec![
+                depth.to_string(),
+                format!("{path:?}"),
+                t.nodes.to_string(),
+                format!("{:.0}", t.bytes),
+            ]
+        })
+        .collect();
+    println!("data-parallel node paths (2 devices):");
+    println!(
+        "{}",
+        render_table(&["depth", "path", "nodes", "bytes per rank"], &path_rows)
+    );
+    let model = device.model();
+    for (label, uniform) in [("uniform", true), ("general", false)] {
+        let shape = ExchangeShape::new(2, dp.features_built, cfg.max_bins, d, uniform);
+        // The fewest rows that reduce-scatter: the price of a row
+        // exchange grows with the rows, a reduce-scatter's does not.
+        let (mut lo, mut hi) = (1usize, 1usize);
+        while shape.path(model, hi) == NodePath::RowExchange {
+            (lo, hi) = (hi, hi * 2);
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if shape.path(model, mid) == NodePath::RowExchange {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        println!(
+            "crossover ({label} Hessians): nodes of {hi} rows or more reduce-scatter their {:.0}-byte histogram",
+            shape.hist_bytes()
+        );
+    }
     println!(
         "serve: {} requests in {} batches, p50 {:.0} ns, p99 {:.0} ns, {:.0} rows/s",
         stats.served, stats.batches, stats.p50_ns, stats.p99_ns, stats.throughput_rps

@@ -32,6 +32,7 @@ use crate::hist::{
     NodeHistogram,
 };
 use crate::memory::HistogramPool;
+use crate::multigpu::{NodePath, PathTally};
 use crate::split::{
     find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitCandidate,
     SplitParams,
@@ -320,6 +321,9 @@ pub struct GrowResult {
     /// level's builds as one kernel per method; empty where each build
     /// is a kernel of its own.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
+    /// Built nodes and collective bytes per (depth, path) of a
+    /// data-parallel group; empty everywhere else.
+    pub node_paths: BTreeMap<(usize, NodePath), PathTally>,
     /// Feature columns histograms were built and scanned over: the
     /// grower's features that can split ([`BinnedDataset::splittable`]).
     pub features_built: usize,
@@ -335,6 +339,7 @@ impl GrowResult {
             leaf_nodes: Vec::new(),
             methods_used: BTreeMap::new(),
             hist_launches: BTreeMap::new(),
+            node_paths: BTreeMap::new(),
             features_built,
         }
     }

@@ -16,12 +16,15 @@
 //!   and score-update charges cover all `n` rows (feature-parallel) or
 //!   their own shard (data-parallel).
 //! - **Node histograms and splits:** only the `m'` columns that can
-//!   split are built, reduce-scattered and scanned
+//!   split are built, exchanged and scanned
 //!   (`BinnedDataset::splittable`). A feature-parallel device builds the
 //!   splittable columns of the range it ingested ([`partition_features`]
-//!   over all `m`). A data-parallel device builds its shard over all
-//!   `m'`, and a ring reduce-scatter of each built node's `m' × B × d`
-//!   histogram leaves it the reduced slice of its range of them. Either
+//!   over all `m`). A data-parallel group gives each device a built
+//!   node's data for its range of them by the cheaper [`NodePath`], as
+//!   [`ExchangeShape`] prices it: a device builds its shard over all
+//!   `m'` and a ring reduce-scatter of the node's `m' × B × d` histogram
+//!   leaves it the reduced slice of its range, or the devices exchange
+//!   the node's rows and each builds its range over all of them. Either
 //!   way a device evaluates only its own range, and the group picks the
 //!   best candidate.
 //! - **Partitioning:** feature-parallel flag and partition kernels, or
@@ -35,9 +38,11 @@
 //! With `streams > 1` the histogram builds run on their own stream and
 //! collectives drain on a comm stream: a node's reduce-scatter while
 //! the next node builds, the bitmap exchange while the next level's
-//! builds start. A data-parallel level issues its builds, each with its
-//! reduce-scatter, smallest node first, so the comm stream starts early
-//! and stays busy.
+//! builds start. A data-parallel level is a two-machine job shop that
+//! Jackson's rule orders: its batched row exchange goes first on the
+//! comm stream while the reduce-scatter nodes build, smallest first,
+//! each followed by its reduce-scatter; the row-path nodes build once
+//! the exchange has landed.
 //!
 //! ## Fault recovery
 //!
@@ -54,14 +59,14 @@ use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::Gradients;
 use crate::grow::{partition_cost, GrowResult, OpenNode};
-use crate::hist::{accumulate_dense, charge_method_on, hess_cols, HistContext};
+use crate::hist::{accumulate_dense, charge_method_on, HistContext};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
 use crate::split::{find_best_split_range_batched, LevelSplitCharges, SplitCandidate, SplitParams};
 use crate::trainer::{boost, Placement, TrainReport};
 use gbdt_data::{BinnedDataset, Dataset};
-use gpusim::cost::KernelCost;
+use gpusim::cost::{CostModel, KernelCost};
 use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -172,7 +177,8 @@ fn all_gather_level(group: &DeviceGroup, sizes: &[usize], streamed: bool) -> Opt
 /// slowest rank's build of it is done: each rank receives the reduced
 /// slice of its own feature range ([`partition_features`]). In streamed
 /// mode it drains on the comm streams while the next node builds.
-fn reduce_scatter_node(group: &DeviceGroup, bytes: f64, streamed: bool) {
+/// Returns the bytes landing on each rank.
+fn reduce_scatter_node(group: &DeviceGroup, bytes: f64, streamed: bool) -> f64 {
     let (devices, k) = (group.devices(), group.len());
     let ns = devices[0].model().ring_reduce_scatter_ns(bytes, k);
     if streamed {
@@ -184,7 +190,167 @@ fn reduce_scatter_node(group: &DeviceGroup, bytes: f64, streamed: bool) {
             dev.charge_ns("hist_reduce_scatter", Phase::Comm, ns);
         }
     }
-    tel_collective_bytes(devices, bytes / k as f64);
+    let landed = bytes / k as f64;
+    tel_collective_bytes(devices, landed);
+    landed
+}
+
+/// Which way a built data-parallel node's data reaches the devices that
+/// evaluate its splits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum NodePath {
+    /// Each device builds its shard over every splittable column, and a
+    /// ring reduce-scatter of the node's histogram leaves it the reduced
+    /// slice of its feature range.
+    ReduceScatter,
+    /// Each device sends its shard's rows of the node to the feature
+    /// owners, then builds its feature range over all of the node's
+    /// rows, as a feature-parallel device does.
+    RowExchange,
+}
+
+/// A data-parallel tally of one [`NodePath`] at one depth: the built
+/// nodes that took it and the collective bytes landing on each rank for
+/// them (the `S/k` slice of each reduce-scatter, the other `k − 1`
+/// ranks' rows of the exchange), as `multigpu.collective_bytes` counts
+/// them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PathTally {
+    /// Built nodes.
+    pub nodes: usize,
+    /// Collective bytes landing on each rank.
+    pub bytes: f64,
+}
+
+/// What a data-parallel group moves to give every device one built
+/// node's split-evaluation data, each way, and what that costs on a
+/// [`CostModel`]: the one pricing helper of the group grower's choice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeShape {
+    devices: usize,
+    hist_bytes: f64,
+    /// `f32` gradient columns a row carries.
+    grad_cols: usize,
+    /// The widest feature range: bin bytes a row carries to its owner.
+    widest: usize,
+}
+
+impl ExchangeShape {
+    /// A group of `devices` building `features` splittable columns of
+    /// `bins` bins for `d` outputs; `uniform` when the group agreed that
+    /// every row shares one Hessian row.
+    ///
+    /// A node's histogram holds its gradient and Hessian (or, uniform,
+    /// count) columns in `f64`, plus the `u32` counts the split scan
+    /// reads when no column carries them. A row carries its `f32`
+    /// gradient columns (`g` alone on the uniform path, `g` and `h`
+    /// otherwise) and, for the receiving owner, one bin byte per
+    /// feature of its range; the widest range prices every receiver.
+    pub fn new(devices: usize, features: usize, bins: usize, d: usize, uniform: bool) -> Self {
+        let (hess_cols, count_bytes, grad_cols) = if uniform { (1, 0, d) } else { (d, 4, 2 * d) };
+        let widest = partition_features(features, devices)
+            .iter()
+            .map(|(lo, hi)| hi - lo)
+            .max()
+            .unwrap_or(0);
+        ExchangeShape {
+            devices,
+            hist_bytes: (features * bins * ((d + hess_cols) * 8 + count_bytes)) as f64,
+            grad_cols,
+            widest,
+        }
+    }
+
+    /// Bytes of one node's histogram: the reduce-scatter payload.
+    pub fn hist_bytes(&self) -> f64 {
+        self.hist_bytes
+    }
+
+    /// Bytes each rank contributes to exchanging a node of `rows` rows:
+    /// its largest shard's rows, whatever rank holds it.
+    fn payload_bytes(&self, rows: usize) -> f64 {
+        (shard_range(rows, self.devices, 0).len() * (self.grad_cols * 4 + self.widest)) as f64
+    }
+
+    /// One node's ring reduce-scatter.
+    fn reduce_scatter_ns(&self, model: &CostModel) -> f64 {
+        model.ring_reduce_scatter_ns(self.hist_bytes, self.devices)
+    }
+
+    /// A row exchange of `payload` bytes per rank, priced as an
+    /// all-gather of it (`k − 1` hops).
+    fn row_exchange_ns(&self, model: &CostModel, payload: f64) -> f64 {
+        model.all_gather_ns(payload, self.devices)
+    }
+
+    /// The cheaper path for a node of `rows` rows: its rows are
+    /// exchanged only when that is strictly cheaper than reduce-
+    /// scattering its histogram.
+    pub fn path(&self, model: &CostModel, rows: usize) -> NodePath {
+        if self.row_exchange_ns(model, self.payload_bytes(rows)) < self.reduce_scatter_ns(model) {
+            NodePath::RowExchange
+        } else {
+            NodePath::ReduceScatter
+        }
+    }
+}
+
+/// Exchange the rows of a data-parallel level's row-path nodes with
+/// their feature owners, as one batched collective: each rank packs its
+/// shard's rows of every node (`pack_node_rows`, an `n`-row gather over
+/// `features` bin columns, on the hist stream when `streamed`), then
+/// the group all-gathers the largest per-rank payload once the slowest
+/// pack is done. Returns the exchange's completion event in streamed mode,
+/// and the bytes landing on each rank: the other `k − 1` ranks' rows.
+fn exchange_rows(
+    group: &DeviceGroup,
+    shape: &ExchangeShape,
+    nodes: &[&[u32]],
+    n: usize,
+    features: usize,
+    streamed: bool,
+) -> (Option<Event>, f64) {
+    let (devices, k) = (group.devices(), group.len());
+    let stream = if streamed { HIST_STREAM } else { 0 };
+    let cols = shape.grad_cols;
+    for (rank, dev) in devices.iter().enumerate() {
+        let shards: Vec<&[u32]> = nodes
+            .iter()
+            .map(|idx| &idx[shard_range(idx.len(), k, rank)])
+            .collect();
+        let rows: usize = shards.iter().map(|s| s.len()).sum();
+        if rows == 0 {
+            continue;
+        }
+        // A gather of each row's index, gradient columns and bins into
+        // one contiguous send buffer.
+        let _scope = dev.prof_scope("pack_node_rows", None);
+        let elems = rows * (cols + features);
+        dev.stream(stream).charge_kernel(
+            "pack_node_rows",
+            Phase::Histogram,
+            &KernelCost::streaming(
+                elems as f64,
+                (rows * 4 + 2 * rows * (cols * 4 + features)) as f64,
+            ),
+        );
+        crate::sanitize::trace_pack_node_rows(dev, &shards, n, cols, features);
+    }
+    let payload: f64 = nodes.iter().map(|idx| shape.payload_bytes(idx.len())).sum();
+    let ns = shape.row_exchange_ns(devices[0].model(), payload);
+    let done = if streamed {
+        let fence = stream_fence(devices, HIST_STREAM);
+        Some(streamed_collective(devices, "node_row_exchange", ns, fence))
+    } else {
+        group.barrier();
+        for dev in devices {
+            dev.charge_ns("node_row_exchange", Phase::Comm, ns);
+        }
+        None
+    };
+    let landed = payload * (k - 1) as f64;
+    tel_collective_bytes(devices, landed);
+    (done, landed)
 }
 
 /// The group's shared telemetry registry, if any device carries one.
@@ -201,6 +367,29 @@ fn group_telemetry(devices: &[Arc<Device>]) -> Option<Arc<Telemetry>> {
 fn tel_collective_bytes(devices: &[Arc<Device>], bytes: f64) {
     if let Some(tel) = group_telemetry(devices) {
         tel.counter_add("multigpu.collective_bytes", bytes as u64);
+    }
+}
+
+/// Count `nodes` built nodes of a data-parallel level at `depth` that
+/// took `path`, and the `bytes` landing on each rank for them, into
+/// `grown` and the group's registry.
+fn tally_path(
+    grown: &mut GrowResult,
+    devices: &[Arc<Device>],
+    depth: usize,
+    path: NodePath,
+    nodes: usize,
+    bytes: f64,
+) {
+    let seen = grown.node_paths.entry((depth, path)).or_default();
+    seen.nodes += nodes;
+    seen.bytes += bytes;
+    if let Some(tel) = group_telemetry(devices) {
+        let name = match path {
+            NodePath::ReduceScatter => "multigpu.nodes_reduce_scatter",
+            NodePath::RowExchange => "multigpu.nodes_row_exchange",
+        };
+        tel.counter_add(name, nodes as u64);
     }
 }
 
@@ -226,14 +415,18 @@ pub enum MultiGpuStrategy {
     /// candidates and routing bitmaps — tiny "summary statistics".
     #[default]
     FeatureParallel,
-    /// Partition instances: each device histograms its shard over *all*
-    /// features that can split; per node, partial histograms are summed
-    /// with a ring reduce-scatter ("partial histograms are then
-    /// aggregated via CUDA-aware collective operations") that leaves
-    /// each device the slice of its feature range to evaluate. Gradient work divides by
-    /// the device count, but the collective moves the full multi-output
-    /// histogram — the communication blow-up that motivates the
-    /// feature-parallel choice for large `d`.
+    /// Partition instances. Per built node, each device either
+    /// histograms its shard over *all* features that can split and a
+    /// ring reduce-scatter sums the partial histograms ("partial
+    /// histograms are then aggregated via CUDA-aware collective
+    /// operations"), leaving it the slice of its feature range to
+    /// evaluate; or, when that is cheaper, the devices exchange the
+    /// node's rows and each builds its range over all of them
+    /// ([`NodePath`]). Gradient work divides by the device count, but
+    /// every built node's data crosses the link: the full multi-output
+    /// histogram of a large node, the gradient rows of a small one —
+    /// the communication blow-up that motivates the feature-parallel
+    /// choice for large `d`.
     DataParallel,
 }
 
@@ -456,12 +649,14 @@ impl Placement for Group<'_> {
         let streamed = self.config.streams > 1;
         let hist_stream = if streamed { HIST_STREAM } else { 0 };
         let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
-        // One node's histogram, the data-parallel reduce-scatter payload:
-        // its gradient and Hessian (or count) columns in `f64`, plus the
-        // `u32` counts the split scan reads when no column carries them.
-        let count_bytes = if grads.uniform_h().is_some() { 0 } else { 4 };
-        let hist_bytes =
-            (mf * self.config.max_bins * ((grads.d + hess_cols(grads)) * 8 + count_bytes)) as f64;
+        // What a data-parallel node's two paths move, and cost.
+        let shape = ExchangeShape::new(
+            k,
+            mf,
+            self.config.max_bins,
+            grads.d,
+            grads.uniform_h().is_some(),
+        );
         let params = SplitParams::from(self.config);
         // One working histogram: each node is accumulated, evaluated and
         // done with before the next is built.
@@ -474,41 +669,42 @@ impl Placement for Group<'_> {
         // chunk of the in-flight bitmap exchange, whose tail they
         // overlap.
         let mut level_fence: Option<Event> = None;
-        // Data-parallel groups reduce-scatter every built node.
-        let reduces = data_parallel && k > 1;
+        // Data-parallel groups move every built node's data between
+        // devices, by the cheaper of its two paths.
+        let exchanges = data_parallel && k > 1;
         let builds = |open: &OpenNode| open.instances.len() >= 2 * self.config.min_instances;
         // Each device charges the build of its slice of a node: its
-        // feature range, or its instance shard.
-        let charge_build = |instances: &[u32], methods_used: &mut BTreeMap<_, usize>| {
-            for (rank, dev) in devices.iter().enumerate() {
-                let (feats, idx) = match self.strategy {
-                    MultiGpuStrategy::FeatureParallel => {
+        // feature range over all of the node's rows (feature-parallel,
+        // or a data-parallel node whose rows were exchanged), or every
+        // column over its instance shard.
+        let charge_build =
+            |instances: &[u32], by_range: bool, methods_used: &mut BTreeMap<_, usize>| {
+                for (rank, dev) in devices.iter().enumerate() {
+                    let (feats, idx) = if by_range {
                         let (lo, hi) = ranges[rank];
                         if lo == hi {
                             continue;
                         }
                         (&features[lo..hi], instances)
-                    }
-                    MultiGpuStrategy::DataParallel => {
+                    } else {
                         let shard = &instances[shard_range(instances.len(), k, rank)];
                         if shard.is_empty() {
                             continue;
                         }
                         (features, shard)
-                    }
-                };
-                let ctx = HistContext {
-                    device: dev,
-                    data: binned,
-                    grads,
-                    features: feats,
-                    bins: self.config.max_bins,
-                    opts: self.config.hist,
-                };
-                let method = charge_method_on(&ctx, idx, ctx.opts.method, hist_stream);
-                *methods_used.entry(method).or_insert(0) += 1;
-            }
-        };
+                    };
+                    let ctx = HistContext {
+                        device: dev,
+                        data: binned,
+                        grads,
+                        features: feats,
+                        bins: self.config.max_bins,
+                        opts: self.config.hist,
+                    };
+                    let method = charge_method_on(&ctx, idx, ctx.opts.method, hist_stream);
+                    *methods_used.entry(method).or_insert(0) += 1;
+                }
+            };
 
         for depth in 0..max_depth {
             let _level_scopes: Vec<_> = devices
@@ -532,20 +728,61 @@ impl Placement for Group<'_> {
             let mut candidate_bytes = vec![0usize; k];
             let mut flag_bytes = vec![0usize; k];
             let mut routed = vec![0usize; k];
-            if reduces {
-                // Each build feeds a reduce-scatter of fixed length: a
-                // two-stage flow shop, whose makespan Johnson's rule
-                // minimizes by issuing the smallest builds first (ties
-                // to the lower frontier index). All of them are charged
-                // before the node loop below, which charges nothing of
-                // a data-parallel level until its end.
+            if exchanges {
+                // Each built node takes the cheaper of its two paths. A
+                // reduce-scatter node is a build then a collective, a
+                // row-path node a collective then a build: a two-machine
+                // job shop, which Jackson's rule schedules. The level's
+                // row exchange goes first on the comm streams, while the
+                // hist streams build the reduce-scatter nodes smallest
+                // first (Johnson's rule for their flow shop, ties to the
+                // lower frontier index); their reduce-scatters queue
+                // behind the exchange, and the row-path builds wait for
+                // it. All of it is charged before the node loop below,
+                // which charges nothing of a data-parallel level until
+                // its end.
+                let model = devices[0].model();
                 let mut order: Vec<usize> = (0..frontier.len())
                     .filter(|&i| builds(&frontier[i]))
                     .collect();
                 order.sort_by_key(|&i| frontier[i].instances.len());
-                for i in order {
-                    charge_build(&frontier[i].instances, &mut grown.methods_used);
-                    reduce_scatter_node(&group, hist_bytes, streamed);
+                let (row_nodes, scatters): (Vec<&[u32]>, Vec<&[u32]>) = order
+                    .into_iter()
+                    .map(|i| &frontier[i].instances[..])
+                    .partition(|idx| shape.path(model, idx.len()) == NodePath::RowExchange);
+                let mut exchanged = None;
+                if !row_nodes.is_empty() {
+                    let (done, bytes) =
+                        exchange_rows(&group, &shape, &row_nodes, grads.n, mf, streamed);
+                    tally_path(
+                        &mut grown,
+                        devices,
+                        depth,
+                        NodePath::RowExchange,
+                        row_nodes.len(),
+                        bytes,
+                    );
+                    exchanged = done;
+                }
+                for idx in scatters {
+                    charge_build(idx, false, &mut grown.methods_used);
+                    let bytes = reduce_scatter_node(&group, shape.hist_bytes(), streamed);
+                    tally_path(
+                        &mut grown,
+                        devices,
+                        depth,
+                        NodePath::ReduceScatter,
+                        1,
+                        bytes,
+                    );
+                }
+                if let Some(done) = exchanged {
+                    for dev in devices {
+                        dev.wait_event(HIST_STREAM, done);
+                    }
+                }
+                for idx in row_nodes {
+                    charge_build(idx, true, &mut grown.methods_used);
                 }
             }
             for open in frontier {
@@ -554,8 +791,8 @@ impl Placement for Group<'_> {
                     continue;
                 }
                 built += 1;
-                if !reduces {
-                    charge_build(&open.instances, &mut grown.methods_used);
+                if !exchanges {
+                    charge_build(&open.instances, !data_parallel, &mut grown.methods_used);
                 }
                 // Functional accumulation once (identical results).
                 let full_ctx = HistContext {
@@ -854,6 +1091,7 @@ mod tests {
     use crate::tree::{Node, Tree};
     use gbdt_data::synth::{make_classification, ClassificationSpec};
     use gpusim::{Device, KernelRecord};
+    use std::collections::BTreeSet;
 
     fn dataset(seed: u64) -> Dataset {
         make_classification(&ClassificationSpec {
@@ -1072,11 +1310,14 @@ mod tests {
     }
 
     #[test]
-    fn data_parallel_pays_histogram_sized_communication() {
+    fn data_parallel_moves_node_data_feature_parallel_moves_summaries() {
         // The trade-off that justifies the paper's feature-parallel
-        // choice: a data-parallel reduce-scatter still moves the full
-        // m×B×d histogram of every built node, (k−1)/k of it per rank;
-        // feature-parallel moves only summary statistics.
+        // choice: a data-parallel group moves every built node's data,
+        // the `S/k` slice of its `m' × B × d` histogram or its rows,
+        // whichever is cheaper; feature-parallel moves only summary
+        // statistics. On this shape the model gives data-parallel about
+        // 58 times feature-parallel's collective bytes (3.02 MB against
+        // 52 KB).
         let ds = make_classification(&ClassificationSpec {
             instances: 3000,
             features: 24,
@@ -1085,25 +1326,21 @@ mod tests {
             seed: 8,
             ..Default::default()
         });
-        let cfg = quick_config();
-        let fp = MultiGpuTrainer::with_strategy(
-            DeviceGroup::rtx4090s(2),
-            cfg.clone(),
-            MultiGpuStrategy::FeatureParallel,
-        );
-        let _ = fp.fit(&ds);
-        let fp_comm = fp.group().device(0).summary().fraction(Phase::Comm);
-
-        let dp = MultiGpuTrainer::with_strategy(
-            DeviceGroup::rtx4090s(2),
-            cfg,
-            MultiGpuStrategy::DataParallel,
-        );
-        let _ = dp.fit(&ds);
-        let dp_comm = dp.group().device(0).summary().fraction(Phase::Comm);
+        let bytes = |strategy| {
+            let group = DeviceGroup::rtx4090s(2);
+            let tel = Arc::new(Telemetry::new());
+            for dev in group.devices() {
+                dev.attach_telemetry(tel.clone());
+            }
+            let _ = MultiGpuTrainer::with_strategy(group, quick_config(), strategy).fit(&ds);
+            let counters = tel.snapshot().counters;
+            counters["multigpu.collective_bytes"] as f64
+        };
+        let fp = bytes(MultiGpuStrategy::FeatureParallel);
+        let dp = bytes(MultiGpuStrategy::DataParallel);
         assert!(
-            dp_comm > fp_comm * 3.0,
-            "data-parallel comm share {dp_comm} should dwarf feature-parallel {fp_comm}"
+            dp > fp * 25.0,
+            "data-parallel collective bytes {dp} should dwarf feature-parallel {fp}"
         );
     }
 
@@ -1270,17 +1507,30 @@ mod tests {
         levels
     }
 
+    /// The splittable columns of `ds` binned at `bins`: what a group
+    /// builds, exchanges and reduce-scatters.
+    fn splittable(ds: &Dataset, bins: usize) -> usize {
+        let all: Vec<u32> = (0..ds.m() as u32).collect();
+        BinnedDataset::build(ds.features(), bins)
+            .splittable(&all)
+            .len()
+    }
+
     #[test]
     fn data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives() {
         // Sort-and-reduce prices a build by its row count alone, so the
         // order of a level's build durations is the order of the shard
         // rows they were issued for. A histogram whose collective
-        // outlasts the small builds of deep levels.
+        // outlasts the small builds of deep levels, over enough rows
+        // that nodes above the row-exchange crossover, which alone
+        // reduce-scatter, are built at more than one depth. A node that
+        // large builds for longer than its collective takes on the
+        // preset's link, so the group's link runs at a tenth of it.
         let ds = make_classification(&ClassificationSpec {
-            instances: 3000,
-            features: 24,
+            instances: 40_000,
+            features: 12,
             classes: 24,
-            informative: 16,
+            informative: 10,
             seed: 8,
             ..Default::default()
         });
@@ -1296,30 +1546,51 @@ mod tests {
             ..quick_config()
         };
         let k = 2;
+        let mut props = gpusim::DeviceProps::rtx4090();
+        props.cost.p2p_bw /= 10.0;
         let trainer = MultiGpuTrainer::with_strategy(
-            DeviceGroup::rtx4090s(k),
+            DeviceGroup::homogeneous(k, props),
             cfg.clone(),
             MultiGpuStrategy::DataParallel,
         );
         let model = trainer.fit(&ds);
-        // Each grown level with its tree: a tree's rounds price builds
-        // from its own gradients (the uniform-Hessian path on round 0).
-        let levels: Vec<(usize, Vec<usize>)> = model
+        let (mf, d) = (splittable(&ds, cfg.max_bins), ds.d());
+        let cost = trainer.group().device(0).model().clone();
+        // Each grown level with its tree and depth: a tree's rounds
+        // price builds and paths from its own gradients (the uniform-
+        // Hessian path on round 0).
+        let levels: Vec<(usize, usize, Vec<usize>)> = model
             .trees
             .iter()
             .enumerate()
             .flat_map(|(tree, t)| {
                 level_rows(t, &ds, cfg.max_depth)
                     .into_iter()
-                    .map(move |l| (tree, l))
+                    .enumerate()
+                    .map(move |(depth, l)| (tree, depth, l))
             })
             .collect();
-        let built = |level: &[usize]| -> Vec<usize> {
+        // The level's built nodes that reduce-scatter, in frontier order.
+        let scattered = |tree: usize, level: &[usize]| -> Vec<usize> {
+            let shape = ExchangeShape::new(k, mf, cfg.max_bins, d, tree == 0);
             let rows = level.iter().copied();
-            rows.filter(|&rows| rows >= 2 * cfg.min_instances).collect()
+            rows.filter(|&rows| rows >= 2 * cfg.min_instances)
+                .filter(|&rows| shape.path(&cost, rows) == NodePath::ReduceScatter)
+                .collect()
         };
+        let depths: BTreeSet<usize> = levels
+            .iter()
+            .filter(|(tree, _, l)| !scattered(*tree, l).is_empty())
+            .map(|(_, depth, _)| *depth)
+            .collect();
         assert!(
-            levels.iter().any(|(_, l)| !built(l).is_sorted()),
+            depths.len() > 1,
+            "reduce-scatter nodes at one depth only: {depths:?}"
+        );
+        assert!(
+            levels
+                .iter()
+                .any(|(tree, _, l)| !scattered(*tree, l).is_sorted()),
             "some level's frontier order must differ from its row order"
         );
         let (mut gapless, mut spans_checked) = (0usize, 0usize);
@@ -1334,8 +1605,12 @@ mod tests {
             // fit: strictly increasing in the rows of each tree when every
             // level issued its builds in non-decreasing shard-row order.
             let mut price: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-            for (depth, ((tree, level), span)) in levels.iter().zip(&spans).enumerate() {
-                let mut want = built(level);
+            for ((tree, depth, level), span) in levels.iter().zip(&spans) {
+                let built = level
+                    .iter()
+                    .filter(|&&r| r >= 2 * cfg.min_instances)
+                    .count();
+                let mut want = scattered(*tree, level);
                 want.sort_unstable();
                 let of = |name: &str| -> Vec<KernelRecord> {
                     span.records
@@ -1345,9 +1620,12 @@ mod tests {
                         .collect()
                 };
                 let (builds, collectives) = (of("hist_sort_reduce"), of("hist_reduce_scatter"));
-                let at = format!("device {rank} level {depth}");
-                assert_eq!(builds.len(), want.len(), "{at}: builds issued");
+                let at = format!("device {rank} tree {tree} depth {depth}");
+                assert_eq!(builds.len(), built, "{at}: builds issued");
                 assert_eq!(collectives.len(), want.len(), "{at}: collectives");
+                // The reduce-scatter nodes build first, before the row-
+                // path nodes that wait for the level's exchange.
+                let builds = &builds[..want.len()];
                 for (b, rows) in builds.iter().zip(&want) {
                     let rows = shard_range(*rows, k, rank).len();
                     let ns = *price.entry((*tree, rows)).or_insert(b.ns);
@@ -1541,15 +1819,22 @@ mod tests {
     /// and Hessian columns and, off the uniform-Hessian path, its `u32`
     /// counts: `m' × B × (2d × 8 + 4)` bytes. On the uniform path (a
     /// softmax fit's round 0) the count column is the `f64` Hessian
-    /// column: `m' × B × (d + 1) × 8`.
+    /// column: `m' × B × (d + 1) × 8`. Six times `dataset`'s rows, so
+    /// that nodes above the row-exchange crossover, which alone
+    /// reduce-scatter, grow on both paths.
     #[test]
     fn data_parallel_reduce_scatters_carry_the_count_column() {
-        let ds = dataset(4);
+        let ds = make_classification(&ClassificationSpec {
+            instances: 3000,
+            features: 16,
+            classes: 4,
+            informative: 10,
+            class_sep: 2.0,
+            seed: 4,
+            ..Default::default()
+        });
         let cfg = quick_config();
-        let all: Vec<u32> = (0..ds.m() as u32).collect();
-        let mf = BinnedDataset::build(ds.features(), cfg.max_bins)
-            .splittable(&all)
-            .len();
+        let mf = splittable(&ds, cfg.max_bins);
         let (slots, d) = ((mf * cfg.max_bins) as f64, ds.d() as f64);
         let trainer = MultiGpuTrainer::with_strategy(
             DeviceGroup::rtx4090s(2),
@@ -1575,6 +1860,351 @@ mod tests {
             },
             "payloads priced at neither formula"
         );
+    }
+
+    /// One level's collectives as a data-parallel device charged them.
+    struct LevelComm {
+        tree: usize,
+        depth: usize,
+        /// Built nodes' rows, in frontier order.
+        built: Vec<usize>,
+        /// `hist_reduce_scatter` durations, in issue order.
+        scatters: Vec<f64>,
+        /// `node_row_exchange` durations.
+        exchanges: Vec<f64>,
+    }
+
+    /// Fit `ds` data-parallel on `k` devices and return, for every
+    /// grown level, its built nodes and the lead's collectives.
+    fn level_comm(ds: &Dataset, cfg: &TrainConfig, k: usize) -> (Vec<LevelComm>, TrainReport) {
+        let trainer = MultiGpuTrainer::with_strategy(
+            DeviceGroup::rtx4090s(k),
+            cfg.clone(),
+            MultiGpuStrategy::DataParallel,
+        );
+        let report = trainer.fit_report(ds);
+        let spans = trainer.group().device(0).scope_spans("level");
+        let levels: Vec<(usize, usize, Vec<usize>)> = report
+            .model
+            .trees
+            .iter()
+            .enumerate()
+            .flat_map(|(tree, t)| {
+                level_rows(t, ds, cfg.max_depth)
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(depth, l)| (tree, depth, l))
+            })
+            .collect();
+        assert_eq!(spans.len(), levels.len(), "one level scope per grown level");
+        let out = levels
+            .into_iter()
+            .zip(&spans)
+            .map(|((tree, depth, rows), span)| {
+                let ns = |name: &str| -> Vec<f64> {
+                    span.records
+                        .iter()
+                        .filter(|r| r.name == name)
+                        .map(|r| r.ns)
+                        .collect()
+                };
+                LevelComm {
+                    tree,
+                    depth,
+                    built: rows
+                        .into_iter()
+                        .filter(|&r| r >= 2 * cfg.min_instances)
+                        .collect(),
+                    scatters: ns("hist_reduce_scatter"),
+                    exchanges: ns("node_row_exchange"),
+                }
+            })
+            .collect();
+        (out, report)
+    }
+
+    /// A node's two prices from the cost model's collectives, written
+    /// out here rather than read from [`ExchangeShape`]: the ring
+    /// reduce-scatter of its histogram, and the bytes of its largest
+    /// shard's rows, each carrying its `f32` gradient columns and a bin
+    /// byte per feature of the widest range.
+    fn node_prices(
+        model: &CostModel,
+        k: usize,
+        (mf, bins, d): (usize, usize, usize),
+        uniform: bool,
+        rows: usize,
+    ) -> (f64, f64) {
+        let (hist, grad) = if uniform {
+            (mf * bins * (d + 1) * 8, d * 4)
+        } else {
+            (mf * bins * (2 * d * 8 + 4), 2 * d * 4)
+        };
+        let payload = rows.div_ceil(k) * (grad + mf.div_ceil(k));
+        (model.ring_reduce_scatter_ns(hist as f64, k), payload as f64)
+    }
+
+    /// Check that every built node of every level of a softmax fit
+    /// (uniform Hessians on round 0 only) paid the cheaper of its two
+    /// prices: reduce-scatter nodes one `hist_reduce_scatter` each at
+    /// their price, row-path nodes one batched `node_row_exchange` of
+    /// their summed payloads. Returns how many levels exchanged rows
+    /// on each gradient path: `[general, uniform]`.
+    fn assert_cheaper_paths(ds: &Dataset, cfg: &TrainConfig, k: usize) -> [usize; 2] {
+        let (levels, report) = level_comm(ds, cfg, k);
+        let model = DeviceGroup::rtx4090s(1).device(0).model().clone();
+        let shape = (splittable(ds, cfg.max_bins), cfg.max_bins, ds.d());
+        let mut exchanged = [0usize; 2];
+        let (mut scattered, mut rowed) = (0usize, 0usize);
+        for level in &levels {
+            let at = format!("k={k} tree {} depth {}", level.tree, level.depth);
+            let uniform = level.tree == 0;
+            let (mut scatters, mut payload, mut rows) = (Vec::new(), 0.0, 0usize);
+            for &n in &level.built {
+                let (rs, bytes) = node_prices(&model, k, shape, uniform, n);
+                let ex = model.all_gather_ns(bytes, k);
+                if ex < rs {
+                    payload += bytes;
+                    rows += 1;
+                } else {
+                    scatters.push(rs.to_bits());
+                }
+            }
+            let charged: Vec<u64> = level.scatters.iter().map(|ns| ns.to_bits()).collect();
+            assert_eq!(charged, scatters, "{at}: reduce-scatters");
+            let want: Vec<u64> = (rows > 0)
+                .then(|| model.all_gather_ns(payload, k).to_bits())
+                .into_iter()
+                .collect();
+            let charged: Vec<u64> = level.exchanges.iter().map(|ns| ns.to_bits()).collect();
+            assert_eq!(charged, want, "{at}: the level's row exchange");
+            exchanged[usize::from(uniform)] += usize::from(rows > 0);
+            scattered += scatters.len();
+            rowed += rows;
+        }
+        let path = |p| {
+            report
+                .node_paths
+                .iter()
+                .filter(|((_, q), _)| *q == p)
+                .map(|(_, t)| t.nodes)
+                .sum::<usize>()
+        };
+        assert_eq!(path(NodePath::ReduceScatter), scattered, "k={k}: tallied");
+        assert_eq!(path(NodePath::RowExchange), rowed, "k={k}: tallied");
+        exchanged
+    }
+
+    #[test]
+    fn data_parallel_nodes_pay_the_cheaper_of_reduce_scatter_and_row_exchange() {
+        let ds = make_classification(&ClassificationSpec {
+            instances: 3000,
+            features: 16,
+            classes: 4,
+            informative: 10,
+            class_sep: 2.0,
+            seed: 4,
+            ..Default::default()
+        });
+        for streams in [1, 4] {
+            let cfg = TrainConfig {
+                streams,
+                ..quick_config()
+            };
+            let [general, uniform] = assert_cheaper_paths(&ds, &cfg, 2);
+            assert!(
+                general > 0 && uniform > 0,
+                "streams={streams}: no rows exchanged"
+            );
+        }
+    }
+
+    /// The first round of a softmax fit shares one Hessian row, which
+    /// every rank already holds: its exchange carries `g` alone, `d × 4`
+    /// bytes a row, where later rounds carry `g` and `h`.
+    #[test]
+    fn data_parallel_uniform_hessian_rounds_exchange_gradients_only() {
+        let ds = dataset(4);
+        let cfg = quick_config();
+        let [_, uniform] = assert_cheaper_paths(&ds, &cfg, 2);
+        assert!(uniform > 0, "round 0 exchanged no rows");
+        // The two row sizes price apart, so the check above tells them
+        // apart.
+        let model = DeviceGroup::rtx4090s(1).device(0).model().clone();
+        let shape = (splittable(&ds, cfg.max_bins), cfg.max_bins, ds.d());
+        let (_, g_only) = node_prices(&model, 2, shape, true, 100);
+        let (_, g_and_h) = node_prices(&model, 2, shape, false, 100);
+        assert!(g_only < g_and_h);
+    }
+
+    /// At three devices a node's rows and the splittable columns rarely
+    /// divide evenly: the payload takes the largest shard's rows and
+    /// the widest feature range.
+    #[test]
+    fn data_parallel_exchange_payload_takes_the_largest_shard_and_widest_range() {
+        let ds = make_classification(&ClassificationSpec {
+            instances: 1001,
+            features: 17,
+            classes: 4,
+            informative: 10,
+            class_sep: 2.0,
+            seed: 4,
+            ..Default::default()
+        });
+        let cfg = quick_config();
+        let mf = splittable(&ds, cfg.max_bins);
+        assert_ne!(mf % 3, 0, "{mf} splittable columns divide evenly");
+        let [general, uniform] = assert_cheaper_paths(&ds, &cfg, 3);
+        assert!(general + uniform > 0, "no rows exchanged");
+    }
+
+    #[test]
+    fn a_train_dp2_shaped_root_reduce_scatters_and_small_nodes_exchange_rows() {
+        // train-dp2's shape, scaled down: wide histograms (many columns
+        // and outputs) and nodes that shrink level by level.
+        let ds = make_classification(&ClassificationSpec {
+            instances: 6000,
+            features: 32,
+            classes: 16,
+            informative: 20,
+            class_sep: 2.0,
+            seed: 7,
+            ..Default::default()
+        });
+        let cfg = TrainConfig {
+            num_trees: 3,
+            max_bins: 64,
+            streams: 4,
+            ..quick_config()
+        };
+        let group = DeviceGroup::rtx4090s(2);
+        let tel = Arc::new(Telemetry::new());
+        for dev in group.devices() {
+            dev.attach_telemetry(tel.clone());
+        }
+        let report =
+            MultiGpuTrainer::with_strategy(group, cfg.clone(), MultiGpuStrategy::DataParallel)
+                .fit_report(&ds);
+        let at = |depth, path| report.node_paths.get(&(depth, path)).map_or(0, |t| t.nodes);
+        assert_eq!(at(0, NodePath::ReduceScatter), cfg.num_trees, "roots");
+        assert_eq!(at(0, NodePath::RowExchange), 0, "roots");
+        let deepest = cfg.max_depth - 1;
+        assert!(at(deepest, NodePath::RowExchange) > 0, "deepest level");
+        assert_eq!(at(deepest, NodePath::ReduceScatter), 0, "deepest level");
+        let counters = tel.snapshot().counters;
+        for (name, path) in [
+            ("multigpu.nodes_reduce_scatter", NodePath::ReduceScatter),
+            ("multigpu.nodes_row_exchange", NodePath::RowExchange),
+        ] {
+            let tallied: usize = (0..cfg.max_depth).map(|depth| at(depth, path)).sum();
+            assert_eq!(counters[name], tallied as u64, "{name}");
+        }
+    }
+
+    #[test]
+    fn row_path_builds_wait_for_the_exchange_and_reduce_scatter_builds_do_not() {
+        // On every device of a streamed fit, a level that mixes both
+        // paths packs its rows, builds its reduce-scatter nodes back to
+        // back behind the pack while the exchange drains first on the
+        // comm stream, and builds its row-path nodes once the exchange
+        // has landed (Jackson's order).
+        let ds = make_classification(&ClassificationSpec {
+            instances: 6000,
+            features: 24,
+            classes: 8,
+            informative: 16,
+            class_sep: 2.0,
+            seed: 11,
+            ..Default::default()
+        });
+        let cfg = TrainConfig {
+            num_trees: 3,
+            streams: 4,
+            ..quick_config()
+        };
+        let trainer = MultiGpuTrainer::with_strategy(
+            DeviceGroup::rtx4090s(2),
+            cfg,
+            MultiGpuStrategy::DataParallel,
+        );
+        let _ = trainer.fit(&ds);
+        let mut mixed = 0usize;
+        for dev in trainer.group().devices() {
+            for (level, span) in dev.scope_spans("level").iter().enumerate() {
+                let of = |name: &str| -> Vec<KernelRecord> {
+                    span.records
+                        .iter()
+                        .filter(|r| r.name == name)
+                        .copied()
+                        .collect()
+                };
+                let (pack, exchange) = (of("pack_node_rows"), of("node_row_exchange"));
+                let scatters = of("hist_reduce_scatter");
+                let builds: Vec<KernelRecord> = span
+                    .records
+                    .iter()
+                    .filter(|r| r.phase == Phase::Histogram && r.name != "pack_node_rows")
+                    .copied()
+                    .collect();
+                let (Some(pack), Some(exchange)) = (pack.first(), exchange.first()) else {
+                    continue;
+                };
+                if scatters.is_empty() {
+                    continue;
+                }
+                mixed += 1;
+                let at = format!("device {} level {level}", dev.id);
+                let landed = exchange.start_ns + exchange.ns;
+                for r in &scatters {
+                    assert!(
+                        r.start_ns >= landed,
+                        "{at}: a reduce-scatter ran ahead of the exchange"
+                    );
+                }
+                let (first, rest) = builds.split_at(scatters.len());
+                let mut end = pack.start_ns + pack.ns;
+                for b in first {
+                    assert_eq!(b.start_ns, end, "{at}: a reduce-scatter build waited");
+                    end = b.start_ns + b.ns;
+                }
+                assert!(
+                    first[0].start_ns < landed,
+                    "{at}: the exchange drains first"
+                );
+                for b in rest {
+                    assert!(b.start_ns >= landed, "{at}: a row-path build started early");
+                }
+            }
+        }
+        assert!(mixed > 0, "no level mixed both paths");
+    }
+
+    #[test]
+    fn single_devices_and_feature_parallel_groups_exchange_nothing() {
+        // The paths are a data-parallel group's: one device or a
+        // feature-parallel group keeps every charge it booked before,
+        // as the golden table's FP and DP(1) rows pin bit for bit.
+        let ds = dataset(4);
+        for (strategy, k) in [
+            (MultiGpuStrategy::DataParallel, 1),
+            (MultiGpuStrategy::FeatureParallel, 1),
+            (MultiGpuStrategy::FeatureParallel, 3),
+        ] {
+            let trainer =
+                MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(k), quick_config(), strategy);
+            let report = trainer.fit_report(&ds);
+            assert!(report.node_paths.is_empty(), "{strategy:?}({k})");
+            for dev in trainer.group().devices() {
+                let moved = dev.records().iter().any(|r| {
+                    ["pack_node_rows", "node_row_exchange", "hist_reduce_scatter"].contains(&r.name)
+                });
+                assert!(
+                    !moved,
+                    "{strategy:?}({k}): device {} moved node data",
+                    dev.id
+                );
+            }
+        }
     }
 
     #[test]

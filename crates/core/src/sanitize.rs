@@ -112,6 +112,49 @@ pub fn trace_partition(device: &Device, flags: &[bool]) {
     }
 }
 
+/// Declare a data-parallel rank's row pack for the level's row
+/// exchange: one thread per (row, column) of its `shards` of the
+/// level's row-path nodes reads the row's index and gathers its entry
+/// of the `n`-row resident gradient (`cols` columns) or bin (`features`
+/// columns) matrix, then plain-writes its own slot of the contiguous
+/// send buffer — gathered reads, disjoint contiguous writes.
+pub fn trace_pack_node_rows(
+    device: &Device,
+    shards: &[&[u32]],
+    n: usize,
+    cols: usize,
+    features: usize,
+) {
+    let Some(san) = device.sanitizer() else {
+        return;
+    };
+    let rows: usize = shards.iter().map(|s| s.len()).sum();
+    let width = cols + features;
+    let scope = san.scope("pack_node_rows");
+    let i_id = scope.register("node_indices", rows, MemSpace::Global, true);
+    let g_id = scope.register("grad_rows", n * cols, MemSpace::Global, true);
+    let b_id = scope.register("bin_rows", n * features, MemSpace::Global, true);
+    let o_id = scope.register("send_rows", rows * width, MemSpace::Global, false);
+    let stride = rows.div_ceil(MAX_TRACE_INSTANCES).max(1);
+    for (e, &i) in shards.iter().flat_map(|s| s.iter()).enumerate() {
+        if e % stride != 0 {
+            continue;
+        }
+        let i = i as usize;
+        let sampled = (0..cols.min(MAX_TRACE_OUTPUTS))
+            .map(|c| (g_id, i * cols + c, c))
+            .chain(
+                (0..features.min(MAX_TRACE_FEATURES)).map(|f| (b_id, i * features + f, cols + f)),
+            );
+        for (src, at, c) in sampled {
+            let ctx = ThreadCtx::from_global(e * width + c, 256);
+            scope.touch(i_id, ctx, e, AccessKind::Read);
+            scope.touch(src, ctx, at, AccessKind::Read);
+            scope.touch(o_id, ctx, e * width + c, AccessKind::Write);
+        }
+    }
+}
+
 /// Declare one leaf's value computation: one thread per output writes
 /// its own slot of the leaf-value vector.
 pub fn trace_leaf_values(device: &Device, d: usize) {

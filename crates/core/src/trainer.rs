@@ -19,6 +19,7 @@ use crate::grow::{grow_tree_pooled, GrowResult, HistLaunches};
 use crate::loss::{loss_for_task, MultiOutputLoss};
 use crate::memory::HistogramPool;
 use crate::model::Model;
+use crate::multigpu::{NodePath, PathTally};
 use crate::tree::Node;
 use gbdt_data::{BinnedDataset, Dataset, Task};
 use gpusim::cost::KernelCost;
@@ -51,6 +52,10 @@ pub struct TrainReport {
     /// on one device, where a level's builds of one method share one
     /// kernel; empty on a device group, which charges each build.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
+    /// Built nodes and collective bytes per (depth, path), summed over
+    /// trees: filled on a data-parallel group of two or more devices,
+    /// where each built node takes the cheaper [`NodePath`].
+    pub node_paths: BTreeMap<(usize, NodePath), PathTally>,
     /// Feature columns the widest tree built histograms over
     /// ([`GrowResult::features_built`]).
     pub features_built: usize,
@@ -333,6 +338,7 @@ pub(crate) fn boost(
     let mut trees = Vec::with_capacity(config.num_trees);
     let mut hist_methods: BTreeMap<HistogramMethod, usize> = BTreeMap::new();
     let mut hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches> = BTreeMap::new();
+    let mut node_paths: BTreeMap<(usize, NodePath), PathTally> = BTreeMap::new();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut start_round = 0usize;
     if let Some(ck) = resume {
@@ -484,6 +490,11 @@ pub(crate) fn boost(
             sum.one_column += seen.one_column;
             sum.launches += seen.launches;
         }
+        for (key, seen) in grown.node_paths {
+            let sum = node_paths.entry(key).or_default();
+            sum.nodes += seen.nodes;
+            sum.bytes += seen.bytes;
+        }
         features_built = features_built.max(grown.features_built);
         for (method, count) in grown.methods_used {
             *hist_methods.entry(method).or_insert(0) += count;
@@ -552,6 +563,7 @@ pub(crate) fn boost(
         model,
         hist_methods,
         hist_launches,
+        node_paths,
         features_built,
         features_one_bin,
     };

@@ -53,7 +53,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xfe92bf0163d609bf),
     ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x18c75f62e43de574),
     ("FP(2)", 0xded628e5fad8ea62, 0x4b4eefc7084efd11),
-    ("DP(2)", 0xded628e5fad8ea62, 0xdc050aafac897a69),
+    ("DP(2)", 0xded628e5fad8ea62, 0x5991f6bcd5a88528),
 ];
 
 #[rustfmt::skip]
@@ -76,16 +76,16 @@ const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
     ("DP(1)/streams1/top2", 0x5137d4b9f91201f4, 0xde4f8568254add6f),
     ("DP(1)/streams4/none", 0x2dc77ae091069b6d, 0x94259551b336fb8e),
     ("DP(1)/streams4/top2", 0x6e3b221383f21331, 0xde4f8568254add6f),
-    ("DP(2)/streams1/none", 0xd11f01a03bbb9449, 0x602193c2790ac345),
-    ("DP(2)/streams1/top2", 0x3b234da58a581871, 0x68394f4e92b43e48),
-    ("DP(2)/streams4/none", 0x8dad3e89ce165594, 0x3a1c97a5ac0b7796),
-    ("DP(2)/streams4/top2", 0x9a4bd5fa60517a58, 0xb07455c1c5513e14),
-    ("DP(3)/streams1/none", 0xd4fbe2105c5de192, 0xe8e93623fc96e1f8),
-    ("DP(3)/streams1/top2", 0x2768d570f4b012ac, 0x6b2a8a77e1646676),
-    ("DP(3)/streams4/none", 0x8427a755b43f7c85, 0xb87b91aa82da82da),
-    ("DP(3)/streams4/top2", 0x827fc0ad4bb5dfd5, 0xf4c6c3348711bc7a),
-    ("DP(3)/transient", 0x12f8ba203f07f5c4, 0x385e5ebf119113af),
-    ("DP(3)/lost", 0x2c7e9fd81b3841f3, 0xc30630c21ff7b317),
+    ("DP(2)/streams1/none", 0x169d66c85acb1877, 0xd4ac85f27310efa6),
+    ("DP(2)/streams1/top2", 0x6c866ef908fd0981, 0x59e1ac78750c210a),
+    ("DP(2)/streams4/none", 0x41e154e436dbdbf3, 0xd4ac85f27310efa6),
+    ("DP(2)/streams4/top2", 0xe5bf979c84c0eba0, 0x59e1ac78750c210a),
+    ("DP(3)/streams1/none", 0x773bde09045b72fe, 0x6d588615ff95ee58),
+    ("DP(3)/streams1/top2", 0x5ff8541328466dac, 0x265d1e981d7451c3),
+    ("DP(3)/streams4/none", 0x6f7f68aba627aac3, 0x6d588615ff95ee58),
+    ("DP(3)/streams4/top2", 0x91f8ada2dd230dfb, 0x265d1e981d7451c3),
+    ("DP(3)/transient", 0xb5fa56b23d1e30e9, 0x9794576f9b637e4f),
+    ("DP(3)/lost", 0x5739906af0c13b26, 0x1875307b9d22d53a),
 ];
 
 fn dataset() -> Dataset {

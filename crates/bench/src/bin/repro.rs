@@ -63,17 +63,24 @@
 //! harness runs a scaled configuration (20 trees, depth 5, 64 bins)
 //! over the reduced dataset shapes in `PaperDataset::bench_shape`.
 
+use gbdt_bench::report::{
+    health_notes, make_record, serve_self_check, BenchRecord, BenchReport, BenchSetup, Output,
+    ServeRecord, ServeReport, ServeSetup, BENCH_SCHEMA_VERSION, SERVE_SCHEMA_VERSION,
+};
 use gbdt_bench::{
-    bench_config, bench_dataset, fmt_secs, render_table, run_system, RunOutcome, SystemId,
+    bench_config, bench_dataset, fmt_secs, metric_of, render_table, run_system, RunOutcome,
+    SystemId,
 };
 use gbdt_core::multigpu::{ExchangeShape, NodePath};
 use gbdt_core::predict::predict_raw;
 use gbdt_core::{
-    GpuTrainer, HistogramMethod, MultiGpuStrategy, MultiGpuTrainer, OutputSketch, TrainConfig,
+    BatchConfig, BatchServer, DeviceEnsemble, GpuTrainer, HistogramMethod, MultiGpuStrategy,
+    MultiGpuTrainer, OutputSketch, PredictMode, ServeStats, ServedBatch, TrainConfig,
 };
 use gbdt_data::synth::{make_classification, ClassificationSpec};
-use gbdt_data::PaperDataset;
-use gpusim::{Device, DeviceGroup, Phase, Telemetry};
+use gbdt_data::{Dataset, DenseMatrix, PaperDataset};
+use gpusim::{Device, DeviceGroup, KernelRecord, Phase, Telemetry, TELEMETRY_SCHEMA_VERSION};
+use serde::Value;
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -86,7 +93,7 @@ struct Opts {
     seed: u64,
     full: bool,
     smoke: bool,
-    out: String,
+    out: Option<String>,
     baseline: Option<String>,
     check: bool,
     update_baseline: bool,
@@ -108,7 +115,7 @@ impl Default for Opts {
             seed: 42,
             full: false,
             smoke: false,
-            out: "BENCH_repro.json".to_string(),
+            out: None,
             baseline: None,
             check: false,
             update_baseline: false,
@@ -129,7 +136,35 @@ impl Opts {
             bench_config(self.trees, self.depth, self.bins)
         }
     }
+
+    /// The dataset scale and training config of `bench`, `serve` and
+    /// `report`: `--smoke` fits 3 trees of depth 4 over 32 bins at a
+    /// quarter of `--scale`.
+    fn scale_and_config(&self) -> (f64, TrainConfig) {
+        if self.smoke {
+            (self.scale * 0.25, bench_config(3, 4, 32))
+        } else {
+            (self.scale, self.config())
+        }
+    }
+
+    /// Where a report-writing command writes (`--out`, or the command's
+    /// own `default` file) and what it gates against.
+    fn output<'a>(&'a self, default: &'a str) -> Output<'a> {
+        Output {
+            out: self.out.as_deref().unwrap_or(default),
+            baseline: self.baseline.as_deref(),
+            update_baseline: self.update_baseline,
+            check: self.check,
+        }
+    }
 }
+
+// The files `bench`, `serve` and `report` write unless `--out` names
+// one.
+const BENCH_OUT: &str = "BENCH_repro.json";
+const SERVE_OUT: &str = "SERVE_repro.json";
+const REPORT_OUT: &str = "REPORT_repro.json";
 
 const USAGE: &str = "usage: repro <datasets|table2|table3|table4|fig4|fig5|fig6a|fig6b|fig7|ablations|hostbench|sanitize|bench|serve|report|chaos|all> [flags]\n\
 flags: --trees N --depth N --bins N --scale F --gpus K --seed S --full\n\
@@ -188,7 +223,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), 
             "--seed" => opts.seed = parse_value(grab("--seed")?, "--seed")?,
             "--full" => opts.full = true,
             "--smoke" => opts.smoke = true,
-            "--out" => opts.out = grab("--out")?,
+            "--out" => opts.out = Some(grab("--out")?),
             "--baseline" => opts.baseline = Some(grab("--baseline")?),
             "--check" => opts.check = true,
             "--update-baseline" => opts.update_baseline = true,
@@ -233,21 +268,9 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "bench" => {
-            if !bench_cmd(&opts) {
-                std::process::exit(1);
-            }
-        }
-        "serve" => {
-            if !serve_cmd(&opts) {
-                std::process::exit(1);
-            }
-        }
-        "report" => {
-            if !report_cmd(&opts) {
-                std::process::exit(1);
-            }
-        }
+        "bench" => exit_on_error(bench_cmd(&opts)),
+        "serve" => exit_on_error(serve_cmd(&opts)),
+        "report" => exit_on_error(report_cmd(&opts)),
         "chaos" => {
             if !chaos_cmd(&opts) {
                 std::process::exit(1);
@@ -270,6 +293,14 @@ fn main() {
             eprintln!("{USAGE}");
             std::process::exit(2);
         }
+    }
+}
+
+/// Print a failed command's stderr text and exit 1.
+fn exit_on_error(run: Result<(), String>) {
+    if let Err(e) = run {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }
 
@@ -790,16 +821,19 @@ fn ablations(opts: &Opts) {
         println!("{}", render_table(&["C", "time(s)"], &rows));
     }
 
-    // 5b. CUDA-stream overlap of per-node histogram kernels.
+    // 5b. Ingest copy overlap. On one device `streams > 1` only moves
+    // the feature upload to a copy stream that binning pipelines behind
+    // (`Single::ingest`); every histogram kernel stays on the default
+    // stream, so 2, 4 and 8 streams are the same schedule.
     {
         let mut rows = Vec::new();
-        for streams in [1usize, 2, 4, 8] {
+        for streams in [1usize, 2] {
             let mut c = base_cfg.clone();
             c.streams = streams;
             let r = GpuTrainer::new(Device::rtx4090(), c).fit_report(&train);
             rows.push(vec![format!("{streams}"), fmt_secs(r.sim_seconds)]);
         }
-        println!("-- stream-parallel node histograms --");
+        println!("-- ingest copy overlap (streams per device) --");
         println!("{}", render_table(&["streams", "time(s)"], &rows));
     }
 
@@ -1305,35 +1339,66 @@ fn chaos_cmd(opts: &Opts) -> bool {
     ok
 }
 
+/// One bench cell: fit `cfg` on `device` and score the model on `test`.
+fn fit_record(
+    device: Arc<Device>,
+    name: &str,
+    (train, test): (&Dataset, &Dataset),
+    cfg: TrainConfig,
+) -> BenchRecord {
+    let (method, sketch) = (cfg.hist.method, cfg.sketch.label());
+    let r = GpuTrainer::new(device, cfg).fit_report(train);
+    let (metric_name, metric) = metric_of(train.task(), &r.model.predict(test.features()), test);
+    make_record(
+        name,
+        method,
+        &sketch,
+        &r.sim,
+        r.host_seconds,
+        metric_name,
+        metric,
+    )
+}
+
+/// A bench record's printed row.
+fn bench_row(rec: &BenchRecord) -> String {
+    format!(
+        "{:<12} {:<10} {:<8} {:>10.4} {:>10.3} {:>8.1}% {:>12.4}",
+        rec.dataset,
+        rec.hist_method,
+        rec.sketch,
+        rec.sim_seconds,
+        rec.host_seconds,
+        100.0 * rec.hist_share,
+        rec.metric
+    )
+}
+
 /// The machine-readable perf/quality grid behind `BENCH_repro.json`:
 /// per histogram method × dataset, reporting *deterministic* simulated
 /// phase breakdowns + hist share + quality (and informational host
 /// wall-clock). With `--baseline F --check`, diff-gates the run against
-/// the committed baseline and returns `false` on drift.
-fn bench_cmd(opts: &Opts) -> bool {
-    use gbdt_bench::metric_of;
-    use gbdt_bench::report::{diff_gate, make_record, BenchReport, BenchSetup};
-
+/// the committed baseline and fails on drift.
+fn bench_cmd(opts: &Opts) -> Result<(), String> {
     // Grid: smoke keeps a clf/multilabel/reg triple at reduced scale so
     // CI stays fast; the regular grid runs the Fig. 4 datasets plus Rf1
     // for regression coverage.
-    let (datasets, scale_mult, mut cfg) = if opts.smoke {
-        let grid = vec![
+    let datasets = if opts.smoke {
+        vec![
             PaperDataset::Mnist,
             PaperDataset::NusWide,
             PaperDataset::Rf1,
-        ];
-        (grid, opts.scale * 0.25, bench_config(3, 4, 32))
+        ]
     } else {
-        let grid = vec![
+        vec![
             PaperDataset::Mnist,
             PaperDataset::Caltech101,
             PaperDataset::MnistIn,
             PaperDataset::NusWide,
             PaperDataset::Rf1,
-        ];
-        (grid, opts.scale, opts.config())
+        ]
     };
+    let (scale_mult, mut cfg) = opts.scale_and_config();
     cfg.streams = opts.streams;
     let setup = BenchSetup {
         trees: cfg.num_trees as u64,
@@ -1362,46 +1427,21 @@ fn bench_cmd(opts: &Opts) -> bool {
         let (train, test, name) = bench_dataset(ds, scale_mult, opts.seed);
         for method in methods {
             let device = Device::rtx4090();
-            let tracing_this_run = trace_pending.is_some();
-            if tracing_this_run {
+            if trace_pending.is_some() {
                 device.enable_profiler();
             }
-            let r = GpuTrainer::new(
-                device.clone(),
-                cfg.clone()
-                    .with_hist_method(method)
-                    .with_sketch(opts.sketch),
-            )
-            .fit_report(&train);
+            let cell = cfg
+                .clone()
+                .with_hist_method(method)
+                .with_sketch(opts.sketch);
+            let rec = fit_record(device.clone(), &name, (&train, &test), cell);
             if let Some(path) = trace_pending.take() {
                 let trace = device.chrome_trace().expect("profiler enabled");
-                if let Err(e) = std::fs::write(path, trace) {
-                    eprintln!("error: cannot write trace {path}: {e}");
-                    return false;
-                }
+                std::fs::write(path, trace)
+                    .map_err(|e| format!("error: cannot write trace {path}: {e}"))?;
                 println!("(wrote Chrome trace of {name}/{method:?} to {path})");
             }
-            let (metric_name, metric) =
-                metric_of(train.task(), &r.model.predict(test.features()), &test);
-            let rec = make_record(
-                &name,
-                method,
-                opts.sketch.label().as_str(),
-                &r.sim,
-                r.host_seconds,
-                metric_name,
-                metric,
-            );
-            println!(
-                "{:<12} {:<10} {:<8} {:>10.4} {:>10.3} {:>8.1}% {:>12.4}",
-                rec.dataset,
-                rec.hist_method,
-                rec.sketch,
-                rec.sim_seconds,
-                rec.host_seconds,
-                100.0 * rec.hist_share,
-                rec.metric
-            );
+            println!("{}", bench_row(&rec));
             records.push(rec);
         }
     }
@@ -1416,82 +1456,31 @@ fn bench_cmd(opts: &Opts) -> bool {
     // stays CI-fast. Only meaningful when the main grid ran dense
     // (`--sketch none`, the default).
     if opts.sketch.is_none() {
-        let ds = PaperDataset::NusWide;
-        let (train, test, name) = bench_dataset(ds, opts.scale, opts.seed);
+        let (train, test, name) = bench_dataset(PaperDataset::NusWide, opts.scale, opts.seed);
         // Distinct record identity: the main grid may carry the same
         // (dataset, method, sketch) triple at the reduced smoke scale.
         let name = format!("{name}@1x");
         let d = train.d();
         let k = (d / 4).max(1);
-        let dense_dev = Device::rtx4090();
-        let dense = GpuTrainer::new(
-            dense_dev.clone(),
-            cfg.clone().with_hist_method(HistogramMethod::Adaptive),
-        )
-        .fit_report(&train);
-        let (dense_metric_name, dense_metric) =
-            metric_of(train.task(), &dense.model.predict(test.features()), &test);
-        let dense_rec = make_record(
-            &name,
-            HistogramMethod::Adaptive,
-            "none",
-            &dense.sim,
-            dense.host_seconds,
-            dense_metric_name,
-            dense_metric,
-        );
-        let dense_sim = dense_rec.sim_seconds;
+        let adaptive = cfg.clone().with_hist_method(HistogramMethod::Adaptive);
+        let dense = fit_record(Device::rtx4090(), &name, (&train, &test), adaptive.clone());
+        let dense_sim = dense.sim_seconds;
         println!("== bench: sketch comparison ({name}, adaptive, d={d}, k={k}) ==");
-        println!(
-            "{:<12} {:<10} {:<8} {:>10.4} {:>10.3} {:>8.1}% {:>12.4}",
-            dense_rec.dataset,
-            dense_rec.hist_method,
-            dense_rec.sketch,
-            dense_rec.sim_seconds,
-            dense_rec.host_seconds,
-            100.0 * dense_rec.hist_share,
-            dense_rec.metric
-        );
-        records.push(dense_rec);
+        println!("{}", bench_row(&dense));
+        records.push(dense);
         for sketch in [
             OutputSketch::TopOutputs(k),
             OutputSketch::RandomSampling(k),
             OutputSketch::RandomProjection(k),
         ] {
-            let device = Device::rtx4090();
-            let r = GpuTrainer::new(
-                device.clone(),
-                cfg.clone()
-                    .with_hist_method(HistogramMethod::Adaptive)
-                    .with_sketch(sketch),
-            )
-            .fit_report(&train);
-            let (metric_name, metric) =
-                metric_of(train.task(), &r.model.predict(test.features()), &test);
-            let rec = make_record(
-                &name,
-                HistogramMethod::Adaptive,
-                sketch.label().as_str(),
-                &r.sim,
-                r.host_seconds,
-                metric_name,
-                metric,
-            );
+            let cell = adaptive.clone().with_sketch(sketch);
+            let rec = fit_record(Device::rtx4090(), &name, (&train, &test), cell);
             let speedup = if dense_sim > 0.0 {
                 100.0 * (1.0 - rec.sim_seconds / dense_sim)
             } else {
                 0.0
             };
-            println!(
-                "{:<12} {:<10} {:<8} {:>10.4} {:>10.3} {:>8.1}% {:>12.4}   (sim-ns -{speedup:.1}%)",
-                rec.dataset,
-                rec.hist_method,
-                rec.sketch,
-                rec.sim_seconds,
-                rec.host_seconds,
-                100.0 * rec.hist_share,
-                rec.metric
-            );
+            println!("{}   (sim-ns -{speedup:.1}%)", bench_row(&rec));
             records.push(rec);
         }
     }
@@ -1521,32 +1510,41 @@ fn bench_cmd(opts: &Opts) -> bool {
         );
         let streamed = trainer.fit_report(&train);
         if serial.model.predict(train.features()) != streamed.model.predict(train.features()) {
-            eprintln!("error: streamed multi-GPU schedule changed the model on {name}");
-            return false;
+            return Err(format!(
+                "error: streamed multi-GPU schedule changed the model on {name}"
+            ));
         }
         let cut = 100.0 * (1.0 - streamed.sim_seconds / serial.sim_seconds);
-        // Per level on the lead: its builds (and row packs) and its node
-        // collectives (the row exchange and the reduce-scatters)
-        // pipeline at best to the longer of the two, so Σ max(build,
-        // node comm) bounds the levels' walls from below; the rest is
-        // pipeline fill and drain.
+        // Per level on the lead, three sums each bound the level's wall
+        // from below: the hist stream's builds (row packs included),
+        // the node collectives (the row exchange and the
+        // reduce-scatters), and the row-path chain — the packs, then
+        // the exchange, then the builds that start once its rows have
+        // landed. The rest is pipeline fill and drain.
         let (mut walls, mut bound) = (0.0, 0.0);
         for level in trainer.group().device(0).scope_spans("level") {
-            let (mut build, mut comm) = (0.0, 0.0);
-            for r in &level.records {
-                if r.phase == Phase::Histogram {
-                    build += r.ns;
-                } else if r.name == "hist_reduce_scatter" || r.name == "node_row_exchange" {
-                    comm += r.ns;
-                }
-            }
+            let sum = |keep: &dyn Fn(&KernelRecord) -> bool| -> f64 {
+                level.records.iter().filter(|r| keep(r)).map(|r| r.ns).sum()
+            };
+            let build = sum(&|r| r.phase == Phase::Histogram);
+            let comm = sum(&|r| r.name == "hist_reduce_scatter" || r.name == "node_row_exchange");
+            let chain = level
+                .records
+                .iter()
+                .find(|r| r.name == "node_row_exchange")
+                .map_or(0.0, |x| {
+                    let landed = x.start_ns + x.ns;
+                    sum(&|r| r.name == "pack_node_rows")
+                        + x.ns
+                        + sum(&|r| r.phase == Phase::Histogram && r.start_ns >= landed)
+                });
             walls += level.close_ns - level.open_ns;
-            bound += build.max(comm);
+            bound += build.max(comm).max(chain);
         }
         println!(
             "== bench: multi-GPU stream overlap ({name}, data-parallel, {gpus} GPUs) ==\n\
              serial {:.4} ms -> {streams} streams {:.4} ms  (sim-ns -{cut:.1}%, overlap_saved {:.0} ns, waited {:.0} ns; models bit-identical)\n\
-             levels on the lead: walls {:.4} ms vs Σ max(build, row exchange + reduce-scatters) {:.4} ms",
+             levels on the lead: walls {:.4} ms vs Σ max(builds, node comm, pack → row exchange → row-path builds) {:.4} ms",
             serial.sim_seconds * 1e3,
             streamed.sim_seconds * 1e3,
             streamed.sim.overlap_saved_ns,
@@ -1557,7 +1555,7 @@ fn bench_cmd(opts: &Opts) -> bool {
     }
 
     let report = BenchReport {
-        schema_version: gbdt_bench::report::BENCH_SCHEMA_VERSION,
+        schema_version: BENCH_SCHEMA_VERSION,
         device: Device::rtx4090().props().name.clone(),
         setup,
         records,
@@ -1565,76 +1563,43 @@ fn bench_cmd(opts: &Opts) -> bool {
     // Ledger health: report-never-gate. Shed records or clamped
     // negative charges deserve a human's eye on every run, baseline or
     // not, without ever failing CI.
-    for note in gbdt_bench::report::health_notes(&report) {
+    for note in health_notes(&report) {
         println!("bench: note — {note}");
     }
-    if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
-        eprintln!("error: cannot write {}: {e}", opts.out);
-        return false;
-    }
-    println!("(wrote {} records to {})", report.records.len(), opts.out);
+    report.emit(&opts.output(BENCH_OUT))
+}
 
-    // Schema self-validation: the freshly written file must round-trip
-    // through the strict reader (schema version + full phase-key set).
-    match std::fs::read_to_string(&opts.out).map_err(|e| e.to_string()) {
-        Ok(text) => {
-            if let Err(e) = BenchReport::from_json(&text) {
-                eprintln!("error: {} failed schema validation: {e}", opts.out);
-                return false;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: cannot re-read {}: {e}", opts.out);
-            return false;
-        }
+/// Serve every row of `rows` through a `BatchServer` on `ens` as one
+/// burst: every row is already queued when the upload finishes, so
+/// throughput measures pure kernel efficiency. Returns the scores in
+/// row order and the server's stats.
+fn serve_burst(
+    ens: DeviceEnsemble,
+    max_batch: usize,
+    mode: PredictMode,
+    rows: &DenseMatrix,
+) -> Result<(Vec<f32>, ServeStats), String> {
+    let (t0, n, d) = (ens.device().now_ns(), rows.rows(), ens.d());
+    let config = BatchConfig {
+        max_batch,
+        mode,
+        ..BatchConfig::default()
+    };
+    let mut server =
+        BatchServer::new(ens, config).map_err(|e| format!("error: invalid batch config: {e}"))?;
+    let mut out = vec![0.0f32; n * d];
+    let mut deliver = |b: ServedBatch| {
+        let start = b.first_id as usize * d;
+        out[start..start + b.scores.len()].copy_from_slice(&b.scores);
+    };
+    for i in 0..n {
+        server
+            .submit(t0, rows.row(i))
+            .into_iter()
+            .for_each(&mut deliver);
     }
-
-    if opts.update_baseline {
-        let Some(path) = &opts.baseline else {
-            eprintln!("error: --update-baseline requires --baseline FILE");
-            return false;
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: cannot rewrite baseline {path}: {e}");
-            return false;
-        }
-        println!("(rewrote baseline {path} from this run)");
-    }
-
-    if opts.check {
-        let Some(path) = &opts.baseline else {
-            eprintln!("error: --check requires --baseline FILE");
-            return false;
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return false;
-            }
-        };
-        let baseline = match BenchReport::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: invalid baseline {path}: {e}");
-                return false;
-            }
-        };
-        for note in gbdt_bench::report::overlap_notes(&report, &baseline) {
-            println!("bench: note — {note}");
-        }
-        let fails = diff_gate(&report, &baseline);
-        if fails.is_empty() {
-            println!("bench: OK — within tolerance of {path}");
-        } else {
-            eprintln!("bench: FAILED regression gate vs {path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-            return false;
-        }
-    }
-    true
+    server.flush().into_iter().for_each(&mut deliver);
+    Ok((out, server.stats()))
 }
 
 /// `repro serve`: the batched-serving benchmark. Trains a NUS-WIDE-
@@ -1645,22 +1610,11 @@ fn bench_cmd(opts: &Opts) -> bool {
 /// through the `BatchServer` at `max_batch` 1 vs `--batch`, checking
 /// bit-identity throughout against `predict_raw`, the growth-form walk
 /// of the trained trees (independent of the compiled walk it checks).
-fn serve_cmd(opts: &Opts) -> bool {
-    use gbdt_bench::serve_report::{
-        serve_diff_gate, serve_self_check, ServeRecord, ServeReport, ServeSetup,
-        SERVE_SCHEMA_VERSION,
-    };
-    use gbdt_core::{BatchConfig, BatchServer, DeviceEnsemble, PredictMode, ServedBatch};
-
+fn serve_cmd(opts: &Opts) -> Result<(), String> {
     if opts.batch == 0 {
-        eprintln!("error: --batch must be positive");
-        return false;
+        return Err("error: --batch must be positive".to_string());
     }
-    let (scale_mult, cfg) = if opts.smoke {
-        (opts.scale * 0.25, bench_config(3, 4, 32))
-    } else {
-        (opts.scale, opts.config())
-    };
+    let (scale_mult, cfg) = opts.scale_and_config();
     let (train, test, name) = bench_dataset(PaperDataset::NusWide, scale_mult, opts.seed);
     let model = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit(&train);
     let reference = predict_raw(&model.trees, &model.base, test.features());
@@ -1671,10 +1625,9 @@ fn serve_cmd(opts: &Opts) -> bool {
     println!("== serve: batched serving of a compiled ensemble ({name}) ==");
 
     let compiled = model.compile();
-    if let Err(e) = compiled.validate() {
-        eprintln!("error: compiled ensemble failed validation: {e}");
-        return false;
-    }
+    compiled
+        .validate()
+        .map_err(|e| format!("error: compiled ensemble failed validation: {e}"))?;
 
     // Offline scheme comparison, each on a fresh upload; only the ns
     // after the upload count. The tree-level column sitting strictly
@@ -1708,52 +1661,12 @@ fn serve_cmd(opts: &Opts) -> bool {
     let mut table_rows = Vec::new();
     for (mode_key, predict_key, max_batch, pmode) in runs {
         let device = Device::rtx4090();
+        let phase_ns = |p: Phase| device.summary().by_phase.get(&p).copied().unwrap_or(0.0);
         let ens = DeviceEnsemble::upload(device.clone(), &compiled);
-        let upload_ns = device
-            .summary()
-            .by_phase
-            .get(&Phase::Transfer)
-            .copied()
-            .unwrap_or(0.0);
-        let resident_bytes = ens.resident_bytes() as u64;
-        let mut server = match BatchServer::new(
-            ens,
-            BatchConfig {
-                max_batch,
-                mode: pmode,
-                ..BatchConfig::default()
-            },
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: invalid batch config: {e}");
-                return false;
-            }
-        };
-        // Burst arrival: every row is already queued when the upload
-        // finishes, so throughput measures pure kernel efficiency.
-        let t0 = device.now_ns();
-        let mut out = vec![0.0f32; n * d];
-        let mut deliver = |b: ServedBatch| {
-            let start = b.first_id as usize * d;
-            out[start..start + b.scores.len()].copy_from_slice(&b.scores);
-        };
-        for i in 0..n {
-            for b in server.submit(t0, test.features().row(i)) {
-                deliver(b);
-            }
-        }
-        if let Some(b) = server.flush() {
-            deliver(b);
-        }
+        let (upload_ns, resident_bytes) = (phase_ns(Phase::Transfer), ens.resident_bytes() as u64);
+        let (out, stats) = serve_burst(ens, max_batch, pmode, test.features())?;
         bit_identical &= out == reference;
-        let stats = server.stats();
-        let serve_ns = device
-            .summary()
-            .by_phase
-            .get(&Phase::Serve)
-            .copied()
-            .unwrap_or(0.0);
+        let serve_ns = phase_ns(Phase::Serve);
         table_rows.push(vec![
             mode_key.to_string(),
             predict_key.to_string(),
@@ -1816,81 +1729,12 @@ fn serve_cmd(opts: &Opts) -> bool {
 
     let fails = serve_self_check(&report);
     if !fails.is_empty() {
-        eprintln!("serve: FAILED self-check:");
-        for f in &fails {
-            eprintln!("  {f}");
-        }
-        return false;
+        return Err(format!(
+            "serve: FAILED self-check:\n  {}",
+            fails.join("\n  ")
+        ));
     }
-
-    // `--out` defaults to the bench report's name; serve writes its own
-    // file unless the flag was passed explicitly.
-    let out = if opts.out == "BENCH_repro.json" {
-        "SERVE_repro.json".to_string()
-    } else {
-        opts.out.clone()
-    };
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("error: cannot write {out}: {e}");
-        return false;
-    }
-    println!("(wrote {} records to {out})", report.records.len());
-    match std::fs::read_to_string(&out).map_err(|e| e.to_string()) {
-        Ok(text) => {
-            if let Err(e) = ServeReport::from_json(&text) {
-                eprintln!("error: {out} failed schema validation: {e}");
-                return false;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: cannot re-read {out}: {e}");
-            return false;
-        }
-    }
-
-    if opts.update_baseline {
-        let Some(path) = &opts.baseline else {
-            eprintln!("error: --update-baseline requires --baseline FILE");
-            return false;
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: cannot rewrite baseline {path}: {e}");
-            return false;
-        }
-        println!("(rewrote baseline {path} from this run)");
-    }
-
-    if opts.check {
-        let Some(path) = &opts.baseline else {
-            eprintln!("error: --check requires --baseline FILE");
-            return false;
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return false;
-            }
-        };
-        let baseline = match ServeReport::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: invalid baseline {path}: {e}");
-                return false;
-            }
-        };
-        let fails = serve_diff_gate(&report, &baseline);
-        if fails.is_empty() {
-            println!("serve: OK — within tolerance of {path}");
-        } else {
-            eprintln!("serve: FAILED regression gate vs {path}:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-            return false;
-        }
-    }
-    true
+    report.emit(&opts.output(SERVE_OUT))
 }
 
 /// `repro report`: the unified observability surface. One instrumented
@@ -1902,20 +1746,14 @@ fn serve_cmd(opts: &Opts) -> bool {
 /// JSON document under `TELEMETRY_SCHEMA_VERSION`. Fails on a served
 /// score that differs from the `predict_raw` oracle or on an output that
 /// cannot be written or read back.
-fn report_cmd(opts: &Opts) -> bool {
-    use gbdt_core::{BatchConfig, BatchServer, DeviceEnsemble, PredictMode, ServedBatch};
-    use gpusim::{FaultPlan, TELEMETRY_SCHEMA_VERSION};
-    use serde::{Serialize, Value};
+fn report_cmd(opts: &Opts) -> Result<(), String> {
+    use gpusim::FaultPlan;
+    use serde::Serialize;
 
     if opts.batch == 0 {
-        eprintln!("error: --batch must be positive");
-        return false;
+        return Err("error: --batch must be positive".to_string());
     }
-    let (scale_mult, mut cfg) = if opts.smoke {
-        (opts.scale * 0.25, bench_config(3, 4, 32))
-    } else {
-        (opts.scale, opts.config())
-    };
+    let (scale_mult, mut cfg) = opts.scale_and_config();
     cfg.streams = opts.streams;
     let (train, test, name) = bench_dataset(PaperDataset::NusWide, scale_mult, opts.seed);
 
@@ -1934,47 +1772,15 @@ fn report_cmd(opts: &Opts) -> bool {
     // Serving burst on the same device, mirroring `repro serve`'s
     // batched leg.
     let compiled = r.model.compile();
-    if let Err(e) = compiled.validate() {
-        eprintln!("error: compiled ensemble failed validation: {e}");
-        return false;
-    }
+    compiled
+        .validate()
+        .map_err(|e| format!("error: compiled ensemble failed validation: {e}"))?;
     let ens = DeviceEnsemble::upload(device.clone(), &compiled);
-    let mut server = match BatchServer::new(
-        ens,
-        BatchConfig {
-            max_batch: opts.batch,
-            mode: PredictMode::InstanceLevel,
-            ..BatchConfig::default()
-        },
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: invalid batch config: {e}");
-            return false;
-        }
-    };
-    let n = test.features().rows();
-    let d = r.model.d;
     let reference = predict_raw(&r.model.trees, &r.model.base, test.features());
-    let t0 = device.now_ns();
-    let mut out = vec![0.0f32; n * d];
-    let mut deliver = |b: ServedBatch| {
-        let start = b.first_id as usize * d;
-        out[start..start + b.scores.len()].copy_from_slice(&b.scores);
-    };
-    for i in 0..n {
-        for b in server.submit(t0, test.features().row(i)) {
-            deliver(b);
-        }
-    }
-    if let Some(b) = server.flush() {
-        deliver(b);
-    }
+    let (out, stats) = serve_burst(ens, opts.batch, PredictMode::InstanceLevel, test.features())?;
     if out != reference {
-        eprintln!("error: served scores diverged from the predict_raw oracle");
-        return false;
+        return Err("error: served scores diverged from the predict_raw oracle".to_string());
     }
-    let stats = server.stats();
 
     let ledger = device.summary();
     let snap = tel.snapshot();
@@ -2072,7 +1878,7 @@ fn report_cmd(opts: &Opts) -> bool {
     );
     let model = device.model();
     for (label, uniform) in [("uniform", true), ("general", false)] {
-        let shape = ExchangeShape::new(2, dp.features_built, cfg.max_bins, d, uniform);
+        let shape = ExchangeShape::new(2, dp.features_built, cfg.max_bins, r.model.d, uniform);
         // The fewest rows that reduce-scatter: the price of a row
         // exchange grows with the rows, a reduce-scatter's does not.
         let (mut lo, mut hi) = (1usize, 1usize);
@@ -2170,50 +1976,44 @@ fn report_cmd(opts: &Opts) -> bool {
         ),
     ]);
 
-    // `--out` defaults to the bench report's name; report writes its
-    // own file unless the flag was passed explicitly.
-    let out = if opts.out == "BENCH_repro.json" {
-        "REPORT_repro.json".to_string()
-    } else {
-        opts.out.clone()
-    };
+    // The report carries no baseline: it is written and read back, and
+    // the file on disk must parse and carry the version.
     let json = serde_json::to_string(&doc).expect("report floats are finite");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        return false;
-    }
-    println!("(wrote unified run report to {out})");
-    // Round-trip: the file on disk must parse and carry the version.
-    match std::fs::read_to_string(&out)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str::<Value>(&text).map_err(|e| e.to_string()))
-    {
-        Ok(parsed) => {
-            let version = parsed
-                .as_object()
-                .and_then(|o| o.iter().find(|(k, _)| k == "telemetry_schema_version"))
-                .map(|(_, v)| v.clone());
-            if version != Some(Value::UInt(TELEMETRY_SCHEMA_VERSION as u64)) {
-                eprintln!("error: {out} lost its telemetry_schema_version tag");
-                return false;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {out} failed JSON round-trip: {e}");
-            return false;
-        }
-    }
+    let output = Output {
+        out: opts.output(REPORT_OUT).out,
+        ..Output::default()
+    };
+    output.emit(
+        "report",
+        "unified run report",
+        &json,
+        parse_run_report,
+        |_| Vec::new(),
+    )?;
 
     if let Some(path) = &opts.prom {
-        if let Err(e) = std::fs::write(path, tel.prometheus()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return false;
-        }
+        std::fs::write(path, tel.prometheus())
+            .map_err(|e| format!("error: cannot write {path}: {e}"))?;
         println!("(wrote Prometheus exposition to {path})");
     }
 
     println!("report: OK");
-    true
+    Ok(())
+}
+
+/// The strict reader of `repro report`'s document: JSON that carries
+/// this build's `telemetry_schema_version` at the top level.
+fn parse_run_report(text: &str) -> Result<Value, String> {
+    let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let tag = doc
+        .as_object()
+        .and_then(|o| o.iter().find(|(k, _)| k == "telemetry_schema_version"));
+    match tag {
+        Some((_, Value::UInt(v))) if *v == TELEMETRY_SCHEMA_VERSION as u64 => Ok(doc),
+        _ => Err(format!(
+            "no top-level telemetry_schema_version {TELEMETRY_SCHEMA_VERSION}"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -2281,6 +2081,30 @@ mod cli_tests {
         assert_eq!(cmd, "report");
         assert!(opts.smoke);
         assert_eq!(opts.prom.as_deref(), Some("metrics.prom"));
+    }
+
+    /// A report-writing command writes `file` (its `default`) unless
+    /// `--out` names one, even another command's default.
+    fn assert_default_out(cmd: &str, default: &str, file: &str) {
+        let (_, opts) = parse_args(argv(&[cmd, "--smoke"])).unwrap();
+        assert_eq!(opts.output(default).out, file);
+        let (_, opts) = parse_args(argv(&[cmd, "--out", BENCH_OUT])).unwrap();
+        assert_eq!(opts.output(default).out, "BENCH_repro.json");
+    }
+
+    #[test]
+    fn bench_writes_bench_repro_json_by_default() {
+        assert_default_out("bench", BENCH_OUT, "BENCH_repro.json");
+    }
+
+    #[test]
+    fn serve_writes_serve_repro_json_by_default() {
+        assert_default_out("serve", SERVE_OUT, "SERVE_repro.json");
+    }
+
+    #[test]
+    fn report_writes_report_repro_json_by_default() {
+        assert_default_out("report", REPORT_OUT, "REPORT_repro.json");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod serve_report;
 
 use gbdt_baselines::{
     CpuMoTrainer, CpuStorage, GbdtSoTrainer, GrowthPolicy, SketchBoostTrainer, SketchStrategy,

@@ -6,7 +6,9 @@
 //! order without bumping the version fails here — that is the bump
 //! rule, enforced.
 
-use gbdt_bench::report::{diff_gate, make_record, BenchReport, BenchSetup, BENCH_SCHEMA_VERSION};
+use gbdt_bench::report::{
+    diff_gate, make_record, BenchReport, BenchSetup, Output, BENCH_SCHEMA_VERSION,
+};
 use gbdt_core::config::HistogramMethod;
 use gpusim::{Device, Phase};
 use serde::Serialize;
@@ -194,4 +196,62 @@ fn bench_json_round_trips_byte_identically() {
     assert_eq!(back.to_json(), json);
     // And a self-diff passes the regression gate with zero failures.
     assert!(diff_gate(&back, &r).is_empty());
+}
+
+/// The write-validate-gate path `repro bench` runs, in a scratch
+/// directory: `--update-baseline` blesses the run and `--check` against
+/// it passes; a baseline with one simulated ns more in one phase fails
+/// the gate, naming the record; a missing or bumped-version baseline,
+/// or `--check` without one, is an error, not a panic.
+#[test]
+fn emit_blesses_gates_and_rejects_bad_baselines() {
+    let dir = std::env::temp_dir().join(format!("bench-schema-emit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let (out, baseline) = (path("BENCH_repro.json"), path("BENCH_baseline.json"));
+    let r = golden_report();
+    let bless = Output {
+        out: &out,
+        baseline: Some(&baseline),
+        update_baseline: true,
+        check: false,
+    };
+    r.emit(&bless).expect("bless");
+    assert_eq!(std::fs::read_to_string(&out).unwrap(), r.to_json());
+    assert_eq!(std::fs::read_to_string(&baseline).unwrap(), r.to_json());
+    let check = Output {
+        update_baseline: false,
+        check: true,
+        ..bless
+    };
+    r.emit(&check).expect("check against the blessed baseline");
+
+    let mut moved = r.clone();
+    *moved.records[0].phase_ns.get_mut("Histogram").unwrap() += 1.0;
+    std::fs::write(&baseline, moved.to_json()).unwrap();
+    let err = r.emit(&check).expect_err("the gate must fail");
+    let head = format!("bench: FAILED regression gate vs {baseline}:");
+    assert!(err.starts_with(&head), "{err}");
+    assert!(
+        err.contains("MNIST/smem/none: phase_ns[Histogram] 3001 -> 3000 (-1 ns)"),
+        "{err}"
+    );
+
+    let bumped = r
+        .to_json()
+        .replace("\"schema_version\":5", "\"schema_version\":6");
+    std::fs::write(&baseline, bumped).unwrap();
+    let err = r.emit(&check).expect_err("bumped baseline");
+    assert!(err.contains("invalid baseline"), "{err}");
+    assert!(err.contains("schema_version 6 != supported 5"), "{err}");
+    std::fs::remove_file(&baseline).unwrap();
+    let err = r.emit(&check).expect_err("no baseline file");
+    assert!(err.contains("cannot read baseline"), "{err}");
+    let unnamed = Output {
+        baseline: None,
+        ..check
+    };
+    let err = r.emit(&unnamed).expect_err("no --baseline");
+    assert!(err.contains("--check requires --baseline FILE"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
 }

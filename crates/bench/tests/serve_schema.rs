@@ -3,8 +3,9 @@
 //! byte stream of a deterministic report, and the field-name test pins
 //! the schema shape to [`SERVE_SCHEMA_VERSION`].
 
-use gbdt_bench::serve_report::{
-    serve_diff_gate, serve_self_check, ServeRecord, ServeReport, ServeSetup, SERVE_SCHEMA_VERSION,
+use gbdt_bench::report::{
+    serve_diff_gate, serve_self_check, Output, ServeRecord, ServeReport, ServeSetup,
+    SERVE_SCHEMA_VERSION,
 };
 use serde::Serialize;
 
@@ -169,4 +170,62 @@ fn serve_json_round_trips_and_gates_clean() {
     assert_eq!(back.to_json(), json);
     assert!(serve_self_check(&back).is_empty());
     assert!(serve_diff_gate(&back, &r).is_empty());
+}
+
+/// The write-validate-gate path `repro serve` runs, in a scratch
+/// directory: `--update-baseline` blesses the run and `--check` against
+/// it passes; a baseline with 64 more resident bytes fails the gate,
+/// naming the record; a missing or bumped-version baseline, or
+/// `--check` without one, is an error, not a panic.
+#[test]
+fn emit_blesses_gates_and_rejects_bad_baselines() {
+    let dir = std::env::temp_dir().join(format!("serve-schema-emit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let (out, baseline) = (path("SERVE_repro.json"), path("SERVE_baseline.json"));
+    let r = golden_report();
+    let bless = Output {
+        out: &out,
+        baseline: Some(&baseline),
+        update_baseline: true,
+        check: false,
+    };
+    r.emit(&bless).expect("bless");
+    assert_eq!(std::fs::read_to_string(&out).unwrap(), r.to_json());
+    assert_eq!(std::fs::read_to_string(&baseline).unwrap(), r.to_json());
+    let check = Output {
+        update_baseline: false,
+        check: true,
+        ..bless
+    };
+    r.emit(&check).expect("check against the blessed baseline");
+
+    let mut moved = r.clone();
+    moved.records[0].resident_bytes += 64;
+    std::fs::write(&baseline, moved.to_json()).unwrap();
+    let err = r.emit(&check).expect_err("the gate must fail");
+    let head = format!("serve: FAILED regression gate vs {baseline}:");
+    assert!(err.starts_with(&head), "{err}");
+    assert!(
+        err.contains("NUS-WIDE/single/instance: resident bytes changed 2492 -> 2428"),
+        "{err}"
+    );
+
+    let bumped = r
+        .to_json()
+        .replace("\"schema_version\":1", "\"schema_version\":2");
+    std::fs::write(&baseline, bumped).unwrap();
+    let err = r.emit(&check).expect_err("bumped baseline");
+    assert!(err.contains("invalid baseline"), "{err}");
+    assert!(err.contains("schema_version 2 != supported 1"), "{err}");
+    std::fs::remove_file(&baseline).unwrap();
+    let err = r.emit(&check).expect_err("no baseline file");
+    assert!(err.contains("cannot read baseline"), "{err}");
+    let unnamed = Output {
+        baseline: None,
+        ..check
+    };
+    let err = r.emit(&unnamed).expect_err("no --baseline");
+    assert!(err.contains("--check requires --baseline FILE"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
 }

@@ -56,7 +56,9 @@
 //!
 //! `bench` flags: `--smoke` (reduced CI grid), `--out F` (default
 //! BENCH_repro.json), `--baseline F`, `--check`, `--trace F` (Chrome
-//! trace of the first profiled run; open in chrome://tracing).
+//! trace of the first profiled run; open in chrome://tracing). Each
+//! command takes only the flags it reads (`repro help` lists them); any
+//! other flag is a usage error, exit 2.
 //!
 //! `--full` restores the paper's §4.1 hyper-parameters (100 trees,
 //! depth 7, 256 bins) — expect minutes of host time. Without it the
@@ -167,15 +169,17 @@ const SERVE_OUT: &str = "SERVE_repro.json";
 const REPORT_OUT: &str = "REPORT_repro.json";
 
 const USAGE: &str = "usage: repro <datasets|table2|table3|table4|fig4|fig5|fig6a|fig6b|fig7|ablations|hostbench|sanitize|bench|serve|report|chaos|all> [flags]\n\
-flags: --trees N --depth N --bins N --scale F --gpus K --seed S --full\n\
+every command but datasets: --trees N --depth N --bins N --scale F --seed S --full\n\
+table2, table3, all: --gpus K\n\
 bench: --smoke --out FILE --baseline FILE --check --update-baseline\n\
        --sketch LABEL (none|topK|randK|projK, e.g. top4) --trace FILE\n\
-       --streams N (device streams per GPU; 1 = serial schedule)\n\
+       --streams N (device streams per GPU; 1 = serial schedule) --gpus K\n\
 serve: --smoke --batch N --out FILE (default SERVE_repro.json)\n\
        --baseline FILE --check --update-baseline\n\
-report: --smoke --batch N --out FILE (default REPORT_repro.json)\n\
+report: --smoke --batch N --out FILE (default REPORT_repro.json) --streams N\n\
         --prom FILE (Prometheus text exposition of the run's registry)\n\
-chaos: --smoke (reduced sweep) --seed S --gpus K";
+chaos: --smoke (reduced sweep) --gpus K\n\
+a flag the command does not read is an error";
 
 /// Parse a sketch label (`OutputSketch::label()` inverse): `none`, or
 /// `top{k}` / `rand{k}` / `proj{k}`.
@@ -203,11 +207,46 @@ fn parse_value<T: std::str::FromStr>(value: String, name: &str) -> Result<T, Str
         .map_err(|_| format!("invalid value `{value}` for {name}"))
 }
 
+/// The flags `cmd` reads, or `None` for an unknown command. Every
+/// command but `datasets` and `help` trains with `Opts::config`.
+fn flags_of(cmd: &str) -> Option<Vec<&'static str>> {
+    const CONFIG: [&str; 6] = [
+        "--trees", "--depth", "--bins", "--full", "--scale", "--seed",
+    ];
+    const GATE: [&str; 3] = ["--baseline", "--check", "--update-baseline"];
+    let own: &[&str] = match cmd {
+        "datasets" | "help" | "--help" | "-h" => return Some(Vec::new()),
+        "table2" | "table3" | "all" => &["--gpus"],
+        "table4" | "fig4" | "fig5" | "fig6a" | "fig6b" | "fig7" | "ablations" | "hostbench"
+        | "sanitize" => &[],
+        "chaos" => &["--smoke", "--gpus"],
+        "bench" => &[
+            "--smoke",
+            "--out",
+            "--gpus",
+            "--sketch",
+            "--streams",
+            "--trace",
+        ],
+        "serve" => &["--smoke", "--out", "--batch"],
+        "report" => &["--smoke", "--out", "--batch", "--streams", "--prom"],
+        _ => return None,
+    };
+    let gate: &[&str] = if matches!(cmd, "bench" | "serve") {
+        &GATE
+    } else {
+        &[]
+    };
+    Some(CONFIG.iter().chain(own).chain(gate).copied().collect())
+}
+
 /// Parse `repro`'s CLI: command word, then flags. Errors (unknown flag,
-/// missing or unparsable value) report what went wrong; `main` prints
-/// the usage text and exits nonzero.
+/// a flag the command does not read, missing or unparsable value)
+/// report what went wrong; `main` prints the usage text and exits
+/// nonzero.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), String> {
     let cmd = args.next().unwrap_or_else(|| "help".to_string());
+    let reads = flags_of(&cmd);
     let mut opts = Opts::default();
     while let Some(a) = args.next() {
         let mut grab = |name: &str| -> Result<String, String> {
@@ -233,6 +272,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), 
             "--streams" => opts.streams = parse_value(grab("--streams")?, "--streams")?,
             "--prom" => opts.prom = Some(grab("--prom")?),
             other => return Err(format!("unknown flag `{other}`")),
+        }
+        if reads.as_ref().is_some_and(|r| !r.contains(&a.as_str())) {
+            return Err(format!("`{cmd}` does not read {a}"));
         }
     }
     Ok((cmd, opts))
@@ -1816,43 +1858,42 @@ fn report_cmd(opts: &Opts) -> Result<(), String> {
         r.features_one_bin
     );
     // Histogram launches per depth: one batched kernel per (level,
-    // method), summed over trees, against the node builds it covers and
-    // how many of those carried one count column instead of `d` Hessian
-    // columns (every row shared its Hessians).
-    let launch_rows: Vec<Vec<String>> = r
-        .hist_launches
-        .iter()
-        .map(|((depth, method), l)| {
-            vec![
-                depth.to_string(),
-                format!("{method:?}"),
-                l.kernels.to_string(),
-                l.nodes.to_string(),
-                l.one_column.to_string(),
-                format!("{:.0}", l.launches),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "depth",
-                "hist method",
-                "kernels",
-                "nodes",
-                "1-col nodes",
-                "launches"
-            ],
-            &launch_rows
-        )
-    );
+    // method) and device, summed over trees, against the node builds it
+    // covers and how many of those carried one count column instead of
+    // `d` Hessian columns (every row shared its Hessians).
+    let launch_table = |r: &gbdt_core::TrainReport| {
+        let rows: Vec<Vec<String>> = r
+            .hist_launches
+            .iter()
+            .map(|((depth, method), l)| {
+                vec![
+                    depth.to_string(),
+                    format!("{method:?}"),
+                    l.kernels.to_string(),
+                    l.nodes.to_string(),
+                    l.one_column.to_string(),
+                    format!("{:.0}", l.launches),
+                ]
+            })
+            .collect();
+        let head = [
+            "depth",
+            "hist method",
+            "kernels",
+            "nodes",
+            "1-col nodes",
+            "launches",
+        ];
+        render_table(&head, &rows)
+    };
+    println!("{}", launch_table(&r));
     // Data-parallel node paths: the same fit on a two-device
     // data-parallel group, where each built node's data reaches its
     // evaluators by the cheaper path. Per depth, summed over trees: the
     // nodes that took each path and the collective bytes landing on
-    // each rank for them; then the node size, per gradient path, from
-    // which the group's pricing makes a node reduce-scatter.
+    // each rank for them, and the group's histogram launches; then the
+    // node size, per gradient path, from which the group's pricing
+    // makes a node reduce-scatter.
     let dp = MultiGpuTrainer::with_strategy(
         DeviceGroup::rtx4090s(2),
         cfg.clone(),
@@ -1876,6 +1917,8 @@ fn report_cmd(opts: &Opts) -> Result<(), String> {
         "{}",
         render_table(&["depth", "path", "nodes", "bytes per rank"], &path_rows)
     );
+    println!("data-parallel histogram launches (2 devices):");
+    println!("{}", launch_table(&dp));
     let model = device.model();
     for (label, uniform) in [("uniform", true), ("general", false)] {
         let shape = ExchangeShape::new(2, dp.features_built, cfg.max_bins, r.model.d, uniform);
@@ -2112,6 +2155,107 @@ mod cli_tests {
         let err = parse_args(argv(&["fig4", "--bogus"])).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
         assert!(err.contains("--bogus"), "{err}");
+    }
+
+    /// A command rejects a flag it does not read, whatever the other
+    /// flags; a flag an unknown command is given is left to `main`'s
+    /// unknown-command error.
+    fn assert_not_read(args: &[&str], flag: &str) {
+        let err = parse_args(argv(args)).unwrap_err();
+        assert_eq!(err, format!("`{}` does not read {flag}", args[0]));
+    }
+
+    #[test]
+    fn report_rejects_the_baseline_gate() {
+        let args = [
+            "report",
+            "--smoke",
+            "--check",
+            "--baseline",
+            "nonexistent.json",
+        ];
+        assert_not_read(&args, "--check");
+        assert_not_read(&["report", "--baseline", "nonexistent.json"], "--baseline");
+    }
+
+    #[test]
+    fn serve_rejects_sketch_and_streams() {
+        let args = ["serve", "--smoke", "--sketch", "top4", "--streams", "8"];
+        assert_not_read(&args, "--sketch");
+        assert_not_read(&["serve", "--smoke", "--streams", "8"], "--streams");
+    }
+
+    #[test]
+    fn every_command_reads_the_flags_ci_and_the_docs_give_it() {
+        for args in [
+            &[
+                "bench",
+                "--smoke",
+                "--out",
+                "B.json",
+                "--baseline",
+                "BENCH_baseline.json",
+                "--check",
+            ][..],
+            &[
+                "bench",
+                "--smoke",
+                "--baseline",
+                "BENCH_baseline.json",
+                "--update-baseline",
+            ],
+            &["bench", "--smoke", "--streams", "4", "--out", "B.json"],
+            &[
+                "bench",
+                "--smoke",
+                "--trace",
+                "trace.json",
+                "--sketch",
+                "top4",
+                "--gpus",
+                "2",
+            ],
+            &[
+                "serve",
+                "--smoke",
+                "--baseline",
+                "SERVE_baseline.json",
+                "--check",
+                "--batch",
+                "64",
+            ],
+            &[
+                "serve",
+                "--smoke",
+                "--baseline",
+                "SERVE_baseline.json",
+                "--update-baseline",
+            ],
+            &[
+                "report",
+                "--smoke",
+                "--out",
+                "R.json",
+                "--prom",
+                "metrics.prom",
+                "--streams",
+                "4",
+            ],
+            &[
+                "chaos", "--smoke", "--trees", "5", "--depth", "3", "--bins", "16", "--seed", "1",
+            ],
+            &["sanitize", "--trees", "2", "--depth", "4", "--bins", "32"],
+            &["ablations", "--scale", "50"],
+            &["table2", "--full", "--gpus", "2"],
+            &["all", "--seed", "7"],
+            &["fig6a", "--full"],
+            &["datasets"],
+        ] {
+            assert!(parse_args(argv(args)).is_ok(), "{args:?}");
+        }
+        assert_not_read(&["datasets", "--trees", "3"], "--trees");
+        assert_not_read(&["fig4", "--smoke"], "--smoke");
+        assert!(parse_args(argv(&["nope", "--smoke"])).is_ok());
     }
 
     #[test]

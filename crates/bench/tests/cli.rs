@@ -59,3 +59,30 @@ fn help_exits_zero_and_prints_usage() {
     assert!(stdout.contains("usage:"), "stdout: {stdout}");
     assert!(stdout.contains("--trees"), "stdout: {stdout}");
 }
+
+#[test]
+fn a_flag_the_command_does_not_read_exits_nonzero_with_usage() {
+    for (args, flag) in [
+        (
+            &[
+                "report",
+                "--smoke",
+                "--check",
+                "--baseline",
+                "nonexistent.json",
+            ][..],
+            "--check",
+        ),
+        (
+            &["serve", "--smoke", "--sketch", "top4", "--streams", "8"],
+            "--sketch",
+        ),
+    ] {
+        let out = repro().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("does not read"), "stderr: {stderr}");
+        assert!(stderr.contains(flag), "stderr: {stderr}");
+        assert!(stderr.contains("usage:"), "stderr: {stderr}");
+    }
+}

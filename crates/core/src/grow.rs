@@ -5,7 +5,8 @@
 //! best split is found via segmented reductions, and instances are
 //! partitioned into the children. At the level's end the histogram,
 //! split and partition kernels are charged once per level
-//! (`HistCharges`, [`LevelSplitCharges`]).
+//! (`hist::HistCharges`, [`LevelSplitCharges`]), as the device-group grower
+//! charges them on each device.
 //!
 //! A node's histogram is built when the loop reaches it, over a pooled
 //! buffer still hot in cache; the build's accumulation spreads over the
@@ -27,10 +28,7 @@
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
-use crate::hist::{
-    accumulate_only, charge_builds_on, method_cost, resolve_method, HistContext, Launches,
-    NodeHistogram,
-};
+use crate::hist::{accumulate_only, HistCharges, HistContext, NodeHistogram};
 use crate::memory::HistogramPool;
 use crate::multigpu::{NodePath, PathTally};
 use crate::split::{
@@ -42,129 +40,6 @@ use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
 use gpusim::{Device, Phase};
 use std::collections::BTreeMap;
-
-/// Charging policy for one level's histogram kernels: one launch per
-/// (level, method), not one per node.
-///
-/// Each fresh build is planned in node-index order: the adaptive
-/// selector resolves its method pricing it without launches
-/// ([`Launches::PerLevel`]), it is priced from measured statistics, and
-/// its launch-free cost joins its method's batch. [`HistCharges::flush`]
-/// charges each method used as one kernel: the merged costs of its
-/// nodes, that method's launch count once, and a 4-byte node-slot read
-/// per row (the batched kernel looks up which node each row accumulates
-/// into). Every build is still traced for an attached sanitizer. The
-/// level's subtraction derives follow as one `hist_subtract` launch: a
-/// derive reads its sibling's fresh histogram.
-///
-/// Every kernel goes to the default stream. A level's batches are few
-/// (one per method used) and its derive depends on them, so worker
-/// streams would have nothing to overlap.
-#[derive(Default)]
-struct HistCharges {
-    /// Fresh builds of the level, per concrete method.
-    batches: BTreeMap<HistogramMethod, MethodBatch>,
-    /// `f64` gradient and Hessian elements derived by subtraction this
-    /// level.
-    derived_values: usize,
-    /// `u32` count elements derived with them.
-    derived_counts: usize,
-}
-
-/// The fresh builds one method handles in a level.
-#[derive(Default)]
-struct MethodBatch {
-    /// Merged launch-free costs of the method's nodes.
-    work: KernelCost,
-    /// The method's launch count, paid once per level.
-    launches: f64,
-    nodes: usize,
-    /// Nodes built on the uniform-Hessian path.
-    one_column: usize,
-    rows: usize,
-    /// The nodes' instances, kept only for an attached sanitizer.
-    traced: Vec<Vec<u32>>,
-}
-
-impl HistCharges {
-    /// Build `node`'s histogram into a pooled buffer, planning the build
-    /// with the configured method in its method's batch.
-    fn build(
-        &mut self,
-        ctx: &HistContext<'_>,
-        node: &OpenNode,
-        pool: &mut HistogramPool,
-    ) -> NodeHistogram {
-        let idx = &node.instances[..];
-        let method = resolve_method(ctx, idx.len(), ctx.opts.method, Launches::PerLevel);
-        let cost = method_cost(ctx, idx, method);
-        let batch = self.batches.entry(method).or_default();
-        batch.work = batch.work.merged(&KernelCost {
-            launches: 0.0,
-            ..cost
-        });
-        batch.launches = cost.launches;
-        batch.nodes += 1;
-        batch.one_column += usize::from(ctx.grads.uniform_h().is_some());
-        batch.rows += idx.len();
-        if ctx.device.sanitizer().is_some() {
-            batch.traced.push(idx.to_vec());
-        }
-        let mut buf = pool.acquire();
-        accumulate_only(ctx, idx, &node.g, &node.h, &mut buf);
-        buf
-    }
-
-    /// Trace one subtraction derive of `hist`: over every (feature,
-    /// bin), its `d` gradient columns, its `d` Hessian columns off the
-    /// uniform-Hessian path, and its count.
-    fn derive(&mut self, ctx: &HistContext<'_>, hist: &NodeHistogram) {
-        let slots = hist.num_features * hist.bins;
-        let hessians = if ctx.grads.uniform_h().is_some() {
-            0
-        } else {
-            hist.d
-        };
-        let values = slots * (hist.d + hessians);
-        crate::sanitize::trace_subtract(ctx.device, values + slots);
-        self.derived_values += values;
-        self.derived_counts += slots;
-    }
-
-    /// End of level: charge one kernel per method used, then the derive
-    /// kernel. Each method's nodes count into `grown.methods_used`, and
-    /// its kernel, nodes and launches into `grown.hist_launches` at
-    /// `depth`.
-    fn flush(&mut self, ctx: &HistContext<'_>, depth: usize, grown: &mut GrowResult) {
-        for (method, batch) in std::mem::take(&mut self.batches) {
-            *grown.methods_used.entry(method).or_insert(0) += batch.nodes;
-            let seen = grown.hist_launches.entry((depth, method)).or_default();
-            seen.kernels += 1;
-            seen.nodes += batch.nodes;
-            seen.one_column += batch.one_column;
-            seen.launches += batch.launches;
-            let cost = batch.work.merged(&KernelCost {
-                dram_bytes: 4.0 * batch.rows as f64,
-                launches: batch.launches,
-                ..Default::default()
-            });
-            charge_builds_on(ctx, method, 0, &cost, &batch.traced);
-        }
-        if self.derived_counts > 0 {
-            // One subtract per element, reading the parent and the
-            // sibling and writing the derive: 24 bytes per `f64` value,
-            // 12 per `u32` count.
-            let (values, counts) = (self.derived_values as f64, self.derived_counts as f64);
-            ctx.device.charge_kernel(
-                "hist_subtract",
-                Phase::Histogram,
-                &KernelCost::streaming(values + counts, values * 24.0 + counts * 12.0),
-            );
-            self.derived_values = 0;
-            self.derived_counts = 0;
-        }
-    }
-}
 
 /// Stable in-order partition of `idx` by `flags` (`true` → left). The
 /// functional core of the scan-based partition kernel.
@@ -317,9 +192,9 @@ pub struct GrowResult {
     /// How many nodes each histogram method handled (adaptive
     /// selection telemetry, reported by the ablation benches).
     pub methods_used: BTreeMap<HistogramMethod, usize>,
-    /// Histogram kernels per (depth, method) of a grower that charges a
-    /// level's builds as one kernel per method; empty where each build
-    /// is a kernel of its own.
+    /// Histogram kernels per (depth, method) of a level grower, which
+    /// charges a level's builds on each device as one kernel per method
+    /// (`hist::HistCharges`); empty where each build is a kernel of its own.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
     /// Built nodes and collective bytes per (depth, path) of a
     /// data-parallel group; empty everywhere else.
@@ -445,6 +320,14 @@ pub fn grow_tree_pooled(
         parent: None,
         bounds: constrained.then(|| vec![(f64::NEG_INFINITY, f64::INFINITY); d]),
     }];
+    // A fresh build: planned in its method's batch and accumulated into
+    // a pooled buffer.
+    let build = |charges: &mut HistCharges, node: &OpenNode, pool: &mut HistogramPool| {
+        charges.plan(&ctx, &node.instances);
+        let mut buf = pool.acquire();
+        accumulate_only(&ctx, &node.instances, &node.g, &node.h, &mut buf);
+        buf
+    };
     // Nodes too small to split get no histogram.
     let splittable = |w: &NodeWork| w.open.instances.len() >= 2 * config.min_instances;
 
@@ -473,7 +356,7 @@ pub fn grow_tree_pooled(
             if let Some(larger) = pair.iter().position(|w| w.parent.is_some()) {
                 let smaller = 1 - larger;
                 let parent = pair[larger].parent.take().expect("carried parent");
-                let fresh = hist_charges.build(&ctx, &pair[smaller].open, pool);
+                let fresh = build(&mut hist_charges, &pair[smaller].open, pool);
                 let mut derived = pool.acquire();
                 derived.assign_difference(&parent, &fresh);
                 pool.release(parent);
@@ -484,7 +367,7 @@ pub fn grow_tree_pooled(
             for (work, hist) in pair.into_iter().zip(hists) {
                 let hist = match hist {
                     Some(hist) => hist,
-                    None if splittable(&work) => hist_charges.build(&ctx, &work.open, pool),
+                    None if splittable(&work) => build(&mut hist_charges, &work.open, pool),
                     None => {
                         work.open
                             .close_leaf(&mut grown, config, work.bounds.as_deref(), device);
@@ -582,7 +465,7 @@ pub fn grow_tree_pooled(
                 });
             }
         }
-        hist_charges.flush(&ctx, depth, &mut grown);
+        hist_charges.flush(&ctx, 0, depth, &mut grown);
         split_charges.flush(device, device.model().params.sm_count, params.segments_c);
         if partition_elems > 0 {
             device.charge_kernel(
@@ -611,6 +494,7 @@ pub fn grow_tree_pooled(
 mod tests {
     use super::*;
     use crate::grad::compute_gradients;
+    use crate::hist::{method_cost, resolve_method, Launches};
     use crate::loss::MseLoss;
     use gbdt_data::synth::{make_regression, RegressionSpec};
     use gbdt_data::Dataset;
@@ -954,12 +838,9 @@ mod tests {
             .chain((0..10).map(|j| (2500 + 50 * j..2550 + 50 * j).collect()))
             .collect();
         let mut charges = HistCharges::default();
-        let mut pool = HistogramPool::new(features.len(), 4, cfg.max_bins);
         let mut want: BTreeMap<HistogramMethod, (KernelCost, f64, usize, usize)> = BTreeMap::new();
         for idx in &nodes {
-            let node = OpenNode::root(&grads, idx.clone());
-            let built = charges.build(&ctx, &node, &mut pool);
-            pool.release(built);
+            charges.plan(&ctx, idx);
             let method = resolve_method(&ctx, idx.len(), cfg.hist.method, Launches::PerLevel);
             let cost = method_cost(&ctx, idx, method);
             let e = want
@@ -975,7 +856,7 @@ mod tests {
         }
         assert_eq!(want.len(), 2, "the level must use two methods");
         let mut grown = GrowResult::new(4, features.len());
-        charges.flush(&ctx, 3, &mut grown);
+        charges.flush(&ctx, 0, 3, &mut grown);
         let launches = grown.hist_launches;
 
         let records = device.records();

@@ -20,14 +20,15 @@
 //!
 //! [`resolve_method`] turns `Adaptive` into a concrete method for a node
 //! and [`method_cost`] prices the build; [`charge_builds_on`] is the one
-//! place histogram builds are charged: it names the kernel once, opens the method's
-//! profiler scope, charges, and traces each build for an attached
-//! sanitizer under the same name. Two charging modes use them.
-//! [`charge_method_on`] charges each build as a kernel of its own; the
-//! group grower, the baseline growers and the public probes use it. The
-//! single-device grower (`grow`) charges a level's builds as one kernel
-//! per method, so its selector prices nodes without their launches
-//! ([`adaptive::Launches`]). Either way the growers count the concrete
+//! place histogram builds are charged: it names the kernel once, opens
+//! the method's profiler scope, charges, and traces each build for an
+//! attached sanitizer under the same name. Both level growers, one
+//! device's (`grow`) and a device group's (`multigpu`, one instance per
+//! device), charge a level's builds through `HistCharges`, one kernel
+//! per method, so the selector prices nodes without their launches
+//! ([`adaptive::Launches`]). [`charge_method`] charges one build as a
+//! kernel of its own, launches priced; the baselines' leaf-wise growers
+//! and the probes use it. Either way the growers count the concrete
 //! method.
 //!
 //! All builders share one deterministic functional accumulation
@@ -61,10 +62,12 @@ pub use adaptive::Launches;
 
 use crate::config::{HistOptions, HistogramMethod};
 use crate::grad::Gradients;
+use crate::grow::GrowResult;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
 use gpusim::{Device, MemSpace, Phase};
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 
 /// Effective L2 hit rate for gradient rows re-read across feature
 /// columns within one histogram kernel. Gradient rows are touched once
@@ -508,24 +511,130 @@ pub fn method_cost(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) 
     }
 }
 
-/// Charge one node's histogram build with `method` to the device.
-pub fn charge_method(ctx: &HistContext<'_>, idx: &[u32], method: HistogramMethod) {
-    charge_method_on(ctx, idx, method, 0);
-}
-
-/// Charge one node's histogram build with `method` on `stream` as a
-/// kernel of its own and return the concrete method charged. Only start
-/// timestamps depend on the stream, so sibling builds of one level can
-/// overlap.
-pub fn charge_method_on(
+/// Charge one node's histogram build as a kernel of its own, pricing
+/// the node's launches, and return the concrete method charged: the
+/// per-node entry point of the leaf-wise growers and the probes.
+pub fn charge_method(
     ctx: &HistContext<'_>,
     idx: &[u32],
     method: HistogramMethod,
-    stream: usize,
 ) -> HistogramMethod {
     let method = resolve_method(ctx, idx.len(), method, Launches::PerNode);
-    charge_builds_on(ctx, method, stream, &method_cost(ctx, idx, method), &[idx]);
+    charge_builds_on(ctx, method, 0, &method_cost(ctx, idx, method), &[idx]);
     method
+}
+
+/// Charging policy for one level's histogram kernels on one device: one
+/// kernel per (level, method), not one per node.
+///
+/// [`HistCharges::plan`] resolves a build's method pricing it without
+/// launches ([`Launches::PerLevel`]), prices it from measured statistics
+/// and adds its launch-free cost to its method's batch.
+/// [`HistCharges::flush`] charges each batch as one kernel: its merged
+/// costs, its method's launches once, and a 4-byte node-slot read per
+/// row (the batched kernel looks up which node each row accumulates
+/// into), and traces each build for an attached sanitizer. A level's
+/// subtraction derives follow as one `hist_subtract` kernel, since a
+/// derive reads its sibling's fresh histogram. The caller accumulates
+/// the histograms.
+#[derive(Clone, Default)]
+pub(crate) struct HistCharges {
+    /// Fresh builds of the level, per concrete method.
+    batches: BTreeMap<HistogramMethod, MethodBatch>,
+    /// `f64` gradient and Hessian elements derived by subtraction this
+    /// level.
+    derived_values: usize,
+    /// `u32` count elements derived with them.
+    derived_counts: usize,
+}
+
+/// The fresh builds one method handles in a level.
+#[derive(Clone, Default)]
+struct MethodBatch {
+    /// Merged launch-free costs of the method's nodes.
+    work: KernelCost,
+    /// The method's launch count, paid once per level.
+    launches: f64,
+    nodes: usize,
+    /// Nodes built on the uniform-Hessian path.
+    one_column: usize,
+    rows: usize,
+    /// The nodes' instances, kept only for an attached sanitizer.
+    traced: Vec<Vec<u32>>,
+}
+
+impl HistCharges {
+    /// Plan the build of the node of instances `idx` over `ctx`'s
+    /// features with the configured method, in its method's batch.
+    pub(crate) fn plan(&mut self, ctx: &HistContext<'_>, idx: &[u32]) {
+        let method = resolve_method(ctx, idx.len(), ctx.opts.method, Launches::PerLevel);
+        let cost = method_cost(ctx, idx, method);
+        let batch = self.batches.entry(method).or_default();
+        batch.work = batch.work.merged(&KernelCost {
+            launches: 0.0,
+            ..cost
+        });
+        batch.launches = cost.launches;
+        batch.nodes += 1;
+        batch.one_column += usize::from(ctx.grads.uniform_h().is_some());
+        batch.rows += idx.len();
+        if ctx.device.sanitizer().is_some() {
+            batch.traced.push(idx.to_vec());
+        }
+    }
+
+    /// Trace one subtraction derive of `hist`: over every (feature,
+    /// bin), its `d` gradient columns, its `d` Hessian columns off the
+    /// uniform-Hessian path, and its count.
+    pub(crate) fn derive(&mut self, ctx: &HistContext<'_>, hist: &NodeHistogram) {
+        let slots = hist.num_features * hist.bins;
+        let hessians = hist.d * usize::from(ctx.grads.uniform_h().is_none());
+        let values = slots * (hist.d + hessians);
+        crate::sanitize::trace_subtract(ctx.device, values + slots);
+        self.derived_values += values;
+        self.derived_counts += slots;
+    }
+
+    /// Charge the planned builds on `stream` of `ctx`'s device, one
+    /// kernel per method used, then the derive kernel. `ctx` is the one
+    /// the builds were planned with. Each method's nodes count into
+    /// `grown.methods_used`, and its kernel, nodes and launches into
+    /// `grown.hist_launches` at `depth`.
+    pub(crate) fn flush(
+        &mut self,
+        ctx: &HistContext<'_>,
+        stream: usize,
+        depth: usize,
+        grown: &mut GrowResult,
+    ) {
+        for (method, batch) in std::mem::take(&mut self.batches) {
+            *grown.methods_used.entry(method).or_insert(0) += batch.nodes;
+            let seen = grown.hist_launches.entry((depth, method)).or_default();
+            seen.kernels += 1;
+            seen.nodes += batch.nodes;
+            seen.one_column += batch.one_column;
+            seen.launches += batch.launches;
+            let cost = batch.work.merged(&KernelCost {
+                dram_bytes: 4.0 * batch.rows as f64,
+                launches: batch.launches,
+                ..Default::default()
+            });
+            charge_builds_on(ctx, method, stream, &cost, &batch.traced);
+        }
+        if self.derived_counts > 0 {
+            // One subtract per element, reading the parent and the
+            // sibling and writing the derive: 24 bytes per `f64` value,
+            // 12 per `u32` count.
+            let (values, counts) = (self.derived_values as f64, self.derived_counts as f64);
+            ctx.device.stream(stream).charge_kernel(
+                "hist_subtract",
+                Phase::Histogram,
+                &KernelCost::streaming(values + counts, values * 24.0 + counts * 12.0),
+            );
+            self.derived_values = 0;
+            self.derived_counts = 0;
+        }
+    }
 }
 
 /// Charge `cost` as one histogram kernel of the concrete `method` on
@@ -603,7 +712,7 @@ pub fn build_node_histogram(
     out: &mut NodeHistogram,
 ) -> HistogramMethod {
     accumulate_only(ctx, idx, node_g, node_h, out);
-    charge_method_on(ctx, idx, ctx.opts.method, 0)
+    charge_method(ctx, idx, ctx.opts.method)
 }
 
 /// Functional accumulation without any device charge (the charging

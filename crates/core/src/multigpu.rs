@@ -34,6 +34,13 @@
 //!   candidates; feature-parallel devices then all-gather the owners'
 //!   routing bitmaps (summary statistics of a few bytes per instance).
 //!
+//! Each device charges a level as one device does: its histogram builds
+//! through one `hist::HistCharges`, one kernel per method, and its split
+//! scan as one kernel ([`LevelSplitCharges`]). Only a data-parallel
+//! reduce-scatter node's build is a kernel of its own, charged before
+//! its collective. A data-parallel group of one device thus charges
+//! what [`crate::GpuTrainer`] charges, bit for bit.
+//!
 //! The group runs bulk-synchronously; barrier waits book as idle time.
 //! With `streams > 1` the histogram builds run on their own stream and
 //! collectives drain on a comm stream: a node's reduce-scatter while
@@ -41,8 +48,8 @@
 //! builds start. A data-parallel level is a two-machine job shop that
 //! Jackson's rule orders: its batched row exchange goes first on the
 //! comm stream while the reduce-scatter nodes build, smallest first,
-//! each followed by its reduce-scatter; the row-path nodes build once
-//! the exchange has landed.
+//! each followed by its reduce-scatter; the row-path nodes build as one
+//! batch once the exchange has landed.
 //!
 //! ## Fault recovery
 //!
@@ -59,7 +66,7 @@ use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::Gradients;
 use crate::grow::{partition_cost, GrowResult, OpenNode};
-use crate::hist::{accumulate_dense, charge_method_on, HistContext};
+use crate::hist::{accumulate_dense, HistCharges, HistContext};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
@@ -68,7 +75,6 @@ use crate::trainer::{boost, Placement, TrainReport};
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::cost::{CostModel, KernelCost};
 use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -612,9 +618,10 @@ impl Placement for Group<'_> {
     }
 
     /// Grow one tree level by level across the group: each device
-    /// charges its slice of every node's histogram build and evaluates
-    /// its feature range of the node, and the level ends with the
-    /// candidate exchange and the partition.
+    /// plans its slice of every node's histogram build into its level's
+    /// batches and evaluates its feature range of the node, and the
+    /// level ends with the split scans, the candidate exchange and the
+    /// partition.
     fn grow(
         &self,
         binned: &BinnedDataset,
@@ -673,38 +680,44 @@ impl Placement for Group<'_> {
         // devices, by the cheaper of its two paths.
         let exchanges = data_parallel && k > 1;
         let builds = |open: &OpenNode| open.instances.len() >= 2 * self.config.min_instances;
-        // Each device charges the build of its slice of a node: its
-        // feature range over all of the node's rows (feature-parallel,
-        // or a data-parallel node whose rows were exchanged), or every
-        // column over its instance shard.
-        let charge_build =
-            |instances: &[u32], by_range: bool, methods_used: &mut BTreeMap<_, usize>| {
-                for (rank, dev) in devices.iter().enumerate() {
-                    let (feats, idx) = if by_range {
-                        let (lo, hi) = ranges[rank];
-                        if lo == hi {
-                            continue;
-                        }
-                        (&features[lo..hi], instances)
-                    } else {
-                        let shard = &instances[shard_range(instances.len(), k, rank)];
-                        if shard.is_empty() {
-                            continue;
-                        }
-                        (features, shard)
-                    };
-                    let ctx = HistContext {
-                        device: dev,
-                        data: binned,
-                        grads,
-                        features: feats,
-                        bins: self.config.max_bins,
-                        opts: self.config.hist,
-                    };
-                    let method = charge_method_on(&ctx, idx, ctx.opts.method, hist_stream);
-                    *methods_used.entry(method).or_insert(0) += 1;
+        // Rank `rank`'s histogram context over its feature range, or
+        // over every splittable column.
+        let ctx = |rank: usize, by_range: bool| {
+            let (lo, hi) = if by_range { ranges[rank] } else { (0, mf) };
+            HistContext {
+                device: &devices[rank],
+                data: binned,
+                grads,
+                features: &features[lo..hi],
+                bins: self.config.max_bins,
+                opts: self.config.hist,
+            }
+        };
+        // Each device plans the build of its slice of a node in its
+        // level's charges: its feature range over all of the node's rows
+        // (feature-parallel, or a data-parallel node whose rows were
+        // exchanged), or every column over its instance shard.
+        let plan = |charges: &mut [HistCharges], instances: &[u32], by_range: bool| {
+            for (rank, charges) in charges.iter_mut().enumerate() {
+                let ctx = ctx(rank, by_range);
+                let shard = shard_range(instances.len(), k, rank);
+                let idx = if by_range {
+                    instances
+                } else {
+                    &instances[shard]
+                };
+                if !ctx.features.is_empty() && !idx.is_empty() {
+                    charges.plan(&ctx, idx);
                 }
-            };
+            }
+        };
+        // Each device charges its planned builds on the hist stream, with
+        // the contexts they were planned with.
+        let flush = |charges: &mut [HistCharges], by_range, depth, grown: &mut GrowResult| {
+            for (rank, charges) in charges.iter_mut().enumerate() {
+                charges.flush(&ctx(rank, by_range), hist_stream, depth, grown);
+            }
+        };
 
         for depth in 0..max_depth {
             let _level_scopes: Vec<_> = devices
@@ -719,11 +732,12 @@ impl Placement for Group<'_> {
             }
             let mut next = Vec::new();
             // Nodes whose histogram was built this level; per device,
-            // its level-batched split charges, its candidate payload,
-            // its routing-bitmap payload, and the rows it routes: the
-            // owner's flags (feature-parallel) or its own shard
-            // (data-parallel).
+            // its level-batched histogram and split charges, its
+            // candidate payload, its routing-bitmap payload, and the
+            // rows it routes: the owner's flags (feature-parallel) or
+            // its own shard (data-parallel).
             let mut built = 0usize;
+            let mut hist_charges = vec![HistCharges::default(); k];
             let mut split_charges = vec![LevelSplitCharges::new(); k];
             let mut candidate_bytes = vec![0usize; k];
             let mut flag_bytes = vec![0usize; k];
@@ -738,9 +752,9 @@ impl Placement for Group<'_> {
                 // first (Johnson's rule for their flow shop, ties to the
                 // lower frontier index); their reduce-scatters queue
                 // behind the exchange, and the row-path builds wait for
-                // it. All of it is charged before the node loop below,
-                // which charges nothing of a data-parallel level until
-                // its end.
+                // it, one kernel per method on each device. All of it is
+                // charged before the node loop below, which charges
+                // nothing of a data-parallel level until its end.
                 let model = devices[0].model();
                 let mut order: Vec<usize> = (0..frontier.len())
                     .filter(|&i| builds(&frontier[i]))
@@ -765,7 +779,9 @@ impl Placement for Group<'_> {
                     exchanged = done;
                 }
                 for idx in scatters {
-                    charge_build(idx, false, &mut grown.methods_used);
+                    // The node's own batch: its collective waits for it.
+                    plan(&mut hist_charges, idx, false);
+                    flush(&mut hist_charges, false, depth, &mut grown);
                     let bytes = reduce_scatter_node(&group, shape.hist_bytes(), streamed);
                     tally_path(
                         &mut grown,
@@ -782,8 +798,9 @@ impl Placement for Group<'_> {
                     }
                 }
                 for idx in row_nodes {
-                    charge_build(idx, true, &mut grown.methods_used);
+                    plan(&mut hist_charges, idx, true);
                 }
+                flush(&mut hist_charges, true, depth, &mut grown);
             }
             for open in frontier {
                 if !builds(&open) {
@@ -792,23 +809,15 @@ impl Placement for Group<'_> {
                 }
                 built += 1;
                 if !exchanges {
-                    charge_build(&open.instances, !data_parallel, &mut grown.methods_used);
+                    plan(&mut hist_charges, &open.instances, !data_parallel);
                 }
                 // Functional accumulation once (identical results).
-                let full_ctx = HistContext {
-                    device: &devices[0],
-                    data: binned,
-                    grads,
-                    features,
-                    bins: self.config.max_bins,
-                    opts: self.config.hist,
-                };
                 hist.reset();
-                accumulate_dense(&full_ctx, &open.instances, &mut hist);
+                accumulate_dense(&ctx(0, false), &open.instances, &mut hist);
 
                 // Each device evaluates only its own feature range.
                 let mut best: Option<SplitCandidate> = None;
-                for (rank, (dev, &(lo, hi))) in devices.iter().zip(&ranges).enumerate() {
+                for (rank, &(lo, hi)) in ranges.iter().enumerate() {
                     let local = find_best_split_range_batched(
                         &mut split_charges[rank],
                         &hist,
@@ -820,19 +829,6 @@ impl Placement for Group<'_> {
                         open.instances.len() as u32,
                         &params,
                     );
-                    if !data_parallel {
-                        // A feature-parallel device evaluates as soon
-                        // as its own build is done; the cross-device
-                        // join is the level's candidate all-gather.
-                        if streamed && lo < hi {
-                            dev.wait_event(0, dev.record_event(HIST_STREAM));
-                        }
-                        split_charges[rank].flush(
-                            dev,
-                            dev.model().params.sm_count,
-                            params.segments_c,
-                        );
-                    }
                     candidate_bytes[rank] += 16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
                     // Strictly-greater gain wins, so exact ties
                     // resolve to the lowest feature range — the
@@ -876,20 +872,28 @@ impl Placement for Group<'_> {
                 next.extend(children);
             }
 
-            if data_parallel {
-                // Each device reads its slice of the reduced
-                // histograms: it evaluates the level once the last
-                // build and the last reduce-scatter have landed.
-                if streamed {
-                    let landed =
-                        stream_fence(devices, HIST_STREAM).max(stream_fence(devices, COMM_STREAM));
-                    for dev in devices {
-                        dev.wait_event(0, landed);
+            if !exchanges {
+                flush(&mut hist_charges, !data_parallel, depth, &mut grown);
+            }
+            if streamed {
+                // A data-parallel device reads its slice of the reduced
+                // histograms once the group's last build and last
+                // reduce-scatter have landed; a feature-parallel device
+                // evaluates as soon as its own builds are done, and the
+                // cross-device join is the level's candidate all-gather.
+                let landed = data_parallel.then(|| {
+                    stream_fence(devices, HIST_STREAM).max(stream_fence(devices, COMM_STREAM))
+                });
+                for (dev, &(lo, hi)) in devices.iter().zip(&ranges) {
+                    match landed {
+                        Some(landed) => dev.wait_event(0, landed),
+                        None if lo < hi => dev.wait_event(0, dev.record_event(HIST_STREAM)),
+                        None => {}
                     }
                 }
-                for (dev, charges) in devices.iter().zip(&mut split_charges) {
-                    charges.flush(dev, dev.model().params.sm_count, params.segments_c);
-                }
+            }
+            for (dev, charges) in devices.iter().zip(&mut split_charges) {
+                charges.flush(dev, dev.model().params.sm_count, params.segments_c);
             }
             // Candidates are tiny summary statistics: winners wait the
             // full exchange.
@@ -1084,14 +1088,14 @@ impl Placement for Group<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GossConfig, HistOptions, OutputSketch};
+    use crate::config::{GossConfig, HistOptions, HistogramMethod, OutputSketch};
     use crate::loss::loss_for_task;
     use crate::metrics::accuracy;
     use crate::trainer::GpuTrainer;
     use crate::tree::{Node, Tree};
     use gbdt_data::synth::{make_classification, ClassificationSpec};
     use gpusim::{Device, KernelRecord};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn dataset(seed: u64) -> Dataset {
         make_classification(&ClassificationSpec {
@@ -1519,13 +1523,14 @@ mod tests {
     #[test]
     fn data_parallel_levels_issue_builds_smallest_first_behind_gapless_collectives() {
         // Sort-and-reduce prices a build by its row count alone, so the
-        // order of a level's build durations is the order of the shard
-        // rows they were issued for. A histogram whose collective
-        // outlasts the small builds of deep levels, over enough rows
-        // that nodes above the row-exchange crossover, which alone
-        // reduce-scatter, are built at more than one depth. A node that
-        // large builds for longer than its collective takes on the
-        // preset's link, so the group's link runs at a tenth of it.
+        // order of a level's reduce-scatter build durations is the
+        // order of the shard rows they were issued for. A histogram
+        // whose collective outlasts the small builds of deep levels,
+        // over enough rows that nodes above the row-exchange crossover,
+        // which alone reduce-scatter, are built at more than one depth.
+        // A node that large builds for longer than its collective takes
+        // on the preset's link, so the group's link runs at a tenth of
+        // it.
         let ds = make_classification(&ClassificationSpec {
             instances: 40_000,
             features: 12,
@@ -1621,10 +1626,12 @@ mod tests {
                 };
                 let (builds, collectives) = (of("hist_sort_reduce"), of("hist_reduce_scatter"));
                 let at = format!("device {rank} tree {tree} depth {depth}");
-                assert_eq!(builds.len(), built, "{at}: builds issued");
+                // One kernel per reduce-scatter node, then one for all
+                // of the row-path nodes, which wait for the level's
+                // exchange.
+                let row_path = usize::from(built > want.len());
+                assert_eq!(builds.len(), want.len() + row_path, "{at}: builds issued");
                 assert_eq!(collectives.len(), want.len(), "{at}: collectives");
-                // The reduce-scatter nodes build first, before the row-
-                // path nodes that wait for the level's exchange.
                 let builds = &builds[..want.len()];
                 for (b, rows) in builds.iter().zip(&want) {
                     let rows = shard_range(*rows, k, rank).len();
@@ -2180,10 +2187,76 @@ mod tests {
     }
 
     #[test]
+    fn a_one_device_group_charges_what_one_device_charges() {
+        // Both growers charge a level's builds as one kernel per
+        // (method, device) and its split scan as one kernel per device,
+        // so a data-parallel group of one device is one device, bit for
+        // bit. A feature-parallel one also charges its owner's
+        // `compute_flags_level`, which one device folds into its
+        // partition.
+        let ds = make_classification(&ClassificationSpec {
+            instances: 3000,
+            features: 16,
+            classes: 6,
+            informative: 10,
+            seed: 3,
+            ..Default::default()
+        });
+        for method in [
+            HistogramMethod::GlobalMemory,
+            HistogramMethod::SharedMemory,
+            HistogramMethod::SortReduce,
+            HistogramMethod::Adaptive,
+        ] {
+            let cfg = TrainConfig {
+                num_trees: 3,
+                max_depth: 5,
+                hist: HistOptions {
+                    method,
+                    ..HistOptions::default()
+                },
+                ..quick_config()
+            };
+            let one = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_report(&ds);
+            let phases = |r: &TrainReport| -> BTreeMap<Phase, u64> {
+                r.sim
+                    .by_phase
+                    .iter()
+                    .map(|(&p, ns)| (p, ns.to_bits()))
+                    .collect()
+            };
+            let group = |strategy| {
+                MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(1), cfg.clone(), strategy)
+                    .fit_report(&ds)
+            };
+            let dp = group(MultiGpuStrategy::DataParallel);
+            assert_eq!(tree_bits(&dp.model), tree_bits(&one.model), "{method:?}");
+            assert_eq!(
+                dp.sim_seconds.to_bits(),
+                one.sim_seconds.to_bits(),
+                "{method:?}: DP(1) sim_seconds"
+            );
+            assert_eq!(phases(&dp), phases(&one), "{method:?}: DP(1) by_phase");
+            let fp = group(MultiGpuStrategy::FeatureParallel);
+            assert_eq!(tree_bits(&fp.model), tree_bits(&one.model), "{method:?}");
+            let (mut fp_phases, mut one_phases) = (phases(&fp), phases(&one));
+            let partition =
+                |p: &mut BTreeMap<Phase, u64>| f64::from_bits(p.remove(&Phase::Partition).unwrap());
+            assert!(
+                partition(&mut fp_phases) > partition(&mut one_phases),
+                "{method:?}: FP(1) charges its flag kernel"
+            );
+            assert_eq!(
+                fp_phases, one_phases,
+                "{method:?}: FP(1) by_phase but Partition"
+            );
+        }
+    }
+
+    #[test]
     fn single_devices_and_feature_parallel_groups_exchange_nothing() {
         // The paths are a data-parallel group's: one device or a
-        // feature-parallel group keeps every charge it booked before,
-        // as the golden table's FP and DP(1) rows pin bit for bit.
+        // feature-parallel group moves no node data.
         let ds = dataset(4);
         for (strategy, k) in [
             (MultiGpuStrategy::DataParallel, 1),

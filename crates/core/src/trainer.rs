@@ -48,9 +48,10 @@ pub struct TrainReport {
     /// (node, device) that builds a slice of it on a device group.
     /// Siblings derived by subtraction are not builds.
     pub hist_methods: BTreeMap<HistogramMethod, usize>,
-    /// Histogram kernels per (depth, method), summed over trees: filled
-    /// on one device, where a level's builds of one method share one
-    /// kernel; empty on a device group, which charges each build.
+    /// Histogram kernels per (depth, method), summed over trees and
+    /// devices: a level's builds of one method share one kernel per
+    /// device, except a data-parallel reduce-scatter node's, a kernel of
+    /// its own. Their nodes sum to `hist_methods`.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
     /// Built nodes and collective bytes per (depth, path), summed over
     /// trees: filled on a data-parallel group of two or more devices,

@@ -52,40 +52,40 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("Adaptive/dense", 0xded628e5fad8ea62, 0x760ba4ece5c0b23f),
     ("Adaptive/sparse_aware", 0xded628e5fad8ea62, 0xfe92bf0163d609bf),
     ("Adaptive/subtraction", 0xded628e5fad8ea62, 0x18c75f62e43de574),
-    ("FP(2)", 0xded628e5fad8ea62, 0x4b4eefc7084efd11),
-    ("DP(2)", 0xded628e5fad8ea62, 0x5991f6bcd5a88528),
+    ("FP(2)", 0xded628e5fad8ea62, 0xb87066229958c51a),
+    ("DP(2)", 0xded628e5fad8ea62, 0x12e3d5d0e87d007b),
 ];
 
 #[rustfmt::skip]
 const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
-    ("FP(1)/streams1/none", 0x865074e3e7f0a4d3, 0x94259551b336fb8e),
-    ("FP(1)/streams1/top2", 0x19eb209da1b45c29, 0xde4f8568254add6f),
-    ("FP(1)/streams4/none", 0x3707dcf50374a8b6, 0x6c8fbc9664228f92),
-    ("FP(1)/streams4/top2", 0x0131dcfcc2d9a823, 0xe5a78d3bffe143de),
-    ("FP(2)/streams1/none", 0x6457115b4998d7a0, 0xef67ef696fe7935d),
-    ("FP(2)/streams1/top2", 0x53f8081f86ef9348, 0xd9015bfd0e804e51),
-    ("FP(2)/streams4/none", 0x032257aa3a3fa690, 0x253cfa4b888ef326),
-    ("FP(2)/streams4/top2", 0xec14cc064d70e8bb, 0x5533f34cf91e431f),
-    ("FP(3)/streams1/none", 0xaf30c78635af37e8, 0xdbea5c08337aa153),
-    ("FP(3)/streams1/top2", 0xd0c64c839aeb7042, 0xf9f97ec3d1dda71c),
-    ("FP(3)/streams4/none", 0x3608d0212f00869f, 0x2571b3879e88e5ca),
-    ("FP(3)/streams4/top2", 0xc685838f21b97d93, 0x1451a9edf06bc6f0),
-    ("FP(3)/transient", 0x4c618b8578bb0b76, 0xcae0214a60f35cc1),
-    ("FP(3)/lost", 0xdefb4b5df6900d03, 0xc909273c95dc4638),
-    ("DP(1)/streams1/none", 0xfad53c3584da0661, 0x94259551b336fb8e),
-    ("DP(1)/streams1/top2", 0x5137d4b9f91201f4, 0xde4f8568254add6f),
-    ("DP(1)/streams4/none", 0x2dc77ae091069b6d, 0x94259551b336fb8e),
-    ("DP(1)/streams4/top2", 0x6e3b221383f21331, 0xde4f8568254add6f),
-    ("DP(2)/streams1/none", 0x169d66c85acb1877, 0xd4ac85f27310efa6),
-    ("DP(2)/streams1/top2", 0x6c866ef908fd0981, 0x59e1ac78750c210a),
-    ("DP(2)/streams4/none", 0x41e154e436dbdbf3, 0xd4ac85f27310efa6),
-    ("DP(2)/streams4/top2", 0xe5bf979c84c0eba0, 0x59e1ac78750c210a),
-    ("DP(3)/streams1/none", 0x773bde09045b72fe, 0x6d588615ff95ee58),
-    ("DP(3)/streams1/top2", 0x5ff8541328466dac, 0x265d1e981d7451c3),
-    ("DP(3)/streams4/none", 0x6f7f68aba627aac3, 0x6d588615ff95ee58),
-    ("DP(3)/streams4/top2", 0x91f8ada2dd230dfb, 0x265d1e981d7451c3),
-    ("DP(3)/transient", 0xb5fa56b23d1e30e9, 0x9794576f9b637e4f),
-    ("DP(3)/lost", 0x5739906af0c13b26, 0x1875307b9d22d53a),
+    ("FP(1)/streams1/none", 0x53c25fab5d014906, 0x984a4a13b520c9fc),
+    ("FP(1)/streams1/top2", 0x455e8f9560974dce, 0x7a47d1419bc2c1b9),
+    ("FP(1)/streams4/none", 0x151e9213a40b58af, 0x984a4a13b520c9fc),
+    ("FP(1)/streams4/top2", 0xf696d1c6586b3f5e, 0x7a47d1419bc2c1b9),
+    ("FP(2)/streams1/none", 0xcecb93a26694fa4e, 0x3a723188c299c64f),
+    ("FP(2)/streams1/top2", 0x72f9157b101dc7fa, 0xe34998b27a47c3d7),
+    ("FP(2)/streams4/none", 0x797d6ad0f018f629, 0x3f97f2cadaab6fd0),
+    ("FP(2)/streams4/top2", 0xcb7cf1baa265f743, 0xb6e36aa27566939a),
+    ("FP(3)/streams1/none", 0x4bc97f4cda7bab60, 0x5e4864f03db59ff1),
+    ("FP(3)/streams1/top2", 0xbcf190344f2baf5c, 0xfc64bf316efe400a),
+    ("FP(3)/streams4/none", 0xd3bdee105431fac6, 0xd1b5d2dcf86e4454),
+    ("FP(3)/streams4/top2", 0xa64d37982eaea4ae, 0x3d924fecc2dabb53),
+    ("FP(3)/transient", 0x8497d4b701423d9a, 0xdc1c4ccd309babfe),
+    ("FP(3)/lost", 0xb44edd32773a1685, 0xc65ad40dd213b1d4),
+    ("DP(1)/streams1/none", 0x5745e8eeb1052d34, 0x984a4a13b520c9fc),
+    ("DP(1)/streams1/top2", 0xa87c8f3e38fe3279, 0x7a47d1419bc2c1b9),
+    ("DP(1)/streams4/none", 0x26df56ecca1c3a41, 0x984a4a13b520c9fc),
+    ("DP(1)/streams4/top2", 0x5e966d848cb12379, 0x7a47d1419bc2c1b9),
+    ("DP(2)/streams1/none", 0xe4a89025c6443dd1, 0x85d7bce59e9c7454),
+    ("DP(2)/streams1/top2", 0x29fdb9a9de58d129, 0xd4448a4551330400),
+    ("DP(2)/streams4/none", 0xb0d55ac013d7cfc7, 0x85d7bce59e9c7454),
+    ("DP(2)/streams4/top2", 0x960185de5a28175f, 0xd4448a4551330400),
+    ("DP(3)/streams1/none", 0x44e32a5175799e63, 0xfc7c7fe69c068eb6),
+    ("DP(3)/streams1/top2", 0x54d3c784ec9d59b7, 0x5eeb1af07fe7b18d),
+    ("DP(3)/streams4/none", 0xc340ae1ff1b3e13e, 0xfc7c7fe69c068eb6),
+    ("DP(3)/streams4/top2", 0xa810c4b934598579, 0x5eeb1af07fe7b18d),
+    ("DP(3)/transient", 0x20c662b435875eb2, 0xaf7665d4ae74f1a1),
+    ("DP(3)/lost", 0x6837e4ac50460721, 0xf99f98f98734ce80),
 ];
 
 fn dataset() -> Dataset {

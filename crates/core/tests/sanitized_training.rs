@@ -8,7 +8,8 @@
 //!    predictions are bit-identical and the simulated timeline is
 //!    exactly equal to a run that never knew the sanitizer existed.
 //! 3. Feature- and data-parallel groups are clean on every device, and
-//!    each device traces the kernels it runs.
+//!    each device traces the kernels it runs, its histogram builds under
+//!    the name of the level kernel that charged them.
 
 use gbdt_core::config::{HistogramMethod, TrainConfig};
 use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer};
@@ -145,7 +146,41 @@ fn sanitized_group_training_is_clean_on_every_device() {
                 streams,
                 ..config(HistogramMethod::Adaptive)
             };
-            let _ = MultiGpuTrainer::with_strategy(group.clone(), cfg, strategy).fit(&ds);
+            let packed = cfg.hist.warp_packing;
+            let fit = MultiGpuTrainer::with_strategy(group.clone(), cfg, strategy).fit_report(&ds);
+            // As on one device, per name: the sanitizers saw each
+            // device's node builds (`hist_methods`) and the ledgers each
+            // device's level kernels (`hist_launches`), whose nodes sum
+            // over the devices to `hist_methods`.
+            let name = |method| node_kernel(method, packed).expect("a concrete method");
+            let (mut traced, mut built) = (BTreeMap::new(), BTreeMap::new());
+            for dev in group.devices() {
+                let report = dev.sanitize_report().expect("sanitizer enabled");
+                for (&k, s) in &report.kernels {
+                    if fit.hist_methods.keys().any(|&m| name(m) == k) {
+                        *traced.entry(k).or_insert(0u64) += s.launches;
+                    }
+                }
+                for r in dev.records() {
+                    if fit.hist_methods.keys().any(|&m| name(m) == r.name) {
+                        *built.entry(r.name).or_insert(0u64) += 1;
+                    }
+                }
+            }
+            let (mut want_traced, mut want_built) = (BTreeMap::new(), BTreeMap::new());
+            let mut nodes = BTreeMap::new();
+            for (&method, &n) in &fit.hist_methods {
+                want_traced.insert(name(method), n as u64);
+            }
+            for (&(_, method), seen) in &fit.hist_launches {
+                *want_built.entry(name(method)).or_insert(0u64) += seen.kernels as u64;
+                *nodes.entry(method).or_insert(0) += seen.nodes;
+            }
+            let label = format!("{strategy:?} streams {streams}");
+            assert!(!fit.hist_launches.is_empty(), "{label}: no level kernels");
+            assert_eq!(nodes, fit.hist_methods, "{label}: nodes per method");
+            assert_eq!(traced, want_traced, "{label}: traced builds per name");
+            assert_eq!(built, want_built, "{label}: charged kernels per name");
             for (rank, dev) in group.devices().iter().enumerate() {
                 let label = format!("{strategy:?} streams {streams} device {rank}");
                 let report = dev.sanitize_report().expect("sanitizer enabled");

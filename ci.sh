@@ -35,15 +35,18 @@ echo "==> bitwise pins under release codegen"
 # node's path (the cheaper of reduce-scatter and row exchange, `g` alone
 # on uniform-Hessian rounds, the largest shard and widest range at three
 # devices, a train-dp2-shaped fit's roots and deep nodes, no path on one
-# device or a feature-parallel group), the trees and
-# histogram/split time that appended constant columns must not move, the
-# uniform-Hessian fits that must equal fits forced onto the general
-# Hessian path, and the warp-aggregated atomic pricing (one atomic per
+# device or a feature-parallel group), a one-device group that charges
+# what one device charges, the trees and histogram/split time that
+# appended constant columns must not move, the group trees under
+# subtraction and monotone constraints that must equal one device's at
+# 1-3 devices and 1 and 4 streams, the uniform-Hessian fits that must
+# equal fits forced onto the general Hessian path, and the
+# warp-aggregated atomic pricing (one atomic per
 # distinct bin per warp, an unpacked path priced as before aggregation,
 # the selector's closed form agreeing with the measured charge), in the
 # release profile.
 cargo test --release -q -p gbdt-core --test layout_golden
-cargo test --release -q -p gbdt-core --test differential -- constant
+cargo test --release -q -p gbdt-core --test differential -- constant groups_
 cargo test --release -q -p gbdt-core --lib -- \
   hist::tests::accumulate_dense_matches_a_scalar_reference_bit_for_bit \
   split::tests::best_split_matches_a_scalar_reference_bit_for_bit \
@@ -59,6 +62,7 @@ cargo test --release -q -p gbdt-core --lib -- \
   multigpu::tests::data_parallel_exchange_payload_takes_the_largest_shard_and_widest_range \
   multigpu::tests::a_train_dp2_shaped_root_reduce_scatters_and_small_nodes_exchange_rows \
   multigpu::tests::single_devices_and_feature_parallel_groups_exchange_nothing \
+  multigpu::tests::a_one_device_group_charges_what_one_device_charges \
   uniform_differential::
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"

@@ -137,6 +137,7 @@ impl CpuMoTrainer {
                             &mut sink,
                             &hist,
                             &features,
+                            0..features.len(),
                             &open.g,
                             &open.h,
                             open.instances.len() as u32,

@@ -64,6 +64,7 @@ pub fn grow_tree_leafwise(
                 &mut charges,
                 &hist,
                 features,
+                0..features.len(),
                 &node.g,
                 &node.h,
                 node.instances.len() as u32,

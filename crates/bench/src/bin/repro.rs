@@ -168,17 +168,18 @@ const BENCH_OUT: &str = "BENCH_repro.json";
 const SERVE_OUT: &str = "SERVE_repro.json";
 const REPORT_OUT: &str = "REPORT_repro.json";
 
-const USAGE: &str = "usage: repro <datasets|table2|table3|table4|fig4|fig5|fig6a|fig6b|fig7|ablations|hostbench|sanitize|bench|serve|report|chaos|all> [flags]\n\
-every command but datasets: --trees N --depth N --bins N --scale F --seed S --full\n\
-table2, table3, all: --gpus K\n\
-bench: --smoke --out FILE --baseline FILE --check --update-baseline\n\
-       --sketch LABEL (none|topK|randK|projK, e.g. top4) --trace FILE\n\
-       --streams N (device streams per GPU; 1 = serial schedule) --gpus K\n\
-serve: --smoke --batch N --out FILE (default SERVE_repro.json)\n\
-       --baseline FILE --check --update-baseline\n\
-report: --smoke --batch N --out FILE (default REPORT_repro.json) --streams N\n\
-        --prom FILE (Prometheus text exposition of the run's registry)\n\
-chaos: --smoke (reduced sweep) --gpus K\n\
+const USAGE: &str = "\
+usage: repro <datasets|table2|table3|table4|fig4|fig5|fig6a|fig6b|fig7|ablations|hostbench|sanitize|bench|serve|report|chaos|all> [flags]
+every command but datasets: --trees N --depth N --bins N --scale F --seed S --full
+table2, table3, all: --gpus K
+bench: --smoke --out FILE --baseline FILE --check --update-baseline
+       --sketch LABEL (none|topK|randK|projK, e.g. top4) --trace FILE
+       --streams N (device streams per GPU; 1 = serial schedule) --gpus K
+serve: --smoke --batch N --out FILE (default SERVE_repro.json)
+       --baseline FILE --check --update-baseline
+report: --smoke --batch N --out FILE (default REPORT_repro.json) --streams N
+        --prom FILE (Prometheus text exposition of the run's registry)
+chaos: --smoke (reduced sweep) --gpus K
 a flag the command does not read is an error";
 
 /// Parse a sketch label (`OutputSketch::label()` inverse): `none`, or

@@ -86,3 +86,27 @@ fn a_flag_the_command_does_not_read_exits_nonzero_with_usage() {
         assert!(stderr.contains("usage:"), "stderr: {stderr}");
     }
 }
+
+/// Each command's second usage line is indented under the command it
+/// continues, not printed flush left.
+#[test]
+fn help_keeps_continuation_lines_indented() {
+    let out = repro().arg("help").output().unwrap();
+    assert!(out.status.success(), "help should exit 0");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for flag in [
+        "--sketch",
+        "--streams N (",
+        "--baseline FILE --check",
+        "--prom",
+    ] {
+        let line = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(flag))
+            .unwrap_or_else(|| panic!("no usage line starts with {flag}: {stdout}"));
+        assert!(
+            line.starts_with("       "),
+            "{flag} is not indented: {line:?}"
+        );
+    }
+}

@@ -1,19 +1,24 @@
-//! Level-wise tree growth (paper Algorithm 1).
+//! Level-wise tree growth (paper Algorithm 1): the one level loop of
+//! every placement.
 //!
 //! The frontier of open nodes is processed one depth level at a time,
 //! strictly in node-index order: each node's histogram is produced, the
 //! best split is found via segmented reductions, and instances are
 //! partitioned into the children. At the level's end the histogram,
-//! split and partition kernels are charged once per level
-//! (`hist::HistCharges`, [`LevelSplitCharges`]), as the device-group grower
-//! charges them on each device.
+//! split and partition kernels are charged once per level and device
+//! (`hist::HistCharges`, `split::LevelSplitCharges`).
+//!
+//! [`grow_tree_pooled`] grows on one device; a device group
+//! ([`crate::multigpu`]) grows on the same loop, [`grow_levels`], which
+//! reads what each device charges from a `multigpu::Spread`.
 //!
 //! A node's histogram is built when the loop reaches it, over a pooled
 //! buffer still hot in cache; the build's accumulation spreads over the
 //! host threads on its own. Under the subtraction trick the loop walks
 //! each sibling pair as one step: the smaller child builds fresh and the
 //! larger derives `parent − smaller` from the parent's buffer, which the
-//! larger child carries, before either node's split is selected.
+//! larger child carries, before either node's split is selected. A
+//! level's fresh builds are known, and planned, when it opens.
 //!
 //! Every charge is planned in node-index order, so the grown tree and
 //! the simulated timeline are bit-identical at any host thread count.
@@ -21,24 +26,20 @@
 //! and trees; a parent's buffer returns to it as soon as its pair has
 //! derived.
 //!
-//! The node steps the device-group grower ([`crate::multigpu`]) and the
-//! baselines share live here too: [`OpenNode::split`] routes a split,
-//! [`OpenNode::close_leaf`] closes a leaf, and [`partition_cost`] prices
-//! the partition kernel.
+//! The node steps the baselines share live here too: [`OpenNode::split`]
+//! routes a split, [`OpenNode::close_leaf`] closes a leaf, and
+//! [`partition_cost`] prices the partition kernel.
 
 use crate::config::{HistogramMethod, TrainConfig};
 use crate::grad::Gradients;
-use crate::hist::{accumulate_only, HistCharges, HistContext, NodeHistogram};
+use crate::hist::{accumulate_only, HistContext, NodeHistogram};
 use crate::memory::HistogramPool;
-use crate::multigpu::{NodePath, PathTally};
-use crate::split::{
-    find_best_split_constrained, leaf_values, ConstraintState, LevelSplitCharges, SplitCandidate,
-    SplitParams,
-};
+use crate::multigpu::{NodePath, PathTally, Spread};
+use crate::split::{leaf_values, ConstraintState, SplitCandidate, SplitParams};
 use crate::tree::Tree;
 use gbdt_data::BinnedDataset;
 use gpusim::cost::KernelCost;
-use gpusim::{Device, Phase};
+use gpusim::Device;
 use std::collections::BTreeMap;
 
 /// Stable in-order partition of `idx` by `flags` (`true` → left). The
@@ -192,7 +193,7 @@ pub struct GrowResult {
     /// How many nodes each histogram method handled (adaptive
     /// selection telemetry, reported by the ablation benches).
     pub methods_used: BTreeMap<HistogramMethod, usize>,
-    /// Histogram kernels per (depth, method) of a level grower, which
+    /// Histogram kernels per (depth, method) of the level grower, which
     /// charges a level's builds on each device as one kernel per method
     /// (`hist::HistCharges`); empty where each build is a kernel of its own.
     pub hist_launches: BTreeMap<(usize, HistogramMethod), HistLaunches>,
@@ -288,6 +289,21 @@ pub fn grow_tree_pooled(
     root_idx: Vec<u32>,
     pool: &mut HistogramPool,
 ) -> GrowResult {
+    let spread = Spread::one(device);
+    grow_levels(&spread, data, grads, config, features, root_idx, pool)
+}
+
+/// The level loop of every placement, each device charging its share
+/// as `spread` divides the work.
+pub(crate) fn grow_levels(
+    spread: &Spread<'_>,
+    data: &BinnedDataset,
+    grads: &Gradients,
+    config: &TrainConfig,
+    features: &[u32],
+    root_idx: Vec<u32>,
+    pool: &mut HistogramPool,
+) -> GrowResult {
     let d = grads.d;
     let features = &data.splittable(features)[..];
     let max_depth = if features.is_empty() {
@@ -296,14 +312,18 @@ pub fn grow_tree_pooled(
         config.max_depth
     };
     pool.ensure_shape(features.len(), d, config.max_bins);
+    let lead = spread.devices[0];
+    // The lead's context over every splittable column: the functional
+    // accumulation, which runs once whatever the placement.
     let ctx = HistContext {
-        device,
+        device: lead,
         data,
         grads,
         features,
         bins: config.max_bins,
         opts: config.hist,
     };
+    let ranges = spread.ranges(data.m(), features);
     let params = SplitParams::from(config);
     let mut grown = GrowResult::new(d, features.len());
 
@@ -320,57 +340,63 @@ pub fn grow_tree_pooled(
         parent: None,
         bounds: constrained.then(|| vec![(f64::NEG_INFINITY, f64::INFINITY); d]),
     }];
-    // A fresh build: planned in its method's batch and accumulated into
-    // a pooled buffer.
-    let build = |charges: &mut HistCharges, node: &OpenNode, pool: &mut HistogramPool| {
-        charges.plan(&ctx, &node.instances);
+    // A fresh build, accumulated into a pooled buffer.
+    let build = |node: &OpenNode, pool: &mut HistogramPool| {
         let mut buf = pool.acquire();
         accumulate_only(&ctx, &node.instances, &node.g, &node.h, &mut buf);
         buf
     };
     // Nodes too small to split get no histogram.
     let splittable = |w: &NodeWork| w.open.instances.len() >= 2 * config.min_instances;
+    let mut fence = None;
 
     for depth in 0..max_depth {
-        // Per-level profiling scope nested under the trainer's round
+        // Per-level profiling scopes nested under the trainer's round
         // scope (no-op when profiling is off; purely observational).
-        let _level_scope = device.prof_scope("level", Some(depth as u64));
+        let _level_scopes: Vec<_> = spread
+            .devices
+            .iter()
+            .map(|dev| dev.prof_scope("level", Some(depth as u64)))
+            .collect();
+        // Every splittable node builds fresh but the larger child of a
+        // subtraction pair, which derives. The level's histogram, split
+        // and partition kernels are charged once per device (paper
+        // §3.1.3) — per-node launches would dominate at depth.
+        let fresh: Vec<&[u32]> = frontier
+            .iter()
+            .filter(|w| w.parent.is_none() && splittable(w))
+            .map(|w| &w.open.instances[..])
+            .collect();
+        let mut level = spread.open_level(fence, &ctx, &ranges, &fresh, depth, &mut grown);
         let mut next = Vec::new();
-        // Split evaluation and partitioning are charged once per level
-        // as batched kernels (paper §3.1.3) — per-node launches would
-        // dominate at depth.
-        let mut split_charges = LevelSplitCharges::new();
-        let mut hist_charges = HistCharges::default();
-        let mut partition_elems = 0usize;
 
         // Children come in sibling pairs below the root. A subtraction
         // pair resolves before its nodes' split steps: the smaller child
         // builds fresh, the larger derives `parent − smaller`, and the
         // parent's buffer goes back to the pool. Every other node builds
-        // when the loop reaches it, so a build still joins its method's
-        // batch in node-index order.
-        let mut level = std::mem::take(&mut frontier).into_iter();
-        while let Some(first) = level.next() {
-            let mut pair: Vec<NodeWork> = std::iter::once(first).chain(level.next()).collect();
+        // when the loop reaches it.
+        let mut nodes = std::mem::take(&mut frontier).into_iter();
+        while let Some(first) = nodes.next() {
+            let mut pair: Vec<NodeWork> = std::iter::once(first).chain(nodes.next()).collect();
             let mut hists: [Option<NodeHistogram>; 2] = [None, None];
             if let Some(larger) = pair.iter().position(|w| w.parent.is_some()) {
                 let smaller = 1 - larger;
                 let parent = pair[larger].parent.take().expect("carried parent");
-                let fresh = build(&mut hist_charges, &pair[smaller].open, pool);
+                let fresh = build(&pair[smaller].open, pool);
                 let mut derived = pool.acquire();
                 derived.assign_difference(&parent, &fresh);
                 pool.release(parent);
-                hist_charges.derive(&ctx, &derived);
+                level.derive();
                 hists[smaller] = Some(fresh);
                 hists[larger] = Some(derived);
             }
             for (work, hist) in pair.into_iter().zip(hists) {
                 let hist = match hist {
                     Some(hist) => hist,
-                    None if splittable(&work) => build(&mut hist_charges, &work.open, pool),
+                    None if splittable(&work) => build(&work.open, pool),
                     None => {
                         work.open
-                            .close_leaf(&mut grown, config, work.bounds.as_deref(), device);
+                            .close_leaf(&mut grown, config, work.bounds.as_deref(), lead);
                         continue;
                     }
                 };
@@ -380,38 +406,24 @@ pub fn grow_tree_pooled(
                     monotone: &config.monotone_constraints,
                     bounds: b,
                 });
-                let split = find_best_split_constrained(
-                    &mut split_charges,
-                    &hist,
-                    features,
-                    &open.g,
-                    &open.h,
-                    open.instances.len() as u32,
-                    &params,
-                    state.as_ref(),
-                );
-                let Some(split) = split else {
+                let Some(split) = level.best_split(&hist, &open, &params, state.as_ref()) else {
                     pool.release(hist);
-                    open.close_leaf(&mut grown, config, bounds.as_deref(), device);
+                    open.close_leaf(&mut grown, config, bounds.as_deref(), lead);
                     continue;
                 };
-                if let Some(tel) = device.telemetry() {
+                if let Some(tel) = lead.telemetry() {
                     // Observer only: the split decision above is final.
                     tel.hist_observe("train.split_gain", split.gain);
                 }
 
-                // The scan-based partition kernel for all of the level's
-                // nodes is charged once below.
-                partition_elems += open.instances.len();
-                let feature = split.feature as usize;
+                let feature = split.feature;
                 let ([left, right], flags) = open.split(split, data, &mut grown.tree);
-                crate::sanitize::trace_partition(device, &flags);
-
+                level.route(feature, flags);
                 // Monotone bound propagation: a constrained split fixes the
                 // midpoint of the two (clamped) child values as the new
                 // boundary between the children's admissible intervals.
                 let (left_bounds, right_bounds) = if let Some(parent_bounds) = &bounds {
-                    let c = config.monotone_constraints[feature];
+                    let c = config.monotone_constraints[feature as usize];
                     let mut lb = parent_bounds.clone();
                     let mut rb = parent_bounds.clone();
                     if c != 0 {
@@ -465,15 +477,7 @@ pub fn grow_tree_pooled(
                 });
             }
         }
-        hist_charges.flush(&ctx, 0, depth, &mut grown);
-        split_charges.flush(device, device.model().params.sm_count, params.segments_c);
-        if partition_elems > 0 {
-            device.charge_kernel(
-                "partition_level",
-                Phase::Partition,
-                &partition_cost(partition_elems),
-            );
-        }
+        fence = level.close(depth, &mut grown, &params);
         frontier = next;
         if frontier.is_empty() {
             break;
@@ -485,7 +489,7 @@ pub fn grow_tree_pooled(
     for work in frontier {
         debug_assert!(work.parent.is_none());
         work.open
-            .close_leaf(&mut grown, config, work.bounds.as_deref(), device);
+            .close_leaf(&mut grown, config, work.bounds.as_deref(), lead);
     }
     grown
 }
@@ -494,10 +498,12 @@ pub fn grow_tree_pooled(
 mod tests {
     use super::*;
     use crate::grad::compute_gradients;
-    use crate::hist::{method_cost, resolve_method, Launches};
+    use crate::hist::{method_cost, resolve_method, HistCharges, Launches};
     use crate::loss::MseLoss;
+    use crate::split::{find_best_split_constrained, LevelSplitCharges};
     use gbdt_data::synth::{make_regression, RegressionSpec};
     use gbdt_data::Dataset;
+    use gpusim::Phase;
 
     fn setup(n: usize, m: usize, d: usize) -> (Dataset, BinnedDataset, Gradients) {
         let ds = make_regression(&RegressionSpec {
@@ -922,6 +928,7 @@ mod tests {
                         &mut charges,
                         &hist,
                         &features,
+                        0..features.len(),
                         &g,
                         &h,
                         2000,

@@ -21,8 +21,8 @@
 //! `hc` being the Hessian (or count) columns, [`HistContext::hess_cols`]).
 //!
 //! A node's price includes its kernel launches only when the node pays
-//! for them ([`Launches::PerNode`]). Both level growers, on one device
-//! and on each device of a group, charge a level's builds as one kernel
+//! for them ([`Launches::PerNode`]). The level grower, on one device
+//! and on each device of a group, charges a level's builds as one kernel
 //! per method ([`Launches::PerLevel`]), so there a node adds only its
 //! work; pricing its launches too would charge the selector for
 //! overhead the level never pays.

@@ -22,10 +22,10 @@
 //! and [`method_cost`] prices the build; [`charge_builds_on`] is the one
 //! place histogram builds are charged: it names the kernel once, opens
 //! the method's profiler scope, charges, and traces each build for an
-//! attached sanitizer under the same name. Both level growers, one
-//! device's (`grow`) and a device group's (`multigpu`, one instance per
-//! device), charge a level's builds through `HistCharges`, one kernel
-//! per method, so the selector prices nodes without their launches
+//! attached sanitizer under the same name. The level grower (`grow`)
+//! charges a level's builds through `HistCharges`, one instance per
+//! device of its placement and one kernel per method, so the selector
+//! prices nodes without their launches
 //! ([`adaptive::Launches`]). [`charge_method`] charges one build as a
 //! kernel of its own, launches priced; the baselines' leaf-wise growers
 //! and the probes use it. Either way the growers count the concrete
@@ -583,13 +583,13 @@ impl HistCharges {
         }
     }
 
-    /// Trace one subtraction derive of `hist`: over every (feature,
-    /// bin), its `d` gradient columns, its `d` Hessian columns off the
-    /// uniform-Hessian path, and its count.
-    pub(crate) fn derive(&mut self, ctx: &HistContext<'_>, hist: &NodeHistogram) {
-        let slots = hist.num_features * hist.bins;
-        let hessians = hist.d * usize::from(ctx.grads.uniform_h().is_none());
-        let values = slots * (hist.d + hessians);
+    /// Trace one subtraction derive over `ctx`'s features: over every
+    /// (feature, bin), its `d` gradient columns, its `d` Hessian columns
+    /// off the uniform-Hessian path, and its count.
+    pub(crate) fn derive(&mut self, ctx: &HistContext<'_>) {
+        let slots = ctx.features.len() * ctx.bins;
+        let hessians = ctx.d() * usize::from(ctx.grads.uniform_h().is_none());
+        let values = slots * (ctx.d() + hessians);
         crate::sanitize::trace_subtract(ctx.device, values + slots);
         self.derived_values += values;
         self.derived_counts += slots;

@@ -1,13 +1,15 @@
 //! Multi-GPU training on a single machine (paper §3.4.2).
 //!
 //! [`MultiGpuTrainer`] runs the boosting loop of [`crate::trainer`] on a
-//! group placement: this module says only where a round's work runs
-//! and what each device charges for it, for both layouts of
-//! [`MultiGpuStrategy`]. The lead device runs the functional work
-//! (gradients, histograms, splits, leaf values) once on the host, and
-//! it does not depend on the layout or the device count, so every group
+//! group placement, and grows each tree on the level loop of one device
+//! (`grow::grow_levels`): this module says only where a round's work
+//! runs and what each device charges for it ([`Spread`]), for both
+//! layouts of [`MultiGpuStrategy`]. The lead runs the functional work
+//! (gradients, histograms, derives, splits, bounds, leaf values) once on
+//! the host whatever the layout or the device count, so every group
 //! grows the same trees as a single device; only the charged costs
-//! differ. The layouts differ in five places:
+//! differ. A group of one charges what one device charges. From two
+//! devices on, the layouts differ in five places:
 //!
 //! - **Ingest:** a device loads its feature range over all rows
 //!   (feature-parallel, [`partition_features`]) or all columns of its
@@ -19,14 +21,16 @@
 //!   split are built, exchanged and scanned
 //!   (`BinnedDataset::splittable`). A feature-parallel device builds the
 //!   splittable columns of the range it ingested ([`partition_features`]
-//!   over all `m`). A data-parallel group gives each device a built
+//!   over all `m`). A data-parallel group gives each device a fresh
 //!   node's data for its range of them by the cheaper [`NodePath`], as
 //!   [`ExchangeShape`] prices it: a device builds its shard over all
 //!   `m'` and a ring reduce-scatter of the node's `m' × B × d` histogram
 //!   leaves it the reduced slice of its range, or the devices exchange
-//!   the node's rows and each builds its range over all of them. Either
-//!   way a device evaluates only its own range, and the group picks the
-//!   best candidate.
+//!   the node's rows and each builds its range over all of them. Under
+//!   subtraction the larger child of a pair is neither built nor moved:
+//!   each device derives its own range of it. Either way a device
+//!   evaluates only its own range, and the group picks the best
+//!   candidate.
 //! - **Partitioning:** feature-parallel flag and partition kernels, or
 //!   each data-parallel device's `partition_shard` over its own shard,
 //!   are charged once per level, after the candidate exchange.
@@ -35,11 +39,10 @@
 //!   routing bitmaps (summary statistics of a few bytes per instance).
 //!
 //! Each device charges a level as one device does: its histogram builds
-//! through one `hist::HistCharges`, one kernel per method, and its split
-//! scan as one kernel ([`LevelSplitCharges`]). Only a data-parallel
-//! reduce-scatter node's build is a kernel of its own, charged before
-//! its collective. A data-parallel group of one device thus charges
-//! what [`crate::GpuTrainer`] charges, bit for bit.
+//! and derives through one `hist::HistCharges`, one kernel per method,
+//! and its split scan as one kernel ([`LevelSplitCharges`]). Only a
+//! data-parallel reduce-scatter node's build is a kernel of its own,
+//! charged before its collective.
 //!
 //! The group runs bulk-synchronously; barrier waits book as idle time.
 //! With `streams > 1` the histogram builds run on their own stream and
@@ -49,7 +52,8 @@
 //! Jackson's rule orders: its batched row exchange goes first on the
 //! comm stream while the reduce-scatter nodes build, smallest first,
 //! each followed by its reduce-scatter; the row-path nodes build as one
-//! batch once the exchange has landed.
+//! batch once the exchange has landed, and the derives follow once
+//! every build and collective of the level has.
 //!
 //! ## Fault recovery
 //!
@@ -65,12 +69,14 @@
 use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
 use crate::grad::Gradients;
-use crate::grow::{partition_cost, GrowResult, OpenNode};
-use crate::hist::{accumulate_dense, HistCharges, HistContext};
+use crate::grow::{grow_levels, partition_cost, GrowResult, OpenNode};
+use crate::hist::{HistCharges, HistContext, NodeHistogram};
 use crate::memory::HistogramPool;
 use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
-use crate::split::{find_best_split_range_batched, LevelSplitCharges, SplitCandidate, SplitParams};
+use crate::split::{
+    find_best_split_constrained, ConstraintState, LevelSplitCharges, SplitCandidate, SplitParams,
+};
 use crate::trainer::{boost, Placement, TrainReport};
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::cost::{CostModel, KernelCost};
@@ -162,12 +168,12 @@ fn align_stream0(devices: &[Arc<Device>]) -> Event {
     align
 }
 
-/// All-gather one level's per-device payloads of `sizes` bytes. In
-/// streamed mode the exchange runs on the comm streams after aligning
-/// stream 0, and its completion event and duration are returned.
-fn all_gather_level(group: &DeviceGroup, sizes: &[usize], streamed: bool) -> Option<(Event, f64)> {
+/// All-gather one level's per-device payloads, the largest of
+/// `max_part` bytes. In streamed mode the exchange runs on the comm
+/// streams after aligning stream 0, and its completion event and
+/// duration are returned.
+fn all_gather_level(group: &DeviceGroup, max_part: usize, streamed: bool) -> Option<(Event, f64)> {
     let (devices, k) = (group.devices(), group.len());
-    let max_part = sizes.iter().copied().max().unwrap_or(0);
     tel_collective_bytes(devices, (max_part * k) as f64);
     if streamed {
         let ns = devices[0].model().all_gather_ns(max_part as f64, k);
@@ -230,7 +236,7 @@ pub struct PathTally {
 
 /// What a data-parallel group moves to give every device one built
 /// node's split-evaluation data, each way, and what that costs on a
-/// [`CostModel`]: the one pricing helper of the group grower's choice.
+/// [`CostModel`]: the one pricing helper of a data-parallel level's choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeShape {
     devices: usize,
@@ -413,6 +419,347 @@ fn tel_makespan_skew(devices: &[Arc<Device>]) {
     }
 }
 
+/// Where a tree's levels run and how each device charges them: the
+/// devices, lead first, and for two or more the group they form. A
+/// group of one is one device: one range over every splittable column,
+/// no collective and every kernel on the default stream.
+pub(crate) struct Spread<'a> {
+    pub(crate) devices: Vec<&'a Device>,
+    group: Option<&'a DeviceGroup>,
+    /// A group that shards instances, so every fresh node's data
+    /// crosses the link by the cheaper of its two [`NodePath`]s.
+    data_parallel: bool,
+    /// A group whose builds and collectives run on streams of their own.
+    streamed: bool,
+}
+
+impl<'a> Spread<'a> {
+    /// One device.
+    pub(crate) fn one(device: &'a Device) -> Self {
+        Spread {
+            devices: vec![device],
+            group: None,
+            data_parallel: false,
+            streamed: false,
+        }
+    }
+
+    /// Each device's range of the splittable `features` (local indices)
+    /// it builds and scans: the splittable columns among those a
+    /// feature-parallel device ingested ([`partition_features`] over all
+    /// `m`), or a data-parallel device's share of the splittable list.
+    pub(crate) fn ranges(&self, m: usize, features: &[u32]) -> Vec<Range<usize>> {
+        let k = self.devices.len();
+        let local = |f: usize| features.partition_point(|&x| (x as usize) < f);
+        let ranges = if self.data_parallel {
+            partition_features(features.len(), k)
+        } else {
+            debug_assert!(features.is_sorted(), "features ascend");
+            partition_features(m, k)
+                .into_iter()
+                .map(|(lo, hi)| (local(lo), local(hi)))
+                .collect()
+        };
+        ranges.into_iter().map(|(lo, hi)| lo..hi).collect()
+    }
+
+    /// Open a level whose nodes `fresh` build their histograms fresh
+    /// (`full`: the lead's context over every splittable column).
+    /// Streamed, its builds start at the previous level's `fence`. Each
+    /// device plans its range of every fresh node over all of its rows,
+    /// except on a data-parallel group, which charges the level's builds
+    /// and node collectives here, in Jackson's order (see the module
+    /// doc): each reduce-scatter node's shard builds are a batch of
+    /// their own, flushed before its collective.
+    pub(crate) fn open_level<'c>(
+        &'c self,
+        fence: Option<Event>,
+        full: &'c HistContext<'c>,
+        ranges: &'c [Range<usize>],
+        fresh: &[&[u32]],
+        depth: usize,
+        grown: &mut GrowResult,
+    ) -> LevelCharges<'c> {
+        let k = self.devices.len();
+        let mut level = LevelCharges {
+            spread: self,
+            full,
+            ranges,
+            on: vec![DeviceLevel::default(); k],
+        };
+        if self.streamed {
+            for dev in &self.devices {
+                let f = fence.unwrap_or_else(|| dev.record_event(0));
+                dev.wait_event(HIST_STREAM, f);
+            }
+        }
+        let Some(group) = self.group.filter(|_| self.data_parallel) else {
+            fresh.iter().for_each(|idx| level.plan(idx));
+            return level;
+        };
+        let (devices, mf, streamed) = (group.devices(), full.features.len(), self.streamed);
+        let uniform = full.grads.uniform_h().is_some();
+        let shape = ExchangeShape::new(k, mf, full.bins, full.d(), uniform);
+        let model = self.devices[0].model();
+        let mut order = fresh.to_vec();
+        order.sort_by_key(|idx| idx.len());
+        let (row_nodes, scatters): (Vec<&[u32]>, Vec<&[u32]>) = order
+            .into_iter()
+            .partition(|idx| shape.path(model, idx.len()) == NodePath::RowExchange);
+        let mut exchanged = None;
+        if !row_nodes.is_empty() {
+            let (done, bytes) =
+                exchange_rows(group, &shape, &row_nodes, full.grads.n, mf, streamed);
+            tally_path(
+                grown,
+                devices,
+                depth,
+                NodePath::RowExchange,
+                row_nodes.len(),
+                bytes,
+            );
+            exchanged = done;
+        }
+        let hist_stream = if streamed { HIST_STREAM } else { 0 };
+        for idx in scatters {
+            for rank in 0..k {
+                let (ctx, shard) = (level.ctx(rank, 0..mf), shard_range(idx.len(), k, rank));
+                if !shard.is_empty() {
+                    let charges = &mut level.on[rank].hist;
+                    charges.plan(&ctx, &idx[shard]);
+                    charges.flush(&ctx, hist_stream, depth, grown);
+                }
+            }
+            let bytes = reduce_scatter_node(group, shape.hist_bytes(), streamed);
+            tally_path(grown, devices, depth, NodePath::ReduceScatter, 1, bytes);
+        }
+        if let Some(done) = exchanged {
+            for dev in devices {
+                dev.wait_event(HIST_STREAM, done);
+            }
+        }
+        row_nodes.iter().for_each(|idx| level.plan(idx));
+        level.flush_builds(hist_stream, depth, grown);
+        level
+    }
+}
+
+/// One device's share of a level: its histogram builds and derives, its
+/// split scans, its candidate and routing-bitmap payloads, and the rows
+/// it routes (the owner's flags, or a data-parallel device's shard).
+#[derive(Clone, Default)]
+struct DeviceLevel {
+    hist: HistCharges,
+    split: LevelSplitCharges,
+    candidates: usize,
+    flags: usize,
+    routed: usize,
+    /// The routing flags it computed, kept only for an attached
+    /// sanitizer.
+    traced: Vec<Vec<bool>>,
+}
+
+/// One level's charges on each device of a [`Spread`], gathered by the
+/// level loop and booked by [`LevelCharges::close`].
+pub(crate) struct LevelCharges<'c> {
+    spread: &'c Spread<'c>,
+    full: &'c HistContext<'c>,
+    ranges: &'c [Range<usize>],
+    on: Vec<DeviceLevel>,
+}
+
+impl<'c> LevelCharges<'c> {
+    /// `full` on rank `rank`, over the columns `cols`.
+    fn ctx(&self, rank: usize, cols: Range<usize>) -> HistContext<'c> {
+        HistContext {
+            device: self.spread.devices[rank],
+            features: &self.full.features[cols],
+            ..*self.full
+        }
+    }
+
+    /// Run `f` on every device with a non-empty range: its histogram
+    /// charges and its context over that range.
+    fn each_range(&mut self, mut f: impl FnMut(&mut HistCharges, &HistContext<'c>)) {
+        for rank in 0..self.on.len() {
+            let ctx = self.ctx(rank, self.ranges[rank].clone());
+            if !ctx.features.is_empty() {
+                f(&mut self.on[rank].hist, &ctx);
+            }
+        }
+    }
+
+    /// Each device plans the build of its range of the node of
+    /// instances `idx` over all of them.
+    fn plan(&mut self, idx: &[u32]) {
+        if !idx.is_empty() {
+            self.each_range(|charges, ctx| charges.plan(ctx, idx));
+        }
+    }
+
+    /// Each device derives its range of a subtraction pair's larger
+    /// child.
+    pub(crate) fn derive(&mut self) {
+        self.each_range(|charges, ctx| charges.derive(ctx));
+    }
+
+    /// Each device charges what it planned and derived on `stream`, with
+    /// the context it planned them with.
+    fn flush_builds(&mut self, stream: usize, depth: usize, grown: &mut GrowResult) {
+        self.each_range(|charges, ctx| charges.flush(ctx, stream, depth, grown));
+    }
+
+    /// The best split of `open` from its histogram: each device scans
+    /// its own range, and the strictly greater gain wins, so exact ties
+    /// resolve to the lowest range — the single-device argmax rule.
+    pub(crate) fn best_split(
+        &mut self,
+        hist: &NodeHistogram,
+        open: &OpenNode,
+        params: &SplitParams,
+        constraints: Option<&ConstraintState<'_>>,
+    ) -> Option<SplitCandidate> {
+        let mut best: Option<SplitCandidate> = None;
+        for (on, cols) in self.on.iter_mut().zip(self.ranges) {
+            let local = find_best_split_constrained(
+                &mut on.split,
+                hist,
+                self.full.features,
+                cols.clone(),
+                &open.g,
+                &open.h,
+                open.instances.len() as u32,
+                params,
+                constraints,
+            );
+            on.candidates += 16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
+            if let Some(c) = local.filter(|c| best.as_ref().is_none_or(|b| c.gain > b.gain)) {
+                best = Some(c);
+            }
+        }
+        best
+    }
+
+    /// Tally the routing of a node split on `feature` by its rows'
+    /// `flags`, on the device that computes them: the feature's owner,
+    /// whose bitmap the level all-gathers, or the lead of a
+    /// data-parallel group, where every device routes its own shard.
+    /// The flags are kept for that device's sanitizer, if any.
+    pub(crate) fn route(&mut self, feature: u32, flags: Vec<bool>) {
+        let (k, rows) = (self.on.len(), flags.len());
+        let at = if self.spread.data_parallel {
+            for (rank, on) in self.on.iter_mut().enumerate() {
+                on.routed += shard_range(rows, k, rank).len();
+            }
+            0
+        } else {
+            let f_local = self.full.features.partition_point(|&x| x < feature);
+            let owner = (0..k)
+                .find(|&rank| self.ranges[rank].contains(&f_local))
+                .expect("split feature must belong to a device");
+            self.on[owner].routed += rows;
+            self.on[owner].flags += rows.div_ceil(8);
+            owner
+        };
+        if self.spread.devices[at].sanitizer().is_some() {
+            self.on[at].traced.push(flags);
+        }
+    }
+
+    /// Book the level on every device: the planned builds and derives,
+    /// the split scans and, on a group, the candidate exchange, then the
+    /// partition. A data-parallel device derives its slice once the
+    /// level's builds and node collectives have landed. Returns, in
+    /// streamed mode, when the next level's builds may start: the
+    /// alignment fence, or the first chunk of a feature-parallel level's
+    /// bitmap exchange, whose tail they overlap.
+    pub(crate) fn close(
+        mut self,
+        depth: usize,
+        grown: &mut GrowResult,
+        params: &SplitParams,
+    ) -> Option<Event> {
+        let spread = self.spread;
+        let (data_parallel, streamed) = (spread.data_parallel, spread.streamed);
+        if !data_parallel {
+            self.flush_builds(if streamed { HIST_STREAM } else { 0 }, depth, grown);
+        }
+        if let Some(group) = spread.group.filter(|_| streamed) {
+            // A data-parallel device reads its slice of the reduced
+            // histograms once the group's last build and last
+            // reduce-scatter have landed; a feature-parallel device
+            // evaluates as soon as its own builds are done, and the
+            // cross-device join is the level's candidate all-gather.
+            let devices = group.devices();
+            let landed = data_parallel.then(|| {
+                stream_fence(devices, HIST_STREAM).max(stream_fence(devices, COMM_STREAM))
+            });
+            for (dev, cols) in devices.iter().zip(self.ranges) {
+                match landed {
+                    Some(landed) => dev.wait_event(0, landed),
+                    None if !cols.is_empty() => dev.wait_event(0, dev.record_event(HIST_STREAM)),
+                    None => {}
+                }
+            }
+        }
+        if data_parallel {
+            self.flush_builds(0, depth, grown);
+        }
+        let devices = &spread.devices;
+        for (dev, on) in devices.iter().zip(&mut self.on) {
+            on.split
+                .flush(dev, dev.model().params.sm_count, params.segments_c);
+        }
+        let largest = |part: fn(&DeviceLevel) -> usize| self.on.iter().map(part).max().unwrap_or(0);
+        // Candidates are tiny summary statistics: winners wait the full
+        // exchange.
+        let candidates = largest(|on| on.candidates);
+        if let Some(group) = spread.group.filter(|_| candidates > 0) {
+            if let Some((done, _)) = all_gather_level(group, candidates, streamed) {
+                devices.iter().for_each(|dev| dev.wait_event(0, done));
+            }
+        }
+        // Each device replays the partitions whose flags it computed and
+        // charges its level's partition: a data-parallel device over its
+        // own shards; otherwise every device over its (replicated) index
+        // lists, after a group's owners computed their flags.
+        let total: usize = self.on.iter().map(|on| on.routed).sum();
+        for (dev, on) in devices.iter().zip(&self.on) {
+            for flags in &on.traced {
+                crate::sanitize::trace_partition(dev, flags);
+            }
+            let rows = on.routed;
+            if data_parallel {
+                if rows > 0 {
+                    dev.charge_kernel("partition_shard", Phase::Partition, &partition_cost(rows));
+                }
+                continue;
+            }
+            if rows > 0 && spread.group.is_some() {
+                let flags = KernelCost::streaming(rows as f64, (rows * 5) as f64);
+                dev.charge_kernel("compute_flags_level", Phase::Partition, &flags);
+            }
+            if total > 0 {
+                dev.charge_kernel("partition_level", Phase::Partition, &partition_cost(total));
+            }
+        }
+        let group = spread.group?;
+        let devices = group.devices();
+        let flags = largest(|on| on.flags);
+        let comm_partial = (flags > 0)
+            .then(|| all_gather_level(group, flags, streamed))
+            .flatten()
+            .map(|(done, ns)| first_chunk(done, ns));
+        if streamed {
+            let align = align_stream0(devices);
+            Some(comm_partial.map_or(align, |p| align.max(p)))
+        } else {
+            group.barrier();
+            None
+        }
+    }
+}
+
 /// How training work is decomposed across devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MultiGpuStrategy {
@@ -438,12 +785,12 @@ pub enum MultiGpuStrategy {
 
 /// Multi-GPU GBDT-MO trainer.
 ///
-/// It grows the same trees as [`crate::GpuTrainer`] for the knobs it
-/// implements. The constructors reject, with a [`ConfigError`] naming
-/// the knob, the ones it does not: `subsample < 1`,
-/// `colsample_bytree < 1`, `goss`, non-empty `monotone_constraints`,
-/// `hist.quantized_gradients`, `hist.subtraction` and `hist.sparse_aware`
-/// (the loop builds every histogram with the dense pass).
+/// It grows the same trees as [`crate::GpuTrainer`], on the same level
+/// loop, for the knobs it implements, `hist.subtraction` and
+/// `monotone_constraints` among them. The constructors reject, with a
+/// [`ConfigError`] naming the knob, the ones it does not: `subsample <
+/// 1`, `colsample_bytree < 1`, `goss`, `hist.quantized_gradients` and
+/// `hist.sparse_aware`.
 pub struct MultiGpuTrainer {
     group: DeviceGroup,
     config: TrainConfig,
@@ -486,12 +833,7 @@ impl MultiGpuTrainer {
             ("subsample", config.subsample < 1.0),
             ("colsample_bytree", config.colsample_bytree < 1.0),
             ("goss", config.goss.is_some()),
-            (
-                "monotone_constraints",
-                !config.monotone_constraints.is_empty(),
-            ),
             ("hist.quantized_gradients", config.hist.quantized_gradients),
-            ("hist.subtraction", config.hist.subtraction),
             ("hist.sparse_aware", config.hist.sparse_aware),
         ];
         if let Some((knob, _)) = unsupported.iter().find(|(_, set)| *set) {
@@ -617,11 +959,8 @@ impl Placement for Group<'_> {
         }
     }
 
-    /// Grow one tree level by level across the group: each device
-    /// plans its slice of every node's histogram build into its level's
-    /// batches and evaluates its feature range of the node, and the
-    /// level ends with the split scans, the candidate exchange and the
-    /// partition.
+    /// Grow one tree on the shared level loop, spread over the active
+    /// devices.
     fn grow(
         &self,
         binned: &BinnedDataset,
@@ -631,339 +970,14 @@ impl Placement for Group<'_> {
         pool: &mut HistogramPool,
     ) -> GrowResult {
         let group = self.group();
-        let devices = group.devices();
-        let k = group.len();
-        // Only the columns that can split are built, reduce-scattered
-        // and scanned, as on one device.
-        let features = &binned.splittable(features)[..];
-        let mf = features.len();
-        let max_depth = if mf == 0 { 0 } else { self.config.max_depth };
-        // Each device's range of `features` (local indices). A
-        // feature-parallel device keeps the columns it ingested and
-        // builds the splittable ones among them; data-parallel devices
-        // divide the splittable list.
-        let ranges: Vec<(usize, usize)> = match self.strategy {
-            MultiGpuStrategy::FeatureParallel => {
-                debug_assert!(features.is_sorted(), "features ascend");
-                let local = |f: usize| features.partition_point(|&x| (x as usize) < f);
-                partition_features(binned.m(), k)
-                    .into_iter()
-                    .map(|(lo, hi)| (local(lo), local(hi)))
-                    .collect()
-            }
-            MultiGpuStrategy::DataParallel => partition_features(mf, k),
+        let several = group.len() > 1;
+        let spread = Spread {
+            devices: self.active.iter().map(|dev| &**dev).collect(),
+            group: several.then_some(&group),
+            data_parallel: several && self.strategy == MultiGpuStrategy::DataParallel,
+            streamed: several && self.config.streams > 1,
         };
-        let streamed = self.config.streams > 1;
-        let hist_stream = if streamed { HIST_STREAM } else { 0 };
-        let data_parallel = self.strategy == MultiGpuStrategy::DataParallel;
-        // What a data-parallel node's two paths move, and cost.
-        let shape = ExchangeShape::new(
-            k,
-            mf,
-            self.config.max_bins,
-            grads.d,
-            grads.uniform_h().is_some(),
-        );
-        let params = SplitParams::from(self.config);
-        // One working histogram: each node is accumulated, evaluated and
-        // done with before the next is built.
-        pool.ensure_shape(mf, grads.d, self.config.max_bins);
-        let mut hist = pool.acquire();
-        let mut grown = GrowResult::new(grads.d, mf);
-        let mut frontier = vec![OpenNode::root(grads, root)];
-        // Streamed mode: builds of each level start at the previous
-        // level's alignment fence, plus (feature-parallel) the first
-        // chunk of the in-flight bitmap exchange, whose tail they
-        // overlap.
-        let mut level_fence: Option<Event> = None;
-        // Data-parallel groups move every built node's data between
-        // devices, by the cheaper of its two paths.
-        let exchanges = data_parallel && k > 1;
-        let builds = |open: &OpenNode| open.instances.len() >= 2 * self.config.min_instances;
-        // Rank `rank`'s histogram context over its feature range, or
-        // over every splittable column.
-        let ctx = |rank: usize, by_range: bool| {
-            let (lo, hi) = if by_range { ranges[rank] } else { (0, mf) };
-            HistContext {
-                device: &devices[rank],
-                data: binned,
-                grads,
-                features: &features[lo..hi],
-                bins: self.config.max_bins,
-                opts: self.config.hist,
-            }
-        };
-        // Each device plans the build of its slice of a node in its
-        // level's charges: its feature range over all of the node's rows
-        // (feature-parallel, or a data-parallel node whose rows were
-        // exchanged), or every column over its instance shard.
-        let plan = |charges: &mut [HistCharges], instances: &[u32], by_range: bool| {
-            for (rank, charges) in charges.iter_mut().enumerate() {
-                let ctx = ctx(rank, by_range);
-                let shard = shard_range(instances.len(), k, rank);
-                let idx = if by_range {
-                    instances
-                } else {
-                    &instances[shard]
-                };
-                if !ctx.features.is_empty() && !idx.is_empty() {
-                    charges.plan(&ctx, idx);
-                }
-            }
-        };
-        // Each device charges its planned builds on the hist stream, with
-        // the contexts they were planned with.
-        let flush = |charges: &mut [HistCharges], by_range, depth, grown: &mut GrowResult| {
-            for (rank, charges) in charges.iter_mut().enumerate() {
-                charges.flush(&ctx(rank, by_range), hist_stream, depth, grown);
-            }
-        };
-
-        for depth in 0..max_depth {
-            let _level_scopes: Vec<_> = devices
-                .iter()
-                .map(|dev| dev.prof_scope("level", Some(depth as u64)))
-                .collect();
-            if streamed {
-                for dev in devices {
-                    let f = level_fence.unwrap_or_else(|| dev.record_event(0));
-                    dev.wait_event(HIST_STREAM, f);
-                }
-            }
-            let mut next = Vec::new();
-            // Nodes whose histogram was built this level; per device,
-            // its level-batched histogram and split charges, its
-            // candidate payload, its routing-bitmap payload, and the
-            // rows it routes: the owner's flags (feature-parallel) or
-            // its own shard (data-parallel).
-            let mut built = 0usize;
-            let mut hist_charges = vec![HistCharges::default(); k];
-            let mut split_charges = vec![LevelSplitCharges::new(); k];
-            let mut candidate_bytes = vec![0usize; k];
-            let mut flag_bytes = vec![0usize; k];
-            let mut routed = vec![0usize; k];
-            if exchanges {
-                // Each built node takes the cheaper of its two paths. A
-                // reduce-scatter node is a build then a collective, a
-                // row-path node a collective then a build: a two-machine
-                // job shop, which Jackson's rule schedules. The level's
-                // row exchange goes first on the comm streams, while the
-                // hist streams build the reduce-scatter nodes smallest
-                // first (Johnson's rule for their flow shop, ties to the
-                // lower frontier index); their reduce-scatters queue
-                // behind the exchange, and the row-path builds wait for
-                // it, one kernel per method on each device. All of it is
-                // charged before the node loop below, which charges
-                // nothing of a data-parallel level until its end.
-                let model = devices[0].model();
-                let mut order: Vec<usize> = (0..frontier.len())
-                    .filter(|&i| builds(&frontier[i]))
-                    .collect();
-                order.sort_by_key(|&i| frontier[i].instances.len());
-                let (row_nodes, scatters): (Vec<&[u32]>, Vec<&[u32]>) = order
-                    .into_iter()
-                    .map(|i| &frontier[i].instances[..])
-                    .partition(|idx| shape.path(model, idx.len()) == NodePath::RowExchange);
-                let mut exchanged = None;
-                if !row_nodes.is_empty() {
-                    let (done, bytes) =
-                        exchange_rows(&group, &shape, &row_nodes, grads.n, mf, streamed);
-                    tally_path(
-                        &mut grown,
-                        devices,
-                        depth,
-                        NodePath::RowExchange,
-                        row_nodes.len(),
-                        bytes,
-                    );
-                    exchanged = done;
-                }
-                for idx in scatters {
-                    // The node's own batch: its collective waits for it.
-                    plan(&mut hist_charges, idx, false);
-                    flush(&mut hist_charges, false, depth, &mut grown);
-                    let bytes = reduce_scatter_node(&group, shape.hist_bytes(), streamed);
-                    tally_path(
-                        &mut grown,
-                        devices,
-                        depth,
-                        NodePath::ReduceScatter,
-                        1,
-                        bytes,
-                    );
-                }
-                if let Some(done) = exchanged {
-                    for dev in devices {
-                        dev.wait_event(HIST_STREAM, done);
-                    }
-                }
-                for idx in row_nodes {
-                    plan(&mut hist_charges, idx, true);
-                }
-                flush(&mut hist_charges, true, depth, &mut grown);
-            }
-            for open in frontier {
-                if !builds(&open) {
-                    open.close_leaf(&mut grown, self.config, None, &devices[0]);
-                    continue;
-                }
-                built += 1;
-                if !exchanges {
-                    plan(&mut hist_charges, &open.instances, !data_parallel);
-                }
-                // Functional accumulation once (identical results).
-                hist.reset();
-                accumulate_dense(&ctx(0, false), &open.instances, &mut hist);
-
-                // Each device evaluates only its own feature range.
-                let mut best: Option<SplitCandidate> = None;
-                for (rank, &(lo, hi)) in ranges.iter().enumerate() {
-                    let local = find_best_split_range_batched(
-                        &mut split_charges[rank],
-                        &hist,
-                        features,
-                        lo,
-                        hi,
-                        &open.g,
-                        &open.h,
-                        open.instances.len() as u32,
-                        &params,
-                    );
-                    candidate_bytes[rank] += 16 + local.as_ref().map_or(0, |c| c.left_g.len() * 16);
-                    // Strictly-greater gain wins, so exact ties
-                    // resolve to the lowest feature range — the
-                    // single-device argmax rule.
-                    if let Some(c) = local {
-                        if best.as_ref().is_none_or(|b| c.gain > b.gain) {
-                            best = Some(c);
-                        }
-                    }
-                }
-                let Some(split) = best else {
-                    open.close_leaf(&mut grown, self.config, None, &devices[0]);
-                    continue;
-                };
-
-                let len = open.instances.len();
-                let traced_on = match self.strategy {
-                    MultiGpuStrategy::FeatureParallel => {
-                        // The owning device computes the routing
-                        // flags; the level's bitmaps are exchanged
-                        // in one all-gather.
-                        let f_local = features.partition_point(|&x| x < split.feature);
-                        let owner = ranges
-                            .iter()
-                            .position(|&(lo, hi)| (lo..hi).contains(&f_local))
-                            .expect("split feature must belong to a device");
-                        routed[owner] += len;
-                        flag_bytes[owner] += len.div_ceil(8);
-                        &devices[owner]
-                    }
-                    MultiGpuStrategy::DataParallel => {
-                        // Every device routes its own shard.
-                        for (rank, rows) in routed.iter_mut().enumerate() {
-                            *rows += shard_range(len, k, rank).len();
-                        }
-                        &devices[0]
-                    }
-                };
-                let (children, flags) = open.split(split, binned, &mut grown.tree);
-                crate::sanitize::trace_partition(traced_on, &flags);
-                next.extend(children);
-            }
-
-            if !exchanges {
-                flush(&mut hist_charges, !data_parallel, depth, &mut grown);
-            }
-            if streamed {
-                // A data-parallel device reads its slice of the reduced
-                // histograms once the group's last build and last
-                // reduce-scatter have landed; a feature-parallel device
-                // evaluates as soon as its own builds are done, and the
-                // cross-device join is the level's candidate all-gather.
-                let landed = data_parallel.then(|| {
-                    stream_fence(devices, HIST_STREAM).max(stream_fence(devices, COMM_STREAM))
-                });
-                for (dev, &(lo, hi)) in devices.iter().zip(&ranges) {
-                    match landed {
-                        Some(landed) => dev.wait_event(0, landed),
-                        None if lo < hi => dev.wait_event(0, dev.record_event(HIST_STREAM)),
-                        None => {}
-                    }
-                }
-            }
-            for (dev, charges) in devices.iter().zip(&mut split_charges) {
-                charges.flush(dev, dev.model().params.sm_count, params.segments_c);
-            }
-            // Candidates are tiny summary statistics: winners wait the
-            // full exchange.
-            if built > 0 && k > 1 {
-                if let Some((done, _)) = all_gather_level(&group, &candidate_bytes, streamed) {
-                    for dev in devices {
-                        dev.wait_event(0, done);
-                    }
-                }
-            }
-            // The level's partition kernels. In streamed mode the
-            // returned event is when the next level's builds may
-            // start: the bitmap exchange's first chunk.
-            let comm_partial = match self.strategy {
-                MultiGpuStrategy::FeatureParallel => {
-                    // Every device partitions its (replicated) index
-                    // lists; only the owners computed flags.
-                    let partition_elems: usize = routed.iter().sum();
-                    for (dev, &elems) in devices.iter().zip(&routed) {
-                        if elems > 0 {
-                            dev.charge_kernel(
-                                "compute_flags_level",
-                                Phase::Partition,
-                                &KernelCost::streaming(elems as f64, (elems * 5) as f64),
-                            );
-                        }
-                        if partition_elems > 0 {
-                            dev.charge_kernel(
-                                "partition_level",
-                                Phase::Partition,
-                                &partition_cost(partition_elems),
-                            );
-                        }
-                    }
-                    if k > 1 && flag_bytes.iter().any(|&b| b > 0) {
-                        all_gather_level(&group, &flag_bytes, streamed)
-                            .map(|(done, ns)| first_chunk(done, ns))
-                    } else {
-                        None
-                    }
-                }
-                MultiGpuStrategy::DataParallel => {
-                    for (dev, &rows) in devices.iter().zip(&routed) {
-                        if rows > 0 {
-                            dev.charge_kernel(
-                                "partition_shard",
-                                Phase::Partition,
-                                &partition_cost(rows),
-                            );
-                        }
-                    }
-                    None
-                }
-            };
-            if streamed {
-                let align = align_stream0(devices);
-                level_fence = Some(comm_partial.map_or(align, |p| align.max(p)));
-            } else {
-                group.barrier();
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        for open in frontier {
-            open.close_leaf(&mut grown, self.config, None, &devices[0]);
-        }
-        pool.release(hist);
-        grown
+        grow_levels(&spread, binned, grads, self.config, features, root, pool)
     }
 
     /// The lead computes the gradients over all `n` rows in both
@@ -1168,27 +1182,10 @@ mod tests {
                 },
             ),
             (
-                "monotone_constraints",
-                TrainConfig {
-                    monotone_constraints: vec![1; 16],
-                    ..quick_config()
-                },
-            ),
-            (
                 "quantized_gradients",
                 TrainConfig {
                     hist: HistOptions {
                         quantized_gradients: true,
-                        ..HistOptions::default()
-                    },
-                    ..quick_config()
-                },
-            ),
-            (
-                "hist.subtraction",
-                TrainConfig {
-                    hist: HistOptions {
-                        subtraction: true,
                         ..HistOptions::default()
                     },
                     ..quick_config()
@@ -2188,12 +2185,10 @@ mod tests {
 
     #[test]
     fn a_one_device_group_charges_what_one_device_charges() {
-        // Both growers charge a level's builds as one kernel per
-        // (method, device) and its split scan as one kernel per device,
-        // so a data-parallel group of one device is one device, bit for
-        // bit. A feature-parallel one also charges its owner's
-        // `compute_flags_level`, which one device folds into its
-        // partition.
+        // A group of one grows on the level loop of one device: one
+        // kernel per (level, method) of builds, one split scan and one
+        // `partition_level` per level, all on the default stream. Both
+        // strategies are then one device, bit for bit.
         let ds = make_classification(&ClassificationSpec {
             instances: 3000,
             features: 16,
@@ -2225,31 +2220,22 @@ mod tests {
                     .map(|(&p, ns)| (p, ns.to_bits()))
                     .collect()
             };
-            let group = |strategy| {
-                MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(1), cfg.clone(), strategy)
-                    .fit_report(&ds)
-            };
-            let dp = group(MultiGpuStrategy::DataParallel);
-            assert_eq!(tree_bits(&dp.model), tree_bits(&one.model), "{method:?}");
-            assert_eq!(
-                dp.sim_seconds.to_bits(),
-                one.sim_seconds.to_bits(),
-                "{method:?}: DP(1) sim_seconds"
-            );
-            assert_eq!(phases(&dp), phases(&one), "{method:?}: DP(1) by_phase");
-            let fp = group(MultiGpuStrategy::FeatureParallel);
-            assert_eq!(tree_bits(&fp.model), tree_bits(&one.model), "{method:?}");
-            let (mut fp_phases, mut one_phases) = (phases(&fp), phases(&one));
-            let partition =
-                |p: &mut BTreeMap<Phase, u64>| f64::from_bits(p.remove(&Phase::Partition).unwrap());
-            assert!(
-                partition(&mut fp_phases) > partition(&mut one_phases),
-                "{method:?}: FP(1) charges its flag kernel"
-            );
-            assert_eq!(
-                fp_phases, one_phases,
-                "{method:?}: FP(1) by_phase but Partition"
-            );
+            for strategy in [
+                MultiGpuStrategy::DataParallel,
+                MultiGpuStrategy::FeatureParallel,
+            ] {
+                let group =
+                    MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(1), cfg.clone(), strategy)
+                        .fit_report(&ds);
+                let at = format!("{method:?} {strategy:?}(1)");
+                assert_eq!(tree_bits(&group.model), tree_bits(&one.model), "{at}");
+                assert_eq!(
+                    group.sim_seconds.to_bits(),
+                    one.sim_seconds.to_bits(),
+                    "{at}: sim_seconds"
+                );
+                assert_eq!(phases(&group), phases(&one), "{at}: by_phase");
+            }
         }
     }
 

@@ -37,6 +37,7 @@ use gpusim::cost::KernelCost;
 use gpusim::{Device, Phase};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Number of segments each block handles under the paper's adaptive
 /// mapping (§3.1.3): `1 + #segments / #SMs × C`. A naive one-segment-
@@ -417,38 +418,6 @@ fn best_split_impl(
     })
 }
 
-/// Best split over features `f_lo..f_hi` (local indices into
-/// `features`/`hist`), its kernel work accumulated into `charges`: a
-/// device evaluating its own feature range of every node in a level
-/// flushes them once per level.
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_split_range_batched(
-    charges: &mut LevelSplitCharges,
-    hist: &NodeHistogram,
-    features: &[u32],
-    f_lo: usize,
-    f_hi: usize,
-    node_g: &[f64],
-    node_h: &[f64],
-    node_count: u32,
-    params: &SplitParams,
-) -> Option<SplitCandidate> {
-    let out = best_split_impl(
-        crate::simd::with_row_width!(hist.d, scan_feature),
-        hist,
-        features,
-        f_lo,
-        f_hi,
-        node_g,
-        node_h,
-        node_count,
-        params,
-        None,
-    );
-    charges.add(f_hi - f_lo, hist);
-    out
-}
-
 /// Best split over the full feature range, charged to `device` at once
 /// as this node's own (unbatched) kernels.
 pub fn find_best_split(
@@ -461,45 +430,48 @@ pub fn find_best_split(
     params: &SplitParams,
 ) -> Option<SplitCandidate> {
     let mut acc = LevelSplitCharges::new();
-    let out = find_best_split_range_batched(
+    let out = find_best_split_constrained(
         &mut acc,
         hist,
         features,
-        0,
-        features.len(),
+        0..features.len(),
         node_g,
         node_h,
         node_count,
         params,
+        None,
     );
     acc.flush(device, device.model().params.sm_count, params.segments_c);
     out
 }
 
-/// Best split over the full feature range, optionally under monotone
-/// constraints, its kernel work accumulated into `charges` instead of
-/// being charged immediately — call [`LevelSplitCharges::flush`] once
-/// per level (paper §3.1.3's batched segmented reduction). A candidate
-/// on a constrained feature is admissible only if its (bound-clamped)
-/// child leaf values respect the required ordering on every output.
+/// Best split over the features `cols` (local indices into
+/// `features`/`hist`), optionally under monotone constraints, its kernel
+/// work accumulated into `charges` instead of being charged immediately
+/// — call [`LevelSplitCharges::flush`] once per level (paper §3.1.3's
+/// batched segmented reduction). One device scans every column; a
+/// device of a group scans its own range. A candidate on a constrained
+/// feature is admissible only if its (bound-clamped) child leaf values
+/// respect the required ordering on every output.
 #[allow(clippy::too_many_arguments)]
 pub fn find_best_split_constrained(
     charges: &mut LevelSplitCharges,
     hist: &NodeHistogram,
     features: &[u32],
+    cols: Range<usize>,
     node_g: &[f64],
     node_h: &[f64],
     node_count: u32,
     params: &SplitParams,
     constraints: Option<&ConstraintState<'_>>,
 ) -> Option<SplitCandidate> {
-    charges.add(features.len(), hist);
+    charges.add(cols.len(), hist);
     best_split_impl(
         crate::simd::with_row_width!(hist.d, scan_feature),
         hist,
         features,
-        0,
-        features.len(),
+        cols.start,
+        cols.end,
         node_g,
         node_h,
         node_count,
@@ -695,16 +667,16 @@ mod tests {
         let p = params();
         let mut charges = LevelSplitCharges::new();
         let mut range = |lo, hi| {
-            find_best_split_range_batched(
+            find_best_split_constrained(
                 &mut charges,
                 &hist,
                 &[4, 9],
-                lo,
-                hi,
+                lo..hi,
                 &[0.0],
                 &[8.0],
                 40,
                 &p,
+                None,
             )
         };
         assert!(range(0, 1).is_none());
@@ -723,6 +695,7 @@ mod tests {
             &mut charges,
             &hist,
             &[7],
+            0..1,
             &[0.0],
             &[8.0],
             40,
@@ -755,6 +728,7 @@ mod tests {
                 &mut charges,
                 &hist,
                 &[0],
+                0..1,
                 &[0.0],
                 &[8.0],
                 40,
@@ -898,6 +872,7 @@ mod tests {
             &mut charges,
             &hist,
             &features,
+            0..features.len(),
             &node_g,
             &node_h,
             node_count,

@@ -144,8 +144,8 @@ fn uniform_fits_equal_general_path_fits_bit_for_bit() {
         }
     }
     // One device runs all 32 combinations; a pair runs the 4 methods on
-    // dense, non-subtracting, unquantized builds.
-    assert_eq!(fitted, 32 + 2 * 4);
+    // dense, unquantized builds, with and without subtraction.
+    assert_eq!(fitted, 32 + 2 * 8);
 }
 
 /// Sigmoid and softmax start every row at the base scores, so round 0

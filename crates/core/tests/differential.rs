@@ -388,3 +388,65 @@ fn no_split_leaves_a_child_empty_at_min_instances_zero() {
         }
     }
 }
+
+/// Fit `cfg` on one device, then on {feature, data} parallel groups of
+/// 1–3 devices at 1 and 4 streams, and check every group's trees
+/// against the one device's, bit for bit. Returns the one device's
+/// trees.
+fn assert_groups_grow_one_device_trees(
+    tag: &str,
+    ds: &Dataset,
+    cfg: &TrainConfig,
+) -> Vec<Vec<u64>> {
+    let want = tree_bits(&GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit(ds));
+    for k in 1..=3 {
+        for streams in [1, 4] {
+            for strategy in [
+                MultiGpuStrategy::FeatureParallel,
+                MultiGpuStrategy::DataParallel,
+            ] {
+                let cfg = TrainConfig {
+                    streams,
+                    ..cfg.clone()
+                };
+                let group = DeviceGroup::rtx4090s(k);
+                let model = MultiGpuTrainer::try_with_strategy(group, cfg, strategy)
+                    .unwrap_or_else(|e| panic!("{tag}: {strategy:?}({k}) rejected: {e}"))
+                    .fit(ds);
+                assert_eq!(
+                    tree_bits(&model),
+                    want,
+                    "{tag}: {strategy:?}({k}), streams={streams}"
+                );
+            }
+        }
+    }
+    want
+}
+
+/// Under histogram subtraction a group derives each pair's larger child
+/// from the parent, as one device does, on every device count, layout
+/// and stream count.
+#[test]
+fn groups_under_subtraction_grow_one_device_trees_bit_for_bit() {
+    for (tag, ds) in datasets() {
+        let mut cfg = config();
+        cfg.hist.subtraction = true;
+        assert_groups_grow_one_device_trees(tag, &ds, &cfg);
+    }
+}
+
+/// Monotone constraints bound a group's splits and leaves as they bound
+/// one device's; the constraints chosen here change the trees.
+#[test]
+fn groups_under_monotone_constraints_grow_one_device_trees_bit_for_bit() {
+    for (tag, ds) in datasets() {
+        let free = tree_bits(&GpuTrainer::new(Device::rtx4090(), config()).fit(&ds));
+        let cfg = TrainConfig {
+            monotone_constraints: (0..ds.m()).map(|f| [1, 0, -1][f % 3]).collect(),
+            ..config()
+        };
+        let constrained = assert_groups_grow_one_device_trees(tag, &ds, &cfg);
+        assert_ne!(constrained, free, "{tag}: the constraints bound nothing");
+    }
+}

@@ -58,10 +58,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 
 #[rustfmt::skip]
 const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
-    ("FP(1)/streams1/none", 0x53c25fab5d014906, 0x984a4a13b520c9fc),
-    ("FP(1)/streams1/top2", 0x455e8f9560974dce, 0x7a47d1419bc2c1b9),
-    ("FP(1)/streams4/none", 0x151e9213a40b58af, 0x984a4a13b520c9fc),
-    ("FP(1)/streams4/top2", 0xf696d1c6586b3f5e, 0x7a47d1419bc2c1b9),
+    ("FP(1)/streams1/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
+    ("FP(1)/streams1/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
+    ("FP(1)/streams4/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
+    ("FP(1)/streams4/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
     ("FP(2)/streams1/none", 0xcecb93a26694fa4e, 0x3a723188c299c64f),
     ("FP(2)/streams1/top2", 0x72f9157b101dc7fa, 0xe34998b27a47c3d7),
     ("FP(2)/streams4/none", 0x797d6ad0f018f629, 0x3f97f2cadaab6fd0),
@@ -72,10 +72,10 @@ const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
     ("FP(3)/streams4/top2", 0xa64d37982eaea4ae, 0x3d924fecc2dabb53),
     ("FP(3)/transient", 0x8497d4b701423d9a, 0xdc1c4ccd309babfe),
     ("FP(3)/lost", 0xb44edd32773a1685, 0xc65ad40dd213b1d4),
-    ("DP(1)/streams1/none", 0x5745e8eeb1052d34, 0x984a4a13b520c9fc),
-    ("DP(1)/streams1/top2", 0xa87c8f3e38fe3279, 0x7a47d1419bc2c1b9),
-    ("DP(1)/streams4/none", 0x26df56ecca1c3a41, 0x984a4a13b520c9fc),
-    ("DP(1)/streams4/top2", 0x5e966d848cb12379, 0x7a47d1419bc2c1b9),
+    ("DP(1)/streams1/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
+    ("DP(1)/streams1/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
+    ("DP(1)/streams4/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
+    ("DP(1)/streams4/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
     ("DP(2)/streams1/none", 0xe4a89025c6443dd1, 0x85d7bce59e9c7454),
     ("DP(2)/streams1/top2", 0x29fdb9a9de58d129, 0xd4448a4551330400),
     ("DP(2)/streams4/none", 0xb0d55ac013d7cfc7, 0x85d7bce59e9c7454),

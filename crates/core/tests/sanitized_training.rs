@@ -9,12 +9,14 @@
 //!    exactly equal to a run that never knew the sanitizer existed.
 //! 3. Feature- and data-parallel groups are clean on every device, and
 //!    each device traces the kernels it runs, its histogram builds under
-//!    the name of the level kernel that charged them.
+//!    the name of the level kernel that charged them and, under
+//!    subtraction, its derives over its own feature range.
 
 use gbdt_core::config::{HistogramMethod, TrainConfig};
+use gbdt_core::multigpu::partition_features;
 use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer};
 use gbdt_data::synth::{make_regression, RegressionSpec};
-use gbdt_data::Dataset;
+use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::{Device, DeviceGroup, Phase, SanitizeMode};
 use std::collections::BTreeMap;
 
@@ -133,20 +135,23 @@ fn sanitized_training_round_is_clean_for_every_method() {
 #[test]
 fn sanitized_group_training_is_clean_on_every_device() {
     let ds = dataset();
-    for strategy in [
-        MultiGpuStrategy::FeatureParallel,
-        MultiGpuStrategy::DataParallel,
+    for (strategy, subtraction) in [
+        (MultiGpuStrategy::FeatureParallel, false),
+        (MultiGpuStrategy::DataParallel, false),
+        (MultiGpuStrategy::DataParallel, true),
     ] {
         for streams in [1, 4] {
             let group = DeviceGroup::rtx4090s(2);
             for dev in group.devices() {
                 dev.enable_sanitizer(SanitizeMode::Full);
             }
-            let cfg = TrainConfig {
+            let mut cfg = TrainConfig {
                 streams,
                 ..config(HistogramMethod::Adaptive)
             };
+            cfg.hist.subtraction = subtraction;
             let packed = cfg.hist.warp_packing;
+            let bins = cfg.max_bins;
             let fit = MultiGpuTrainer::with_strategy(group.clone(), cfg, strategy).fit_report(&ds);
             // As on one device, per name: the sanitizers saw each
             // device's node builds (`hist_methods`) and the ledgers each
@@ -176,15 +181,33 @@ fn sanitized_group_training_is_clean_on_every_device() {
                 *want_built.entry(name(method)).or_insert(0u64) += seen.kernels as u64;
                 *nodes.entry(method).or_insert(0) += seen.nodes;
             }
-            let label = format!("{strategy:?} streams {streams}");
+            let label = format!("{strategy:?} subtraction {subtraction} streams {streams}");
             assert!(!fit.hist_launches.is_empty(), "{label}: no level kernels");
             assert_eq!(nodes, fit.hist_methods, "{label}: nodes per method");
             assert_eq!(traced, want_traced, "{label}: traced builds per name");
             assert_eq!(built, want_built, "{label}: charged kernels per name");
+            // Under subtraction each device derives only the slice of
+            // its own feature range: every derive's `parent − sibling`
+            // touches `|range| × bins` slots of `d` gradient columns and
+            // a count (MSE shares one Hessian row), three accesses each.
+            let all: Vec<u32> = (0..ds.m() as u32).collect();
+            let splittable = BinnedDataset::build(ds.features(), bins)
+                .splittable(&all)
+                .len();
+            let ranges = partition_features(splittable, 2);
+            let mut derives = Vec::new();
             for (rank, dev) in group.devices().iter().enumerate() {
-                let label = format!("{strategy:?} streams {streams} device {rank}");
+                let label = format!("{label} device {rank}");
                 let report = dev.sanitize_report().expect("sanitizer enabled");
                 assert!(report.is_clean(), "{label}: {:#?}", report.violations);
+                let derived = report.kernels.get("hist_subtract");
+                assert_eq!(derived.is_some(), subtraction, "{label}: derives traced");
+                if let Some(s) = derived {
+                    let (lo, hi) = ranges[rank];
+                    let elems = (hi - lo) * bins * (ds.d() + 1);
+                    assert_eq!(s.accesses, s.launches * 3 * elems as u64, "{label}");
+                    derives.push(s.launches);
+                }
                 // Each device ingests its share, mirrors the gradients
                 // and the score update; the lead closes the leaves and
                 // (data-parallel, or owning a split feature) partitions.
@@ -199,6 +222,10 @@ fn sanitized_group_training_is_clean_on_every_device() {
                         report.kernels.keys().collect::<Vec<_>>()
                     );
                 }
+            }
+            if subtraction {
+                assert!(derives[0] > 0, "{label}: nothing derived");
+                assert_eq!(derives[0], derives[1], "{label}: derives per device");
             }
         }
     }

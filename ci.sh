@@ -36,8 +36,10 @@ echo "==> bitwise pins under release codegen"
 # on uniform-Hessian rounds, the largest shard and widest range at three
 # devices, a train-dp2-shaped fit's roots and deep nodes, no path on one
 # device or a feature-parallel group), a one-device group that charges
-# what one device charges, the trees and histogram/split time that
-# appended constant columns must not move, the group trees under
+# what one device charges, record for record at 1 and 4 streams, devices
+# that own no splittable column and build and scan nothing, the trees
+# and histogram/split time that appended constant columns must not
+# move, the group trees under
 # subtraction and monotone constraints that must equal one device's at
 # 1-3 devices and 1 and 4 streams, the uniform-Hessian fits that must
 # equal fits forced onto the general Hessian path, and the
@@ -63,6 +65,7 @@ cargo test --release -q -p gbdt-core --lib -- \
   multigpu::tests::a_train_dp2_shaped_root_reduce_scatters_and_small_nodes_exchange_rows \
   multigpu::tests::single_devices_and_feature_parallel_groups_exchange_nothing \
   multigpu::tests::a_one_device_group_charges_what_one_device_charges \
+  multigpu::tests::devices_without_a_splittable_column_build_and_scan_nothing \
   uniform_differential::
 
 echo "==> benchmark unit tests (incl. the BENCHMARK.json sync test)"

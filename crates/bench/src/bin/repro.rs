@@ -866,8 +866,8 @@ fn ablations(opts: &Opts) {
 
     // 5b. Ingest copy overlap. On one device `streams > 1` only moves
     // the feature upload to a copy stream that binning pipelines behind
-    // (`Single::ingest`); every histogram kernel stays on the default
-    // stream, so 2, 4 and 8 streams are the same schedule.
+    // (`multigpu::Group::ingest`); every histogram kernel stays on the
+    // default stream, so 2, 4 and 8 streams are the same schedule.
     {
         let mut rows = Vec::new();
         for streams in [1usize, 2] {

@@ -1,19 +1,23 @@
-//! Multi-GPU training on a single machine (paper §3.4.2).
+//! Multi-GPU training on a single machine (paper §3.4.2), and the one
+//! placement of every fit.
 //!
-//! [`MultiGpuTrainer`] runs the boosting loop of [`crate::trainer`] on a
-//! group placement, and grows each tree on the level loop of one device
-//! (`grow::grow_levels`): this module says only where a round's work
-//! runs and what each device charges for it ([`Spread`]), for both
-//! layouts of [`MultiGpuStrategy`]. The lead runs the functional work
-//! (gradients, histograms, derives, splits, bounds, leaf values) once on
-//! the host whatever the layout or the device count, so every group
-//! grows the same trees as a single device; only the charged costs
-//! differ. A group of one charges what one device charges. From two
-//! devices on, the layouts differ in five places:
+//! The boosting loop of [`crate::trainer`] runs on a group of devices,
+//! lead first (`Group`): [`crate::GpuTrainer`] runs it over a group of
+//! one device, [`MultiGpuTrainer`] over its [`DeviceGroup`]. Each tree
+//! grows on the level loop of one device (`grow::grow_levels`): this
+//! module says only where a round's work runs and what each device
+//! charges for it (`Group`, [`Spread`]), for both layouts of
+//! [`MultiGpuStrategy`]. The lead runs the functional work (gradients,
+//! histograms, derives, splits, bounds, leaf values) once on the host
+//! whatever the layout or the device count, so every group grows the
+//! same trees as a single device; only the charged costs differ. A group
+//! of one is one device: it has no replica, no collective and no join.
+//! From two devices on, the layouts differ in five places:
 //!
-//! - **Ingest:** a device loads its feature range over all rows
-//!   (feature-parallel, [`partition_features`]) or all columns of its
-//!   instance shard (data-parallel).
+//! - **Ingest:** a device uploads and bins its feature range over all
+//!   rows (feature-parallel, [`partition_features`]) or all columns of
+//!   its instance shard (data-parallel), by the one ingest of every
+//!   device.
 //! - **Mirrored work:** the replicas' gradient, sketch-apply, leaf-refit
 //!   and score-update charges cover all `n` rows (feature-parallel) or
 //!   their own shard (data-parallel).
@@ -44,8 +48,10 @@
 //! data-parallel reduce-scatter node's build is a kernel of its own,
 //! charged before its collective.
 //!
-//! The group runs bulk-synchronously; barrier waits book as idle time.
-//! With `streams > 1` the histogram builds run on their own stream and
+//! With `streams > 1` every device copies its features on a copy stream
+//! and bins one chunk behind the copy. A group of two or more runs
+//! bulk-synchronously; barrier waits book as idle time. With
+//! `streams > 1` its histogram builds run on their own stream and
 //! collectives drain on a comm stream: a node's reduce-scatter while
 //! the next node builds, the bitmap exchange while the next level's
 //! builds start. A data-parallel level is a two-machine job shop that
@@ -64,7 +70,9 @@
 //! round, and finish training — producing trees bit-identical to a
 //! fault-free run, because the functional compute is independent of the
 //! device count. Only when every device is gone does training fail,
-//! with [`TrainError::AllDevicesLost`].
+//! with [`TrainError::AllDevicesLost`]. A fleet that started as one
+//! device has no survivor to degrade to: losing it fails the fit with
+//! [`TrainError::DeviceLost`], as on [`crate::GpuTrainer`].
 
 use crate::config::{ConfigError, TrainConfig};
 use crate::error::TrainError;
@@ -77,7 +85,7 @@ use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d
 use crate::split::{
     find_best_split_constrained, ConstraintState, LevelSplitCharges, SplitCandidate, SplitParams,
 };
-use crate::trainer::{boost, Placement, TrainReport};
+use crate::trainer::{boost, TrainReport};
 use gbdt_data::{BinnedDataset, Dataset};
 use gpusim::cost::{CostModel, KernelCost};
 use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
@@ -93,7 +101,7 @@ const COMM_STREAM: usize = 2;
 /// Collectives are modeled as pipelined into this many chunks: the
 /// first reduced chunk lands `1/COMM_CHUNKS` into the transfer, so the
 /// next level's builds overlap the tail (the same convention as the
-/// trainer's chunked ingest copy).
+/// chunked ingest copy of `Group::ingest`).
 const COMM_CHUNKS: f64 = 8.0;
 
 /// Contiguous ranges of `m` features per device: device `i` owns
@@ -791,6 +799,11 @@ pub enum MultiGpuStrategy {
 /// [`ConfigError`] naming the knob, the ones it does not: `subsample <
 /// 1`, `colsample_bytree < 1`, `goss`, `hist.quantized_gradients` and
 /// `hist.sparse_aware`.
+///
+/// A group of two or more degrades past a lost device and fails with
+/// [`TrainError::AllDevicesLost`] once none is left. A one-device group
+/// is one device: losing it fails with [`TrainError::DeviceLost`], as
+/// [`crate::GpuTrainer`] does.
 pub struct MultiGpuTrainer {
     group: DeviceGroup,
     config: TrainConfig,
@@ -884,28 +897,48 @@ impl MultiGpuTrainer {
     }
 
     /// Fallible counterpart of [`MultiGpuTrainer::fit_report`]: on a
-    /// `DeviceLost` the group degrades to the survivors and keeps
-    /// training (see the module docs); the error cases are an exhausted
-    /// transient-retry budget and the loss of every device.
+    /// `DeviceLost` a group of two or more degrades to the survivors and
+    /// keeps training (see the module docs); the error cases are an
+    /// exhausted transient-retry budget and the loss of every device.
     pub fn try_fit_report(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        let mut group = Group {
-            active: self.group.devices().to_vec(),
-            strategy: self.strategy,
-            config: &self.config,
-        };
+        let mut group = Group::new(self.group.devices().to_vec(), self.strategy, &self.config);
         Ok(boost(&mut group, &self.config, ds, None, None, None, None)?.0)
     }
 }
 
-/// The device group as a [`Placement`]: the devices still active, lead
-/// first, and how they divide the work.
-struct Group<'a> {
+/// The placement of every fit: the devices still active, lead first,
+/// and how they divide the work. [`crate::GpuTrainer`] runs it over one
+/// device, [`MultiGpuTrainer`] over its group.
+pub(crate) struct Group<'a> {
     active: Vec<Arc<Device>>,
+    /// The fleet started as one device: it joins nothing, and losing
+    /// that device ends the fit.
+    solo: bool,
     strategy: MultiGpuStrategy,
     config: &'a TrainConfig,
 }
 
-impl Group<'_> {
+impl<'a> Group<'a> {
+    /// A group over `devices`, lead first, dividing the work by
+    /// `strategy`.
+    pub(crate) fn new(
+        devices: Vec<Arc<Device>>,
+        strategy: MultiGpuStrategy,
+        config: &'a TrainConfig,
+    ) -> Self {
+        Group {
+            solo: devices.len() == 1,
+            active: devices,
+            strategy,
+            config,
+        }
+    }
+
+    /// The active devices, lead first.
+    pub(crate) fn devices(&self) -> &[Arc<Device>] {
+        &self.active
+    }
+
     /// The active devices as a group, for its collectives.
     fn group(&self) -> DeviceGroup {
         DeviceGroup::from_devices(self.active.clone())
@@ -925,18 +958,19 @@ impl Group<'_> {
             MultiGpuStrategy::DataParallel => shard_range(len, self.active.len(), rank).len(),
         }
     }
-}
 
-impl Placement for Group<'_> {
-    fn devices(&self) -> &[Arc<Device>] {
-        &self.active
-    }
-
-    /// Every device ingests and bins its share of the matrix: its
-    /// feature range over all rows (feature-parallel) or all columns of
-    /// its instance shard (data-parallel). Re-issued after degradation,
-    /// when the shares shift and survivors reload and rebin.
-    fn ingest(&self, n: usize, m: usize) {
+    /// Every device uploads and bins its share of the `n × m` feature
+    /// matrix: its feature range over all rows (feature-parallel) or all
+    /// columns of its instance shard (data-parallel). Re-issued after a
+    /// retry or a degradation, when the shares shift and survivors
+    /// reload and rebin.
+    ///
+    /// With `streams > 1` a device copies on a copy stream (engine work,
+    /// no SM contention) and bins one chunk behind it: the binning
+    /// kernel starts once the first of 8 copy chunks has landed, instead
+    /// of after the full transfer. Charge order is that of the serial
+    /// schedule, on stream 0; only start timestamps move.
+    pub(crate) fn ingest(&self, n: usize, m: usize) {
         let k = self.active.len();
         let ranges = partition_features(m, k);
         for (rank, dev) in self.active.iter().enumerate() {
@@ -944,24 +978,38 @@ impl Placement for Group<'_> {
                 MultiGpuStrategy::FeatureParallel => (n, ranges[rank].1 - ranges[rank].0),
                 MultiGpuStrategy::DataParallel => (shard_range(n, k, rank).len(), m),
             };
+            let _prep_scope = dev.prof_scope("preprocess", None);
             let bytes = (rows * cols * 4) as f64;
-            dev.charge_ns(
-                "htod_features",
-                Phase::Transfer,
-                dev.model().host_copy_ns(bytes),
-            );
+            let copy_ns = dev.model().host_copy_ns(bytes);
+            let copy_done = if self.config.streams > 1 {
+                let copy = dev.stream(1);
+                copy.wait_event(dev.record_event(0));
+                let copy_start = copy.record_event();
+                copy.charge_ns("htod_features", Phase::Transfer, copy_ns);
+                dev.wait_event(0, copy_start.offset_ns(copy_ns / 8.0));
+                Some(copy.record_event())
+            } else {
+                dev.charge_ns("htod_features", Phase::Transfer, copy_ns);
+                None
+            };
             dev.charge_kernel(
                 "quantile_binning",
                 Phase::Binning,
                 &KernelCost::streaming((rows * cols) as f64 * 16.0, bytes * 2.5),
             );
             crate::sanitize::trace_quantile_binning(dev, rows, cols, self.config.max_bins);
+            if let Some(done) = copy_done {
+                // Everything after ingest reads the device-resident
+                // features: join the copy stream before the first
+                // gradient kernel can issue.
+                dev.wait_event(0, done);
+            }
         }
     }
 
     /// Grow one tree on the shared level loop, spread over the active
     /// devices.
-    fn grow(
+    pub(crate) fn grow(
         &self,
         binned: &BinnedDataset,
         grads: &Gradients,
@@ -987,7 +1035,7 @@ impl Placement for Group<'_> {
     /// Hessians, so the group agrees on whether every row shares one
     /// Hessian row (the uniform-Hessian path) with a one-byte flag per
     /// rank, all-gathered before the round's root build.
-    fn mirror_gradients(&self, n: usize, d: usize, flops_per_output: f64) {
+    pub(crate) fn mirror_gradients(&self, n: usize, d: usize, flops_per_output: f64) {
         let kernel = match self.strategy {
             MultiGpuStrategy::FeatureParallel => "grad_hess",
             MultiGpuStrategy::DataParallel => "grad_hess_shard",
@@ -1011,7 +1059,7 @@ impl Placement for Group<'_> {
     /// The lead selects the sketch, the plan (selected column indices
     /// or the projection matrix) is broadcast, and every device applies
     /// it to its rows.
-    fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients {
+    pub(crate) fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients {
         let lead = &self.active[0];
         let plan = plan_sketch(lead, grads, self.config.sketch, seed);
         let bytes = plan.broadcast_bytes(grads.d);
@@ -1028,7 +1076,7 @@ impl Placement for Group<'_> {
 
     /// The lead refits the leaves; the replicas mirror the gather-reduce
     /// over their resident rows.
-    fn refit(&self, grown: &mut GrowResult, full: &Gradients) {
+    pub(crate) fn refit(&self, grown: &mut GrowResult, full: &Gradients) {
         refit_leaves_full_d(&self.active[0], grown, full, self.config);
         let d = full.d;
         for (rank, dev) in self.replicas() {
@@ -1043,7 +1091,7 @@ impl Placement for Group<'_> {
 
     /// The replicas mirror the lead's score update over every touched
     /// row, or over their shard of them.
-    fn mirror_update(&self, grown: &GrowResult, n: usize, d: usize) {
+    pub(crate) fn mirror_update(&self, grown: &GrowResult, n: usize, d: usize) {
         let touched: usize = grown.leaf_assignments.iter().map(|(v, _)| v.len()).sum();
         let (kernel, leaf_bytes) = match self.strategy {
             MultiGpuStrategy::FeatureParallel => {
@@ -1067,7 +1115,7 @@ impl Placement for Group<'_> {
     /// The group-wide `cudaGetLastError` analogue: every active device
     /// is polled, lost ones leave the active set, and the first loss
     /// (else the first transient fault) in rank order is reported.
-    fn poll(&mut self) -> Result<(), GpuFault> {
+    pub(crate) fn poll(&mut self) -> Result<(), GpuFault> {
         let (mut lost, mut transient) = (None, None);
         self.active.retain(|dev| match dev.poll_fault() {
             Ok(()) => true,
@@ -1083,15 +1131,26 @@ impl Placement for Group<'_> {
         lost.or(transient).map_or(Ok(()), Err)
     }
 
-    /// Survivors re-partition the work and carry on; only losing every
-    /// device ends the fit.
-    fn fatal_loss(&self, round: usize, _fault: GpuFault) -> Option<TrainError> {
-        self.active
-            .is_empty()
-            .then_some(TrainError::AllDevicesLost { round })
+    /// The error that ends the fit after a device loss at `round`, or
+    /// `None` when the survivors re-partition the work and carry on: a
+    /// fleet of one fails with [`TrainError::DeviceLost`], a larger one
+    /// with [`TrainError::AllDevicesLost`] once no device is left.
+    pub(crate) fn fatal_loss(&self, round: usize, fault: GpuFault) -> Option<TrainError> {
+        if self.solo {
+            Some(TrainError::DeviceLost { round, fault })
+        } else {
+            self.active
+                .is_empty()
+                .then_some(TrainError::AllDevicesLost { round })
+        }
     }
 
-    fn join(&self) {
+    /// Join the devices' clocks at the end of the fit; a fleet of one
+    /// has nothing to join.
+    pub(crate) fn join(&self) {
+        if self.solo {
+            return;
+        }
         // Clock spread is only visible before the final barrier joins
         // every stream to the group makespan.
         tel_makespan_skew(&self.active);
@@ -2183,12 +2242,39 @@ mod tests {
         assert!(mixed > 0, "no level mixed both paths");
     }
 
+    /// Charge records, bit for bit: name, phase, stream, start and
+    /// duration.
+    type RecordBits = Vec<(&'static str, Phase, usize, u64, u64)>;
+
+    /// What a fit left on `device`: every charge record, and the
+    /// counters and gauge bits of its registry.
+    fn observed(device: &Device) -> (RecordBits, BTreeMap<String, u64>, BTreeMap<String, u64>) {
+        let records = device.records();
+        let snap = device.telemetry().expect("registry attached").snapshot();
+        let records = records
+            .iter()
+            .map(|r| {
+                (
+                    r.name,
+                    r.phase,
+                    r.stream,
+                    r.start_ns.to_bits(),
+                    r.ns.to_bits(),
+                )
+            })
+            .collect();
+        let gauges = snap.gauges.into_iter().map(|(k, v)| (k, v.to_bits()));
+        (records, snap.counters, gauges.collect())
+    }
+
     #[test]
     fn a_one_device_group_charges_what_one_device_charges() {
-        // A group of one grows on the level loop of one device: one
+        // A group of one is one device: it ingests on a copy stream when
+        // `streams > 1`, grows on the level loop of one device (one
         // kernel per (level, method) of builds, one split scan and one
-        // `partition_level` per level, all on the default stream. Both
-        // strategies are then one device, bit for bit.
+        // `partition_level` per level, all on the default stream) and
+        // joins nothing. Both strategies are then one device, bit for
+        // bit, down to every charge record and telemetry metric.
         let ds = make_classification(&ClassificationSpec {
             instances: 3000,
             features: 16,
@@ -2203,38 +2289,81 @@ mod tests {
             HistogramMethod::SortReduce,
             HistogramMethod::Adaptive,
         ] {
-            let cfg = TrainConfig {
-                num_trees: 3,
-                max_depth: 5,
-                hist: HistOptions {
-                    method,
-                    ..HistOptions::default()
-                },
-                ..quick_config()
-            };
-            let one = GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_report(&ds);
-            let phases = |r: &TrainReport| -> BTreeMap<Phase, u64> {
-                r.sim
-                    .by_phase
-                    .iter()
-                    .map(|(&p, ns)| (p, ns.to_bits()))
-                    .collect()
-            };
-            for strategy in [
-                MultiGpuStrategy::DataParallel,
-                MultiGpuStrategy::FeatureParallel,
-            ] {
-                let group =
-                    MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(1), cfg.clone(), strategy)
-                        .fit_report(&ds);
-                let at = format!("{method:?} {strategy:?}(1)");
-                assert_eq!(tree_bits(&group.model), tree_bits(&one.model), "{at}");
-                assert_eq!(
-                    group.sim_seconds.to_bits(),
-                    one.sim_seconds.to_bits(),
-                    "{at}: sim_seconds"
-                );
-                assert_eq!(phases(&group), phases(&one), "{at}: by_phase");
+            for streams in [1, 4] {
+                let cfg = TrainConfig {
+                    num_trees: 3,
+                    max_depth: 5,
+                    streams,
+                    hist: HistOptions {
+                        method,
+                        ..HistOptions::default()
+                    },
+                    ..quick_config()
+                };
+                let device = Device::rtx4090();
+                device.enable_telemetry();
+                let one = GpuTrainer::new(device.clone(), cfg.clone()).fit_report(&ds);
+                let phases = |r: &TrainReport| -> BTreeMap<Phase, u64> {
+                    r.sim
+                        .by_phase
+                        .iter()
+                        .map(|(&p, ns)| (p, ns.to_bits()))
+                        .collect()
+                };
+                for strategy in [
+                    MultiGpuStrategy::DataParallel,
+                    MultiGpuStrategy::FeatureParallel,
+                ] {
+                    let trainer = MultiGpuTrainer::with_strategy(
+                        DeviceGroup::rtx4090s(1),
+                        cfg.clone(),
+                        strategy,
+                    );
+                    trainer.group().device(0).enable_telemetry();
+                    let group = trainer.fit_report(&ds);
+                    let at = format!("{method:?} {strategy:?}(1) streams {streams}");
+                    assert_eq!(tree_bits(&group.model), tree_bits(&one.model), "{at}");
+                    assert_eq!(
+                        group.sim_seconds.to_bits(),
+                        one.sim_seconds.to_bits(),
+                        "{at}: sim_seconds"
+                    );
+                    assert_eq!(phases(&group), phases(&one), "{at}: by_phase");
+                    assert_eq!(
+                        observed(trainer.group().device(0)),
+                        observed(&device),
+                        "{at}: charge records and telemetry"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn devices_without_a_splittable_column_build_and_scan_nothing() {
+        // Eight feature-parallel devices over three features: devices
+        // 3-7 own no column, so they book no histogram kernel and no
+        // split scan, and the group grows one device's trees.
+        let ds = make_classification(&ClassificationSpec {
+            instances: 200,
+            features: 3,
+            classes: 2,
+            informative: 3,
+            seed: 5,
+            ..Default::default()
+        });
+        let trainer = MultiGpuTrainer::new(DeviceGroup::rtx4090s(8), quick_config());
+        let model = trainer.fit(&ds);
+        let one = GpuTrainer::new(Device::rtx4090(), quick_config()).fit(&ds);
+        assert_eq!(tree_bits(&model), tree_bits(&one));
+        for dev in trainer.group().devices() {
+            let records = dev.records();
+            let count = |phase: Phase| records.iter().filter(|r| r.phase == phase).count();
+            let (hist, scans) = (count(Phase::Histogram), count(Phase::SplitEval));
+            if dev.id < 3 {
+                assert!(hist > 0 && scans > 0, "device {} scans its column", dev.id);
+            } else {
+                assert_eq!((hist, scans), (0, 0), "device {} owns no column", dev.id);
             }
         }
     }

@@ -243,7 +243,7 @@ pub fn apply_sketch(device: &Device, grads: &Gradients, plan: &SketchPlan) -> Gr
 }
 
 /// Charge the *apply* kernel of `plan` for an `n × d` gradient set
-/// without materializing it — used by the multi-GPU trainers to mirror
+/// without materializing it — used by a device group to mirror
 /// the gather/projection pass on replica devices after the broadcast.
 /// Identity charges nothing.
 pub fn charge_apply(device: &Device, n: usize, d: usize, plan: &SketchPlan) {
@@ -274,20 +274,6 @@ pub fn charge_apply(device: &Device, n: usize, d: usize, plan: &SketchPlan) {
             );
         }
     }
-}
-
-/// Plan and apply in one step: the single-GPU per-round entry point.
-/// Bit-identical gradients to
-/// `baselines::sketchboost::sketch_gradients(device, grads, k,
-/// strategy, seed)` for the matching strategy.
-pub fn sketch_gradients_device(
-    device: &Device,
-    grads: &Gradients,
-    sketch: OutputSketch,
-    seed: u64,
-) -> Gradients {
-    let plan = plan_sketch(device, grads, sketch, seed);
-    apply_sketch(device, grads, &plan)
 }
 
 /// Replace a sketch-grown tree's `k`-dimensional leaves with the
@@ -435,7 +421,7 @@ mod tests {
         ] {
             let device = Device::rtx4090();
             let gr = grads(40, 6);
-            let _ = sketch_gradients_device(&device, &gr, s, 5);
+            let _ = apply_sketch(&device, &gr, &plan_sketch(&device, &gr, s, 5));
             let sum = device.summary();
             let sk_ns = sum.by_phase.get(&Phase::Sketch).copied().unwrap_or(0.0);
             assert!(sk_ns > 0.0, "{s:?} charged nothing to Phase::Sketch");

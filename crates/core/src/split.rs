@@ -141,8 +141,13 @@ impl LevelSplitCharges {
         Self::default()
     }
 
-    /// Add one node's scan of `mf` features of `hist`.
+    /// Add one node's scan of `mf` features of `hist`. A scan of no
+    /// feature adds nothing: a device whose range holds no splittable
+    /// column launches no split kernel.
     fn add(&mut self, mf: usize, hist: &NodeHistogram) {
+        if mf == 0 {
+            return;
+        }
         self.gain_terms += (mf * hist.d * hist.bins) as f64;
         self.hist_elems += (mf * hist.bins * (hist.d + hist.hess_cols)) as f64;
         self.gain_candidates += (mf * hist.bins) as f64;

@@ -1,10 +1,11 @@
 //! The boosting loop (paper Fig. 2): gradients → histograms → split
 //! selection → partition → score update, per tree, fully device-charged.
 //!
-//! `boost` is the only boosting loop. It is generic over a crate-private
-//! `Placement`, which says where the work runs: `Single` is one device
-//! ([`GpuTrainer`]), and the group placement in [`crate::multigpu`]
-//! spreads a round over a [`gpusim::DeviceGroup`] (paper §3.4.2). The
+//! `boost` is the only boosting loop, and it has one placement: the
+//! device group of [`crate::multigpu`], which says where a round's work
+//! runs and what each device charges for it (paper §3.4.2).
+//! [`GpuTrainer`] runs it over a group of one device and
+//! [`crate::MultiGpuTrainer`] over its [`gpusim::DeviceGroup`]. The
 //! loop owns what does not depend on the layout: sampling, the
 //! sketch-grow-refit order, the score update, early stopping,
 //! checkpoints and telemetry. After each step, one recovery routine
@@ -14,16 +15,16 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::{ConfigError, HistogramMethod, TrainConfig};
 use crate::error::TrainError;
-use crate::grad::{compute_gradients, update_scores_from_leaves, Gradients};
-use crate::grow::{grow_tree_pooled, GrowResult, HistLaunches};
+use crate::grad::{compute_gradients, update_scores_from_leaves};
+use crate::grow::HistLaunches;
 use crate::loss::{loss_for_task, MultiOutputLoss};
 use crate::memory::HistogramPool;
 use crate::model::Model;
-use crate::multigpu::{NodePath, PathTally};
+use crate::multigpu::{Group, MultiGpuStrategy, NodePath, PathTally};
 use crate::tree::Node;
 use gbdt_data::{BinnedDataset, Dataset, Task};
 use gpusim::cost::KernelCost;
-use gpusim::{Device, GpuFault, LedgerSummary, Phase, Telemetry};
+use gpusim::{Device, LedgerSummary, Phase, Telemetry};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -76,136 +77,6 @@ impl TrainReport {
 /// supplied: per-round metric history plus the best iteration.
 type ValidationCurve = (Vec<f64>, usize);
 
-/// Where the boosting loop's work runs. The lead device, `devices()[0]`,
-/// runs every functional kernel; a placement adds what its other
-/// devices charge and grows each tree across them. The defaults are
-/// the single device's: no replicas to charge, no clocks to join.
-pub(crate) trait Placement {
-    /// The active devices, lead first.
-    fn devices(&self) -> &[Arc<Device>];
-
-    /// Charge uploading and binning the `n × m` feature matrix; re-run
-    /// after a retry or a degradation.
-    fn ingest(&self, n: usize, m: usize);
-
-    /// Grow one tree on `grads` over `features`, rooted at `root`.
-    fn grow(
-        &self,
-        binned: &BinnedDataset,
-        grads: &Gradients,
-        features: &[u32],
-        root: Vec<u32>,
-        pool: &mut HistogramPool,
-    ) -> GrowResult;
-
-    /// Charge the replicas' share of the lead's gradient pass.
-    fn mirror_gradients(&self, _n: usize, _d: usize, _flops_per_output: f64) {}
-
-    /// Sketch the round's gradients to the structure-search width.
-    fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients;
-
-    /// Refit a sketch-grown tree's leaves on the full gradients.
-    fn refit(&self, grown: &mut GrowResult, full: &Gradients);
-
-    /// Charge the replicas' share of the lead's score update.
-    fn mirror_update(&self, _grown: &GrowResult, _n: usize, _d: usize) {}
-
-    /// Poll every device after a step. A lost device dominates a
-    /// transient fault, and the placement stops using it.
-    fn poll(&mut self) -> Result<(), GpuFault>;
-
-    /// The error that ends the fit after a device loss at `round`, or
-    /// `None` when the survivors carry on.
-    fn fatal_loss(&self, round: usize, fault: GpuFault) -> Option<TrainError>;
-
-    /// Join the devices' clocks at the end of the fit.
-    fn join(&self) {}
-}
-
-/// One device: ingest on a copy stream when `streams > 1`, trees from
-/// [`grow_tree_pooled`], and a lost device ends the fit.
-struct Single<'a> {
-    device: &'a Arc<Device>,
-    config: &'a TrainConfig,
-}
-
-impl Placement for Single<'_> {
-    fn devices(&self) -> &[Arc<Device>] {
-        std::slice::from_ref(self.device)
-    }
-
-    fn ingest(&self, n: usize, m: usize) {
-        let device = &**self.device;
-        let _prep_scope = device.prof_scope("preprocess", None);
-        let raw_bytes = (n * m * 4) as f64;
-        let copy_ns = device.model().host_copy_ns(raw_bytes);
-        let copy_done = if self.config.streams > 1 {
-            // Ingest runs on a copy stream (engine work, no SM
-            // contention) and quantize pipelines one chunk behind it:
-            // the binning kernel starts once the first of 8 copy chunks
-            // has landed, instead of after the full transfer. Charge
-            // order is identical to the serial schedule — only start
-            // timestamps move.
-            let copy = device.stream(1);
-            copy.wait_event(device.record_event(0));
-            let copy_start = copy.record_event();
-            copy.charge_ns("htod_features", Phase::Transfer, copy_ns);
-            device.wait_event(0, copy_start.offset_ns(copy_ns / 8.0));
-            Some(copy.record_event())
-        } else {
-            device.charge_ns("htod_features", Phase::Transfer, copy_ns);
-            None
-        };
-        device.charge_kernel(
-            "quantile_binning",
-            Phase::Binning,
-            &KernelCost::streaming((n * m) as f64 * 16.0, raw_bytes * 2.5),
-        );
-        crate::sanitize::trace_quantile_binning(device, n, m, self.config.max_bins);
-        if let Some(done) = copy_done {
-            // Everything after preprocessing reads the device-resident
-            // features: join the copy stream before the first gradient
-            // kernel can issue.
-            device.wait_event(0, done);
-        }
-    }
-
-    fn grow(
-        &self,
-        binned: &BinnedDataset,
-        grads: &Gradients,
-        features: &[u32],
-        root: Vec<u32>,
-        pool: &mut HistogramPool,
-    ) -> GrowResult {
-        grow_tree_pooled(
-            self.device,
-            binned,
-            grads,
-            self.config,
-            features,
-            root,
-            pool,
-        )
-    }
-
-    fn sketch(&self, grads: &Gradients, seed: u64) -> Gradients {
-        crate::sketch::sketch_gradients_device(self.device, grads, self.config.sketch, seed)
-    }
-
-    fn refit(&self, grown: &mut GrowResult, full: &Gradients) {
-        crate::sketch::refit_leaves_full_d(self.device, grown, full, self.config);
-    }
-
-    fn poll(&mut self) -> Result<(), GpuFault> {
-        self.device.poll_fault()
-    }
-
-    fn fatal_loss(&self, round: usize, fault: GpuFault) -> Option<TrainError> {
-        Some(TrainError::DeviceLost { round, fault })
-    }
-}
-
 /// What the loop does with a step after [`recover`] polled it.
 enum Step {
     /// Fault-free: keep its results.
@@ -216,21 +87,21 @@ enum Step {
     Degraded,
 }
 
-/// The one fault-recovery routine. Polls `placement` after a step of
+/// The one fault-recovery routine. Polls `group` after a step of
 /// `round` (`usize::MAX` for ingest) and decides: commit, retry within
 /// [`TrainConfig::with_retry`]'s budget, degrade to the survivors, or
 /// fail with a typed [`TrainError`]. Counters go to `tel` after the
 /// decision is made, and so does a failure's postmortem, built from the
 /// logs of `fleet` (every device the fit started on, lost ones too).
 fn recover(
-    placement: &mut impl Placement,
+    group: &mut Group<'_>,
     attempts: &mut u32,
     max_retries: u32,
     round: usize,
     tel: Option<&Telemetry>,
     fleet: &[Arc<Device>],
 ) -> Result<Step, TrainError> {
-    let Err(fault) = placement.poll() else {
+    let Err(fault) = group.poll() else {
         return Ok(Step::Commit);
     };
     let count = |name: &str| {
@@ -240,7 +111,7 @@ fn recover(
     };
     count("train.faults_total");
     let err = if !fault.is_transient() {
-        match placement.fatal_loss(round, fault) {
+        match group.fatal_loss(round, fault) {
             None => return Ok(Step::Degraded),
             Some(err) => err,
         }
@@ -263,12 +134,12 @@ fn recover(
     Err(err)
 }
 
-/// The boosting loop, for any [`Placement`]. `valid` enables early
+/// The boosting loop, on the devices of `group`. `valid` enables early
 /// stopping with the given patience, `custom_loss` replaces the task's
 /// loss, `resume` restarts after a checkpoint's last tree, and
 /// `checkpoints` collects one snapshot per committed round.
 pub(crate) fn boost(
-    placement: &mut impl Placement,
+    group: &mut Group<'_>,
     config: &TrainConfig,
     ds: &Dataset,
     valid: Option<(&Dataset, usize)>,
@@ -285,7 +156,7 @@ pub(crate) fn boost(
             ds.m()
         ))));
     }
-    let starts: Vec<(Arc<Device>, LedgerSummary)> = placement
+    let starts: Vec<(Arc<Device>, LedgerSummary)> = group
         .devices()
         .iter()
         .map(|dev| (Arc::clone(dev), dev.summary()))
@@ -309,14 +180,14 @@ pub(crate) fn boost(
     // --- ingest: upload + quantile binning (charged), with recovery --
     let mut prep_attempts = 0u32;
     loop {
-        placement.ingest(n, m);
+        group.ingest(n, m);
         if !faults_on {
             break;
         }
         // Retry and degradation both re-run the ingest: the shares
         // are recomputed from the survivors.
         let step = recover(
-            placement,
+            group,
             &mut prep_attempts,
             max_retries,
             usize::MAX,
@@ -376,12 +247,12 @@ pub(crate) fn boost(
         });
         let mut attempts = 0u32;
         let (grown, early_stop) = loop {
-            let lead = &*Arc::clone(&placement.devices()[0]);
+            let lead = &*Arc::clone(&group.devices()[0]);
             // Per-boosting-round profiling scope (no-op when profiling
             // is off); levels and kernels nest beneath it.
             let _round_scope = lead.prof_scope("round", Some(t as u64));
             let mut grads_full = compute_gradients(lead, loss, &scores, ds.targets(), n, d);
-            placement.mirror_gradients(n, d, loss.flops_per_output());
+            group.mirror_gradients(n, d, loss.flops_per_output());
             if config.hist.quantized_gradients {
                 crate::grad::quantize_bf16(lead, &mut grads_full);
             }
@@ -421,7 +292,7 @@ pub(crate) fn boost(
             }
 
             let grown = if config.sketch.is_none() {
-                placement.grow(&binned, &grads, &tree_features, root, &mut pool)
+                group.grow(&binned, &grads, &tree_features, root, &mut pool)
             } else {
                 // SketchBoost's recipe on the GPU pipeline: search the
                 // tree structure on an n × k sketch (every histogram,
@@ -429,10 +300,10 @@ pub(crate) fn boost(
                 // dimension k), then refit the leaves on the full
                 // d-dimensional gradients.
                 let sketch_scope = lead.prof_scope("sketch", Some(t as u64));
-                let sketched = placement.sketch(&grads, config.seed.wrapping_add(t as u64));
+                let sketched = group.sketch(&grads, config.seed.wrapping_add(t as u64));
                 drop(sketch_scope);
-                let mut grown = placement.grow(&binned, &sketched, &tree_features, root, &mut pool);
-                placement.refit(&mut grown, &grads);
+                let mut grown = group.grow(&binned, &sketched, &tree_features, root, &mut pool);
+                group.refit(&mut grown, &grads);
                 grown
             };
             if subsampled {
@@ -441,7 +312,7 @@ pub(crate) fn boost(
                 crate::serve::add_tree_scores(lead, &grown.tree, ds.features(), &mut scores, false);
             } else {
                 update_scores_from_leaves(lead, &mut scores, d, &grown.leaf_assignments);
-                placement.mirror_update(&grown, n, d);
+                group.mirror_update(&grown, n, d);
             }
 
             let mut early_stop = false;
@@ -468,13 +339,13 @@ pub(crate) fn boost(
             }
             // Sync point: surface any fault injected by this round's
             // charges before committing its tree.
-            match recover(placement, &mut attempts, max_retries, t, tel, &fleet)? {
+            match recover(group, &mut attempts, max_retries, t, tel, &fleet)? {
                 Step::Commit => break (grown, early_stop),
                 Step::Retry => {}
                 // Survivors take over the lost devices' columns or
                 // instances: charge the ingest of their new shares
                 // before re-running the round.
-                Step::Degraded => placement.ingest(n, m),
+                Step::Degraded => group.ingest(n, m),
             }
             let (s, r, v, hist_len, b) = saved.clone().expect("snapshot exists");
             scores = s;
@@ -538,7 +409,7 @@ pub(crate) fn boost(
         trees.truncate(best.1 + 1);
     }
 
-    placement.join();
+    group.join();
     let model = Model {
         trees,
         base,
@@ -546,9 +417,9 @@ pub(crate) fn boost(
         task: ds.task(),
         config: config.clone(),
     };
-    // A group's devices are joined, so the surviving lead's clock is
-    // the fit's and its phase breakdown is representative.
-    let lead = &placement.devices()[0];
+    // A group of two or more is joined, so the surviving lead's clock
+    // is the fit's and its phase breakdown is representative.
+    let lead = &group.devices()[0];
     let (_, start) = starts
         .iter()
         .find(|(dev, _)| Arc::ptr_eq(dev, lead))
@@ -748,12 +619,13 @@ impl GpuTrainer {
         resume: Option<&Checkpoint>,
         checkpoints: Option<&mut Vec<Checkpoint>>,
     ) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
-        let mut single = Single {
-            device: &self.device,
-            config: &self.config,
-        };
+        let mut one = Group::new(
+            vec![Arc::clone(&self.device)],
+            MultiGpuStrategy::default(),
+            &self.config,
+        );
         boost(
-            &mut single,
+            &mut one,
             &self.config,
             ds,
             valid,

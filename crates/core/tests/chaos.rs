@@ -146,6 +146,29 @@ fn single_gpu_device_loss_is_a_typed_error() {
     }
 }
 
+/// A one-device group is one device: losing it is fatal with the
+/// same typed error, not a degradation to no survivors.
+#[test]
+fn one_device_group_loss_is_a_device_lost_error() {
+    let ds = dataset();
+    for strategy in [
+        MultiGpuStrategy::FeatureParallel,
+        MultiGpuStrategy::DataParallel,
+    ] {
+        let group = DeviceGroup::rtx4090s(1);
+        group
+            .device(0)
+            .enable_faults(FaultPlan::new().device_lost_at(20));
+        let cfg = quick_config().with_retry(RetryPolicy::retries(5));
+        let trainer =
+            MultiGpuTrainer::try_with_strategy(group, cfg, strategy).expect("valid config");
+        match trainer.try_fit(&ds) {
+            Err(TrainError::DeviceLost { fault, .. }) => assert!(!fault.is_transient()),
+            other => panic!("{strategy:?}(1): expected DeviceLost, got {other:?}"),
+        }
+    }
+}
+
 /// Zero perturbation: a trainer carrying a retry policy but no
 /// injector produces the identical model AND the identical charge
 /// stream as a plain trainer — the recovery machinery is free when

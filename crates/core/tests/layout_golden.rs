@@ -58,32 +58,32 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 
 #[rustfmt::skip]
 const CHARGE_GOLDEN: &[(&str, u64, u64)] = &[
-    ("FP(1)/streams1/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
-    ("FP(1)/streams1/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
-    ("FP(1)/streams4/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
-    ("FP(1)/streams4/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
+    ("FP(1)/streams1/none", 0x80a15b50f2e6c7d4, 0x0bab553334e690b1),
+    ("FP(1)/streams1/top2", 0x5305235d8eac67e9, 0xbd35b0e7c2df344c),
+    ("FP(1)/streams4/none", 0x756096d3ce266a27, 0x8e4a4501ca1421ad),
+    ("FP(1)/streams4/top2", 0xa71537711c02b67e, 0x21bc78c4d2cbd7b0),
     ("FP(2)/streams1/none", 0xcecb93a26694fa4e, 0x3a723188c299c64f),
     ("FP(2)/streams1/top2", 0x72f9157b101dc7fa, 0xe34998b27a47c3d7),
-    ("FP(2)/streams4/none", 0x797d6ad0f018f629, 0x3f97f2cadaab6fd0),
-    ("FP(2)/streams4/top2", 0xcb7cf1baa265f743, 0xb6e36aa27566939a),
+    ("FP(2)/streams4/none", 0x37ca5b9ef738b670, 0xbb8982b4b0115eb8),
+    ("FP(2)/streams4/top2", 0x80af83824bc715c9, 0x02ee80c7e6899fd8),
     ("FP(3)/streams1/none", 0x4bc97f4cda7bab60, 0x5e4864f03db59ff1),
     ("FP(3)/streams1/top2", 0xbcf190344f2baf5c, 0xfc64bf316efe400a),
-    ("FP(3)/streams4/none", 0xd3bdee105431fac6, 0xd1b5d2dcf86e4454),
-    ("FP(3)/streams4/top2", 0xa64d37982eaea4ae, 0x3d924fecc2dabb53),
+    ("FP(3)/streams4/none", 0x814f33689b72236b, 0xd104c04af95d65c8),
+    ("FP(3)/streams4/top2", 0x951acbfccc4ad15f, 0xfebe4bda40716b5f),
     ("FP(3)/transient", 0x8497d4b701423d9a, 0xdc1c4ccd309babfe),
     ("FP(3)/lost", 0xb44edd32773a1685, 0xc65ad40dd213b1d4),
-    ("DP(1)/streams1/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
-    ("DP(1)/streams1/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
-    ("DP(1)/streams4/none", 0x80a15b50f2e6c7d4, 0x984a4a13b520c9fc),
-    ("DP(1)/streams4/top2", 0x5305235d8eac67e9, 0x7a47d1419bc2c1b9),
+    ("DP(1)/streams1/none", 0x80a15b50f2e6c7d4, 0x0bab553334e690b1),
+    ("DP(1)/streams1/top2", 0x5305235d8eac67e9, 0xbd35b0e7c2df344c),
+    ("DP(1)/streams4/none", 0x756096d3ce266a27, 0x8e4a4501ca1421ad),
+    ("DP(1)/streams4/top2", 0xa71537711c02b67e, 0x21bc78c4d2cbd7b0),
     ("DP(2)/streams1/none", 0xe4a89025c6443dd1, 0x85d7bce59e9c7454),
     ("DP(2)/streams1/top2", 0x29fdb9a9de58d129, 0xd4448a4551330400),
-    ("DP(2)/streams4/none", 0xb0d55ac013d7cfc7, 0x85d7bce59e9c7454),
-    ("DP(2)/streams4/top2", 0x960185de5a28175f, 0xd4448a4551330400),
+    ("DP(2)/streams4/none", 0x9be4505e93a58793, 0x9b2e7abed90d68c8),
+    ("DP(2)/streams4/top2", 0xa25a84270f209913, 0xaa0165c20a23cb5c),
     ("DP(3)/streams1/none", 0x44e32a5175799e63, 0xfc7c7fe69c068eb6),
     ("DP(3)/streams1/top2", 0x54d3c784ec9d59b7, 0x5eeb1af07fe7b18d),
-    ("DP(3)/streams4/none", 0xc340ae1ff1b3e13e, 0xfc7c7fe69c068eb6),
-    ("DP(3)/streams4/top2", 0xa810c4b934598579, 0x5eeb1af07fe7b18d),
+    ("DP(3)/streams4/none", 0xd2372fcd912e48e4, 0x3cdaeceb0b387bf4),
+    ("DP(3)/streams4/top2", 0xc07a9c1d41339f5b, 0x6eda58872e104c07),
     ("DP(3)/transient", 0x20c662b435875eb2, 0xaf7665d4ae74f1a1),
     ("DP(3)/lost", 0x6837e4ac50460721, 0xf99f98f98734ce80),
 ];

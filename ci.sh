@@ -161,8 +161,9 @@ cargo run --release -q -p gbdt-bench --bin repro -- serve --smoke \
 
 echo "==> chaos smoke (seeded fault matrix: transient retry, device loss, resume)"
 # Seeded fault plans against single- and multi-GPU training plus a
-# checkpoint/resume roundtrip: every completion must be bit-identical
-# to the fault-free reference, every failure a typed error.
+# checkpoint/resume roundtrip on one device and on a group of each
+# layout: every completion must be bit-identical to the fault-free
+# reference, every failure a typed error.
 cargo run --release -q -p gbdt-bench --bin repro -- chaos --smoke \
   --trees 5 --depth 3 --bins 16 >/dev/null
 

@@ -32,7 +32,8 @@
 //!              against a committed baseline (exit 1 on drift)
 //!   chaos      fault-injection matrix: seeded fault plans against
 //!              single- and multi-GPU training plus a checkpoint/resume
-//!              smoke; every completed run must be bit-identical to the
+//!              smoke on one device and on a `--gpus` group of each
+//!              layout; every completed run must be bit-identical to the
 //!              fault-free reference and every failure a typed error;
 //!              exits nonzero on any divergence or panic-class outcome
 //!   serve      batched-serving benchmark: compiles a NUS-WIDE-shaped
@@ -1342,35 +1343,53 @@ fn chaos_cmd(opts: &Opts) -> bool {
     );
     ok &= diverged == 0;
 
-    println!("== chaos: checkpoint/resume smoke ==");
-    let trainer = GpuTrainer::try_new(Device::rtx4090(), cfg.clone()).expect("valid config");
-    match trainer.try_fit_checkpointed(&ds) {
-        Ok((full, checkpoints)) => {
-            let mid = &checkpoints[checkpoints.len() / 2];
-            let roundtrip = Checkpoint::from_bytes(&mid.to_bytes());
-            match roundtrip
-                .and_then(|ck| gbdt_core::Model::resume_from(Device::rtx4090(), &ck, &ds))
-            {
-                Ok(resumed) if resumed.model.trees == full.model.trees => {
-                    println!(
-                        "  resume from tree {} of {}: bit-identical",
-                        checkpoints.len() / 2 + 1,
-                        checkpoints.len()
-                    );
-                }
-                Ok(_) => {
-                    println!("  resume DIVERGED from the uninterrupted run");
-                    ok = false;
-                }
-                Err(e) => {
-                    println!("  resume FAILED: {e}");
-                    ok = false;
+    // One device and a `--gpus` group of either layout: checkpoint
+    // mid-fit, round-trip the bytes, resume on fresh devices.
+    for (label, gpus, strategy) in [
+        ("one device", 1, MultiGpuStrategy::FeatureParallel),
+        (
+            "feature-parallel group",
+            opts.gpus,
+            MultiGpuStrategy::FeatureParallel,
+        ),
+        (
+            "data-parallel group",
+            opts.gpus,
+            MultiGpuStrategy::DataParallel,
+        ),
+    ] {
+        println!("== chaos: checkpoint/resume smoke ({label}, k = {gpus}) ==");
+        let trainer = |config: TrainConfig| {
+            GpuTrainer::try_with_strategy(DeviceGroup::rtx4090s(gpus), config, strategy)
+                .expect("valid config")
+        };
+        match trainer(cfg.clone()).try_fit_checkpointed(&ds) {
+            Ok((full, checkpoints)) => {
+                let mid = &checkpoints[checkpoints.len() / 2];
+                match Checkpoint::from_bytes(&mid.to_bytes())
+                    .and_then(|ck| trainer(ck.config.clone()).try_fit_resumed(&ds, &ck))
+                {
+                    Ok(resumed) if resumed.model.trees == full.model.trees => {
+                        println!(
+                            "  resume from tree {} of {}: bit-identical",
+                            checkpoints.len() / 2 + 1,
+                            checkpoints.len()
+                        );
+                    }
+                    Ok(_) => {
+                        println!("  resume DIVERGED from the uninterrupted run");
+                        ok = false;
+                    }
+                    Err(e) => {
+                        println!("  resume FAILED: {e}");
+                        ok = false;
+                    }
                 }
             }
-        }
-        Err(e) => {
-            println!("  checkpointed fit FAILED: {e}");
-            ok = false;
+            Err(e) => {
+                println!("  checkpointed fit FAILED: {e}");
+                ok = false;
+            }
         }
     }
 

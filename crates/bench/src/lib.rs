@@ -20,7 +20,7 @@ use gbdt_baselines::{
     CpuMoTrainer, CpuStorage, GbdtSoTrainer, GrowthPolicy, SketchBoostTrainer, SketchStrategy,
 };
 use gbdt_core::loss::loss_for_task;
-use gbdt_core::{accuracy, rmse, GpuTrainer, HistogramMethod, MultiGpuTrainer, TrainConfig};
+use gbdt_core::{accuracy, rmse, GpuTrainer, HistogramMethod, TrainConfig};
 use gbdt_data::{Dataset, PaperDataset, Task};
 use gpusim::{Device, DeviceGroup, DeviceProps, LedgerSummary};
 use serde::Serialize;
@@ -158,18 +158,12 @@ pub fn run_system(
 ) -> RunOutcome {
     let task = train.task();
     let (seconds, domain, scores, ledger) = match system {
-        SystemId::Ours => {
-            let r = GpuTrainer::new(Device::rtx4090(), config.clone()).fit_report(train);
-            (
-                r.sim_seconds,
-                TimeDomain::Simulated,
-                r.model.predict(test.features()),
-                Some(r.sim),
-            )
-        }
-        SystemId::OursMultiGpu(k) => {
-            let r =
-                MultiGpuTrainer::new(DeviceGroup::rtx4090s(k), config.clone()).fit_report(train);
+        SystemId::Ours | SystemId::OursMultiGpu(_) => {
+            let k = match system {
+                SystemId::OursMultiGpu(k) => k,
+                _ => 1,
+            };
+            let r = GpuTrainer::new(DeviceGroup::rtx4090s(k), config.clone()).fit_report(train);
             (
                 r.sim_seconds,
                 TimeDomain::Simulated,

@@ -161,11 +161,14 @@ pub struct TrainConfig {
     /// entry per feature. Enforced on every output dimension with bound
     /// propagation down the tree.
     pub monotone_constraints: Vec<i8>,
-    /// Number of CUDA-style streams per device. 1 serializes (the
-    /// default). More streams overlap the feature upload with binning,
-    /// and on a device group a level's histogram builds with its
-    /// collectives. One device charges a level's histogram builds as
-    /// one kernel per method, all on the default stream.
+    /// CUDA-style streams per device, in `1..=64`. 1 serializes (the
+    /// default). Any larger value picks the one overlapped schedule: a
+    /// device uses at most three streams (the default one, a
+    /// copy/histogram stream and a comm stream), so 2 through 64 charge
+    /// the same. That schedule overlaps the feature upload with binning,
+    /// and on a group of two or more devices a level's histogram builds
+    /// with its collectives. One device charges a level's histogram
+    /// builds as one kernel per method, all on the default stream.
     pub streams: usize,
     /// Gradient sketching for tree-structure search: grow each tree on
     /// an `n × k` sketch of the gradients while leaf values stay
@@ -239,10 +242,11 @@ impl GossConfig {
 }
 
 /// A rejected [`TrainConfig`]: carries the human-readable reason the
-/// configuration failed [`TrainConfig::validate`]. Returned by the
+/// configuration failed [`TrainConfig::validate`], or names the knob a
+/// group of two or more devices does not implement. Returned by the
 /// fallible trainer constructors (`GpuTrainer::try_new`,
-/// `MultiGpuTrainer::try_new`); the panicking `new` wrappers surface
-/// the same message via `expect`.
+/// `GpuTrainer::try_with_strategy`); the panicking wrappers surface the
+/// same message via `expect`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(String);
 
@@ -361,8 +365,8 @@ impl TrainConfig {
         self
     }
 
-    /// Builder-style setter for the per-device stream count (`1` =
-    /// the serial schedule).
+    /// Builder-style setter for [`TrainConfig::streams`]: `1` is the
+    /// serial schedule, any larger value the one overlapped schedule.
     pub fn with_streams(mut self, n: usize) -> Self {
         self.streams = n;
         self

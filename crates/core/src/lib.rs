@@ -17,10 +17,10 @@
 //!    tree-level parallel inference on one compiled walk, plus the
 //!    incremental training-score update.
 //!
-//! [`trainer`] holds the one boosting loop. [`trainer::GpuTrainer`] runs
-//! it on a single device; [`multigpu::MultiGpuTrainer`] runs it across a
-//! [`gpusim::DeviceGroup`], partitioning features or instances (paper
-//! §3.4.2).
+//! [`trainer`] holds the one boosting loop and the one trainer,
+//! [`trainer::GpuTrainer`] (also named [`multigpu::MultiGpuTrainer`]).
+//! It runs on a [`gpusim::DeviceGroup`]: one device is a group of one,
+//! and two or more partition features or instances (paper §3.4.2).
 //!
 //! For inference beyond training, [`compiled::CompiledEnsemble`]
 //! flattens trees into SoA arrays and [`serve`] uploads them to a

@@ -2,16 +2,17 @@
 //! placement of every fit.
 //!
 //! The boosting loop of [`crate::trainer`] runs on a group of devices,
-//! lead first (`Group`): [`crate::GpuTrainer`] runs it over a group of
-//! one device, [`MultiGpuTrainer`] over its [`DeviceGroup`]. Each tree
-//! grows on the level loop of one device (`grow::grow_levels`): this
-//! module says only where a round's work runs and what each device
-//! charges for it (`Group`, [`Spread`]), for both layouts of
-//! [`MultiGpuStrategy`]. The lead runs the functional work (gradients,
-//! histograms, derives, splits, bounds, leaf values) once on the host
-//! whatever the layout or the device count, so every group grows the
-//! same trees as a single device; only the charged costs differ. A group
-//! of one is one device: it has no replica, no collective and no join.
+//! lead first (`Group`): the one trainer, [`GpuTrainer`] (also named
+//! [`MultiGpuTrainer`]), runs it over its [`DeviceGroup`], of one device
+//! or more. Each tree grows on the level loop of one device
+//! (`grow::grow_levels`): this module says only where a round's work
+//! runs and what each device charges for it (`Group`, [`Spread`]), for
+//! both layouts of [`MultiGpuStrategy`]. The lead runs the functional
+//! work (gradients, histograms, derives, splits, bounds, leaf values)
+//! once on the host whatever the layout or the device count, so every
+//! group grows the same trees as a single device; only the charged
+//! costs differ. A group of one is one device: it has no replica, no
+//! collective and no join.
 //! From two devices on, the layouts differ in five places:
 //!
 //! - **Ingest:** a device uploads and bins its feature range over all
@@ -72,21 +73,20 @@
 //! device count. Only when every device is gone does training fail,
 //! with [`TrainError::AllDevicesLost`]. A fleet that started as one
 //! device has no survivor to degrade to: losing it fails the fit with
-//! [`TrainError::DeviceLost`], as on [`crate::GpuTrainer`].
+//! [`TrainError::DeviceLost`].
 
-use crate::config::{ConfigError, TrainConfig};
+use crate::config::TrainConfig;
 use crate::error::TrainError;
 use crate::grad::Gradients;
 use crate::grow::{grow_levels, partition_cost, GrowResult, OpenNode};
 use crate::hist::{HistCharges, HistContext, NodeHistogram};
 use crate::memory::HistogramPool;
-use crate::model::Model;
 use crate::sketch::{apply_sketch, charge_apply, plan_sketch, refit_leaves_full_d};
 use crate::split::{
     find_best_split_constrained, ConstraintState, LevelSplitCharges, SplitCandidate, SplitParams,
 };
-use crate::trainer::{boost, TrainReport};
-use gbdt_data::{BinnedDataset, Dataset};
+use crate::trainer::GpuTrainer;
+use gbdt_data::BinnedDataset;
 use gpusim::cost::{CostModel, KernelCost};
 use gpusim::{Device, DeviceGroup, Event, GpuFault, Phase, Telemetry};
 use std::ops::Range;
@@ -374,7 +374,7 @@ fn exchange_rows(
 }
 
 /// The group's shared telemetry registry, if any device carries one.
-/// `MultiGpuTrainer` users attach one registry to every member (see
+/// Users of a group attach one registry to every member (see
 /// `Device::attach_telemetry`), so the first hit is the group's.
 fn group_telemetry(devices: &[Arc<Device>]) -> Option<Arc<Telemetry>> {
     devices.iter().find_map(|dv| dv.telemetry())
@@ -791,124 +791,12 @@ pub enum MultiGpuStrategy {
     DataParallel,
 }
 
-/// Multi-GPU GBDT-MO trainer.
-///
-/// It grows the same trees as [`crate::GpuTrainer`], on the same level
-/// loop, for the knobs it implements, `hist.subtraction` and
-/// `monotone_constraints` among them. The constructors reject, with a
-/// [`ConfigError`] naming the knob, the ones it does not: `subsample <
-/// 1`, `colsample_bytree < 1`, `goss`, `hist.quantized_gradients` and
-/// `hist.sparse_aware`.
-///
-/// A group of two or more degrades past a lost device and fails with
-/// [`TrainError::AllDevicesLost`] once none is left. A one-device group
-/// is one device: losing it fails with [`TrainError::DeviceLost`], as
-/// [`crate::GpuTrainer`] does.
-pub struct MultiGpuTrainer {
-    group: DeviceGroup,
-    config: TrainConfig,
-    strategy: MultiGpuStrategy,
-}
-
-impl MultiGpuTrainer {
-    /// Create a trainer over a device group (feature-parallel, the
-    /// paper's strategy).
-    ///
-    /// Panics on an invalid configuration; use
-    /// [`MultiGpuTrainer::try_new`] to handle the rejection instead.
-    pub fn new(group: DeviceGroup, config: TrainConfig) -> Self {
-        Self::with_strategy(group, config, MultiGpuStrategy::FeatureParallel)
-    }
-
-    /// Fallible constructor (feature-parallel): returns the validation
-    /// failure as a [`ConfigError`] instead of panicking.
-    pub fn try_new(group: DeviceGroup, config: TrainConfig) -> Result<Self, ConfigError> {
-        Self::try_with_strategy(group, config, MultiGpuStrategy::FeatureParallel)
-    }
-
-    /// Create a trainer with an explicit decomposition strategy.
-    pub fn with_strategy(
-        group: DeviceGroup,
-        config: TrainConfig,
-        strategy: MultiGpuStrategy,
-    ) -> Self {
-        Self::try_with_strategy(group, config, strategy).expect("invalid training configuration")
-    }
-
-    /// Fallible counterpart of [`MultiGpuTrainer::with_strategy`].
-    pub fn try_with_strategy(
-        group: DeviceGroup,
-        config: TrainConfig,
-        strategy: MultiGpuStrategy,
-    ) -> Result<Self, ConfigError> {
-        config.validate().map_err(ConfigError::from)?;
-        let unsupported = [
-            ("subsample", config.subsample < 1.0),
-            ("colsample_bytree", config.colsample_bytree < 1.0),
-            ("goss", config.goss.is_some()),
-            ("hist.quantized_gradients", config.hist.quantized_gradients),
-            ("hist.sparse_aware", config.hist.sparse_aware),
-        ];
-        if let Some((knob, _)) = unsupported.iter().find(|(_, set)| *set) {
-            return Err(ConfigError::from(format!(
-                "{knob} is not supported by multi-GPU training"
-            )));
-        }
-        Ok(MultiGpuTrainer {
-            group,
-            config,
-            strategy,
-        })
-    }
-
-    /// The device group.
-    pub fn group(&self) -> &DeviceGroup {
-        &self.group
-    }
-
-    /// The decomposition strategy.
-    pub fn strategy(&self) -> MultiGpuStrategy {
-        self.strategy
-    }
-
-    /// Train and return just the model.
-    ///
-    /// Panics if training fails past the fault-recovery budget; use
-    /// [`MultiGpuTrainer::try_fit`] to handle that as a typed error.
-    pub fn fit(&self, ds: &Dataset) -> Model {
-        self.fit_report(ds).model
-    }
-
-    /// Train with the full report. Simulated time is the *group* time:
-    /// the slowest device's clock after the final barrier.
-    ///
-    /// Panics if training fails past the fault-recovery budget; use
-    /// [`MultiGpuTrainer::try_fit_report`] to handle that instead.
-    pub fn fit_report(&self, ds: &Dataset) -> TrainReport {
-        self.try_fit_report(ds)
-            .unwrap_or_else(|e| panic!("multi-GPU training failed: {e}"))
-    }
-
-    /// Fallible training: returns just the model, or the typed
-    /// [`TrainError`] when injected faults exhaust the retry budget or
-    /// every device in the group is lost.
-    pub fn try_fit(&self, ds: &Dataset) -> Result<Model, TrainError> {
-        Ok(self.try_fit_report(ds)?.model)
-    }
-
-    /// Fallible counterpart of [`MultiGpuTrainer::fit_report`]: on a
-    /// `DeviceLost` a group of two or more degrades to the survivors and
-    /// keeps training (see the module docs); the error cases are an
-    /// exhausted transient-retry budget and the loss of every device.
-    pub fn try_fit_report(&self, ds: &Dataset) -> Result<TrainReport, TrainError> {
-        let mut group = Group::new(self.group.devices().to_vec(), self.strategy, &self.config);
-        Ok(boost(&mut group, &self.config, ds, None, None, None, None)?.0)
-    }
-}
+/// The multi-GPU name of the one trainer: a [`GpuTrainer`] over a
+/// [`DeviceGroup`] of any size.
+pub type MultiGpuTrainer = GpuTrainer;
 
 /// The placement of every fit: the devices still active, lead first,
-/// and how they divide the work. [`crate::GpuTrainer`] runs it over one
-/// device, [`MultiGpuTrainer`] over its group.
+/// and how they divide the work. [`GpuTrainer`] runs it over its group.
 pub(crate) struct Group<'a> {
     active: Vec<Arc<Device>>,
     /// The fleet started as one device: it joins nothing, and losing
@@ -1164,9 +1052,11 @@ mod tests {
     use crate::config::{GossConfig, HistOptions, HistogramMethod, OutputSketch};
     use crate::loss::loss_for_task;
     use crate::metrics::accuracy;
-    use crate::trainer::GpuTrainer;
+    use crate::model::Model;
+    use crate::trainer::TrainReport;
     use crate::tree::{Node, Tree};
     use gbdt_data::synth::{make_classification, ClassificationSpec};
+    use gbdt_data::Dataset;
     use gpusim::{Device, KernelRecord};
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -1216,9 +1106,10 @@ mod tests {
         assert!(MultiGpuTrainer::try_new(DeviceGroup::rtx4090s(2), quick_config()).is_ok());
     }
 
-    #[test]
-    fn try_with_strategy_rejects_knobs_the_multi_gpu_loop_ignores() {
-        let cases = [
+    /// One config per knob a group of two or more rejects, named as the
+    /// rejection names it.
+    fn knobs_groups_reject() -> [(&'static str, TrainConfig); 5] {
+        [
             (
                 "subsample",
                 TrainConfig {
@@ -1260,7 +1151,12 @@ mod tests {
                     ..quick_config()
                 },
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn try_with_strategy_rejects_knobs_the_multi_gpu_loop_ignores() {
+        let cases = knobs_groups_reject();
         for strategy in [
             MultiGpuStrategy::FeatureParallel,
             MultiGpuStrategy::DataParallel,
@@ -1275,6 +1171,40 @@ mod tests {
                 .unwrap_or_else(|| panic!("{strategy:?} accepted {knob}"));
                 assert!(err.message().contains(knob), "{strategy:?}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn a_one_device_group_accepts_every_knob() {
+        // A group of one runs one device's path whatever the strategy,
+        // so the knobs a larger group rejects fit there, bit for bit
+        // and record for record as on one device.
+        let ds = dataset(4);
+        for (knob, cfg) in knobs_groups_reject() {
+            let device = Device::rtx4090();
+            device.enable_telemetry();
+            let one = GpuTrainer::try_new(device.clone(), cfg.clone())
+                .expect("one device takes every knob")
+                .fit_report(&ds);
+            let trainer = MultiGpuTrainer::try_with_strategy(
+                DeviceGroup::rtx4090s(1),
+                cfg,
+                MultiGpuStrategy::DataParallel,
+            )
+            .unwrap_or_else(|e| panic!("a one-device group rejected {knob}: {e}"));
+            trainer.device().enable_telemetry();
+            let group = trainer.fit_report(&ds);
+            assert_eq!(tree_bits(&group.model), tree_bits(&one.model), "{knob}");
+            assert_eq!(
+                group.sim_seconds.to_bits(),
+                one.sim_seconds.to_bits(),
+                "{knob}: sim_seconds"
+            );
+            assert_eq!(
+                observed(trainer.device()),
+                observed(&device),
+                "{knob}: charge records and telemetry"
+            );
         }
     }
 

@@ -4,11 +4,11 @@
 //! `boost` is the only boosting loop, and it has one placement: the
 //! device group of [`crate::multigpu`], which says where a round's work
 //! runs and what each device charges for it (paper §3.4.2).
-//! [`GpuTrainer`] runs it over a group of one device and
-//! [`crate::MultiGpuTrainer`] over its [`gpusim::DeviceGroup`]. The
-//! loop owns what does not depend on the layout: sampling, the
-//! sketch-grow-refit order, the score update, early stopping,
-//! checkpoints and telemetry. After each step, one recovery routine
+//! [`GpuTrainer`], the one trainer, runs it over its
+//! [`gpusim::DeviceGroup`] of one device or more, and every fit entry
+//! point is a thin wrapper over it. The loop owns what does not depend
+//! on the layout: sampling, the sketch-grow-refit order, the score
+//! update, early stopping, checkpoints and telemetry. After each step, one recovery routine
 //! (`recover`) commits it, retries it, re-runs it on the surviving
 //! devices or fails the fit.
 
@@ -24,7 +24,7 @@ use crate::multigpu::{Group, MultiGpuStrategy, NodePath, PathTally};
 use crate::tree::Node;
 use gbdt_data::{BinnedDataset, Dataset, Task};
 use gpusim::cost::KernelCost;
-use gpusim::{Device, LedgerSummary, Phase, Telemetry};
+use gpusim::{Device, DeviceGroup, LedgerSummary, Phase, Telemetry};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -443,31 +443,97 @@ pub(crate) fn boost(
     Ok((report, curve))
 }
 
-/// Single-device GBDT-MO trainer.
+/// The GBDT-MO trainer, on a device group of one device or more.
+///
+/// A group of one is one device: `new`/`try_new` take an
+/// `Arc<Device>` as readily as a [`DeviceGroup`]. Two or more devices
+/// divide the work by a [`MultiGpuStrategy`] and grow the same trees
+/// as one device, on the same level loop. For those the constructors
+/// reject, with a [`ConfigError`] naming the knob, the knobs the
+/// group's loop does not implement: `subsample < 1`,
+/// `colsample_bytree < 1`, `goss`, `hist.quantized_gradients` and
+/// `hist.sparse_aware`. A one-device group accepts every knob, whatever
+/// the strategy.
+///
+/// A group of two or more degrades past a lost device and fails with
+/// [`TrainError::AllDevicesLost`] once none is left. A one-device group
+/// has no survivor: losing its device fails with
+/// [`TrainError::DeviceLost`].
 pub struct GpuTrainer {
-    device: Arc<Device>,
+    group: DeviceGroup,
+    strategy: MultiGpuStrategy,
     config: TrainConfig,
 }
 
 impl GpuTrainer {
-    /// Create a trainer on `device` with `config`.
+    /// Create a trainer on `group` (an `Arc<Device>` is a group of one)
+    /// with `config`, feature-parallel (the paper's strategy).
     ///
     /// Panics on an invalid configuration; use [`GpuTrainer::try_new`]
     /// to handle the rejection instead.
-    pub fn new(device: Arc<Device>, config: TrainConfig) -> Self {
-        Self::try_new(device, config).expect("invalid training configuration")
+    pub fn new(group: impl Into<DeviceGroup>, config: TrainConfig) -> Self {
+        Self::with_strategy(group, config, MultiGpuStrategy::default())
     }
 
     /// Fallible constructor: returns the validation failure as a
     /// [`ConfigError`] instead of panicking.
-    pub fn try_new(device: Arc<Device>, config: TrainConfig) -> Result<Self, ConfigError> {
-        config.validate().map_err(ConfigError::from)?;
-        Ok(GpuTrainer { device, config })
+    pub fn try_new(
+        group: impl Into<DeviceGroup>,
+        config: TrainConfig,
+    ) -> Result<Self, ConfigError> {
+        Self::try_with_strategy(group, config, MultiGpuStrategy::default())
     }
 
-    /// The device this trainer charges.
+    /// Create a trainer with an explicit decomposition strategy.
+    pub fn with_strategy(
+        group: impl Into<DeviceGroup>,
+        config: TrainConfig,
+        strategy: MultiGpuStrategy,
+    ) -> Self {
+        Self::try_with_strategy(group, config, strategy).expect("invalid training configuration")
+    }
+
+    /// Fallible counterpart of [`GpuTrainer::with_strategy`].
+    pub fn try_with_strategy(
+        group: impl Into<DeviceGroup>,
+        config: TrainConfig,
+        strategy: MultiGpuStrategy,
+    ) -> Result<Self, ConfigError> {
+        let group = group.into();
+        config.validate().map_err(ConfigError::from)?;
+        let unsupported = [
+            ("subsample", config.subsample < 1.0),
+            ("colsample_bytree", config.colsample_bytree < 1.0),
+            ("goss", config.goss.is_some()),
+            ("hist.quantized_gradients", config.hist.quantized_gradients),
+            ("hist.sparse_aware", config.hist.sparse_aware),
+        ];
+        // A group of one runs one device's path, which implements them.
+        if let Some((knob, _)) = unsupported.iter().find(|(_, set)| *set && group.len() > 1) {
+            return Err(ConfigError::from(format!(
+                "{knob} is not supported by multi-GPU training"
+            )));
+        }
+        Ok(GpuTrainer {
+            group,
+            strategy,
+            config,
+        })
+    }
+
+    /// The lead device: the only one of a group of one.
     pub fn device(&self) -> &Arc<Device> {
-        &self.device
+        self.group.device(0)
+    }
+
+    /// The device group.
+    pub fn group(&self) -> &DeviceGroup {
+        &self.group
+    }
+
+    /// The decomposition strategy.
+    pub fn strategy(&self) -> MultiGpuStrategy {
+        self.strategy
     }
 
     /// The configuration in use.
@@ -477,14 +543,15 @@ impl GpuTrainer {
 
     /// Train and return just the model.
     ///
-    /// Panics if the device faults past the retry budget; attach a
+    /// Panics if training fails past the fault-recovery budget; attach a
     /// fault injector only through [`GpuTrainer::try_fit`] and friends.
     pub fn fit(&self, ds: &Dataset) -> Model {
         self.fit_report(ds).model
     }
 
     /// Train with full timing/telemetry report (panicking wrapper over
-    /// [`GpuTrainer::try_fit_report`]).
+    /// [`GpuTrainer::try_fit_report`]). Simulated time is the group's:
+    /// the lead's clock after the final barrier.
     pub fn fit_report(&self, ds: &Dataset) -> TrainReport {
         self.try_fit_report(ds)
             .unwrap_or_else(|e| panic!("training failed: {e}"))
@@ -492,7 +559,8 @@ impl GpuTrainer {
 
     /// Fallible training: transient kernel faults are retried up to
     /// [`TrainConfig::with_retry`]'s budget (each redo re-charges the
-    /// round in full), and unrecoverable faults surface as a typed
+    /// round in full), a group of two or more degrades past a lost
+    /// device, and unrecoverable faults surface as a typed
     /// [`TrainError`] — never a panic. Without an attached injector
     /// this is bit-identical to [`GpuTrainer::fit`].
     pub fn try_fit(&self, ds: &Dataset) -> Result<Model, TrainError> {
@@ -507,8 +575,9 @@ impl GpuTrainer {
 
     /// Train while snapshotting a [`Checkpoint`] after every committed
     /// round. `checkpoints[t]` resumes after tree `t`; resuming via
-    /// [`crate::Model::resume_from`] is bit-identical to the
-    /// uninterrupted run.
+    /// [`GpuTrainer::try_fit_resumed`] on a fresh group of the same size
+    /// and strategy (on one device, [`crate::Model::resume_from`]) is
+    /// bit-identical to the uninterrupted run.
     pub fn try_fit_checkpointed(
         &self,
         ds: &Dataset,
@@ -522,8 +591,8 @@ impl GpuTrainer {
 
     /// Resume training from `checkpoint` against the same dataset,
     /// finishing the remaining rounds. The report's `sim`/`model`
-    /// cover this run only: preprocessing is re-charged (the fresh
-    /// device must re-upload and re-bin), then rounds
+    /// cover this run only: preprocessing is re-charged (fresh devices
+    /// must re-upload and re-bin), then rounds
     /// `checkpoint.completed_trees..num_trees` replay bit-identically
     /// to an uninterrupted fit.
     pub fn try_fit_resumed(
@@ -619,13 +688,9 @@ impl GpuTrainer {
         resume: Option<&Checkpoint>,
         checkpoints: Option<&mut Vec<Checkpoint>>,
     ) -> Result<(TrainReport, Option<ValidationCurve>), TrainError> {
-        let mut one = Group::new(
-            vec![Arc::clone(&self.device)],
-            MultiGpuStrategy::default(),
-            &self.config,
-        );
+        let mut group = Group::new(self.group.devices().to_vec(), self.strategy, &self.config);
         boost(
-            &mut one,
+            &mut group,
             &self.config,
             ds,
             valid,

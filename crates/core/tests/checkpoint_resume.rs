@@ -1,18 +1,19 @@
 //! Property test: checkpoint after tree `t`, resume on a fresh device,
 //! and the resumed run is bit-identical to the uninterrupted one — for
-//! every histogram method × output-sketch mode combination.
+//! every histogram method × output-sketch mode combination, and on
+//! device groups of either layout.
 //!
 //! "Bit-identical" covers three layers: the grown trees, the final
-//! predictions, and the simulated charge stream (the resumed device's
+//! predictions, and the simulated charge stream (each resumed device's
 //! records after its two preprocess charges must match the tail of the
-//! uninterrupted device's stream exactly, name and bit-pattern).
+//! same rank's uninterrupted stream exactly, name and bit-pattern).
 
 use gbdt_core::config::{OutputSketch, TrainConfig};
 use gbdt_core::trainer::GpuTrainer;
-use gbdt_core::{Checkpoint, HistOptions, HistogramMethod};
+use gbdt_core::{Checkpoint, HistOptions, HistogramMethod, MultiGpuStrategy};
 use gbdt_data::synth::{make_classification, ClassificationSpec};
 use gbdt_data::Dataset;
-use gpusim::{Device, DeviceProps};
+use gpusim::{Device, DeviceGroup, DeviceProps, KernelRecord};
 
 fn dataset() -> Dataset {
     make_classification(&ClassificationSpec {
@@ -93,26 +94,88 @@ fn resume_is_bit_identical_across_hist_methods_and_sketches() {
             "{label}: resumed predictions diverged"
         );
 
-        // Charge-stream identity: after its preprocess re-charges
-        // (htod_features + quantile_binning), the resumed device must
-        // book exactly the tail of the uninterrupted stream.
-        let a = dev_a.records();
-        let b = dev_b.records();
-        assert!(b.len() > 2, "{label}: resumed run booked no round work");
-        let tail = &b[2..];
-        assert!(
-            a.len() >= tail.len(),
-            "{label}: resumed stream longer than the full run"
+        // Charge-stream identity: after its preprocess re-charges the
+        // resumed device must book exactly the tail of the
+        // uninterrupted stream.
+        assert_resumed_tail(&label, &dev_a.records(), &dev_b.records());
+    }
+}
+
+/// Assert that `resumed`, after its two preprocess charges
+/// (htod_features + quantile_binning), booked exactly the tail of
+/// `full`, name and bit-pattern.
+fn assert_resumed_tail(label: &str, full: &[KernelRecord], resumed: &[KernelRecord]) {
+    assert!(
+        resumed.len() > 2,
+        "{label}: resumed run booked no round work"
+    );
+    let tail = &resumed[2..];
+    assert!(
+        full.len() >= tail.len(),
+        "{label}: resumed stream longer than the full run"
+    );
+    for (x, y) in full[full.len() - tail.len()..].iter().zip(tail) {
+        assert_eq!(x.name, y.name, "{label}: kernel sequence drifted");
+        assert_eq!(
+            x.ns.to_bits(),
+            y.ns.to_bits(),
+            "{label}: {} charge drifted on resume",
+            x.name
         );
-        let a_tail = &a[a.len() - tail.len()..];
-        for (x, y) in a_tail.iter().zip(tail) {
-            assert_eq!(x.name, y.name, "{label}: kernel sequence drifted");
+    }
+}
+
+/// A device group checkpoints and resumes as one device does: a fresh
+/// group of the same size and strategy, resumed from the tree-3
+/// checkpoint after a bytes round-trip, grows the uninterrupted group's
+/// trees and predictions, and each of its devices books the tail of the
+/// same rank's uninterrupted charge stream.
+#[test]
+fn group_resume_is_bit_identical_to_the_uninterrupted_group_fit() {
+    let ds = dataset();
+    for strategy in [
+        MultiGpuStrategy::FeatureParallel,
+        MultiGpuStrategy::DataParallel,
+    ] {
+        for streams in [1, 4] {
+            let cfg = TrainConfig {
+                num_trees: 6,
+                max_depth: 3,
+                max_bins: 16,
+                min_instances: 5,
+                streams,
+                ..TrainConfig::default()
+            };
+            let label = format!("{strategy:?}(2) streams {streams}");
+            let group_a = DeviceGroup::rtx4090s(2);
+            let (full, checkpoints) =
+                GpuTrainer::try_with_strategy(group_a.clone(), cfg.clone(), strategy)
+                    .unwrap_or_else(|e| panic!("{label}: invalid config: {e}"))
+                    .try_fit_checkpointed(&ds)
+                    .unwrap_or_else(|e| panic!("{label}: checkpointed fit failed: {e}"));
+            assert_eq!(checkpoints.len(), 6, "{label}: one checkpoint per tree");
+            let ck = Checkpoint::from_bytes(&checkpoints[2].to_bytes())
+                .unwrap_or_else(|e| panic!("{label}: checkpoint roundtrip failed: {e}"));
+            assert_eq!(ck.completed_trees, 3);
+
+            let group_b = DeviceGroup::rtx4090s(2);
+            let resumed =
+                GpuTrainer::try_with_strategy(group_b.clone(), ck.config.clone(), strategy)
+                    .unwrap_or_else(|e| panic!("{label}: invalid config: {e}"))
+                    .try_fit_resumed(&ds, &ck)
+                    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(
-                x.ns.to_bits(),
-                y.ns.to_bits(),
-                "{label}: {} charge drifted on resume",
-                x.name
+                resumed.model.trees, full.model.trees,
+                "{label}: resumed trees diverged"
             );
+            assert_eq!(
+                resumed.model.predict(ds.features()),
+                full.model.predict(ds.features()),
+                "{label}: resumed predictions diverged"
+            );
+            for (rank, (a, b)) in group_a.devices().iter().zip(group_b.devices()).enumerate() {
+                assert_resumed_tail(&format!("{label} rank {rank}"), &a.records(), &b.records());
+            }
         }
     }
 }

@@ -14,12 +14,15 @@
 //!
 //! The second half pins what skipping one-bin columns may not change:
 //! appended constant columns leave every placement's trees, and one
-//! device's histogram and split-evaluation time, bit-identical.
+//! device's histogram and split-evaluation time, bit-identical. The
+//! `groups_` tests pin device groups to one device's trees under
+//! subtraction, monotone constraints, early stopping and a custom loss.
 
 use gbdt_baselines::{CpuMoTrainer, CpuStorage};
 use gbdt_core::config::{HistogramMethod, TrainConfig};
+use gbdt_core::loss::CustomLoss;
 use gbdt_core::tree::Node;
-use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer};
+use gbdt_core::{GpuTrainer, MultiGpuStrategy, MultiGpuTrainer, ValidationReport};
 use gbdt_data::synth::{
     make_classification, make_multilabel, make_regression, ClassificationSpec, MultilabelSpec,
     RegressionSpec,
@@ -448,5 +451,95 @@ fn groups_under_monotone_constraints_grow_one_device_trees_bit_for_bit() {
         };
         let constrained = assert_groups_grow_one_device_trees(tag, &ds, &cfg);
         assert_ne!(constrained, free, "{tag}: the constraints bound nothing");
+    }
+}
+
+/// Early stopping on a group scores the validation split as one device
+/// does: the same truncated trees, the same history bit for bit and the
+/// same best iteration, on {feature, data} parallel groups of 2 and 3.
+#[test]
+fn groups_with_validation_stop_where_one_device_stops() {
+    let ds = make_classification(&ClassificationSpec {
+        instances: 500,
+        features: 10,
+        classes: 3,
+        informative: 8,
+        flip_y: 0.15,
+        seed: 22,
+        ..Default::default()
+    });
+    let (train, valid) = ds.split(0.4, 23);
+    let cfg = TrainConfig {
+        num_trees: 20,
+        ..config()
+    };
+    let bits = |r: &ValidationReport| {
+        let history: Vec<u64> = r.history.iter().map(|v| v.to_bits()).collect();
+        (tree_bits(&r.report.model), history, r.best_iteration)
+    };
+    let want = bits(
+        &GpuTrainer::new(Device::rtx4090(), cfg.clone()).fit_with_validation(&train, &valid, 3),
+    );
+    assert!(want.2 + 1 < cfg.num_trees, "validation never stopped early");
+    for k in [2, 3] {
+        for strategy in [
+            MultiGpuStrategy::FeatureParallel,
+            MultiGpuStrategy::DataParallel,
+        ] {
+            let trainer =
+                MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(k), cfg.clone(), strategy);
+            let got = bits(&trainer.fit_with_validation(&train, &valid, 3));
+            assert_eq!(got, want, "{strategy:?}({k})");
+        }
+    }
+}
+
+/// A user-defined loss drives a group's gradients as it drives one
+/// device's: the same trees, bit for bit, on {feature, data} parallel
+/// groups of 2 and 3.
+#[test]
+fn groups_with_a_custom_loss_grow_one_device_trees_bit_for_bit() {
+    // An asymmetric squared loss: under-prediction penalized 3× harder.
+    let loss = CustomLoss::new(
+        "asymmetric-mse",
+        |scores, targets, g, h| {
+            for k in 0..scores.len() {
+                let r = scores[k] - targets[k];
+                let w = if r < 0.0 { 3.0 } else { 1.0 };
+                g[k] = 2.0 * w * r;
+                h[k] = 2.0 * w;
+            }
+        },
+        |scores, targets| {
+            scores
+                .iter()
+                .zip(targets)
+                .map(|(&s, &t)| {
+                    let r = (s - t) as f64;
+                    let w = if r < 0.0 { 3.0 } else { 1.0 };
+                    w * r * r
+                })
+                .sum()
+        },
+        6.0,
+    );
+    let (_, ds) = datasets().swap_remove(0);
+    let want = tree_bits(
+        &GpuTrainer::new(Device::rtx4090(), config())
+            .fit_with_loss(&ds, &loss)
+            .model,
+    );
+    let task_loss = tree_bits(&GpuTrainer::new(Device::rtx4090(), config()).fit(&ds));
+    assert_ne!(want, task_loss, "the custom loss changed nothing");
+    for k in [2, 3] {
+        for strategy in [
+            MultiGpuStrategy::FeatureParallel,
+            MultiGpuStrategy::DataParallel,
+        ] {
+            let trainer =
+                MultiGpuTrainer::with_strategy(DeviceGroup::rtx4090s(k), config(), strategy);
+            let got = tree_bits(&trainer.fit_with_loss(&ds, &loss).model);
+            assert_eq!(got, want, "{strategy:?}({k})");
+        }
     }
 }

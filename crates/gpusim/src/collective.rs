@@ -106,6 +106,15 @@ impl DeviceGroup {
     }
 }
 
+/// One device is a group of one.
+impl From<Arc<Device>> for DeviceGroup {
+    fn from(device: Arc<Device>) -> Self {
+        DeviceGroup {
+            devices: vec![device],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
